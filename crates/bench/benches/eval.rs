@@ -5,7 +5,7 @@
 //!
 //! * a 64×64 DNN ratio heatmap (Fig. 8 class) — naive per-cell
 //!   `compare_uniform` versus `Estimator::ratio_grid` (compiled scenario +
-//!   SoA kernel + thread pool),
+//!   batch kernel + thread pool),
 //! * a 10 000-sample Monte-Carlo study — the pre-PR structure (one
 //!   parameter clone per knob per trial, full model rebuild per trial,
 //!   serial) versus `MonteCarlo::run`,
@@ -14,10 +14,12 @@
 //!   (`crossover_*_analytic`),
 //! * the 64×64 winner map — dense `ratio_grid` versus the adaptive
 //!   frontier refiner (`Estimator::frontier`), and
-//! * the SoA batch kernel — `CompiledScenario::evaluate_into` into a
-//!   reused buffer versus collecting per-point `PlatformComparison`s, and
+//! * the batch kernel — `CompiledScenario::evaluate_into` into a reused
+//!   buffer (`evaluate_batch_ns`, gated per point by `bench_gate`'s
+//!   absolute `evaluate_ns_per_point` ceiling), and one evaluation at 5
+//!   versus 2^53 applications, which the closed form prices the same, and
 //! * a streamed 1024×1024 (million-point) ratio grid —
-//!   `CompiledScenario::grid_stream` drained block by block, the tile
+//!   `CompiledScenario::grid_stream` drained block by block, the batch
 //!   kernel end to end with only one row-block resident (`grid_1m_ns`), and
 //! * a full-year time-series carbon replay — 8760 hourly intensity steps
 //!   over a cataloged fleet scenario (`replay_year_ns`), the serial loop
@@ -31,11 +33,13 @@
 //! can track the performance trajectory (`bench_gate` compares a fresh run
 //! against the committed baseline), and asserts the acceptance bars
 //! (≥10x heatmap, ≥5x Monte-Carlo, ≥10x crossover, frontier from ≤20% of
-//! the dense evaluations) unless `GF_BENCH_NO_ASSERT` is set.
+//! the dense evaluations, the per-point ceiling, and a flat cost in the
+//! application count) unless `GF_BENCH_NO_ASSERT` is set.
 
+use std::hint::black_box;
 use std::time::Duration;
 
-use gf_bench::harness::{bench_ratio, bench_with, metrics_json};
+use gf_bench::harness::{bench_with, metrics_json};
 use gf_support::SplitMix64;
 use greenfpga::{
     CompiledScenario, Domain, Estimator, EstimatorParams, Knob, MonteCarlo, Objective,
@@ -360,8 +364,8 @@ fn main() {
     let frontier_speedup = batch_heatmap.median_ns / adaptive_frontier.median_ns;
     println!("frontier speedup over dense batch grid: {frontier_speedup:.1}x");
 
-    // --- SoA kernel vs collecting per-point comparisons. ---
-    let soa_points: Vec<OperatingPoint> = {
+    // --- Batch kernel: cost per point, and flat in the application count. ---
+    let batch_points: Vec<OperatingPoint> = {
         let (apps, lifetimes) = grid_axes();
         lifetimes
             .iter()
@@ -374,36 +378,39 @@ fn main() {
             })
             .collect()
     };
-    // Interleaved rounds, best-time quotient: noise can only slow a
-    // round down, so min-over-rounds on each side is the cleanest
-    // estimate of kernel capability — what the absolute floor asks (see
-    // [`gf_bench::harness::bench_ratio`]).
-    let mut soa_buffer = ResultBuffer::new();
-    let (aos_collect, soa_kernel, soa_speedup) = bench_ratio(
-        &format!("evaluate_aos_collect_{}", soa_points.len()),
-        &format!("evaluate_into_soa_{}", soa_points.len()),
+    let mut batch_buffer = ResultBuffer::new();
+    let evaluate_batch = bench_with(
+        &format!("evaluate_into_{}", batch_points.len()),
         Duration::from_millis(120),
         7,
-        || -> Vec<greenfpga::PlatformComparison> {
-            soa_points
-                .iter()
-                .map(|&p| compiled.evaluate(p).expect("aos point"))
-                .collect()
-        },
         || {
             compiled
-                .evaluate_into(&soa_points, &mut soa_buffer)
-                .expect("soa batch");
-            soa_buffer.ratio(0)
+                .evaluate_into(&batch_points, &mut batch_buffer)
+                .expect("batch");
+            batch_buffer.ratio(0)
         },
     );
-    println!("{aos_collect}");
-    println!("{soa_kernel}");
-    println!(
-        "soa kernel speedup over AoS collect: {soa_speedup:.1}x (best-of-7 interleaved rounds)"
-    );
+    println!("{evaluate_batch}");
+    let ns_per_point = evaluate_batch.median_ns / batch_points.len() as f64;
+    println!("batch kernel: {ns_per_point:.1} ns/point");
+    let at_apps = |applications: u64| OperatingPoint {
+        applications,
+        ..OperatingPoint::paper_default()
+    };
+    let evaluate_apps_5 = bench_with("evaluate_apps_5", Duration::from_millis(60), 5, || {
+        compiled.evaluate(black_box(at_apps(5))).expect("n = 5")
+    });
+    println!("{evaluate_apps_5}");
+    let evaluate_apps_2p53 = bench_with("evaluate_apps_2p53", Duration::from_millis(60), 5, || {
+        compiled
+            .evaluate(black_box(at_apps(1 << 53)))
+            .expect("n = 2^53")
+    });
+    println!("{evaluate_apps_2p53}");
+    let apps_cost_ratio = evaluate_apps_2p53.median_ns / evaluate_apps_5.median_ns;
+    println!("evaluate cost at 2^53 vs 5 applications: {apps_cost_ratio:.2}x");
 
-    // --- Streamed million-point grid: the tile kernel end to end. ---
+    // --- Streamed million-point grid: the batch kernel end to end. ---
     let grid_volumes: Vec<f64> = greenfpga::log_spaced_volumes(1_000, 50_000_000, GRID_1M_SIDE)
         .into_iter()
         .map(|v| v as f64)
@@ -562,9 +569,10 @@ fn main() {
         ("frontier_speedup", frontier_speedup),
         ("frontier_evals", frontier_evals as f64),
         ("frontier_eval_fraction", frontier_fraction),
-        ("evaluate_aos_ns", aos_collect.median_ns),
-        ("evaluate_soa_ns", soa_kernel.median_ns),
-        ("soa_speedup", soa_speedup),
+        ("evaluate_batch_ns", evaluate_batch.median_ns),
+        ("evaluate_ns_per_point", ns_per_point),
+        ("evaluate_apps_5_ns", evaluate_apps_5.median_ns),
+        ("evaluate_apps_2p53_ns", evaluate_apps_2p53.median_ns),
         ("grid_1m_ns", grid_1m.median_ns),
         ("replay_year_ns", replay_year.median_ns),
         ("optimize_analytic_ns", optimize_analytic.median_ns),
@@ -592,21 +600,18 @@ fn main() {
             "frontier evaluated {:.1}% of the dense grid, above the 20% acceptance bar",
             frontier_fraction * 100.0
         );
-        // With the simd tile kernel the shared vector-win floor (see
-        // [`gf_bench::SOA_SPEEDUP_FLOOR`], also enforced by `bench_gate`)
-        // is asserted directly; the branchless scalar fallback clears
-        // ~1.5x, so portable runs assert the old parity bar and leave the
-        // hard floor to the gate over the simd-built CI artifact.
-        let soa_floor = if cfg!(feature = "simd") {
-            gf_bench::SOA_SPEEDUP_FLOOR
-        } else {
-            0.95
-        };
+        // The same ceiling `bench_gate` enforces on the artifact (see
+        // [`gf_bench::EVALUATE_NS_PER_POINT_CEILING`]).
+        let ceiling = gf_bench::EVALUATE_NS_PER_POINT_CEILING;
         assert!(
-            soa_speedup >= soa_floor,
-            "SoA kernel speedup {soa_speedup:.2}x below the {soa_floor} floor — the \
-             tile kernel must not lose its vector margin over collecting \
-             per-point comparisons"
+            ns_per_point <= ceiling,
+            "batch kernel at {ns_per_point:.1} ns/point, above the {ceiling} ns ceiling"
+        );
+        // The closed form: no work grows with the application count.
+        assert!(
+            apps_cost_ratio <= 1.5,
+            "evaluate at 2^53 applications costs {apps_cost_ratio:.2}x the 5-application \
+             evaluation — the application count must not drive the cost"
         );
         // The wall-clock frontier win is machine-shaped (dense grids
         // parallelize better than refinement waves), so the hard bar is the

@@ -19,11 +19,10 @@
 //!   client count fails the build;
 //! * absolute quality floors on the candidate, independent of whatever the
 //!   baseline recorded — a bad baseline must not grandfather a bad kernel
-//!   in (the `soa_speedup: 0.88` episode): the adaptive-frontier evaluation
-//!   budget (`frontier_eval_fraction ≤ 0.2`), the SIMD tile kernel
-//!   beating the AoS collect path by its vector margin (`soa_speedup ≥`
-//!   [`gf_bench::SOA_SPEEDUP_FLOOR`] = 2.0 — the candidate artifact must
-//!   come from a `--features simd` build), the serving soak
+//!   in: the adaptive-frontier evaluation budget
+//!   (`frontier_eval_fraction ≤ 0.2`), the batch kernel's cost per point
+//!   (`evaluate_ns_per_point ≤`
+//!   [`gf_bench::EVALUATE_NS_PER_POINT_CEILING`]), the serving soak
 //!   holding at least [`gf_bench::SERVE_CONNECTIONS_FLOOR`] verified live
 //!   keep-alive connections (`serve_connections`), and the default-on
 //!   tracing costing at most 3% of serve throughput (`trace_overhead ≥`
@@ -92,8 +91,7 @@ fn run(baseline_path: &str, candidate_path: &str, tolerance: f64) -> Result<bool
         println!("  {key:<40} {base:>14.1} -> {new:>14.1} {unit}  ({ratio:>5.2}x)  {verdict}");
     }
     // Absolute quality floors, checked on the candidate alone: a regressed
-    // committed baseline must not silently lower the bar (the shipped
-    // `soa_speedup: 0.88` baseline is exactly the failure this prevents).
+    // committed baseline must not silently lower the bar.
     if let Some(fraction) = lookup(&candidate, "frontier_eval_fraction") {
         let verdict = if fraction > 0.20 {
             failed = true;
@@ -107,22 +105,20 @@ fn run(baseline_path: &str, candidate_path: &str, tolerance: f64) -> Result<bool
             fraction * 100.0
         );
     }
-    // The floor demands the tile kernel's vector win, not parity (see
-    // [`gf_bench::SOA_SPEEDUP_FLOOR`]): a candidate built without the
-    // `simd` feature, or a kernel change that silently de-vectorizes,
-    // lands well under 2.0 even on a fast runner, while the measured
-    // AVX2 speedup (2.1–2.2x) keeps headroom above the floor.
-    if let Some(soa) = lookup(&candidate, "soa_speedup") {
-        let floor = gf_bench::SOA_SPEEDUP_FLOOR;
-        let verdict = if soa < floor {
+    // The closed-form kernel's per-point cost has an absolute ceiling (see
+    // [`gf_bench::EVALUATE_NS_PER_POINT_CEILING`]): per-application work
+    // creeping back in fails here whatever the baseline recorded.
+    if let Some(ns) = lookup(&candidate, "evaluate_ns_per_point") {
+        let ceiling = gf_bench::EVALUATE_NS_PER_POINT_CEILING;
+        let verdict = if ns > ceiling {
             failed = true;
             "REGRESSED"
         } else {
             "ok"
         };
         println!(
-            "  {:<40} {:>32.2}x   {verdict}  (absolute floor {floor})",
-            "soa_speedup (floor)", soa
+            "  {:<40} {ns:>31.1}ns   {verdict}  (absolute ceiling {ceiling})",
+            "evaluate_ns_per_point (ceiling)"
         );
     }
     // The serving soak must keep demonstrating event-loop connection
@@ -408,28 +404,26 @@ mod tests {
     }
 
     #[test]
-    fn soa_speedup_has_an_absolute_floor() {
-        let dir = std::env::temp_dir().join("gf_bench_gate_soa_test");
+    fn evaluate_ns_per_point_has_an_absolute_ceiling() {
+        let dir = std::env::temp_dir().join("gf_bench_gate_per_point_test");
         std::fs::create_dir_all(&dir).unwrap();
         let baseline = dir.join("baseline.json");
         let candidate = dir.join("candidate.json");
-        // The shipped-regression shape: the BASELINE itself is bad, so the
-        // relative comparison is green — the absolute floor must still
-        // fail the candidate.
-        std::fs::write(&baseline, "{\n  \"soa_speedup\": 0.88\n}\n").unwrap();
-        std::fs::write(&candidate, "{\n  \"soa_speedup\": 0.88\n}\n").unwrap();
+        // A baseline that recorded the same slow kernel cannot grandfather
+        // it in: the relative comparison is green, the ceiling still fails.
+        std::fs::write(&baseline, "{\n  \"evaluate_ns_per_point\": 95\n}\n").unwrap();
+        std::fs::write(&candidate, "{\n  \"evaluate_ns_per_point\": 95\n}\n").unwrap();
         assert!(run(
             baseline.to_str().unwrap(),
             candidate.to_str().unwrap(),
             1.25
         )
         .unwrap());
-        // At or above the floor (and the baseline) passes, with the
-        // measured simd speedups comfortably over it.
-        for passing in ["2.15", "2.05"] {
+        // At or under the ceiling passes.
+        for passing in [7.5, 12.0, gf_bench::EVALUATE_NS_PER_POINT_CEILING] {
             std::fs::write(
                 &candidate,
-                format!("{{\n  \"soa_speedup\": {passing}\n}}\n"),
+                format!("{{\n  \"evaluate_ns_per_point\": {passing}\n}}\n"),
             )
             .unwrap();
             assert!(!run(

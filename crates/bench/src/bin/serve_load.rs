@@ -543,7 +543,7 @@ fn build_workload() -> Workload {
         .collect();
     assert_eq!(
         response.comparisons, expected,
-        "served batch drifted from the SoA kernel"
+        "served batch drifted from the batch kernel"
     );
 
     let scenario_goldens: Vec<Vec<u8>> = catalog()

@@ -82,60 +82,6 @@ pub fn bench_with<R>(
     }
 }
 
-/// Measures two alternating workloads in interleaved rounds and reports
-/// each side's merged statistics plus the ratio of their **best-observed**
-/// per-iteration times across all rounds.
-///
-/// For gated ratio metrics (`soa_speedup` and friends) this is far more
-/// robust than dividing two independently-timed medians: machine noise
-/// (a shared CI runner, a background compile) can only ever make a round
-/// *slower*, so each side's minimum over several interleaved rounds is
-/// the least-contaminated estimate of what the code can actually do —
-/// exactly the question an absolute capability floor asks. Interleaving
-/// means both workloads sample the same load epochs, so one side cannot
-/// soak up a quiet spell the other never saw.
-pub fn bench_ratio<A, B>(
-    name_a: &str,
-    name_b: &str,
-    target_batch: Duration,
-    rounds: usize,
-    mut a: impl FnMut() -> A,
-    mut b: impl FnMut() -> B,
-) -> (BenchResult, BenchResult, f64) {
-    let rounds = rounds.max(1);
-    let mut results_a = Vec::with_capacity(rounds);
-    let mut results_b = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        results_a.push(bench_with(name_a, target_batch, 1, &mut a));
-        results_b.push(bench_with(name_b, target_batch, 1, &mut b));
-    }
-    let merged_a = merge_rounds(results_a);
-    let merged_b = merge_rounds(results_b);
-    let ratio = merged_a.min_ns / merged_b.min_ns;
-    (merged_a, merged_b, ratio)
-}
-
-/// Folds per-round results of one workload into a single summary: the
-/// median round's timing, the overall minimum, the mean of means.
-fn merge_rounds(mut results: Vec<BenchResult>) -> BenchResult {
-    results.sort_by(|x, y| f64::total_cmp(&x.median_ns, &y.median_ns));
-    let count = results.len();
-    let min_ns = results
-        .iter()
-        .map(|r| r.min_ns)
-        .fold(f64::INFINITY, f64::min);
-    let mean_ns = results.iter().map(|r| r.mean_ns).sum::<f64>() / count as f64;
-    let mid = results.swap_remove(count / 2);
-    BenchResult {
-        name: mid.name,
-        iters_per_batch: mid.iters_per_batch,
-        batches: count,
-        median_ns: mid.median_ns,
-        min_ns,
-        mean_ns,
-    }
-}
-
 /// [`bench_with`] using the default budget (100 ms batches × 9 batches) and
 /// printing the result in a `cargo bench`-like format.
 pub fn bench<R>(name: &str, f: impl FnMut() -> R) -> BenchResult {
@@ -235,23 +181,6 @@ mod tests {
         assert!(result.iters_per_batch >= 1);
         assert_eq!(result.batches, 3);
         assert!(result.to_string().contains("spin"));
-    }
-
-    #[test]
-    fn bench_ratio_interleaves_rounds_and_compares_best_times() {
-        let (a, b, ratio) = bench_ratio(
-            "slow",
-            "fast",
-            Duration::from_millis(2),
-            3,
-            || (0..2000u64).map(black_box).sum::<u64>(),
-            || (0..100u64).map(black_box).sum::<u64>(),
-        );
-        assert_eq!(a.batches, 3);
-        assert_eq!(b.batches, 3);
-        assert!(a.min_ns <= a.median_ns);
-        assert!(ratio > 1.0, "20x the work must time slower, got {ratio}");
-        assert!(ratio.is_finite());
     }
 
     #[test]

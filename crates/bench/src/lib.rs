@@ -9,16 +9,16 @@ pub mod harness;
 
 use greenfpga::{CfpBreakdown, Estimator, EstimatorParams};
 
-/// Absolute floor for the `soa_speedup` metric, shared by the `bench eval`
-/// assertion (simd builds) and `bench_gate`'s candidate check so the two
-/// can never enforce different bars. The SIMD tile kernel turns the SoA
-/// layout into a real vector win — 2.1–2.2x over the AoS collect path on
-/// AVX2 — so the floor demands the speedup, not mere parity: a build that
-/// silently drops back to scalar (broken feature wiring, a de-vectorized
-/// kernel) fails the gate even when both paths got uniformly faster. CI
-/// produces the gated artifact with `--features simd`; the branchless
-/// portable fallback clears ~1.5x and is not held to this bar.
-pub const SOA_SPEEDUP_FLOOR: f64 = 2.0;
+/// Absolute ceiling for the `evaluate_ns_per_point` metric — the batch
+/// kernel's median time per evaluated point over the 4096-point grid batch
+/// of `bench eval` — shared by that bench's assertion and `bench_gate`'s
+/// candidate check so the two can never enforce different bars. The
+/// closed-form kernel is a few dozen flops per point whatever its
+/// application count (~25–35 ns per point on a 2-vCPU x86-64 container,
+/// thread hand-off included); a change that brings back per-application
+/// work, or puts an allocation or a lock on the per-point path, lands
+/// above the ceiling even when a stale baseline would wave it through.
+pub const EVALUATE_NS_PER_POINT_CEILING: f64 = 50.0;
 
 /// Absolute floor for the `serve_connections` soak metric: the event-loop
 /// server must demonstrably hold at least this many concurrently-live,

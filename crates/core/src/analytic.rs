@@ -31,10 +31,10 @@ use crate::{
 /// `flipped(x)` is a monotone predicate over `lo..=hi` — `false` below some
 /// boundary, `true` at and above it (a winner flip, a budget bust, a sign
 /// change). The affine root predicts where the boundary sits, but the root
-/// is computed from multiplied-out coefficients while the kernel
-/// accumulates per application, so the two can disagree by a ulp: seed the
-/// candidate from the prediction, then walk it against the real kernel —
-/// at most a step or two in practice.
+/// is solved from component sums while the kernel compares breakdown
+/// totals, so the two can disagree by a ulp: seed the candidate from the
+/// prediction, then walk it against the real kernel — at most a step or
+/// two in practice.
 ///
 /// Returns the first `x` in `lo..=hi` with `flipped(x)`, or `None` when
 /// the predicate never flips in range. Both the crossover searches
@@ -167,11 +167,13 @@ impl CompiledScenario {
     /// compiled coefficients, holding the other two workload parameters at
     /// `base`.
     ///
-    /// The coefficients reproduce [`CompiledScenario::evaluate`]'s
-    /// arithmetic in closed form (the kernel's repeated per-application
-    /// accumulation becomes a multiplication), so evaluating the affine
-    /// model agrees with the kernel to floating-point rounding — a few ulp,
-    /// not bit-identity; golden tests hold the two to ≤1e-9 relative.
+    /// Along the application axis the lines are the kernel's own
+    /// (`fixed + n × per_application`), summed over components;
+    /// lifetime and volume multiply the coefficients out. Either way the
+    /// affine model sums in a different order than the kernel's breakdown
+    /// total, so the two agree to floating-point rounding — a few ulp, not
+    /// bit-identity; golden tests hold them to ≤1e-9 relative, and integer
+    /// boundaries are confirmed against the kernel.
     pub fn totals_affine(&self, axis: SweepAxis, base: OperatingPoint) -> AffineComparison {
         let napps = base.applications as f64;
         let years = base.lifetime_years;
@@ -197,20 +199,15 @@ impl CompiledScenario {
         // ASIC (Eq. 1): every application pays embodied and deployment.
         //   A(N,T,V) = N·(ad + V·ac·ah + V·ac·ar·T + aa + ag·V·ac)
         let (fpga, asic) = match axis {
-            SweepAxis::Applications => (
-                AffineTotal {
-                    intercept_kg: fd + volume * fc * fh,
-                    slope_kg: volume * fc * fr * years + fa + fg * volume * fc,
-                },
-                AffineTotal {
-                    intercept_kg: 0.0,
-                    slope_kg: ad
-                        + volume * ac * ah
-                        + volume * ac * ar * years
-                        + aa
-                        + ag * volume * ac,
-                },
-            ),
+            SweepAxis::Applications => {
+                let line = |l: crate::eval::ApplicationLine| AffineTotal {
+                    intercept_kg: l.fixed.total().as_kg(),
+                    slope_kg: l.per_application.total().as_kg(),
+                };
+                let (fpga, asic) =
+                    self.application_lines(gf_units::TimeSpan::from_years(years), base.volume);
+                (line(fpga), line(asic))
+            }
             SweepAxis::LifetimeYears => (
                 AffineTotal {
                     intercept_kg: fd + volume * fc * fh + napps * (fa + fg * volume * fc),

@@ -1315,7 +1315,7 @@ impl FromJson for EvaluateResponse {
 }
 
 /// `POST /v1/batch`: many operating points in one scenario, evaluated
-/// through the zero-allocation SoA kernel.
+/// through the zero-allocation batch kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchEvalRequest {
     /// The scenario every point is evaluated in.
@@ -1678,7 +1678,7 @@ impl FromJson for FrontierRequest {
 }
 
 /// `POST /v1/grid`: a dense FPGA:ASIC ratio heatmap over a 2-D lattice
-/// (the paper's Fig. 8), every cell evaluated through the SoA batch
+/// (the paper's Fig. 8), every cell evaluated through the batch
 /// kernel. Same geometry and defaults as [`FrontierRequest`]; use the
 /// frontier when only the winner of each cell matters.
 #[derive(Debug, Clone, PartialEq)]
@@ -2725,7 +2725,7 @@ impl FromJson for ApiError {
 pub enum QueryKind {
     /// One operating point in one scenario.
     Evaluate,
-    /// Many operating points in one scenario (SoA batch kernel).
+    /// Many operating points in one scenario (batch kernel).
     Batch,
     /// One point evaluated side by side in several scenarios.
     Compare,

@@ -263,11 +263,12 @@ impl crate::CompiledScenario {
             return Ok(None);
         }
         // The totals are affine in the application count, so the first
-        // winning count is the first integer past the closed-form root. The
-        // root is computed from multiplied-out coefficients while the model
-        // accumulates per application, so the two can disagree by a ulp at
-        // the boundary: confirm against the real kernel and let the
-        // (monotone) difference walk the candidate at most a step or two.
+        // winning count is the first integer past the closed-form root,
+        // solved from the kernel's own lines. The root sums components in
+        // a different order than the kernel's totals, so the two can
+        // disagree by a ulp at the boundary: confirm against the real
+        // kernel and let the (monotone) difference walk the candidate at
+        // most a step or two.
         let Some(crossover) = self.crossover_in_applications_analytic(lifetime_years, volume)
         else {
             return Ok(None); // Parallel totals: the n = 1 winner never flips.
@@ -363,11 +364,9 @@ impl crate::CompiledScenario {
         }
         // The totals are affine in the volume, so the smallest integer
         // volume on the far side of the flip sits right above the
-        // closed-form root. The root comes from multiplied-out coefficients
-        // while the kernel accumulates per application, so confirm the
-        // candidate against the kernel and let the (monotone) difference
-        // walk it at most a step or two — replacing the old geometric
-        // scan + integer bisection.
+        // closed-form root. The root comes from multiplied-out coefficients,
+        // so confirm the candidate against the kernel and let the
+        // (monotone) difference walk it at most a step or two.
         let root = self
             .crossover_in_volume_analytic(applications, lifetime_years)
             .map_or(0.5 * (min_volume as f64 + max_volume as f64), |c| c.at);

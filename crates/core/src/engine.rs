@@ -109,9 +109,9 @@ impl std::fmt::Debug for Engine {
 }
 
 impl Engine {
-    /// Column capacity (bytes) each pool worker's thread-local
-    /// [`ResultBuffer`] keeps between jobs — 64 KiB ≈ 680 points across
-    /// the 12 columns, comfortably above the common serving batch sizes.
+    /// Capacity (bytes) each pool worker's thread-local [`ResultBuffer`]
+    /// keeps between jobs — 64 KiB ≈ 680 points at 96 bytes per point,
+    /// comfortably above the common serving batch sizes.
     pub const WORKER_BUFFER_RETAIN_BYTES: usize = 64 << 10;
 
     /// Builds an engine: resolves every domain template and sizes the
@@ -476,12 +476,12 @@ impl Engine {
     /// [`Engine::execute`] for completion-callback jobs that want a
     /// scratch [`ResultBuffer`]: the buffer is **worker-thread-local** and
     /// reused across every job that worker runs, so a serving transport
-    /// dispatching queries to the pool pays for the SoA result arrays once
+    /// dispatching queries to the pool pays for the result storage once
     /// per worker, not once per request.
     ///
     /// After each job the retained capacity is capped at
     /// [`Engine::WORKER_BUFFER_RETAIN_BYTES`]: batches that fit keep their
-    /// columns allocated (steady-state serving stays zero-allocation),
+    /// storage allocated (steady-state serving stays zero-allocation),
     /// while one outsized request — a million-point batch, say — no longer
     /// pins its high-water footprint in every worker forever.
     pub fn execute_with_buffer(

@@ -135,7 +135,9 @@ impl Estimator {
     /// Total FPGA-platform footprint for a sequence of applications
     /// (Eq. 2): the embodied cost is paid once for a fleet sized to the
     /// most demanding application, then every application adds its
-    /// deployment footprint.
+    /// deployment footprint — `count ×` one deployment per run of
+    /// consecutive identical applications (same gates, lifetime and
+    /// volume), the closed form the compiled kernel evaluates.
     ///
     /// # Errors
     ///
@@ -156,8 +158,8 @@ impl Estimator {
             .max()
             .unwrap_or(0);
         let mut total = self.fpga_embodied(fpga, staffing, fleet_chips)?;
-        for application in applications {
-            total += self.fpga_deployment_for(fpga, application)?;
+        for (application, count) in runs(applications) {
+            total += self.fpga_deployment_for(fpga, application)? * count as f64;
         }
         Ok(total)
     }
@@ -215,7 +217,9 @@ impl Estimator {
 
     /// Total ASIC-platform footprint for a sequence of applications
     /// (Eq. 1): every application pays for a new ASIC — design, volume
-    /// manufacturing, packaging, end-of-life — plus its operation.
+    /// manufacturing, packaging, end-of-life — plus its operation, summed
+    /// as `count × (embodied + deployment)` per run of consecutive
+    /// identical applications.
     ///
     /// # Errors
     ///
@@ -231,9 +235,10 @@ impl Estimator {
             return Err(GreenFpgaError::EmptyWorkload);
         }
         let mut total = CfpBreakdown::ZERO;
-        for application in applications {
-            total += self.asic_embodied_for(asic, staffing, application)?;
-            total += self.asic_deployment_for(asic, application)?;
+        for (application, count) in runs(applications) {
+            let per_application = self.asic_embodied_for(asic, staffing, application)?
+                + self.asic_deployment_for(asic, application)?;
+            total += per_application * count as f64;
         }
         Ok(total)
     }
@@ -262,6 +267,18 @@ impl Estimator {
             asic_total,
         ))
     }
+}
+
+/// Splits `applications` into runs of consecutive applications that are
+/// identical to the model — same gate count, lifetime and volume (names do
+/// not enter Eqs. 1–3) — paired with each run's length. A uniform workload
+/// is a single run, so its `n` equal terms enter as one multiplication.
+fn runs(applications: &[Application]) -> impl Iterator<Item = (&Application, u64)> {
+    applications
+        .chunk_by(|a, b| {
+            a.gates() == b.gates() && a.lifetime() == b.lifetime() && a.volume() == b.volume()
+        })
+        .map(|run| (&run[0], run.len() as u64))
 }
 
 impl Default for Estimator {

@@ -14,11 +14,10 @@
 //! (manufacturing, packaging, end-of-life) triple, the deployment power
 //! profile and the application-development model for both platforms — after
 //! which [`CompiledScenario::evaluate`] costs a handful of multiplies per
-//! point. The arithmetic intentionally mirrors the naive path operation for
-//! operation (including the per-application accumulation loop), so compiled
-//! results are bit-identical to [`Estimator::compare_uniform`] for uniform
-//! workloads; golden tests in `tests/` hold the two paths to ≤1e-12
-//! relative error.
+//! point, independent of the application count: a uniform workload's `n`
+//! identical applications enter as one multiplication by `n`. The naive
+//! estimator groups identical applications into the same expression, so
+//! compiled results are bit-identical to [`Estimator::compare_uniform`].
 //!
 //! [`Estimator::evaluate_batch`] adds the parallel fan-out: a
 //! [`BatchRequest`] is compiled once and its points are spread over the
@@ -290,9 +289,9 @@ impl CompiledScenario {
 
     /// Evaluates the uniform-workload comparison at one operating point.
     ///
-    /// Mirrors [`Estimator::compare_uniform`] operation for operation —
-    /// including the per-application accumulation loop — so the result is
-    /// bit-identical to the naive path.
+    /// Costs the same at any application count — `n` identical
+    /// applications enter as one multiplication by `n` — and is
+    /// bit-identical to the naive [`Estimator::compare_uniform`].
     ///
     /// # Errors
     ///
@@ -328,57 +327,45 @@ impl CompiledScenario {
         Ok(lifetime)
     }
 
-    /// The model arithmetic shared by [`CompiledScenario::evaluate`] and the
-    /// SoA kernel ([`CompiledScenario::evaluate_into`]); `point` must have
-    /// passed [`CompiledScenario::validate`]. One function so every batch
-    /// path is bit-identical to the naive estimator by construction.
+    /// The model arithmetic every evaluation path shares; `point` must have
+    /// passed [`CompiledScenario::validate`].
     fn totals(&self, point: OperatingPoint, lifetime: TimeSpan) -> (CfpBreakdown, CfpBreakdown) {
-        // FPGA (Eq. 2): embodied once for a fleet sized to the (uniform)
-        // applications, then one deployment term per application.
-        let fpga_devices = point.volume * self.fpga.chips_per_unit;
-        let mut fpga = self.fpga.embodied(fpga_devices as f64);
-        let fpga_deployment = self.fpga.deployment(lifetime, fpga_devices);
-        for _ in 0..point.applications {
-            fpga += fpga_deployment;
-        }
-
-        // ASIC (Eq. 1): every application pays a fresh embodied cost plus
-        // its own deployment.
-        let asic_embodied = self.asic.embodied(point.volume as f64);
-        let asic_deployment = self.asic.deployment(lifetime, point.volume);
-        let mut asic = CfpBreakdown::ZERO;
-        for _ in 0..point.applications {
-            asic += asic_embodied;
-            asic += asic_deployment;
-        }
-
-        (fpga, asic)
+        let n = point.applications as f64;
+        let (fpga, asic) = self.application_lines(lifetime, point.volume);
+        (fpga.at(n), asic.at(n))
     }
 
-    /// The fused per-application schedule of [`CompiledScenario::totals`]
-    /// — the two accumulation loops interleaved — kept as the scalar
-    /// reference the kernel property tests compare the tile kernel
-    /// against, byte for byte. Bit-identical to the reference schedule:
-    /// every accumulator component still sees exactly the same additions
-    /// in the same order.
-    #[cfg(test)]
-    fn totals_kernel(
+    /// Both platforms' footprints as lines in the application count at one
+    /// lifetime and volume (Eqs. 1–2): the FPGA pays its embodied carbon
+    /// once for a fleet sized to the (uniform) applications plus one
+    /// deployment per application; the ASIC pays a fresh embodied cost
+    /// plus its own deployment per application.
+    ///
+    /// Evaluating the line is the closed form of the paper's sums — one
+    /// correctly rounded multiply per component where Eqs. (1)–(2) add `n`
+    /// equal terms, at least as accurate as an `n`-fold running sum and as
+    /// cheap at `n = 2^53` as at `n = 1`. The analytic tier reads its
+    /// application-axis coefficients off the same lines
+    /// ([`CompiledScenario::totals_affine`]), and [`Estimator::fpga_estimate`]
+    /// / [`Estimator::asic_estimate`] group identical applications into the
+    /// same expression, so the naive path agrees bit for bit.
+    pub(crate) fn application_lines(
         &self,
-        point: OperatingPoint,
         lifetime: TimeSpan,
-    ) -> (CfpBreakdown, CfpBreakdown) {
-        let fpga_devices = point.volume * self.fpga.chips_per_unit;
-        let mut fpga = self.fpga.embodied(fpga_devices as f64);
-        let fpga_deployment = self.fpga.deployment(lifetime, fpga_devices);
-        let asic_embodied = self.asic.embodied(point.volume as f64);
-        let asic_deployment = self.asic.deployment(lifetime, point.volume);
-        let mut asic = CfpBreakdown::ZERO;
-        for _ in 0..point.applications {
-            fpga += fpga_deployment;
-            asic += asic_embodied;
-            asic += asic_deployment;
-        }
-        (fpga, asic)
+        volume: u64,
+    ) -> (ApplicationLine, ApplicationLine) {
+        let fpga_devices = volume * self.fpga.chips_per_unit;
+        (
+            ApplicationLine {
+                fixed: self.fpga.embodied(fpga_devices as f64),
+                per_application: self.fpga.deployment(lifetime, fpga_devices),
+            },
+            ApplicationLine {
+                fixed: CfpBreakdown::ZERO,
+                per_application: self.asic.embodied(volume as f64)
+                    + self.asic.deployment(lifetime, volume),
+            },
+        )
     }
 
     /// FPGA:ASIC total-CFP ratio at one operating point.
@@ -390,15 +377,14 @@ impl CompiledScenario {
         Ok(self.evaluate(point)?.fpga_to_asic_ratio())
     }
 
-    /// Evaluates a slice of operating points into a reusable
-    /// structure-of-arrays buffer — the zero-allocation batch kernel.
+    /// Evaluates a slice of operating points into a reusable buffer — the
+    /// zero-allocation batch kernel.
     ///
     /// After the buffer's first use at a given size, repeated calls perform
-    /// **no heap allocation at all**: no per-point `Vec`, no
-    /// `PlatformComparison` collection, no index-keyed reassembly. Workers
-    /// write their contiguous chunk of every column in place. Results are
-    /// bit-identical to [`CompiledScenario::evaluate`] point by point and
-    /// independent of the thread count.
+    /// **no heap allocation at all**: workers write their contiguous chunk
+    /// of the buffer in place. Results are bit-identical to
+    /// [`CompiledScenario::evaluate`] point by point and independent of the
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -410,56 +396,7 @@ impl CompiledScenario {
         points: &[OperatingPoint],
         out: &mut ResultBuffer,
     ) -> Result<(), GreenFpgaError> {
-        let tile = soa_tile().clamp(1, SOA_TILE_MAX);
-        // One span per batch call (aux = point count), not per tile: a
-        // million-point batch would otherwise overwrite the whole ring
-        // with 64-point tile entries.
-        let batch_from = if gf_trace::enabled() {
-            gf_trace::now_ticks()
-        } else {
-            0
-        };
-        out.prepare(self.domain, points.len());
-        let (fpga_cols, asic_cols) = out.columns_mut();
-        let result = exec::try_fill_chunked(
-            points.len(),
-            0,
-            (fpga_cols, asic_cols),
-            &|start,
-              len,
-              (mut fpga_chunk, mut asic_chunk): (SoaChunksMut<'_>, SoaChunksMut<'_>)| {
-                // Same tiling as `evaluate_indexed_into_with_tile`, minus the
-                // per-point gather: tiles borrow the caller's slice directly.
-                let mut scratch = TileScratch::new();
-                let mut at = 0;
-                while at < len {
-                    let tile_len = tile.min(len - at);
-                    let (mut fpga_tile, fpga_rest) = fpga_chunk.split_at_mut(tile_len);
-                    let (mut asic_tile, asic_rest) = asic_chunk.split_at_mut(tile_len);
-                    fpga_chunk = fpga_rest;
-                    asic_chunk = asic_rest;
-                    if let Err((t, e)) = self.evaluate_tile(
-                        &points[start + at..start + at + tile_len],
-                        &mut scratch,
-                        &mut fpga_tile,
-                        &mut asic_tile,
-                    ) {
-                        return Some((start + at + t, e));
-                    }
-                    at += tile_len;
-                }
-                None
-            },
-        );
-        if batch_from != 0 {
-            gf_trace::record_span_at(
-                gf_trace::SpanName::TileBatch,
-                batch_from,
-                gf_trace::now_ticks().saturating_sub(batch_from),
-                points.len() as u64,
-            );
-        }
-        result
+        self.evaluate_indexed_into(points.len(), |i| points[i], out, 0)
     }
 
     /// [`CompiledScenario::evaluate_into`] with the points produced by an
@@ -477,74 +414,21 @@ impl CompiledScenario {
         out: &mut ResultBuffer,
         threads: usize,
     ) -> Result<(), GreenFpgaError> {
-        self.evaluate_indexed_into_with_tile(n, point_of, out, threads, soa_tile())
-    }
-
-    /// [`CompiledScenario::evaluate_indexed_into`] with an explicit tile
-    /// size, the hook the autotuner and the tile-size property tests use.
-    /// Results are bit-identical for every tile size: grouping changes
-    /// which points share a lane group, never the per-point add sequence.
-    fn evaluate_indexed_into_with_tile(
-        &self,
-        n: usize,
-        point_of: impl Fn(usize) -> OperatingPoint + Sync,
-        out: &mut ResultBuffer,
-        threads: usize,
-        tile: usize,
-    ) -> Result<(), GreenFpgaError> {
-        let tile = tile.clamp(1, SOA_TILE_MAX);
+        // One span per batch call (aux = point count), not per chunk.
         let batch_from = if gf_trace::enabled() {
             gf_trace::now_ticks()
         } else {
             0
         };
         out.prepare(self.domain, n);
-        let (fpga_cols, asic_cols) = out.columns_mut();
-        let result = exec::try_fill_chunked(n, threads, (fpga_cols, asic_cols), &|start,
-                                                                                  len,
-                                                                                  (
-            mut fpga_chunk,
-            mut asic_chunk,
-        ): (
-            SoaChunksMut<'_>,
-            SoaChunksMut<'_>,
-        )| {
-            // The chunk is processed in tiles: gather the points, run
-            // the hot evaluation loop in [`CompiledScenario::evaluate_tile`]
-            // (a plain method, so its codegen is as tight as the scalar
-            // `evaluate` path instead of being pessimized inside this
-            // generic closure), then flush each staged column with one
-            // contiguous copy. Writing the 12 output columns
-            // point-by-point interleaved 12 strided, bounds-checked
-            // store streams — the regression `bench eval` caught as
-            // `soa_speedup < 1`.
-            let mut points = [OperatingPoint::paper_default(); SOA_TILE_MAX];
-            let mut scratch = TileScratch::new();
-            let mut at = 0;
-            while at < len {
-                let tile_len = tile.min(len - at);
-                for (t, slot) in points[..tile_len].iter_mut().enumerate() {
-                    *slot = point_of(start + at + t);
-                }
-                let (mut fpga_tile, fpga_rest) = fpga_chunk.split_at_mut(tile_len);
-                let (mut asic_tile, asic_rest) = asic_chunk.split_at_mut(tile_len);
-                fpga_chunk = fpga_rest;
-                asic_chunk = asic_rest;
-                if let Err((t, e)) = self.evaluate_tile(
-                    &points[..tile_len],
-                    &mut scratch,
-                    &mut fpga_tile,
-                    &mut asic_tile,
-                ) {
-                    return Some((start + at + t, e));
-                }
-                at += tile_len;
-            }
-            None
+        let result = exec::try_fill_indexed(&mut out.results, threads, |i| {
+            let point = point_of(i);
+            let lifetime = self.validate(point)?;
+            Ok(self.totals(point, lifetime))
         });
         if batch_from != 0 {
             gf_trace::record_span_at(
-                gf_trace::SpanName::TileBatch,
+                gf_trace::SpanName::EvalBatch,
                 batch_from,
                 gf_trace::now_ticks().saturating_sub(batch_from),
                 n as u64,
@@ -562,7 +446,7 @@ impl CompiledScenario {
     ///
     /// `sink` returns `false` to cancel the run early (`Ok(false)`);
     /// `Ok(true)` means every block was evaluated and delivered. Peak
-    /// memory is one block's 12 columns, independent of `n`.
+    /// memory is one block of results, independent of `n`.
     ///
     /// # Errors
     ///
@@ -594,639 +478,28 @@ impl CompiledScenario {
     }
 }
 
-impl CompiledScenario {
-    /// The SoA kernel's hot loop: evaluates one tile of points into the
-    /// staged column tiles. Dispatches to the AVX2 build of
-    /// [`CompiledScenario::tile_kernel`] when the `simd` feature is on and
-    /// the CPU supports it, and to the portable build otherwise; the two
-    /// are the same generic body and bit-identical by construction.
-    ///
-    /// On a validation failure returns the offset *within the tile* and the
-    /// error; staged contents are unspecified in that case.
-    fn evaluate_tile(
-        &self,
-        points: &[OperatingPoint],
-        scratch: &mut TileScratch,
-        fpga_cols: &mut SoaChunksMut<'_>,
-        asic_cols: &mut SoaChunksMut<'_>,
-    ) -> Result<(), (usize, GreenFpgaError)> {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if simd::avx2_available() {
-            return simd::evaluate_tile_avx2(self, points, scratch, fpga_cols, asic_cols);
-        }
-        self.tile_kernel::<PORTABLE_LANES>(points, scratch, fpga_cols, asic_cols)
-    }
+/// One platform's footprint as a line in the application count `n`:
+/// `fixed + n × per_application`, component by component.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ApplicationLine {
+    /// Paid once whatever the application count (the FPGA's embodied
+    /// carbon; zero for the ASIC).
+    pub(crate) fixed: CfpBreakdown,
+    /// Paid by every application.
+    pub(crate) per_application: CfpBreakdown,
+}
 
-    /// The lane-structured tile kernel, in two phases over one tile.
-    ///
-    /// **Phase A** validates every point and computes its twelve invariant
-    /// values (see [`TileScratch`]) into component-major rows, memoizing
-    /// on `(lifetime bits, volume)` — grid-shaped batches repeat the same
-    /// pair across a whole axis, and the application count never enters
-    /// the invariants. Keeping this a separate pass matters more than it
-    /// looks: phase B reads the rows as whole lane groups, and
-    /// interleaving scalar stores with vector reloads of the same bytes
-    /// would stall on failed store-to-load forwarding — by the time
-    /// phase B starts, the stores have long drained to L1.
-    ///
-    /// **Phase B** walks the tile in groups of `LANES` consecutive points
-    /// with no per-lane branches in the hot loop: each group copies its
-    /// addend rows into fixed-size locals (constant indices after
-    /// unrolling — a bounds check on `rows[k][base + l]` could not be
-    /// hoisted past a possibly zero-trip loop and would block
-    /// vectorization), runs the eight live accumulator chains elementwise
-    /// over the lanes up to the group's *smallest* application count,
-    /// stages the rows with contiguous stores, and only then finishes
-    /// ragged lanes scalar, directly on the staged output columns. The
-    /// sub-group remainder of the tile runs through the same scalar
-    /// finisher from zero.
-    ///
-    /// # Bit-identity
-    ///
-    /// Identical output bits to the scalar `totals_kernel` reference
-    /// schedule, by construction, for every lane width, tile size and
-    /// group boundary:
-    ///
-    /// * Each `(platform, component, point)` accumulator is an independent
-    ///   `f64` chain; vectorizing across lanes and splitting a lane's
-    ///   applications between the vector loop and its scalar tail never
-    ///   reorders or merges an individual chain.
-    /// * The ten structurally-zero additions per application — the
-    ///   [`CfpBreakdown::ZERO`] components of
-    ///   [`CompiledPlatform::embodied`] / [`CompiledPlatform::deployment`]
-    ///   are the literal `+0.0` — are elided exactly. `x + 0.0` is the
-    ///   bitwise identity unless `x` is `-0.0` (then it yields `+0.0`,
-    ///   a fixed point), and an accumulator chain that starts at `+0.0`
-    ///   can never reach `-0.0` (an IEEE sum is `-0.0` only when both
-    ///   addends are), so interleaved `+0.0` additions drop out of the
-    ///   live chains entirely, and the four FPGA embodied components —
-    ///   whose chains consist *only* of `+0.0` additions — collapse to
-    ///   the single addition `embodied + 0.0` phase A stores.
-    ///
-    /// `#[inline(always)]` so the `#[target_feature]` wrapper in [`simd`]
-    /// monomorphizes the whole body under AVX2 codegen.
-    ///
-    /// On a validation failure returns the offset *within the tile* and
-    /// the error (phase A scans ascending, so it is the lowest offset).
-    #[inline(always)]
-    fn tile_kernel<const LANES: usize>(
-        &self,
-        points: &[OperatingPoint],
-        scratch: &mut TileScratch,
-        fpga_cols: &mut SoaChunksMut<'_>,
-        asic_cols: &mut SoaChunksMut<'_>,
-    ) -> Result<(), (usize, GreenFpgaError)> {
-        let n = points.len();
-        debug_assert!(n <= SOA_TILE_MAX);
-        let mut memo_key = None;
-        let mut inv = [0.0f64; INVARIANTS];
-        // `uniform` — the whole tile (so far) shares one invariant set, so
-        // the scratch columns stay untouched and phase B broadcasts `inv`
-        // instead of loading per-lane addends. Grid batches with the
-        // application count as the inner axis hit this path tile after
-        // tile. On the first key change the constant prefix is backfilled
-        // into the columns and the tile degrades to the general path.
-        let mut uniform = true;
-        for (t, &point) in points.iter().enumerate() {
-            let lifetime = self.validate(point).map_err(|e| (t, e))?;
-            scratch.apps[t] = point.applications;
-            let key = Some((point.lifetime_years.to_bits(), point.volume));
-            if key != memo_key {
-                if memo_key.is_some() && uniform {
-                    for (k, &value) in inv.iter().enumerate() {
-                        scratch.inv[k][..t].fill(value);
-                    }
-                    uniform = false;
-                }
-                memo_key = key;
-                inv = self.invariants(point, lifetime);
-            }
-            if !uniform {
-                for (k, &value) in inv.iter().enumerate() {
-                    scratch.inv[k][t] = value;
-                }
-            }
-        }
-
-        // Monomorphize phase B per mode: with `UNIFORM` a const, the
-        // broadcast addend rows and fill values are provably
-        // loop-invariant and hoist out of the group loop.
-        if uniform {
-            Self::tile_groups::<LANES, true>(n, &inv, scratch, fpga_cols, asic_cols);
-        } else {
-            Self::tile_groups::<LANES, false>(n, &inv, scratch, fpga_cols, asic_cols);
-        }
-        Ok(())
-    }
-
-    /// Phase B of [`CompiledScenario::tile_kernel`]: the lane-group sweep
-    /// over one tile whose invariants are already in `scratch` (or, with
-    /// `UNIFORM`, entirely in `inv`).
-    #[inline(always)]
-    fn tile_groups<const LANES: usize, const UNIFORM: bool>(
-        n: usize,
-        inv: &[f64; INVARIANTS],
-        scratch: &TileScratch,
-        fpga_cols: &mut SoaChunksMut<'_>,
-        asic_cols: &mut SoaChunksMut<'_>,
-    ) {
-        let uniform_add: [[f64; LANES]; CHAINS] =
-            core::array::from_fn(|k| [inv[INV_CHAIN + k]; LANES]);
-        let mut base = 0;
-        while n - base >= LANES {
-            let group = &scratch.apps[base..base + LANES];
-            let floor = group.iter().copied().min().unwrap_or(0);
-            let ragged = group.iter().any(|&a| a != floor);
-            let mut acc = [[0.0f64; LANES]; CHAINS];
-            let mut add = uniform_add;
-            if !UNIFORM {
-                for (k, lanes) in add.iter_mut().enumerate() {
-                    lanes.copy_from_slice(&scratch.inv[INV_CHAIN + k][base..base + LANES]);
-                }
-            }
-            for _ in 0..floor {
-                for k in 0..CHAINS {
-                    for l in 0..LANES {
-                        acc[k][l] += add[k][l];
-                    }
-                }
-            }
-            if ragged {
-                // Branch-free ragged tail: keep the vector loop running to
-                // the group's *largest* count, with exhausted lanes
-                // selecting a literal `+0.0` addend. Exact by the same
-                // lemma as the structural-zero elision — a chain that
-                // starts at `+0.0` can never hold `-0.0`, so its trailing
-                // `+ 0.0` steps are bitwise no-ops.
-                let ceil = group.iter().copied().max().unwrap_or(0);
-                let mut apps_lane = [0u64; LANES];
-                apps_lane.copy_from_slice(group);
-                for i in floor..ceil {
-                    for k in 0..CHAINS {
-                        for l in 0..LANES {
-                            let a = if apps_lane[l] > i { add[k][l] } else { 0.0 };
-                            acc[k][l] += a;
-                        }
-                    }
-                }
-            }
-            for (k, col) in FPGA_BASE_COLUMNS.iter().enumerate() {
-                let out = &mut fpga_cols.column_mut(*col)[base..base + LANES];
-                if UNIFORM {
-                    out.fill(inv[k]);
-                } else {
-                    out.copy_from_slice(&scratch.inv[k][base..base + LANES]);
-                }
-            }
-            for (k, acc_row) in acc.iter().enumerate() {
-                chain_column(fpga_cols, asic_cols, k)[base..base + LANES].copy_from_slice(acc_row);
-            }
-            base += LANES;
-        }
-
-        for t in base..n {
-            let lane_add: [f64; CHAINS] = core::array::from_fn(|k| {
-                if UNIFORM {
-                    inv[INV_CHAIN + k]
-                } else {
-                    scratch.inv[INV_CHAIN + k][t]
-                }
-            });
-            for (k, col) in FPGA_BASE_COLUMNS.iter().enumerate() {
-                fpga_cols.column_mut(*col)[t] = if UNIFORM { inv[k] } else { scratch.inv[k][t] };
-            }
-            for k in 0..CHAINS {
-                chain_column(fpga_cols, asic_cols, k)[t] = 0.0;
-            }
-            finish_lane(fpga_cols, asic_cols, t, 0, scratch.apps[t], &lane_add);
-        }
-    }
-
-    /// The twelve per-point invariant values of the tile kernel, in
-    /// [`TileScratch::inv`] row order; `point` must have passed
-    /// [`CompiledScenario::validate`].
-    #[inline(always)]
-    fn invariants(&self, point: OperatingPoint, lifetime: TimeSpan) -> [f64; INVARIANTS] {
-        let fpga_devices = point.volume * self.fpga.chips_per_unit;
-        let fpga_emb = self.fpga.embodied(fpga_devices as f64);
-        let fpga_dep = self.fpga.deployment(lifetime, fpga_devices);
-        let asic_emb = self.asic.embodied(point.volume as f64);
-        let asic_dep = self.asic.deployment(lifetime, point.volume);
-        [
-            // The final FPGA embodied components: one `+ 0.0` for the
-            // first application's zero deployment add, a fixed point
-            // thereafter (validated points have at least one application).
-            fpga_emb.design.as_kg() + 0.0,
-            fpga_emb.manufacturing.as_kg() + 0.0,
-            fpga_emb.packaging.as_kg() + 0.0,
-            fpga_emb.eol.as_kg() + 0.0,
-            // The eight live chain addends, in chain order.
-            fpga_dep.operation.as_kg(),
-            fpga_dep.app_dev.as_kg(),
-            asic_emb.design.as_kg(),
-            asic_emb.manufacturing.as_kg(),
-            asic_emb.packaging.as_kg(),
-            asic_emb.eol.as_kg(),
-            asic_dep.operation.as_kg(),
-            asic_dep.app_dev.as_kg(),
-        ]
+impl ApplicationLine {
+    /// The breakdown at `n` applications.
+    pub(crate) fn at(&self, n: f64) -> CfpBreakdown {
+        self.fixed + self.per_application * n
     }
 }
 
-/// Lifecycle components per platform — the six [`CfpBreakdown`] fields,
-/// always ordered design, manufacturing, packaging, end-of-life,
-/// operation, app-dev (the staged column order).
-const COMPONENTS: usize = 6;
-
-/// Live accumulator chains per point: of the eighteen `f64` additions the
-/// scalar schedule performs per application (three breakdowns × six
-/// components), ten add a structural [`CfpBreakdown::ZERO`] component —
-/// [`CompiledPlatform::embodied`] has zero operation/app-dev,
-/// [`CompiledPlatform::deployment`] zero design/manufacturing/packaging/
-/// end-of-life. Eliding them exactly (see the bit-identity notes on
-/// [`CompiledScenario::tile_kernel`]) leaves eight live chains: FPGA
-/// operation and app-dev, then all six ASIC components.
-const CHAINS: usize = 8;
-
-/// Row index in [`TileScratch::inv`] of chain 0's addend; rows
-/// `INV_CHAIN..INV_CHAIN + CHAINS` are the eight per-application addends
-/// in chain order, rows `0..INV_CHAIN` the four precomputed FPGA embodied
-/// components ([`FPGA_BASE_COLUMNS`]).
-const INV_CHAIN: usize = 4;
-
-/// Invariant rows per point: four FPGA base values plus eight chain
-/// addends.
-const INVARIANTS: usize = INV_CHAIN + CHAINS;
-
-/// Output columns of the four FPGA base rows `0..INV_CHAIN`: design,
-/// manufacturing, packaging, end-of-life.
-const FPGA_BASE_COLUMNS: [usize; INV_CHAIN] = [0, 1, 2, 3];
-
-/// The output column accumulator chain `k` feeds: chains 0–1 are FPGA
-/// operation and app-dev, chains 2–7 the six ASIC components in staged
-/// column order.
-#[inline(always)]
-fn chain_column<'a>(
-    fpga_cols: &'a mut SoaChunksMut<'_>,
-    asic_cols: &'a mut SoaChunksMut<'_>,
-    k: usize,
-) -> &'a mut [f64] {
-    if k < 2 {
-        fpga_cols.column_mut(4 + k)
-    } else {
-        asic_cols.column_mut(k - 2)
-    }
-}
-
-/// Lane width of the portable tile kernel: two `f64` fill one baseline
-/// 128-bit vector register (SSE2 / NEON), keeping the eight accumulator
-/// rows and their addends inside the sixteen-register file.
-const PORTABLE_LANES: usize = 2;
-
-/// Length of one [`TileScratch::inv`] row: the largest tile plus one cache
-/// line of padding. The padding is load-bearing — unpadded rows sit
-/// exactly 2 KiB apart, so one point's scatter targets fold into a couple
-/// of L1 sets (4 KiB stride aliasing) and every phase-A store thrashes
-/// the cache; 8 extra lanes skew the rows across the sets.
-const SOA_ROW: usize = SOA_TILE_MAX + 8;
-
-/// Per-chunk working memory of the tile kernel: each point's application
-/// count and twelve invariant values, component-major ([`INV_CHAIN`] — a
-/// lane group's addends are `LANES` consecutive `f64`, one unaligned
-/// vector load per row). Sized for the largest tile (~26 KiB) and
-/// allocated once per worker chunk, so its zero-initialization amortizes
-/// across every tile in the chunk.
-struct TileScratch {
-    apps: [u64; SOA_TILE_MAX],
-    inv: [[f64; SOA_ROW]; INVARIANTS],
-}
-
-impl TileScratch {
-    fn new() -> Self {
-        TileScratch {
-            apps: [0; SOA_TILE_MAX],
-            inv: [[0.0; SOA_ROW]; INVARIANTS],
-        }
-    }
-}
-
-/// Runs point `t`'s applications `done..apps` scalar — the ragged-lane
-/// tail (and, with `done == 0`, the whole sub-group remainder) of
-/// [`CompiledScenario::tile_kernel`]. `add` holds the point's eight chain
-/// addends in chain order.
-///
-/// The staged column values round-trip through locals so the loop body is
-/// branch-free (no per-add column dispatch) and the eight independent
-/// chains vectorize; loading a chain's accumulator once, extending it,
-/// and storing it back performs the identical additions in the identical
-/// order.
-#[inline(always)]
-fn finish_lane(
-    fpga_cols: &mut SoaChunksMut<'_>,
-    asic_cols: &mut SoaChunksMut<'_>,
-    t: usize,
-    done: u64,
-    apps: u64,
-    add: &[f64; CHAINS],
-) {
-    let mut acc = [0.0f64; CHAINS];
-    for (k, slot) in acc.iter_mut().enumerate() {
-        *slot = chain_column(fpga_cols, asic_cols, k)[t];
-    }
-    for _ in done..apps {
-        for k in 0..CHAINS {
-            acc[k] += add[k];
-        }
-    }
-    for (k, &value) in acc.iter().enumerate() {
-        chain_column(fpga_cols, asic_cols, k)[t] = value;
-    }
-}
-
-/// The runtime-dispatched AVX2 build of the tile kernel, behind the `simd`
-/// cargo feature.
-///
-/// No intrinsics: the module monomorphizes the same safe generic
-/// [`CompiledScenario::tile_kernel`] body inside a
-/// `#[target_feature(enable = "avx2")]` function, which lets LLVM use
-/// 256-bit vectors (four-lane groups, twelve ymm accumulators). The one
-/// `unsafe` block is the call into that function, gated on runtime CPU
-/// detection — the crate denies `unsafe_code` everywhere else.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod simd {
-    use super::{CompiledScenario, GreenFpgaError, OperatingPoint, SoaChunksMut, TileScratch};
-
-    /// Lane width under AVX2: four `f64` per 256-bit register; the twelve
-    /// accumulator rows fit the sixteen ymm registers with room for the
-    /// streamed addends.
-    const AVX2_LANES: usize = 4;
-
-    /// `true` when the running CPU supports AVX2 (detection is cached by
-    /// the standard library).
-    pub(super) fn avx2_available() -> bool {
-        std::is_x86_feature_detected!("avx2")
-    }
-
-    /// Runs the tile kernel with AVX2 codegen. Callers must have checked
-    /// [`avx2_available`]; results are bit-identical to the portable build
-    /// (same generic body — vectorizing independent per-lane `f64` chains
-    /// is exact, and no FMA contraction is enabled).
-    pub(super) fn evaluate_tile_avx2(
-        scenario: &CompiledScenario,
-        points: &[OperatingPoint],
-        scratch: &mut TileScratch,
-        fpga_cols: &mut SoaChunksMut<'_>,
-        asic_cols: &mut SoaChunksMut<'_>,
-    ) -> Result<(), (usize, GreenFpgaError)> {
-        #[target_feature(enable = "avx2")]
-        unsafe fn inner(
-            scenario: &CompiledScenario,
-            points: &[OperatingPoint],
-            scratch: &mut TileScratch,
-            fpga_cols: &mut SoaChunksMut<'_>,
-            asic_cols: &mut SoaChunksMut<'_>,
-        ) -> Result<(), (usize, GreenFpgaError)> {
-            scenario.tile_kernel::<AVX2_LANES>(points, scratch, fpga_cols, asic_cols)
-        }
-        debug_assert!(avx2_available());
-        // SAFETY: the only precondition of the `target_feature` function
-        // is that the CPU supports AVX2, which the dispatch in
-        // `evaluate_tile` checked; the body is safe code (no intrinsics,
-        // no raw pointers).
-        unsafe { inner(scenario, points, scratch, fpga_cols, asic_cols) }
-    }
-}
-
-/// Hard cap on the staged tile (the gather buffer's size); the working
-/// tile size is resolved once per process by [`soa_tile`].
-pub(crate) const SOA_TILE_MAX: usize = 256;
-
-/// Default tile when autotuning is unavailable: 64 points keeps one tile
-/// (two platforms × six columns × 64 points = 6 KiB) comfortably in L1.
-const SOA_TILE_DEFAULT: usize = 64;
-
-/// Points staged per SoA flush, resolved **once per process** (like
-/// [`exec::default_threads`]): the `GF_SOA_TILE` environment variable if
-/// set and valid (clamped to `1..=`[`SOA_TILE_MAX`]), otherwise a short
-/// self-measurement over the candidate sizes on a synthetic ragged batch.
-/// The tile size only affects throughput — results are bit-identical for
-/// every setting.
-pub(crate) fn soa_tile() -> usize {
-    static TILE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *TILE.get_or_init(|| {
-        let pinned = std::env::var("GF_SOA_TILE")
-            .ok()
-            .and_then(|value| value.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .map(|n| n.min(SOA_TILE_MAX));
-        let tile = pinned.unwrap_or_else(|| autotune_tile().unwrap_or(SOA_TILE_DEFAULT));
-        // Once-per-process: the decision (pinned or probed) lands in the
-        // trace ring so a slow batch can be correlated with an unlucky
-        // autotune pass. aux = chosen tile size.
-        gf_trace::record_event(gf_trace::SpanName::Autotune, tile as u64);
-        tile
-    })
-}
-
-/// Times the candidate tile sizes on a small grid-shaped ragged batch
-/// (serial, best of three fills each) and picks the fastest. The probe
-/// mirrors the canonical bulk workload — a parameter grid with the
-/// application count as the inner axis, so the memoized invariants repeat
-/// in 64-point runs (see [`CompiledScenario::tile_kernel`]'s uniform fast
-/// path) — rather than a worst-case batch where every point differs.
-/// Total cost is a fraction of a millisecond, paid once per process on
-/// the first batch evaluation.
-fn autotune_tile() -> Option<usize> {
-    let compiled =
-        CompiledScenario::compile(&EstimatorParams::paper_defaults(), Domain::Dnn).ok()?;
-    let point_of = |i: usize| OperatingPoint {
-        applications: (i % 64 + 1) as u64,
-        lifetime_years: 0.5 + 0.1 * ((i / 64) % 7) as f64,
-        volume: 1_000_000,
-    };
-    const PROBE_POINTS: usize = 1024;
-    const CANDIDATES: [usize; 4] = [32, 64, 128, 256];
-    let mut buffer = ResultBuffer::new();
-    // Round-robin the candidates and keep each one's fastest fill, so a
-    // load spike on a shared machine degrades every candidate's worst
-    // pass instead of condemning whichever one it landed on.
-    let mut fastest = [f64::INFINITY; CANDIDATES.len()];
-    for _ in 0..3 {
-        for (slot, &tile) in fastest.iter_mut().zip(&CANDIDATES) {
-            let start = std::time::Instant::now();
-            compiled
-                .evaluate_indexed_into_with_tile(PROBE_POINTS, point_of, &mut buffer, 1, tile)
-                .ok()?;
-            *slot = slot.min(start.elapsed().as_secs_f64());
-        }
-    }
-    let mut best = (f64::INFINITY, SOA_TILE_DEFAULT);
-    for (&ns, &tile) in fastest.iter().zip(&CANDIDATES) {
-        if ns < best.0 {
-            best = (ns, tile);
-        }
-    }
-    Some(best.1)
-}
-
-/// One platform's lifecycle components as structure-of-arrays columns
-/// (kilograms CO₂e), one `Vec<f64>` per [`CfpBreakdown`] field.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct SoaBreakdown {
-    design: Vec<f64>,
-    manufacturing: Vec<f64>,
-    packaging: Vec<f64>,
-    eol: Vec<f64>,
-    operation: Vec<f64>,
-    app_dev: Vec<f64>,
-}
-
-impl SoaBreakdown {
-    fn resize(&mut self, n: usize) {
-        self.design.resize(n, 0.0);
-        self.manufacturing.resize(n, 0.0);
-        self.packaging.resize(n, 0.0);
-        self.eol.resize(n, 0.0);
-        self.operation.resize(n, 0.0);
-        self.app_dev.resize(n, 0.0);
-    }
-
-    /// Heap bytes currently reserved across all six columns.
-    fn capacity_bytes(&self) -> usize {
-        core::mem::size_of::<f64>()
-            * (self.design.capacity()
-                + self.manufacturing.capacity()
-                + self.packaging.capacity()
-                + self.eol.capacity()
-                + self.operation.capacity()
-                + self.app_dev.capacity())
-    }
-
-    /// Drops column capacity beyond `cap` elements per column.
-    fn shrink_to(&mut self, cap: usize) {
-        self.design.shrink_to(cap);
-        self.manufacturing.shrink_to(cap);
-        self.packaging.shrink_to(cap);
-        self.eol.shrink_to(cap);
-        self.operation.shrink_to(cap);
-        self.app_dev.shrink_to(cap);
-    }
-
-    fn get(&self, i: usize) -> CfpBreakdown {
-        CfpBreakdown {
-            design: Carbon::from_kg(self.design[i]),
-            manufacturing: Carbon::from_kg(self.manufacturing[i]),
-            packaging: Carbon::from_kg(self.packaging[i]),
-            eol: Carbon::from_kg(self.eol[i]),
-            operation: Carbon::from_kg(self.operation[i]),
-            app_dev: Carbon::from_kg(self.app_dev[i]),
-        }
-    }
-
-    fn chunks_mut(&mut self) -> SoaChunksMut<'_> {
-        SoaChunksMut {
-            design: &mut self.design,
-            manufacturing: &mut self.manufacturing,
-            packaging: &mut self.packaging,
-            eol: &mut self.eol,
-            operation: &mut self.operation,
-            app_dev: &mut self.app_dev,
-        }
-    }
-}
-
-/// Mutable views of one contiguous index range of every column of a
-/// [`SoaBreakdown`]; split recursively to hand each batch worker a disjoint
-/// chunk it can write without synchronization (and without `unsafe`).
-struct SoaChunksMut<'a> {
-    design: &'a mut [f64],
-    manufacturing: &'a mut [f64],
-    packaging: &'a mut [f64],
-    eol: &'a mut [f64],
-    operation: &'a mut [f64],
-    app_dev: &'a mut [f64],
-}
-
-impl<'a> exec::SplitAtMut for (SoaChunksMut<'a>, SoaChunksMut<'a>) {
-    fn split_at_mut(self, mid: usize) -> (Self, Self) {
-        let (fpga_head, fpga_tail) = self.0.split_at_mut(mid);
-        let (asic_head, asic_tail) = self.1.split_at_mut(mid);
-        ((fpga_head, asic_head), (fpga_tail, asic_tail))
-    }
-}
-
-impl<'a> SoaChunksMut<'a> {
-    fn split_at_mut(self, mid: usize) -> (SoaChunksMut<'a>, SoaChunksMut<'a>) {
-        let (design, design_tail) = self.design.split_at_mut(mid);
-        let (manufacturing, manufacturing_tail) = self.manufacturing.split_at_mut(mid);
-        let (packaging, packaging_tail) = self.packaging.split_at_mut(mid);
-        let (eol, eol_tail) = self.eol.split_at_mut(mid);
-        let (operation, operation_tail) = self.operation.split_at_mut(mid);
-        let (app_dev, app_dev_tail) = self.app_dev.split_at_mut(mid);
-        (
-            SoaChunksMut {
-                design,
-                manufacturing,
-                packaging,
-                eol,
-                operation,
-                app_dev,
-            },
-            SoaChunksMut {
-                design: design_tail,
-                manufacturing: manufacturing_tail,
-                packaging: packaging_tail,
-                eol: eol_tail,
-                operation: operation_tail,
-                app_dev: app_dev_tail,
-            },
-        )
-    }
-
-    /// Writes one breakdown at position `t` — the store path of the
-    /// property tests' scalar reference.
-    #[cfg(test)]
-    fn stage(&mut self, t: usize, breakdown: &CfpBreakdown) {
-        self.design[t] = breakdown.design.as_kg();
-        self.manufacturing[t] = breakdown.manufacturing.as_kg();
-        self.packaging[t] = breakdown.packaging.as_kg();
-        self.eol[t] = breakdown.eol.as_kg();
-        self.operation[t] = breakdown.operation.as_kg();
-        self.app_dev[t] = breakdown.app_dev.as_kg();
-    }
-
-    /// One column as a mutable slice, by component index in the staged
-    /// order (design, manufacturing, packaging, eol, operation, app-dev) —
-    /// the scalar access path of [`finish_lane`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= COMPONENTS` (callers iterate `0..COMPONENTS`).
-    #[inline(always)]
-    fn column_mut(&mut self, c: usize) -> &mut [f64] {
-        match c {
-            0 => self.design,
-            1 => self.manufacturing,
-            2 => self.packaging,
-            3 => self.eol,
-            4 => self.operation,
-            _ => {
-                assert!(c == COMPONENTS - 1, "component index out of range");
-                self.app_dev
-            }
-        }
-    }
-}
-
-/// Reusable structure-of-arrays output of the zero-allocation batch kernel
-/// ([`CompiledScenario::evaluate_into`]).
-///
-/// A batch of `n` points is stored as 12 contiguous `f64` columns (six
-/// lifecycle components × two platforms) instead of `n` scattered
-/// [`PlatformComparison`] values: ratio and total reductions stream through
-/// cache-friendly arrays, and refilling the buffer allocates only when a
-/// batch outgrows every previous one.
+/// Reusable output of the zero-allocation batch kernel
+/// ([`CompiledScenario::evaluate_into`]): one (FPGA, ASIC) breakdown pair
+/// per evaluated point, in request order. Refilling the buffer allocates
+/// only when a batch outgrows every previous one.
 ///
 /// # Examples
 ///
@@ -1248,9 +521,7 @@ impl<'a> SoaChunksMut<'a> {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResultBuffer {
     domain: Option<Domain>,
-    len: usize,
-    fpga: SoaBreakdown,
-    asic: SoaBreakdown,
+    results: Vec<(CfpBreakdown, CfpBreakdown)>,
 }
 
 impl ResultBuffer {
@@ -1261,12 +532,12 @@ impl ResultBuffer {
 
     /// Number of evaluated points currently held.
     pub fn len(&self) -> usize {
-        self.len
+        self.results.len()
     }
 
     /// `true` when the buffer holds no results.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.results.is_empty()
     }
 
     /// Domain of the last fill, if any.
@@ -1280,8 +551,7 @@ impl ResultBuffer {
     ///
     /// Panics when `i >= len()`.
     pub fn fpga(&self, i: usize) -> CfpBreakdown {
-        assert!(i < self.len, "result index {i} out of range {}", self.len);
-        self.fpga.get(i)
+        self.results[i].0
     }
 
     /// ASIC-platform breakdown of point `i`.
@@ -1290,22 +560,18 @@ impl ResultBuffer {
     ///
     /// Panics when `i >= len()`.
     pub fn asic(&self, i: usize) -> CfpBreakdown {
-        assert!(i < self.len, "result index {i} out of range {}", self.len);
-        self.asic.get(i)
+        self.results[i].1
     }
 
-    /// Full comparison of point `i`, reconstructed from the columns —
-    /// bit-identical to what [`CompiledScenario::evaluate`] returns.
+    /// Full comparison of point `i` — bit-identical to what
+    /// [`CompiledScenario::evaluate`] returns.
     ///
     /// # Panics
     ///
     /// Panics when `i >= len()` or the buffer was never filled.
     pub fn comparison(&self, i: usize) -> PlatformComparison {
-        PlatformComparison::new(
-            self.domain.expect("result buffer never filled"),
-            self.fpga(i),
-            self.asic(i),
-        )
+        let (fpga, asic) = self.results[i];
+        PlatformComparison::new(self.domain.expect("result buffer never filled"), fpga, asic)
     }
 
     /// FPGA:ASIC total-CFP ratio of point `i` (`f64::INFINITY` when the
@@ -1315,59 +581,45 @@ impl ResultBuffer {
     ///
     /// Panics when `i >= len()`.
     pub fn ratio(&self, i: usize) -> f64 {
-        self.fpga(i)
-            .total()
-            .ratio_to(self.asic(i).total())
-            .unwrap_or(f64::INFINITY)
+        let (fpga, asic) = &self.results[i];
+        fpga.total().ratio_to(asic.total()).unwrap_or(f64::INFINITY)
     }
 
     /// Iterates the buffer as reconstructed [`PlatformComparison`] values.
     pub fn comparisons(&self) -> impl Iterator<Item = PlatformComparison> + '_ {
-        (0..self.len).map(|i| self.comparison(i))
+        (0..self.len()).map(|i| self.comparison(i))
     }
 
-    /// Empties the buffer, keeping its column capacity for the next fill.
+    /// Empties the buffer, keeping its capacity for the next fill.
     pub fn clear(&mut self) {
-        self.len = 0;
         self.domain = None;
-        self.fpga.resize(0);
-        self.asic.resize(0);
+        self.results.clear();
     }
 
-    /// Heap bytes currently reserved across all twelve columns.
+    /// Heap bytes currently reserved for results.
     pub fn capacity_bytes(&self) -> usize {
-        self.fpga.capacity_bytes() + self.asic.capacity_bytes()
+        self.results.capacity() * core::mem::size_of::<(CfpBreakdown, CfpBreakdown)>()
     }
 
-    /// Clears the buffer and releases column capacity beyond `max_bytes`
-    /// total — the shrink-after-use policy for long-lived buffers (the
-    /// engine's worker-thread-local scratch), so one huge batch does not
-    /// pin its high-water footprint forever. Capacity at or under
-    /// `max_bytes` is kept so steady-state serving stays zero-allocation.
+    /// Clears the buffer and releases capacity beyond `max_bytes` — the
+    /// shrink-after-use policy for long-lived buffers (the engine's
+    /// worker-thread-local scratch), so one huge batch does not pin its
+    /// high-water footprint forever. Capacity at or under `max_bytes` is
+    /// kept so steady-state serving stays zero-allocation.
     pub fn shrink_retained(&mut self, max_bytes: usize) {
         self.clear();
-        if self.capacity_bytes() <= max_bytes {
-            return;
+        if self.capacity_bytes() > max_bytes {
+            self.results
+                .shrink_to(max_bytes / core::mem::size_of::<(CfpBreakdown, CfpBreakdown)>());
         }
-        // Split the byte budget evenly over the 12 columns; `Vec::shrink_to`
-        // keeps at most that many elements per column.
-        let per_column = max_bytes / (2 * COMPONENTS) / core::mem::size_of::<f64>();
-        self.fpga.shrink_to(per_column);
-        self.asic.shrink_to(per_column);
     }
 
-    /// Sizes the columns for a fill of `n` points in `domain`, reusing
+    /// Sizes the buffer for a fill of `n` points in `domain`, reusing
     /// existing capacity.
     fn prepare(&mut self, domain: Domain, n: usize) {
         self.domain = Some(domain);
-        self.len = n;
-        self.fpga.resize(n);
-        self.asic.resize(n);
-    }
-
-    /// Full-range mutable column views for the kernel workers.
-    fn columns_mut(&mut self) -> (SoaChunksMut<'_>, SoaChunksMut<'_>) {
-        (self.fpga.chunks_mut(), self.asic.chunks_mut())
+        self.results
+            .resize(n, (CfpBreakdown::ZERO, CfpBreakdown::ZERO));
     }
 }
 
@@ -1413,11 +665,11 @@ impl Estimator {
 
     /// Evaluates every point of a [`BatchRequest`] in parallel.
     ///
-    /// The scenario is compiled once and the points stream through the SoA
-    /// kernel ([`CompiledScenario::evaluate_into`]); results come back in
-    /// request order and are deterministic for every thread count. Callers
-    /// that evaluate many batches should hold a [`ResultBuffer`] and call
-    /// [`Estimator::evaluate_batch_into`] instead to skip the per-call
+    /// The scenario is compiled once and the points stream through the
+    /// batch kernel ([`CompiledScenario::evaluate_into`]); results come
+    /// back in request order and are deterministic for every thread count.
+    /// Callers that evaluate many batches should hold a [`ResultBuffer`] and
+    /// call [`Estimator::evaluate_batch_into`] instead to skip the per-call
     /// output allocation.
     ///
     /// # Errors
@@ -1479,34 +731,6 @@ mod tests {
         out
     }
 
-    /// Byte-for-byte comparison of all 12 columns of two buffers.
-    fn assert_buffers_bit_identical(reference: &ResultBuffer, out: &ResultBuffer, ctx: &str) {
-        assert_eq!(reference.len(), out.len(), "{ctx}: length");
-        for i in 0..reference.len() {
-            for (expected, got, platform) in [
-                (reference.fpga(i), out.fpga(i), "fpga"),
-                (reference.asic(i), out.asic(i), "asic"),
-            ] {
-                for (e, g, component) in [
-                    (expected.design, got.design, "design"),
-                    (expected.manufacturing, got.manufacturing, "manufacturing"),
-                    (expected.packaging, got.packaging, "packaging"),
-                    (expected.eol, got.eol, "eol"),
-                    (expected.operation, got.operation, "operation"),
-                    (expected.app_dev, got.app_dev, "app_dev"),
-                ] {
-                    assert_eq!(
-                        e.as_kg().to_bits(),
-                        g.as_kg().to_bits(),
-                        "{ctx}: point {i} {platform} {component}: {} != {}",
-                        e.as_kg(),
-                        g.as_kg()
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn shrink_retained_caps_capacity_but_keeps_small_buffers() {
         let compiled = estimator().compile(Domain::Dnn).unwrap();
@@ -1514,7 +738,7 @@ mod tests {
         let big = vec![OperatingPoint::paper_default(); 20_000];
         let mut buffer = ResultBuffer::new();
         compiled.evaluate_into(&big, &mut buffer).unwrap();
-        // 20_000 points × 12 columns × 8 bytes ≈ 1.9 MiB resident.
+        // 20_000 points × 12 components × 8 bytes ≈ 1.9 MiB resident.
         assert!(buffer.capacity_bytes() >= 12 * 20_000 * 8);
         buffer.shrink_retained(cap);
         assert!(buffer.is_empty());
@@ -1534,15 +758,14 @@ mod tests {
         let mut reference = ResultBuffer::new();
         compiled.evaluate_into(&small, &mut reference).unwrap();
         compiled.evaluate_into(&small, &mut buffer).unwrap();
-        assert_buffers_bit_identical(&reference, &buffer, "post-shrink refill");
+        assert_eq!(reference, buffer, "post-shrink refill");
     }
 
-    /// The tile kernel (every lane width the build dispatches to, every
-    /// tile size, ragged tails, uniform and non-uniform invariant runs,
-    /// randomized knob overrides) is bit-identical to the scalar
-    /// `totals_kernel` reference schedule on all 12 output columns.
+    /// The batch kernel is bit-identical to point-wise evaluation and to
+    /// the naive estimator under randomized knob overrides, application
+    /// counts, lifetimes and volumes, for every thread count.
     #[test]
-    fn tile_kernel_matches_scalar_reference_bit_for_bit() {
+    fn batch_kernel_matches_point_evaluation_bit_for_bit() {
         use crate::Knob;
 
         let mut rng = gf_support::SplitMix64::new(0x711E_5EED_0000_0007);
@@ -1556,63 +779,72 @@ mod tests {
             }
             let domain = Domain::ALL[rng.gen_index(Domain::ALL.len())];
             let compiled = CompiledScenario::compile(&params, domain).expect("compile");
-
+            let naive = Estimator::new(params);
             let n = [1usize, 2, 3, 5, 63, 64, 65, 127, 130, 257][rng.gen_index(10)];
-            // Alternate run-structured batches (shared lifetime/volume in
-            // runs, like a grid with the application count as the inner
-            // axis — exercises the uniform fast path and its mid-tile
-            // backfill) with fully random ones.
-            let run = [1usize, 5, 48, 64][rng.gen_index(4)];
-            let structured = rng.gen_bool();
-            let mut points = Vec::with_capacity(n);
-            let mut lifetime = 0.0;
-            let mut volume = 1;
-            for i in 0..n {
-                if !structured || i % run == 0 {
-                    lifetime = if rng.gen_bool() {
+            let points: Vec<OperatingPoint> = (0..n)
+                .map(|_| OperatingPoint {
+                    applications: rng.gen_range_u64(1, 70),
+                    lifetime_years: if rng.gen_bool() {
                         rng.gen_range_f64(0.0, 10.0)
                     } else {
                         0.0
-                    };
-                    volume = rng.gen_range_u64(1, 2_000_000);
+                    },
+                    volume: rng.gen_range_u64(1, 2_000_000),
+                })
+                .collect();
+            let mut serial = ResultBuffer::new();
+            compiled
+                .evaluate_indexed_into(n, |i| points[i], &mut serial, 1)
+                .expect("evaluate");
+            for (i, &point) in points.iter().enumerate() {
+                let direct = compiled.evaluate(point).expect("evaluate point");
+                assert_eq!(serial.comparison(i), direct, "case {case} point {i}");
+                if i < 4 {
+                    let slow = naive
+                        .compare_uniform(
+                            domain,
+                            point.applications,
+                            point.lifetime_years,
+                            point.volume,
+                        )
+                        .expect("naive");
+                    assert_eq!(slow, direct, "case {case} point {i} naive");
                 }
-                points.push(OperatingPoint {
-                    applications: rng.gen_range_u64(1, 70),
-                    lifetime_years: lifetime,
-                    volume,
-                });
             }
-
-            let mut reference = ResultBuffer::new();
-            reference.prepare(domain, n);
-            {
-                let (mut fpga_cols, mut asic_cols) = reference.columns_mut();
-                for (t, &p) in points.iter().enumerate() {
-                    let lifetime = compiled.validate(p).expect("validate");
-                    let (fpga, asic) = compiled.totals_kernel(p, lifetime);
-                    fpga_cols.stage(t, &fpga);
-                    asic_cols.stage(t, &asic);
-                }
-            }
-
-            let mut out = ResultBuffer::new();
-            for tile in [1usize, 2, 3, 5, 31, 64, SOA_TILE_MAX] {
-                compiled
-                    .evaluate_indexed_into_with_tile(n, |i| points[i], &mut out, 1, tile)
-                    .expect("evaluate");
-                assert_buffers_bit_identical(
-                    &reference,
-                    &out,
-                    &format!("case {case} ({domain}, n={n}, tile={tile})"),
-                );
-            }
-            compiled.evaluate_into(&points, &mut out).expect("evaluate");
-            assert_buffers_bit_identical(
-                &reference,
-                &out,
-                &format!("case {case} ({domain}, n={n}, slice path)"),
-            );
+            let mut parallel = ResultBuffer::new();
+            compiled
+                .evaluate_into(&points, &mut parallel)
+                .expect("evaluate");
+            assert_eq!(serial, parallel, "case {case} ({domain}, n={n})");
         }
+    }
+
+    /// The closed form is exact at the decoder's largest application
+    /// count: at `n = 2^53` (a power of two) every per-application term
+    /// scales exactly, which no `n`-step running sum could reach.
+    #[test]
+    fn evaluation_is_constant_time_in_the_application_count() {
+        let compiled = estimator().compile(Domain::Dnn).unwrap();
+        let one = compiled
+            .evaluate(OperatingPoint {
+                applications: 1,
+                ..OperatingPoint::paper_default()
+            })
+            .unwrap();
+        let n = 1u64 << 53;
+        let huge = compiled
+            .evaluate(OperatingPoint {
+                applications: n,
+                ..OperatingPoint::paper_default()
+            })
+            .unwrap();
+        // Multiplying by a power of two is exact.
+        assert_eq!(huge.fpga.operation, one.fpga.operation * n as f64);
+        assert_eq!(
+            huge.asic.total().as_kg(),
+            one.asic.total().as_kg() * n as f64
+        );
+        assert_eq!(huge.fpga.design, one.fpga.design);
     }
 
     #[test]

@@ -139,7 +139,7 @@ where
 
 /// Fills `out[i] = f(i)` in parallel, writing directly into the caller's
 /// buffer — the zero-allocation counterpart of [`try_map_indexed`] used by
-/// the SoA batch kernel ([`crate::ResultBuffer`]), Monte-Carlo trials and
+/// the batch kernel ([`crate::ResultBuffer`]), Monte-Carlo trials and
 /// tornado probes.
 ///
 /// The index space is split into one contiguous chunk per worker (static
@@ -150,17 +150,18 @@ where
 ///
 /// # Errors
 ///
-/// Returns the error with the **lowest index**, like [`try_map_indexed`].
-/// `out` is left partially written in that case; callers must treat its
-/// contents as unspecified.
+/// Returns the error with the **lowest index**, like [`try_map_indexed`]:
+/// a worker stops at the first error of its contiguous chunk, and the
+/// minimum across workers is the lowest-index error overall. `out` is left
+/// partially written in that case; callers must treat its contents as
+/// unspecified.
 pub fn try_fill_indexed<T, E, F>(out: &mut [T], threads: usize, f: F) -> Result<(), E>
 where
     T: Send,
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
-    let n = out.len();
-    try_fill_chunked(n, threads, out, &|start, _len, chunk: &mut [T]| {
+    let fill = |start: usize, chunk: &mut [T]| -> Option<(usize, E)> {
         for (j, slot) in chunk.iter_mut().enumerate() {
             match f(start + j) {
                 Ok(value) => *slot = value,
@@ -168,44 +169,11 @@ where
             }
         }
         None
-    })
-}
-
-/// A destination that can be split into disjoint prefix/suffix parts, so
-/// [`try_fill_chunked`] can hand each worker its own contiguous chunk
-/// without `unsafe`. Implemented for `&mut [T]` and for the SoA column
-/// bundles of the batch kernel.
-pub(crate) trait SplitAtMut: Sized {
-    /// Splits into the first `mid` positions and the rest.
-    fn split_at_mut(self, mid: usize) -> (Self, Self);
-}
-
-impl<T> SplitAtMut for &mut [T] {
-    fn split_at_mut(self, mid: usize) -> (Self, Self) {
-        <[T]>::split_at_mut(self, mid)
-    }
-}
-
-/// The chunked scoped-thread engine behind [`try_fill_indexed`] and the
-/// SoA batch kernel: splits `dest` into one contiguous chunk per worker
-/// (static partitioning — per-item model cost is uniform, so dynamic
-/// chunking would only add cursor traffic) and runs
-/// `f(start, len, chunk)` on each, where `f` returns its first error as
-/// `Some((index, error))`.
-///
-/// A worker's first error has the lowest index of its contiguous chunk, so
-/// the minimum across workers — which this function returns — is the
-/// lowest-index error overall. Results are identical for every thread
-/// count.
-pub(crate) fn try_fill_chunked<D, E, F>(n: usize, threads: usize, dest: D, f: &F) -> Result<(), E>
-where
-    D: SplitAtMut + Send,
-    E: Send,
-    F: Fn(usize, usize, D) -> Option<(usize, E)> + Sync,
-{
+    };
+    let n = out.len();
     let workers = effective_workers(n, threads);
     if workers <= 1 {
-        return match f(0, n, dest) {
+        return match fill(0, out) {
             Some((_, e)) => Err(e),
             None => Ok(()),
         };
@@ -213,9 +181,10 @@ where
 
     let base = n / workers;
     let extra = n % workers;
+    let fill = &fill;
     let first_errors: Vec<Option<(usize, E)>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
-        let mut rest = dest;
+        let mut rest = out;
         let mut begin = 0;
         for w in 0..workers {
             let len = base + usize::from(w < extra);
@@ -223,7 +192,7 @@ where
             rest = tail;
             let start = begin;
             begin += len;
-            handles.push(scope.spawn(move || f(start, len, chunk)));
+            handles.push(scope.spawn(move || fill(start, chunk)));
         }
         handles
             .into_iter()

@@ -45,10 +45,7 @@
 //! # Ok::<(), greenfpga::GreenFpgaError>(())
 //! ```
 
-// `deny`, not `forbid`: the one sanctioned exception is the `simd` module
-// in `eval`, which needs a `#[target_feature]` call for the runtime-dispatched
-// AVX2 kernel and scopes its own `#[allow(unsafe_code)]`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod analytic;

@@ -22,7 +22,7 @@
 //!   searches use (the `analytic` module).
 //! * **Search** — ratio objectives and any constrained problem fall back
 //!   to deterministic coordinate descent: per-axis dense sweeps batched
-//!   through the SoA kernel (and thereby the `exec` worker pool), then
+//!   through the batch kernel (and thereby the `exec` worker pool), then
 //!   golden-section (continuous axes) or unit-step walk (integer axes)
 //!   refinement to the requested tolerance. Results are independent of
 //!   the engine's `eval_threads` by construction, because batch results
@@ -452,7 +452,7 @@ impl Solver<'_> {
         self.compiled.evaluate(self.point_at(values))
     }
 
-    /// A counted batch of kernel evaluations through the SoA kernel (and
+    /// A counted batch of kernel evaluations through the batch kernel (and
     /// the exec pool when `threads > 1`); results land by index, so the
     /// outcome is identical for every thread count.
     fn eval_batch(
@@ -667,8 +667,8 @@ impl Solver<'_> {
     // -- search tier: coordinate descent --------------------------------
 
     fn solve_search(&mut self, objective: &Objective) -> Result<OptimizeOutcome, GreenFpgaError> {
-        // Seed: full-factorial coarse lattice, batched through the SoA
-        // kernel. Feasibility is read off the same comparisons — no extra
+        // Seed: full-factorial coarse lattice, evaluated in one batch-kernel
+        // call. Feasibility is read off the same comparisons — no extra
         // evaluations.
         let mut per_axis = match self.bounds.len() {
             1 => SWEEP_SAMPLES,

@@ -175,7 +175,7 @@ impl Estimator {
     /// Sweeps one workload parameter over the given values, holding the
     /// other two at `base`.
     ///
-    /// The domain is compiled once and the values stream through the SoA
+    /// The domain is compiled once and the values stream through the
     /// batch kernel ([`crate::CompiledScenario::evaluate_into`]), in
     /// parallel for large sweeps.
     ///
@@ -240,7 +240,7 @@ impl Estimator {
     /// Evaluates the FPGA:ASIC total-CFP ratio over a 2-D grid (Fig. 8).
     ///
     /// The domain is compiled once and the flattened lattice streams
-    /// through the SoA batch kernel
+    /// through the batch kernel
     /// ([`crate::CompiledScenario::evaluate_indexed_into`]) without ever
     /// materializing the operating points; workers each fill a contiguous
     /// slab of the grid.
@@ -394,9 +394,11 @@ impl crate::CompiledScenario {
                 what: "grid values",
             });
         }
-        // Aim for ~16K cells per block: big enough to amortize dispatch and
-        // saturate the tile kernel, small enough that a wide grid's resident
-        // buffer stays tens-of-rows sized.
+        // Aim for ~4K cells per block: a block's results (~384 KiB) then
+        // weigh no more than a buffered 64×64 grid's, so a streamed response
+        // never pins more memory than the buffered routes already do, while
+        // thousands of closed-form evaluations still amortize each block's
+        // dispatch.
         let columns = x_values.len();
         let block_rows = (GridStream::TARGET_BLOCK_CELLS / columns).clamp(1, y_values.len());
         Ok(GridStream {
@@ -439,7 +441,7 @@ pub struct GridStream {
 }
 
 impl GridStream {
-    const TARGET_BLOCK_CELLS: usize = 16 * 1024;
+    const TARGET_BLOCK_CELLS: usize = 4 * 1024;
 
     /// Domain the grid is evaluated in.
     pub fn domain(&self) -> Domain {
@@ -890,7 +892,7 @@ mod tests {
         let wide = compiled
             .grid_stream(
                 SweepAxis::Applications,
-                (1..=8192).map(|i| i as f64).collect(),
+                (1..=2048).map(|i| i as f64).collect(),
                 SweepAxis::LifetimeYears,
                 vec![0.5; 64],
                 OperatingPoint::paper_default(),

@@ -86,11 +86,12 @@ pub(crate) struct Conn {
     /// When the current state gives up (`None` while dispatched: the
     /// engine owes a completion, the peer owes nothing).
     pub deadline: Option<Instant>,
-    /// Whether the timer heap holds an entry for this connection. Lets the
-    /// loop re-arm deadlines by just moving `deadline` — the standing heap
-    /// entry re-pushes itself when it pops early — instead of pushing one
-    /// entry per request.
-    pub timer_queued: bool,
+    /// When the timer heap's standing entry for this connection fires, if
+    /// one is queued. Lets the loop re-arm deadlines by just moving
+    /// `deadline` — the standing heap entry re-pushes itself when it pops
+    /// early — instead of pushing one entry per request, even across an
+    /// offloaded dispatch that clears `deadline`.
+    pub timer_at: Option<Instant>,
     /// Whether the per-request header deadline has been armed, so a
     /// byte-trickling peer cannot keep resetting its own clock.
     pub header_deadline_armed: bool,
@@ -128,7 +129,7 @@ impl Conn {
             close_after_write: false,
             interest: Interest::READ,
             deadline: Some(deadline),
-            timer_queued: false,
+            timer_at: None,
             header_deadline_armed: false,
             counted_live: true,
             streaming: None,

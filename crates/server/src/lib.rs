@@ -451,20 +451,20 @@ fn raw_fd(_stream: &TcpStream) -> i32 {
 
 /// Moves a connection's deadline, pushing a heap entry only when one is
 /// needed: no entry is standing, or the deadline moved *earlier* than the
-/// standing one could cover. Later-moving deadlines ride the standing
-/// entry, which re-pushes itself when it pops early — so a keep-alive
-/// connection costs one heap entry per idle window, not one per request.
+/// standing entry fires. Later-moving deadlines ride the standing entry,
+/// which re-pushes itself when it pops early — so a keep-alive connection
+/// costs one heap entry per idle window, not one per request, and the heap
+/// stays bounded by the connection count whatever the request rate.
 fn arm_deadline(
     timers: &mut BinaryHeap<Reverse<(Instant, u64)>>,
     conn: &mut Conn,
     token: u64,
     deadline: Instant,
 ) {
-    let push = !conn.timer_queued || conn.deadline.is_none_or(|previous| deadline < previous);
     conn.deadline = Some(deadline);
-    if push {
+    if conn.timer_at.is_none_or(|at| deadline < at) {
         timers.push(Reverse((deadline, token)));
-        conn.timer_queued = true;
+        conn.timer_at = Some(deadline);
     }
 }
 
@@ -1535,14 +1535,17 @@ impl EventLoop {
                 let Some(conn) = self.conns.get_mut(token) else {
                     continue; // the connection already closed
                 };
-                conn.timer_queued = false;
+                if conn.timer_at != Some(when) {
+                    continue; // superseded by an earlier entry that already popped
+                }
+                conn.timer_at = None;
                 match conn.deadline {
                     None => Fire::Skip, // dispatched: no peer deadline
                     Some(deadline) if deadline > now => {
                         // The deadline moved later since this entry was
                         // pushed: re-arm the standing entry at its real time.
                         self.timers.push(Reverse((deadline, token)));
-                        conn.timer_queued = true;
+                        conn.timer_at = Some(deadline);
                         Fire::Skip
                     }
                     Some(_) => match conn.state {

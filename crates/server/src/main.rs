@@ -41,7 +41,7 @@ ROUTES:
   GET  /metrics        the same registry as Prometheus text exposition
   GET  /v1/trace       recent spans from the trace rings (typed JSON)
   POST /v1/evaluate    one operating point            {\"domain\", \"knobs\"?, \"point\"?}
-  POST /v1/batch       many points, SoA batch kernel  {\"domain\", \"knobs\"?, \"points\"}
+  POST /v1/batch       many points, batch kernel      {\"domain\", \"knobs\"?, \"points\"}
   POST /v1/compare     one point, several scenarios   {\"scenarios\", \"point\"?}
   POST /v1/crossover   closed-form crossover solver   {\"domain\", \"knobs\"?, \"point\"?, ranges?}
   POST /v1/frontier    adaptive quadtree winner map   {\"domain\", \"knobs\"?, axes/ranges/steps?}

@@ -167,7 +167,7 @@ pub(crate) fn handle_offloaded(
             Ok(Some((head, stream))) => {
                 // The execute span for a streamed grid covers decode +
                 // compile + head build; the row production shows up as
-                // `tile_batch` spans while the stream drains.
+                // `eval_batch` spans while the stream drains.
                 record_execute(exec_start_ticks);
                 return Reply::GridStream { head, stream };
             }

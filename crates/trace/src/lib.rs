@@ -94,31 +94,28 @@ pub enum SpanName {
     JobQueueWait = 9,
     /// Pool job's run time on its worker (exec).
     JobRun = 10,
-    /// One SoA tile-kernel batch evaluation (engine; `aux` = points).
-    TileBatch = 11,
-    /// The once-per-process SIMD autotune/dispatch decision (engine;
-    /// `aux` = 1 when the SIMD kernel won).
-    Autotune = 12,
+    /// One batch-kernel evaluation call (engine; `aux` = points).
+    EvalBatch = 11,
     /// CLI phase timing: query build + scenario compile (`aux` = 0).
-    CliCompile = 13,
+    CliCompile = 12,
     /// CLI phase timing: query evaluation (`aux` = result bytes).
-    CliEval = 14,
+    CliEval = 13,
     /// Catalog-id resolution to a concrete scenario spec (engine;
     /// `aux` = catalog entry index; zero duration).
-    CatalogResolve = 15,
+    CatalogResolve = 14,
     /// One time-series carbon replay evaluation (engine; `aux` = steps).
-    Replay = 16,
+    Replay = 15,
     /// One full optimizer solve (engine; `aux` = kernel evaluations).
-    Optimize = 17,
+    Optimize = 16,
     /// One optimizer refinement stage — golden-section or integer walk
     /// inside a coordinate-descent pass (engine; `aux` = kernel
     /// evaluations spent refining).
-    OptimizeRefine = 18,
+    OptimizeRefine = 17,
 }
 
 impl SpanName {
     /// Every name, in discriminant order (for exposition layers).
-    pub const ALL: [SpanName; 19] = [
+    pub const ALL: [SpanName; 18] = [
         SpanName::Parse,
         SpanName::Admission,
         SpanName::QueueWait,
@@ -130,8 +127,7 @@ impl SpanName {
         SpanName::CacheMiss,
         SpanName::JobQueueWait,
         SpanName::JobRun,
-        SpanName::TileBatch,
-        SpanName::Autotune,
+        SpanName::EvalBatch,
         SpanName::CliCompile,
         SpanName::CliEval,
         SpanName::CatalogResolve,
@@ -154,8 +150,7 @@ impl SpanName {
             SpanName::CacheMiss => "cache_miss",
             SpanName::JobQueueWait => "job_queue_wait",
             SpanName::JobRun => "job_run",
-            SpanName::TileBatch => "tile_batch",
-            SpanName::Autotune => "autotune",
+            SpanName::EvalBatch => "eval_batch",
             SpanName::CliCompile => "cli_compile",
             SpanName::CliEval => "cli_eval",
             SpanName::CatalogResolve => "catalog_resolve",

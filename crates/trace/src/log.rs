@@ -241,7 +241,7 @@ mod tests {
         let log = start_ndjson_log(&path).unwrap();
         let marker = crate::next_id();
         set_current_request(marker);
-        record_event(SpanName::TileBatch, 64);
+        record_event(SpanName::EvalBatch, 64);
         set_current_request(0);
         log.stop();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -249,7 +249,7 @@ mod tests {
         let needle = format!("\"request\":\"{marker:016x}\"");
         assert!(
             text.lines()
-                .any(|l| l.contains(&needle) && l.contains("tile_batch")),
+                .any(|l| l.contains(&needle) && l.contains("eval_batch")),
             "log should contain the recorded span, got:\n{text}"
         );
         for line in text.lines() {

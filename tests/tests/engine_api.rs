@@ -103,6 +103,49 @@ fn evaluate_and_compare_match_direct_compiled_calls() {
     }
 }
 
+/// Application counts up to the decoder's 2^53 ceiling cost the same as a
+/// handful: the closed-form kernel never loops over applications. A
+/// per-application loop at ~1.5 ns per step would take seconds for the
+/// 2^32 compare below and months for the 2^53 evaluate.
+#[test]
+fn huge_application_counts_evaluate_in_constant_time() {
+    let engine = engine();
+    let point = OperatingPoint {
+        applications: 1 << 53,
+        ..OperatingPoint::paper_default()
+    };
+    let started = std::time::Instant::now();
+    let Outcome::Evaluate(response) = engine
+        .run(&Query::Evaluate(EvaluateRequest {
+            scenario: ScenarioSpec::baseline(Domain::Dnn),
+            point,
+        }))
+        .unwrap()
+    else {
+        panic!("wrong outcome kind");
+    };
+    assert!(response.comparison.fpga.total().as_kg().is_finite());
+    assert!(response.comparison.asic.total() > response.comparison.fpga.total());
+    let Outcome::Compare(compare) = engine
+        .run(&Query::Compare(CompareRequest {
+            scenarios: scenario_cases(),
+            point: OperatingPoint {
+                applications: 4_294_967_297,
+                ..point
+            },
+        }))
+        .unwrap()
+    else {
+        panic!("wrong outcome kind");
+    };
+    assert_eq!(compare.comparisons.len(), scenario_cases().len());
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "huge application counts took {elapsed:?}"
+    );
+}
+
 #[test]
 fn batch_matches_the_direct_soa_kernel() {
     let engine = engine();

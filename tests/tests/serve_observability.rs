@@ -40,7 +40,7 @@ const EVALUATE_BODY: &str =
 
 /// Every span-name spelling the exposition may emit. Pinned here so a
 /// renamed span class is a visible wire-format change, not drift.
-const SPAN_NAMES: [&str; 17] = [
+const SPAN_NAMES: [&str; 16] = [
     "parse",
     "admission",
     "queue_wait",
@@ -52,8 +52,7 @@ const SPAN_NAMES: [&str; 17] = [
     "cache_miss",
     "job_queue_wait",
     "job_run",
-    "tile_batch",
-    "autotune",
+    "eval_batch",
     "cli_compile",
     "cli_eval",
     "catalog_resolve",

@@ -365,3 +365,41 @@ fn portable_driver_serves_identical_bytes() {
     assert_matches_direct(&raw);
     handle.shutdown();
 }
+
+/// A keep-alive connection holds at most a couple of timer-heap entries
+/// however many requests it carries, offloaded ones included: their
+/// dispatch clears the peer deadline, and re-arming afterwards must ride
+/// the standing entry rather than push one entry per request.
+#[test]
+fn timer_heap_stays_bounded_across_offloaded_requests() {
+    let handle = spawn_server();
+    let mut stream = connect(&handle);
+    let body =
+        r#"{"domain":"dnn","points":[{"applications":5,"lifetime_years":2.0,"volume":1000000}]}"#;
+    let request = format!(
+        "POST /v1/batch HTTP/1.1\r\nHost: loopback\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    for _ in 0..200 {
+        stream.write_all(request.as_bytes()).expect("write batch");
+        let raw = read_response(|buf| stream.read(buf));
+        assert!(raw.starts_with(b"HTTP/1.1 200"), "batch answered");
+    }
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: loopback\r\n\r\n")
+        .expect("write metrics request");
+    let raw = read_response(|buf| stream.read(buf));
+    let text = std::str::from_utf8(body_of(&raw)).expect("metrics text is UTF-8");
+    let entries: f64 = text
+        .lines()
+        .find_map(|line| line.strip_prefix("gf_loop_timer_heap_entries "))
+        .expect("timer-heap gauge exported")
+        .trim()
+        .parse()
+        .expect("gauge value");
+    assert!(
+        entries <= 4.0,
+        "{entries} timer-heap entries after 200 requests on one connection"
+    );
+    handle.shutdown();
+}
