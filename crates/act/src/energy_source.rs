@@ -8,10 +8,9 @@
 use std::fmt;
 
 use gf_units::CarbonIntensity;
-use serde::{Deserialize, Serialize};
 
 /// A single electricity generation technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum EnergySource {
     /// Coal-fired generation.
@@ -91,7 +90,7 @@ impl fmt::Display for EnergySource {
 /// fab or design house depend on where they are located; these presets cover
 /// the regions most relevant to semiconductor manufacturing and hyperscale
 /// deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum GridMix {
     /// World average grid.

@@ -7,14 +7,12 @@
 //!
 //! `C_materials = ρ·C_materials,recycled + (1 − ρ)·C_materials,new`
 
-use serde::{Deserialize, Serialize};
-
 use gf_units::{Area, Carbon, CarbonIntensity, Energy, Fraction};
 
 use crate::{ActError, EnergySource, GridMix, NodeParameters, TechnologyNode, YieldModel};
 
 /// Per-die manufacturing footprint, broken into the ACT components.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ManufacturingBreakdown {
     /// Footprint of the fab's electricity use.
     pub energy: Carbon,
@@ -49,7 +47,7 @@ impl ManufacturingBreakdown {
 /// assert!(cfp.as_kg() > 1.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ManufacturingModel {
     node_parameters: NodeParameters,
     fab_grid: CarbonIntensity,

@@ -9,15 +9,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Fabrication process node.
 ///
 /// The paper's testcases span 14 nm, 12 nm, 10 nm and 7 nm (Table 3), with
 /// 10 nm used for the iso-performance domain comparison. A wider set of
 /// nodes is modeled so that design-space exploration around the paper's
 /// operating points is possible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum TechnologyNode {
     /// 28 nm planar node.
@@ -125,7 +123,7 @@ impl fmt::Display for TechnologyNode {
 ///
 /// All per-area figures are per cm² of *processed wafer area*, before yield
 /// losses are applied.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeParameters {
     /// The node these parameters describe.
     pub node: TechnologyNode,

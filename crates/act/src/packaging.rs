@@ -6,8 +6,6 @@
 //! for chiplet-style what-if studies (it is not used by the paper's
 //! experiments but is a natural follow-on from ECO-CHIP).
 
-use serde::{Deserialize, Serialize};
-
 use gf_units::{Area, Carbon, CarbonPerArea};
 
 /// Package carbon model.
@@ -22,7 +20,7 @@ use gf_units::{Area, Carbon, CarbonPerArea};
 /// let cfp = pkg.carbon_for_die(Area::from_mm2(600.0));
 /// assert!(cfp.as_kg() > 0.1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum PackagingModel {
     /// Conventional monolithic flip-chip package: a fixed assembly footprint

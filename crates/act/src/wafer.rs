@@ -1,7 +1,5 @@
 //! Wafer geometry: dies per wafer and edge losses.
 
-use serde::{Deserialize, Serialize};
-
 use gf_units::Area;
 
 /// A silicon wafer, characterised by its diameter and edge exclusion.
@@ -20,7 +18,7 @@ use gf_units::Area;
 /// let dies = wafer.dies_per_wafer(Area::from_mm2(100.0));
 /// assert!(dies > 500 && dies < 700);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Wafer {
     /// Wafer diameter in millimetres.
     pub diameter_mm: f64,

@@ -5,8 +5,6 @@
 //! immature nodes carry a disproportionate embodied footprint. ACT uses the
 //! classic defect-limited yield models reproduced here.
 
-use serde::{Deserialize, Serialize};
-
 use gf_units::Area;
 
 /// Defect-limited die-yield model.
@@ -23,7 +21,7 @@ use gf_units::Area;
 /// let y = YieldModel::Murphy.die_yield(Area::from_mm2(600.0), 0.1);
 /// assert!(y > 0.5 && y < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum YieldModel {
     /// Poisson model: `Y = exp(-A·D0)`. Pessimistic for large dies.

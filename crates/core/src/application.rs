@@ -1,7 +1,5 @@
 //! Applications and workloads.
 
-use serde::{Deserialize, Serialize};
-
 use gf_units::{ChipCount, GateCount, TimeSpan};
 
 use crate::{Domain, GreenFpgaError};
@@ -28,7 +26,7 @@ use crate::{Domain, GreenFpgaError};
 /// assert_eq!(app.volume().get(), 1_000_000);
 /// # Ok::<(), greenfpga::GreenFpgaError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Application {
     name: String,
     gates: GateCount,
@@ -108,7 +106,7 @@ impl Application {
 /// The domain fixes the iso-performance area/power ratios between the FPGA
 /// and the ASIC implementations (Table 2 of the paper) and the calibrated
 /// reference ASIC the comparisons are anchored to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     domain: Domain,
     applications: Vec<Application>,

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul};
 
-use serde::{Deserialize, Serialize};
-
 use gf_units::Carbon;
 
 /// A total carbon footprint broken down into the lifecycle components the
@@ -26,7 +24,7 @@ use gf_units::Carbon;
 /// assert_eq!(cfp.embodied(), Carbon::from_kg(5.0));
 /// assert_eq!(cfp.total(), Carbon::from_kg(7.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CfpBreakdown {
     /// Design-phase footprint (`C_des`, Eq. 4).
     pub design: Carbon,

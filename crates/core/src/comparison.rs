@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CfpBreakdown, Domain, Estimator, GreenFpgaError, Workload};
 
 /// Which platform a comparison favours.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlatformKind {
     /// The FPGA-based platform.
     Fpga,
@@ -25,7 +23,7 @@ impl fmt::Display for PlatformKind {
 }
 
 /// Direction of a crossover point along a swept parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrossoverDirection {
     /// ASIC-to-FPGA: below the point the ASIC has the lower CFP, above it
     /// the FPGA does (the paper's "A2F" point).
@@ -45,7 +43,7 @@ impl fmt::Display for CrossoverDirection {
 }
 
 /// A crossover point found along a swept parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Crossover {
     /// The value of the swept parameter at which the cheaper platform flips.
     pub at: f64,
@@ -54,7 +52,7 @@ pub struct Crossover {
 }
 
 /// The outcome of comparing the two platforms on the same workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformComparison {
     /// Domain the comparison was made in.
     pub domain: Domain,

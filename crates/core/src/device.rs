@@ -1,7 +1,5 @@
 //! Chip, FPGA and ASIC descriptions.
 
-use serde::{Deserialize, Serialize};
-
 use gf_act::TechnologyNode;
 use gf_units::{Area, GateCount, Mass, Power, TimeSpan};
 
@@ -22,7 +20,7 @@ use crate::GreenFpgaError;
 /// assert!(chip.gates().get() > 1_000_000_000);
 /// # Ok::<(), greenfpga::GreenFpgaError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipSpec {
     name: String,
     area: Area,
@@ -123,7 +121,7 @@ impl ChipSpec {
 
 /// An FPGA product: a [`ChipSpec`] plus its usable logic capacity and the
 /// time needed to (re)configure one deployed device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FpgaSpec {
     chip: ChipSpec,
     capacity: GateCount,
@@ -184,7 +182,7 @@ impl FpgaSpec {
 }
 
 /// An ASIC product: a [`ChipSpec`] that serves exactly one application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsicSpec {
     chip: ChipSpec,
 }

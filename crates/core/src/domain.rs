@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use gf_act::TechnologyNode;
 use gf_units::{Area, GateCount, Power};
 
@@ -20,7 +18,7 @@ use crate::{AsicSpec, ChipSpec, FpgaSpec, GreenFpgaError};
 
 /// Iso-performance area and power ratios of an FPGA implementation relative
 /// to an ASIC implementation of the same workload (Table 2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IsoPerformanceRatios {
     /// FPGA die area divided by ASIC die area at equal performance.
     pub area: f64,
@@ -29,7 +27,7 @@ pub struct IsoPerformanceRatios {
 }
 
 /// An application domain compared in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Domain {
     /// Deep neural network inference accelerators.
@@ -134,7 +132,7 @@ impl fmt::Display for Domain {
 
 /// Calibrated reference implementations for one domain: the ASIC the
 /// comparison is anchored to and the iso-performance FPGA derived from it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DomainCalibration {
     /// The domain this calibration belongs to.
     pub domain: Domain,

@@ -18,8 +18,6 @@
 //! [`crate::exec`], and the result rasterizes back to the dense winner mask
 //! the CLI renders, bit-consistent with the full grid's.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{
     exec, CompiledScenario, Domain, Estimator, GreenFpgaError, OperatingPoint, PlatformKind,
     SweepAxis,
@@ -51,7 +49,7 @@ impl Block {
 /// full winner mask (every cell classified), the FPGA:ASIC ratio of every
 /// cell the refiner actually evaluated, and the evaluation count — the
 /// measure of the adaptive win over dense evaluation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrontierResult {
     /// Domain the frontier was traced in.
     pub domain: Domain,

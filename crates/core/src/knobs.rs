@@ -8,15 +8,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use gf_lifecycle::{AppDevModel, DesignHouse};
 use gf_units::{CarbonIntensity, Energy, Fraction, TimeSpan};
 
 use crate::{DeploymentParams, EstimatorParams};
 
 /// An inclusive range of plausible values for one knob.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KnobRange {
     /// Lower end of the range.
     pub low: f64,
@@ -50,7 +48,7 @@ impl KnobRange {
 }
 
 /// A tunable model parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Knob {
     /// Deployment duty cycle (fraction of time at TDP).

@@ -1,7 +1,5 @@
 //! Top-level model parameters (the "knobs" of Table 1).
 
-use serde::{Deserialize, Serialize};
-
 use gf_act::{GridMix, ManufacturingModel, PackagingModel, TechnologyNode, YieldModel};
 use gf_lifecycle::{AppDevModel, DesignHouse, DesignProject, EolModel, OperationProfile};
 use gf_units::{CarbonIntensity, CarbonPerMass, Fraction, GateCount, TimeSpan};
@@ -10,7 +8,7 @@ use crate::{ChipSpec, GreenFpgaError};
 
 /// Engineering staffing of one chip-design project: the `N_emp,chip` and
 /// `T_proj` knobs of the design-CFP model (Eq. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignStaffing {
     /// Engineers working on the product.
     pub engineers: u64,
@@ -50,7 +48,7 @@ impl Default for DesignStaffing {
 }
 
 /// Field-deployment parameters shared by every device in a study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeploymentParams {
     /// Fraction of wall-clock time the accelerator draws its TDP.
     pub duty_cycle: Fraction,
@@ -105,7 +103,7 @@ impl Default for DeploymentParams {
 ///     .with_fab_grid(GridMix::Iceland.carbon_intensity());
 /// assert!(params.fab_grid().as_grams_per_kwh() < 100.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorParams {
     fab_grid: CarbonIntensity,
     fab_renewable_share: Fraction,

@@ -24,8 +24,6 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use gf_units::{Carbon, ChipCount, GateCount, TimeSpan};
 
 use crate::{
@@ -34,7 +32,7 @@ use crate::{
 };
 
 /// One yearly sample of the long-horizon scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LongHorizonPoint {
     /// Years since the start of the evaluation (1-based: the sample covers
     /// everything up to and including this year).
@@ -71,7 +69,7 @@ impl LongHorizonPoint {
 /// assert!(series.windows(2).all(|w| w[1].fpga_cumulative >= w[0].fpga_cumulative));
 /// # Ok::<(), greenfpga::GreenFpgaError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LongHorizonScenario {
     /// Application domain evaluated.
     pub domain: Domain,
@@ -400,7 +398,7 @@ pub const HOURS_PER_YEAR: usize = 8760;
 ///
 /// Construction validates the series (no NaN, no negatives, non-empty,
 /// positive finite step) so a held value is always replayable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CarbonIntensitySeries {
     points: Vec<f64>,
     step_hours: f64,
@@ -637,7 +635,7 @@ fn peak(hour: f64, at: f64) -> f64 {
 
 /// The summary a year replay produces: cumulative totals, the ratio
 /// trajectory's statistics and the scored [`Verdict`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayOutcome {
     /// Number of series steps replayed.
     pub steps: u64,
@@ -671,7 +669,7 @@ pub struct ReplayOutcome {
 ///
 /// `score = −(0.4·mean_excess + 0.3·worst_excess + 0.2·loss_fraction
 /// + 0.1·embodied_share)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Verdict {
     /// Mean FPGA excess over parity: average of `max(ratio − 1, 0)`.
     pub mean_excess: f64,

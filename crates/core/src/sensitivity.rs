@@ -6,12 +6,10 @@
 //! paper's validation discussion raises: *which* of the uncertain inputs
 //! actually matter for the FPGA-vs-ASIC verdict.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{exec, Domain, Estimator, GreenFpgaError, Knob, OperatingPoint, ScenarioTemplate};
 
 /// Sensitivity of the FPGA:ASIC ratio to one knob.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensitivityEntry {
     /// The knob varied.
     pub knob: Knob,
@@ -38,7 +36,7 @@ impl SensitivityEntry {
 
 /// The result of a tornado analysis: one entry per knob, sorted by swing
 /// (largest first).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TornadoAnalysis {
     /// Domain analysed.
     pub domain: Domain,

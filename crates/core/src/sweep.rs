@@ -4,13 +4,11 @@
 //! the application lifetime and the application volume, and computing the
 //! FPGA:ASIC ratio over pairwise grids for the heatmaps.
 
-use serde::{Deserialize, Serialize};
-
 use crate::comparison::crossovers_from_samples;
 use crate::{CfpBreakdown, Crossover, Domain, Estimator, GreenFpgaError, ResultBuffer};
 
 /// The workload parameter varied by a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum SweepAxis {
     /// Number of applications `N_app`.
@@ -33,7 +31,7 @@ impl SweepAxis {
 }
 
 /// A fixed operating point; sweeps override one (or two) of its fields.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Number of applications.
     pub applications: u64,
@@ -71,7 +69,7 @@ impl Default for OperatingPoint {
 }
 
 /// One sample of a 1-D sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Value of the swept parameter.
     pub x: f64,
@@ -92,7 +90,7 @@ impl SweepPoint {
 }
 
 /// The result of sweeping one workload parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSeries {
     /// Domain the sweep was evaluated in.
     pub domain: Domain,
@@ -127,7 +125,7 @@ impl SweepSeries {
 }
 
 /// A 2-D grid of FPGA:ASIC total-CFP ratios (the paper's Fig. 8 heatmaps).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridSweep {
     /// Domain the grid was evaluated in.
     pub domain: Domain,

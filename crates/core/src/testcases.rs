@@ -5,8 +5,6 @@
 //! FPGAs (modeled after Intel Agilex 7 and Stratix 10), using the TDP, die
 //! area and technology node listed in Table 3.
 
-use serde::{Deserialize, Serialize};
-
 use gf_act::TechnologyNode;
 use gf_units::{Area, ChipCount, Power, TimeSpan};
 
@@ -73,7 +71,7 @@ pub fn industry_fpga2() -> FpgaSpec {
 /// million units, with the FPGAs reprogrammed for three successive
 /// applications and the ASICs serving the single application they were built
 /// for.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndustryScenario {
     /// Total service life.
     pub service_years: f64,

@@ -8,7 +8,6 @@
 //! it is to the input uncertainty.
 
 use gf_support::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 use crate::{
     exec, Domain, EstimatorParams, GreenFpgaError, Knob, OperatingPoint, PlatformKind,
@@ -16,7 +15,7 @@ use crate::{
 };
 
 /// Configuration of a Monte-Carlo run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonteCarlo {
     /// Number of parameter samples to draw.
     pub samples: usize,
@@ -109,7 +108,7 @@ impl Default for MonteCarlo {
 }
 
 /// The distribution of FPGA:ASIC ratios produced by a Monte-Carlo run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UncertaintyReport {
     /// Domain the study was run in.
     pub domain: Domain,

@@ -10,14 +10,12 @@
 //!
 //! `T_app-dev = N_app × (T_FE + T_BE) + N_vol × T_config`.
 
-use serde::{Deserialize, Serialize};
-
 use gf_units::{Carbon, CarbonIntensity, Fraction, Power, TimeSpan};
 
 use crate::LifecycleError;
 
 /// Which development flow an application follows on a given platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum DevelopmentFlow {
     /// FPGA flow: RTL/HLS front-end plus synthesis/place-and-route back-end
@@ -40,7 +38,7 @@ pub enum DevelopmentFlow {
 /// let asic = dev.carbon(DevelopmentFlow::AsicSoftware, 3, 1_000_000);
 /// assert!(fpga.as_kg() > asic.as_kg());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppDevModel {
     farm_power: Power,
     farm_utilization: Fraction,

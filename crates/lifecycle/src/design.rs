@@ -15,8 +15,6 @@
 //! See DESIGN.md ("Design-CFP interpretation note") for how this maps onto
 //! the paper's notation.
 
-use serde::{Deserialize, Serialize};
-
 use gf_units::{Carbon, CarbonIntensity, Energy, Fraction, GateCount, TimeSpan};
 
 use crate::LifecycleError;
@@ -41,7 +39,7 @@ use crate::LifecycleError;
 /// assert!(house.carbon_per_employee_year().as_kg() > 10.0);
 /// # Ok::<(), gf_lifecycle::LifecycleError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignHouse {
     annual_energy: Energy,
     grid: CarbonIntensity,
@@ -151,7 +149,7 @@ impl Default for DesignHouse {
 /// Covers all pre-silicon activities the paper lists — architecture, RTL,
 /// verification, synthesis, place and route, analysis, test and post-silicon
 /// validation — through the engineer-years staffed on the product.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignProject {
     /// Size of the chip in equivalent logic gates (`N_gates`).
     pub gates: GateCount,

@@ -12,8 +12,6 @@
 //! The baseline is reproduced here so the two models can be compared head to
 //! head (see the `ablation_design_model` experiment binary).
 
-use serde::{Deserialize, Serialize};
-
 use gf_units::{Carbon, CarbonIntensity, Energy, GateCount, Power};
 
 /// ECO-CHIP-style design-CFP model: CPU-hours proportional to gate count.
@@ -28,7 +26,7 @@ use gf_units::{Carbon, CarbonIntensity, Energy, GateCount, Power};
 /// let cfp = baseline.design_carbon(GateCount::from_millions(500.0));
 /// assert!(cfp.as_tons() > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateBasedDesignModel {
     /// Gates synthesised/verified per CPU-server hour of EDA work.
     pub gates_per_cpu_hour: f64,

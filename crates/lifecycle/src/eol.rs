@@ -5,8 +5,6 @@
 //! (landfill / incineration) footprint. The per-ton factors come from the
 //! EPA WARM ranges quoted in Table 1 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 use gf_units::{Carbon, CarbonPerMass, Fraction, Mass};
 
 /// End-of-life (discard + recycling) carbon model for one packaged chip.
@@ -22,7 +20,7 @@ use gf_units::{Carbon, CarbonPerMass, Fraction, Mass};
 /// assert!(cfp.is_credit()); // aggressive recycling earns a net credit
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EolModel {
     discard_factor: CarbonPerMass,
     recycle_credit_factor: CarbonPerMass,

@@ -4,8 +4,6 @@
 //! product of peak power, duty cycle and deployment time (§3.3(1) of the
 //! paper).
 
-use serde::{Deserialize, Serialize};
-
 use gf_units::{Carbon, CarbonIntensity, Energy, Fraction, Power, TimeSpan};
 
 /// Operating profile of one deployed device.
@@ -25,7 +23,7 @@ use gf_units::{Carbon, CarbonIntensity, Energy, Fraction, Power, TimeSpan};
 /// assert!(cfp.as_tons() > 0.5);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperationProfile {
     peak_power: Power,
     duty_cycle: Fraction,

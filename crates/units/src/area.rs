@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::Carbon;
 
 /// Silicon (die) area, stored internally in square millimetres.
@@ -22,7 +20,7 @@ use crate::Carbon;
 /// let die = Area::from_mm2(340.0); // IndustryASIC1 (Antoum-like)
 /// assert!((die.as_cm2() - 3.4).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Area(f64);
 
 impl Area {
@@ -124,7 +122,7 @@ impl fmt::Display for Area {
 /// let cfp = cpa * Area::from_mm2(200.0);
 /// assert!((cfp.as_kg() - 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct CarbonPerArea(f64);
 
 impl CarbonPerArea {

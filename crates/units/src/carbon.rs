@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A carbon footprint expressed in kilograms of CO₂ equivalent (kg CO₂e).
 ///
 /// `Carbon` is a signed quantity: recycling credits in the end-of-life model
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(total.as_kg(), 23.5);
 /// assert!(eol.is_credit());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Carbon(f64);
 
 impl Carbon {

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A count of equivalent logic gates.
 ///
 /// The paper sizes both applications and FPGA capacity "in terms of
@@ -22,9 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let capacity = GateCount::new(10_000_000);
 /// assert_eq!(app.fpgas_required(capacity), 3);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GateCount(u64);
 
 impl GateCount {
@@ -133,9 +129,7 @@ impl fmt::Display for GateCount {
 /// let vol = ChipCount::new(1_000_000);
 /// assert_eq!(format!("{vol}"), "1.00 M units");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ChipCount(u64);
 
 impl ChipCount {

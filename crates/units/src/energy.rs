@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Carbon, CarbonIntensity};
 
 /// Electrical energy in kilowatt-hours (kWh).
@@ -24,7 +22,7 @@ use crate::{Carbon, CarbonIntensity};
 /// let cfp = annual * CarbonIntensity::from_grams_per_kwh(300.0);
 /// assert!((cfp.as_tons() - 2190.0).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Energy(f64);
 
 impl Energy {

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::Mul;
 
-use serde::{Deserialize, Serialize};
-
 use crate::UnitError;
 
 /// A dimensionless fraction guaranteed to lie in `[0, 1]`.
@@ -25,7 +23,7 @@ use crate::UnitError;
 /// assert!(Fraction::new(1.2).is_err());
 /// # Ok::<(), gf_units::UnitError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Fraction(f64);
 
 impl Fraction {

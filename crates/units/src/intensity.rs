@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, Div, Mul};
 
-use serde::{Deserialize, Serialize};
-
 /// Carbon intensity of an electricity source, in grams of CO₂e per kWh.
 ///
 /// The paper distinguishes the intensity of the design house's grid
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let cfp = Energy::from_kwh(10.0) * solar;
 /// assert!((cfp.as_kg() - 0.41).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct CarbonIntensity(f64);
 
 impl CarbonIntensity {

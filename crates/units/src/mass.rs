@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::Carbon;
 
 /// Mass of material, stored internally in kilograms.
@@ -22,7 +20,7 @@ use crate::Carbon;
 /// let package = Mass::from_grams(30.0);
 /// assert!((package.as_tons() - 3.0e-5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Mass(f64);
 
 impl Mass {
@@ -128,7 +126,7 @@ impl fmt::Display for Mass {
 /// let cfp = discard * Mass::from_tons(0.001);
 /// assert!((cfp.as_kg() - 2.08).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct CarbonPerMass(f64);
 
 impl CarbonPerMass {

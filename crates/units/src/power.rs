@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Energy, TimeSpan};
 
 /// Electrical power in watts.
@@ -23,7 +21,7 @@ use crate::{Energy, TimeSpan};
 /// let year = tdp * TimeSpan::from_years(1.0);
 /// assert!((year.as_kwh() - 1683.0).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Power(f64);
 
 impl Power {

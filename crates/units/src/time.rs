@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A span of calendar time, stored internally in years.
 ///
 /// Application lifetimes (`T_i`), chip lifetimes, project durations
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let be = TimeSpan::from_months(1.0);
 /// assert!(((fe + be).as_years() - 0.25).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct TimeSpan(f64);
 
 impl TimeSpan {
