@@ -397,9 +397,9 @@ fn run_grid_stream(engine: &Engine, command: &Command, json: bool) -> Result<(),
         let mut head = object([
             ("domain", stream.domain().to_json()),
             ("x_axis", stream.x_axis().to_json()),
-            ("x_values", stream.x_values().to_vec().to_json()),
+            ("x_values", stream.x_values().to_json()),
             ("y_axis", stream.y_axis().to_json()),
-            ("y_values", stream.y_values().to_vec().to_json()),
+            ("y_values", stream.y_values().to_json()),
         ])
         .to_json_string()
         .map_err(ser)?;

@@ -9,9 +9,22 @@
 //! test decodes is *structurally guaranteed* to match what the server
 //! encoded.
 //!
+//! Each wire struct is declared once with [`gf_json::wire_struct!`], which
+//! generates both directions of its codec from the field list; only the
+//! encoders that add computed members (`ratio`, `winner`, `total_kg`,
+//! `count`, `swing`, …) are written by hand. Every query kind is one row of
+//! the `query_kinds!` table, which generates [`QueryKind`], [`Query`],
+//! [`Outcome`] and their per-kind dispatch.
+//!
 //! Numbers are serialized with round-tripping `f64` formatting (see
 //! [`gf_json`]), so decoding a response reconstructs carbon breakdowns
 //! **bit-identical** to the values the engine produced.
+//!
+//! Decoders check shape only (types, required members, known ids). Range
+//! rules — step counts, range order, sample counts, seeds — live in one
+//! [`Query::validate`] per request type, which [`crate::Engine`] runs on
+//! every query, so programmatic and wire requests are held to the same
+//! rules.
 //!
 //! ## Request schema
 //!
@@ -27,7 +40,10 @@
 //! }
 //! ```
 
-use gf_json::{object, FromJson, JsonError, ToJson, Value};
+use gf_json::{
+    decode_member, decode_member_or, object, prefix_schema, wire_struct, FromJson, JsonError,
+    ToJson, Value,
+};
 
 use crate::optimize::{
     CertificateProbe, Constraint, Objective, OptPlatform, SearchKnob, SolverKind,
@@ -36,50 +52,50 @@ use crate::scenario::{CarbonIntensitySeries, CatalogEntry, ReplayOutcome, Verdic
 use crate::{
     ApiError, ApiErrorCode, CfpBreakdown, Crossover, CrossoverDirection, Domain, EstimatorParams,
     FrontierResult, GridSweep, Knob, OperatingPoint, PlatformComparison, PlatformKind,
-    SensitivityEntry, SweepAxis, SweepPoint, SweepSeries, TornadoAnalysis, UncertaintyReport,
+    SensitivityEntry, SweepAxis, SweepPoint, SweepSeries, TornadoAnalysis,
 };
 use gf_units::Carbon;
 
 /// Version of the `Query`/`Outcome` JSON envelope (the `"v"` member).
 pub const API_VERSION: u64 = 1;
 
-/// Reads a required object member.
-fn field<'v>(value: &'v Value, key: &'static str) -> Result<&'v Value, JsonError> {
-    value
-        .get(key)
-        .ok_or_else(|| JsonError::schema(key, "missing required field"))
+/// Decodes a string id through `parse`, naming `what` in errors.
+fn decode_id<T>(
+    value: &Value,
+    what: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, JsonError> {
+    let id = value
+        .as_str()
+        .ok_or_else(|| JsonError::schema("", format!("expected a {what} string")))?;
+    parse(id).ok_or_else(|| JsonError::schema("", format!("unknown {what} '{id}'")))
 }
 
-/// Reads and decodes a required object member.
-fn decode<T: FromJson>(value: &Value, key: &'static str) -> Result<T, JsonError> {
-    T::from_json(field(value, key)?).map_err(|e| prefix_schema(key, e))
+/// String-valued enums: each variant travels as its fixed id.
+macro_rules! wire_ids {
+    ($($ty:ident($what:literal) { $($variant:ident = $id:literal),* })*) => {$(
+        impl ToJson for $ty {
+            fn to_json(&self) -> Value {
+                Value::String(match self { $($ty::$variant => $id,)* }.to_string())
+            }
+        }
+
+        impl FromJson for $ty {
+            fn from_json(value: &Value) -> Result<$ty, JsonError> {
+                decode_id(value, $what, |id| match id {
+                    $($id => Some($ty::$variant),)*
+                    _ => None,
+                })
+            }
+        }
+    )*};
 }
 
-/// Decodes an optional object member, falling back when absent or null.
-fn decode_or<T: FromJson>(value: &Value, key: &'static str, fallback: T) -> Result<T, JsonError> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(fallback),
-        Some(member) => T::from_json(member).map_err(|e| prefix_schema(key, e)),
-    }
-}
-
-/// Prefixes the field path of a nested schema error, so "lifetime_years"
-/// inside "point" reports as `point.lifetime_years`.
-fn prefix_schema(key: &str, error: JsonError) -> JsonError {
-    match error {
-        JsonError::Schema { at, message } => JsonError::Schema {
-            at: if at.is_empty()
-                || at == key
-                || matches!(at.as_str(), "number" | "string" | "bool" | "array")
-            {
-                key.to_string()
-            } else {
-                format!("{key}.{at}")
-            },
-            message,
-        },
-        other => other,
-    }
+wire_ids! {
+    PlatformKind("platform") { Fpga = "FPGA", Asic = "ASIC" }
+    CrossoverDirection("direction") { AsicToFpga = "A2F", FpgaToAsic = "F2A" }
+    OptPlatform("platform") { Fpga = "fpga", Asic = "asic" }
+    SolverKind("solver") { Analytic = "analytic", Search = "search" }
 }
 
 impl ToJson for Domain {
@@ -90,116 +106,147 @@ impl ToJson for Domain {
 
 impl FromJson for Domain {
     fn from_json(value: &Value) -> Result<Domain, JsonError> {
-        let id = value
-            .as_str()
-            .ok_or_else(|| JsonError::schema("domain", "expected a domain string"))?;
-        Domain::parse_id(id)
-            .ok_or_else(|| JsonError::schema("domain", format!("unknown domain '{id}'")))
+        decode_id(value, "domain", Domain::parse_id)
+    }
+}
+
+impl ToJson for Knob {
+    fn to_json(&self) -> Value {
+        Value::String(self.id().to_string())
+    }
+}
+
+impl FromJson for Knob {
+    fn from_json(value: &Value) -> Result<Knob, JsonError> {
+        decode_id(value, "knob", Knob::parse_id)
+    }
+}
+
+/// The wire id of a sweep axis.
+fn axis_id(axis: SweepAxis) -> &'static str {
+    match axis {
+        SweepAxis::Applications => "apps",
+        SweepAxis::LifetimeYears => "lifetime",
+        SweepAxis::VolumeUnits => "volume",
     }
 }
 
 impl ToJson for SweepAxis {
     fn to_json(&self) -> Value {
-        let id = match self {
-            SweepAxis::Applications => "apps",
-            SweepAxis::LifetimeYears => "lifetime",
-            SweepAxis::VolumeUnits => "volume",
-        };
-        Value::String(id.to_string())
+        Value::String(axis_id(*self).to_string())
     }
 }
 
 impl FromJson for SweepAxis {
+    /// Case-insensitive; `applications` is accepted for `apps`.
     fn from_json(value: &Value) -> Result<SweepAxis, JsonError> {
-        let id = value
-            .as_str()
-            .ok_or_else(|| JsonError::schema("axis", "expected an axis string"))?;
-        match id.to_ascii_lowercase().as_str() {
-            "apps" | "applications" => Ok(SweepAxis::Applications),
-            "lifetime" => Ok(SweepAxis::LifetimeYears),
-            "volume" => Ok(SweepAxis::VolumeUnits),
-            other => Err(JsonError::schema("axis", format!("unknown axis '{other}'"))),
-        }
-    }
-}
-
-impl ToJson for PlatformKind {
-    fn to_json(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl FromJson for PlatformKind {
-    fn from_json(value: &Value) -> Result<PlatformKind, JsonError> {
-        match value.as_str() {
-            Some("FPGA") => Ok(PlatformKind::Fpga),
-            Some("ASIC") => Ok(PlatformKind::Asic),
-            _ => Err(JsonError::schema("winner", "expected \"FPGA\" or \"ASIC\"")),
-        }
-    }
-}
-
-impl ToJson for CrossoverDirection {
-    fn to_json(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl FromJson for CrossoverDirection {
-    fn from_json(value: &Value) -> Result<CrossoverDirection, JsonError> {
-        match value.as_str() {
-            Some("A2F") => Ok(CrossoverDirection::AsicToFpga),
-            Some("F2A") => Ok(CrossoverDirection::FpgaToAsic),
-            _ => Err(JsonError::schema(
-                "direction",
-                "expected \"A2F\" or \"F2A\"",
-            )),
-        }
-    }
-}
-
-impl ToJson for Crossover {
-    fn to_json(&self) -> Value {
-        object([
-            ("at", Value::Number(self.at)),
-            ("direction", self.direction.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Crossover {
-    fn from_json(value: &Value) -> Result<Crossover, JsonError> {
-        Ok(Crossover {
-            at: decode(value, "at")?,
-            direction: decode(value, "direction")?,
+        decode_id(value, "axis", |id| match id.to_ascii_lowercase().as_str() {
+            "apps" | "applications" => Some(SweepAxis::Applications),
+            "lifetime" => Some(SweepAxis::LifetimeYears),
+            "volume" => Some(SweepAxis::VolumeUnits),
+            _ => None,
         })
     }
 }
 
-impl ToJson for OperatingPoint {
-    fn to_json(&self) -> Value {
-        object([
-            ("applications", Value::Number(self.applications as f64)),
-            ("lifetime_years", Value::Number(self.lifetime_years)),
-            ("volume", Value::Number(self.volume as f64)),
-        ])
+/// `[with kg]`: a [`Carbon`] member travels as plain kilograms.
+mod kg {
+    use super::*;
+
+    pub(super) fn to_json(carbon: &Carbon) -> Value {
+        Value::Number(carbon.as_kg())
+    }
+
+    pub(super) fn from_json(member: Option<&Value>) -> Result<Carbon, JsonError> {
+        let member = member.ok_or_else(|| JsonError::schema("", "missing required field"))?;
+        f64::from_json(member).map(Carbon::from_kg)
     }
 }
 
-impl FromJson for OperatingPoint {
-    fn from_json(value: &Value) -> Result<OperatingPoint, JsonError> {
-        if value.as_object().is_none() {
-            return Err(JsonError::schema(
-                "point",
-                "expected an operating-point object",
-            ));
+/// `[with knob_overrides]`: Table 1 knob overrides travel as an object
+/// keyed by [`Knob::id`], in application order; absent means none.
+mod knob_overrides {
+    use super::*;
+
+    pub(super) fn to_json(knobs: &[(Knob, f64)]) -> Value {
+        Value::Object(
+            knobs
+                .iter()
+                .map(|&(knob, value)| (knob.id().to_string(), Value::Number(value)))
+                .collect(),
+        )
+    }
+
+    pub(super) fn from_json(member: Option<&Value>) -> Result<Vec<(Knob, f64)>, JsonError> {
+        let mut knobs = Vec::new();
+        match member {
+            None | Some(Value::Null) => {}
+            Some(Value::Object(members)) => {
+                for (id, member) in members {
+                    let knob = Knob::parse_id(id)
+                        .ok_or_else(|| JsonError::schema(id.as_str(), "unknown knob"))?;
+                    if knobs.iter().any(|&(seen, _)| seen == knob) {
+                        return Err(JsonError::schema(
+                            id.as_str(),
+                            format!("knob '{id}' overridden more than once"),
+                        ));
+                    }
+                    let value = member
+                        .as_f64()
+                        .ok_or_else(|| JsonError::schema(id.as_str(), "expected a number"))?;
+                    knobs.push((knob, value));
+                }
+            }
+            Some(_) => return Err(JsonError::schema("", "expected an object of knob values")),
         }
-        let fallback = OperatingPoint::paper_default();
-        Ok(OperatingPoint {
-            applications: decode_or(value, "applications", fallback.applications)?,
-            lifetime_years: decode_or(value, "lifetime_years", fallback.lifetime_years)?,
-            volume: decode_or(value, "volume", fallback.volume)?,
-        })
+        Ok(knobs)
+    }
+}
+
+/// `[with axis_values]`: per-axis values travel as an object keyed by the
+/// axis id, in order.
+mod axis_values {
+    use super::*;
+
+    pub(super) fn to_json(values: &[(SweepAxis, f64)]) -> Value {
+        Value::Object(
+            values
+                .iter()
+                .map(|&(axis, value)| (axis_id(axis).to_string(), Value::Number(value)))
+                .collect(),
+        )
+    }
+
+    pub(super) fn from_json(member: Option<&Value>) -> Result<Vec<(SweepAxis, f64)>, JsonError> {
+        let members = member
+            .ok_or_else(|| JsonError::schema("", "missing required field"))?
+            .as_object()
+            .ok_or_else(|| JsonError::schema("", "expected an object of knob values"))?;
+        members
+            .iter()
+            .map(|(key, member)| {
+                let axis = SweepAxis::from_json(&Value::String(key.clone()))?;
+                let value = member
+                    .as_f64()
+                    .ok_or_else(|| JsonError::schema("", "expected a numeric knob value"))?;
+                Ok((axis, value))
+            })
+            .collect()
+    }
+}
+
+wire_struct! {
+    impl Crossover {
+        at: f64,
+        direction: CrossoverDirection,
+    }
+}
+
+wire_struct! {
+    impl OperatingPoint {
+        applications: u64 [default OperatingPoint::paper_default().applications],
+        lifetime_years: f64 [default OperatingPoint::paper_default().lifetime_years],
+        volume: u64 [default OperatingPoint::paper_default().volume],
     }
 }
 
@@ -217,16 +264,16 @@ impl ToJson for CfpBreakdown {
     }
 }
 
-impl FromJson for CfpBreakdown {
-    fn from_json(value: &Value) -> Result<CfpBreakdown, JsonError> {
-        Ok(CfpBreakdown {
-            design: Carbon::from_kg(decode(value, "design_kg")?),
-            manufacturing: Carbon::from_kg(decode(value, "manufacturing_kg")?),
-            packaging: Carbon::from_kg(decode(value, "packaging_kg")?),
-            eol: Carbon::from_kg(decode(value, "eol_kg")?),
-            operation: Carbon::from_kg(decode(value, "operation_kg")?),
-            app_dev: Carbon::from_kg(decode(value, "app_dev_kg")?),
-        })
+wire_struct! {
+    /// The derived `total_kg` member is ignored (it is the sum of the
+    /// decoded components).
+    impl FromJson for CfpBreakdown {
+        design: Carbon as "design_kg" [with kg],
+        manufacturing: Carbon as "manufacturing_kg" [with kg],
+        packaging: Carbon as "packaging_kg" [with kg],
+        eol: Carbon as "eol_kg" [with kg],
+        operation: Carbon as "operation_kg" [with kg],
+        app_dev: Carbon as "app_dev_kg" [with kg],
     }
 }
 
@@ -243,11 +290,12 @@ impl ToJson for PlatformComparison {
 }
 
 impl FromJson for PlatformComparison {
+    /// The derived `ratio` and `winner` members are ignored.
     fn from_json(value: &Value) -> Result<PlatformComparison, JsonError> {
         Ok(PlatformComparison::new(
-            decode(value, "domain")?,
-            decode(value, "fpga")?,
-            decode(value, "asic")?,
+            decode_member(value, "domain")?,
+            decode_member(value, "fpga")?,
+            decode_member(value, "asic")?,
         ))
     }
 }
@@ -263,27 +311,40 @@ impl ToJson for SweepPoint {
     }
 }
 
+wire_struct! {
+    /// The derived `ratio` member is ignored.
+    impl FromJson for SweepPoint {
+        x: f64,
+        fpga: CfpBreakdown,
+        asic: CfpBreakdown,
+    }
+}
+
 impl ToJson for SweepSeries {
     fn to_json(&self) -> Value {
         object([
             ("domain", self.domain.to_json()),
             ("axis", self.axis.to_json()),
-            (
-                "points",
-                Value::Array(self.points.iter().map(ToJson::to_json).collect()),
-            ),
-            (
-                "crossovers",
-                Value::Array(self.crossovers().iter().map(ToJson::to_json).collect()),
-            ),
+            ("points", self.points.to_json()),
+            ("crossovers", self.crossovers().to_json()),
         ])
+    }
+}
+
+wire_struct! {
+    /// The derived `crossovers` member is ignored (it is recomputed from
+    /// the decoded points, bit-identically).
+    impl FromJson for SweepSeries {
+        domain: Domain,
+        axis: SweepAxis,
+        points: Vec<SweepPoint>,
     }
 }
 
 impl ToJson for SensitivityEntry {
     fn to_json(&self) -> Value {
         object([
-            ("knob", Value::String(self.knob.id().to_string())),
+            ("knob", self.knob.to_json()),
             ("ratio_at_low", Value::Number(self.ratio_at_low)),
             ("ratio_at_high", Value::Number(self.ratio_at_high)),
             ("ratio_at_baseline", Value::Number(self.ratio_at_baseline)),
@@ -293,82 +354,86 @@ impl ToJson for SensitivityEntry {
     }
 }
 
-impl ToJson for TornadoAnalysis {
-    fn to_json(&self) -> Value {
-        object([
-            ("domain", self.domain.to_json()),
-            ("point", self.point.to_json()),
-            (
-                "entries",
-                Value::Array(self.entries.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+wire_struct! {
+    /// The derived `swing` and `flips_winner` members are ignored.
+    impl FromJson for SensitivityEntry {
+        knob: Knob,
+        ratio_at_low: f64,
+        ratio_at_high: f64,
+        ratio_at_baseline: f64,
     }
 }
 
-impl ToJson for UncertaintyReport {
-    fn to_json(&self) -> Value {
-        object([
-            ("domain", self.domain.to_json()),
-            ("point", self.point.to_json()),
-            ("samples", Value::Number(self.ratios.len() as f64)),
-            ("ratio_p5", Value::Number(self.quantile(0.05))),
-            ("ratio_median", Value::Number(self.median())),
-            ("ratio_p95", Value::Number(self.quantile(0.95))),
-            ("ratio_mean", Value::Number(self.mean())),
-            (
-                "fpga_win_probability",
-                Value::Number(self.fpga_win_probability()),
-            ),
-            ("majority_winner", self.majority_winner().to_json()),
-        ])
+wire_struct! {
+    impl TornadoAnalysis {
+        domain: Domain,
+        point: OperatingPoint,
+        entries: Vec<SensitivityEntry>,
     }
 }
 
-impl ToJson for FrontierResult {
+impl ToJson for GridSweep {
     fn to_json(&self) -> Value {
-        let winners = Value::Array(
-            self.winner_mask()
-                .into_iter()
-                .map(|row| Value::Array(row.into_iter().map(Value::Bool).collect()))
-                .collect(),
-        );
         object([
             ("domain", self.domain.to_json()),
             ("x_axis", self.x_axis.to_json()),
-            (
-                "x_values",
-                Value::Array(self.x_values.iter().map(|&x| Value::Number(x)).collect()),
-            ),
+            ("x_values", self.x_values.to_json()),
             ("y_axis", self.y_axis.to_json()),
-            (
-                "y_values",
-                Value::Array(self.y_values.iter().map(|&y| Value::Number(y)).collect()),
-            ),
-            ("fpga_wins", winners),
+            ("y_values", self.y_values.to_json()),
+            ("ratios", self.ratios.to_json()),
             (
                 "fpga_winning_fraction",
                 Value::Number(self.fpga_winning_fraction()),
             ),
-            ("evaluations", Value::Number(self.evaluations() as f64)),
-            (
-                "evaluated_fraction",
-                Value::Number(self.evaluated_fraction()),
-            ),
         ])
     }
 }
 
-/// A scenario addressed by a request: a domain template plus Table 1 knob
-/// overrides. Two requests with the same spec compile to the same
-/// [`crate::CompiledScenario`] — the key the server's scenario cache uses.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioSpec {
-    /// The application domain.
-    pub domain: Domain,
-    /// Knob overrides applied on top of
-    /// [`EstimatorParams::paper_defaults`], in application order.
-    pub knobs: Vec<(Knob, f64)>,
+wire_struct! {
+    /// The derived `fpga_winning_fraction` member is ignored. The ratio
+    /// matrix must match the coordinate lists.
+    impl FromJson for GridSweep {
+        domain: Domain,
+        x_axis: SweepAxis,
+        x_values: Vec<f64>,
+        y_axis: SweepAxis,
+        y_values: Vec<f64>,
+        ratios: Vec<Vec<f64>>,
+    } check grid_shape
+}
+
+/// One row per y value and one column per x value.
+fn matrix_shape<T>(
+    rows: &[Vec<T>],
+    y_values: &[f64],
+    x_values: &[f64],
+    key: &'static str,
+) -> Result<(), JsonError> {
+    if rows.len() != y_values.len() || rows.iter().any(|row| row.len() != x_values.len()) {
+        return Err(JsonError::schema(
+            key,
+            "expected one row per y value and one column per x value",
+        ));
+    }
+    Ok(())
+}
+
+fn grid_shape(grid: &GridSweep) -> Result<(), JsonError> {
+    matrix_shape(&grid.ratios, &grid.y_values, &grid.x_values, "ratios")
+}
+
+wire_struct! {
+    /// A scenario addressed by a request: a domain template plus Table 1 knob
+    /// overrides. Two requests with the same spec compile to the same
+    /// [`crate::CompiledScenario`] — the key the server's scenario cache uses.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ScenarioSpec {
+        /// The application domain.
+        pub domain: Domain,
+        /// Knob overrides applied on top of
+        /// [`EstimatorParams::paper_defaults`], in application order.
+        pub knobs: Vec<(Knob, f64)> [with knob_overrides],
+    }
 }
 
 impl ScenarioSpec {
@@ -389,24 +454,6 @@ impl ScenarioSpec {
             knob.apply_mut(&mut params, value);
         }
         params
-    }
-}
-
-impl ToJson for ScenarioSpec {
-    fn to_json(&self) -> Value {
-        object([
-            ("domain", self.domain.to_json()),
-            ("knobs", encode_knob_overrides(&self.knobs)),
-        ])
-    }
-}
-
-impl FromJson for ScenarioSpec {
-    fn from_json(value: &Value) -> Result<ScenarioSpec, JsonError> {
-        Ok(ScenarioSpec {
-            domain: decode(value, "domain")?,
-            knobs: decode_knob_overrides(value)?,
-        })
     }
 }
 
@@ -453,7 +500,7 @@ impl ToJson for ScenarioRef {
             ScenarioRef::Inline(spec) => spec.to_json(),
             ScenarioRef::Catalog { id, knobs } => object([
                 ("id", Value::String(id.clone())),
-                ("knobs", encode_knob_overrides(knobs)),
+                ("knobs", knob_overrides::to_json(knobs)),
             ]),
         }
     }
@@ -463,145 +510,51 @@ impl FromJson for ScenarioRef {
     fn from_json(value: &Value) -> Result<ScenarioRef, JsonError> {
         match value.get("id") {
             None | Some(Value::Null) => Ok(ScenarioRef::Inline(ScenarioSpec::from_json(value)?)),
-            Some(member) => {
-                let id = member
-                    .as_str()
-                    .ok_or_else(|| JsonError::schema("id", "expected a catalog id string"))?;
-                Ok(ScenarioRef::Catalog {
-                    id: id.to_string(),
-                    knobs: decode_knob_overrides(value)?,
-                })
-            }
+            Some(member) => Ok(ScenarioRef::Catalog {
+                id: String::from_json(member).map_err(|e| prefix_schema("id", e))?,
+                knobs: knob_overrides::from_json(value.get("knobs"))
+                    .map_err(|e| prefix_schema("knobs", e))?,
+            }),
         }
     }
 }
 
-/// Decodes an optional `"point"` member (`None` when absent or null, so
-/// catalog entries can supply their own default point).
-fn decode_point_opt(value: &Value) -> Result<Option<OperatingPoint>, JsonError> {
-    match value.get("point") {
-        None | Some(Value::Null) => Ok(None),
-        Some(member) => Ok(Some(
-            OperatingPoint::from_json(member).map_err(|e| prefix_schema("point", e))?,
-        )),
+wire_struct! {
+    /// `POST /v1/scenario`: one catalog or inline scenario, evaluated and
+    /// scored.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ScenarioRunRequest {
+        /// The scenario to run.
+        pub scenario: ScenarioRef [flatten],
+        /// Optional operating-point override; absent means the catalog
+        /// entry's point (or [`OperatingPoint::paper_default`] for inline
+        /// specs).
+        pub point: Option<OperatingPoint> [omit None],
     }
 }
 
-/// Splices request-specific members after a scenario reference's members,
-/// mirroring [`merge_scenario`] for [`ScenarioRef`].
-fn merge_scenario_ref(scenario: &ScenarioRef, members: Vec<(&'static str, Value)>) -> Value {
-    let mut all = match scenario.to_json() {
-        Value::Object(members) => members,
-        _ => unreachable!("scenario references serialize to objects"),
-    };
-    for (key, value) in members {
-        all.push((key.to_string(), value));
-    }
-    Value::Object(all)
-}
-
-/// `POST /v1/scenario`: one catalog or inline scenario, evaluated and
-/// scored.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioRunRequest {
-    /// The scenario to run.
-    pub scenario: ScenarioRef,
-    /// Optional operating-point override; absent means the catalog
-    /// entry's point (or [`OperatingPoint::paper_default`] for inline
-    /// specs).
-    pub point: Option<OperatingPoint>,
-}
-
-impl ToJson for ScenarioRunRequest {
-    fn to_json(&self) -> Value {
-        let mut members = Vec::new();
-        if let Some(point) = self.point {
-            members.push(("point", point.to_json()));
-        }
-        merge_scenario_ref(&self.scenario, members)
+wire_struct! {
+    /// `POST /v1/scenario` response: the comparison plus its scored verdict.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ScenarioRunResponse {
+        /// The resolved catalog id (`None` for inline specs).
+        pub id: Option<String> [default None],
+        /// The point the scenario was evaluated at.
+        pub point: OperatingPoint,
+        /// The comparison the engine produced.
+        pub comparison: PlatformComparison,
+        /// The scored verdict over the outcome.
+        pub verdict: Verdict,
     }
 }
 
-impl FromJson for ScenarioRunRequest {
-    fn from_json(value: &Value) -> Result<ScenarioRunRequest, JsonError> {
-        Ok(ScenarioRunRequest {
-            scenario: ScenarioRef::from_json(value)?,
-            point: decode_point_opt(value)?,
-        })
-    }
-}
-
-/// `POST /v1/scenario` response: the comparison plus its scored verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioRunResponse {
-    /// The resolved catalog id (`None` for inline specs).
-    pub id: Option<String>,
-    /// The point the scenario was evaluated at.
-    pub point: OperatingPoint,
-    /// The comparison the engine produced.
-    pub comparison: PlatformComparison,
-    /// The scored verdict over the outcome.
-    pub verdict: Verdict,
-}
-
-impl ToJson for ScenarioRunResponse {
-    fn to_json(&self) -> Value {
-        object([
-            (
-                "id",
-                match &self.id {
-                    Some(id) => Value::String(id.clone()),
-                    None => Value::Null,
-                },
-            ),
-            ("point", self.point.to_json()),
-            ("comparison", self.comparison.to_json()),
-            ("verdict", self.verdict.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ScenarioRunResponse {
-    fn from_json(value: &Value) -> Result<ScenarioRunResponse, JsonError> {
-        let id = match value.get("id") {
-            None | Some(Value::Null) => None,
-            Some(member) => Some(
-                member
-                    .as_str()
-                    .ok_or_else(|| JsonError::schema("id", "expected a catalog id string"))?
-                    .to_string(),
-            ),
-        };
-        Ok(ScenarioRunResponse {
-            id,
-            point: decode(value, "point")?,
-            comparison: decode(value, "comparison")?,
-            verdict: decode(value, "verdict")?,
-        })
-    }
-}
-
-impl ToJson for Verdict {
-    fn to_json(&self) -> Value {
-        object([
-            ("mean_excess", Value::Number(self.mean_excess)),
-            ("worst_excess", Value::Number(self.worst_excess)),
-            ("loss_fraction", Value::Number(self.loss_fraction)),
-            ("embodied_share", Value::Number(self.embodied_share)),
-            ("score", Value::Number(self.score)),
-        ])
-    }
-}
-
-impl FromJson for Verdict {
-    fn from_json(value: &Value) -> Result<Verdict, JsonError> {
-        Ok(Verdict {
-            mean_excess: decode(value, "mean_excess")?,
-            worst_excess: decode(value, "worst_excess")?,
-            loss_fraction: decode(value, "loss_fraction")?,
-            embodied_share: decode(value, "embodied_share")?,
-            score: decode(value, "score")?,
-        })
+wire_struct! {
+    impl Verdict {
+        mean_excess: f64,
+        worst_excess: f64,
+        loss_fraction: f64,
+        embodied_share: f64,
+        score: f64,
     }
 }
 
@@ -620,10 +573,7 @@ impl ToJson for SeriesRef {
         match self {
             SeriesRef::Region(name) => Value::String(name.clone()),
             SeriesRef::Inline(series) => object([
-                (
-                    "points",
-                    Value::Array(series.points().iter().map(|&v| Value::Number(v)).collect()),
-                ),
+                ("points", series.points().to_json()),
                 ("step_hours", Value::Number(series.step_hours())),
             ]),
         }
@@ -635,8 +585,8 @@ impl FromJson for SeriesRef {
         match value {
             Value::String(name) => Ok(SeriesRef::Region(name.clone())),
             Value::Object(_) => {
-                let points: Vec<f64> = decode(value, "points")?;
-                let step_hours = decode_or(value, "step_hours", 1.0)?;
+                let points: Vec<f64> = decode_member(value, "points")?;
+                let step_hours = decode_member_or(value, "step_hours", || 1.0)?;
                 let series = CarbonIntensitySeries::new(points, step_hours)
                     .map_err(|e| JsonError::schema("series", e.to_string()))?;
                 Ok(SeriesRef::Inline(series))
@@ -649,24 +599,26 @@ impl FromJson for SeriesRef {
     }
 }
 
-/// `POST /v1/replay`: a scenario replayed step by step against a
-/// time-varying grid carbon intensity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayRequest {
-    /// The scenario to replay.
-    pub scenario: ScenarioRef,
-    /// Optional operating-point override (same defaulting as
-    /// [`ScenarioRunRequest::point`]).
-    pub point: Option<OperatingPoint>,
-    /// The intensity series to replay against (defaults to the
-    /// `global_flat` region preset).
-    pub series: SeriesRef,
-    /// Whether step lookup interpolates between bounding samples.
-    pub interpolate: bool,
-    /// How many times the series is stitched end-to-end before the replay
-    /// ([`CarbonIntensitySeries::repeat`]); must not exceed the device
-    /// lifetime in whole years. Omitted from the wire when 1.
-    pub years: u64,
+wire_struct! {
+    /// `POST /v1/replay`: a scenario replayed step by step against a
+    /// time-varying grid carbon intensity.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ReplayRequest {
+        /// The scenario to replay.
+        pub scenario: ScenarioRef [flatten],
+        /// Optional operating-point override (same defaulting as
+        /// [`ScenarioRunRequest::point`]).
+        pub point: Option<OperatingPoint> [omit None],
+        /// The intensity series to replay against (defaults to the
+        /// `global_flat` region preset).
+        pub series: SeriesRef [default SeriesRef::Region(Self::DEFAULT_REGION.to_string())],
+        /// Whether step lookup interpolates between bounding samples.
+        pub interpolate: bool [default false],
+        /// How many times the series is stitched end-to-end before the replay
+        /// ([`CarbonIntensitySeries::repeat`]); must not exceed the device
+        /// lifetime in whole years. Omitted from the wire when 1.
+        pub years: u64 [omit 1],
+    }
 }
 
 impl ReplayRequest {
@@ -674,161 +626,40 @@ impl ReplayRequest {
     pub const DEFAULT_REGION: &'static str = "global_flat";
 }
 
-impl ToJson for ReplayRequest {
-    fn to_json(&self) -> Value {
-        let mut members = Vec::new();
-        if let Some(point) = self.point {
-            members.push(("point", point.to_json()));
-        }
-        members.push(("series", self.series.to_json()));
-        members.push(("interpolate", Value::Bool(self.interpolate)));
-        if self.years != 1 {
-            members.push(("years", Value::Number(self.years as f64)));
-        }
-        merge_scenario_ref(&self.scenario, members)
+wire_struct! {
+    impl ReplayOutcome {
+        steps: u64,
+        fpga_operational: Carbon as "fpga_operational_kg" [with kg],
+        asic_operational: Carbon as "asic_operational_kg" [with kg],
+        fpga_total: Carbon as "fpga_total_kg" [with kg],
+        asic_total: Carbon as "asic_total_kg" [with kg],
+        mean_ratio: f64,
+        worst_ratio: f64,
+        final_ratio: f64,
+        fpga_win_fraction: f64,
+        verdict: Verdict,
     }
 }
 
-impl FromJson for ReplayRequest {
-    fn from_json(value: &Value) -> Result<ReplayRequest, JsonError> {
-        let series = match value.get("series") {
-            None | Some(Value::Null) => {
-                SeriesRef::Region(ReplayRequest::DEFAULT_REGION.to_string())
-            }
-            Some(member) => SeriesRef::from_json(member).map_err(|e| prefix_schema("series", e))?,
-        };
-        Ok(ReplayRequest {
-            scenario: ScenarioRef::from_json(value)?,
-            point: decode_point_opt(value)?,
-            series,
-            interpolate: decode_or(value, "interpolate", false)?,
-            years: decode_or(value, "years", 1u64)?,
-        })
-    }
-}
-
-impl ToJson for ReplayOutcome {
-    fn to_json(&self) -> Value {
-        object([
-            ("steps", Value::Number(self.steps as f64)),
-            (
-                "fpga_operational_kg",
-                Value::Number(self.fpga_operational.as_kg()),
-            ),
-            (
-                "asic_operational_kg",
-                Value::Number(self.asic_operational.as_kg()),
-            ),
-            ("fpga_total_kg", Value::Number(self.fpga_total.as_kg())),
-            ("asic_total_kg", Value::Number(self.asic_total.as_kg())),
-            ("mean_ratio", Value::Number(self.mean_ratio)),
-            ("worst_ratio", Value::Number(self.worst_ratio)),
-            ("final_ratio", Value::Number(self.final_ratio)),
-            ("fpga_win_fraction", Value::Number(self.fpga_win_fraction)),
-            ("verdict", self.verdict.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ReplayOutcome {
-    fn from_json(value: &Value) -> Result<ReplayOutcome, JsonError> {
-        Ok(ReplayOutcome {
-            steps: decode(value, "steps")?,
-            fpga_operational: Carbon::from_kg(decode(value, "fpga_operational_kg")?),
-            asic_operational: Carbon::from_kg(decode(value, "asic_operational_kg")?),
-            fpga_total: Carbon::from_kg(decode(value, "fpga_total_kg")?),
-            asic_total: Carbon::from_kg(decode(value, "asic_total_kg")?),
-            mean_ratio: decode(value, "mean_ratio")?,
-            worst_ratio: decode(value, "worst_ratio")?,
-            final_ratio: decode(value, "final_ratio")?,
-            fpga_win_fraction: decode(value, "fpga_win_fraction")?,
-            verdict: decode(value, "verdict")?,
-        })
-    }
-}
-
-/// `POST /v1/replay` response: the replay summary and scored verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayResponse {
-    /// The resolved catalog id (`None` for inline specs).
-    pub id: Option<String>,
-    /// The replayed domain.
-    pub domain: Domain,
-    /// The point the scenario was replayed at.
-    pub point: OperatingPoint,
-    /// The replay summary (cumulative totals, trajectory statistics,
-    /// verdict).
-    pub replay: ReplayOutcome,
-}
-
-impl ToJson for ReplayResponse {
-    fn to_json(&self) -> Value {
-        object([
-            (
-                "id",
-                match &self.id {
-                    Some(id) => Value::String(id.clone()),
-                    None => Value::Null,
-                },
-            ),
-            ("domain", self.domain.to_json()),
-            ("point", self.point.to_json()),
-            ("replay", self.replay.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ReplayResponse {
-    fn from_json(value: &Value) -> Result<ReplayResponse, JsonError> {
-        let id = match value.get("id") {
-            None | Some(Value::Null) => None,
-            Some(member) => Some(
-                member
-                    .as_str()
-                    .ok_or_else(|| JsonError::schema("id", "expected a catalog id string"))?
-                    .to_string(),
-            ),
-        };
-        Ok(ReplayResponse {
-            id,
-            domain: decode(value, "domain")?,
-            point: decode(value, "point")?,
-            replay: decode(value, "replay")?,
-        })
-    }
-}
-
-impl ToJson for OptPlatform {
-    fn to_json(&self) -> Value {
-        Value::String(
-            match self {
-                OptPlatform::Fpga => "fpga",
-                OptPlatform::Asic => "asic",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for OptPlatform {
-    fn from_json(value: &Value) -> Result<OptPlatform, JsonError> {
-        match value.as_str() {
-            Some("fpga") => Ok(OptPlatform::Fpga),
-            Some("asic") => Ok(OptPlatform::Asic),
-            _ => Err(JsonError::schema(
-                "platform",
-                "expected \"fpga\" or \"asic\"",
-            )),
-        }
+wire_struct! {
+    /// `POST /v1/replay` response: the replay summary and scored verdict.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ReplayResponse {
+        /// The resolved catalog id (`None` for inline specs).
+        pub id: Option<String> [default None],
+        /// The replayed domain.
+        pub domain: Domain,
+        /// The point the scenario was replayed at.
+        pub point: OperatingPoint,
+        /// The replay summary (cumulative totals, trajectory statistics,
+        /// verdict).
+        pub replay: ReplayOutcome,
     }
 }
 
 /// Decodes an optional `"platform"` member, defaulting to the FPGA.
 fn decode_platform(value: &Value) -> Result<OptPlatform, JsonError> {
-    match value.get("platform") {
-        None | Some(Value::Null) => Ok(OptPlatform::Fpga),
-        Some(member) => OptPlatform::from_json(member).map_err(|e| prefix_schema("platform", e)),
-    }
+    decode_member_or(value, "platform", || OptPlatform::Fpga)
 }
 
 /// Encodes a `"platform"` member, omitted when it is the FPGA default.
@@ -872,10 +703,8 @@ impl ToJson for Objective {
 
 impl FromJson for Objective {
     fn from_json(value: &Value) -> Result<Objective, JsonError> {
-        let goal = field(value, "goal")?
-            .as_str()
-            .ok_or_else(|| JsonError::schema("goal", "expected a goal string"))?;
-        match goal {
+        let goal: String = decode_member(value, "goal")?;
+        match goal.as_str() {
             "min_total" => Ok(Objective::MinTotal(decode_platform(value)?)),
             "min_operational" => Ok(Objective::MinOperational(decode_platform(value)?)),
             "min_embodied" => Ok(Objective::MinEmbodied(decode_platform(value)?)),
@@ -883,7 +712,7 @@ impl FromJson for Objective {
             "min_ratio" => Ok(Objective::MinRatio),
             "budget" => Ok(Objective::MeetBudget {
                 platform: decode_platform(value)?,
-                budget_kg: decode(value, "budget_kg")?,
+                budget_kg: decode_member(value, "budget_kg")?,
             }),
             other => Err(JsonError::schema(
                 "goal",
@@ -896,28 +725,12 @@ impl FromJson for Objective {
     }
 }
 
-impl ToJson for SearchKnob {
-    fn to_json(&self) -> Value {
-        let mut members = vec![
-            ("axis", self.axis.to_json()),
-            ("min", Value::Number(self.min)),
-            ("max", Value::Number(self.max)),
-        ];
-        if self.integer {
-            members.push(("integer", Value::Bool(true)));
-        }
-        object(members)
-    }
-}
-
-impl FromJson for SearchKnob {
-    fn from_json(value: &Value) -> Result<SearchKnob, JsonError> {
-        Ok(SearchKnob {
-            axis: decode(value, "axis")?,
-            min: decode(value, "min")?,
-            max: decode(value, "max")?,
-            integer: decode_or(value, "integer", false)?,
-        })
+wire_struct! {
+    impl SearchKnob {
+        axis: SweepAxis,
+        min: f64,
+        max: f64,
+        integer: bool [omit false],
     }
 }
 
@@ -937,14 +750,12 @@ impl ToJson for Constraint {
 
 impl FromJson for Constraint {
     fn from_json(value: &Value) -> Result<Constraint, JsonError> {
-        let kind = field(value, "kind")?
-            .as_str()
-            .ok_or_else(|| JsonError::schema("kind", "expected a constraint kind string"))?;
-        match kind {
+        let kind: String = decode_member(value, "kind")?;
+        match kind.as_str() {
             "fpga_wins" => Ok(Constraint::FpgaWins),
             "max_total_kg" => Ok(Constraint::MaxTotalKg {
                 platform: decode_platform(value)?,
-                limit_kg: decode(value, "limit_kg")?,
+                limit_kg: decode_member(value, "limit_kg")?,
             }),
             other => Err(JsonError::schema(
                 "kind",
@@ -954,68 +765,38 @@ impl FromJson for Constraint {
     }
 }
 
-impl ToJson for SolverKind {
-    fn to_json(&self) -> Value {
-        Value::String(self.to_string())
+wire_struct! {
+    impl CertificateProbe {
+        axis: SweepAxis,
+        at: f64,
+        objective: f64,
+        delta: f64,
     }
 }
 
-impl FromJson for SolverKind {
-    fn from_json(value: &Value) -> Result<SolverKind, JsonError> {
-        match value.as_str() {
-            Some("analytic") => Ok(SolverKind::Analytic),
-            Some("search") => Ok(SolverKind::Search),
-            _ => Err(JsonError::schema(
-                "solver",
-                "expected \"analytic\" or \"search\"",
-            )),
-        }
+wire_struct! {
+    /// `POST /v1/optimize`: an inverse query — minimize an objective (or fill
+    /// a carbon budget) over a box of 1–3 search knobs.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct OptimizeRequest {
+        /// The scenario to optimize over.
+        pub scenario: ScenarioRef [flatten],
+        /// Optional operating-point override supplying the non-searched axes
+        /// (same defaulting as [`ScenarioRunRequest::point`]).
+        pub point: Option<OperatingPoint> [omit None],
+        /// What to minimize or satisfy.
+        pub objective: Objective,
+        /// The searched axes and their bounds (the `"search"` wire member).
+        pub search: Vec<SearchKnob>,
+        /// Feasibility constraints (omitted from the wire when empty).
+        pub constraints: Vec<Constraint> [omit Vec::<Constraint>::new()],
+        /// Relative solve tolerance for the search tier (omitted when
+        /// [`OptimizeRequest::DEFAULT_TOLERANCE`]).
+        pub tolerance: f64 [omit Self::DEFAULT_TOLERANCE],
+        /// Kernel-evaluation budget for the search tier (omitted when
+        /// [`OptimizeRequest::DEFAULT_MAX_EVALS`]).
+        pub max_evals: u64 [omit Self::DEFAULT_MAX_EVALS],
     }
-}
-
-impl ToJson for CertificateProbe {
-    fn to_json(&self) -> Value {
-        object([
-            ("axis", self.axis.to_json()),
-            ("at", Value::Number(self.at)),
-            ("objective", Value::Number(self.objective)),
-            ("delta", Value::Number(self.delta)),
-        ])
-    }
-}
-
-impl FromJson for CertificateProbe {
-    fn from_json(value: &Value) -> Result<CertificateProbe, JsonError> {
-        Ok(CertificateProbe {
-            axis: decode(value, "axis")?,
-            at: decode(value, "at")?,
-            objective: decode(value, "objective")?,
-            delta: decode(value, "delta")?,
-        })
-    }
-}
-
-/// `POST /v1/optimize`: an inverse query — minimize an objective (or fill
-/// a carbon budget) over a box of 1–3 search knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OptimizeRequest {
-    /// The scenario to optimize over.
-    pub scenario: ScenarioRef,
-    /// Optional operating-point override supplying the non-searched axes
-    /// (same defaulting as [`ScenarioRunRequest::point`]).
-    pub point: Option<OperatingPoint>,
-    /// What to minimize or satisfy.
-    pub objective: Objective,
-    /// The searched axes and their bounds (the `"search"` wire member).
-    pub search: Vec<SearchKnob>,
-    /// Feasibility constraints (omitted from the wire when empty).
-    pub constraints: Vec<Constraint>,
-    /// Relative solve tolerance for the search tier (omitted when
-    /// [`OptimizeRequest::DEFAULT_TOLERANCE`]).
-    pub tolerance: f64,
-    /// Kernel-evaluation budget for the search tier (omitted when
-    /// [`OptimizeRequest::DEFAULT_MAX_EVALS`]).
-    pub max_evals: u64,
 }
 
 impl OptimizeRequest {
@@ -1025,150 +806,29 @@ impl OptimizeRequest {
     pub const DEFAULT_MAX_EVALS: u64 = 10_000;
 }
 
-impl ToJson for OptimizeRequest {
-    fn to_json(&self) -> Value {
-        let mut members = Vec::new();
-        if let Some(point) = self.point {
-            members.push(("point", point.to_json()));
-        }
-        members.push(("objective", self.objective.to_json()));
-        members.push((
-            "search",
-            Value::Array(self.search.iter().map(|k| k.to_json()).collect()),
-        ));
-        if !self.constraints.is_empty() {
-            members.push((
-                "constraints",
-                Value::Array(self.constraints.iter().map(|c| c.to_json()).collect()),
-            ));
-        }
-        if self.tolerance != Self::DEFAULT_TOLERANCE {
-            members.push(("tolerance", Value::Number(self.tolerance)));
-        }
-        if self.max_evals != Self::DEFAULT_MAX_EVALS {
-            members.push(("max_evals", Value::Number(self.max_evals as f64)));
-        }
-        merge_scenario_ref(&self.scenario, members)
-    }
-}
-
-impl FromJson for OptimizeRequest {
-    fn from_json(value: &Value) -> Result<OptimizeRequest, JsonError> {
-        let constraints = match value.get("constraints") {
-            None | Some(Value::Null) => Vec::new(),
-            Some(member) => {
-                Vec::<Constraint>::from_json(member).map_err(|e| prefix_schema("constraints", e))?
-            }
-        };
-        Ok(OptimizeRequest {
-            scenario: ScenarioRef::from_json(value)?,
-            point: decode_point_opt(value)?,
-            objective: decode(value, "objective")?,
-            search: decode(value, "search")?,
-            constraints,
-            tolerance: decode_or(value, "tolerance", Self::DEFAULT_TOLERANCE)?,
-            max_evals: decode_or(value, "max_evals", Self::DEFAULT_MAX_EVALS)?,
-        })
-    }
-}
-
-/// `POST /v1/optimize` response: the argmin, its verdict, and the solve's
-/// evidence trail.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OptimizeResponse {
-    /// The resolved catalog id (`None` for inline specs).
-    pub id: Option<String>,
-    /// The optimized domain.
-    pub domain: Domain,
-    /// The full operating point at the optimum.
-    pub point: OperatingPoint,
-    /// The argmin values of the searched knobs, in request order.
-    pub argmin: Vec<(SweepAxis, f64)>,
-    /// The achieved objective scalar (kernel-evaluated at the argmin).
-    pub objective: f64,
-    /// The scored verdict at the optimum.
-    pub verdict: Verdict,
-    /// Kernel evaluations spent (including certificate probes).
-    pub evaluations: u64,
-    /// Which solver tier answered.
-    pub solver: SolverKind,
-    /// Per-knob one-sided local-optimality probes.
-    pub certificate: Vec<CertificateProbe>,
-}
-
-impl ToJson for OptimizeResponse {
-    fn to_json(&self) -> Value {
-        let argmin = Value::Object(
-            self.argmin
-                .iter()
-                .map(|(axis, value)| {
-                    let key = match axis {
-                        SweepAxis::Applications => "apps",
-                        SweepAxis::LifetimeYears => "lifetime",
-                        SweepAxis::VolumeUnits => "volume",
-                    };
-                    (key.to_string(), Value::Number(*value))
-                })
-                .collect(),
-        );
-        object([
-            (
-                "id",
-                match &self.id {
-                    Some(id) => Value::String(id.clone()),
-                    None => Value::Null,
-                },
-            ),
-            ("domain", self.domain.to_json()),
-            ("point", self.point.to_json()),
-            ("argmin", argmin),
-            ("objective", Value::Number(self.objective)),
-            ("verdict", self.verdict.to_json()),
-            ("evaluations", Value::Number(self.evaluations as f64)),
-            ("solver", self.solver.to_json()),
-            (
-                "certificate",
-                Value::Array(self.certificate.iter().map(|p| p.to_json()).collect()),
-            ),
-        ])
-    }
-}
-
-impl FromJson for OptimizeResponse {
-    fn from_json(value: &Value) -> Result<OptimizeResponse, JsonError> {
-        let id = match value.get("id") {
-            None | Some(Value::Null) => None,
-            Some(member) => Some(
-                member
-                    .as_str()
-                    .ok_or_else(|| JsonError::schema("id", "expected a catalog id string"))?
-                    .to_string(),
-            ),
-        };
-        let argmin_value = field(value, "argmin")?;
-        let members = argmin_value
-            .as_object()
-            .ok_or_else(|| JsonError::schema("argmin", "expected an object of knob values"))?;
-        let mut argmin = Vec::with_capacity(members.len());
-        for (key, member) in members {
-            let axis = SweepAxis::from_json(&Value::String(key.clone()))
-                .map_err(|e| prefix_schema("argmin", e))?;
-            let knob_value = member
-                .as_f64()
-                .ok_or_else(|| JsonError::schema("argmin", "expected a numeric knob value"))?;
-            argmin.push((axis, knob_value));
-        }
-        Ok(OptimizeResponse {
-            id,
-            domain: decode(value, "domain")?,
-            point: decode(value, "point")?,
-            argmin,
-            objective: decode(value, "objective")?,
-            verdict: decode(value, "verdict")?,
-            evaluations: decode(value, "evaluations")?,
-            solver: decode(value, "solver")?,
-            certificate: decode(value, "certificate")?,
-        })
+wire_struct! {
+    /// `POST /v1/optimize` response: the argmin, its verdict, and the solve's
+    /// evidence trail.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct OptimizeResponse {
+        /// The resolved catalog id (`None` for inline specs).
+        pub id: Option<String> [default None],
+        /// The optimized domain.
+        pub domain: Domain,
+        /// The full operating point at the optimum.
+        pub point: OperatingPoint,
+        /// The argmin values of the searched knobs, in request order.
+        pub argmin: Vec<(SweepAxis, f64)> [with axis_values],
+        /// The achieved objective scalar (kernel-evaluated at the argmin).
+        pub objective: f64,
+        /// The scored verdict at the optimum.
+        pub verdict: Verdict,
+        /// Kernel evaluations spent (including certificate probes).
+        pub evaluations: u64,
+        /// Which solver tier answered.
+        pub solver: SolverKind,
+        /// Per-knob one-sided local-optimality probes.
+        pub certificate: Vec<CertificateProbe>,
     }
 }
 
@@ -1186,28 +846,27 @@ impl ToJson for CatalogRequest {
 
 impl FromJson for CatalogRequest {
     fn from_json(value: &Value) -> Result<CatalogRequest, JsonError> {
-        if value.as_object().is_none() {
-            return Err(JsonError::schema("catalog", "expected an object"));
-        }
-        Ok(CatalogRequest)
+        gf_json::expect_object(value).map(|()| CatalogRequest)
     }
 }
 
-/// One catalog entry as listed on the wire — [`CatalogEntry`] with owned
-/// strings so responses decode without referencing the process's static
-/// catalog.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CatalogEntryInfo {
-    /// Stable wire id.
-    pub id: String,
-    /// One-line human title.
-    pub title: String,
-    /// What the scenario stresses.
-    pub description: String,
-    /// The concrete scenario the id resolves to.
-    pub scenario: ScenarioSpec,
-    /// The operating point the scenario defaults to.
-    pub point: OperatingPoint,
+wire_struct! {
+    /// One catalog entry as listed on the wire — [`CatalogEntry`] with owned
+    /// strings so responses decode without referencing the process's static
+    /// catalog.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CatalogEntryInfo {
+        /// The concrete scenario the id resolves to.
+        pub scenario: ScenarioSpec [flatten],
+        /// Stable wire id.
+        pub id: String,
+        /// One-line human title.
+        pub title: String,
+        /// What the scenario stresses.
+        pub description: String,
+        /// The operating point the scenario defaults to.
+        pub point: OperatingPoint,
+    }
 }
 
 impl From<&CatalogEntry> for CatalogEntryInfo {
@@ -1222,74 +881,23 @@ impl From<&CatalogEntry> for CatalogEntryInfo {
     }
 }
 
-impl ToJson for CatalogEntryInfo {
-    fn to_json(&self) -> Value {
-        merge_scenario(
-            &self.scenario,
-            [
-                ("id", Value::String(self.id.clone())),
-                ("title", Value::String(self.title.clone())),
-                ("description", Value::String(self.description.clone())),
-                ("point", self.point.to_json()),
-            ],
-        )
+wire_struct! {
+    /// `GET /v1/catalog` response: every named scenario, in catalog order.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CatalogResponse {
+        /// The catalog entries.
+        pub entries: Vec<CatalogEntryInfo>,
     }
 }
 
-impl FromJson for CatalogEntryInfo {
-    fn from_json(value: &Value) -> Result<CatalogEntryInfo, JsonError> {
-        Ok(CatalogEntryInfo {
-            id: decode(value, "id")?,
-            title: decode(value, "title")?,
-            description: decode(value, "description")?,
-            scenario: ScenarioSpec::from_json(value)?,
-            point: decode(value, "point")?,
-        })
-    }
-}
-
-/// `GET /v1/catalog` response: every named scenario, in catalog order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CatalogResponse {
-    /// The catalog entries.
-    pub entries: Vec<CatalogEntryInfo>,
-}
-
-impl ToJson for CatalogResponse {
-    fn to_json(&self) -> Value {
-        object([("entries", self.entries.to_json())])
-    }
-}
-
-impl FromJson for CatalogResponse {
-    fn from_json(value: &Value) -> Result<CatalogResponse, JsonError> {
-        Ok(CatalogResponse {
-            entries: decode(value, "entries")?,
-        })
-    }
-}
-
-/// `POST /v1/evaluate`: one operating point in one scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvaluateRequest {
-    /// The scenario to evaluate in.
-    pub scenario: ScenarioSpec,
-    /// The operating point (defaults to [`OperatingPoint::paper_default`]).
-    pub point: OperatingPoint,
-}
-
-impl ToJson for EvaluateRequest {
-    fn to_json(&self) -> Value {
-        merge_scenario(&self.scenario, [("point", self.point.to_json())])
-    }
-}
-
-impl FromJson for EvaluateRequest {
-    fn from_json(value: &Value) -> Result<EvaluateRequest, JsonError> {
-        Ok(EvaluateRequest {
-            scenario: ScenarioSpec::from_json(value)?,
-            point: decode_or(value, "point", OperatingPoint::paper_default())?,
-        })
+wire_struct! {
+    /// `POST /v1/evaluate`: one operating point in one scenario.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EvaluateRequest {
+        /// The scenario to evaluate in.
+        pub scenario: ScenarioSpec [flatten],
+        /// The operating point (defaults to [`OperatingPoint::paper_default`]).
+        pub point: OperatingPoint [default OperatingPoint::paper_default()],
     }
 }
 
@@ -1308,41 +916,31 @@ impl ToJson for EvaluateResponse {
 
 impl FromJson for EvaluateResponse {
     fn from_json(value: &Value) -> Result<EvaluateResponse, JsonError> {
-        Ok(EvaluateResponse {
-            comparison: PlatformComparison::from_json(value)?,
-        })
+        PlatformComparison::from_json(value).map(|comparison| EvaluateResponse { comparison })
     }
 }
 
-/// `POST /v1/batch`: many operating points in one scenario, evaluated
-/// through the zero-allocation batch kernel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchEvalRequest {
-    /// The scenario every point is evaluated in.
-    pub scenario: ScenarioSpec,
-    /// The operating points, evaluated in order.
-    pub points: Vec<OperatingPoint>,
-}
-
-impl ToJson for BatchEvalRequest {
-    fn to_json(&self) -> Value {
-        merge_scenario(
-            &self.scenario,
-            [(
-                "points",
-                Value::Array(self.points.iter().map(ToJson::to_json).collect()),
-            )],
-        )
+wire_struct! {
+    /// `POST /v1/batch`: many operating points in one scenario, evaluated
+    /// through the zero-allocation batch kernel.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BatchEvalRequest {
+        /// The scenario every point is evaluated in.
+        pub scenario: ScenarioSpec [flatten],
+        /// The operating points, evaluated in order.
+        pub points: Vec<OperatingPoint>,
     }
 }
 
-impl FromJson for BatchEvalRequest {
-    fn from_json(value: &Value) -> Result<BatchEvalRequest, JsonError> {
-        Ok(BatchEvalRequest {
-            scenario: ScenarioSpec::from_json(value)?,
-            points: decode(value, "points")?,
-        })
-    }
+/// `{"count", "results"}` — the wire form of a comparison list.
+fn results_json(comparisons: &[PlatformComparison]) -> Value {
+    object([
+        ("count", Value::Number(comparisons.len() as f64)),
+        (
+            "results",
+            Value::Array(comparisons.iter().map(ToJson::to_json).collect()),
+        ),
+    ])
 }
 
 /// `POST /v1/batch` response: one comparison per requested point, in
@@ -1355,42 +953,33 @@ pub struct BatchEvalResponse {
 
 impl ToJson for BatchEvalResponse {
     fn to_json(&self) -> Value {
-        object([
-            ("count", Value::Number(self.comparisons.len() as f64)),
-            (
-                "results",
-                Value::Array(self.comparisons.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+        results_json(&self.comparisons)
     }
 }
 
-impl FromJson for BatchEvalResponse {
-    fn from_json(value: &Value) -> Result<BatchEvalResponse, JsonError> {
-        let comparisons: Vec<PlatformComparison> = field(value, "results")?
-            .as_array()
-            .ok_or_else(|| JsonError::schema("results", "expected an array"))?
-            .iter()
-            .map(PlatformComparison::from_json)
-            .collect::<Result<_, _>>()?;
-        Ok(BatchEvalResponse { comparisons })
+wire_struct! {
+    /// The derived `count` member is ignored.
+    impl FromJson for BatchEvalResponse {
+        comparisons: Vec<PlatformComparison> as "results",
     }
 }
 
-/// `POST /v1/crossover`: the three crossover searches of the paper's
-/// Figs. 4–6 around a base operating point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrossoverRequest {
-    /// The scenario to search in.
-    pub scenario: ScenarioSpec,
-    /// The base operating point supplying the held parameters.
-    pub base: OperatingPoint,
-    /// Upper bound of the application-count search (Fig. 4).
-    pub max_applications: u64,
-    /// Lifetime search range in years (Fig. 5).
-    pub lifetime_range: (f64, f64),
-    /// Volume search range in devices (Fig. 6).
-    pub volume_range: (u64, u64),
+wire_struct! {
+    /// `POST /v1/crossover`: the three crossover searches of the paper's
+    /// Figs. 4–6 around a base operating point.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CrossoverRequest {
+        /// The scenario to search in.
+        pub scenario: ScenarioSpec [flatten],
+        /// The base operating point supplying the held parameters.
+        pub base: OperatingPoint as "point" [default OperatingPoint::paper_default()],
+        /// Upper bound of the application-count search (Fig. 4).
+        pub max_applications: u64 [default 20],
+        /// Lifetime search range in years (Fig. 5).
+        pub lifetime_range: (f64, f64) [default (0.05, 5.0)],
+        /// Volume search range in devices (Fig. 6).
+        pub volume_range: (u64, u64) [default (1_000, 50_000_000)],
+    }
 }
 
 impl CrossoverRequest {
@@ -1407,233 +996,50 @@ impl CrossoverRequest {
     }
 }
 
-impl ToJson for CrossoverRequest {
-    fn to_json(&self) -> Value {
-        merge_scenario(
-            &self.scenario,
-            [
-                ("point", self.base.to_json()),
-                (
-                    "max_applications",
-                    Value::Number(self.max_applications as f64),
-                ),
-                (
-                    "lifetime_range",
-                    Value::Array(vec![
-                        Value::Number(self.lifetime_range.0),
-                        Value::Number(self.lifetime_range.1),
-                    ]),
-                ),
-                (
-                    "volume_range",
-                    Value::Array(vec![
-                        Value::Number(self.volume_range.0 as f64),
-                        Value::Number(self.volume_range.1 as f64),
-                    ]),
-                ),
-            ],
-        )
+wire_struct! {
+    /// `POST /v1/crossover` response: one entry per searched axis; `None`
+    /// where the preferred platform never flips inside the window.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CrossoverResponse {
+        /// The domain searched.
+        pub domain: Domain,
+        /// The base operating point the held parameters came from.
+        pub base: OperatingPoint as "point",
+        /// Smallest winning application count (Fig. 4), if any.
+        pub applications: Option<u64> [default None],
+        /// Lifetime crossover (Fig. 5), if any.
+        pub lifetime: Option<Crossover> [default None],
+        /// Volume crossover (Fig. 6), if any.
+        pub volume: Option<Crossover> [default None],
     }
-}
-
-impl FromJson for CrossoverRequest {
-    fn from_json(value: &Value) -> Result<CrossoverRequest, JsonError> {
-        let defaults = CrossoverRequest::with_default_ranges(
-            ScenarioSpec::from_json(value)?,
-            decode_or(value, "point", OperatingPoint::paper_default())?,
-        );
-        let pair_f64 = |key: &'static str, fallback: (f64, f64)| match value.get(key) {
-            None | Some(Value::Null) => Ok(fallback),
-            Some(member) => {
-                let items = member
-                    .as_array()
-                    .filter(|items| items.len() == 2)
-                    .ok_or_else(|| JsonError::schema(key, "expected [low, high]"))?;
-                match (items[0].as_f64(), items[1].as_f64()) {
-                    (Some(low), Some(high)) => Ok((low, high)),
-                    _ => Err(JsonError::schema(key, "expected two numbers")),
-                }
-            }
-        };
-        let (lifetime_low, lifetime_high) = pair_f64("lifetime_range", defaults.lifetime_range)?;
-        let volume_range = match value.get("volume_range") {
-            None | Some(Value::Null) => defaults.volume_range,
-            Some(member) => {
-                let items = member
-                    .as_array()
-                    .filter(|items| items.len() == 2)
-                    .ok_or_else(|| JsonError::schema("volume_range", "expected [low, high]"))?;
-                match (items[0].as_u64(), items[1].as_u64()) {
-                    (Some(low), Some(high)) => (low, high),
-                    _ => {
-                        return Err(JsonError::schema(
-                            "volume_range",
-                            "expected two non-negative integers",
-                        ))
-                    }
-                }
-            }
-        };
-        Ok(CrossoverRequest {
-            max_applications: decode_or(value, "max_applications", defaults.max_applications)?,
-            lifetime_range: (lifetime_low, lifetime_high),
-            volume_range,
-            ..defaults
-        })
-    }
-}
-
-/// `POST /v1/crossover` response: one entry per searched axis; `None`
-/// where the preferred platform never flips inside the window.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrossoverResponse {
-    /// The domain searched.
-    pub domain: Domain,
-    /// The base operating point the held parameters came from.
-    pub base: OperatingPoint,
-    /// Smallest winning application count (Fig. 4), if any.
-    pub applications: Option<u64>,
-    /// Lifetime crossover (Fig. 5), if any.
-    pub lifetime: Option<Crossover>,
-    /// Volume crossover (Fig. 6), if any.
-    pub volume: Option<Crossover>,
-}
-
-impl ToJson for CrossoverResponse {
-    fn to_json(&self) -> Value {
-        let opt = |crossover: &Option<Crossover>| match crossover {
-            Some(c) => c.to_json(),
-            None => Value::Null,
-        };
-        object([
-            ("domain", self.domain.to_json()),
-            ("point", self.base.to_json()),
-            (
-                "applications",
-                match self.applications {
-                    Some(n) => Value::Number(n as f64),
-                    None => Value::Null,
-                },
-            ),
-            ("lifetime", opt(&self.lifetime)),
-            ("volume", opt(&self.volume)),
-        ])
-    }
-}
-
-impl FromJson for CrossoverResponse {
-    fn from_json(value: &Value) -> Result<CrossoverResponse, JsonError> {
-        let opt = |key: &'static str| match value.get(key) {
-            None | Some(Value::Null) => Ok(None),
-            Some(member) => Crossover::from_json(member)
-                .map(Some)
-                .map_err(|e| prefix_schema(key, e)),
-        };
-        Ok(CrossoverResponse {
-            domain: decode(value, "domain")?,
-            base: decode(value, "point")?,
-            applications: match value.get("applications") {
-                None | Some(Value::Null) => None,
-                Some(member) => {
-                    Some(u64::from_json(member).map_err(|e| prefix_schema("applications", e))?)
-                }
-            },
-            lifetime: opt("lifetime")?,
-            volume: opt("volume")?,
-        })
-    }
-}
-
-/// `POST /v1/frontier`: an adaptive winner map over a 2-D lattice.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontierRequest {
-    /// The scenario to trace in.
-    pub scenario: ScenarioSpec,
-    /// The base operating point supplying the held parameter.
-    pub base: OperatingPoint,
-    /// Axis swept along the columns.
-    pub x_axis: SweepAxis,
-    /// Column range (inclusive on both ends).
-    pub x_range: (f64, f64),
-    /// Axis swept along the rows.
-    pub y_axis: SweepAxis,
-    /// Row range (inclusive on both ends).
-    pub y_range: (f64, f64),
-    /// Lattice resolution per axis.
-    pub steps: usize,
 }
 
 /// Linearly spaced axis values (endpoints included) — the lattice geometry
-/// shared by [`FrontierRequest`], [`GridRequest`] and the CLI.
+/// shared by [`FrontierRequest`], [`GridRequest`] and [`SweepRequest`].
 fn linear_axis_values((from, to): (f64, f64), steps: usize) -> Vec<f64> {
     (0..steps)
         .map(|i| from + (to - from) * i as f64 / (steps as f64 - 1.0))
         .collect()
 }
 
-/// The 2-D lattice geometry shared by [`FrontierRequest`] and
-/// [`GridRequest`]: axes, ranges and resolution, with their common
-/// defaults, decoding and validation.
-struct LatticeGeometry {
-    x_axis: SweepAxis,
-    x_range: (f64, f64),
-    y_axis: SweepAxis,
-    y_range: (f64, f64),
-    steps: usize,
-}
-
-impl LatticeGeometry {
-    fn decode(value: &Value) -> Result<LatticeGeometry, JsonError> {
-        let steps_u64: u64 = decode_or(value, "steps", 24)?;
-        let geometry = LatticeGeometry {
-            x_axis: decode_or(value, "x_axis", SweepAxis::Applications)?,
-            x_range: (
-                decode_or(value, "x_from", 1.0)?,
-                decode_or(value, "x_to", 12.0)?,
-            ),
-            y_axis: decode_or(value, "y_axis", SweepAxis::LifetimeYears)?,
-            y_range: (
-                decode_or(value, "y_from", 0.25)?,
-                decode_or(value, "y_to", 3.0)?,
-            ),
-            steps: steps_u64 as usize,
-        };
-        if geometry.steps < 2 || geometry.steps > 1024 {
-            return Err(JsonError::schema("steps", "expected 2 ≤ steps ≤ 1024"));
-        }
-        if geometry.x_axis == geometry.y_axis {
-            return Err(JsonError::schema("y_axis", "x_axis and y_axis must differ"));
-        }
-        let range_invalid =
-            |(from, to): (f64, f64)| !(from.is_finite() && to.is_finite()) || to <= from;
-        if range_invalid(geometry.x_range) || range_invalid(geometry.y_range) {
-            return Err(JsonError::schema(
-                "x_from",
-                "ranges must be finite with to > from",
-            ));
-        }
-        Ok(geometry)
-    }
-
-    fn encode_members(&self) -> [(&'static str, Value); 7] {
-        [
-            ("x_axis", self.x_axis.to_json()),
-            ("x_from", Value::Number(self.x_range.0)),
-            ("x_to", Value::Number(self.x_range.1)),
-            ("y_axis", self.y_axis.to_json()),
-            ("y_from", Value::Number(self.y_range.0)),
-            ("y_to", Value::Number(self.y_range.1)),
-            ("steps", Value::Number(self.steps as f64)),
-        ]
-    }
-
-    /// The full lattice-request JSON shared by [`FrontierRequest`] and
-    /// [`GridRequest`]: flat scenario members, the base point, then the
-    /// geometry.
-    fn encode_request(&self, scenario: &ScenarioSpec, base: OperatingPoint) -> Value {
-        let mut members = vec![("point", base.to_json())];
-        members.extend(self.encode_members());
-        merge_scenario_vec(scenario, members)
+wire_struct! {
+    /// `POST /v1/frontier`: an adaptive winner map over a 2-D lattice.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FrontierRequest {
+        /// The scenario to trace in.
+        pub scenario: ScenarioSpec [flatten],
+        /// The base operating point supplying the held parameter.
+        pub base: OperatingPoint as "point" [default OperatingPoint::paper_default()],
+        /// Axis swept along the columns.
+        pub x_axis: SweepAxis [default SweepAxis::Applications],
+        /// Column range (inclusive on both ends).
+        pub x_range: (f64, f64) as ("x_from", "x_to") [default (1.0, 12.0)],
+        /// Axis swept along the rows.
+        pub y_axis: SweepAxis [default SweepAxis::LifetimeYears],
+        /// Row range (inclusive on both ends).
+        pub y_range: (f64, f64) as ("y_from", "y_to") [default (0.25, 3.0)],
+        /// Lattice resolution per axis (2–1024).
+        pub steps: usize [default 24],
     }
 }
 
@@ -1649,61 +1055,35 @@ impl FrontierRequest {
     }
 }
 
-impl ToJson for FrontierRequest {
-    fn to_json(&self) -> Value {
-        LatticeGeometry {
-            x_axis: self.x_axis,
-            x_range: self.x_range,
-            y_axis: self.y_axis,
-            y_range: self.y_range,
-            steps: self.steps,
-        }
-        .encode_request(&self.scenario, self.base)
+wire_struct! {
+    /// `POST /v1/grid`: a dense FPGA:ASIC ratio heatmap over a 2-D lattice
+    /// (the paper's Fig. 8), every cell evaluated through the batch
+    /// kernel. Same geometry and defaults as [`FrontierRequest`]; use the
+    /// frontier when only the winner of each cell matters.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct GridRequest {
+        /// The scenario to evaluate in.
+        pub scenario: ScenarioSpec [flatten],
+        /// The base operating point supplying the held parameter.
+        pub base: OperatingPoint as "point" [default OperatingPoint::paper_default()],
+        /// Axis swept along the columns.
+        pub x_axis: SweepAxis [default SweepAxis::Applications],
+        /// Column range (inclusive on both ends).
+        pub x_range: (f64, f64) as ("x_from", "x_to") [default (1.0, 12.0)],
+        /// Axis swept along the rows.
+        pub y_axis: SweepAxis [default SweepAxis::LifetimeYears],
+        /// Row range (inclusive on both ends).
+        pub y_range: (f64, f64) as ("y_from", "y_to") [default (0.25, 3.0)],
+        /// Lattice resolution per axis (2–1024).
+        pub steps: usize [default 24],
+        /// When `true`, a serving transport delivers the grid as streamed
+        /// row-blocks (HTTP chunked transfer-encoding) instead of one buffered
+        /// body. The decoded payload is byte-identical either way; this only
+        /// bounds transport memory. Defaults to `false` and is omitted from
+        /// the encoding when `false`, so buffered requests round-trip to the
+        /// pre-streaming wire form.
+        pub stream: bool [omit false],
     }
-}
-
-impl FromJson for FrontierRequest {
-    fn from_json(value: &Value) -> Result<FrontierRequest, JsonError> {
-        let geometry = LatticeGeometry::decode(value)?;
-        Ok(FrontierRequest {
-            scenario: ScenarioSpec::from_json(value)?,
-            base: decode_or(value, "point", OperatingPoint::paper_default())?,
-            x_axis: geometry.x_axis,
-            x_range: geometry.x_range,
-            y_axis: geometry.y_axis,
-            y_range: geometry.y_range,
-            steps: geometry.steps,
-        })
-    }
-}
-
-/// `POST /v1/grid`: a dense FPGA:ASIC ratio heatmap over a 2-D lattice
-/// (the paper's Fig. 8), every cell evaluated through the batch
-/// kernel. Same geometry and defaults as [`FrontierRequest`]; use the
-/// frontier when only the winner of each cell matters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridRequest {
-    /// The scenario to evaluate in.
-    pub scenario: ScenarioSpec,
-    /// The base operating point supplying the held parameter.
-    pub base: OperatingPoint,
-    /// Axis swept along the columns.
-    pub x_axis: SweepAxis,
-    /// Column range (inclusive on both ends).
-    pub x_range: (f64, f64),
-    /// Axis swept along the rows.
-    pub y_axis: SweepAxis,
-    /// Row range (inclusive on both ends).
-    pub y_range: (f64, f64),
-    /// Lattice resolution per axis.
-    pub steps: usize,
-    /// When `true`, a serving transport delivers the grid as streamed
-    /// row-blocks (HTTP chunked transfer-encoding) instead of one buffered
-    /// body. The decoded payload is byte-identical either way; this only
-    /// bounds transport memory. Defaults to `false` and is omitted from
-    /// the encoding when `false`, so buffered requests round-trip to the
-    /// pre-streaming wire form.
-    pub stream: bool,
 }
 
 impl GridRequest {
@@ -1717,482 +1097,140 @@ impl GridRequest {
     }
 }
 
-impl ToJson for GridRequest {
-    fn to_json(&self) -> Value {
-        let geometry = LatticeGeometry {
-            x_axis: self.x_axis,
-            x_range: self.x_range,
-            y_axis: self.y_axis,
-            y_range: self.y_range,
-            steps: self.steps,
-        };
-        let mut members = vec![("point", self.base.to_json())];
-        members.extend(geometry.encode_members());
-        if self.stream {
-            members.push(("stream", Value::Bool(true)));
-        }
-        merge_scenario_vec(&self.scenario, members)
+wire_struct! {
+    /// One latency histogram of `GET /v1/metrics`: `bounds_us[i]` is the
+    /// inclusive upper bound (microseconds) of bucket `i`, and `counts` has one
+    /// extra trailing bucket for everything above the last bound (JSON has no
+    /// lexeme for infinity, so the overflow bound is implicit).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct LatencyHistogram {
+        /// Inclusive bucket upper bounds in microseconds, ascending.
+        pub bounds_us: Vec<f64>,
+        /// Observation counts; `counts.len() == bounds_us.len() + 1` (the last
+        /// bucket is the overflow bucket).
+        pub counts: Vec<u64>,
+    } check histogram_shape
+}
+
+fn histogram_shape(histogram: &LatencyHistogram) -> Result<(), JsonError> {
+    if histogram.counts.len() != histogram.bounds_us.len() + 1 {
+        return Err(JsonError::schema(
+            "counts",
+            "expected one count per bound plus the overflow bucket",
+        ));
+    }
+    Ok(())
+}
+
+wire_struct! {
+    /// One route's counters in `GET /v1/metrics`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RouteMetrics {
+        /// Stable route label, e.g. `"POST /v1/evaluate"`.
+        pub route: String,
+        /// Requests answered on this route (any status).
+        pub requests: u64,
+        /// Requests answered with a non-2xx status. Kept as the sum of
+        /// `errors_4xx + errors_5xx` for consumers that predate the split.
+        pub errors: u64,
+        /// Requests answered with a 4xx status (client faults).
+        pub errors_4xx: u64 [default 0],
+        /// Requests answered with a 5xx (or other non-2xx, non-4xx) status —
+        /// server faults.
+        pub errors_5xx: u64 [default 0],
+        /// Request-body bytes received on this route.
+        pub bytes_in: u64 [default 0],
+        /// Response-body bytes sent on this route.
+        pub bytes_out: u64 [default 0],
+        /// Handler latency distribution.
+        pub latency: LatencyHistogram,
     }
 }
 
-impl FromJson for GridRequest {
-    fn from_json(value: &Value) -> Result<GridRequest, JsonError> {
-        let geometry = LatticeGeometry::decode(value)?;
-        Ok(GridRequest {
-            scenario: ScenarioSpec::from_json(value)?,
-            base: decode_or(value, "point", OperatingPoint::paper_default())?,
-            x_axis: geometry.x_axis,
-            x_range: geometry.x_range,
-            y_axis: geometry.y_axis,
-            y_range: geometry.y_range,
-            steps: geometry.steps,
-            stream: decode_or(value, "stream", false)?,
-        })
+wire_struct! {
+    /// One scenario-cache shard's counters in `GET /v1/metrics`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct CacheShardMetrics {
+        /// Compiled scenarios currently cached in the shard.
+        pub entries: u64,
+        /// Lifetime lookup hits.
+        pub hits: u64,
+        /// Lifetime lookup misses (compilations).
+        pub misses: u64,
     }
 }
 
-/// One latency histogram of `GET /v1/metrics`: `bounds_us[i]` is the
-/// inclusive upper bound (microseconds) of bucket `i`, and `counts` has one
-/// extra trailing bucket for everything above the last bound (JSON has no
-/// lexeme for infinity, so the overflow bound is implicit).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyHistogram {
-    /// Inclusive bucket upper bounds in microseconds, ascending.
-    pub bounds_us: Vec<f64>,
-    /// Observation counts; `counts.len() == bounds_us.len() + 1` (the last
-    /// bucket is the overflow bucket).
-    pub counts: Vec<u64>,
-}
-
-impl ToJson for LatencyHistogram {
-    fn to_json(&self) -> Value {
-        object([
-            ("bounds_us", self.bounds_us.to_json()),
-            ("counts", self.counts.to_json()),
-        ])
+wire_struct! {
+    /// `GET /v1/metrics` response: the serving core's observability snapshot —
+    /// per-route request/error counters and latency histograms, per-shard
+    /// scenario-cache statistics, and the connection governor's gauges.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MetricsResponse {
+        /// Requests answered over the server's lifetime (any route, any status).
+        pub requests_served: u64,
+        /// Connections currently accepted and not yet finished.
+        pub connections_live: u64,
+        /// The governor's hard cap on live connections.
+        pub connections_max: u64,
+        /// Connections rejected with `503` by admission control.
+        pub connections_rejected: u64,
+        /// Per-route counters, in stable route order.
+        pub routes: Vec<RouteMetrics>,
+        /// Per-shard scenario-cache statistics, in shard order.
+        pub cache_shards: Vec<CacheShardMetrics>,
     }
 }
 
-impl FromJson for LatencyHistogram {
-    fn from_json(value: &Value) -> Result<LatencyHistogram, JsonError> {
-        let histogram = LatencyHistogram {
-            bounds_us: decode(value, "bounds_us")?,
-            counts: decode(value, "counts")?,
-        };
-        if histogram.counts.len() != histogram.bounds_us.len() + 1 {
-            return Err(JsonError::schema(
-                "counts",
-                "expected one count per bound plus the overflow bucket",
-            ));
-        }
-        Ok(histogram)
+wire_struct! {
+    /// One span in `GET /v1/trace`: a named, timed slice of work with the
+    /// request id that correlates it to an `x-request-id` response header.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TraceSpan {
+        /// Span class, e.g. `"parse"`, `"execute"`, `"cache_hit"`.
+        pub name: String,
+        /// Unique span id, 16 lowercase hex digits.
+        pub span_id: String,
+        /// Owning request id, 16 lowercase hex digits (all zeros when the
+        /// span is not request-scoped).
+        pub request_id: String,
+        /// Start, in nanoseconds since the process trace epoch.
+        pub start_ns: u64,
+        /// Duration in nanoseconds (`0` for instant events).
+        pub duration_ns: u64,
+        /// Span-class-specific detail (cache shard index, byte count, ...).
+        pub aux: u64 [default 0],
+        /// Recording thread's trace-ring id.
+        pub thread: u64 [default 0],
     }
 }
 
-/// One route's counters in `GET /v1/metrics`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouteMetrics {
-    /// Stable route label, e.g. `"POST /v1/evaluate"`.
-    pub route: String,
-    /// Requests answered on this route (any status).
-    pub requests: u64,
-    /// Requests answered with a non-2xx status. Kept as the sum of
-    /// `errors_4xx + errors_5xx` for consumers that predate the split.
-    pub errors: u64,
-    /// Requests answered with a 4xx status (client faults).
-    pub errors_4xx: u64,
-    /// Requests answered with a 5xx (or other non-2xx, non-4xx) status —
-    /// server faults.
-    pub errors_5xx: u64,
-    /// Request-body bytes received on this route.
-    pub bytes_in: u64,
-    /// Response-body bytes sent on this route.
-    pub bytes_out: u64,
-    /// Handler latency distribution.
-    pub latency: LatencyHistogram,
-}
-
-impl ToJson for RouteMetrics {
-    fn to_json(&self) -> Value {
-        object([
-            ("route", Value::String(self.route.clone())),
-            ("requests", self.requests.to_json()),
-            ("errors", self.errors.to_json()),
-            ("errors_4xx", self.errors_4xx.to_json()),
-            ("errors_5xx", self.errors_5xx.to_json()),
-            ("bytes_in", self.bytes_in.to_json()),
-            ("bytes_out", self.bytes_out.to_json()),
-            ("latency", self.latency.to_json()),
-        ])
+wire_struct! {
+    /// `GET /v1/trace` response: the most recent spans from every thread's
+    /// trace ring, newest first.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TraceResponse {
+        /// Recent spans, newest first.
+        pub spans: Vec<TraceSpan>,
+        /// Whether tracing is currently recording.
+        pub enabled: bool [default true],
     }
 }
 
-impl FromJson for RouteMetrics {
-    fn from_json(value: &Value) -> Result<RouteMetrics, JsonError> {
-        Ok(RouteMetrics {
-            route: decode(value, "route")?,
-            requests: decode(value, "requests")?,
-            errors: decode(value, "errors")?,
-            errors_4xx: decode_or(value, "errors_4xx", 0)?,
-            errors_5xx: decode_or(value, "errors_5xx", 0)?,
-            bytes_in: decode_or(value, "bytes_in", 0)?,
-            bytes_out: decode_or(value, "bytes_out", 0)?,
-            latency: decode(value, "latency")?,
-        })
+wire_struct! {
+    /// `POST /v1/compare`: one operating point evaluated side by side in
+    /// several scenarios (e.g. all three domains at their baselines).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CompareRequest {
+        /// The scenarios to evaluate, in response order (1–16).
+        pub scenarios: Vec<ScenarioSpec>,
+        /// The operating point shared by every scenario.
+        pub point: OperatingPoint [default OperatingPoint::paper_default()],
     }
-}
-
-/// One scenario-cache shard's counters in `GET /v1/metrics`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheShardMetrics {
-    /// Compiled scenarios currently cached in the shard.
-    pub entries: u64,
-    /// Lifetime lookup hits.
-    pub hits: u64,
-    /// Lifetime lookup misses (compilations).
-    pub misses: u64,
-}
-
-impl ToJson for CacheShardMetrics {
-    fn to_json(&self) -> Value {
-        object([
-            ("entries", self.entries.to_json()),
-            ("hits", self.hits.to_json()),
-            ("misses", self.misses.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CacheShardMetrics {
-    fn from_json(value: &Value) -> Result<CacheShardMetrics, JsonError> {
-        Ok(CacheShardMetrics {
-            entries: decode(value, "entries")?,
-            hits: decode(value, "hits")?,
-            misses: decode(value, "misses")?,
-        })
-    }
-}
-
-/// `GET /v1/metrics` response: the serving core's observability snapshot —
-/// per-route request/error counters and latency histograms, per-shard
-/// scenario-cache statistics, and the connection governor's gauges.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsResponse {
-    /// Requests answered over the server's lifetime (any route, any status).
-    pub requests_served: u64,
-    /// Connections currently accepted and not yet finished.
-    pub connections_live: u64,
-    /// The governor's hard cap on live connections.
-    pub connections_max: u64,
-    /// Connections rejected with `503` by admission control.
-    pub connections_rejected: u64,
-    /// Per-route counters, in stable route order.
-    pub routes: Vec<RouteMetrics>,
-    /// Per-shard scenario-cache statistics, in shard order.
-    pub cache_shards: Vec<CacheShardMetrics>,
-}
-
-impl ToJson for MetricsResponse {
-    fn to_json(&self) -> Value {
-        object([
-            ("requests_served", self.requests_served.to_json()),
-            ("connections_live", self.connections_live.to_json()),
-            ("connections_max", self.connections_max.to_json()),
-            ("connections_rejected", self.connections_rejected.to_json()),
-            ("routes", self.routes.to_json()),
-            ("cache_shards", self.cache_shards.to_json()),
-        ])
-    }
-}
-
-impl FromJson for MetricsResponse {
-    fn from_json(value: &Value) -> Result<MetricsResponse, JsonError> {
-        Ok(MetricsResponse {
-            requests_served: decode(value, "requests_served")?,
-            connections_live: decode(value, "connections_live")?,
-            connections_max: decode(value, "connections_max")?,
-            connections_rejected: decode(value, "connections_rejected")?,
-            routes: decode(value, "routes")?,
-            cache_shards: decode(value, "cache_shards")?,
-        })
-    }
-}
-
-/// One span in `GET /v1/trace`: a named, timed slice of work with the
-/// request id that correlates it to an `x-request-id` response header.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSpan {
-    /// Span class, e.g. `"parse"`, `"execute"`, `"cache_hit"`.
-    pub name: String,
-    /// Unique span id, 16 lowercase hex digits.
-    pub span_id: String,
-    /// Owning request id, 16 lowercase hex digits (all zeros when the
-    /// span is not request-scoped).
-    pub request_id: String,
-    /// Start, in nanoseconds since the process trace epoch.
-    pub start_ns: u64,
-    /// Duration in nanoseconds (`0` for instant events).
-    pub duration_ns: u64,
-    /// Span-class-specific detail (cache shard index, byte count, ...).
-    pub aux: u64,
-    /// Recording thread's trace-ring id.
-    pub thread: u64,
-}
-
-impl ToJson for TraceSpan {
-    fn to_json(&self) -> Value {
-        object([
-            ("name", Value::String(self.name.clone())),
-            ("span_id", Value::String(self.span_id.clone())),
-            ("request_id", Value::String(self.request_id.clone())),
-            ("start_ns", self.start_ns.to_json()),
-            ("duration_ns", self.duration_ns.to_json()),
-            ("aux", self.aux.to_json()),
-            ("thread", self.thread.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TraceSpan {
-    fn from_json(value: &Value) -> Result<TraceSpan, JsonError> {
-        Ok(TraceSpan {
-            name: decode(value, "name")?,
-            span_id: decode(value, "span_id")?,
-            request_id: decode(value, "request_id")?,
-            start_ns: decode(value, "start_ns")?,
-            duration_ns: decode(value, "duration_ns")?,
-            aux: decode_or(value, "aux", 0)?,
-            thread: decode_or(value, "thread", 0)?,
-        })
-    }
-}
-
-/// `GET /v1/trace` response: the most recent spans from every thread's
-/// trace ring, newest first.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceResponse {
-    /// Recent spans, newest first.
-    pub spans: Vec<TraceSpan>,
-    /// Whether tracing is currently recording.
-    pub enabled: bool,
-}
-
-impl ToJson for TraceResponse {
-    fn to_json(&self) -> Value {
-        object([
-            ("spans", self.spans.to_json()),
-            ("enabled", Value::Bool(self.enabled)),
-        ])
-    }
-}
-
-impl FromJson for TraceResponse {
-    fn from_json(value: &Value) -> Result<TraceResponse, JsonError> {
-        Ok(TraceResponse {
-            spans: decode(value, "spans")?,
-            enabled: decode_or(value, "enabled", true)?,
-        })
-    }
-}
-
-/// Splices request-specific members after the scenario members, so request
-/// JSON stays flat: `{"domain": ..., "knobs": ..., "point": ...}`.
-fn merge_scenario<const N: usize>(
-    scenario: &ScenarioSpec,
-    members: [(&'static str, Value); N],
-) -> Value {
-    merge_scenario_vec(scenario, members.into_iter().collect())
-}
-
-/// [`merge_scenario`] for a dynamic member list.
-fn merge_scenario_vec(scenario: &ScenarioSpec, members: Vec<(&'static str, Value)>) -> Value {
-    let mut all = match scenario.to_json() {
-        Value::Object(members) => members,
-        _ => unreachable!("scenario serializes to an object"),
-    };
-    for (key, value) in members {
-        all.push((key.to_string(), value));
-    }
-    Value::Object(all)
-}
-
-/// Decodes an optional `"knobs"` object into `(Knob, value)` overrides —
-/// shared by [`ScenarioSpec`] and [`IndustryRequest`].
-fn decode_knob_overrides(value: &Value) -> Result<Vec<(Knob, f64)>, JsonError> {
-    let mut knobs = Vec::new();
-    match value.get("knobs") {
-        None | Some(Value::Null) => {}
-        Some(Value::Object(members)) => {
-            for (id, member) in members {
-                let knob = Knob::parse_id(id)
-                    .ok_or_else(|| JsonError::schema(format!("knobs.{id}"), "unknown knob"))?;
-                if knobs.iter().any(|&(seen, _)| seen == knob) {
-                    return Err(JsonError::schema(
-                        format!("knobs.{id}"),
-                        format!("knob '{id}' overridden more than once"),
-                    ));
-                }
-                let value = member
-                    .as_f64()
-                    .ok_or_else(|| JsonError::schema(format!("knobs.{id}"), "expected a number"))?;
-                knobs.push((knob, value));
-            }
-        }
-        Some(_) => {
-            return Err(JsonError::schema(
-                "knobs",
-                "expected an object of knob values",
-            ));
-        }
-    }
-    Ok(knobs)
-}
-
-/// Encodes knob overrides as the `"knobs"` JSON object.
-fn encode_knob_overrides(knobs: &[(Knob, f64)]) -> Value {
-    Value::Object(
-        knobs
-            .iter()
-            .map(|&(knob, value)| (knob.id().to_string(), Value::Number(value)))
-            .collect(),
-    )
-}
-
-impl FromJson for SweepPoint {
-    /// Decodes one sweep sample; the derived `ratio` member is ignored (it
-    /// is recomputed from the decoded breakdowns).
-    fn from_json(value: &Value) -> Result<SweepPoint, JsonError> {
-        Ok(SweepPoint {
-            x: decode(value, "x")?,
-            fpga: decode(value, "fpga")?,
-            asic: decode(value, "asic")?,
-        })
-    }
-}
-
-impl FromJson for SweepSeries {
-    /// Decodes a series; the derived `crossovers` member is ignored (it is
-    /// recomputed from the decoded points, bit-identically).
-    fn from_json(value: &Value) -> Result<SweepSeries, JsonError> {
-        Ok(SweepSeries {
-            domain: decode(value, "domain")?,
-            axis: decode(value, "axis")?,
-            points: decode(value, "points")?,
-        })
-    }
-}
-
-impl ToJson for GridSweep {
-    fn to_json(&self) -> Value {
-        object([
-            ("domain", self.domain.to_json()),
-            ("x_axis", self.x_axis.to_json()),
-            ("x_values", self.x_values.to_json()),
-            ("y_axis", self.y_axis.to_json()),
-            ("y_values", self.y_values.to_json()),
-            ("ratios", self.ratios.to_json()),
-            (
-                "fpga_winning_fraction",
-                Value::Number(self.fpga_winning_fraction()),
-            ),
-        ])
-    }
-}
-
-impl FromJson for GridSweep {
-    /// Decodes a ratio grid; the derived `fpga_winning_fraction` member is
-    /// ignored. The ratio matrix must match the coordinate lists.
-    fn from_json(value: &Value) -> Result<GridSweep, JsonError> {
-        let grid = GridSweep {
-            domain: decode(value, "domain")?,
-            x_axis: decode(value, "x_axis")?,
-            x_values: decode(value, "x_values")?,
-            y_axis: decode(value, "y_axis")?,
-            y_values: decode(value, "y_values")?,
-            ratios: decode(value, "ratios")?,
-        };
-        if grid.ratios.len() != grid.y_values.len()
-            || grid
-                .ratios
-                .iter()
-                .any(|row| row.len() != grid.x_values.len())
-        {
-            return Err(JsonError::schema(
-                "ratios",
-                "expected one row per y value and one column per x value",
-            ));
-        }
-        Ok(grid)
-    }
-}
-
-impl FromJson for SensitivityEntry {
-    /// Decodes one tornado bar; the derived `swing` and `flips_winner`
-    /// members are ignored.
-    fn from_json(value: &Value) -> Result<SensitivityEntry, JsonError> {
-        let id: String = decode(value, "knob")?;
-        let knob = Knob::parse_id(&id)
-            .ok_or_else(|| JsonError::schema("knob", format!("unknown knob '{id}'")))?;
-        Ok(SensitivityEntry {
-            knob,
-            ratio_at_low: decode(value, "ratio_at_low")?,
-            ratio_at_high: decode(value, "ratio_at_high")?,
-            ratio_at_baseline: decode(value, "ratio_at_baseline")?,
-        })
-    }
-}
-
-impl FromJson for TornadoAnalysis {
-    fn from_json(value: &Value) -> Result<TornadoAnalysis, JsonError> {
-        Ok(TornadoAnalysis {
-            domain: decode(value, "domain")?,
-            point: decode(value, "point")?,
-            entries: decode(value, "entries")?,
-        })
-    }
-}
-
-/// `POST /v1/compare`: one operating point evaluated side by side in
-/// several scenarios (e.g. all three domains at their baselines).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompareRequest {
-    /// The scenarios to evaluate, in response order (1–16).
-    pub scenarios: Vec<ScenarioSpec>,
-    /// The operating point shared by every scenario.
-    pub point: OperatingPoint,
 }
 
 impl CompareRequest {
     /// The most scenarios one request may carry.
     pub const MAX_SCENARIOS: usize = 16;
-}
-
-impl ToJson for CompareRequest {
-    fn to_json(&self) -> Value {
-        object([
-            (
-                "scenarios",
-                Value::Array(self.scenarios.iter().map(ToJson::to_json).collect()),
-            ),
-            ("point", self.point.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CompareRequest {
-    fn from_json(value: &Value) -> Result<CompareRequest, JsonError> {
-        let scenarios: Vec<ScenarioSpec> = decode(value, "scenarios")?;
-        if scenarios.is_empty() || scenarios.len() > CompareRequest::MAX_SCENARIOS {
-            return Err(JsonError::schema(
-                "scenarios",
-                format!("expected 1 to {} scenarios", CompareRequest::MAX_SCENARIOS),
-            ));
-        }
-        Ok(CompareRequest {
-            scenarios,
-            point: decode_or(value, "point", OperatingPoint::paper_default())?,
-        })
-    }
 }
 
 /// `POST /v1/compare` response: one comparison per requested scenario, in
@@ -2205,38 +1243,33 @@ pub struct CompareResponse {
 
 impl ToJson for CompareResponse {
     fn to_json(&self) -> Value {
-        object([
-            ("count", Value::Number(self.comparisons.len() as f64)),
-            (
-                "results",
-                Value::Array(self.comparisons.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+        results_json(&self.comparisons)
     }
 }
 
-impl FromJson for CompareResponse {
-    fn from_json(value: &Value) -> Result<CompareResponse, JsonError> {
-        Ok(CompareResponse {
-            comparisons: decode(value, "results")?,
-        })
+wire_struct! {
+    /// The derived `count` member is ignored.
+    impl FromJson for CompareResponse {
+        comparisons: Vec<PlatformComparison> as "results",
     }
 }
 
-/// `POST /v1/sweep`: one workload axis swept over a linear range, the
-/// other two held at `base` (the paper's Figs. 4–6).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepRequest {
-    /// The scenario to sweep in.
-    pub scenario: ScenarioSpec,
-    /// The operating point supplying the two held parameters.
-    pub base: OperatingPoint,
-    /// The swept axis.
-    pub axis: SweepAxis,
-    /// Sweep range (inclusive on both ends; `to > from`).
-    pub range: (f64, f64),
-    /// Number of samples (2–100 000).
-    pub steps: usize,
+wire_struct! {
+    /// `POST /v1/sweep`: one workload axis swept over a linear range, the
+    /// other two held at `base` (the paper's Figs. 4–6).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SweepRequest {
+        /// The scenario to sweep in.
+        pub scenario: ScenarioSpec [flatten],
+        /// The operating point supplying the two held parameters.
+        pub base: OperatingPoint as "point" [default OperatingPoint::paper_default()],
+        /// The swept axis.
+        pub axis: SweepAxis,
+        /// Sweep range (inclusive on both ends; `to > from`).
+        pub range: (f64, f64) as ("from", "to"),
+        /// Number of samples (2–100 000).
+        pub steps: usize [default 10],
+    }
 }
 
 impl SweepRequest {
@@ -2249,87 +1282,34 @@ impl SweepRequest {
     }
 }
 
-impl ToJson for SweepRequest {
-    fn to_json(&self) -> Value {
-        merge_scenario(
-            &self.scenario,
-            [
-                ("point", self.base.to_json()),
-                ("axis", self.axis.to_json()),
-                ("from", Value::Number(self.range.0)),
-                ("to", Value::Number(self.range.1)),
-                ("steps", Value::Number(self.steps as f64)),
-            ],
-        )
+wire_struct! {
+    /// `POST /v1/tornado`: one-at-a-time sensitivity analysis over every
+    /// Table 1 knob around the scenario's parameters (the paper's Fig. 12).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TornadoRequest {
+        /// The scenario whose parameters anchor the analysis.
+        pub scenario: ScenarioSpec [flatten],
+        /// The operating point the ratio is probed at.
+        pub point: OperatingPoint [default OperatingPoint::paper_default()],
     }
 }
 
-impl FromJson for SweepRequest {
-    fn from_json(value: &Value) -> Result<SweepRequest, JsonError> {
-        let steps_u64: u64 = decode_or(value, "steps", 10)?;
-        let request = SweepRequest {
-            scenario: ScenarioSpec::from_json(value)?,
-            base: decode_or(value, "point", OperatingPoint::paper_default())?,
-            axis: decode(value, "axis")?,
-            range: (decode(value, "from")?, decode(value, "to")?),
-            steps: steps_u64 as usize,
-        };
-        if request.steps < 2 || request.steps > SweepRequest::MAX_STEPS {
-            return Err(JsonError::schema(
-                "steps",
-                format!("expected 2 ≤ steps ≤ {}", SweepRequest::MAX_STEPS),
-            ));
-        }
-        let (from, to) = request.range;
-        if !(from.is_finite() && to.is_finite()) || to <= from {
-            return Err(JsonError::schema(
-                "from",
-                "sweep range must be finite with to > from",
-            ));
-        }
-        Ok(request)
+wire_struct! {
+    /// `POST /v1/montecarlo`: Monte-Carlo uncertainty analysis over the
+    /// Table 1 knob ranges (the paper's Fig. 13). Deterministic for a given
+    /// `(samples, seed)` regardless of thread count.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MonteCarloRequest {
+        /// The scenario whose parameters anchor the study.
+        pub scenario: ScenarioSpec [flatten],
+        /// The (fixed) workload operating point.
+        pub point: OperatingPoint [default OperatingPoint::paper_default()],
+        /// Number of parameter samples to draw (1–1 048 576).
+        pub samples: usize [default Self::DEFAULT_SAMPLES],
+        /// RNG seed. Must stay below 2⁵³ so it survives the JSON number
+        /// round-trip exactly.
+        pub seed: u64 [default Self::DEFAULT_SEED],
     }
-}
-
-/// `POST /v1/tornado`: one-at-a-time sensitivity analysis over every
-/// Table 1 knob around the scenario's parameters (the paper's Fig. 12).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TornadoRequest {
-    /// The scenario whose parameters anchor the analysis.
-    pub scenario: ScenarioSpec,
-    /// The operating point the ratio is probed at.
-    pub point: OperatingPoint,
-}
-
-impl ToJson for TornadoRequest {
-    fn to_json(&self) -> Value {
-        merge_scenario(&self.scenario, [("point", self.point.to_json())])
-    }
-}
-
-impl FromJson for TornadoRequest {
-    fn from_json(value: &Value) -> Result<TornadoRequest, JsonError> {
-        Ok(TornadoRequest {
-            scenario: ScenarioSpec::from_json(value)?,
-            point: decode_or(value, "point", OperatingPoint::paper_default())?,
-        })
-    }
-}
-
-/// `POST /v1/montecarlo`: Monte-Carlo uncertainty analysis over the
-/// Table 1 knob ranges (the paper's Fig. 13). Deterministic for a given
-/// `(samples, seed)` regardless of thread count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonteCarloRequest {
-    /// The scenario whose parameters anchor the study.
-    pub scenario: ScenarioSpec,
-    /// The (fixed) workload operating point.
-    pub point: OperatingPoint,
-    /// Number of parameter samples to draw (1–1 048 576).
-    pub samples: usize,
-    /// RNG seed. Must stay below 2⁵³ so it survives the JSON number
-    /// round-trip exactly.
-    pub seed: u64,
 }
 
 impl MonteCarloRequest {
@@ -2358,63 +1338,34 @@ impl MonteCarloRequest {
     }
 }
 
-impl ToJson for MonteCarloRequest {
-    fn to_json(&self) -> Value {
-        merge_scenario(
-            &self.scenario,
-            [
-                ("point", self.point.to_json()),
-                ("samples", Value::Number(self.samples as f64)),
-                ("seed", Value::Number(self.seed as f64)),
-            ],
-        )
+wire_struct! {
+    /// `POST /v1/montecarlo` response: the summary statistics of the sampled
+    /// FPGA:ASIC ratio distribution (the full sample vector stays server-side).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MonteCarloResponse {
+        /// Domain the study was run in.
+        pub domain: Domain,
+        /// The (fixed) workload operating point.
+        pub point: OperatingPoint,
+        /// Number of samples drawn.
+        pub samples: u64,
+        /// 5th percentile of the ratio distribution.
+        pub ratio_p5: f64,
+        /// Median ratio.
+        pub ratio_median: f64,
+        /// 95th percentile of the ratio distribution.
+        pub ratio_p95: f64,
+        /// Mean ratio.
+        pub ratio_mean: f64,
+        /// Fraction of samples where the FPGA had the lower footprint.
+        pub fpga_win_probability: f64,
+        /// The platform winning the majority of samples.
+        pub majority_winner: PlatformKind,
     }
 }
 
-impl FromJson for MonteCarloRequest {
-    fn from_json(value: &Value) -> Result<MonteCarloRequest, JsonError> {
-        let samples: u64 = decode_or(value, "samples", MonteCarloRequest::DEFAULT_SAMPLES as u64)?;
-        if samples == 0 || samples > MonteCarloRequest::MAX_SAMPLES as u64 {
-            return Err(JsonError::schema(
-                "samples",
-                format!("expected 1 ≤ samples ≤ {}", MonteCarloRequest::MAX_SAMPLES),
-            ));
-        }
-        Ok(MonteCarloRequest {
-            scenario: ScenarioSpec::from_json(value)?,
-            point: decode_or(value, "point", OperatingPoint::paper_default())?,
-            samples: samples as usize,
-            seed: decode_or(value, "seed", MonteCarloRequest::DEFAULT_SEED)?,
-        })
-    }
-}
-
-/// `POST /v1/montecarlo` response: the summary statistics of the sampled
-/// FPGA:ASIC ratio distribution (the full sample vector stays server-side).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonteCarloResponse {
-    /// Domain the study was run in.
-    pub domain: Domain,
-    /// The (fixed) workload operating point.
-    pub point: OperatingPoint,
-    /// Number of samples drawn.
-    pub samples: u64,
-    /// 5th percentile of the ratio distribution.
-    pub ratio_p5: f64,
-    /// Median ratio.
-    pub ratio_median: f64,
-    /// 95th percentile of the ratio distribution.
-    pub ratio_p95: f64,
-    /// Mean ratio.
-    pub ratio_mean: f64,
-    /// Fraction of samples where the FPGA had the lower footprint.
-    pub fpga_win_probability: f64,
-    /// The platform winning the majority of samples.
-    pub majority_winner: PlatformKind,
-}
-
-impl From<&UncertaintyReport> for MonteCarloResponse {
-    fn from(report: &UncertaintyReport) -> MonteCarloResponse {
+impl From<&crate::UncertaintyReport> for MonteCarloResponse {
+    fn from(report: &crate::UncertaintyReport) -> MonteCarloResponse {
         MonteCarloResponse {
             domain: report.domain,
             point: report.point,
@@ -2429,53 +1380,20 @@ impl From<&UncertaintyReport> for MonteCarloResponse {
     }
 }
 
-impl ToJson for MonteCarloResponse {
-    fn to_json(&self) -> Value {
-        object([
-            ("domain", self.domain.to_json()),
-            ("point", self.point.to_json()),
-            ("samples", Value::Number(self.samples as f64)),
-            ("ratio_p5", Value::Number(self.ratio_p5)),
-            ("ratio_median", Value::Number(self.ratio_median)),
-            ("ratio_p95", Value::Number(self.ratio_p95)),
-            ("ratio_mean", Value::Number(self.ratio_mean)),
-            (
-                "fpga_win_probability",
-                Value::Number(self.fpga_win_probability),
-            ),
-            ("majority_winner", self.majority_winner.to_json()),
-        ])
+wire_struct! {
+    /// `POST /v1/industry`: the Table 3 industry testcases (Figs. 10–11) under
+    /// a configurable deployment scenario.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct IndustryRequest {
+        /// Table 1 knob overrides applied on top of the paper defaults.
+        pub knobs: Vec<(Knob, f64)> [with knob_overrides],
+        /// Total service life in years.
+        pub service_years: f64 [default 6.0],
+        /// Applications an FPGA serves over the service life.
+        pub fpga_applications: u64 [default 3],
+        /// Deployment volume in devices.
+        pub volume: u64 [default 1_000_000],
     }
-}
-
-impl FromJson for MonteCarloResponse {
-    fn from_json(value: &Value) -> Result<MonteCarloResponse, JsonError> {
-        Ok(MonteCarloResponse {
-            domain: decode(value, "domain")?,
-            point: decode(value, "point")?,
-            samples: decode(value, "samples")?,
-            ratio_p5: decode(value, "ratio_p5")?,
-            ratio_median: decode(value, "ratio_median")?,
-            ratio_p95: decode(value, "ratio_p95")?,
-            ratio_mean: decode(value, "ratio_mean")?,
-            fpga_win_probability: decode(value, "fpga_win_probability")?,
-            majority_winner: decode(value, "majority_winner")?,
-        })
-    }
-}
-
-/// `POST /v1/industry`: the Table 3 industry testcases (Figs. 10–11) under
-/// a configurable deployment scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndustryRequest {
-    /// Table 1 knob overrides applied on top of the paper defaults.
-    pub knobs: Vec<(Knob, f64)>,
-    /// Total service life in years.
-    pub service_years: f64,
-    /// Applications an FPGA serves over the service life.
-    pub fpga_applications: u64,
-    /// Deployment volume in devices.
-    pub volume: u64,
 }
 
 impl Default for IndustryRequest {
@@ -2491,131 +1409,64 @@ impl Default for IndustryRequest {
     }
 }
 
-impl ToJson for IndustryRequest {
-    fn to_json(&self) -> Value {
-        object([
-            ("knobs", encode_knob_overrides(&self.knobs)),
-            ("service_years", Value::Number(self.service_years)),
-            (
-                "fpga_applications",
-                Value::Number(self.fpga_applications as f64),
-            ),
-            ("volume", Value::Number(self.volume as f64)),
-        ])
+wire_struct! {
+    /// One device's footprint in a [`IndustryResponse`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct IndustryDeviceReport {
+        /// Device name (Table 3).
+        pub device: String,
+        /// Which platform the device is.
+        pub platform: PlatformKind,
+        /// Its lifecycle footprint under the requested scenario.
+        pub cfp: CfpBreakdown,
     }
 }
 
-impl FromJson for IndustryRequest {
-    fn from_json(value: &Value) -> Result<IndustryRequest, JsonError> {
-        if value.as_object().is_none() {
-            return Err(JsonError::schema("industry", "expected a request object"));
-        }
-        let defaults = IndustryRequest::default();
-        let request = IndustryRequest {
-            knobs: decode_knob_overrides(value)?,
-            service_years: decode_or(value, "service_years", defaults.service_years)?,
-            fpga_applications: decode_or(value, "fpga_applications", defaults.fpga_applications)?,
-            volume: decode_or(value, "volume", defaults.volume)?,
-        };
-        if !request.service_years.is_finite() || request.service_years <= 0.0 {
-            return Err(JsonError::schema(
-                "service_years",
-                "expected a positive number of years",
-            ));
-        }
-        if request.fpga_applications == 0 {
-            return Err(JsonError::schema(
-                "fpga_applications",
-                "expected at least one application",
-            ));
-        }
-        if request.volume == 0 {
-            return Err(JsonError::schema("volume", "expected at least one device"));
-        }
-        Ok(request)
+wire_struct! {
+    /// `POST /v1/industry` response: every Table 3 device's footprint, FPGAs
+    /// first.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct IndustryResponse {
+        /// Per-device footprints.
+        pub devices: Vec<IndustryDeviceReport>,
     }
 }
 
-/// One device's footprint in a [`IndustryResponse`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndustryDeviceReport {
-    /// Device name (Table 3).
-    pub device: String,
-    /// Which platform the device is.
-    pub platform: PlatformKind,
-    /// Its lifecycle footprint under the requested scenario.
-    pub cfp: CfpBreakdown,
+wire_struct! {
+    /// `POST /v1/frontier` response: the wire form of a
+    /// [`crate::FrontierResult`] — the dense winner mask plus the refiner's
+    /// evaluation accounting (the per-cell ratios of evaluated cells stay
+    /// engine-side).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FrontierResponse {
+        /// Domain the frontier was traced in.
+        pub domain: Domain,
+        /// Axis swept along the columns.
+        pub x_axis: SweepAxis,
+        /// Column coordinate values.
+        pub x_values: Vec<f64>,
+        /// Axis swept along the rows.
+        pub y_axis: SweepAxis,
+        /// Row coordinate values.
+        pub y_values: Vec<f64>,
+        /// `fpga_wins[row][col]` is `true` where the FPGA has the lower total.
+        pub fpga_wins: Vec<Vec<bool>>,
+        /// Fraction of cells the FPGA wins.
+        pub fpga_winning_fraction: f64,
+        /// Model evaluations the refiner performed.
+        pub evaluations: u64,
+        /// `evaluations` over the dense cell count.
+        pub evaluated_fraction: f64,
+    } check frontier_shape
 }
 
-impl ToJson for IndustryDeviceReport {
-    fn to_json(&self) -> Value {
-        object([
-            ("device", Value::String(self.device.clone())),
-            ("platform", self.platform.to_json()),
-            ("cfp", self.cfp.to_json()),
-        ])
-    }
-}
-
-impl FromJson for IndustryDeviceReport {
-    fn from_json(value: &Value) -> Result<IndustryDeviceReport, JsonError> {
-        Ok(IndustryDeviceReport {
-            device: decode(value, "device")?,
-            platform: decode(value, "platform")?,
-            cfp: decode(value, "cfp")?,
-        })
-    }
-}
-
-/// `POST /v1/industry` response: every Table 3 device's footprint, FPGAs
-/// first.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndustryResponse {
-    /// Per-device footprints.
-    pub devices: Vec<IndustryDeviceReport>,
-}
-
-impl ToJson for IndustryResponse {
-    fn to_json(&self) -> Value {
-        object([(
-            "devices",
-            Value::Array(self.devices.iter().map(ToJson::to_json).collect()),
-        )])
-    }
-}
-
-impl FromJson for IndustryResponse {
-    fn from_json(value: &Value) -> Result<IndustryResponse, JsonError> {
-        Ok(IndustryResponse {
-            devices: decode(value, "devices")?,
-        })
-    }
-}
-
-/// `POST /v1/frontier` response: the wire form of a
-/// [`crate::FrontierResult`] — the dense winner mask plus the refiner's
-/// evaluation accounting (the per-cell ratios of evaluated cells stay
-/// engine-side).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontierResponse {
-    /// Domain the frontier was traced in.
-    pub domain: Domain,
-    /// Axis swept along the columns.
-    pub x_axis: SweepAxis,
-    /// Column coordinate values.
-    pub x_values: Vec<f64>,
-    /// Axis swept along the rows.
-    pub y_axis: SweepAxis,
-    /// Row coordinate values.
-    pub y_values: Vec<f64>,
-    /// `fpga_wins[row][col]` is `true` where the FPGA has the lower total.
-    pub fpga_wins: Vec<Vec<bool>>,
-    /// Fraction of cells the FPGA wins.
-    pub fpga_winning_fraction: f64,
-    /// Model evaluations the refiner performed.
-    pub evaluations: u64,
-    /// `evaluations` over the dense cell count.
-    pub evaluated_fraction: f64,
+fn frontier_shape(frontier: &FrontierResponse) -> Result<(), JsonError> {
+    matrix_shape(
+        &frontier.fpga_wins,
+        &frontier.y_values,
+        &frontier.x_values,
+        "fpga_wins",
+    )
 }
 
 impl From<&FrontierResult> for FrontierResponse {
@@ -2634,59 +1485,6 @@ impl From<&FrontierResult> for FrontierResponse {
     }
 }
 
-impl ToJson for FrontierResponse {
-    fn to_json(&self) -> Value {
-        let winners = Value::Array(
-            self.fpga_wins
-                .iter()
-                .map(|row| Value::Array(row.iter().map(|&b| Value::Bool(b)).collect()))
-                .collect(),
-        );
-        object([
-            ("domain", self.domain.to_json()),
-            ("x_axis", self.x_axis.to_json()),
-            ("x_values", self.x_values.to_json()),
-            ("y_axis", self.y_axis.to_json()),
-            ("y_values", self.y_values.to_json()),
-            ("fpga_wins", winners),
-            (
-                "fpga_winning_fraction",
-                Value::Number(self.fpga_winning_fraction),
-            ),
-            ("evaluations", Value::Number(self.evaluations as f64)),
-            ("evaluated_fraction", Value::Number(self.evaluated_fraction)),
-        ])
-    }
-}
-
-impl FromJson for FrontierResponse {
-    fn from_json(value: &Value) -> Result<FrontierResponse, JsonError> {
-        let response = FrontierResponse {
-            domain: decode(value, "domain")?,
-            x_axis: decode(value, "x_axis")?,
-            x_values: decode(value, "x_values")?,
-            y_axis: decode(value, "y_axis")?,
-            y_values: decode(value, "y_values")?,
-            fpga_wins: decode(value, "fpga_wins")?,
-            fpga_winning_fraction: decode(value, "fpga_winning_fraction")?,
-            evaluations: decode(value, "evaluations")?,
-            evaluated_fraction: decode(value, "evaluated_fraction")?,
-        };
-        if response.fpga_wins.len() != response.y_values.len()
-            || response
-                .fpga_wins
-                .iter()
-                .any(|row| row.len() != response.x_values.len())
-        {
-            return Err(JsonError::schema(
-                "fpga_wins",
-                "expected one row per y value and one column per x value",
-            ));
-        }
-        Ok(response)
-    }
-}
-
 impl ToJson for ApiError {
     fn to_json(&self) -> Value {
         object([(
@@ -2702,127 +1500,366 @@ impl ToJson for ApiError {
 
 impl FromJson for ApiError {
     fn from_json(value: &Value) -> Result<ApiError, JsonError> {
-        let error = field(value, "error")?;
-        let id: String = decode(error, "code")?;
+        let error = value
+            .get("error")
+            .ok_or_else(|| JsonError::schema("error", "missing required field"))?;
+        let id: String = decode_member(error, "code")?;
         let code = ApiErrorCode::parse_id(&id)
             .ok_or_else(|| JsonError::schema("error.code", format!("unknown code '{id}'")))?;
-        let message: String = decode(error, "message")?;
-        let retryable = decode_or(error, "retryable", code.default_retryable())?;
         Ok(ApiError {
             code,
-            message,
-            retryable,
+            message: decode_member(error, "message")?,
+            retryable: decode_member_or(error, "retryable", || code.default_retryable())?,
         })
     }
 }
 
-/// The kind discriminator of [`Query`]/[`Outcome`] — one entry per
-/// workload the engine serves. The kind's [`QueryKind::id`] doubles as the
-/// envelope's `"kind"` member, and [`QueryKind::path`] as the HTTP route
-/// (`POST /v1/<id>`), so the route table, the envelope dispatch and the
-/// metrics labels all derive from this one enumeration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueryKind {
+/// The range rules of a decoded request — everything the decoder's shape
+/// check does not cover. [`crate::Engine`] runs them on every query
+/// ([`Query::validate`]), so a request built in code is held to the same
+/// rules as one that arrived as JSON, and each rule is stated once.
+pub(crate) trait Validate {
+    /// `Ok` when every rule holds; otherwise the schema error naming the
+    /// offending member.
+    fn validate(&self) -> Result<(), JsonError> {
+        Ok(())
+    }
+}
+
+impl Validate for EvaluateRequest {}
+impl Validate for BatchEvalRequest {}
+impl Validate for CrossoverRequest {}
+impl Validate for TornadoRequest {}
+impl Validate for ScenarioRunRequest {}
+impl Validate for OptimizeRequest {}
+impl Validate for CatalogRequest {}
+
+/// `true` for a finite range with `to > from`.
+fn increasing((from, to): (f64, f64)) -> bool {
+    from.is_finite() && to.is_finite() && to > from
+}
+
+impl Validate for CompareRequest {
+    fn validate(&self) -> Result<(), JsonError> {
+        if !(1..=Self::MAX_SCENARIOS).contains(&self.scenarios.len()) {
+            return Err(JsonError::schema(
+                "scenarios",
+                format!("expected 1 to {} scenarios", Self::MAX_SCENARIOS),
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl Validate for SweepRequest {
+    fn validate(&self) -> Result<(), JsonError> {
+        if !(2..=Self::MAX_STEPS).contains(&self.steps) {
+            return Err(JsonError::schema(
+                "steps",
+                format!("expected 2 ≤ steps ≤ {}", Self::MAX_STEPS),
+            ));
+        }
+        if !increasing(self.range) {
+            return Err(JsonError::schema(
+                "from",
+                "sweep range must be finite with to > from",
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The lattice rules [`FrontierRequest`] and [`GridRequest`] share.
+fn validate_lattice(
+    x: (SweepAxis, (f64, f64)),
+    y: (SweepAxis, (f64, f64)),
+    steps: usize,
+) -> Result<(), JsonError> {
+    if !(2..=1024).contains(&steps) {
+        return Err(JsonError::schema("steps", "expected 2 ≤ steps ≤ 1024"));
+    }
+    if x.0 == y.0 {
+        return Err(JsonError::schema("y_axis", "x_axis and y_axis must differ"));
+    }
+    if !increasing(x.1) || !increasing(y.1) {
+        return Err(JsonError::schema(
+            "x_from",
+            "ranges must be finite with to > from",
+        ));
+    }
+    Ok(())
+}
+
+impl Validate for FrontierRequest {
+    fn validate(&self) -> Result<(), JsonError> {
+        validate_lattice(
+            (self.x_axis, self.x_range),
+            (self.y_axis, self.y_range),
+            self.steps,
+        )
+    }
+}
+
+impl Validate for GridRequest {
+    fn validate(&self) -> Result<(), JsonError> {
+        validate_lattice(
+            (self.x_axis, self.x_range),
+            (self.y_axis, self.y_range),
+            self.steps,
+        )
+    }
+}
+
+impl Validate for MonteCarloRequest {
+    fn validate(&self) -> Result<(), JsonError> {
+        if !(1..=Self::MAX_SAMPLES).contains(&self.samples) {
+            return Err(JsonError::schema(
+                "samples",
+                format!("expected 1 ≤ samples ≤ {}", Self::MAX_SAMPLES),
+            ));
+        }
+        // Seeds at or above 2^53 would be silently rounded by the JSON wire
+        // format (2^53 itself is the rounding target of 2^53+1), so a local
+        // run and the equivalent HTTP request could diverge.
+        if self.seed >= Self::MAX_SEED {
+            return Err(JsonError::schema(
+                "seed",
+                format!(
+                    "montecarlo seed {} exceeds 2^53 and would not survive the JSON wire format",
+                    self.seed
+                ),
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl Validate for IndustryRequest {
+    fn validate(&self) -> Result<(), JsonError> {
+        if !self.service_years.is_finite() || self.service_years <= 0.0 {
+            return Err(JsonError::schema(
+                "service_years",
+                "expected a positive number of years",
+            ));
+        }
+        if self.fpga_applications == 0 {
+            return Err(JsonError::schema(
+                "fpga_applications",
+                "expected at least one application",
+            ));
+        }
+        if self.volume == 0 {
+            return Err(JsonError::schema("volume", "expected at least one device"));
+        }
+        Ok(())
+    }
+}
+
+impl Validate for ReplayRequest {
+    /// The upper bound on `years` (the device lifetime) depends on the
+    /// resolved catalog point, so the engine checks it after resolution.
+    fn validate(&self) -> Result<(), JsonError> {
+        if self.years == 0 {
+            return Err(JsonError::schema(
+                "years",
+                "expected at least 1 (the series replays once per year)",
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Generates [`QueryKind`], [`Query`] and [`Outcome`] and every per-kind
+/// dispatch from one table row per kind.
+macro_rules! query_kinds {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident($id:literal, $method:ident, offload: $offload:literal)
+            $request:ty => $response:ty;
+    )*) => {
+        /// The kind discriminator of [`Query`]/[`Outcome`] — one entry per
+        /// workload the engine serves. The kind's [`QueryKind::id`] doubles as
+        /// the envelope's `"kind"` member, and [`QueryKind::path`] as the HTTP
+        /// route (`/v1/<id>`), so the route table, the envelope dispatch and
+        /// the metrics labels all derive from this one enumeration.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum QueryKind {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl QueryKind {
+            /// Every kind, in documentation and route-table order.
+            pub const ALL: [QueryKind; [$($id),*].len()] = [$(QueryKind::$variant),*];
+
+            /// The stable identifier used by the envelope's `"kind"` member.
+            pub fn id(self) -> &'static str {
+                match self {
+                    $(QueryKind::$variant => $id,)*
+                }
+            }
+
+            /// The HTTP route serving this kind (see [`QueryKind::method`]).
+            pub fn path(self) -> &'static str {
+                match self {
+                    $(QueryKind::$variant => concat!("/v1/", $id),)*
+                }
+            }
+
+            /// The HTTP method serving this kind: `GET` for the
+            /// parameter-less catalog listing, `POST` for every kind that
+            /// carries a request body.
+            pub fn method(self) -> &'static str {
+                match self {
+                    $(QueryKind::$variant => stringify!($method),)*
+                }
+            }
+
+            /// Whether a serving transport runs this kind on its worker
+            /// pool rather than inline on the event loop: point lookups
+            /// finish in microseconds, while the fan-out kinds can burn
+            /// milliseconds.
+            pub fn offloads(self) -> bool {
+                match self {
+                    $(QueryKind::$variant => $offload,)*
+                }
+            }
+
+            /// Decodes this kind's request payload (the flat request object a
+            /// `POST /v1/<kind>` body carries — no envelope members required).
+            ///
+            /// # Errors
+            ///
+            /// Returns the schema error of the offending member.
+            pub fn decode_request(self, value: &Value) -> Result<Query, JsonError> {
+                Ok(match self {
+                    $(QueryKind::$variant => Query::$variant(<$request>::from_json(value)?),)*
+                })
+            }
+
+            /// Decodes this kind's response payload (the bare result object a
+            /// `POST /v1/<kind>` route answers with).
+            ///
+            /// # Errors
+            ///
+            /// Returns the schema error of the offending member.
+            pub fn decode_result(self, value: &Value) -> Result<Outcome, JsonError> {
+                Ok(match self {
+                    $(QueryKind::$variant => Outcome::$variant(<$response>::from_json(value)?),)*
+                })
+            }
+        }
+
+        /// One request against the unified engine surface — every workload
+        /// the library, the HTTP server and the CLI can answer, as one
+        /// versioned type.
+        ///
+        /// The JSON form is a flat envelope: the request payload with `"v"`
+        /// (the [`API_VERSION`]) and `"kind"` (the [`QueryKind::id`])
+        /// prepended:
+        ///
+        /// ```json
+        /// {"v": 1, "kind": "sweep", "domain": "dnn", "axis": "apps",
+        ///  "from": 1, "to": 12, "steps": 12}
+        /// ```
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Query {
+            $($(#[$doc])* $variant($request),)*
+        }
+
+        impl Query {
+            /// This query's kind discriminator.
+            pub fn kind(&self) -> QueryKind {
+                match self {
+                    $(Query::$variant(_) => QueryKind::$variant,)*
+                }
+            }
+
+            /// The flat request payload (what a `POST /v1/<kind>` body
+            /// carries, without the envelope members).
+            pub fn request_body(&self) -> Value {
+                match self {
+                    $(Query::$variant(request) => request.to_json(),)*
+                }
+            }
+
+            /// Checks the request's range rules (step counts, range order,
+            /// sample counts, seeds, …) — the checks the decoder leaves out.
+            /// [`crate::Engine`] runs this on every query.
+            ///
+            /// # Errors
+            ///
+            /// The schema error naming the offending member.
+            pub fn validate(&self) -> Result<(), JsonError> {
+                match self {
+                    $(Query::$variant(request) => request.validate(),)*
+                }
+            }
+        }
+
+        /// The result of running a [`Query`] — one variant per query kind, in
+        /// the same order. The JSON form is `{"v": 1, "kind": "<id>",
+        /// "result": ...}` where `result` is exactly the body the matching
+        /// HTTP route answers with.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Outcome {
+            $(
+                #[doc = concat!("Result of [`Query::", stringify!($variant), "`].")]
+                $variant($response),
+            )*
+        }
+
+        impl Outcome {
+            /// This outcome's kind discriminator.
+            pub fn kind(&self) -> QueryKind {
+                match self {
+                    $(Outcome::$variant(_) => QueryKind::$variant,)*
+                }
+            }
+
+            /// The bare result payload — exactly the body the matching
+            /// `/v1/<kind>` route answers with.
+            pub fn result_json(&self) -> Value {
+                match self {
+                    $(Outcome::$variant(response) => response.to_json(),)*
+                }
+            }
+        }
+    };
+}
+
+query_kinds! {
     /// One operating point in one scenario.
-    Evaluate,
+    Evaluate("evaluate", POST, offload: false) EvaluateRequest => EvaluateResponse;
     /// Many operating points in one scenario (batch kernel).
-    Batch,
+    Batch("batch", POST, offload: true) BatchEvalRequest => BatchEvalResponse;
     /// One point evaluated side by side in several scenarios.
-    Compare,
+    Compare("compare", POST, offload: false) CompareRequest => CompareResponse;
     /// The three crossover searches (closed-form solver).
-    Crossover,
+    Crossover("crossover", POST, offload: false) CrossoverRequest => CrossoverResponse;
     /// Adaptive winner map over a 2-D lattice (quadtree refiner).
-    Frontier,
+    Frontier("frontier", POST, offload: true) FrontierRequest => FrontierResponse;
     /// One axis swept over a linear range.
-    Sweep,
+    Sweep("sweep", POST, offload: true) SweepRequest => SweepSeries;
     /// Dense ratio heatmap over a 2-D lattice.
-    Grid,
+    Grid("grid", POST, offload: true) GridRequest => GridSweep;
     /// One-at-a-time sensitivity analysis over the Table 1 knobs.
-    Tornado,
+    Tornado("tornado", POST, offload: true) TornadoRequest => TornadoAnalysis;
     /// Monte-Carlo uncertainty analysis over the Table 1 ranges.
-    MonteCarlo,
+    MonteCarlo("montecarlo", POST, offload: true) MonteCarloRequest => MonteCarloResponse;
     /// The Table 3 industry testcases.
-    Industry,
+    Industry("industry", POST, offload: false) IndustryRequest => IndustryResponse;
     /// One named-catalog (or inline) scenario, evaluated and scored.
-    Scenario,
+    Scenario("scenario", POST, offload: false) ScenarioRunRequest => ScenarioRunResponse;
     /// A scenario replayed against a time-varying carbon intensity.
-    Replay,
+    Replay("replay", POST, offload: true) ReplayRequest => ReplayResponse;
     /// An inverse query: minimize an objective (or fill a carbon budget)
     /// over a box of search knobs.
-    Optimize,
+    Optimize("optimize", POST, offload: true) OptimizeRequest => OptimizeResponse;
     /// The scenario-catalog listing (the one `GET` kind).
-    Catalog,
+    Catalog("catalog", GET, offload: false) CatalogRequest => CatalogResponse;
 }
 
 impl QueryKind {
-    /// Every kind, in documentation and route-table order.
-    pub const ALL: [QueryKind; 14] = [
-        QueryKind::Evaluate,
-        QueryKind::Batch,
-        QueryKind::Compare,
-        QueryKind::Crossover,
-        QueryKind::Frontier,
-        QueryKind::Sweep,
-        QueryKind::Grid,
-        QueryKind::Tornado,
-        QueryKind::MonteCarlo,
-        QueryKind::Industry,
-        QueryKind::Scenario,
-        QueryKind::Replay,
-        QueryKind::Optimize,
-        QueryKind::Catalog,
-    ];
-
-    /// The stable identifier used by the envelope's `"kind"` member.
-    pub fn id(self) -> &'static str {
-        match self {
-            QueryKind::Evaluate => "evaluate",
-            QueryKind::Batch => "batch",
-            QueryKind::Compare => "compare",
-            QueryKind::Crossover => "crossover",
-            QueryKind::Frontier => "frontier",
-            QueryKind::Sweep => "sweep",
-            QueryKind::Grid => "grid",
-            QueryKind::Tornado => "tornado",
-            QueryKind::MonteCarlo => "montecarlo",
-            QueryKind::Industry => "industry",
-            QueryKind::Scenario => "scenario",
-            QueryKind::Replay => "replay",
-            QueryKind::Optimize => "optimize",
-            QueryKind::Catalog => "catalog",
-        }
-    }
-
-    /// The HTTP route serving this kind (see [`QueryKind::method`]).
-    pub fn path(self) -> &'static str {
-        match self {
-            QueryKind::Evaluate => "/v1/evaluate",
-            QueryKind::Batch => "/v1/batch",
-            QueryKind::Compare => "/v1/compare",
-            QueryKind::Crossover => "/v1/crossover",
-            QueryKind::Frontier => "/v1/frontier",
-            QueryKind::Sweep => "/v1/sweep",
-            QueryKind::Grid => "/v1/grid",
-            QueryKind::Tornado => "/v1/tornado",
-            QueryKind::MonteCarlo => "/v1/montecarlo",
-            QueryKind::Industry => "/v1/industry",
-            QueryKind::Scenario => "/v1/scenario",
-            QueryKind::Replay => "/v1/replay",
-            QueryKind::Optimize => "/v1/optimize",
-            QueryKind::Catalog => "/v1/catalog",
-        }
-    }
-
-    /// The HTTP method serving this kind: `GET` for the parameter-less
-    /// catalog listing, `POST` for every kind that carries a request
-    /// body.
-    pub fn method(self) -> &'static str {
-        match self {
-            QueryKind::Catalog => "GET",
-            _ => "POST",
-        }
-    }
-
     /// Parses an envelope identifier back to its kind.
     pub fn parse_id(id: &str) -> Option<QueryKind> {
         QueryKind::ALL.into_iter().find(|kind| kind.id() == id)
@@ -2832,56 +1869,6 @@ impl QueryKind {
     pub fn from_path(path: &str) -> Option<QueryKind> {
         QueryKind::ALL.into_iter().find(|kind| kind.path() == path)
     }
-
-    /// Decodes this kind's request payload (the flat request object a
-    /// `POST /v1/<kind>` body carries — no envelope members required).
-    ///
-    /// # Errors
-    ///
-    /// Returns the schema error of the offending member.
-    pub fn decode_request(self, value: &Value) -> Result<Query, JsonError> {
-        Ok(match self {
-            QueryKind::Evaluate => Query::Evaluate(EvaluateRequest::from_json(value)?),
-            QueryKind::Batch => Query::Batch(BatchEvalRequest::from_json(value)?),
-            QueryKind::Compare => Query::Compare(CompareRequest::from_json(value)?),
-            QueryKind::Crossover => Query::Crossover(CrossoverRequest::from_json(value)?),
-            QueryKind::Frontier => Query::Frontier(FrontierRequest::from_json(value)?),
-            QueryKind::Sweep => Query::Sweep(SweepRequest::from_json(value)?),
-            QueryKind::Grid => Query::Grid(GridRequest::from_json(value)?),
-            QueryKind::Tornado => Query::Tornado(TornadoRequest::from_json(value)?),
-            QueryKind::MonteCarlo => Query::MonteCarlo(MonteCarloRequest::from_json(value)?),
-            QueryKind::Industry => Query::Industry(IndustryRequest::from_json(value)?),
-            QueryKind::Scenario => Query::Scenario(ScenarioRunRequest::from_json(value)?),
-            QueryKind::Replay => Query::Replay(ReplayRequest::from_json(value)?),
-            QueryKind::Optimize => Query::Optimize(OptimizeRequest::from_json(value)?),
-            QueryKind::Catalog => Query::Catalog(CatalogRequest::from_json(value)?),
-        })
-    }
-
-    /// Decodes this kind's response payload (the bare result object a
-    /// `POST /v1/<kind>` route answers with).
-    ///
-    /// # Errors
-    ///
-    /// Returns the schema error of the offending member.
-    pub fn decode_result(self, value: &Value) -> Result<Outcome, JsonError> {
-        Ok(match self {
-            QueryKind::Evaluate => Outcome::Evaluate(EvaluateResponse::from_json(value)?),
-            QueryKind::Batch => Outcome::Batch(BatchEvalResponse::from_json(value)?),
-            QueryKind::Compare => Outcome::Compare(CompareResponse::from_json(value)?),
-            QueryKind::Crossover => Outcome::Crossover(CrossoverResponse::from_json(value)?),
-            QueryKind::Frontier => Outcome::Frontier(FrontierResponse::from_json(value)?),
-            QueryKind::Sweep => Outcome::Sweep(SweepSeries::from_json(value)?),
-            QueryKind::Grid => Outcome::Grid(GridSweep::from_json(value)?),
-            QueryKind::Tornado => Outcome::Tornado(TornadoAnalysis::from_json(value)?),
-            QueryKind::MonteCarlo => Outcome::MonteCarlo(MonteCarloResponse::from_json(value)?),
-            QueryKind::Industry => Outcome::Industry(IndustryResponse::from_json(value)?),
-            QueryKind::Scenario => Outcome::Scenario(ScenarioRunResponse::from_json(value)?),
-            QueryKind::Replay => Outcome::Replay(ReplayResponse::from_json(value)?),
-            QueryKind::Optimize => Outcome::Optimize(OptimizeResponse::from_json(value)?),
-            QueryKind::Catalog => Outcome::Catalog(CatalogResponse::from_json(value)?),
-        })
-    }
 }
 
 impl std::fmt::Display for QueryKind {
@@ -2890,101 +1877,16 @@ impl std::fmt::Display for QueryKind {
     }
 }
 
-/// One request against the unified engine surface — every workload the
-/// library, the HTTP server and the CLI can answer, as one versioned type.
-///
-/// The JSON form is a flat envelope: the request payload with `"v"` (the
-/// [`API_VERSION`]) and `"kind"` (the [`QueryKind::id`]) prepended:
-///
-/// ```json
-/// {"v": 1, "kind": "sweep", "domain": "dnn", "axis": "apps",
-///  "from": 1, "to": 12, "steps": 12}
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub enum Query {
-    /// One operating point in one scenario.
-    Evaluate(EvaluateRequest),
-    /// Many operating points in one scenario.
-    Batch(BatchEvalRequest),
-    /// One point across several scenarios.
-    Compare(CompareRequest),
-    /// The three crossover searches.
-    Crossover(CrossoverRequest),
-    /// Adaptive winner map over a 2-D lattice.
-    Frontier(FrontierRequest),
-    /// One axis swept over a linear range.
-    Sweep(SweepRequest),
-    /// Dense ratio heatmap over a 2-D lattice.
-    Grid(GridRequest),
-    /// One-at-a-time knob sensitivity analysis.
-    Tornado(TornadoRequest),
-    /// Monte-Carlo uncertainty analysis.
-    MonteCarlo(MonteCarloRequest),
-    /// The Table 3 industry testcases.
-    Industry(IndustryRequest),
-    /// One named-catalog (or inline) scenario, evaluated and scored.
-    Scenario(ScenarioRunRequest),
-    /// A scenario replayed against a time-varying carbon intensity.
-    Replay(ReplayRequest),
-    /// An inverse query over a box of search knobs.
-    Optimize(OptimizeRequest),
-    /// The scenario-catalog listing.
-    Catalog(CatalogRequest),
-}
-
-impl Query {
-    /// This query's kind discriminator.
-    pub fn kind(&self) -> QueryKind {
-        match self {
-            Query::Evaluate(_) => QueryKind::Evaluate,
-            Query::Batch(_) => QueryKind::Batch,
-            Query::Compare(_) => QueryKind::Compare,
-            Query::Crossover(_) => QueryKind::Crossover,
-            Query::Frontier(_) => QueryKind::Frontier,
-            Query::Sweep(_) => QueryKind::Sweep,
-            Query::Grid(_) => QueryKind::Grid,
-            Query::Tornado(_) => QueryKind::Tornado,
-            Query::MonteCarlo(_) => QueryKind::MonteCarlo,
-            Query::Industry(_) => QueryKind::Industry,
-            Query::Scenario(_) => QueryKind::Scenario,
-            Query::Replay(_) => QueryKind::Replay,
-            Query::Optimize(_) => QueryKind::Optimize,
-            Query::Catalog(_) => QueryKind::Catalog,
-        }
-    }
-
-    /// The flat request payload (what a `POST /v1/<kind>` body carries,
-    /// without the envelope members).
-    pub fn request_body(&self) -> Value {
-        match self {
-            Query::Evaluate(request) => request.to_json(),
-            Query::Batch(request) => request.to_json(),
-            Query::Compare(request) => request.to_json(),
-            Query::Crossover(request) => request.to_json(),
-            Query::Frontier(request) => request.to_json(),
-            Query::Sweep(request) => request.to_json(),
-            Query::Grid(request) => request.to_json(),
-            Query::Tornado(request) => request.to_json(),
-            Query::MonteCarlo(request) => request.to_json(),
-            Query::Industry(request) => request.to_json(),
-            Query::Scenario(request) => request.to_json(),
-            Query::Replay(request) => request.to_json(),
-            Query::Optimize(request) => request.to_json(),
-            Query::Catalog(request) => request.to_json(),
-        }
-    }
-}
-
 /// Reads and validates the `"v"`/`"kind"` envelope members.
 fn decode_envelope(value: &Value) -> Result<QueryKind, JsonError> {
-    let version: u64 = decode_or(value, "v", API_VERSION)?;
+    let version: u64 = decode_member_or(value, "v", || API_VERSION)?;
     if version != API_VERSION {
         return Err(JsonError::schema(
             "v",
             format!("unsupported API version {version} (this build speaks {API_VERSION})"),
         ));
     }
-    let id: String = decode(value, "kind")?;
+    let id: String = decode_member(value, "kind")?;
     QueryKind::parse_id(&id)
         .ok_or_else(|| JsonError::schema("kind", format!("unknown query kind '{id}'")))
 }
@@ -3015,85 +1917,6 @@ impl FromJson for Query {
     }
 }
 
-/// The result of running a [`Query`] — one variant per query kind, in the
-/// same order. The JSON form is `{"v": 1, "kind": "<id>", "result": ...}`
-/// where `result` is exactly the body the matching HTTP route answers
-/// with.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Outcome {
-    /// Result of [`Query::Evaluate`].
-    Evaluate(EvaluateResponse),
-    /// Result of [`Query::Batch`].
-    Batch(BatchEvalResponse),
-    /// Result of [`Query::Compare`].
-    Compare(CompareResponse),
-    /// Result of [`Query::Crossover`].
-    Crossover(CrossoverResponse),
-    /// Result of [`Query::Frontier`].
-    Frontier(FrontierResponse),
-    /// Result of [`Query::Sweep`].
-    Sweep(SweepSeries),
-    /// Result of [`Query::Grid`].
-    Grid(GridSweep),
-    /// Result of [`Query::Tornado`].
-    Tornado(TornadoAnalysis),
-    /// Result of [`Query::MonteCarlo`].
-    MonteCarlo(MonteCarloResponse),
-    /// Result of [`Query::Industry`].
-    Industry(IndustryResponse),
-    /// Result of [`Query::Scenario`].
-    Scenario(ScenarioRunResponse),
-    /// Result of [`Query::Replay`].
-    Replay(ReplayResponse),
-    /// Result of [`Query::Optimize`].
-    Optimize(OptimizeResponse),
-    /// Result of [`Query::Catalog`].
-    Catalog(CatalogResponse),
-}
-
-impl Outcome {
-    /// This outcome's kind discriminator.
-    pub fn kind(&self) -> QueryKind {
-        match self {
-            Outcome::Evaluate(_) => QueryKind::Evaluate,
-            Outcome::Batch(_) => QueryKind::Batch,
-            Outcome::Compare(_) => QueryKind::Compare,
-            Outcome::Crossover(_) => QueryKind::Crossover,
-            Outcome::Frontier(_) => QueryKind::Frontier,
-            Outcome::Sweep(_) => QueryKind::Sweep,
-            Outcome::Grid(_) => QueryKind::Grid,
-            Outcome::Tornado(_) => QueryKind::Tornado,
-            Outcome::MonteCarlo(_) => QueryKind::MonteCarlo,
-            Outcome::Industry(_) => QueryKind::Industry,
-            Outcome::Scenario(_) => QueryKind::Scenario,
-            Outcome::Replay(_) => QueryKind::Replay,
-            Outcome::Optimize(_) => QueryKind::Optimize,
-            Outcome::Catalog(_) => QueryKind::Catalog,
-        }
-    }
-
-    /// The bare result payload — exactly the body the matching
-    /// `POST /v1/<kind>` route answers with.
-    pub fn result_json(&self) -> Value {
-        match self {
-            Outcome::Evaluate(response) => response.to_json(),
-            Outcome::Batch(response) => response.to_json(),
-            Outcome::Compare(response) => response.to_json(),
-            Outcome::Crossover(response) => response.to_json(),
-            Outcome::Frontier(response) => response.to_json(),
-            Outcome::Sweep(series) => series.to_json(),
-            Outcome::Grid(grid) => grid.to_json(),
-            Outcome::Tornado(analysis) => analysis.to_json(),
-            Outcome::MonteCarlo(response) => response.to_json(),
-            Outcome::Industry(response) => response.to_json(),
-            Outcome::Scenario(response) => response.to_json(),
-            Outcome::Replay(response) => response.to_json(),
-            Outcome::Optimize(response) => response.to_json(),
-            Outcome::Catalog(response) => response.to_json(),
-        }
-    }
-}
-
 impl ToJson for Outcome {
     fn to_json(&self) -> Value {
         object([
@@ -3107,7 +1930,10 @@ impl ToJson for Outcome {
 impl FromJson for Outcome {
     fn from_json(value: &Value) -> Result<Outcome, JsonError> {
         let kind = decode_envelope(value)?;
-        kind.decode_result(field(value, "result")?)
+        let result = value
+            .get("result")
+            .ok_or_else(|| JsonError::schema("result", "missing required field"))?;
+        kind.decode_result(result)
             .map_err(|e| prefix_schema("result", e))
     }
 }
@@ -3276,10 +2102,9 @@ mod tests {
             r#"{"domain": "dnn", "y_axis": "apps"}"#,
             r#"{"domain": "dnn", "x_from": 5, "x_to": 2}"#,
         ] {
-            assert!(
-                FrontierRequest::from_json(&parse(bad).unwrap()).is_err(),
-                "accepted {bad}"
-            );
+            let checked = FrontierRequest::from_json(&parse(bad).unwrap())
+                .and_then(|request| Query::Frontier(request).validate());
+            assert!(checked.is_err(), "accepted {bad}");
         }
     }
 

@@ -30,7 +30,7 @@ use crate::api::{
     CacheShardMetrics, CatalogEntryInfo, CatalogResponse, CompareResponse, CrossoverResponse,
     EvaluateResponse, FrontierResponse, IndustryDeviceReport, IndustryRequest, IndustryResponse,
     MonteCarloResponse, OptimizeResponse, Outcome, Query, ReplayResponse, ScenarioRef,
-    ScenarioRunResponse, SeriesRef,
+    ScenarioRunResponse, SeriesRef, Validate,
 };
 use crate::scenario::{catalog, catalog_entry, CarbonIntensitySeries, CatalogEntry, Verdict};
 use crate::{
@@ -165,8 +165,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns the [`ApiError`] taxonomy: `model` for model-level
-    /// rejections, `internal` for serialization bugs.
+    /// Returns the [`ApiError`] taxonomy: `bad_request` for requests that
+    /// break a range rule ([`Query::validate`]), `model` for model-level
+    /// rejections (including results that overflow `f64`).
     pub fn run(&self, query: &Query) -> Result<Outcome, ApiError> {
         self.run_with_buffer(query, &mut ResultBuffer::new())
     }
@@ -182,6 +183,7 @@ impl Engine {
         query: &Query,
         buffer: &mut ResultBuffer,
     ) -> Result<Outcome, ApiError> {
+        query.validate()?;
         let threads = self.config.eval_threads;
         Ok(match query {
             Query::Evaluate(request) => {
@@ -203,17 +205,6 @@ impl Engine {
                 })
             }
             Query::Compare(request) => {
-                // The wire decoder enforces this too; checking here keeps
-                // programmatic callers (and the CLI) consistent with HTTP.
-                if request.scenarios.is_empty()
-                    || request.scenarios.len() > crate::CompareRequest::MAX_SCENARIOS
-                {
-                    return Err(ApiError::bad_request(format!(
-                        "compare takes 1 to {} scenarios, got {}",
-                        crate::CompareRequest::MAX_SCENARIOS,
-                        request.scenarios.len()
-                    )));
-                }
                 let mut comparisons = Vec::with_capacity(request.scenarios.len());
                 for scenario in &request.scenarios {
                     let compiled = self.compiled(scenario)?;
@@ -286,18 +277,6 @@ impl Engine {
                 )
             }
             Query::MonteCarlo(request) => {
-                // Seeds at or above 2^53 would be silently rounded by the
-                // JSON wire format (2^53 itself is the rounding target of
-                // 2^53+1, so it is ambiguous too); rejecting them here
-                // keeps a local run and the equivalent HTTP request
-                // bit-identical by construction, matching the CLI parser.
-                if request.seed >= crate::MonteCarloRequest::MAX_SEED {
-                    return Err(ApiError::bad_request(format!(
-                        "montecarlo seed {} exceeds 2^53 and would not survive \
-                         the JSON wire format",
-                        request.seed
-                    )));
-                }
                 let report = MonteCarlo::new(request.samples)
                     .with_seed(request.seed)
                     .with_threads(threads)
@@ -335,11 +314,6 @@ impl Engine {
                     }
                     SeriesRef::Inline(series) => series.clone(),
                 };
-                if request.years == 0 {
-                    return Err(ApiError::bad_request(
-                        "years must be at least 1 (the series replays once per year)",
-                    ));
-                }
                 if request.years as f64 > point.lifetime_years.ceil() {
                     return Err(ApiError::bad_request(format!(
                         "years ({}) exceeds the device lifetime of {} years",
@@ -430,6 +404,7 @@ impl Engine {
     /// Same compile/validation conditions as the buffered grid; per-point
     /// model errors surface from [`GridStream::next_block`].
     pub fn grid_stream(&self, request: &GridRequest) -> Result<GridStream, ApiError> {
+        request.validate()?;
         let compiled = self.compiled(&request.scenario)?;
         let (x_values, y_values) = request.lattice();
         Ok(compiled.grid_stream(

@@ -39,11 +39,13 @@
 #![warn(missing_docs)]
 
 mod parse;
+mod wire;
 mod write;
 
 use std::fmt;
 
 pub use parse::{parse, parse_with, ParseLimits};
+pub use wire::{decode_member, decode_member_or, expect_object, prefix_schema};
 
 /// A JSON document: the result of parsing, and the input to writing.
 ///
@@ -282,6 +284,9 @@ impl fmt::Display for JsonError {
                 write!(f, "JSON input exceeds the size limit of {limit} bytes")
             }
             JsonError::NonFinite => f.write_str("JSON cannot represent NaN or infinite numbers"),
+            JsonError::Schema { at, message } if at.is_empty() => {
+                write!(f, "JSON schema error: {message}")
+            }
             JsonError::Schema { at, message } => {
                 write!(f, "JSON schema error at {at}: {message}")
             }
@@ -335,6 +340,18 @@ impl FromJson for u64 {
     }
 }
 
+impl ToJson for usize {
+    fn to_json(&self) -> Value {
+        Value::Number(*self as f64)
+    }
+}
+
+impl FromJson for usize {
+    fn from_json(value: &Value) -> Result<usize, JsonError> {
+        u64::from_json(value).map(|n| n as usize)
+    }
+}
+
 impl ToJson for bool {
     fn to_json(&self) -> Value {
         Value::Bool(*self)
@@ -364,9 +381,15 @@ impl FromJson for String {
     }
 }
 
-impl<T: ToJson> ToJson for Vec<T> {
+impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Value {
         Value::Array(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Value {
+        self.as_slice().to_json()
     }
 }
 
@@ -378,6 +401,39 @@ impl<T: FromJson> FromJson for Vec<T> {
             .iter()
             .map(T::from_json)
             .collect()
+    }
+}
+
+/// `None` encodes as `null`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Value {
+        self.as_ref().map_or(Value::Null, ToJson::to_json)
+    }
+}
+
+/// `null` decodes as `None`.
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(value: &Value) -> Result<Option<T>, JsonError> {
+        match value {
+            Value::Null => Ok(None),
+            other => T::from_json(other).map(Some),
+        }
+    }
+}
+
+/// A pair encodes as the two-element array `[a, b]`.
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn to_json(&self) -> Value {
+        Value::Array(vec![self.0.to_json(), self.1.to_json()])
+    }
+}
+
+impl<A: FromJson, B: FromJson> FromJson for (A, B) {
+    fn from_json(value: &Value) -> Result<(A, B), JsonError> {
+        match value.as_array() {
+            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
+            _ => Err(JsonError::schema("array", "expected a [low, high] pair")),
+        }
     }
 }
 
@@ -441,6 +497,18 @@ mod tests {
         assert!(f64::from_json(&Value::Null).is_err());
         assert!(u64::from_json(&Value::Number(0.5)).is_err());
         assert!(Vec::<f64>::from_json(&Value::Bool(true)).is_err());
+        assert_eq!(usize::from_json(&3usize.to_json()).unwrap(), 3);
+        assert_eq!(
+            Option::<f64>::from_json(&None::<f64>.to_json()).unwrap(),
+            None
+        );
+        assert_eq!(
+            Option::<u64>::from_json(&Some(4u64).to_json()).unwrap(),
+            Some(4)
+        );
+        let pair = (0.5f64, 9u64);
+        assert_eq!(<(f64, u64)>::from_json(&pair.to_json()).unwrap(), pair);
+        assert!(<(f64, f64)>::from_json(&array([1.0])).is_err());
     }
 
     #[test]

@@ -99,26 +99,16 @@ pub(crate) fn route_index(method: &str, path: &str) -> usize {
 }
 
 /// Whether a request should run on the worker pool instead of inline on
-/// the event loop. Point lookups finish in single-digit microseconds —
-/// handing them to another thread costs more than answering them — while
-/// the fan-out kinds can burn milliseconds and would stall every other
-/// connection if they ran on the loop.
+/// the event loop ([`QueryKind::offloads`]). Point lookups finish in
+/// single-digit microseconds — handing them to another thread costs more
+/// than answering them — while the fan-out kinds can burn milliseconds and
+/// would stall every other connection if they ran on the loop.
 pub(crate) fn offloads(method: &str, path: &str) -> bool {
     route_table()
         .iter()
         .find(|route| route.method == method && route.path == path)
         .is_some_and(|route| match route.endpoint {
-            Endpoint::Query(kind) => matches!(
-                kind,
-                QueryKind::Batch
-                    | QueryKind::Sweep
-                    | QueryKind::Grid
-                    | QueryKind::Frontier
-                    | QueryKind::Tornado
-                    | QueryKind::MonteCarlo
-                    | QueryKind::Replay
-                    | QueryKind::Optimize
-            ),
+            Endpoint::Query(kind) => kind.offloads(),
             Endpoint::Healthz | Endpoint::Metrics | Endpoint::Prometheus | Endpoint::Trace => false,
         })
 }
@@ -223,9 +213,9 @@ fn grid_stream_head(stream: &GridStream) -> Result<String, ApiError> {
     let mut head = object([
         ("domain", stream.domain().to_json()),
         ("x_axis", stream.x_axis().to_json()),
-        ("x_values", stream.x_values().to_vec().to_json()),
+        ("x_values", stream.x_values().to_json()),
         ("y_axis", stream.y_axis().to_json()),
-        ("y_values", stream.y_values().to_vec().to_json()),
+        ("y_values", stream.y_values().to_json()),
     ])
     .to_json_string()
     .map_err(|e| ApiError::internal(format!("response serialization failed: {e}")))?;
