@@ -6,6 +6,8 @@ use std::ops::{Add, AddAssign, Mul};
 
 use gf_units::Carbon;
 
+use crate::{GreenFpgaError, PlatformKind};
+
 /// A total carbon footprint broken down into the lifecycle components the
 /// paper tracks (Fig. 3 / Fig. 7 / Figs. 10–11).
 ///
@@ -83,6 +85,25 @@ impl CfpBreakdown {
             ("operation", self.operation),
             ("app_dev", self.app_dev),
         ]
+    }
+
+    /// `self` when its total is a finite number; otherwise the
+    /// [`GreenFpgaError::NonFinite`] naming the first non-finite component
+    /// (or `total` when only the sum overflows). Every evaluation path
+    /// applies this to the breakdowns it produces, so a result that JSON
+    /// cannot carry is a model error, not a serialization failure.
+    pub fn finite(self, platform: PlatformKind) -> Result<CfpBreakdown, GreenFpgaError> {
+        if self.total().as_kg().is_finite() {
+            return Ok(self);
+        }
+        let component = self
+            .components()
+            .into_iter()
+            .find(|(_, carbon)| !carbon.as_kg().is_finite())
+            .map_or("total", |(name, _)| name);
+        Err(GreenFpgaError::NonFinite {
+            what: format!("the {platform} {component} footprint"),
+        })
     }
 
     /// Scales every component by a constant (e.g. per-chip → per-fleet).

@@ -51,6 +51,13 @@ pub enum GreenFpgaError {
         /// What makes the problem infeasible.
         reason: String,
     },
+    /// A result overflowed `f64`: the inputs are outside the range the
+    /// model can represent.
+    NonFinite {
+        /// The quantity that is not finite, e.g. `the FPGA operation
+        /// footprint`.
+        what: String,
+    },
     /// Error bubbled up from the manufacturing substrate.
     Act(ActError),
     /// Error bubbled up from the lifecycle models.
@@ -77,6 +84,10 @@ impl fmt::Display for GreenFpgaError {
             GreenFpgaError::Infeasible { reason } => {
                 write!(f, "infeasible: {reason}")
             }
+            GreenFpgaError::NonFinite { what } => write!(
+                f,
+                "{what} is not a finite number (the inputs overflow the model's range)"
+            ),
             GreenFpgaError::Act(e) => write!(f, "manufacturing model error: {e}"),
             GreenFpgaError::Lifecycle(e) => write!(f, "lifecycle model error: {e}"),
             GreenFpgaError::Unit(e) => write!(f, "unit error: {e}"),

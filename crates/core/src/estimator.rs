@@ -5,7 +5,7 @@ use gf_units::Carbon;
 
 use crate::{
     Application, AsicSpec, CfpBreakdown, ChipSpec, DesignStaffing, EstimatorParams, FpgaSpec,
-    GreenFpgaError, PlatformComparison, Workload,
+    GreenFpgaError, PlatformComparison, PlatformKind, Workload,
 };
 
 /// Evaluates total lifecycle carbon footprints for FPGA- and ASIC-based
@@ -161,7 +161,7 @@ impl Estimator {
         for (application, count) in runs(applications) {
             total += self.fpga_deployment_for(fpga, application)? * count as f64;
         }
-        Ok(total)
+        total.finite(PlatformKind::Fpga)
     }
 
     /// Embodied footprint of an ASIC platform for one application: a fresh
@@ -240,7 +240,7 @@ impl Estimator {
                 + self.asic_deployment_for(asic, application)?;
             total += per_application * count as f64;
         }
-        Ok(total)
+        total.finite(PlatformKind::Asic)
     }
 
     /// Compares the FPGA and ASIC platforms for a domain workload at

@@ -30,7 +30,7 @@ use gf_units::{Area, Carbon, Mass, Power, TimeSpan};
 
 use crate::{
     exec, CfpBreakdown, Domain, Estimator, EstimatorParams, GreenFpgaError, OperatingPoint,
-    PlatformComparison,
+    PlatformComparison, PlatformKind,
 };
 
 /// One platform of a domain calibration with every point-independent
@@ -301,7 +301,7 @@ impl CompiledScenario {
     /// lifetime or zero volume.
     pub fn evaluate(&self, point: OperatingPoint) -> Result<PlatformComparison, GreenFpgaError> {
         let lifetime = self.validate(point)?;
-        let (fpga, asic) = self.totals(point, lifetime);
+        let (fpga, asic) = self.totals(point, lifetime)?;
         Ok(PlatformComparison::new(self.domain, fpga, asic))
     }
 
@@ -329,10 +329,21 @@ impl CompiledScenario {
 
     /// The model arithmetic every evaluation path shares; `point` must have
     /// passed [`CompiledScenario::validate`].
-    fn totals(&self, point: OperatingPoint, lifetime: TimeSpan) -> (CfpBreakdown, CfpBreakdown) {
+    ///
+    /// # Errors
+    ///
+    /// [`GreenFpgaError::NonFinite`] when a footprint overflows `f64`.
+    fn totals(
+        &self,
+        point: OperatingPoint,
+        lifetime: TimeSpan,
+    ) -> Result<(CfpBreakdown, CfpBreakdown), GreenFpgaError> {
         let n = point.applications as f64;
         let (fpga, asic) = self.application_lines(lifetime, point.volume);
-        (fpga.at(n), asic.at(n))
+        Ok((
+            fpga.at(n).finite(PlatformKind::Fpga)?,
+            asic.at(n).finite(PlatformKind::Asic)?,
+        ))
     }
 
     /// Both platforms' footprints as lines in the application count at one
@@ -424,7 +435,7 @@ impl CompiledScenario {
         let result = exec::try_fill_indexed(&mut out.results, threads, |i| {
             let point = point_of(i);
             let lifetime = self.validate(point)?;
-            Ok(self.totals(point, lifetime))
+            self.totals(point, lifetime)
         });
         if batch_from != 0 {
             gf_trace::record_span_at(

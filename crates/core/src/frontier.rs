@@ -272,11 +272,8 @@ impl CompiledScenario {
         y_values: &[f64],
         base: OperatingPoint,
     ) -> Result<FrontierResult, GreenFpgaError> {
-        if x_values.is_empty() || y_values.is_empty() {
-            return Err(GreenFpgaError::InvalidRange {
-                what: "frontier values",
-            });
-        }
+        crate::sweep::check_axis_values(x_values, "frontier values")?;
+        crate::sweep::check_axis_values(y_values, "frontier values")?;
         let domain = self.domain();
         let compiled = self;
         let (width, height) = (x_values.len(), y_values.len());

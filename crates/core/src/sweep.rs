@@ -62,6 +62,22 @@ impl OperatingPoint {
     }
 }
 
+/// Rejects an empty or non-finite list of lattice coordinates. The
+/// coordinates are part of every lattice result, so one that overflowed
+/// `f64` (say, a linear range spaced past `f64::MAX`) is a model error
+/// rather than a number the JSON writer later refuses.
+pub(crate) fn check_axis_values(values: &[f64], what: &'static str) -> Result<(), GreenFpgaError> {
+    if values.is_empty() {
+        return Err(GreenFpgaError::InvalidRange { what });
+    }
+    match values.iter().position(|value| !value.is_finite()) {
+        Some(index) => Err(GreenFpgaError::NonFinite {
+            what: format!("entry {index} of the {what}"),
+        }),
+        None => Ok(()),
+    }
+}
+
 impl Default for OperatingPoint {
     fn default() -> Self {
         OperatingPoint::paper_default()
@@ -283,11 +299,7 @@ impl crate::CompiledScenario {
         base: OperatingPoint,
         threads: usize,
     ) -> Result<SweepSeries, GreenFpgaError> {
-        if values.is_empty() {
-            return Err(GreenFpgaError::InvalidRange {
-                what: "sweep values",
-            });
-        }
+        check_axis_values(values, "sweep values")?;
         let mut buffer = ResultBuffer::new();
         self.evaluate_indexed_into(
             values.len(),
@@ -329,11 +341,8 @@ impl crate::CompiledScenario {
         base: OperatingPoint,
         threads: usize,
     ) -> Result<GridSweep, GreenFpgaError> {
-        if x_values.is_empty() || y_values.is_empty() {
-            return Err(GreenFpgaError::InvalidRange {
-                what: "grid values",
-            });
-        }
+        check_axis_values(x_values, "grid values")?;
+        check_axis_values(y_values, "grid values")?;
         let columns = x_values.len();
         let mut buffer = ResultBuffer::new();
         self.evaluate_indexed_into(
@@ -387,11 +396,8 @@ impl crate::CompiledScenario {
         base: OperatingPoint,
         threads: usize,
     ) -> Result<GridStream, GreenFpgaError> {
-        if x_values.is_empty() || y_values.is_empty() {
-            return Err(GreenFpgaError::InvalidRange {
-                what: "grid values",
-            });
-        }
+        check_axis_values(&x_values, "grid values")?;
+        check_axis_values(&y_values, "grid values")?;
         // Aim for ~4K cells per block: a block's results (~384 KiB) then
         // weigh no more than a buffered 64×64 grid's, so a streamed response
         // never pins more memory than the buffered routes already do, while
@@ -866,14 +872,26 @@ mod tests {
             ),
             Err(GreenFpgaError::InvalidRange { .. })
         ));
-        // A non-finite lifetime fails validation inside the block; the
+        // Non-finite coordinates are rejected before any block runs.
+        assert!(matches!(
+            compiled.grid_stream(
+                SweepAxis::Applications,
+                vec![1.0],
+                SweepAxis::LifetimeYears,
+                vec![f64::NAN],
+                OperatingPoint::paper_default(),
+                0,
+            ),
+            Err(GreenFpgaError::NonFinite { .. })
+        ));
+        // A negative lifetime fails validation inside the block; the
         // stream surfaces the error once and then terminates.
         let mut stream = compiled
             .grid_stream(
                 SweepAxis::Applications,
                 vec![1.0],
                 SweepAxis::LifetimeYears,
-                vec![f64::NAN],
+                vec![-1.0],
                 OperatingPoint::paper_default(),
                 0,
             )

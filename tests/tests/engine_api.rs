@@ -692,3 +692,125 @@ fn engine_errors_speak_the_taxonomy() {
     assert_eq!(big_seed.code, ApiErrorCode::BadRequest);
     assert!(big_seed.message.contains("2^53"), "{big_seed}");
 }
+
+#[test]
+fn out_of_range_requests_are_bad_requests_through_the_engine() {
+    // Range rules live in one `validate` per request type, which the engine
+    // runs on every query — a request built in code cannot skip them by
+    // never passing through the decoder.
+    let engine = engine();
+    let scenario = ScenarioSpec::baseline(Domain::Dnn);
+    let point = OperatingPoint::paper_default();
+    let sweep = SweepRequest {
+        scenario: scenario.clone(),
+        base: point,
+        axis: SweepAxis::Applications,
+        range: (1.0, 4.0),
+        steps: 4,
+    };
+    let grid = GridRequest {
+        scenario: scenario.clone(),
+        base: point,
+        x_axis: SweepAxis::Applications,
+        x_range: (1.0, 8.0),
+        y_axis: SweepAxis::LifetimeYears,
+        y_range: (0.5, 3.0),
+        steps: 4,
+        stream: false,
+    };
+    let montecarlo = MonteCarloRequest::with_defaults(scenario.clone(), point);
+    let bad = [
+        Query::Sweep(SweepRequest {
+            steps: 1,
+            range: (5.0, 1.0),
+            ..sweep.clone()
+        }),
+        Query::Sweep(SweepRequest {
+            range: (5.0, 1.0),
+            ..sweep.clone()
+        }),
+        Query::Sweep(SweepRequest {
+            steps: SweepRequest::MAX_STEPS + 1,
+            ..sweep
+        }),
+        Query::Grid(GridRequest {
+            steps: 1,
+            ..grid.clone()
+        }),
+        Query::Grid(GridRequest {
+            y_axis: SweepAxis::Applications,
+            ..grid.clone()
+        }),
+        Query::Frontier(FrontierRequest {
+            scenario: scenario.clone(),
+            base: point,
+            x_axis: SweepAxis::Applications,
+            x_range: (f64::NAN, 8.0),
+            y_axis: SweepAxis::LifetimeYears,
+            y_range: (0.5, 3.0),
+            steps: 8,
+        }),
+        Query::Compare(CompareRequest {
+            scenarios: Vec::new(),
+            point,
+        }),
+        Query::MonteCarlo(MonteCarloRequest {
+            samples: 0,
+            ..montecarlo.clone()
+        }),
+        Query::MonteCarlo(MonteCarloRequest {
+            seed: MonteCarloRequest::MAX_SEED,
+            ..montecarlo
+        }),
+        Query::Industry(IndustryRequest {
+            service_years: 0.0,
+            ..IndustryRequest::default()
+        }),
+        Query::Replay(ReplayRequest {
+            scenario: ScenarioRef::Inline(scenario),
+            point: None,
+            series: SeriesRef::Region("global_flat".to_string()),
+            interpolate: false,
+            years: 0,
+        }),
+    ];
+    for query in bad {
+        let error = engine.run(&query).unwrap_err();
+        assert_eq!(error.code, ApiErrorCode::BadRequest, "{query:?}: {error}");
+        assert!(query.validate().is_err(), "{query:?}");
+    }
+    // The streamed grid path applies the same rules.
+    let Err(error) = engine.grid_stream(&GridRequest { steps: 1, ..grid }) else {
+        panic!("a one-step grid streamed");
+    };
+    assert_eq!(error.code, ApiErrorCode::BadRequest);
+}
+
+#[test]
+fn non_finite_results_are_model_errors_naming_the_component() {
+    let engine = engine();
+    let body = r#"{"domain":"dnn","axis":"volume","from":1e300,"to":1.7e308,"steps":4}"#;
+    let query = QueryKind::Sweep
+        .decode_request(&parse(body).unwrap())
+        .unwrap();
+    let error = engine.run(&query).unwrap_err();
+    assert_eq!(error.code, ApiErrorCode::Model, "{error}");
+    assert_eq!(error.http_status(), 422);
+    assert_eq!(error.exit_code(), 3);
+    assert!(error.message.contains("sweep values"), "{error}");
+
+    let error = engine
+        .run(&Query::Evaluate(EvaluateRequest {
+            scenario: ScenarioSpec::baseline(Domain::Dnn),
+            point: OperatingPoint {
+                lifetime_years: 1e308,
+                ..OperatingPoint::paper_default()
+            },
+        }))
+        .unwrap_err();
+    assert_eq!(error.code, ApiErrorCode::Model, "{error}");
+    assert!(
+        error.message.contains("FPGA operation footprint"),
+        "{error}"
+    );
+}

@@ -972,3 +972,20 @@ fn every_query_kind_is_servable_over_the_wire() {
     }
     handle.shutdown();
 }
+
+#[test]
+fn non_finite_results_answer_422_model_not_500() {
+    let handle = spawn_server();
+    let mut client = connect(&handle);
+    let (status, body) = client
+        .post(
+            QueryKind::Sweep.path(),
+            r#"{"domain":"dnn","axis":"volume","from":1e300,"to":1.7e308,"steps":4}"#,
+        )
+        .expect("sweep round-trip");
+    assert_eq!(status, 422, "{body}");
+    let error = gf_json::parse(&body).unwrap();
+    let code = error.get("error").and_then(|e| e.get("code"));
+    assert_eq!(code.and_then(Value::as_str), Some("model"), "{body}");
+    handle.shutdown();
+}
