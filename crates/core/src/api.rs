@@ -9,22 +9,19 @@
 //! test decodes is *structurally guaranteed* to match what the server
 //! encoded.
 //!
-//! Each wire struct is declared once with [`gf_json::wire_struct!`], which
-//! generates both directions of its codec from the field list; only the
-//! encoders that add computed members (`ratio`, `winner`, `total_kg`,
-//! `count`, `swing`, …) are written by hand. Every query kind is one row of
-//! the `query_kinds!` table, which generates [`QueryKind`], [`Query`],
-//! [`Outcome`] and their per-kind dispatch.
+//! Each wire struct is declared once with [`gf_json::wire_struct!`]; only
+//! encoders that add computed members (`ratio`, `winner`, `total_kg`, …)
+//! are hand-written. Each query kind is one row of the `query_kinds!`
+//! table, which generates [`QueryKind`], [`Query`], [`Outcome`] and their
+//! dispatch.
 //!
 //! Numbers are serialized with round-tripping `f64` formatting (see
 //! [`gf_json`]), so decoding a response reconstructs carbon breakdowns
 //! **bit-identical** to the values the engine produced.
 //!
-//! Decoders check shape only (types, required members, known ids). Range
-//! rules — step counts, range order, sample counts, seeds — live in one
-//! [`Query::validate`] per request type, which [`crate::Engine`] runs on
-//! every query, so programmatic and wire requests are held to the same
-//! rules.
+//! Decoders check shape only (types, required members, known ids); range
+//! rules live in [`Query::validate`], which [`crate::Engine`] runs on
+//! every query, so programmatic and wire requests obey the same rules.
 //!
 //! ## Request schema
 //!
@@ -671,32 +668,22 @@ fn push_platform(members: &mut Vec<(&'static str, Value)>, platform: OptPlatform
 
 impl ToJson for Objective {
     fn to_json(&self) -> Value {
-        let mut members: Vec<(&'static str, Value)> = Vec::new();
-        let goal = match *self {
-            Objective::MinTotal(platform) => {
-                push_platform(&mut members, platform);
-                "min_total"
-            }
-            Objective::MinOperational(platform) => {
-                push_platform(&mut members, platform);
-                "min_operational"
-            }
-            Objective::MinEmbodied(platform) => {
-                push_platform(&mut members, platform);
-                "min_embodied"
-            }
-            Objective::MaxFpgaMargin => "max_margin",
-            Objective::MinRatio => "min_ratio",
+        let (goal, platform, budget_kg) = match *self {
+            Objective::MinTotal(platform) => ("min_total", platform, None),
+            Objective::MinOperational(platform) => ("min_operational", platform, None),
+            Objective::MinEmbodied(platform) => ("min_embodied", platform, None),
+            Objective::MaxFpgaMargin => ("max_margin", OptPlatform::Fpga, None),
+            Objective::MinRatio => ("min_ratio", OptPlatform::Fpga, None),
             Objective::MeetBudget {
                 platform,
                 budget_kg,
-            } => {
-                push_platform(&mut members, platform);
-                members.push(("budget_kg", Value::Number(budget_kg)));
-                "budget"
-            }
+            } => ("budget", platform, Some(budget_kg)),
         };
-        members.insert(0, ("goal", Value::String(goal.to_string())));
+        let mut members = vec![("goal", Value::String(goal.to_string()))];
+        push_platform(&mut members, platform);
+        if let Some(budget_kg) = budget_kg {
+            members.push(("budget_kg", Value::Number(budget_kg)));
+        }
         object(members)
     }
 }
@@ -1398,14 +1385,9 @@ wire_struct! {
 
 impl Default for IndustryRequest {
     /// The paper's setup: 6 years, 3 FPGA applications, 1 M units, no
-    /// overrides.
+    /// overrides — the field list's defaults.
     fn default() -> Self {
-        IndustryRequest {
-            knobs: Vec::new(),
-            service_years: 6.0,
-            fpga_applications: 3,
-            volume: 1_000_000,
-        }
+        IndustryRequest::from_json(&Value::Object(Vec::new())).expect("every member has a default")
     }
 }
 

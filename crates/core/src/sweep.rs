@@ -4,6 +4,8 @@
 //! the application lifetime and the application volume, and computing the
 //! FPGA:ASIC ratio over pairwise grids for the heatmaps.
 
+use gf_json::{object, JsonError, ToJson, Value};
+
 use crate::comparison::crossovers_from_samples;
 use crate::{CfpBreakdown, Crossover, Domain, Estimator, GreenFpgaError, ResultBuffer};
 
@@ -558,6 +560,32 @@ impl GridStream {
             buffer: &self.buffer,
         }))
     }
+
+    /// The streamed wire form's opening fragment: the buffered
+    /// [`GridSweep`] JSON up to and including `"ratios":[`. This head, every
+    /// block's [`GridBlock::rows_json`] and [`GridStream::tail_json`]
+    /// concatenate to exactly the buffered body. Each fails only on a
+    /// non-finite number ([`JsonError::NonFinite`]).
+    pub fn head_json(&self) -> Result<String, JsonError> {
+        let mut head = object([
+            ("domain", self.domain().to_json()),
+            ("x_axis", self.x_axis.to_json()),
+            ("x_values", self.x_values.to_json()),
+            ("y_axis", self.y_axis.to_json()),
+            ("y_values", self.y_values.to_json()),
+        ])
+        .to_json_string()?;
+        head.pop(); // the closing '}' — the object stays open for the rows
+        head.push_str(",\"ratios\":[");
+        Ok(head)
+    }
+
+    /// The streamed wire form's closing fragment, once every block has been
+    /// delivered: the winning fraction and the closing braces.
+    pub fn tail_json(&self) -> Result<String, JsonError> {
+        let fraction = Value::Number(self.fpga_winning_fraction()).to_json_string()?;
+        Ok(format!("],\"fpga_winning_fraction\":{fraction}}}"))
+    }
 }
 
 /// One row-block of a [`GridStream`], borrowing the stream's buffer.
@@ -594,6 +622,21 @@ impl GridBlock<'_> {
     /// Iterates one block-relative row's ratios in column order.
     pub fn row(&self, row: usize) -> impl Iterator<Item = f64> + '_ {
         (0..self.columns).map(move |col| self.ratio(row, col))
+    }
+
+    /// This block's rows in the streamed wire form (see
+    /// [`GridStream::head_json`]): JSON arrays separated by commas, with a
+    /// leading comma unless the block opens the grid.
+    pub fn rows_json(&self) -> Result<String, JsonError> {
+        let mut fragment = String::new();
+        for row in 0..self.rows {
+            if self.start_row + row > 0 {
+                fragment.push(',');
+            }
+            let cells = Value::Array(self.row(row).map(Value::Number).collect());
+            fragment.push_str(&cells.to_json_string()?);
+        }
+        Ok(fragment)
     }
 }
 

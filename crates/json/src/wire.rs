@@ -158,7 +158,7 @@ macro_rules! wire_struct {
         $(#[$meta])*
         impl $crate::ToJson for $name {
             fn to_json(&self) -> $crate::Value {
-                let mut members = Vec::with_capacity(1 $(+ $crate::__wire_one!($field))*);
+                let mut members = Vec::with_capacity(1 + [$(stringify!($field)),*].len());
                 $($crate::__wire_encode!(members, &self.$field, $field $($key)?; $($($mode)*)?);)*
                 $crate::Value::Object(members)
             }
@@ -166,14 +166,6 @@ macro_rules! wire_struct {
         $crate::wire_struct! {
             impl FromJson for $name { $($field: $ty $(as $key)? $([$($mode)*])?),* } $(check $check)?
         }
-    };
-}
-
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __wire_one {
-    ($field:ident) => {
-        1
     };
 }
 
@@ -246,10 +238,8 @@ macro_rules! __wire_decode {
         let key = $crate::__wire_key!($field $($key)?);
         $codec::from_json($value.get(key)).map_err(|e| $crate::prefix_schema(key, e))?
     }};
-    ($value:ident, $ty:ty, $field:ident $($key:literal)?; default $default:expr) => {
-        $crate::decode_member_or($value, $crate::__wire_key!($field $($key)?), || $default)?
-    };
-    ($value:ident, $ty:ty, $field:ident $($key:literal)?; omit $default:expr) => {
+    // `default d` and `omit d` decode alike.
+    ($value:ident, $ty:ty, $field:ident $($key:literal)?; $mode:ident $default:expr) => {
         $crate::decode_member_or($value, $crate::__wire_key!($field $($key)?), || $default)?
     };
     ($value:ident, $ty:ty, $field:ident $($key:literal)?;) => {

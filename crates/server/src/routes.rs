@@ -201,27 +201,10 @@ fn try_grid_stream(
         return Ok(None);
     }
     let stream = state.engine.grid_stream(&grid)?;
-    let head = grid_stream_head(&stream)?;
+    let head = stream
+        .head_json()
+        .map_err(|e| ApiError::internal(format!("response serialization failed: {e}")))?;
     Ok(Some((head, Box::new(stream))))
-}
-
-/// The streamed response's opening fragment: the buffered
-/// [`greenfpga::GridSweep`] JSON truncated right after `"ratios":[`. The
-/// same compact writer produces both paths, so streamed + buffered bodies
-/// are byte-identical once the rows and tail are appended.
-fn grid_stream_head(stream: &GridStream) -> Result<String, ApiError> {
-    let mut head = object([
-        ("domain", stream.domain().to_json()),
-        ("x_axis", stream.x_axis().to_json()),
-        ("x_values", stream.x_values().to_json()),
-        ("y_axis", stream.y_axis().to_json()),
-        ("y_values", stream.y_values().to_json()),
-    ])
-    .to_json_string()
-    .map_err(|e| ApiError::internal(format!("response serialization failed: {e}")))?;
-    head.pop(); // the closing '}' — the object stays open for the rows
-    head.push_str(",\"ratios\":[");
-    Ok(head)
 }
 
 /// Evaluates a grid stream block by block on the worker, sending each
@@ -242,40 +225,20 @@ pub(crate) fn stream_grid_blocks(
         }
         delivered
     };
-    let mut first = true;
     while let Some(block) = stream.next_block() {
-        let Ok(block) = block else {
-            // Head already on the wire: truncation is the only signal left.
+        // Head already on the wire: truncation is the only error signal left.
+        let Ok(Ok(fragment)) = block.map(|block| block.rows_json()) else {
             wake(StreamEvent::Abort);
             return;
         };
-        let mut fragment = String::new();
-        for r in 0..block.rows() {
-            if !first {
-                fragment.push(',');
-            }
-            first = false;
-            let row: Vec<f64> = block.row(r).collect();
-            match row.to_json().to_json_string() {
-                Ok(json) => fragment.push_str(&json),
-                Err(_) => {
-                    wake(StreamEvent::Abort);
-                    return;
-                }
-            }
-        }
         if !wake(StreamEvent::Chunk(fragment)) {
             return; // connection closed: stop evaluating
         }
     }
-    let fraction = Value::Number(stream.fpga_winning_fraction());
-    let Ok(fraction) = fraction.to_json_string() else {
-        wake(StreamEvent::Abort);
-        return;
+    match stream.tail_json() {
+        Ok(tail) => wake(StreamEvent::End { tail }),
+        Err(_) => wake(StreamEvent::Abort),
     };
-    wake(StreamEvent::End {
-        tail: format!("],\"fpga_winning_fraction\":{fraction}}}"),
-    });
 }
 
 /// Routes one request. Returns `(status, body, end_ticks)`; the body is

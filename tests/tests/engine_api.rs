@@ -695,92 +695,52 @@ fn engine_errors_speak_the_taxonomy() {
 
 #[test]
 fn out_of_range_requests_are_bad_requests_through_the_engine() {
-    // Range rules live in one `validate` per request type, which the engine
-    // runs on every query — a request built in code cannot skip them by
-    // never passing through the decoder.
+    // Decoders check shape only; the range rules live in one `validate` per
+    // request type, which the engine runs on every query. So each body below
+    // decodes, and the engine — not the decoder — answers bad_request.
     let engine = engine();
-    let scenario = ScenarioSpec::baseline(Domain::Dnn);
-    let point = OperatingPoint::paper_default();
-    let sweep = SweepRequest {
-        scenario: scenario.clone(),
-        base: point,
-        axis: SweepAxis::Applications,
-        range: (1.0, 4.0),
-        steps: 4,
-    };
-    let grid = GridRequest {
-        scenario: scenario.clone(),
-        base: point,
-        x_axis: SweepAxis::Applications,
-        x_range: (1.0, 8.0),
-        y_axis: SweepAxis::LifetimeYears,
-        y_range: (0.5, 3.0),
-        steps: 4,
-        stream: false,
-    };
-    let montecarlo = MonteCarloRequest::with_defaults(scenario.clone(), point);
-    let bad = [
-        Query::Sweep(SweepRequest {
-            steps: 1,
-            range: (5.0, 1.0),
-            ..sweep.clone()
-        }),
-        Query::Sweep(SweepRequest {
-            range: (5.0, 1.0),
-            ..sweep.clone()
-        }),
-        Query::Sweep(SweepRequest {
-            steps: SweepRequest::MAX_STEPS + 1,
-            ..sweep
-        }),
-        Query::Grid(GridRequest {
-            steps: 1,
-            ..grid.clone()
-        }),
-        Query::Grid(GridRequest {
-            y_axis: SweepAxis::Applications,
-            ..grid.clone()
-        }),
-        Query::Frontier(FrontierRequest {
-            scenario: scenario.clone(),
-            base: point,
-            x_axis: SweepAxis::Applications,
-            x_range: (f64::NAN, 8.0),
-            y_axis: SweepAxis::LifetimeYears,
-            y_range: (0.5, 3.0),
-            steps: 8,
-        }),
-        Query::Compare(CompareRequest {
-            scenarios: Vec::new(),
-            point,
-        }),
-        Query::MonteCarlo(MonteCarloRequest {
-            samples: 0,
-            ..montecarlo.clone()
-        }),
-        Query::MonteCarlo(MonteCarloRequest {
-            seed: MonteCarloRequest::MAX_SEED,
-            ..montecarlo
-        }),
-        Query::Industry(IndustryRequest {
-            service_years: 0.0,
-            ..IndustryRequest::default()
-        }),
-        Query::Replay(ReplayRequest {
-            scenario: ScenarioRef::Inline(scenario),
-            point: None,
-            series: SeriesRef::Region("global_flat".to_string()),
-            interpolate: false,
-            years: 0,
-        }),
-    ];
-    for query in bad {
+    for (kind, body) in [
+        (
+            QueryKind::Sweep,
+            r#""axis":"apps","from":5,"to":1,"steps":1"#,
+        ),
+        (QueryKind::Sweep, r#""axis":"apps","from":5,"to":1"#),
+        (
+            QueryKind::Sweep,
+            r#""axis":"apps","from":1,"to":4,"steps":100001"#,
+        ),
+        (QueryKind::Grid, r#""steps":1"#),
+        (QueryKind::Grid, r#""x_axis":"lifetime""#),
+        (QueryKind::Frontier, r#""x_from":3,"x_to":2"#),
+        (QueryKind::Frontier, r#""steps":1025"#),
+        (QueryKind::MonteCarlo, r#""samples":0"#),
+        (QueryKind::MonteCarlo, r#""seed":9007199254740992"#),
+        (QueryKind::Industry, r#""service_years":0"#),
+        (QueryKind::Industry, r#""volume":0"#),
+        (QueryKind::Replay, r#""years":0"#),
+    ] {
+        let body = format!(r#"{{"domain":"dnn",{body}}}"#);
+        let query = kind.decode_request(&parse(&body).unwrap()).unwrap();
         let error = engine.run(&query).unwrap_err();
-        assert_eq!(error.code, ApiErrorCode::BadRequest, "{query:?}: {error}");
-        assert!(query.validate().is_err(), "{query:?}");
+        assert_eq!(error.code, ApiErrorCode::BadRequest, "{body}: {error}");
+        assert!(query.validate().is_err(), "{body}");
     }
+    let compare = Query::Compare(CompareRequest {
+        scenarios: Vec::new(),
+        point: OperatingPoint::paper_default(),
+    });
+    assert_eq!(
+        engine.run(&compare).unwrap_err().code,
+        ApiErrorCode::BadRequest
+    );
     // The streamed grid path applies the same rules.
-    let Err(error) = engine.grid_stream(&GridRequest { steps: 1, ..grid }) else {
+    let Query::Grid(grid) = QueryKind::Grid
+        .decode_request(&parse(r#"{"domain":"dnn","steps":1}"#).unwrap())
+        .unwrap()
+    else {
+        unreachable!("grid bodies decode to grid queries");
+    };
+    let Err(error) = engine.grid_stream(&grid) else {
         panic!("a one-step grid streamed");
     };
     assert_eq!(error.code, ApiErrorCode::BadRequest);

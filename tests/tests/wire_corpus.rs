@@ -1,239 +1,49 @@
-//! Frozen wire corpus: the exact bytes of every query kind's `Query`
-//! envelope and `Outcome` envelope, plus the HTTP error body,
-//! `/v1/metrics` and `/v1/trace` shapes, pinned as literals in
-//! `tests/wire_corpus.txt`.
-//!
-//! The other golden suites compare a served body against an in-process
-//! encoding, so a codec change that reorders keys or drops a member on
-//! both sides still passes them. This suite does not: any change to the
-//! bytes a client sees fails here, key order and omitted defaults
-//! included. Volatile numbers (counters, timings, ids) are masked to `0`
-//! or `""` before comparison.
-//!
-//! The corpus file holds one case per line: `<name> <json>`.
+//! Frozen wire corpus (`tests/wire_corpus.txt`, one `<name> <json>` case
+//! per line): the exact `Query` and `Outcome` envelope bytes of every query
+//! kind and its omit-when-default variants, plus the HTTP error body and
+//! the `/v1/metrics` and `/v1/trace` shapes with volatile values masked.
+//! Unlike the in-process goldens, a codec change that reorders keys or
+//! drops a member on both sides fails here. Each `<name>.query` must
+//! decode and re-encode to identical bytes, and running it must produce
+//! the `<name>.outcome` line that follows (the error body on rejection).
 
+use std::collections::HashSet;
 use std::time::Duration;
 
-use gf_json::{ToJson, Value};
+use gf_json::{FromJson, ToJson, Value};
 use gf_server::client::Client;
 use gf_server::{Server, ServerConfig};
-use greenfpga::api::{
-    BatchEvalRequest, CatalogRequest, CompareRequest, EvaluateRequest, GridRequest,
-    IndustryRequest, MonteCarloRequest, OptimizeRequest, Query, ReplayRequest, ScenarioRef,
-    ScenarioRunRequest, SweepRequest, TornadoRequest,
-};
-use greenfpga::{
-    CarbonIntensitySeries, Constraint, CrossoverRequest, Domain, Engine, FrontierRequest, Knob,
-    Objective, OperatingPoint, OptPlatform, ScenarioSpec, SearchKnob, SeriesRef, SweepAxis,
-};
+use greenfpga::api::{Query, QueryKind};
+use greenfpga::Engine;
 
 const CORPUS: &str = include_str!("../wire_corpus.txt");
 
-fn point(applications: u64, lifetime_years: f64, volume: u64) -> OperatingPoint {
-    OperatingPoint {
-        applications,
-        lifetime_years,
-        volume,
-    }
+fn text(value: Value) -> String {
+    value.to_json_string().unwrap()
 }
 
-fn catalog_ref(id: &str, knobs: Vec<(Knob, f64)>) -> ScenarioRef {
-    ScenarioRef::Catalog {
-        id: id.to_string(),
-        knobs,
+#[test]
+fn query_and_outcome_envelopes_match_the_frozen_corpus() {
+    let engine = Engine::with_defaults().unwrap();
+    let mut kinds = HashSet::new();
+    let mut lines = CORPUS.lines().filter(|line| !line.starts_with("http."));
+    while let Some(line) = lines.next() {
+        let (name, query_text) = line.split_once(".query ").expect("a query line");
+        let query = Query::from_json(&gf_json::parse(query_text).unwrap())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(text(query.to_json()), query_text, "{name}: query bytes");
+        kinds.insert(query.kind());
+        let outcome = match engine.run(&query) {
+            Ok(outcome) => outcome.to_json(),
+            Err(error) => error.to_json(),
+        };
+        let expected = lines
+            .next()
+            .and_then(|line| line.strip_prefix(name)?.strip_prefix(".outcome "))
+            .unwrap_or_else(|| panic!("{name}: no outcome line follows"));
+        assert_eq!(text(outcome), expected, "{name}: outcome bytes");
     }
-}
-
-/// One small fixed query per kind, plus the omit-when-default variants.
-fn cases() -> Vec<(&'static str, Query)> {
-    let dnn = ScenarioSpec::baseline(Domain::Dnn);
-    let tuned = ScenarioSpec {
-        domain: Domain::Crypto,
-        knobs: vec![(Knob::DutyCycle, 0.4), (Knob::UsageGridIntensity, 650.0)],
-    };
-    let grid = GridRequest {
-        scenario: dnn.clone(),
-        base: point(4, 2.0, 100_000),
-        x_axis: SweepAxis::Applications,
-        x_range: (1.0, 8.0),
-        y_axis: SweepAxis::LifetimeYears,
-        y_range: (0.5, 3.0),
-        steps: 2,
-        stream: false,
-    };
-    let replay = ReplayRequest {
-        scenario: catalog_ref("dnn_baseline", Vec::new()),
-        point: None,
-        series: SeriesRef::Region("global_flat".to_string()),
-        interpolate: false,
-        years: 1,
-    };
-    let optimize = OptimizeRequest {
-        scenario: ScenarioRef::Inline(dnn.clone()),
-        point: None,
-        objective: Objective::MinTotal(OptPlatform::Fpga),
-        search: vec![SearchKnob {
-            axis: SweepAxis::Applications,
-            min: 1.0,
-            max: 8.0,
-            integer: true,
-        }],
-        constraints: Vec::new(),
-        tolerance: OptimizeRequest::DEFAULT_TOLERANCE,
-        max_evals: OptimizeRequest::DEFAULT_MAX_EVALS,
-    };
-    vec![
-        (
-            "evaluate",
-            Query::Evaluate(EvaluateRequest {
-                scenario: tuned.clone(),
-                point: point(3, 1.5, 20_000),
-            }),
-        ),
-        (
-            "batch",
-            Query::Batch(BatchEvalRequest {
-                scenario: dnn.clone(),
-                points: vec![point(1, 0.5, 1_000), point(7, 4.25, 3_000_000)],
-            }),
-        ),
-        (
-            "compare",
-            Query::Compare(CompareRequest {
-                scenarios: vec![dnn.clone(), tuned.clone()],
-                point: OperatingPoint::paper_default(),
-            }),
-        ),
-        (
-            "crossover",
-            Query::Crossover(CrossoverRequest::with_default_ranges(
-                ScenarioSpec::baseline(Domain::ImageProcessing),
-                OperatingPoint::paper_default(),
-            )),
-        ),
-        (
-            "frontier",
-            Query::Frontier(FrontierRequest {
-                scenario: dnn.clone(),
-                base: OperatingPoint::paper_default(),
-                x_axis: SweepAxis::Applications,
-                x_range: (1.0, 16.0),
-                y_axis: SweepAxis::LifetimeYears,
-                y_range: (0.25, 3.0),
-                steps: 3,
-            }),
-        ),
-        (
-            "sweep",
-            Query::Sweep(SweepRequest {
-                scenario: tuned.clone(),
-                base: OperatingPoint::paper_default(),
-                axis: SweepAxis::VolumeUnits,
-                range: (1_000.0, 1e6),
-                steps: 3,
-            }),
-        ),
-        ("grid", Query::Grid(grid.clone())),
-        (
-            "grid_stream",
-            Query::Grid(GridRequest {
-                stream: true,
-                ..grid
-            }),
-        ),
-        (
-            "tornado",
-            Query::Tornado(TornadoRequest {
-                scenario: ScenarioSpec::baseline(Domain::Crypto),
-                point: OperatingPoint::paper_default(),
-            }),
-        ),
-        (
-            "montecarlo",
-            Query::MonteCarlo(MonteCarloRequest {
-                scenario: dnn.clone(),
-                point: OperatingPoint::paper_default(),
-                samples: 8,
-                seed: 7,
-            }),
-        ),
-        (
-            "industry",
-            Query::Industry(IndustryRequest {
-                knobs: vec![(Knob::UsageGridIntensity, 300.0)],
-                ..IndustryRequest::default()
-            }),
-        ),
-        (
-            "scenario",
-            Query::Scenario(ScenarioRunRequest {
-                scenario: catalog_ref("dnn_baseline", Vec::new()),
-                point: None,
-            }),
-        ),
-        (
-            "scenario_point",
-            Query::Scenario(ScenarioRunRequest {
-                scenario: ScenarioRef::Inline(tuned.clone()),
-                point: Some(point(2, 1.0, 50_000)),
-            }),
-        ),
-        ("replay", Query::Replay(replay.clone())),
-        (
-            "replay_years",
-            Query::Replay(ReplayRequest {
-                scenario: catalog_ref("dnn_baseline", vec![(Knob::DutyCycle, 0.3)]),
-                point: Some(point(4, 3.0, 100_000)),
-                series: SeriesRef::Inline(
-                    CarbonIntensitySeries::new(vec![100.0, 400.0, 250.0], 2920.0).unwrap(),
-                ),
-                interpolate: true,
-                years: 3,
-            }),
-        ),
-        ("optimize", Query::Optimize(optimize.clone())),
-        (
-            "optimize_constrained",
-            Query::Optimize(OptimizeRequest {
-                scenario: catalog_ref("dnn_baseline", Vec::new()),
-                point: Some(OperatingPoint::paper_default()),
-                objective: Objective::MinRatio,
-                search: vec![
-                    SearchKnob {
-                        axis: SweepAxis::Applications,
-                        min: 1.0,
-                        max: 12.0,
-                        integer: true,
-                    },
-                    SearchKnob {
-                        axis: SweepAxis::LifetimeYears,
-                        min: 0.5,
-                        max: 4.0,
-                        integer: false,
-                    },
-                ],
-                constraints: vec![Constraint::FpgaWins],
-                ..optimize.clone()
-            }),
-        ),
-        (
-            "optimize_infeasible",
-            Query::Optimize(OptimizeRequest {
-                objective: Objective::MeetBudget {
-                    platform: OptPlatform::Asic,
-                    budget_kg: 1.0,
-                },
-                constraints: vec![Constraint::MaxTotalKg {
-                    platform: OptPlatform::Asic,
-                    limit_kg: 1.0,
-                }],
-                tolerance: 1e-4,
-                max_evals: 500,
-                ..optimize
-            }),
-        ),
-        ("catalog", Query::Catalog(CatalogRequest)),
-    ]
+    assert_eq!(kinds.len(), QueryKind::ALL.len(), "every kind is pinned");
 }
 
 /// Replaces every number with `0`, and every string too when
@@ -248,20 +58,16 @@ fn mask(value: &mut Value, strings: bool) {
     }
 }
 
-/// Every corpus line this build produces, in corpus order.
-fn produce() -> Vec<String> {
-    let mut lines = Vec::new();
-    let engine = Engine::with_defaults().unwrap();
-    for (name, query) in cases() {
-        let text = |value: Value| value.to_json_string().unwrap();
-        lines.push(format!("{name}.query {}", text(query.to_json())));
-        let outcome = match engine.run(&query) {
-            Ok(outcome) => outcome.to_json(),
-            Err(error) => error.to_json(),
-        };
-        lines.push(format!("{name}.outcome {}", text(outcome)));
+/// The member `key` of an object value.
+fn member<'v>(value: &'v mut Value, key: &str) -> Option<&'v mut Value> {
+    match value {
+        Value::Object(members) => members.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
     }
+}
 
+#[test]
+fn http_bodies_match_the_frozen_corpus() {
     let handle = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
@@ -271,6 +77,8 @@ fn produce() -> Vec<String> {
     .unwrap()
     .spawn();
     let mut client = Client::connect(handle.addr()).unwrap();
+    let mut produced = Vec::new();
+
     let (status, body) = client
         .post(
             "/v1/sweep",
@@ -278,41 +86,28 @@ fn produce() -> Vec<String> {
         )
         .unwrap();
     let mut error = gf_json::parse(&body).unwrap();
-    if let Value::Object(members) = &mut error {
-        if let Some((_, id)) = members.iter_mut().find(|(key, _)| key == "request_id") {
-            *id = Value::String(String::new());
-        }
+    if let Some(id) = member(&mut error, "request_id") {
+        *id = Value::String(String::new());
     }
-    lines.push(format!(
-        "http.error {status} {}",
-        error.to_json_string().unwrap()
-    ));
+    produced.push(format!("http.error {status} {}", text(error)));
+
     let (_, body) = client.get("/v1/metrics").unwrap();
     let mut metrics = gf_json::parse(&body).unwrap();
     mask(&mut metrics, false);
-    lines.push(format!(
-        "http.metrics {}",
-        metrics.to_json_string().unwrap()
-    ));
+    produced.push(format!("http.metrics {}", text(metrics)));
+
     let (_, body) = client.get("/v1/trace").unwrap();
     let mut trace = gf_json::parse(&body).unwrap();
-    if let Value::Object(members) = &mut trace {
-        if let Some((_, Value::Array(spans))) = members.iter_mut().find(|(key, _)| key == "spans") {
-            spans.truncate(1);
-        }
+    if let Some(Value::Array(spans)) = member(&mut trace, "spans") {
+        spans.truncate(1);
     }
     mask(&mut trace, true);
-    lines.push(format!("http.trace {}", trace.to_json_string().unwrap()));
+    produced.push(format!("http.trace {}", text(trace)));
     handle.shutdown();
-    lines
-}
 
-#[test]
-fn wire_bytes_match_the_frozen_corpus() {
-    let produced = produce();
-    let frozen: Vec<&str> = CORPUS.lines().collect();
-    for (actual, expected) in produced.iter().zip(&frozen) {
-        assert_eq!(actual, expected);
-    }
-    assert_eq!(produced.len(), frozen.len(), "corpus line count");
+    let frozen: Vec<&str> = CORPUS
+        .lines()
+        .filter(|line| line.starts_with("http."))
+        .collect();
+    assert_eq!(produced, frozen);
 }
