@@ -92,18 +92,28 @@ impl CfpBreakdown {
     /// (or `total` when only the sum overflows). Every evaluation path
     /// applies this to the breakdowns it produces, so a result that JSON
     /// cannot carry is a model error, not a serialization failure.
+    #[inline]
     pub fn finite(self, platform: PlatformKind) -> Result<CfpBreakdown, GreenFpgaError> {
         if self.total().as_kg().is_finite() {
-            return Ok(self);
+            Ok(self)
+        } else {
+            Err(self.non_finite(platform))
         }
+    }
+
+    /// The error path of [`CfpBreakdown::finite`], kept out of line so the
+    /// check itself stays a sum and a compare where it inlines.
+    #[cold]
+    #[inline(never)]
+    fn non_finite(&self, platform: PlatformKind) -> GreenFpgaError {
         let component = self
             .components()
             .into_iter()
             .find(|(_, carbon)| !carbon.as_kg().is_finite())
             .map_or("total", |(name, _)| name);
-        Err(GreenFpgaError::NonFinite {
+        GreenFpgaError::NonFinite {
             what: format!("the {platform} {component} footprint"),
-        })
+        }
     }
 
     /// Scales every component by a constant (e.g. per-chip → per-fleet).

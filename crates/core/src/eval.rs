@@ -301,8 +301,12 @@ impl CompiledScenario {
     /// lifetime or zero volume.
     pub fn evaluate(&self, point: OperatingPoint) -> Result<PlatformComparison, GreenFpgaError> {
         let lifetime = self.validate(point)?;
-        let (fpga, asic) = self.totals(point, lifetime)?;
-        Ok(PlatformComparison::new(self.domain, fpga, asic))
+        let (fpga, asic) = self.totals(point, lifetime);
+        Ok(PlatformComparison::new(
+            self.domain,
+            fpga.finite(PlatformKind::Fpga)?,
+            asic.finite(PlatformKind::Asic)?,
+        ))
     }
 
     /// Validates an operating point, returning its lifetime as a
@@ -328,22 +332,12 @@ impl CompiledScenario {
     }
 
     /// The model arithmetic every evaluation path shares; `point` must have
-    /// passed [`CompiledScenario::validate`].
-    ///
-    /// # Errors
-    ///
-    /// [`GreenFpgaError::NonFinite`] when a footprint overflows `f64`.
-    fn totals(
-        &self,
-        point: OperatingPoint,
-        lifetime: TimeSpan,
-    ) -> Result<(CfpBreakdown, CfpBreakdown), GreenFpgaError> {
+    /// passed [`CompiledScenario::validate`]. Callers check the result with
+    /// [`CfpBreakdown::finite`] before it leaves the kernel.
+    fn totals(&self, point: OperatingPoint, lifetime: TimeSpan) -> (CfpBreakdown, CfpBreakdown) {
         let n = point.applications as f64;
         let (fpga, asic) = self.application_lines(lifetime, point.volume);
-        Ok((
-            fpga.at(n).finite(PlatformKind::Fpga)?,
-            asic.at(n).finite(PlatformKind::Asic)?,
-        ))
+        (fpga.at(n), asic.at(n))
     }
 
     /// Both platforms' footprints as lines in the application count at one
@@ -435,8 +429,9 @@ impl CompiledScenario {
         let result = exec::try_fill_indexed(&mut out.results, threads, |i| {
             let point = point_of(i);
             let lifetime = self.validate(point)?;
-            self.totals(point, lifetime)
-        });
+            Ok(self.totals(point, lifetime))
+        })
+        .and_then(|()| out.check_finite());
         if batch_from != 0 {
             gf_trace::record_span_at(
                 gf_trace::SpanName::EvalBatch,
@@ -623,6 +618,25 @@ impl ResultBuffer {
             self.results
                 .shrink_to(max_bytes / core::mem::size_of::<(CfpBreakdown, CfpBreakdown)>());
         }
+    }
+
+    /// The [`CfpBreakdown::finite`] check over every result, in index
+    /// order. One pass after the fill keeps the check out of the per-point
+    /// kernel, where it cost a third of a ~20 ns evaluation; the scan costs
+    /// a few ns a point, and only a failing batch pays for naming the
+    /// component.
+    fn check_finite(&self) -> Result<(), GreenFpgaError> {
+        let finite = |(fpga, asic): &(CfpBreakdown, CfpBreakdown)| {
+            fpga.total().as_kg().is_finite() & asic.total().as_kg().is_finite()
+        };
+        if self.results.iter().all(finite) {
+            return Ok(());
+        }
+        for &(fpga, asic) in &self.results {
+            fpga.finite(PlatformKind::Fpga)?;
+            asic.finite(PlatformKind::Asic)?;
+        }
+        Ok(())
     }
 
     /// Sizes the buffer for a fill of `n` points in `domain`, reusing

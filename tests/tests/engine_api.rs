@@ -759,18 +759,22 @@ fn non_finite_results_are_model_errors_naming_the_component() {
     assert_eq!(error.exit_code(), 3);
     assert!(error.message.contains("sweep values"), "{error}");
 
-    let error = engine
-        .run(&Query::Evaluate(EvaluateRequest {
-            scenario: ScenarioSpec::baseline(Domain::Dnn),
-            point: OperatingPoint {
-                lifetime_years: 1e308,
-                ..OperatingPoint::paper_default()
-            },
-        }))
-        .unwrap_err();
-    assert_eq!(error.code, ApiErrorCode::Model, "{error}");
-    assert!(
-        error.message.contains("FPGA operation footprint"),
-        "{error}"
-    );
+    // A lifetime near f64::MAX overflows the operation footprint, on the
+    // compiled kernel (evaluate) and the naive estimator (tornado) alike.
+    let point = OperatingPoint {
+        lifetime_years: 1e308,
+        ..OperatingPoint::paper_default()
+    };
+    let scenario = ScenarioSpec::baseline(Domain::Dnn);
+    for query in [
+        Query::Evaluate(EvaluateRequest {
+            scenario: scenario.clone(),
+            point,
+        }),
+        Query::Tornado(TornadoRequest { scenario, point }),
+    ] {
+        let error = engine.run(&query).unwrap_err();
+        assert_eq!(error.code, ApiErrorCode::Model, "{error}");
+        assert!(error.message.contains("operation footprint"), "{error}");
+    }
 }
