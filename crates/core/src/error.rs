@@ -39,12 +39,6 @@ pub enum GreenFpgaError {
         /// Which range was invalid.
         what: &'static str,
     },
-    /// A result could not be rendered for machine consumption (e.g. a
-    /// non-finite number reached a JSON serializer).
-    Serialization {
-        /// What went wrong.
-        reason: String,
-    },
     /// An inverse query has no feasible answer: no point in the searched
     /// box satisfies the carbon budget or constraints.
     Infeasible {
@@ -77,9 +71,6 @@ impl fmt::Display for GreenFpgaError {
             }
             GreenFpgaError::InvalidRange { what } => {
                 write!(f, "invalid range for {what}")
-            }
-            GreenFpgaError::Serialization { reason } => {
-                write!(f, "serialization error: {reason}")
             }
             GreenFpgaError::Infeasible { reason } => {
                 write!(f, "infeasible: {reason}")
@@ -303,14 +294,10 @@ impl fmt::Display for ApiError {
 impl Error for ApiError {}
 
 impl From<GreenFpgaError> for ApiError {
-    /// Model-level errors map to [`ApiErrorCode::Model`], except
-    /// serialization failures (a non-finite number reaching a JSON writer),
-    /// which are engine bugs and map to [`ApiErrorCode::Internal`].
+    /// Model-level errors — including results that overflow `f64`
+    /// ([`GreenFpgaError::NonFinite`]) — map to [`ApiErrorCode::Model`].
     fn from(e: GreenFpgaError) -> ApiError {
-        match e {
-            GreenFpgaError::Serialization { .. } => ApiError::internal(e.to_string()),
-            _ => ApiError::model(e.to_string()),
-        }
+        ApiError::model(e.to_string())
     }
 }
 
@@ -383,11 +370,11 @@ mod tests {
         let model: ApiError = GreenFpgaError::EmptyWorkload.into();
         assert_eq!(model.code, ApiErrorCode::Model);
         assert_eq!(model.http_status(), 422);
-        let internal: ApiError = GreenFpgaError::Serialization {
-            reason: "NaN".to_string(),
+        let overflow: ApiError = GreenFpgaError::NonFinite {
+            what: "the FPGA operation footprint".to_string(),
         }
         .into();
-        assert_eq!(internal.code, ApiErrorCode::Internal);
+        assert_eq!(overflow.code, ApiErrorCode::Model);
         let bad: ApiError = gf_json::JsonError::schema("domain", "missing").into();
         assert_eq!(bad.code, ApiErrorCode::BadRequest);
         assert!(bad.to_string().contains("bad_request"));
