@@ -599,6 +599,18 @@ impl CarbonIntensitySeries {
             }
         }
         let steps = self.points.len() as f64;
+        // Finite totals and a finite mean ratio bound every other member.
+        for (what, value) in [
+            ("FPGA replay total", fpga_total),
+            ("ASIC replay total", asic_total),
+            ("mean replay ratio", ratio_sum / steps),
+        ] {
+            if !value.is_finite() {
+                return Err(GreenFpgaError::NonFinite {
+                    what: format!("the {what}"),
+                });
+            }
+        }
         let embodied_share = if fpga_total > 0.0 {
             (fpga_embodied / fpga_total).clamp(0.0, 1.0)
         } else {

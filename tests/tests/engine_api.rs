@@ -777,4 +777,12 @@ fn non_finite_results_are_model_errors_naming_the_component() {
         assert_eq!(error.code, ApiErrorCode::Model, "{error}");
         assert!(error.message.contains("operation footprint"), "{error}");
     }
+
+    // A carbon-intensity series near f64::MAX overflows the replay totals.
+    let replay = QueryKind::Replay
+        .decode_request(&parse(r#"{"domain":"dnn","series":{"points":[1e308,1e308]}}"#).unwrap())
+        .unwrap();
+    let error = engine.run(&replay).unwrap_err();
+    assert_eq!(error.code, ApiErrorCode::Model, "{error}");
+    assert!(error.message.contains("replay total"), "{error}");
 }
