@@ -27,7 +27,11 @@
 //! * the inverse-query solver — an affine two-knob argmin through the
 //!   exact vertex tier (`optimize_analytic_ns`) and a non-affine
 //!   constrained solve through the coordinate-search tier
-//!   (`optimize_search_ns`), the paths behind `POST /v1/optimize`.
+//!   (`optimize_search_ns`), the paths behind `POST /v1/optimize`, and
+//! * the response codec — the one-pass writer encoding a 64-point batch
+//!   result (`codec_batch64_encode_ns`) and a 64×64 grid result
+//!   (`codec_grid64_encode_ns`) into the served body, and the shortest
+//!   `f64` printer per number (`codec_f64_ns`).
 //!
 //! Emits `BENCH_eval.json` (override the path with `GF_BENCH_OUT`) so CI
 //! can track the performance trajectory (`bench_gate` compares a fresh run
@@ -40,10 +44,13 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use gf_bench::harness::{bench_with, metrics_json};
+use gf_json::JsonWriter;
 use gf_support::SplitMix64;
+use greenfpga::api::{BatchEvalRequest, GridRequest, Query};
 use greenfpga::{
-    CompiledScenario, Domain, Estimator, EstimatorParams, Knob, MonteCarlo, Objective,
-    OperatingPoint, OptPlatform, ResultBuffer, SearchKnob, SolverKind, SweepAxis,
+    CompiledScenario, Domain, Engine, Estimator, EstimatorParams, Knob, MonteCarlo, Objective,
+    OperatingPoint, OptPlatform, Outcome, ResultBuffer, ScenarioSpec, SearchKnob, SolverKind,
+    SweepAxis,
 };
 
 const GRID_SIZE: usize = 64;
@@ -56,6 +63,47 @@ fn grid_axes() -> (Vec<f64>, Vec<f64>) {
     let apps: Vec<f64> = (1..=GRID_SIZE).map(|n| n as f64).collect();
     let lifetimes: Vec<f64> = (1..=GRID_SIZE).map(|i| 0.05 * i as f64).collect();
     (apps, lifetimes)
+}
+
+/// Numbers the `codec_f64_ns` bench prints per pass.
+const CODEC_NUMBERS: usize = 4096;
+
+/// The served body of `outcome`: one writer pass over the typed result.
+fn encode_result(outcome: &Outcome) -> String {
+    let mut w = JsonWriter::new();
+    outcome.write_result(&mut w);
+    w.finish().expect("finite result")
+}
+
+/// The batch and grid outcomes the codec benches encode: 64 points drawn
+/// like the served `bulk_results` batches, and the default 64×64 grid.
+fn codec_outcomes(engine: &Engine) -> (Outcome, Outcome) {
+    let mut rng = SplitMix64::new(0xC0DE_C0DE);
+    let points = (0..64)
+        .map(|_| OperatingPoint {
+            applications: rng.gen_range_u64(1, 24),
+            lifetime_years: rng.gen_range_u64(5, 50) as f64 / 10.0,
+            volume: 10f64.powf(rng.gen_range_f64(4.0, 6.699)).round() as u64,
+        })
+        .collect();
+    let batch = Query::Batch(BatchEvalRequest {
+        scenario: ScenarioSpec::baseline(Domain::Dnn),
+        points,
+    });
+    let grid = Query::Grid(GridRequest {
+        scenario: ScenarioSpec::baseline(Domain::Dnn),
+        base: OperatingPoint::paper_default(),
+        x_axis: SweepAxis::Applications,
+        x_range: (1.0, 12.0),
+        y_axis: SweepAxis::LifetimeYears,
+        y_range: (0.25, 3.0),
+        steps: GRID_SIZE,
+        stream: false,
+    });
+    (
+        engine.run(&batch).expect("batch runs"),
+        engine.run(&grid).expect("grid runs"),
+    )
 }
 
 /// The pre-batch-engine heatmap: every cell rebuilds the calibration and the
@@ -552,6 +600,52 @@ fn main() {
     });
     println!("{optimize_search}");
 
+    // --- Response codec: typed outcome to body text in one pass. ---
+    let engine = Engine::with_defaults().expect("engine");
+    let (batch64, grid64) = codec_outcomes(&engine);
+    for outcome in [&batch64, &grid64] {
+        // Sanity: the body parses back to the tree the cold path builds.
+        let body = encode_result(outcome);
+        assert_eq!(
+            gf_json::parse(&body).expect("body parses"),
+            outcome.result_json()
+        );
+    }
+    let codec_batch64 = bench_with(
+        "codec_batch64_encode",
+        Duration::from_millis(120),
+        5,
+        || encode_result(&batch64),
+    );
+    println!("{codec_batch64}");
+    let codec_grid64 = bench_with("codec_grid64_encode", Duration::from_millis(120), 5, || {
+        encode_result(&grid64)
+    });
+    println!("{codec_grid64}");
+    let mut rng = SplitMix64::new(0xF64);
+    // Half ratios near 1, half kilogram totals across six decades: the
+    // numbers a served body is made of.
+    let numbers: Vec<f64> = (0..CODEC_NUMBERS)
+        .map(|i| {
+            if i % 2 == 0 {
+                rng.gen_range_f64(0.1, 10.0)
+            } else {
+                10f64.powf(rng.gen_range_f64(3.0, 9.0))
+            }
+        })
+        .collect();
+    let mut text = String::with_capacity(CODEC_NUMBERS * 24);
+    let codec_f64 = bench_with("codec_f64_4096", Duration::from_millis(120), 5, || {
+        text.clear();
+        for &n in &numbers {
+            gf_json::write_f64(&mut text, n);
+        }
+        text.len()
+    });
+    println!("{codec_f64}");
+    let codec_f64_ns = codec_f64.median_ns / CODEC_NUMBERS as f64;
+    println!("shortest f64 printer: {codec_f64_ns:.1} ns/number");
+
     let json = metrics_json(&[
         ("grid_size", GRID_SIZE as f64),
         ("mc_samples", MC_SAMPLES as f64),
@@ -577,6 +671,9 @@ fn main() {
         ("replay_year_ns", replay_year.median_ns),
         ("optimize_analytic_ns", optimize_analytic.median_ns),
         ("optimize_search_ns", optimize_search.median_ns),
+        ("codec_batch64_encode_ns", codec_batch64.median_ns),
+        ("codec_grid64_encode_ns", codec_grid64.median_ns),
+        ("codec_f64_ns", codec_f64_ns),
     ]);
     let out = std::env::var("GF_BENCH_OUT").unwrap_or_else(|_| "BENCH_eval.json".to_string());
     std::fs::write(&out, &json).expect("write bench json");

@@ -11,9 +11,13 @@
 //!
 //! Each wire struct is declared once with [`gf_json::wire_struct!`]; only
 //! encoders that add computed members (`ratio`, `winner`, `total_kg`, …)
-//! are hand-written. Each query kind is one row of the `query_kinds!`
-//! table, which generates [`QueryKind`], [`Query`], [`Outcome`] and their
-//! dispatch.
+//! are hand-written. Every type has exactly one encoder,
+//! [`ToJson::write_json`], which appends to a [`JsonWriter`] with no
+//! intermediate tree; the `Value`-returning accessors
+//! ([`Outcome::result_json`], [`Query::request_body`]) write and then
+//! parse, for cold callers. Each query kind is one row of the
+//! `query_kinds!` table, which generates [`QueryKind`], [`Query`],
+//! [`Outcome`] and their dispatch.
 //!
 //! Numbers are serialized with round-tripping `f64` formatting (see
 //! [`gf_json`]), so decoding a response reconstructs carbon breakdowns
@@ -38,7 +42,7 @@
 //! ```
 
 use gf_json::{
-    decode_member, decode_member_or, object, prefix_schema, wire_struct, FromJson, JsonError,
+    decode_member, decode_member_or, prefix_schema, wire_struct, FromJson, JsonError, JsonWriter,
     ToJson, Value,
 };
 
@@ -72,8 +76,8 @@ fn decode_id<T>(
 macro_rules! wire_ids {
     ($($ty:ident($what:literal) { $($variant:ident = $id:literal),* })*) => {$(
         impl ToJson for $ty {
-            fn to_json(&self) -> Value {
-                Value::String(match self { $($ty::$variant => $id,)* }.to_string())
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.string(match self { $($ty::$variant => $id,)* });
             }
         }
 
@@ -96,8 +100,8 @@ wire_ids! {
 }
 
 impl ToJson for Domain {
-    fn to_json(&self) -> Value {
-        Value::String(self.id().to_string())
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.string(self.id());
     }
 }
 
@@ -108,8 +112,8 @@ impl FromJson for Domain {
 }
 
 impl ToJson for Knob {
-    fn to_json(&self) -> Value {
-        Value::String(self.id().to_string())
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.string(self.id());
     }
 }
 
@@ -129,8 +133,8 @@ fn axis_id(axis: SweepAxis) -> &'static str {
 }
 
 impl ToJson for SweepAxis {
-    fn to_json(&self) -> Value {
-        Value::String(axis_id(*self).to_string())
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.string(axis_id(*self));
     }
 }
 
@@ -150,8 +154,8 @@ impl FromJson for SweepAxis {
 mod kg {
     use super::*;
 
-    pub(super) fn to_json(carbon: &Carbon) -> Value {
-        Value::Number(carbon.as_kg())
+    pub(super) fn write_json(carbon: &Carbon, w: &mut JsonWriter) {
+        w.number(carbon.as_kg());
     }
 
     pub(super) fn from_json(member: Option<&Value>) -> Result<Carbon, JsonError> {
@@ -165,13 +169,12 @@ mod kg {
 mod knob_overrides {
     use super::*;
 
-    pub(super) fn to_json(knobs: &[(Knob, f64)]) -> Value {
-        Value::Object(
-            knobs
-                .iter()
-                .map(|&(knob, value)| (knob.id().to_string(), Value::Number(value)))
-                .collect(),
-        )
+    pub(super) fn write_json(knobs: &[(Knob, f64)], w: &mut JsonWriter) {
+        w.begin_object();
+        for (knob, value) in knobs {
+            w.member(knob.id(), value);
+        }
+        w.end_object();
     }
 
     pub(super) fn from_json(member: Option<&Value>) -> Result<Vec<(Knob, f64)>, JsonError> {
@@ -205,13 +208,12 @@ mod knob_overrides {
 mod axis_values {
     use super::*;
 
-    pub(super) fn to_json(values: &[(SweepAxis, f64)]) -> Value {
-        Value::Object(
-            values
-                .iter()
-                .map(|&(axis, value)| (axis_id(axis).to_string(), Value::Number(value)))
-                .collect(),
-        )
+    pub(super) fn write_json(values: &[(SweepAxis, f64)], w: &mut JsonWriter) {
+        w.begin_object();
+        for &(axis, value) in values {
+            w.member(axis_id(axis), &value);
+        }
+        w.end_object();
     }
 
     pub(super) fn from_json(member: Option<&Value>) -> Result<Vec<(SweepAxis, f64)>, JsonError> {
@@ -248,16 +250,16 @@ wire_struct! {
 }
 
 impl ToJson for CfpBreakdown {
-    fn to_json(&self) -> Value {
-        object([
-            ("design_kg", self.design.as_kg()),
-            ("manufacturing_kg", self.manufacturing.as_kg()),
-            ("packaging_kg", self.packaging.as_kg()),
-            ("eol_kg", self.eol.as_kg()),
-            ("operation_kg", self.operation.as_kg()),
-            ("app_dev_kg", self.app_dev.as_kg()),
-            ("total_kg", self.total().as_kg()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("design_kg", &self.design.as_kg());
+        w.member("manufacturing_kg", &self.manufacturing.as_kg());
+        w.member("packaging_kg", &self.packaging.as_kg());
+        w.member("eol_kg", &self.eol.as_kg());
+        w.member("operation_kg", &self.operation.as_kg());
+        w.member("app_dev_kg", &self.app_dev.as_kg());
+        w.member("total_kg", &self.total().as_kg());
+        w.end_object();
     }
 }
 
@@ -275,14 +277,14 @@ wire_struct! {
 }
 
 impl ToJson for PlatformComparison {
-    fn to_json(&self) -> Value {
-        object([
-            ("domain", self.domain.to_json()),
-            ("fpga", self.fpga.to_json()),
-            ("asic", self.asic.to_json()),
-            ("ratio", Value::Number(self.fpga_to_asic_ratio())),
-            ("winner", self.winner().to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("domain", &self.domain);
+        w.member("fpga", &self.fpga);
+        w.member("asic", &self.asic);
+        w.member("ratio", &self.fpga_to_asic_ratio());
+        w.member("winner", &self.winner());
+        w.end_object();
     }
 }
 
@@ -298,13 +300,13 @@ impl FromJson for PlatformComparison {
 }
 
 impl ToJson for SweepPoint {
-    fn to_json(&self) -> Value {
-        object([
-            ("x", Value::Number(self.x)),
-            ("fpga", self.fpga.to_json()),
-            ("asic", self.asic.to_json()),
-            ("ratio", Value::Number(self.ratio())),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("x", &self.x);
+        w.member("fpga", &self.fpga);
+        w.member("asic", &self.asic);
+        w.member("ratio", &self.ratio());
+        w.end_object();
     }
 }
 
@@ -318,13 +320,13 @@ wire_struct! {
 }
 
 impl ToJson for SweepSeries {
-    fn to_json(&self) -> Value {
-        object([
-            ("domain", self.domain.to_json()),
-            ("axis", self.axis.to_json()),
-            ("points", self.points.to_json()),
-            ("crossovers", self.crossovers().to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("domain", &self.domain);
+        w.member("axis", &self.axis);
+        w.member("points", &self.points);
+        w.member("crossovers", &self.crossovers());
+        w.end_object();
     }
 }
 
@@ -339,15 +341,15 @@ wire_struct! {
 }
 
 impl ToJson for SensitivityEntry {
-    fn to_json(&self) -> Value {
-        object([
-            ("knob", self.knob.to_json()),
-            ("ratio_at_low", Value::Number(self.ratio_at_low)),
-            ("ratio_at_high", Value::Number(self.ratio_at_high)),
-            ("ratio_at_baseline", Value::Number(self.ratio_at_baseline)),
-            ("swing", Value::Number(self.swing())),
-            ("flips_winner", Value::Bool(self.flips_winner())),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("knob", &self.knob);
+        w.member("ratio_at_low", &self.ratio_at_low);
+        w.member("ratio_at_high", &self.ratio_at_high);
+        w.member("ratio_at_baseline", &self.ratio_at_baseline);
+        w.member("swing", &self.swing());
+        w.member("flips_winner", &self.flips_winner());
+        w.end_object();
     }
 }
 
@@ -369,20 +371,35 @@ wire_struct! {
     }
 }
 
+/// Opens a grid response and writes its lattice members, up to the
+/// `"ratios"` matrix — shared by [`GridSweep`] and the streamed
+/// [`crate::GridStream`], so both produce the same bytes.
+pub(crate) fn write_grid_head(
+    w: &mut JsonWriter,
+    domain: Domain,
+    (x_axis, x_values): (SweepAxis, &[f64]),
+    (y_axis, y_values): (SweepAxis, &[f64]),
+) {
+    w.begin_object();
+    w.member("domain", &domain);
+    w.member("x_axis", &x_axis);
+    w.member("x_values", x_values);
+    w.member("y_axis", &y_axis);
+    w.member("y_values", y_values);
+    w.key("ratios");
+}
+
 impl ToJson for GridSweep {
-    fn to_json(&self) -> Value {
-        object([
-            ("domain", self.domain.to_json()),
-            ("x_axis", self.x_axis.to_json()),
-            ("x_values", self.x_values.to_json()),
-            ("y_axis", self.y_axis.to_json()),
-            ("y_values", self.y_values.to_json()),
-            ("ratios", self.ratios.to_json()),
-            (
-                "fpga_winning_fraction",
-                Value::Number(self.fpga_winning_fraction()),
-            ),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_grid_head(
+            w,
+            self.domain,
+            (self.x_axis, &self.x_values),
+            (self.y_axis, &self.y_values),
+        );
+        self.ratios.write_json(w);
+        w.member("fpga_winning_fraction", &self.fpga_winning_fraction());
+        w.end_object();
     }
 }
 
@@ -492,13 +509,16 @@ impl From<ScenarioSpec> for ScenarioRef {
 }
 
 impl ToJson for ScenarioRef {
-    fn to_json(&self) -> Value {
+    fn write_json(&self, w: &mut JsonWriter) {
         match self {
-            ScenarioRef::Inline(spec) => spec.to_json(),
-            ScenarioRef::Catalog { id, knobs } => object([
-                ("id", Value::String(id.clone())),
-                ("knobs", knob_overrides::to_json(knobs)),
-            ]),
+            ScenarioRef::Inline(spec) => spec.write_json(w),
+            ScenarioRef::Catalog { id, knobs } => {
+                w.begin_object();
+                w.member("id", id);
+                w.key("knobs");
+                knob_overrides::write_json(knobs, w);
+                w.end_object();
+            }
         }
     }
 }
@@ -566,13 +586,15 @@ pub enum SeriesRef {
 }
 
 impl ToJson for SeriesRef {
-    fn to_json(&self) -> Value {
+    fn write_json(&self, w: &mut JsonWriter) {
         match self {
-            SeriesRef::Region(name) => Value::String(name.clone()),
-            SeriesRef::Inline(series) => object([
-                ("points", series.points().to_json()),
-                ("step_hours", Value::Number(series.step_hours())),
-            ]),
+            SeriesRef::Region(name) => w.string(name),
+            SeriesRef::Inline(series) => {
+                w.begin_object();
+                w.member("points", series.points());
+                w.member("step_hours", &series.step_hours());
+                w.end_object();
+            }
         }
     }
 }
@@ -660,14 +682,14 @@ fn decode_platform(value: &Value) -> Result<OptPlatform, JsonError> {
 }
 
 /// Encodes a `"platform"` member, omitted when it is the FPGA default.
-fn push_platform(members: &mut Vec<(&'static str, Value)>, platform: OptPlatform) {
+fn write_platform(w: &mut JsonWriter, platform: OptPlatform) {
     if platform != OptPlatform::Fpga {
-        members.push(("platform", platform.to_json()));
+        w.member("platform", &platform);
     }
 }
 
 impl ToJson for Objective {
-    fn to_json(&self) -> Value {
+    fn write_json(&self, w: &mut JsonWriter) {
         let (goal, platform, budget_kg) = match *self {
             Objective::MinTotal(platform) => ("min_total", platform, None),
             Objective::MinOperational(platform) => ("min_operational", platform, None),
@@ -679,12 +701,13 @@ impl ToJson for Objective {
                 budget_kg,
             } => ("budget", platform, Some(budget_kg)),
         };
-        let mut members = vec![("goal", Value::String(goal.to_string()))];
-        push_platform(&mut members, platform);
+        w.begin_object();
+        w.member("goal", goal);
+        write_platform(w, platform);
         if let Some(budget_kg) = budget_kg {
-            members.push(("budget_kg", Value::Number(budget_kg)));
+            w.member("budget_kg", &budget_kg);
         }
-        object(members)
+        w.end_object();
     }
 }
 
@@ -722,16 +745,17 @@ wire_struct! {
 }
 
 impl ToJson for Constraint {
-    fn to_json(&self) -> Value {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
         match *self {
-            Constraint::FpgaWins => object([("kind", Value::String("fpga_wins".to_string()))]),
+            Constraint::FpgaWins => w.member("kind", "fpga_wins"),
             Constraint::MaxTotalKg { platform, limit_kg } => {
-                let mut members = vec![("kind", Value::String("max_total_kg".to_string()))];
-                push_platform(&mut members, platform);
-                members.push(("limit_kg", Value::Number(limit_kg)));
-                object(members)
+                w.member("kind", "max_total_kg");
+                write_platform(w, platform);
+                w.member("limit_kg", &limit_kg);
             }
         }
+        w.end_object();
     }
 }
 
@@ -826,8 +850,9 @@ wire_struct! {
 pub struct CatalogRequest;
 
 impl ToJson for CatalogRequest {
-    fn to_json(&self) -> Value {
-        Value::Object(Vec::new())
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.end_object();
     }
 }
 
@@ -896,8 +921,8 @@ pub struct EvaluateResponse {
 }
 
 impl ToJson for EvaluateResponse {
-    fn to_json(&self) -> Value {
-        self.comparison.to_json()
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.comparison.write_json(w);
     }
 }
 
@@ -920,14 +945,11 @@ wire_struct! {
 }
 
 /// `{"count", "results"}` — the wire form of a comparison list.
-fn results_json(comparisons: &[PlatformComparison]) -> Value {
-    object([
-        ("count", Value::Number(comparisons.len() as f64)),
-        (
-            "results",
-            Value::Array(comparisons.iter().map(ToJson::to_json).collect()),
-        ),
-    ])
+fn write_results(w: &mut JsonWriter, comparisons: &[PlatformComparison]) {
+    w.begin_object();
+    w.member("count", &comparisons.len());
+    w.member("results", comparisons);
+    w.end_object();
 }
 
 /// `POST /v1/batch` response: one comparison per requested point, in
@@ -939,8 +961,8 @@ pub struct BatchEvalResponse {
 }
 
 impl ToJson for BatchEvalResponse {
-    fn to_json(&self) -> Value {
-        results_json(&self.comparisons)
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_results(w, &self.comparisons);
     }
 }
 
@@ -1229,8 +1251,8 @@ pub struct CompareResponse {
 }
 
 impl ToJson for CompareResponse {
-    fn to_json(&self) -> Value {
-        results_json(&self.comparisons)
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_results(w, &self.comparisons);
     }
 }
 
@@ -1468,15 +1490,15 @@ impl From<&FrontierResult> for FrontierResponse {
 }
 
 impl ToJson for ApiError {
-    fn to_json(&self) -> Value {
-        object([(
-            "error",
-            object([
-                ("code", Value::String(self.code.id().to_string())),
-                ("message", Value::String(self.message.clone())),
-                ("retryable", Value::Bool(self.retryable)),
-            ]),
-        )])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("error");
+        w.begin_object();
+        w.member("code", self.code.id());
+        w.member("message", &self.message);
+        w.member("retryable", &self.retryable);
+        w.end_object();
+        w.end_object();
     }
 }
 
@@ -1757,10 +1779,22 @@ macro_rules! query_kinds {
             }
 
             /// The flat request payload (what a `POST /v1/<kind>` body
-            /// carries, without the envelope members).
+            /// carries, without the envelope members), written and parsed
+            /// back.
+            ///
+            /// # Panics
+            ///
+            /// When the request holds a NaN or infinite number.
             pub fn request_body(&self) -> Value {
                 match self {
                     $(Query::$variant(request) => request.to_json(),)*
+                }
+            }
+
+            /// Splices the request payload's members into the open object.
+            fn splice_body(&self, w: &mut JsonWriter) {
+                match self {
+                    $(Query::$variant(request) => w.splice(request),)*
                 }
             }
 
@@ -1798,8 +1832,21 @@ macro_rules! query_kinds {
                 }
             }
 
-            /// The bare result payload — exactly the body the matching
-            /// `/v1/<kind>` route answers with.
+            /// Writes the bare result payload — exactly the body the
+            /// matching `/v1/<kind>` route answers with.
+            pub fn write_result(&self, w: &mut JsonWriter) {
+                match self {
+                    $(Outcome::$variant(response) => response.write_json(w),)*
+                }
+            }
+
+            /// The bare result payload as a [`Value`], written and parsed
+            /// back — for callers that inspect or pretty-print it.
+            ///
+            /// # Panics
+            ///
+            /// When the result holds a NaN or infinite number, which the
+            /// engine reports as a model error instead of returning.
             pub fn result_json(&self) -> Value {
                 match self {
                     $(Outcome::$variant(response) => response.to_json(),)*
@@ -1874,22 +1921,12 @@ fn decode_envelope(value: &Value) -> Result<QueryKind, JsonError> {
 }
 
 impl ToJson for Query {
-    fn to_json(&self) -> Value {
-        let mut members = vec![
-            ("v".to_string(), Value::Number(API_VERSION as f64)),
-            (
-                "kind".to_string(),
-                Value::String(self.kind().id().to_string()),
-            ),
-        ];
-        match self.request_body() {
-            Value::Object(body) => members.extend(body),
-            // `from_json` decodes the flat object, so a non-object body
-            // could never round-trip — fail loudly instead of emitting an
-            // envelope the decoder rejects.
-            _ => unreachable!("request bodies serialize to objects"),
-        }
-        Value::Object(members)
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("v", &API_VERSION);
+        w.member("kind", self.kind().id());
+        self.splice_body(w);
+        w.end_object();
     }
 }
 
@@ -1900,12 +1937,13 @@ impl FromJson for Query {
 }
 
 impl ToJson for Outcome {
-    fn to_json(&self) -> Value {
-        object([
-            ("v", Value::Number(API_VERSION as f64)),
-            ("kind", Value::String(self.kind().id().to_string())),
-            ("result", self.result_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("v", &API_VERSION);
+        w.member("kind", self.kind().id());
+        w.key("result");
+        self.write_result(w);
+        w.end_object();
     }
 }
 

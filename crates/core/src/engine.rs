@@ -312,7 +312,7 @@ impl Engine {
                             ))
                         })?
                     }
-                    SeriesRef::Inline(series) => series.clone(),
+                    SeriesRef::Inline(series) => series,
                 };
                 if request.years as f64 > point.lifetime_years.ceil() {
                     return Err(ApiError::bad_request(format!(
@@ -320,7 +320,14 @@ impl Engine {
                         request.years, point.lifetime_years
                     )));
                 }
-                let series = series.repeat(request.years)?;
+                // One year replays the series in place; more stitch a copy.
+                let stitched;
+                let series = if request.years == 1 {
+                    series
+                } else {
+                    stitched = series.repeat(request.years)?;
+                    &stitched
+                };
                 let compiled = self.compiled(&spec)?;
                 let traced = gf_trace::enabled();
                 let start = if traced { gf_trace::now_ticks() } else { 0 };

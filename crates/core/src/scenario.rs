@@ -448,22 +448,29 @@ impl CarbonIntensitySeries {
     /// A deterministic 8760-point hourly year for a named region preset:
     /// `global_flat` (the world-average constant), `clean_hydro` (low and
     /// mildly seasonal), `dirty_coal` (high with an evening peak), or
-    /// `solar_duck` (midday solar trough). `None` for unknown names.
-    pub fn region(name: &str) -> Option<Self> {
-        let shape: fn(f64, f64) -> f64 = match name {
-            "global_flat" => |_, _| 475.0,
-            "clean_hydro" => |day, _| 50.0 + 15.0 * season(day),
-            "dirty_coal" => |day, hour| 650.0 + 40.0 * season(day) + 30.0 * peak(hour, 18.0),
-            "solar_duck" => |day, hour| 400.0 + 50.0 * season(day) - 250.0 * peak(hour, 12.0),
+    /// `solar_duck` (midday solar trough). `None` for unknown names. Each
+    /// preset is built once, on its first lookup, and shared after that.
+    pub fn region(name: &str) -> Option<&'static CarbonIntensitySeries> {
+        static PRESETS: [OnceLock<CarbonIntensitySeries>; 4] = [const { OnceLock::new() }; 4];
+        let (index, shape): (usize, fn(f64, f64) -> f64) = match name {
+            "global_flat" => (0, |_, _| 475.0),
+            "clean_hydro" => (1, |day, _| 50.0 + 15.0 * season(day)),
+            "dirty_coal" => (2, |day, hour| {
+                650.0 + 40.0 * season(day) + 30.0 * peak(hour, 18.0)
+            }),
+            "solar_duck" => (3, |day, hour| {
+                400.0 + 50.0 * season(day) - 250.0 * peak(hour, 12.0)
+            }),
             _ => return None,
         };
-        let points = (0..HOURS_PER_YEAR)
-            .map(|h| shape((h / 24) as f64, (h % 24) as f64).max(1.0))
-            .collect();
-        Some(CarbonIntensitySeries {
-            points,
-            step_hours: 1.0,
-        })
+        Some(PRESETS[index].get_or_init(|| {
+            CarbonIntensitySeries {
+                points: (0..HOURS_PER_YEAR)
+                    .map(|h| shape((h / 24) as f64, (h % 24) as f64).max(1.0))
+                    .collect(),
+                step_hours: 1.0,
+            }
+        }))
     }
 
     /// Stitches the series end-to-end `years` times: a one-year region
@@ -939,6 +946,23 @@ mod tests {
             assert!(series.step_hours() == 1.0);
         }
         assert!(CarbonIntensitySeries::region("atlantis").is_none());
+    }
+
+    #[test]
+    fn region_lookups_share_one_bit_identical_build() {
+        for name in CarbonIntensitySeries::REGIONS {
+            let first = CarbonIntensitySeries::region(name).unwrap();
+            let second = CarbonIntensitySeries::region(name).unwrap();
+            assert!(std::ptr::eq(first, second), "{name} is built once");
+            let bits = |series: &CarbonIntensitySeries| {
+                series
+                    .points()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(first), bits(second), "{name}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! the application lifetime and the application volume, and computing the
 //! FPGA:ASIC ratio over pairwise grids for the heatmaps.
 
-use gf_json::{object, JsonError, ToJson, Value};
+use gf_json::{JsonError, JsonWriter};
 
 use crate::comparison::crossovers_from_samples;
 use crate::{CfpBreakdown, Crossover, Domain, Estimator, GreenFpgaError, ResultBuffer};
@@ -567,24 +567,25 @@ impl GridStream {
     /// concatenate to exactly the buffered body. Each fails only on a
     /// non-finite number ([`JsonError::NonFinite`]).
     pub fn head_json(&self) -> Result<String, JsonError> {
-        let mut head = object([
-            ("domain", self.domain().to_json()),
-            ("x_axis", self.x_axis.to_json()),
-            ("x_values", self.x_values.to_json()),
-            ("y_axis", self.y_axis.to_json()),
-            ("y_values", self.y_values.to_json()),
-        ])
-        .to_json_string()?;
-        head.pop(); // the closing '}' — the object stays open for the rows
-        head.push_str(",\"ratios\":[");
-        Ok(head)
+        let mut w = JsonWriter::new();
+        crate::api::write_grid_head(
+            &mut w,
+            self.domain(),
+            (self.x_axis, &self.x_values),
+            (self.y_axis, &self.y_values),
+        );
+        w.begin_array();
+        w.finish()
     }
 
     /// The streamed wire form's closing fragment, once every block has been
     /// delivered: the winning fraction and the closing braces.
     pub fn tail_json(&self) -> Result<String, JsonError> {
-        let fraction = Value::Number(self.fpga_winning_fraction()).to_json_string()?;
-        Ok(format!("],\"fpga_winning_fraction\":{fraction}}}"))
+        let mut w = JsonWriter::new();
+        w.end_array();
+        w.member("fpga_winning_fraction", &self.fpga_winning_fraction());
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -628,15 +629,20 @@ impl GridBlock<'_> {
     /// [`GridStream::head_json`]): JSON arrays separated by commas, with a
     /// leading comma unless the block opens the grid.
     pub fn rows_json(&self) -> Result<String, JsonError> {
-        let mut fragment = String::new();
-        for row in 0..self.rows {
-            if self.start_row + row > 0 {
-                fragment.push(',');
-            }
-            let cells = Value::Array(self.row(row).map(Value::Number).collect());
-            fragment.push_str(&cells.to_json_string()?);
+        // Ratios print in about 20 bytes; the hint spares most regrowth.
+        let mut fragment = String::with_capacity(self.rows * (self.columns * 25 + 3));
+        if self.start_row > 0 {
+            fragment.push(',');
         }
-        Ok(fragment)
+        let mut w = JsonWriter::appending(fragment);
+        for row in 0..self.rows {
+            w.begin_array();
+            for cell in self.row(row) {
+                w.number(cell);
+            }
+            w.end_array();
+        }
+        w.finish()
     }
 }
 

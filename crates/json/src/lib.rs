@@ -2,8 +2,8 @@
 //!
 //! A small, real JSON subsystem for the offline GreenFPGA workspace: a
 //! [`Value`] tree, a recursive-descent parser with depth and size limits
-//! ([`parse`], [`parse_with`]), and a writer whose `f64` rendering
-//! round-trips bit-for-bit ([`Value::to_json_string`]).
+//! ([`parse`], [`parse_with`]), and a one-pass writer ([`JsonWriter`])
+//! whose `f64` rendering round-trips bit-for-bit ([`write_f64`]).
 //!
 //! Every machine-readable artifact — bench metrics, the `bench_gate`
 //! baseline, and the `greenfpga-serve` HTTP API — goes through this crate
@@ -12,14 +12,19 @@
 //! Design constraints, in order:
 //!
 //! 1. **Round-tripping**: `parse(v.to_json_string()) == v` for every value
-//!    this crate can produce. Numbers are written with Rust's shortest
-//!    round-trip `f64` formatting, so a parsed response compares
-//!    *bit-identical* to the `f64` the producer serialized — the property
-//!    the serving integration tests golden-match on.
-//! 2. **Bounded input**: the parser enforces a nesting-depth limit and an
+//!    this crate can produce. Numbers are written as the shortest decimal
+//!    that parses back to the same bits, byte-identical to Rust's `{}` on
+//!    `f64`, so a parsed response compares *bit-identical* to the `f64`
+//!    the producer serialized — the property the serving integration
+//!    tests golden-match on.
+//! 2. **One encoder per type**: [`ToJson::write_json`] appends straight
+//!    into the output; no intermediate tree is built on the way out. The
+//!    [`Value`]-returning [`ToJson::to_json`] is write-then-parse, for
+//!    cold callers that want to inspect or pretty-print a document.
+//! 3. **Bounded input**: the parser enforces a nesting-depth limit and an
 //!    input-size limit so a hostile request body cannot blow the stack or
 //!    memory of a long-lived server.
-//! 3. **Strict JSON**: no NaN/Infinity literals, no trailing commas, no
+//! 4. **Strict JSON**: no NaN/Infinity literals, no trailing commas, no
 //!    comments, no unquoted keys. Numbers that overflow `f64` are rejected
 //!    rather than silently becoming infinite.
 //!
@@ -38,14 +43,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[doc(hidden)]
+pub mod number;
 mod parse;
 mod wire;
 mod write;
 
 use std::fmt;
 
+pub use number::write_f64;
 pub use parse::{parse, parse_with, ParseLimits};
 pub use wire::{decode_member, decode_member_or, expect_object, prefix_schema};
+pub use write::JsonWriter;
 
 /// A JSON document: the result of parsing, and the input to writing.
 ///
@@ -154,7 +163,7 @@ impl Value {
     /// infinite — JSON has no lexeme for them, and emitting `null` instead
     /// would silently break round-tripping.
     pub fn to_json_string(&self) -> Result<String, JsonError> {
-        write::to_string(self, false)
+        ToJson::to_json_string(self)
     }
 
     /// Serializes with two-space indentation, for human-facing artifacts
@@ -164,7 +173,7 @@ impl Value {
     ///
     /// Same conditions as [`Value::to_json_string`].
     pub fn to_json_string_pretty(&self) -> Result<String, JsonError> {
-        write::to_string(self, true)
+        write::to_string_pretty(self)
     }
 }
 
@@ -296,10 +305,40 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Serialization to a JSON [`Value`].
+/// Serialization to JSON text.
 pub trait ToJson {
-    /// Renders `self` as a JSON value.
-    fn to_json(&self) -> Value;
+    /// Appends `self`'s JSON encoding to `w` — the type's one encoder.
+    fn write_json(&self, w: &mut JsonWriter);
+
+    /// Serializes `self` compactly.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError::NonFinite`] when any number is NaN or infinite.
+    fn to_json_string(&self) -> Result<String, JsonError> {
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// The encoding as a [`Value`] tree: written, then parsed back. For
+    /// cold callers that inspect or pretty-print a document; hot paths
+    /// write with [`ToJson::write_json`].
+    ///
+    /// # Panics
+    ///
+    /// When `self` holds a NaN or infinite number, which JSON cannot
+    /// represent.
+    fn to_json(&self) -> Value {
+        let text = self
+            .to_json_string()
+            .unwrap_or_else(|e| panic!("cannot build a JSON value: {e}"));
+        let unbounded = ParseLimits {
+            max_depth: usize::MAX,
+            max_bytes: usize::MAX,
+        };
+        parse_with(&text, unbounded).expect("the writer emits valid JSON")
+    }
 }
 
 /// Deserialization from a JSON [`Value`].
@@ -313,8 +352,8 @@ pub trait FromJson: Sized {
 }
 
 impl ToJson for f64 {
-    fn to_json(&self) -> Value {
-        Value::Number(*self)
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.number(*self);
     }
 }
 
@@ -326,9 +365,10 @@ impl FromJson for f64 {
     }
 }
 
+/// Integers travel as JSON numbers, i.e. as the `f64` they convert to.
 impl ToJson for u64 {
-    fn to_json(&self) -> Value {
-        Value::Number(*self as f64)
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.number(*self as f64);
     }
 }
 
@@ -341,8 +381,8 @@ impl FromJson for u64 {
 }
 
 impl ToJson for usize {
-    fn to_json(&self) -> Value {
-        Value::Number(*self as f64)
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.number(*self as f64);
     }
 }
 
@@ -353,8 +393,8 @@ impl FromJson for usize {
 }
 
 impl ToJson for bool {
-    fn to_json(&self) -> Value {
-        Value::Bool(*self)
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.bool(*self);
     }
 }
 
@@ -366,9 +406,15 @@ impl FromJson for bool {
     }
 }
 
+impl ToJson for str {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.string(self);
+    }
+}
+
 impl ToJson for String {
-    fn to_json(&self) -> Value {
-        Value::String(self.clone())
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.string(self);
     }
 }
 
@@ -382,14 +428,18 @@ impl FromJson for String {
 }
 
 impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Value {
-        Value::Array(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_array();
+        for item in self {
+            item.write_json(w);
+        }
+        w.end_array();
     }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Value {
-        self.as_slice().to_json()
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.as_slice().write_json(w);
     }
 }
 
@@ -406,8 +456,11 @@ impl<T: FromJson> FromJson for Vec<T> {
 
 /// `None` encodes as `null`.
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Value {
-        self.as_ref().map_or(Value::Null, ToJson::to_json)
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            Some(value) => value.write_json(w),
+            None => w.null(),
+        }
     }
 }
 
@@ -423,8 +476,11 @@ impl<T: FromJson> FromJson for Option<T> {
 
 /// A pair encodes as the two-element array `[a, b]`.
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Value {
-        Value::Array(vec![self.0.to_json(), self.1.to_json()])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_array();
+        self.0.write_json(w);
+        self.1.write_json(w);
+        w.end_array();
     }
 }
 

@@ -82,7 +82,7 @@ pub fn expect_object(value: &Value) -> Result<(), JsonError> {
 /// | `f: T [default d]` | always | `d` when absent or `null` |
 /// | `f: T [omit d]` | only when `f != d` | `d` when absent or `null` |
 /// | `f: T [flatten]` | `f`'s object members, spliced in place | from the whole object |
-/// | `f: T [with m]` | `m::to_json(&f)` | `m::from_json(member)` (`member: Option<&Value>`) |
+/// | `f: T [with m]` | `m::write_json(&f, w)` | `m::from_json(member)` (`member: Option<&Value>`) |
 /// | `f: (A, B) as ("lo", "hi")` | two members | two members (`[default (a, b)]` allowed) |
 ///
 /// `as "key"` renames the wire member. An `Option<T>` field encodes `null`
@@ -157,10 +157,10 @@ macro_rules! wire_struct {
     } $(check $check:path)?) => {
         $(#[$meta])*
         impl $crate::ToJson for $name {
-            fn to_json(&self) -> $crate::Value {
-                let mut members = Vec::with_capacity(1 + [$(stringify!($field)),*].len());
-                $($crate::__wire_encode!(members, &self.$field, $field $($key)?; $($($mode)*)?);)*
-                $crate::Value::Object(members)
+            fn write_json(&self, w: &mut $crate::JsonWriter) {
+                w.begin_object();
+                $($crate::__wire_encode!(w, &self.$field, $field $($key)?; $($($mode)*)?);)*
+                w.end_object();
             }
         }
         $crate::wire_struct! {
@@ -183,36 +183,25 @@ macro_rules! __wire_key {
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __wire_encode {
-    ($members:ident, $value:expr, $field:ident; flatten) => {
-        match $crate::ToJson::to_json($value) {
-            $crate::Value::Object(spliced) => $members.extend(spliced),
-            _ => unreachable!("flattened wire fields encode to objects"),
-        }
+    ($w:ident, $value:expr, $field:ident; flatten) => {
+        $w.splice($value)
     };
-    ($members:ident, $value:expr, $field:ident ($lo:literal, $hi:literal); $($mode:tt)*) => {{
+    ($w:ident, $value:expr, $field:ident ($lo:literal, $hi:literal); $($mode:tt)*) => {{
         let (lo, hi) = $value;
-        $members.push(($lo.to_string(), $crate::ToJson::to_json(lo)));
-        $members.push(($hi.to_string(), $crate::ToJson::to_json(hi)));
+        $w.member($lo, lo);
+        $w.member($hi, hi);
     }};
-    ($members:ident, $value:expr, $field:ident $($key:literal)?; omit $default:expr) => {
+    ($w:ident, $value:expr, $field:ident $($key:literal)?; omit $default:expr) => {
         if *$value != $default {
-            $members.push((
-                $crate::__wire_key!($field $($key)?).to_string(),
-                $crate::ToJson::to_json($value),
-            ));
+            $w.member($crate::__wire_key!($field $($key)?), $value);
         }
     };
-    ($members:ident, $value:expr, $field:ident $($key:literal)?; with $codec:ident) => {
-        $members.push((
-            $crate::__wire_key!($field $($key)?).to_string(),
-            $codec::to_json($value),
-        ))
-    };
-    ($members:ident, $value:expr, $field:ident $($key:literal)?; $(default $default:expr)?) => {
-        $members.push((
-            $crate::__wire_key!($field $($key)?).to_string(),
-            $crate::ToJson::to_json($value),
-        ))
+    ($w:ident, $value:expr, $field:ident $($key:literal)?; with $codec:ident) => {{
+        $w.key($crate::__wire_key!($field $($key)?));
+        $codec::write_json($value, $w);
+    }};
+    ($w:ident, $value:expr, $field:ident $($key:literal)?; $(default $default:expr)?) => {
+        $w.member($crate::__wire_key!($field $($key)?), $value)
     };
 }
 

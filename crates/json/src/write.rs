@@ -1,90 +1,252 @@
 //! JSON serialization with round-tripping `f64` output.
 //!
-//! Numbers use Rust's shortest round-trip formatting (`{}` on `f64`), which
-//! guarantees `text.parse::<f64>()` recovers the exact bits that were
-//! written — the property the serving tests golden-match on. Non-finite
-//! numbers are a hard error: JSON has no lexeme for them, and the usual
-//! fallback (emitting `null`) silently breaks round-tripping.
+//! [`JsonWriter`] appends compact JSON straight into a `String`; every
+//! [`ToJson`] impl writes through it, [`Value`] included. Pretty printing
+//! is a [`Value`]-only second pass for human-facing artifacts.
+//!
+//! Numbers use the shortest round-trip formatting of [`write_f64`], which
+//! matches Rust's `{}` on `f64` byte for byte and guarantees
+//! `text.parse::<f64>()` recovers the exact bits that were written — the
+//! property the serving tests golden-match on. Non-finite numbers are an
+//! error: JSON has no lexeme for them, and the usual fallback (emitting
+//! `null`) silently breaks round-tripping.
 
 use std::fmt::Write as _;
 
-use crate::{JsonError, Value};
+use crate::number::write_f64;
+use crate::{JsonError, ToJson, Value};
 
-/// Serializes `value`, compactly or with two-space indentation.
-pub fn to_string(value: &Value, pretty: bool) -> Result<String, JsonError> {
-    let mut out = String::new();
-    write_value(&mut out, value, pretty, 0)?;
-    if pretty {
-        out.push('\n');
+/// A one-pass compact JSON encoder over a growing `String`.
+///
+/// Containers open and close with [`begin_object`](JsonWriter::begin_object)
+/// / [`end_object`](JsonWriter::end_object) and their array twins; the
+/// writer places the commas. A non-finite number is written as `null` to
+/// keep the text well formed and recorded as [`JsonError::NonFinite`],
+/// which [`finish`](JsonWriter::finish) returns.
+///
+/// ```
+/// use gf_json::JsonWriter;
+///
+/// let mut w = JsonWriter::new();
+/// w.begin_object();
+/// w.member("ratio", &0.5);
+/// w.key("cells");
+/// w.begin_array();
+/// w.number(1.0);
+/// w.number(2.5);
+/// w.end_array();
+/// w.end_object();
+/// assert_eq!(w.finish()?, r#"{"ratio":0.5,"cells":[1,2.5]}"#);
+/// # Ok::<(), gf_json::JsonError>(())
+/// ```
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// Whether the next value or key needs a leading comma.
+    comma: bool,
+    non_finite: bool,
+    /// The next `begin_object` splices its members into the open object.
+    splice_next: bool,
+    /// Open object depth, and one bit per depth whose braces were spliced.
+    depth: u32,
+    spliced: u64,
+}
+
+impl JsonWriter {
+    /// An empty writer.
+    pub fn new() -> JsonWriter {
+        JsonWriter::default()
     }
+
+    /// A writer that appends to `prefix`, as if at the start of a document
+    /// (no comma precedes the first value).
+    pub fn appending(prefix: String) -> JsonWriter {
+        JsonWriter {
+            out: prefix,
+            ..JsonWriter::default()
+        }
+    }
+
+    /// The text written so far, or [`JsonError::NonFinite`] if any number
+    /// was NaN or infinite.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError::NonFinite`] as above.
+    pub fn finish(self) -> Result<String, JsonError> {
+        if self.non_finite {
+            Err(JsonError::NonFinite)
+        } else {
+            Ok(self.out)
+        }
+    }
+
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) {
+        // Splices are tracked for the first 64 levels; deeper ones keep
+        // their braces, so the text stays well formed.
+        if std::mem::take(&mut self.splice_next) && self.depth < 64 {
+            self.spliced |= 1 << self.depth;
+        } else {
+            self.separate();
+            self.out.push('{');
+            self.comma = false;
+        }
+        self.depth += 1;
+    }
+
+    /// Closes the innermost open object (which a fragment writer may have
+    /// left to an earlier writer).
+    pub fn end_object(&mut self) {
+        self.depth = self.depth.saturating_sub(1);
+        let bit = 1u64.checked_shl(self.depth).unwrap_or(0);
+        if self.spliced & bit != 0 {
+            // A spliced object's members continue the enclosing object.
+            self.spliced &= !bit;
+        } else {
+            self.out.push('}');
+            self.comma = true;
+        }
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) {
+        self.separate();
+        self.out.push('[');
+        self.comma = false;
+    }
+
+    /// Closes the innermost open array.
+    pub fn end_array(&mut self) {
+        self.out.push(']');
+        self.comma = true;
+    }
+
+    /// Writes an object key; the member's value follows.
+    pub fn key(&mut self, key: &str) {
+        self.separate();
+        write_string(&mut self.out, key);
+        self.out.push(':');
+        self.comma = false;
+    }
+
+    /// Writes `key` and then `value`.
+    pub fn member<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) {
+        self.key(key);
+        value.write_json(self);
+    }
+
+    /// Writes the members of `value`, which must encode as an object,
+    /// into the object being written — the `[flatten]` of
+    /// [`wire_struct!`](crate::wire_struct).
+    pub fn splice<T: ToJson + ?Sized>(&mut self, value: &T) {
+        self.splice_next = true;
+        value.write_json(self);
+        debug_assert!(!self.splice_next, "spliced values encode to objects");
+    }
+
+    /// Writes a number (see [`write_f64`]).
+    pub fn number(&mut self, n: f64) {
+        self.separate();
+        if n.is_finite() {
+            write_f64(&mut self.out, n);
+        } else {
+            self.non_finite = true;
+            self.out.push_str("null");
+        }
+        self.comma = true;
+    }
+
+    /// Writes a string, escaped.
+    pub fn string(&mut self, s: &str) {
+        self.separate();
+        write_string(&mut self.out, s);
+        self.comma = true;
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.separate();
+        self.out.push_str(if b { "true" } else { "false" });
+        self.comma = true;
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.separate();
+        self.out.push_str("null");
+        self.comma = true;
+    }
+}
+
+impl ToJson for Value {
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Number(n) => w.number(*n),
+            Value::String(s) => w.string(s),
+            Value::Array(items) => {
+                w.begin_array();
+                for item in items {
+                    item.write_json(w);
+                }
+                w.end_array();
+            }
+            Value::Object(members) => {
+                w.begin_object();
+                for (key, member) in members {
+                    w.member(key, member);
+                }
+                w.end_object();
+            }
+        }
+    }
+}
+
+/// Serializes `value` with two-space indentation.
+pub fn to_string_pretty(value: &Value) -> Result<String, JsonError> {
+    let mut out = String::new();
+    write_pretty(&mut out, value, 0)?;
+    out.push('\n');
     Ok(out)
 }
 
-fn write_value(
-    out: &mut String,
-    value: &Value,
-    pretty: bool,
-    indent: usize,
-) -> Result<(), JsonError> {
+fn write_pretty(out: &mut String, value: &Value, indent: usize) -> Result<(), JsonError> {
     match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => {
-            if !n.is_finite() {
-                return Err(JsonError::NonFinite);
-            }
-            // Rust's f64 Display is the shortest decimal string that parses
-            // back to the same bits; "-0" and integral values like "5" are
-            // all valid JSON number lexemes.
-            let _ = write!(out, "{n}");
-        }
-        Value::String(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return Ok(());
-            }
+        Value::Array(items) if !items.is_empty() => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                if pretty {
-                    newline_indent(out, indent + 1);
-                }
-                write_value(out, item, pretty, indent + 1)?;
+                newline_indent(out, indent + 1);
+                write_pretty(out, item, indent + 1)?;
             }
-            if pretty {
-                newline_indent(out, indent);
-            }
+            newline_indent(out, indent);
             out.push(']');
         }
-        Value::Object(members) => {
-            if members.is_empty() {
-                out.push_str("{}");
-                return Ok(());
-            }
+        Value::Object(members) if !members.is_empty() => {
             out.push('{');
             for (i, (key, member)) in members.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                if pretty {
-                    newline_indent(out, indent + 1);
-                }
+                newline_indent(out, indent + 1);
                 write_string(out, key);
-                out.push(':');
-                if pretty {
-                    out.push(' ');
-                }
-                write_value(out, member, pretty, indent + 1)?;
+                out.push_str(": ");
+                write_pretty(out, member, indent + 1)?;
             }
-            if pretty {
-                newline_indent(out, indent);
-            }
+            newline_indent(out, indent);
             out.push('}');
         }
+        scalar => out.push_str(&scalar.to_json_string()?),
     }
     Ok(())
 }
@@ -98,6 +260,11 @@ fn newline_indent(out: &mut String, indent: usize) {
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -166,6 +333,25 @@ mod tests {
                 JsonError::NonFinite
             );
         }
+    }
+
+    #[test]
+    fn spliced_objects_continue_the_enclosing_object() {
+        let inner = object([("b", 2.0), ("c", 3.0)]);
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.member("a", &1.0);
+        w.splice(&inner);
+        w.splice(&Value::Object(Vec::new()));
+        w.member("d", &object([("e", 4.0)]));
+        w.end_object();
+        assert_eq!(w.finish().unwrap(), r#"{"a":1,"b":2,"c":3,"d":{"e":4}}"#);
+
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.splice(&inner);
+        w.end_object();
+        assert_eq!(w.finish().unwrap(), r#"{"b":2,"c":3}"#);
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! Written as deterministic sampling loops over [`gf_support::SplitMix64`]
 //! (the offline build cannot fetch proptest): random value trees round-trip
 //! through the writer and parser, random `f64` bit patterns round-trip
-//! bit-for-bit, and random mutations of valid documents never panic the
-//! parser.
+//! bit-for-bit, random mutations of valid documents never panic the
+//! parser, and the shortest `f64` printer matches `format!("{}")` byte for
+//! byte. `cargo test --release -p gf-json -- --ignored` runs the long
+//! differential sample (over 50M values).
 
-use gf_json::{parse, parse_with, JsonError, ParseLimits, Value};
+use gf_json::number::{inv_pow5, pow5, POW5_INV_SPLIT2, POW5_SPLIT2, POW5_TABLE};
+use gf_json::{parse, parse_with, write_f64, JsonError, ParseLimits, Value};
 use gf_support::SplitMix64;
 
 const CASES: usize = 256;
@@ -231,5 +234,181 @@ fn nested_round_trip_preserves_structure_through_reserialization() {
         let first = value.to_json_string().unwrap();
         let second = parse(&first).unwrap().to_json_string().unwrap();
         assert_eq!(first, second);
+    }
+}
+
+fn assert_prints_like_std(x: f64) {
+    let mut ours = String::new();
+    write_f64(&mut ours, x);
+    let std = format!("{x}");
+    assert_eq!(ours, std, "bits {:#018x}", x.to_bits());
+}
+
+/// `per_binade` random mantissas (either sign) in each of the 2047 finite
+/// binades, subnormals included, then `raw` random bit patterns.
+fn differential_sample(seed: u64, per_binade: usize, raw: usize) {
+    let mut rng = rng(seed);
+    for exponent in 0..2047u64 {
+        for _ in 0..per_binade {
+            let bits = (rng.next_u64() & 0x800f_ffff_ffff_ffff) | exponent << 52;
+            assert_prints_like_std(f64::from_bits(bits));
+        }
+    }
+    for _ in 0..raw {
+        assert_prints_like_std(gen_finite_f64(&mut rng));
+    }
+}
+
+/// Values `N + j/2^k` whose last representable bits make the shortest
+/// decimal an exact tie between two candidates, for `N` drawn from each
+/// binade 2^44…2^52 and every `j`, scaled by 1, −1, 1e−10, 1e10 and 1/1024
+/// (1/1024 keeps the tie, the decimal scales probe its neighbours).
+fn tie_sweep(seed: u64, per_binade: usize) {
+    let mut rng = rng(seed);
+    for e in 44..=52u32 {
+        let k = 52 - e;
+        for _ in 0..per_binade {
+            let n = (1u64 << e) + rng.gen_range_u64(0, (1u64 << e) - 1);
+            for j in 0..1u64 << k {
+                let x = n as f64 + j as f64 / (1u64 << k) as f64;
+                for scale in [1.0, -1.0, 1e-10, 1e10, 1.0 / 1024.0] {
+                    assert_prints_like_std(x * scale);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn shortest_printer_matches_std_display() {
+    for x in [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+    ] {
+        assert_prints_like_std(x);
+    }
+    for bits in (1..=64u64).chain([0x000f_ffff_ffff_ffff, 0x0008_0000_0000_0000]) {
+        assert_prints_like_std(f64::from_bits(bits)); // subnormals
+    }
+    for k in -323..=308 {
+        let x: f64 = format!("1e{k}").parse().unwrap();
+        assert_prints_like_std(x);
+        assert_prints_like_std(-x);
+    }
+    // About a million values in all.
+    differential_sample(6, 256, 200_000);
+    tie_sweep(7, 100);
+}
+
+#[test]
+fn exact_ties_round_up_like_std() {
+    // …668.25 sits halfway between …668.2 and …668.3: std rounds up,
+    // Ryu's round-half-even would print …668.2.
+    let x = f64::from_bits(0x4319_9493_9e58_15f1);
+    let mut out = String::new();
+    write_f64(&mut out, x);
+    assert_eq!(out, "1800059038860668.3");
+}
+
+#[test]
+#[ignore = "long differential run (over 50M values); run in release"]
+fn shortest_printer_matches_std_display_long() {
+    differential_sample(8, 16_384, 16_000_000);
+    tie_sweep(9, 10_000);
+}
+
+/// Little-endian base-2³² natural number: just enough arithmetic to
+/// rebuild the printer's power-of-5 tables from first principles.
+struct Big(Vec<u32>);
+
+impl Big {
+    fn pow2(exponent: u32) -> Big {
+        let mut limbs = vec![0; exponent as usize / 32 + 1];
+        limbs[exponent as usize / 32] = 1 << (exponent % 32);
+        Big(limbs)
+    }
+
+    fn pow5(exponent: u32) -> Big {
+        let mut big = Big(vec![1]);
+        for _ in 0..exponent {
+            let mut carry = 0u64;
+            for limb in &mut big.0 {
+                let product = u64::from(*limb) * 5 + carry;
+                *limb = product as u32;
+                carry = product >> 32;
+            }
+            if carry > 0 {
+                big.0.push(carry as u32);
+            }
+        }
+        big
+    }
+
+    fn div5(&mut self) {
+        let mut remainder = 0u64;
+        for limb in self.0.iter_mut().rev() {
+            let current = remainder << 32 | u64::from(*limb);
+            *limb = (current / 5) as u32;
+            remainder = current % 5;
+        }
+    }
+
+    fn bits(&self) -> u32 {
+        let top = self.0.iter().rposition(|&limb| limb != 0).unwrap();
+        top as u32 * 32 + (32 - self.0[top].leading_zeros())
+    }
+
+    /// The value shifted so exactly `n ≤ 128` significant bits remain
+    /// (the value itself when `n` is its bit length).
+    fn top_bits(&self, n: u32) -> u128 {
+        let bits = self.bits();
+        let shift = bits.saturating_sub(n);
+        let value = (shift..bits).rev().fold(0u128, |acc, bit| {
+            acc << 1 | u128::from(self.0[bit as usize / 32] >> (bit % 32) & 1)
+        });
+        value << n.saturating_sub(bits)
+    }
+}
+
+/// `5^i` normalized to its top 125 bits.
+fn exact_pow5(i: u32) -> u128 {
+    Big::pow5(i).top_bits(125)
+}
+
+/// `⌊2^(bits(5^i) − 1 + 125) / 5^i⌋ + 1`.
+fn exact_inv_pow5(i: u32) -> u128 {
+    let mut quotient = Big::pow2(Big::pow5(i).bits() - 1 + 125);
+    for _ in 0..i {
+        quotient.div5();
+    }
+    quotient.top_bits(quotient.bits()) + 1
+}
+
+#[test]
+fn power_of_5_tables_match_a_bignum_rebuild() {
+    for (i, &power) in POW5_TABLE.iter().enumerate() {
+        let exact = Big::pow5(i as u32);
+        assert_eq!(u128::from(power), exact.top_bits(exact.bits()), "5^{i}");
+    }
+    for (k, &stored) in POW5_SPLIT2.iter().enumerate() {
+        assert_eq!(stored, exact_pow5(26 * k as u32), "split 26·{k}");
+    }
+    for (k, &stored) in POW5_INV_SPLIT2.iter().enumerate() {
+        assert_eq!(
+            stored,
+            exact_inv_pow5(26 * k as u32),
+            "inverse split 26·{k}"
+        );
+    }
+    // Every multiplier the printer derives, corrections included.
+    for i in 0..326 {
+        assert_eq!(pow5(i), exact_pow5(i), "5^{i}");
+    }
+    for i in 0..292 {
+        assert_eq!(inv_pow5(i), exact_inv_pow5(i), "5^-{i}");
     }
 }

@@ -10,17 +10,18 @@
 //!
 //! Every query handler decodes the typed request from [`greenfpga::api`],
 //! runs it through the shared [`greenfpga::Engine`] — the **same**
-//! facade a library user or the CLI calls — and encodes the typed
-//! response, so a served response is bit-identical to a local call by
-//! construction. Failures speak the [`ApiError`] taxonomy, mapped to HTTP
-//! status via [`ApiError::http_status`].
+//! facade a library user or the CLI calls — and writes the typed
+//! response straight into the body in one [`JsonWriter`] pass, so a
+//! served response is bit-identical to a local call by construction.
+//! Failures speak the [`ApiError`] taxonomy, mapped to HTTP status via
+//! [`ApiError::http_status`].
 
 use std::sync::mpsc::SyncSender;
 use std::sync::OnceLock;
 
-use gf_json::{object, FromJson, ToJson, Value};
-use greenfpga::api::QueryKind;
-use greenfpga::{ApiError, GridRequest, GridStream, ResultBuffer};
+use gf_json::{object, FromJson, JsonWriter, ToJson, Value};
+use greenfpga::api::{MetricsResponse, QueryKind, TraceResponse};
+use greenfpga::{ApiError, GridRequest, GridStream, Outcome, ResultBuffer};
 
 use crate::http::Request;
 use crate::{Completion, ServerState, StreamEvent};
@@ -154,20 +155,23 @@ pub(crate) fn handle_offloaded(
 ) -> Reply {
     if request.method == "POST" && request.path == QueryKind::Grid.path() {
         match try_grid_stream(state, request) {
-            Ok(Some((head, stream))) => {
-                // The execute span for a streamed grid covers decode +
-                // compile + head build; the row production shows up as
-                // `eval_batch` spans while the stream drains.
-                record_execute(exec_start_ticks);
-                return Reply::GridStream { head, stream };
+            Ok(Some(stream)) => {
+                // The execute span for a streamed grid covers decode and
+                // compile, and the serialize span the head; the rows show
+                // up as `eval_batch` spans while the stream drains.
+                let mid = record_span(gf_trace::SpanName::Execute, exec_start_ticks, 0);
+                return match stream.head_json() {
+                    Ok(head) => {
+                        record_span(gf_trace::SpanName::Serialize, mid, head.len() as u64);
+                        Reply::GridStream { head, stream }
+                    }
+                    Err(e) => Reply::error(&serialization_error(&e)),
+                };
             }
             Ok(None) => {} // `stream` not requested: buffered path below
             Err(error) => {
-                record_execute(exec_start_ticks);
-                return Reply::Full {
-                    status: error.http_status(),
-                    body: error_body(&error),
-                };
+                record_span(gf_trace::SpanName::Execute, exec_start_ticks, 0);
+                return Reply::error(&error);
             }
         }
     }
@@ -175,36 +179,43 @@ pub(crate) fn handle_offloaded(
     Reply::Full { status, body }
 }
 
-/// Closes an execute span opened at `exec_start_ticks` (no-op when 0 —
-/// untraced), for paths that don't hand the boundary stamp onward.
-fn record_execute(exec_start_ticks: u64) {
-    if exec_start_ticks != 0 {
-        gf_trace::record_span_at(
-            gf_trace::SpanName::Execute,
-            exec_start_ticks,
-            gf_trace::now_ticks().saturating_sub(exec_start_ticks),
-            0,
-        );
+/// Closes a span opened at `start_ticks` and returns its end stamp, which
+/// opens the next span; a no-op returning 0 when `start_ticks` is 0
+/// (untraced).
+fn record_span(name: gf_trace::SpanName, start_ticks: u64, aux: u64) -> u64 {
+    if start_ticks == 0 {
+        return 0;
+    }
+    let end = gf_trace::now_ticks();
+    gf_trace::record_span_at(name, start_ticks, end.saturating_sub(start_ticks), aux);
+    end
+}
+
+fn serialization_error(error: &gf_json::JsonError) -> ApiError {
+    ApiError::internal(format!("response serialization failed: {error}"))
+}
+
+impl Reply {
+    fn error(error: &ApiError) -> Reply {
+        Reply::Full {
+            status: error.http_status(),
+            body: error_body(error),
+        }
     }
 }
 
 /// Decodes a grid request and, when it asked to stream, compiles the
-/// scenario and builds the response head. `Ok(None)` means "buffered
-/// request — use the ordinary path".
+/// scenario. `Ok(None)` means "buffered request — use the ordinary path".
 fn try_grid_stream(
     state: &ServerState,
     request: &Request,
-) -> Result<Option<(String, Box<GridStream>)>, ApiError> {
+) -> Result<Option<Box<GridStream>>, ApiError> {
     let body = parse_body(state, request)?;
     let grid = GridRequest::from_json(&body)?;
     if !grid.stream {
         return Ok(None);
     }
-    let stream = state.engine.grid_stream(&grid)?;
-    let head = stream
-        .head_json()
-        .map_err(|e| ApiError::internal(format!("response serialization failed: {e}")))?;
-    Ok(Some((head, Box::new(stream))))
+    Ok(Some(Box::new(state.engine.grid_stream(&grid)?)))
 }
 
 /// Evaluates a grid stream block by block on the worker, sending each
@@ -241,70 +252,52 @@ pub(crate) fn stream_grid_blocks(
     };
 }
 
+/// What a successful dispatch answers with: a typed response, written
+/// into the body only after the execute span closes.
+enum Payload {
+    /// A `/v1/<kind>` query's outcome; the body is its bare result.
+    Outcome(Outcome),
+    Metrics(MetricsResponse),
+    Trace(TraceResponse),
+    Health(Value),
+}
+
+impl ToJson for Payload {
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            Payload::Outcome(outcome) => outcome.write_result(w),
+            Payload::Metrics(metrics) => metrics.write_json(w),
+            Payload::Trace(trace) => trace.write_json(w),
+            Payload::Health(health) => health.write_json(w),
+        }
+    }
+}
+
 /// Routes one request. Returns `(status, body, end_ticks)`; the body is
 /// always JSON. `exec_start_ticks` (0 = untraced) opens the execute
-/// span, whose closing stamp also opens the serialize span; the final
-/// boundary stamp is returned so the transport can open the write span
-/// without a fresh clock read (0 when untraced).
+/// span, which ends when the engine (or the error) returns; its closing
+/// stamp opens the serialize span over the one writer pass that produces
+/// the body. The final boundary stamp is returned so the transport can
+/// open the write span without a fresh clock read (0 when untraced).
 pub(crate) fn handle(
     state: &ServerState,
     buffer: &mut ResultBuffer,
     request: &Request,
     exec_start_ticks: u64,
 ) -> (u16, String, u64) {
-    match dispatch(state, buffer, request) {
-        Ok(value) => {
-            let mid = if exec_start_ticks != 0 {
-                let mid = gf_trace::now_ticks();
-                gf_trace::record_span_at(
-                    gf_trace::SpanName::Execute,
-                    exec_start_ticks,
-                    mid.saturating_sub(exec_start_ticks),
-                    0,
-                );
-                mid
-            } else {
-                0
-            };
-            match value.to_json_string() {
-                Ok(body) => {
-                    let end = if mid != 0 {
-                        let end = gf_trace::now_ticks();
-                        gf_trace::record_span_at(
-                            gf_trace::SpanName::Serialize,
-                            mid,
-                            end.saturating_sub(mid),
-                            body.len() as u64,
-                        );
-                        end
-                    } else {
-                        0
-                    };
-                    (200, body, end)
-                }
-                Err(e) => {
-                    let error = ApiError::internal(format!("response serialization failed: {e}"));
-                    (error.http_status(), error_body(&error), mid)
-                }
-            }
-        }
-        Err(error) => {
-            let body = error_body(&error);
-            let end = if exec_start_ticks != 0 {
-                let end = gf_trace::now_ticks();
-                gf_trace::record_span_at(
-                    gf_trace::SpanName::Execute,
-                    exec_start_ticks,
-                    end.saturating_sub(exec_start_ticks),
-                    0,
-                );
-                end
-            } else {
-                0
-            };
-            (error.http_status(), body, end)
-        }
-    }
+    let result = dispatch(state, buffer, request);
+    let mid = record_span(gf_trace::SpanName::Execute, exec_start_ticks, 0);
+    let written = result.and_then(|payload| {
+        payload
+            .to_json_string()
+            .map_err(|e| serialization_error(&e))
+    });
+    let (status, body) = match written {
+        Ok(body) => (200, body),
+        Err(error) => (error.http_status(), error_body(&error)),
+    };
+    let end = record_span(gf_trace::SpanName::Serialize, mid, body.len() as u64);
+    (status, body, end)
 }
 
 /// Finds the dispatch-table entry for a request and runs it.
@@ -312,7 +305,7 @@ fn dispatch(
     state: &ServerState,
     buffer: &mut ResultBuffer,
     request: &Request,
-) -> Result<Value, ApiError> {
+) -> Result<Payload, ApiError> {
     let entry = route_table()
         .iter()
         .find(|route| route.path == request.path)
@@ -326,15 +319,15 @@ fn dispatch(
         )));
     }
     match entry.endpoint {
-        Endpoint::Healthz => Ok(healthz(state)),
-        Endpoint::Metrics => Ok(metrics(state)),
+        Endpoint::Healthz => Ok(Payload::Health(healthz(state))),
+        Endpoint::Metrics => Ok(Payload::Metrics(metrics(state))),
         // The transport intercepts `GET /metrics` before dispatch (its
         // response is text, not JSON); reaching this arm means a bug in
         // that interception, not a client error.
         Endpoint::Prometheus => Err(ApiError::internal(
             "prometheus exposition must be rendered by the transport",
         )),
-        Endpoint::Trace => Ok(trace()),
+        Endpoint::Trace => Ok(Payload::Trace(trace())),
         Endpoint::Query(kind) => {
             // `GET` query routes (the catalog) carry no body; decode from
             // the empty object instead of parsing zero bytes as JSON.
@@ -344,8 +337,9 @@ fn dispatch(
                 parse_body(state, request)?
             };
             let query = kind.decode_request(&body)?;
-            let outcome = state.engine.run_with_buffer(&query, buffer)?;
-            Ok(outcome.result_json())
+            Ok(Payload::Outcome(
+                state.engine.run_with_buffer(&query, buffer)?,
+            ))
         }
     }
 }
@@ -366,18 +360,15 @@ fn parse_body(state: &ServerState, request: &Request) -> Result<Value, ApiError>
 /// thread's current request id (when one is set) so an error response can
 /// be correlated with its spans and its `x-request-id` header.
 pub(crate) fn error_body(error: &ApiError) -> String {
-    let mut value = error.to_json();
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.splice(error);
     let request_id = gf_trace::current_request();
     if request_id != 0 {
-        if let Value::Object(members) = &mut value {
-            members.push((
-                "request_id".to_string(),
-                Value::String(format!("{request_id:016x}")),
-            ));
-        }
+        w.member("request_id", &format!("{request_id:016x}"));
     }
-    value
-        .to_json_string()
+    w.end_object();
+    w.finish()
         .unwrap_or_else(|_| "{\"error\":{\"code\":\"internal\"}}".to_string())
 }
 
@@ -417,7 +408,7 @@ const TRACE_SNAPSHOT_MAX: usize = 512;
 /// Builds the `GET /v1/trace` response: the recent-span rings as typed
 /// JSON, newest first, ids rendered as the same fixed-width hex the
 /// `x-request-id` header uses.
-fn trace() -> Value {
+fn trace() -> TraceResponse {
     let spans = gf_trace::snapshot(TRACE_SNAPSHOT_MAX)
         .into_iter()
         .map(|span| greenfpga::api::TraceSpan {
@@ -430,16 +421,15 @@ fn trace() -> Value {
             thread: span.thread,
         })
         .collect();
-    greenfpga::api::TraceResponse {
+    TraceResponse {
         spans,
         enabled: gf_trace::enabled(),
     }
-    .to_json()
 }
 
-fn metrics(state: &ServerState) -> Value {
+fn metrics(state: &ServerState) -> MetricsResponse {
     use std::sync::atomic::Ordering;
-    greenfpga::api::MetricsResponse {
+    MetricsResponse {
         requests_served: state.requests.load(Ordering::Relaxed),
         connections_live: state.live_connections.load(Ordering::SeqCst) as u64,
         connections_max: state.config.max_connections as u64,
@@ -447,7 +437,6 @@ fn metrics(state: &ServerState) -> Value {
         routes: state.metrics.snapshot_routes(),
         cache_shards: state.engine.cache_shard_metrics(),
     }
-    .to_json()
 }
 
 #[cfg(test)]

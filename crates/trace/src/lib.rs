@@ -77,9 +77,14 @@ pub enum SpanName {
     QueueWait = 2,
     /// Scenario compile on a cache miss (engine; `aux` = shard index).
     Compile = 3,
-    /// Query execution (server for the request span; `aux` = route index).
+    /// Query execution (server; `aux` = 0): request-body parse, decode
+    /// and the engine call, ending when `Engine::run` (or the error)
+    /// returns. The typed outcome is then written in the serialize span.
     Execute = 4,
-    /// Response-body serialization (server; `aux` = body bytes).
+    /// Response-body serialization (server; `aux` = body bytes): the one
+    /// `JsonWriter` pass from the typed outcome (or error) to the body
+    /// text. For a streamed grid it covers the head only; the rows are
+    /// written as each block is evaluated.
     Serialize = 5,
     /// Response write: serialize-end to socket-drained (server;
     /// `aux` = bytes written) — covers HTTP encoding, output queueing,
