@@ -19,8 +19,9 @@
 //!   client count fails the build;
 //! * absolute quality floors on the candidate, independent of whatever the
 //!   baseline recorded — a bad baseline must not grandfather a bad kernel
-//!   in: the adaptive-frontier evaluation budget
-//!   (`frontier_eval_fraction ≤ 0.2`), the batch kernel's cost per point
+//!   in: the frontier evaluation budget (`frontier_eval_fraction ≤ 0.2`),
+//!   the frontier no slower than the dense grid on the same lattice
+//!   (`frontier_speedup ≥ 1`), the batch kernel's cost per point
 //!   (`evaluate_ns_per_point ≤`
 //!   [`gf_bench::EVALUATE_NS_PER_POINT_CEILING`]), the serving soak
 //!   holding at least [`gf_bench::SERVE_CONNECTIONS_FLOOR`] verified live
@@ -103,6 +104,20 @@ fn run(baseline_path: &str, candidate_path: &str, tolerance: f64) -> Result<bool
             "  {:<40} {:>33.1}%  {verdict}",
             "frontier_eval_fraction",
             fraction * 100.0
+        );
+    }
+    // Skipping cells must pay off in time too: the winner map may not be
+    // slower than the dense grid it replaces.
+    if let Some(speedup) = lookup(&candidate, "frontier_speedup") {
+        let verdict = if speedup < 1.0 {
+            failed = true;
+            "REGRESSED"
+        } else {
+            "ok"
+        };
+        println!(
+            "  {:<40} {speedup:>32.2}x   {verdict}  (absolute floor 1)",
+            "frontier_speedup (floor)"
         );
     }
     // The closed-form kernel's per-point cost has an absolute ceiling (see
@@ -272,6 +287,45 @@ mod tests {
         )
         .unwrap();
         assert!(run(
+            baseline.to_str().unwrap(),
+            candidate.to_str().unwrap(),
+            1.25
+        )
+        .unwrap());
+    }
+
+    #[test]
+    fn frontier_speedup_has_an_absolute_floor() {
+        let dir = std::env::temp_dir().join("gf_bench_gate_frontier_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let baseline = dir.join("baseline.json");
+        let candidate = dir.join("candidate.json");
+        // A baseline that recorded a slow frontier cannot grandfather a
+        // candidate slower than the dense grid in.
+        std::fs::write(&baseline, "{\n  \"frontier_speedup\": 0.35\n}\n").unwrap();
+        std::fs::write(&candidate, "{\n  \"frontier_speedup\": 0.9\n}\n").unwrap();
+        assert!(run(
+            baseline.to_str().unwrap(),
+            candidate.to_str().unwrap(),
+            1.25
+        )
+        .unwrap());
+        for passing in ["1", "1.8"] {
+            std::fs::write(
+                &candidate,
+                format!("{{\n  \"frontier_speedup\": {passing}\n}}\n"),
+            )
+            .unwrap();
+            assert!(!run(
+                baseline.to_str().unwrap(),
+                candidate.to_str().unwrap(),
+                1.25
+            )
+            .unwrap());
+        }
+        // A candidate without the key is not failed.
+        std::fs::write(&candidate, "{\n  \"k_ns\": 100\n}\n").unwrap();
+        assert!(!run(
             baseline.to_str().unwrap(),
             candidate.to_str().unwrap(),
             1.25

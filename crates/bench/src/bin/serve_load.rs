@@ -467,9 +467,9 @@ fn build_workload() -> Workload {
     .to_json_string()
     .expect("replay request serializes");
     let replay_request = encode_request(QueryKind::Replay.path(), &replay_body);
-    // The inverse-query mix: a constrained two-knob argmin on a cataloged
-    // fleet — non-affine objective, so every request runs the search tier
-    // through the worker pool rather than the O(1) analytic shortcut.
+    // The inverse-query mix: a two-knob minimum ratio subject to
+    // `fpga_wins` on a cataloged fleet — solved at the box vertices, and
+    // offloaded to the worker pool like every optimize request.
     let optimize_query = Query::Optimize(OptimizeRequest {
         scenario: ScenarioRef::Catalog {
             id: REPLAY_ID.to_string(),

@@ -69,15 +69,15 @@ pub enum Command {
         workload: WorkloadArgs,
         /// Lattice geometry: axes, ranges and resolution.
         shape: GridShape,
-        /// Classify winners by adaptive frontier refinement instead of
+        /// Classify winners by bisecting each row for its flip instead of
         /// evaluating every cell.
         adaptive: bool,
         /// Stream row-blocks as they are computed instead of buffering the
         /// whole grid (bounded memory for million-point lattices).
         stream: bool,
     },
-    /// Trace the crossover frontier of a 2-D lattice by adaptive quadtree
-    /// refinement and print the winner map.
+    /// Trace the crossover frontier of a 2-D lattice by bisecting each row
+    /// for its single winner flip, and print the winner map.
     Frontier {
         /// Common workload arguments (the two swept axes override it).
         workload: WorkloadArgs,
@@ -361,9 +361,9 @@ GRID / FRONTIER OPTIONS:
   --y-axis <apps|lifetime|volume> row axis                 (default: lifetime)
   --y-from <VALUE> --y-to <VALUE> row range                (default: 0.25..3)
   --steps <N>                     resolution per axis      (default: 24)
-  --adaptive                      grid only: classify winners by adaptive
-                                  frontier refinement instead of evaluating
-                                  every cell
+  --adaptive                      grid only: classify winners by bisecting
+                                  each row for its flip instead of
+                                  evaluating every cell
   --stream                        grid only: evaluate and print row-blocks
                                   incrementally, holding only one block in
                                   memory at a time

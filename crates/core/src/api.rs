@@ -801,10 +801,10 @@ wire_struct! {
         pub search: Vec<SearchKnob>,
         /// Feasibility constraints (omitted from the wire when empty).
         pub constraints: Vec<Constraint> [omit Vec::<Constraint>::new()],
-        /// Relative solve tolerance for the search tier (omitted when
+        /// Relative solve tolerance for the coordinate search (omitted when
         /// [`OptimizeRequest::DEFAULT_TOLERANCE`]).
         pub tolerance: f64 [omit Self::DEFAULT_TOLERANCE],
-        /// Kernel-evaluation budget for the search tier (omitted when
+        /// Kernel-evaluation budget for the coordinate search (omitted when
         /// [`OptimizeRequest::DEFAULT_MAX_EVALS`]).
         pub max_evals: u64 [omit Self::DEFAULT_MAX_EVALS],
     }
@@ -1865,7 +1865,7 @@ query_kinds! {
     Compare("compare", POST, offload: false) CompareRequest => CompareResponse;
     /// The three crossover searches (closed-form solver).
     Crossover("crossover", POST, offload: false) CrossoverRequest => CrossoverResponse;
-    /// Adaptive winner map over a 2-D lattice (quadtree refiner).
+    /// Winner map over a 2-D lattice (per-row bisection for the flip).
     Frontier("frontier", POST, offload: true) FrontierRequest => FrontierResponse;
     /// One axis swept over a linear range.
     Sweep("sweep", POST, offload: true) SweepRequest => SweepSeries;

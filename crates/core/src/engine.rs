@@ -246,6 +246,7 @@ impl Engine {
                     request.y_axis,
                     &y_values,
                     request.base,
+                    threads,
                 )?;
                 Outcome::Frontier(FrontierResponse::from(&result))
             }

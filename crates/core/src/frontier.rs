@@ -1,54 +1,31 @@
-//! Adaptive crossover-frontier refinement for 2-D winner maps.
+//! Crossover-frontier winner maps for 2-D lattices.
 //!
 //! A dense [`crate::GridSweep`] heatmap evaluates every cell of an `n × n`
 //! lattice even though the only structure in the answer is the crossover
-//! frontier — the contour where the greener platform flips. Because both
-//! totals are affine along every lattice line (see [`crate::AffineTotal`]),
-//! the winner along any axis-parallel segment flips **at most once**, and a
-//! rectangular block whose four corners agree is therefore uniform
-//! throughout: if an interior cell disagreed, some row or column of the
-//! block would have to flip twice.
+//! frontier — the contour where the greener platform flips. Both totals
+//! are affine along every lattice line (see [`crate::AffineTotal`]), so
+//! their difference is too, and the winner along a row flips **at most
+//! once** when the row's coordinates are monotone.
 //!
-//! [`Estimator::frontier`] exploits this with a quadtree: evaluate a
-//! block's corners, fill it wholesale when they agree, subdivide it when
-//! they straddle the frontier. Only blocks cut by the contour are refined,
-//! so the work scales with the frontier's length — O(n) cells with
-//! logarithmic refinement overhead — instead of the dense grid's O(n²).
-//! Each refinement wave fans its corner evaluations out over
-//! [`crate::exec`], and the result rasterizes back to the dense winner mask
-//! the CLI renders, bit-consistent with the full grid's.
+//! [`Estimator::frontier`] uses this row by row: evaluate both ends, fill
+//! the row when they agree, otherwise bisect the column indices for the
+//! single flip and fill each side — O(log n) evaluations per row instead
+//! of O(n). Only the column order matters; a row whose x coordinates are
+//! not monotone is evaluated cell by cell. Rows fan out over
+//! [`crate::exec`], and the result is the dense winner mask the CLI
+//! renders, cell for cell the full grid's.
 
 use crate::{
     exec, CompiledScenario, Domain, Estimator, GreenFpgaError, OperatingPoint, PlatformKind,
     SweepAxis,
 };
 
-/// A rectangular block of lattice indices, inclusive on all sides.
-#[derive(Debug, Clone, Copy)]
-struct Block {
-    x0: usize,
-    x1: usize,
-    y0: usize,
-    y1: usize,
-}
-
-impl Block {
-    fn corners(&self) -> [(usize, usize); 4] {
-        [
-            (self.x0, self.y0),
-            (self.x1, self.y0),
-            (self.x0, self.y1),
-            (self.x1, self.y1),
-        ]
-    }
-}
-
-/// The adaptively refined winner map of a 2-D operating-point lattice.
+/// The winner map of a 2-D operating-point lattice.
 ///
 /// Holds the same dense lattice coordinates as a [`crate::GridSweep`], the
 /// full winner mask (every cell classified), the FPGA:ASIC ratio of every
-/// cell the refiner actually evaluated, and the evaluation count — the
-/// measure of the adaptive win over dense evaluation.
+/// cell actually evaluated, and the evaluation count — the measure of the
+/// saving over dense evaluation.
 #[derive(Debug, Clone)]
 pub struct FrontierResult {
     /// Domain the frontier was traced in.
@@ -64,8 +41,8 @@ pub struct FrontierResult {
     /// Row-major winner mask: `winners[row * width + col]` is `true` where
     /// the FPGA has the lower total (ratio < 1).
     winners: Vec<bool>,
-    /// Row-major evaluated ratios; `NaN` where the refiner inferred the
-    /// winner without evaluating the cell.
+    /// Row-major evaluated ratios; `NaN` where the winner was inferred
+    /// without evaluating the cell.
     ratios: Vec<f64>,
     /// Number of model evaluations performed.
     evaluated: usize,
@@ -73,8 +50,8 @@ pub struct FrontierResult {
 
 impl PartialEq for FrontierResult {
     /// Bitwise equality: the `NaN` markers of unevaluated cells compare
-    /// equal (a derived `PartialEq` would make every refined result unequal
-    /// to itself).
+    /// equal (a derived `PartialEq` would make every partly inferred result
+    /// unequal to itself).
     fn eq(&self, other: &Self) -> bool {
         self.domain == other.domain
             && self.x_axis == other.x_axis
@@ -140,7 +117,7 @@ impl FrontierResult {
     }
 
     /// The evaluated FPGA:ASIC ratio at `(row, col)`, or `None` where the
-    /// refiner inferred the winner without evaluating the cell.
+    /// winner was inferred without evaluating the cell.
     ///
     /// # Panics
     ///
@@ -158,7 +135,7 @@ impl FrontierResult {
         }
     }
 
-    /// Rasterizes the refined map to the dense row-major winner mask a full
+    /// Rasterizes the map to the dense row-major winner mask a full
     /// [`crate::GridSweep`] of the same lattice would produce
     /// (`mask[row][col]` = FPGA wins).
     pub fn winner_mask(&self) -> Vec<Vec<bool>> {
@@ -168,7 +145,7 @@ impl FrontierResult {
             .collect()
     }
 
-    /// Number of model evaluations the refinement performed.
+    /// Number of model evaluations performed.
     pub fn evaluations(&self) -> usize {
         self.evaluated
     }
@@ -226,21 +203,21 @@ impl FrontierResult {
 }
 
 impl Estimator {
-    /// Traces the crossover frontier of a 2-D operating-point lattice by
-    /// adaptive quadtree refinement, classifying **every** lattice cell
-    /// while evaluating only blocks the frontier cuts.
+    /// Traces the crossover frontier of a 2-D operating-point lattice,
+    /// classifying **every** lattice cell while evaluating only each row's
+    /// ends and the bisection steps to its flip.
     ///
     /// The winner mask is identical to what a dense
     /// [`Estimator::ratio_grid`] over the same `x_values` / `y_values`
     /// would report cell for cell (evaluated cells run the same compiled
     /// kernel; inferred cells follow from the affine structure of the
-    /// model — see the module docs). Each refinement wave evaluates its
-    /// block corners in parallel through [`crate::exec`].
+    /// model — see the module docs). Rows are evaluated in parallel
+    /// through [`crate::exec`].
     ///
     /// # Errors
     ///
     /// Returns [`GreenFpgaError::InvalidRange`] when either value list is
-    /// empty and propagates the model error with the lowest lattice index.
+    /// empty and propagates the model error of the lowest failing row.
     pub fn frontier(
         &self,
         domain: Domain,
@@ -251,15 +228,16 @@ impl Estimator {
         base: OperatingPoint,
     ) -> Result<FrontierResult, GreenFpgaError> {
         self.compile(domain)?
-            .frontier(x_axis, x_values, y_axis, y_values, base)
+            .frontier(x_axis, x_values, y_axis, y_values, base, 0)
     }
 }
 
 impl CompiledScenario {
     /// [`Estimator::frontier`] on an already-compiled scenario — the entry
     /// point callers with a scenario cache (the server) use to trace winner
-    /// maps compile-free. The result is identical to the estimator path,
-    /// which delegates here.
+    /// maps compile-free. `threads` follows the batch kernel's convention
+    /// (`0` = auto); the result is identical for every thread count and to
+    /// the estimator path, which delegates here.
     ///
     /// # Errors
     ///
@@ -271,127 +249,62 @@ impl CompiledScenario {
         y_axis: SweepAxis,
         y_values: &[f64],
         base: OperatingPoint,
+        threads: usize,
     ) -> Result<FrontierResult, GreenFpgaError> {
         crate::sweep::check_axis_values(x_values, "frontier values")?;
         crate::sweep::check_axis_values(y_values, "frontier values")?;
-        let domain = self.domain();
-        let compiled = self;
-        let (width, height) = (x_values.len(), y_values.len());
-        let cells = width * height;
-        let mut ratios = vec![f64::NAN; cells];
-        let mut winners = vec![false; cells];
-        let mut evaluated = 0usize;
-        let point_at = |index: usize| {
-            base.with_axis(y_axis, y_values[index / width])
-                .with_axis(x_axis, x_values[index % width])
-        };
-
-        // The corners-agree-implies-uniform inference needs lattice index
-        // order to be monotone in each coordinate (either direction); with
-        // shuffled axes a block can hide opposite-winner cells behind
-        // agreeing corners. Fall back to evaluating every cell — still the
-        // exact dense mask, just without the adaptive saving.
-        if !is_monotone(x_values) || !is_monotone(y_values) {
-            let wave = exec::try_map_indexed(cells, 0, |i| compiled.ratio(point_at(i)))?;
-            for (index, ratio) in wave.into_iter().enumerate() {
-                winners[index] = ratio < 1.0;
-                ratios[index] = ratio;
-            }
-            return Ok(FrontierResult {
-                domain,
-                x_axis,
-                x_values: x_values.to_vec(),
-                y_axis,
-                y_values: y_values.to_vec(),
-                winners,
-                ratios,
-                evaluated: cells,
-            });
-        }
-
-        let mut blocks = vec![Block {
-            x0: 0,
-            x1: width - 1,
-            y0: 0,
-            y1: height - 1,
-        }];
-        let mut requested = vec![false; cells];
-        while !blocks.is_empty() {
-            // Gather the corners this wave needs and has not evaluated yet.
-            let mut need: Vec<usize> = Vec::new();
-            for block in &blocks {
-                for (col, row) in block.corners() {
-                    let index = row * width + col;
-                    if ratios[index].is_nan() && !requested[index] {
-                        requested[index] = true;
-                        need.push(index);
-                    }
-                }
-            }
-            // Ascending order keeps the "lowest index" error guarantee of
-            // the underlying pool meaningful at the lattice level.
-            need.sort_unstable();
-            let wave = exec::try_map_indexed(need.len(), 0, |i| compiled.ratio(point_at(need[i])))?;
-            for (&index, ratio) in need.iter().zip(wave) {
-                ratios[index] = ratio;
-                requested[index] = false;
-            }
-            evaluated += need.len();
-
-            // Classify or subdivide every block of the wave.
-            let mut next = Vec::new();
-            for block in blocks.drain(..) {
-                let corner_wins = block
-                    .corners()
-                    .map(|(col, row)| ratios[row * width + col] < 1.0);
-                let uniform = corner_wins.iter().all(|&w| w == corner_wins[0]);
-                if uniform {
-                    for row in block.y0..=block.y1 {
-                        for col in block.x0..=block.x1 {
-                            winners[row * width + col] = corner_wins[0];
-                        }
-                    }
-                    continue;
-                }
-                let splittable_x = block.x1 - block.x0 > 1;
-                let splittable_y = block.y1 - block.y0 > 1;
-                if !splittable_x && !splittable_y {
-                    // Every lattice point of a ≤2×2 block is a corner.
-                    for (col, row) in block.corners() {
-                        winners[row * width + col] = ratios[row * width + col] < 1.0;
-                    }
-                    continue;
-                }
-                let xm = block.x0 + (block.x1 - block.x0) / 2;
-                let ym = block.y0 + (block.y1 - block.y0) / 2;
-                let x_spans: &[(usize, usize)] = if splittable_x {
-                    &[(block.x0, xm), (xm, block.x1)]
-                } else {
-                    &[(block.x0, block.x1)]
+        let width = x_values.len();
+        let bisect = is_monotone(x_values);
+        let rows = exec::try_map_indexed(
+            y_values.len(),
+            threads,
+            |row| -> Result<_, GreenFpgaError> {
+                let row_base = base.with_axis(y_axis, y_values[row]);
+                let mut ratios = vec![f64::NAN; width];
+                let mut wins = |col: usize| -> Result<bool, GreenFpgaError> {
+                    let ratio = self.ratio(row_base.with_axis(x_axis, x_values[col]))?;
+                    ratios[col] = ratio;
+                    Ok(ratio < 1.0)
                 };
-                let y_spans: &[(usize, usize)] = if splittable_y {
-                    &[(block.y0, ym), (ym, block.y1)]
-                } else {
-                    &[(block.y0, block.y1)]
-                };
-                for &(y0, y1) in y_spans {
-                    for &(x0, x1) in x_spans {
-                        next.push(Block { x0, x1, y0, y1 });
+                let mut winners = Vec::with_capacity(width);
+                if !bisect {
+                    for col in 0..width {
+                        winners.push(wins(col)?);
+                    }
+                    return Ok((winners, ratios));
+                }
+                // Cells up to `lo` share the left end's winner, cells from `hi`
+                // on the right end's; the single flip lies between them.
+                let (mut lo, mut hi) = (0, width - 1);
+                let left = wins(lo)?;
+                let right = if hi == lo { left } else { wins(hi)? };
+                if left == right {
+                    lo = hi;
+                }
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if wins(mid)? == left {
+                        lo = mid;
+                    } else {
+                        hi = mid;
                     }
                 }
-            }
-            blocks = next;
-        }
-
+                winners.resize(lo + 1, left);
+                winners.resize(width, right);
+                Ok((winners, ratios))
+            },
+        )?;
+        let (winners, ratios): (Vec<Vec<bool>>, Vec<Vec<f64>>) = rows.into_iter().unzip();
+        let ratios: Vec<f64> = ratios.concat();
         Ok(FrontierResult {
-            domain,
+            domain: self.domain(),
             x_axis,
             x_values: x_values.to_vec(),
             y_axis,
             y_values: y_values.to_vec(),
-            winners,
+            winners: winners.concat(),
+            evaluated: ratios.iter().filter(|r| !r.is_nan()).count(),
             ratios,
-            evaluated,
         })
     }
 }
@@ -411,9 +324,10 @@ mod tests {
     }
 
     fn lattice(n: usize) -> (Vec<f64>, Vec<f64>) {
-        let apps: Vec<f64> = (1..=n).map(|i| i as f64).collect();
-        let lifetimes: Vec<f64> = (1..=n).map(|i| 0.05 * i as f64).collect();
-        (apps, lifetimes)
+        (
+            axis_values(SweepAxis::Applications, n),
+            axis_values(SweepAxis::LifetimeYears, n),
+        )
     }
 
     fn dnn_frontier(n: usize) -> FrontierResult {
@@ -430,41 +344,74 @@ mod tests {
             .unwrap()
     }
 
+    /// `n` ascending coordinates on `axis`.
+    fn axis_values(axis: SweepAxis, n: usize) -> Vec<f64> {
+        (1..=n)
+            .map(|i| match axis {
+                SweepAxis::Applications => i as f64,
+                SweepAxis::LifetimeYears => 0.05 * i as f64,
+                SweepAxis::VolumeUnits => 20_000.0 * i as f64,
+            })
+            .collect()
+    }
+
+    fn assert_matches_dense(
+        est: &Estimator,
+        domain: Domain,
+        (x_axis, x_values): (SweepAxis, &[f64]),
+        (y_axis, y_values): (SweepAxis, &[f64]),
+    ) -> FrontierResult {
+        let base = OperatingPoint::paper_default();
+        let frontier = est
+            .frontier(domain, x_axis, x_values, y_axis, y_values, base)
+            .unwrap();
+        let dense = est
+            .ratio_grid(domain, x_axis, x_values, y_axis, y_values, base)
+            .unwrap();
+        for (row, dense_row) in dense.ratios.iter().enumerate() {
+            for (col, &ratio) in dense_row.iter().enumerate() {
+                assert_eq!(
+                    frontier.fpga_wins(row, col),
+                    ratio < 1.0,
+                    "{domain} {x_axis:?} x {y_axis:?} cell ({row},{col})"
+                );
+            }
+        }
+        frontier
+    }
+
     #[test]
     fn frontier_mask_matches_dense_grid_exactly() {
-        let (apps, lifetimes) = lattice(17);
+        let est = estimator();
+        let axes = [
+            SweepAxis::Applications,
+            SweepAxis::LifetimeYears,
+            SweepAxis::VolumeUnits,
+        ];
         for domain in Domain::ALL {
-            let est = estimator();
-            let frontier = est
-                .frontier(
-                    domain,
-                    SweepAxis::Applications,
-                    &apps,
-                    SweepAxis::LifetimeYears,
-                    &lifetimes,
-                    OperatingPoint::paper_default(),
-                )
-                .unwrap();
-            let dense = est
-                .ratio_grid(
-                    domain,
-                    SweepAxis::Applications,
-                    &apps,
-                    SweepAxis::LifetimeYears,
-                    &lifetimes,
-                    OperatingPoint::paper_default(),
-                )
-                .unwrap();
-            for (row, dense_row) in dense.ratios.iter().enumerate() {
-                for (col, &ratio) in dense_row.iter().enumerate() {
-                    assert_eq!(
-                        frontier.fpga_wins(row, col),
-                        ratio < 1.0,
-                        "{domain} cell ({row},{col})"
-                    );
+            for x_axis in axes {
+                for y_axis in axes.into_iter().filter(|&y| y != x_axis) {
+                    let ascending = axis_values(x_axis, 17);
+                    let descending: Vec<f64> = ascending.iter().rev().copied().collect();
+                    let y_values = axis_values(y_axis, 17);
+                    for x_values in [&ascending, &descending] {
+                        assert_matches_dense(&est, domain, (x_axis, x_values), (y_axis, &y_values));
+                    }
                 }
             }
         }
+        // Row order is irrelevant to the per-row bisection: a shuffled y
+        // axis still skips cells.
+        let apps = axis_values(SweepAxis::Applications, 17);
+        let lifetimes = axis_values(SweepAxis::LifetimeYears, 17);
+        let shuffled: Vec<f64> = (0..17).map(|i| lifetimes[i * 7 % 17]).collect();
+        let frontier = assert_matches_dense(
+            &est,
+            Domain::Dnn,
+            (SweepAxis::Applications, &apps),
+            (SweepAxis::LifetimeYears, &shuffled),
+        );
+        assert!(frontier.evaluations() < frontier.len());
     }
 
     #[test]
@@ -517,12 +464,27 @@ mod tests {
         let a = dnn_frontier(33);
         let b = dnn_frontier(33);
         assert_eq!(a, b);
+        let (apps, lifetimes) = lattice(33);
+        let compiled = estimator().compile(Domain::Dnn).unwrap();
+        for threads in [1, 2, 8] {
+            let threaded = compiled
+                .frontier(
+                    SweepAxis::Applications,
+                    &apps,
+                    SweepAxis::LifetimeYears,
+                    &lifetimes,
+                    OperatingPoint::paper_default(),
+                    threads,
+                )
+                .unwrap();
+            assert_eq!(threaded, a, "threads {threads}");
+        }
     }
 
     #[test]
     fn degenerate_lattices_are_classified() {
         let est = estimator();
-        // A single row exercises the thin-block split path.
+        // A single row is one bisection.
         let apps: Vec<f64> = (1..=16).map(|i| i as f64).collect();
         let row = est
             .frontier(
@@ -567,8 +529,8 @@ mod tests {
 
     #[test]
     fn shuffled_axes_fall_back_to_the_exact_dense_mask() {
-        // Unsorted coordinates break the quadtree's uniformity inference;
-        // the refiner must detect it and evaluate every cell instead of
+        // Unsorted x coordinates break the single-flip inference along a
+        // row; every cell of such a row must be evaluated instead of
         // returning a wrong mask.
         let est = estimator();
         let apps = [1.0, 12.0, 2.0, 9.0, 4.0];
@@ -600,7 +562,7 @@ mod tests {
                 assert_eq!(frontier.ratio_at(row, col), Some(ratio), "({row},{col})");
             }
         }
-        // Descending (still monotone) axes keep the adaptive path.
+        // Descending (still monotone) x keeps the bisection.
         let descending: Vec<f64> = (1..=16).rev().map(|i| i as f64).collect();
         let lifetimes: Vec<f64> = (1..=16).map(|i| 0.2 * i as f64).collect();
         let adaptive = est
@@ -647,9 +609,9 @@ mod tests {
     }
 
     #[test]
-    fn uniform_grids_need_only_the_corners() {
-        // Crypto at ≥2 applications: the FPGA wins everywhere, so the root
-        // block's corners settle the whole lattice.
+    fn uniform_rows_need_only_their_ends() {
+        // Crypto at ≥2 applications: the FPGA wins everywhere, so each
+        // row's two ends settle the whole row.
         let apps: Vec<f64> = (2..=33).map(|i| i as f64).collect();
         let lifetimes: Vec<f64> = (1..=32).map(|i| 0.1 * i as f64).collect();
         let frontier = estimator()
@@ -662,7 +624,7 @@ mod tests {
                 OperatingPoint::paper_default(),
             )
             .unwrap();
-        assert_eq!(frontier.evaluations(), 4);
+        assert_eq!(frontier.evaluations(), 2 * frontier.height());
         assert!((frontier.fpga_winning_fraction() - 1.0).abs() < 1e-12);
     }
 }

@@ -14,14 +14,17 @@
 //!
 //! * **Analytic** — every `Min*` objective and the FPGA margin are
 //!   *multilinear* in (applications, lifetime, volume): degree ≤ 1 in each
-//!   axis (see [`CompiledScenario::totals_affine`]), so over a box the
-//!   minimum sits at a vertex. The solver kernel-evaluates all `2^k ≤ 8`
-//!   vertices and keeps the best — O(1) evaluations, exact. Budget
-//!   objectives invert the PR 2 affine algebra in closed form and verify
-//!   the integer boundary with the same shared walk the crossover
-//!   searches use (the `analytic` module).
-//! * **Search** — ratio objectives and any constrained problem fall back
-//!   to deterministic coordinate descent: per-axis dense sweeps batched
+//!   axis (see [`CompiledScenario::totals_affine`]). The FPGA:ASIC ratio
+//!   is linear-fractional along each axis and so monotone. Either way the
+//!   minimum over a box sits at a vertex, so the solver kernel-evaluates
+//!   all `2^k ≤ 8` vertices and keeps the best feasible one — O(1)
+//!   evaluations, exact. This covers every unconstrained problem and
+//!   `min_ratio` subject to `fpga_wins`. Budget objectives invert the
+//!   affine algebra in closed form and verify the integer boundary with
+//!   the same shared walk the crossover searches use (the `analytic`
+//!   module).
+//! * **Search** — every other constrained problem falls back to
+//!   deterministic coordinate descent: per-axis dense sweeps batched
 //!   through the batch kernel (and thereby the `exec` worker pool), then
 //!   golden-section (continuous axes) or unit-step walk (integer axes)
 //!   refinement to the requested tolerance. Results are independent of
@@ -71,8 +74,9 @@ pub enum Objective {
     /// Maximize the FPGA-vs-ASIC margin `asic − fpga` (equivalently,
     /// minimize `fpga − asic`).
     MaxFpgaMargin,
-    /// Minimize the FPGA:ASIC total ratio — non-affine, so always the
-    /// search tier.
+    /// Minimize the FPGA:ASIC total ratio — linear-fractional and so
+    /// monotone along each axis: solved at the box vertices, alone or
+    /// subject only to [`Constraint::FpgaWins`].
     MinRatio,
     /// Maximize the single searched knob subject to the platform's total
     /// staying at or under `budget_kg`. Requires exactly one search knob
@@ -115,11 +119,28 @@ impl Objective {
         }
     }
 
-    /// Whether the minimized scalar is multilinear in the workload axes
-    /// (degree ≤ 1 in each of applications, lifetime, volume), making the
-    /// box-vertex enumeration exact.
-    fn is_multilinear(&self) -> bool {
-        !matches!(self, Objective::MinRatio | Objective::MeetBudget { .. })
+    /// Whether the constrained minimum sits at a vertex of the searched
+    /// box, making the vertex enumeration exact.
+    ///
+    /// Each platform total is multilinear in (applications, lifetime,
+    /// volume): degree ≤ 1 in each axis. So the `Min*` objectives and the
+    /// margin are affine along every axis, and the FPGA:ASIC ratio is
+    /// linear-fractional, `(f₀ + f₁x) / (a₀ + a₁x)`, whose derivative
+    /// `(f₁a₀ − f₀a₁) / (a₀ + a₁x)²` keeps one sign while the ASIC total
+    /// stays positive. Every objective is thus monotone along each axis,
+    /// and its box minimum lies at a vertex. `fpga_wins` (ratio < 1) is
+    /// the ratio's own sublevel set, so it cannot move the ratio's
+    /// minimum: the best vertex is feasible or nothing is. Any other
+    /// constraint can put the minimum inside the box, on its boundary
+    /// curve, so it goes to the search.
+    fn solved_at_vertices(&self, constraints: &[Constraint]) -> bool {
+        match self {
+            Objective::MeetBudget { .. } => false,
+            Objective::MinRatio => constraints
+                .iter()
+                .all(|c| matches!(c, Constraint::FpgaWins)),
+            _ => constraints.is_empty(),
+        }
     }
 }
 
@@ -150,9 +171,9 @@ impl SearchKnob {
     }
 }
 
-/// A feasibility constraint carving the searched box. Any constraint
-/// forces the search tier (the analytic vertex argument only holds for
-/// unconstrained boxes).
+/// A feasibility constraint carving the searched box. A constrained
+/// problem runs the coordinate search, except [`Objective::MinRatio`]
+/// subject only to [`Constraint::FpgaWins`], which stays at the vertices.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Constraint {
     /// The FPGA must be the strictly greener platform (ties go to the
@@ -247,12 +268,13 @@ impl CompiledScenario {
     /// (or satisfies its budget) over the box the `search` knobs span
     /// around `base`, subject to `constraints`.
     ///
-    /// Affine-expressible problems (multilinear objective, no
-    /// constraints) solve exactly in O(1) kernel evaluations; everything
-    /// else runs deterministic coordinate descent to `tolerance`,
-    /// spending at most `max_evals` kernel evaluations. `threads` sizes
-    /// the batch-kernel fan-out of the sweep stages; the result is
-    /// bit-identical for every thread count.
+    /// Unconstrained problems and `min_ratio` subject only to `fpga_wins`
+    /// solve exactly in O(1) kernel evaluations, at the box vertices or
+    /// by budget inversion; every other constrained problem runs
+    /// deterministic coordinate descent to `tolerance`, spending at most
+    /// `max_evals` kernel evaluations. `threads` sizes the batch-kernel
+    /// fan-out of the sweep stages; the result is bit-identical for every
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -310,9 +332,7 @@ impl CompiledScenario {
                 platform,
                 budget_kg,
             } => solver.solve_budget(*platform, *budget_kg, objective),
-            _ if objective.is_multilinear() && constraints.is_empty() => {
-                solver.solve_vertices(objective)
-            }
+            _ if objective.solved_at_vertices(constraints) => solver.solve_vertices(objective),
             _ => solver.solve_search(objective),
         }
     }
@@ -482,11 +502,11 @@ impl Solver<'_> {
 
     // -- analytic tier: vertex enumeration ------------------------------
 
-    /// Exact argmin of a multilinear objective over the box: the minimum
-    /// of a function that is degree ≤ 1 in each coordinate is attained at
-    /// a vertex, so kernel-evaluate all of them (≤ 8) and keep the best.
-    /// Ties keep the lexicographically smallest vertex, matching a dense
-    /// sweep scanned in ascending axis order.
+    /// Exact argmin of an objective monotone along each axis (see
+    /// [`Objective::solved_at_vertices`]): kernel-evaluate all vertices
+    /// (≤ 8) and keep the best feasible one. Ties keep the
+    /// lexicographically smallest vertex, matching a dense sweep scanned
+    /// in ascending axis order.
     fn solve_vertices(&mut self, objective: &Objective) -> Result<OptimizeOutcome, GreenFpgaError> {
         let axes: Vec<Vec<f64>> = self
             .bounds
@@ -509,7 +529,7 @@ impl Solver<'_> {
                 .collect();
             let comparison = self.eval(&values)?;
             let scalar = objective.scalar(&comparison);
-            if best.as_ref().is_none_or(|(_, s, _)| scalar < *s) {
+            if self.feasible(&comparison) && best.as_ref().is_none_or(|(_, s, _)| scalar < *s) {
                 best = Some((values, scalar, comparison));
             }
             // Advance the odometer, last axis fastest — lexicographic
@@ -530,8 +550,15 @@ impl Solver<'_> {
                 break;
             }
         }
-        let (values, scalar, comparison) =
-            best.expect("vertex enumeration visits at least one point");
+        let Some((values, scalar, comparison)) = best else {
+            return Err(GreenFpgaError::Infeasible {
+                reason: format!(
+                    "no vertex of the searched box satisfies the constraints \
+                     ({} vertices probed)",
+                    self.evals
+                ),
+            });
+        };
         self.finish(objective, values, scalar, comparison, SolverKind::Analytic)
     }
 
@@ -1117,7 +1144,7 @@ mod tests {
         let outcome = scenario
             .optimize(base(), &Objective::MinRatio, &search, &[], 1e-6, 10_000, 1)
             .unwrap();
-        assert_eq!(outcome.solver, SolverKind::Search);
+        assert_eq!(outcome.solver, SolverKind::Analytic);
         for apps in 1..=12u64 {
             for step in 0..=32 {
                 let years = 0.25 + (4.0 - 0.25) * step as f64 / 32.0;
@@ -1183,29 +1210,56 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, GreenFpgaError::Infeasible { .. }), "{err}");
+        // A single DNN application loses to the ASIC at every lifetime, so
+        // no vertex (and therefore no point) of this box lets the FPGA win.
+        let err = scenario
+            .optimize(
+                base(),
+                &Objective::MinRatio,
+                &[
+                    knob(SweepAxis::Applications, 1.0, 1.0),
+                    knob(SweepAxis::LifetimeYears, 0.5, 4.0),
+                ],
+                &[Constraint::FpgaWins],
+                1e-6,
+                10_000,
+                1,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, GreenFpgaError::Infeasible { reason } if reason.contains("vertex")),
+            "{err}"
+        );
     }
 
     #[test]
     fn search_is_thread_count_invariant() {
-        let scenario = compiled(Domain::ImageProcessing);
+        // The FPGA-win constraint binds: the unconstrained argmin (one
+        // application) is an ASIC win, so only the search can answer.
+        let scenario = compiled(Domain::Dnn);
         let search = [
+            knob(SweepAxis::Applications, 1.0, 20.0),
             knob(SweepAxis::LifetimeYears, 0.25, 5.0),
-            knob(SweepAxis::VolumeUnits, 1_000.0, 5_000_000.0),
         ];
-        let solve = |threads: usize| {
+        let solve = |constraints: &[Constraint], threads: usize| {
             scenario
                 .optimize(
                     base(),
-                    &Objective::MinRatio,
+                    &Objective::MinTotal(OptPlatform::Fpga),
                     &search,
-                    &[],
+                    constraints,
                     1e-6,
                     10_000,
                     threads,
                 )
                 .unwrap()
         };
+        let free = solve(&[], 1);
+        assert_eq!(free.comparison.winner(), PlatformKind::Asic);
+        let solve = |threads| solve(&[Constraint::FpgaWins], threads);
         let one = solve(1);
+        assert_eq!(one.solver, SolverKind::Search);
+        assert_eq!(one.comparison.winner(), PlatformKind::Fpga);
         for threads in [2, 8] {
             let other = solve(threads);
             assert_eq!(one.point, other.point, "threads {threads}");

@@ -44,7 +44,7 @@ ROUTES:
   POST /v1/batch       many points, batch kernel      {\"domain\", \"knobs\"?, \"points\"}
   POST /v1/compare     one point, several scenarios   {\"scenarios\", \"point\"?}
   POST /v1/crossover   closed-form crossover solver   {\"domain\", \"knobs\"?, \"point\"?, ranges?}
-  POST /v1/frontier    adaptive quadtree winner map   {\"domain\", \"knobs\"?, axes/ranges/steps?}
+  POST /v1/frontier    winner map, bisected per row   {\"domain\", \"knobs\"?, axes/ranges/steps?}
   POST /v1/sweep       one-axis linear sweep          {\"domain\", \"knobs\"?, \"axis\", \"from\", \"to\", \"steps\"?}
   POST /v1/grid        dense 2-D ratio heatmap        {\"domain\", \"knobs\"?, axes/ranges/steps?}
   POST /v1/tornado     per-knob sensitivity analysis  {\"domain\", \"knobs\"?, \"point\"?}

@@ -1,5 +1,5 @@
 //! Golden tests for the adaptive analysis engine (closed-form crossovers,
-//! frontier refinement and the SoA batch kernel).
+//! the per-row bisection frontier and the batch kernel).
 //!
 //! The closed-form crossover solver must agree with the sampled oracle —
 //! dense sweeps scanned for sign changes with linear interpolation
@@ -191,7 +191,7 @@ fn golden_frontier_raster_matches_dense_winner_mask() {
         }
         assert!(
             frontier.evaluations() < frontier.len(),
-            "{domain}: refinement must beat dense evaluation"
+            "{domain}: the frontier must beat dense evaluation"
         );
     }
 

@@ -2,9 +2,8 @@
 //!
 //! The anchor property: for **every catalog scenario × objective pair**
 //! the optimizer's argmin must match a brute-force dense-sweep oracle —
-//! bit-identically where the objective is affine (the analytic tier), and
-//! at-least-as-good elsewhere (the search tier), while spending at most
-//! 5% of the oracle's kernel evaluations. On top of that: constrained
+//! bit-identically at the box vertices the analytic tier enumerates, and
+//! never worse than the dense lattice. On top of that: constrained
 //! argmins against a constrained oracle, the `Infeasible` → `model` error
 //! taxonomy end to end, byte-golden wire responses on both event-loop
 //! drivers, and determinism across `eval_threads` counts.
@@ -18,8 +17,8 @@ use greenfpga::{
     OperatingPoint, OptPlatform, ScenarioRef, SearchKnob, SolverKind, SweepAxis,
 };
 
-/// Samples per axis in the dense oracle — chosen so a two-knob sweep is
-/// 65 × 65 = 4225 evaluations and the 5% ceiling works out to 211.
+/// Samples per axis in the dense oracle — a two-knob sweep is at most
+/// 65 × 65 = 4225 evaluations.
 const ORACLE_SAMPLES: usize = 65;
 
 fn compiled_entry(entry: &greenfpga::CatalogEntry) -> CompiledScenario {
@@ -168,16 +167,18 @@ fn two_knob_search() -> Vec<SearchKnob> {
 
 #[test]
 fn analytic_argmin_matches_the_dense_oracle_on_every_catalog_scenario() {
-    // Five affine objectives × every catalog entry. The analytic tier
-    // evaluates only box vertices, so it must land bit-identically on the
-    // oracle's lattice minimum (the lattice contains the vertices and a
-    // multilinear function attains its box minimum at one).
+    // Five affine objectives and the ratio × every catalog entry. The
+    // analytic tier evaluates only box vertices, so it must land
+    // bit-identically on the oracle's lattice minimum (the lattice contains
+    // the vertices, and a function monotone along each axis attains its
+    // box minimum at one).
     let objectives = [
         Objective::MinTotal(OptPlatform::Fpga),
         Objective::MinTotal(OptPlatform::Asic),
         Objective::MinOperational(OptPlatform::Fpga),
         Objective::MinEmbodied(OptPlatform::Asic),
         Objective::MaxFpgaMargin,
+        Objective::MinRatio,
     ];
     let search = two_knob_search();
     for entry in catalog() {
@@ -229,46 +230,6 @@ fn analytic_argmin_matches_the_dense_oracle_on_every_catalog_scenario() {
                 outcome.objective.to_bits()
             );
         }
-    }
-}
-
-#[test]
-fn search_tier_beats_the_dense_oracle_at_5_percent_of_its_cost() {
-    // The ratio objective is non-affine, so every catalog entry runs the
-    // search tier. The solver must find a point at least as good as the
-    // best of the oracle's 4225-point lattice while spending ≤ 5% of the
-    // oracle's evaluations.
-    let search = two_knob_search();
-    for entry in catalog() {
-        let compiled = compiled_entry(entry);
-        let (oracle_min, _, oracle_evals) =
-            dense_oracle(&compiled, entry.point, &Objective::MinRatio, &search, &[]);
-        let budget = oracle_evals / 20; // the 5% ceiling
-        let outcome = compiled
-            .optimize(
-                entry.point,
-                &Objective::MinRatio,
-                &search,
-                &[],
-                1e-6,
-                budget,
-                1,
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", entry.id));
-        assert_eq!(outcome.solver, SolverKind::Search, "{}", entry.id);
-        assert!(
-            outcome.evaluations <= budget,
-            "{}: {} evals over the {budget} budget",
-            entry.id,
-            outcome.evaluations
-        );
-        assert!(
-            outcome.objective <= oracle_min * (1.0 + 1e-6),
-            "{}: search found {} but the lattice holds {}",
-            entry.id,
-            outcome.objective,
-            oracle_min
-        );
     }
 }
 
@@ -379,7 +340,9 @@ fn spawn_server(driver: DriverKind) -> ServerHandle {
     Server::bind(config).expect("bind ephemeral server").spawn()
 }
 
-/// One representative of each solver tier, as catalog-reference requests.
+/// Catalog-reference requests: an unconstrained and a ratio problem solved
+/// at the box vertices, and a binding `fpga_wins` constraint on the FPGA
+/// total that only the search answers.
 fn wire_requests() -> Vec<OptimizeRequest> {
     vec![
         OptimizeRequest {
@@ -405,6 +368,18 @@ fn wire_requests() -> Vec<OptimizeRequest> {
             constraints: vec![Constraint::FpgaWins],
             tolerance: 1e-5,
             max_evals: 2_000,
+        },
+        OptimizeRequest {
+            scenario: ScenarioRef::Catalog {
+                id: "dnn_baseline".to_string(),
+                knobs: Vec::new(),
+            },
+            point: None,
+            objective: Objective::MinTotal(OptPlatform::Fpga),
+            search: two_knob_search(),
+            constraints: vec![Constraint::FpgaWins],
+            tolerance: OptimizeRequest::DEFAULT_TOLERANCE,
+            max_evals: OptimizeRequest::DEFAULT_MAX_EVALS,
         },
     ]
 }
@@ -465,8 +440,23 @@ fn optimize_request_wire_format_is_stable() {
 fn optimize_is_deterministic_across_eval_thread_counts() {
     // The search tier fans batches across the worker pool; results must be
     // bit-identical (same bytes, same evaluation count) for every pool
-    // size because batch results land by index.
-    let request = wire_requests().remove(1);
+    // size because batch results land by index. The FPGA-win constraint
+    // binds on this request, so it reaches the search.
+    let request = wire_requests().remove(2);
+    let engine = Engine::with_defaults().unwrap();
+    let argmin = |request: OptimizeRequest| match engine.run(&Query::Optimize(request)) {
+        Ok(greenfpga::api::Outcome::Optimize(response)) => response.point,
+        other => panic!("unexpected outcome {other:?}"),
+    };
+    let free = OptimizeRequest {
+        constraints: Vec::new(),
+        ..request.clone()
+    };
+    assert_ne!(
+        argmin(free),
+        argmin(request.clone()),
+        "the constraint must move the argmin"
+    );
     let mut goldens: Vec<String> = Vec::new();
     for threads in [1usize, 2, 8] {
         let engine = Engine::new(EngineConfig {
@@ -477,6 +467,10 @@ fn optimize_is_deterministic_across_eval_thread_counts() {
         let outcome = engine
             .run(&Query::Optimize(request.clone()))
             .expect("engine optimize");
+        let greenfpga::api::Outcome::Optimize(response) = &outcome else {
+            panic!("unexpected outcome {outcome:?}");
+        };
+        assert_eq!(response.solver, SolverKind::Search, "threads {threads}");
         goldens.push(outcome.result_json().to_json_string().unwrap());
     }
     assert_eq!(goldens[0], goldens[1], "1 vs 2 threads");
