@@ -28,8 +28,9 @@
 //!   exact vertex tier (`optimize_analytic_ns`) and a two-knob FPGA-total
 //!   minimum subject to `fpga_wins` through the coordinate-search tier
 //!   (`optimize_search_ns`), the paths behind `POST /v1/optimize`, and
-//! * the response codec — the one-pass writer encoding a 64-point batch
-//!   result (`codec_batch64_encode_ns`) and a 64×64 grid result
+//! * the wire codec — parsing and decoding a 64-point batch request body
+//!   (`codec_batch64_parse_ns`), the one-pass writer encoding a 64-point
+//!   batch result (`codec_batch64_encode_ns`) and a 64×64 grid result
 //!   (`codec_grid64_encode_ns`) into the served body, and the shortest
 //!   `f64` printer per number (`codec_f64_ns`).
 //!
@@ -44,9 +45,9 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use gf_bench::harness::{bench_with, metrics_json};
-use gf_json::JsonWriter;
+use gf_json::{JsonWriter, ToJson};
 use gf_support::SplitMix64;
-use greenfpga::api::{BatchEvalRequest, GridRequest, Query};
+use greenfpga::api::{BatchEvalRequest, GridRequest, Query, QueryKind};
 use greenfpga::{
     CompiledScenario, Constraint, Domain, Engine, Estimator, EstimatorParams, Knob, MonteCarlo,
     Objective, OperatingPoint, OptPlatform, Outcome, ResultBuffer, ScenarioSpec, SearchKnob,
@@ -75,9 +76,10 @@ fn encode_result(outcome: &Outcome) -> String {
     w.finish().expect("finite result")
 }
 
-/// The batch and grid outcomes the codec benches encode: 64 points drawn
-/// like the served `bulk_results` batches, and the default 64×64 grid.
-fn codec_outcomes(engine: &Engine) -> (Outcome, Outcome) {
+/// The codec benches' inputs: the 64-point batch request, drawn like the
+/// served `bulk_results` batches, and the outcomes of it and of the
+/// default 64×64 grid.
+fn codec_inputs(engine: &Engine) -> (Query, Outcome, Outcome) {
     let mut rng = SplitMix64::new(0xC0DE_C0DE);
     let points = (0..64)
         .map(|_| OperatingPoint {
@@ -100,10 +102,17 @@ fn codec_outcomes(engine: &Engine) -> (Outcome, Outcome) {
         steps: GRID_SIZE,
         stream: false,
     });
-    (
-        engine.run(&batch).expect("batch runs"),
-        engine.run(&grid).expect("grid runs"),
-    )
+    let batch_outcome = engine.run(&batch).expect("batch runs");
+    (batch, batch_outcome, engine.run(&grid).expect("grid runs"))
+}
+
+/// The served request path up to the engine: parse the body, then decode
+/// it into the typed query.
+fn decode_batch(body: &str) -> Query {
+    let value = gf_json::parse(body).expect("body parses");
+    QueryKind::Batch
+        .decode_request(&value)
+        .expect("body decodes")
 }
 
 /// The pre-batch-engine heatmap: every cell rebuilds the calibration and the
@@ -607,7 +616,21 @@ fn main() {
 
     // --- Response codec: typed outcome to body text in one pass. ---
     let engine = Engine::with_defaults().expect("engine");
-    let (batch64, grid64) = codec_outcomes(&engine);
+    let (batch64_query, batch64, grid64) = codec_inputs(&engine);
+    let Query::Batch(batch64_request) = &batch64_query else {
+        unreachable!("codec_inputs builds a batch query")
+    };
+    let batch64_body = batch64_request.to_json_string().expect("finite request");
+    assert_eq!(
+        decode_batch(&batch64_body),
+        batch64_query,
+        "request round-trips"
+    );
+    let codec_batch64_parse =
+        bench_with("codec_batch64_parse", Duration::from_millis(120), 5, || {
+            decode_batch(&batch64_body)
+        });
+    println!("{codec_batch64_parse}");
     for outcome in [&batch64, &grid64] {
         // Sanity: the body parses back to the tree the cold path builds.
         let body = encode_result(outcome);
@@ -676,6 +699,7 @@ fn main() {
         ("replay_year_ns", replay_year.median_ns),
         ("optimize_analytic_ns", optimize_analytic.median_ns),
         ("optimize_search_ns", optimize_search.median_ns),
+        ("codec_batch64_parse_ns", codec_batch64_parse.median_ns),
         ("codec_batch64_encode_ns", codec_batch64.median_ns),
         ("codec_grid64_encode_ns", codec_grid64.median_ns),
         ("codec_f64_ns", codec_f64_ns),

@@ -49,7 +49,9 @@ use gf_json::{
 use crate::optimize::{
     CertificateProbe, Constraint, Objective, OptPlatform, SearchKnob, SolverKind,
 };
-use crate::scenario::{CarbonIntensitySeries, CatalogEntry, ReplayOutcome, Verdict};
+use crate::scenario::{
+    CarbonIntensitySeries, CatalogEntry, ReplayOutcome, Verdict, HOURS_PER_YEAR,
+};
 use crate::{
     ApiError, ApiErrorCode, CfpBreakdown, Crossover, CrossoverDirection, Domain, EstimatorParams,
     FrontierResult, GridSweep, Knob, OperatingPoint, PlatformComparison, PlatformKind,
@@ -633,9 +635,10 @@ wire_struct! {
         pub series: SeriesRef [default SeriesRef::Region(Self::DEFAULT_REGION.to_string())],
         /// Whether step lookup interpolates between bounding samples.
         pub interpolate: bool [default false],
-        /// How many times the series is stitched end-to-end before the replay
-        /// ([`CarbonIntensitySeries::repeat`]); must not exceed the device
-        /// lifetime in whole years. Omitted from the wire when 1.
+        /// How many times the replay walks the series end to end; must not
+        /// exceed the device lifetime in whole years, and series length ×
+        /// years must not exceed [`ReplayRequest::MAX_STEPS`]. Omitted from
+        /// the wire when 1.
         pub years: u64 [omit 1],
     }
 }
@@ -643,6 +646,9 @@ wire_struct! {
 impl ReplayRequest {
     /// The region preset used when a request names no series.
     pub const DEFAULT_REGION: &'static str = "global_flat";
+    /// The most replay steps (series length × years) one request may ask
+    /// for: 1915 years of an hourly region preset.
+    pub const MAX_STEPS: usize = 1 << 24;
 }
 
 wire_struct! {
@@ -1667,6 +1673,23 @@ impl Validate for ReplayRequest {
             return Err(JsonError::schema(
                 "years",
                 "expected at least 1 (the series replays once per year)",
+            ));
+        }
+        let len = match &self.series {
+            SeriesRef::Region(_) => HOURS_PER_YEAR,
+            SeriesRef::Inline(series) => series.len(),
+        };
+        let steps = usize::try_from(self.years)
+            .ok()
+            .and_then(|years| len.checked_mul(years));
+        if steps.is_none_or(|steps| steps > Self::MAX_STEPS) {
+            return Err(JsonError::schema(
+                "years",
+                format!(
+                    "expected series length × years ≤ {} steps, got {len} × {}",
+                    Self::MAX_STEPS,
+                    self.years
+                ),
             ));
         }
         Ok(())

@@ -321,18 +321,11 @@ impl Engine {
                         request.years, point.lifetime_years
                     )));
                 }
-                // One year replays the series in place; more stitch a copy.
-                let stitched;
-                let series = if request.years == 1 {
-                    series
-                } else {
-                    stitched = series.repeat(request.years)?;
-                    &stitched
-                };
                 let compiled = self.compiled(&spec)?;
                 let traced = gf_trace::enabled();
                 let start = if traced { gf_trace::now_ticks() } else { 0 };
-                let replay = series.replay(&compiled, point, request.interpolate)?;
+                let replay =
+                    series.replay_years(&compiled, point, request.interpolate, request.years)?;
                 if traced {
                     let end = gf_trace::now_ticks();
                     gf_trace::record_span_at(

@@ -139,50 +139,63 @@ where
 
 /// Fills `out[i] = f(i)` in parallel, writing directly into the caller's
 /// buffer — the zero-allocation counterpart of [`try_map_indexed`] used by
-/// the batch kernel ([`crate::ResultBuffer`]), Monte-Carlo trials and
-/// tornado probes.
-///
-/// The index space is split into one contiguous chunk per worker (static
-/// partitioning: the per-item cost of a model evaluation is uniform, so
-/// dynamic chunking would only add cursor traffic), each worker writes its
-/// chunk in place via `split_at_mut`, and nothing is buffered or
-/// reassembled afterwards. Results are identical for every thread count.
+/// Monte-Carlo trials and tornado probes; [`try_fill_chunks`] with one
+/// call per index.
 ///
 /// # Errors
 ///
-/// Returns the error with the **lowest index**, like [`try_map_indexed`]:
-/// a worker stops at the first error of its contiguous chunk, and the
-/// minimum across workers is the lowest-index error overall. `out` is left
-/// partially written in that case; callers must treat its contents as
-/// unspecified.
+/// Returns the error with the **lowest index**, like [`try_map_indexed`];
+/// `out` is left partially written in that case and callers must treat
+/// its contents as unspecified.
 pub fn try_fill_indexed<T, E, F>(out: &mut [T], threads: usize, f: F) -> Result<(), E>
 where
     T: Send,
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
-    let fill = |start: usize, chunk: &mut [T]| -> Option<(usize, E)> {
+    try_fill_chunks(out, threads, |start, chunk| {
         for (j, slot) in chunk.iter_mut().enumerate() {
-            match f(start + j) {
-                Ok(value) => *slot = value,
-                Err(e) => return Some((start + j, e)),
-            }
+            *slot = f(start + j)?;
         }
-        None
-    };
+        Ok(())
+    })
+}
+
+/// Hands each worker one contiguous chunk of `out` to fill in place:
+/// `fill(start, chunk)` writes `out[start..start + chunk.len()]`. One call
+/// per chunk lets a filler carry state from one index to the next, as the
+/// batch kernel ([`crate::ResultBuffer`]) does with the application lines
+/// of the previous point.
+///
+/// The index space is split into one contiguous chunk per worker (static
+/// partitioning: the per-item cost of a model evaluation is uniform, so
+/// dynamic chunking would only add cursor traffic), each worker writes its
+/// chunk via `split_at_mut`, and nothing is buffered or reassembled
+/// afterwards. Results are identical for every thread count as long as
+/// `fill` writes the same value at an index whatever chunk it lands in.
+///
+/// # Errors
+///
+/// `fill` stops at the first error of its chunk. Chunks are in index
+/// order, so the error of the lowest failing chunk is the lowest-index
+/// error overall, and that one is returned. `out` is left partially
+/// written in that case.
+pub fn try_fill_chunks<T, E, F>(out: &mut [T], threads: usize, fill: F) -> Result<(), E>
+where
+    T: Send,
+    E: Send,
+    F: Fn(usize, &mut [T]) -> Result<(), E> + Sync,
+{
     let n = out.len();
     let workers = effective_workers(n, threads);
     if workers <= 1 {
-        return match fill(0, out) {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        };
+        return fill(0, out);
     }
 
     let base = n / workers;
     let extra = n % workers;
     let fill = &fill;
-    let first_errors: Vec<Option<(usize, E)>> = std::thread::scope(|scope| {
+    let results: Vec<Result<(), E>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         let mut rest = out;
         let mut begin = 0;
@@ -199,17 +212,7 @@ where
             .map(|h| h.join().expect("batch fill worker panicked"))
             .collect()
     });
-
-    let mut lowest: Option<(usize, E)> = None;
-    for found in first_errors.into_iter().flatten() {
-        if lowest.as_ref().is_none_or(|(i, _)| found.0 < *i) {
-            lowest = Some(found);
-        }
-    }
-    match lowest {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
-    }
+    results.into_iter().collect()
 }
 
 /// A persistent pool of joinable worker threads for long-lived services.
@@ -493,6 +496,32 @@ mod tests {
             Ok(())
         );
         assert_eq!(one, vec![41]);
+    }
+
+    #[test]
+    fn fill_chunks_partition_the_buffer_into_contiguous_runs() {
+        for threads in [1, 2, 3, 16] {
+            let chunks = Mutex::new(Vec::new());
+            let mut out = vec![0usize; 101];
+            let result: Result<(), ()> = try_fill_chunks(&mut out, threads, |start, chunk| {
+                for (index, slot) in (start..).zip(chunk.iter_mut()) {
+                    *slot = index;
+                }
+                chunks.lock().unwrap().push((start, chunk.len()));
+                Ok(())
+            });
+            assert!(result.is_ok());
+            assert_eq!(out, (0..101).collect::<Vec<_>>(), "{threads} threads");
+            let mut chunks = chunks.into_inner().unwrap();
+            chunks.sort_unstable();
+            assert_eq!(chunks.len(), threads.min(101));
+            let mut covered = 0;
+            for (start, len) in chunks {
+                assert_eq!(start, covered, "{threads} threads");
+                covered += len;
+            }
+            assert_eq!(covered, 101);
+        }
     }
 
     #[test]

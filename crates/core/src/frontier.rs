@@ -15,6 +15,7 @@
 //! [`crate::exec`], and the result is the dense winner mask the CLI
 //! renders, cell for cell the full grid's.
 
+use crate::eval::LineMemo;
 use crate::{
     exec, CompiledScenario, Domain, Estimator, GreenFpgaError, OperatingPoint, PlatformKind,
     SweepAxis,
@@ -261,8 +262,11 @@ impl CompiledScenario {
             |row| -> Result<_, GreenFpgaError> {
                 let row_base = base.with_axis(y_axis, y_values[row]);
                 let mut ratios = vec![f64::NAN; width];
+                let mut lines = LineMemo::new();
                 let mut wins = |col: usize| -> Result<bool, GreenFpgaError> {
-                    let ratio = self.ratio(row_base.with_axis(x_axis, x_values[col]))?;
+                    let ratio = self
+                        .evaluate_with(row_base.with_axis(x_axis, x_values[col]), &mut lines)?
+                        .fpga_to_asic_ratio();
                     ratios[col] = ratio;
                     Ok(ratio < 1.0)
                 };

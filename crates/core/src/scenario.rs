@@ -474,9 +474,14 @@ impl CarbonIntensitySeries {
     }
 
     /// Stitches the series end-to-end `years` times: a one-year region
-    /// preset becomes a multi-year trace with the same step width, so a
-    /// replay can cover a whole device refresh horizon. `repeat(1)` is the
-    /// identity.
+    /// preset becomes a multi-year trace with the same step width.
+    /// `repeat(1)` is the identity.
+    ///
+    /// Replays do not need the copy:
+    /// [`CarbonIntensitySeries::replay_years`] walks the one-year series
+    /// `years` times and matches a replay of the stitched series bit for
+    /// bit. This stays for callers that want the samples themselves, such
+    /// as servebench's layer attribution (`servebench/src/layers.rs`).
     ///
     /// # Errors
     ///
@@ -567,6 +572,35 @@ impl CarbonIntensitySeries {
         point: OperatingPoint,
         interpolate: bool,
     ) -> Result<ReplayOutcome, GreenFpgaError> {
+        self.replay_years(compiled, point, interpolate, 1)
+    }
+
+    /// [`CarbonIntensitySeries::replay`] over `years` back-to-back copies
+    /// of the series, without building them: step `i` samples the series
+    /// at `i` modulo its length, which is what the stitched series
+    /// ([`CarbonIntensitySeries::repeat`]) holds at `i`, interpolation's
+    /// wrap at the end included. Allocates nothing whatever `years` is.
+    ///
+    /// # Errors
+    ///
+    /// [`GreenFpgaError::InvalidApplication`] when `years` is zero or the
+    /// step count overflows `usize`, plus the errors of
+    /// [`CarbonIntensitySeries::replay`].
+    pub fn replay_years(
+        &self,
+        compiled: &CompiledScenario,
+        point: OperatingPoint,
+        interpolate: bool,
+        years: u64,
+    ) -> Result<ReplayOutcome, GreenFpgaError> {
+        let steps = usize::try_from(years)
+            .ok()
+            .filter(|&years| years > 0)
+            .and_then(|years| self.points.len().checked_mul(years))
+            .ok_or_else(|| GreenFpgaError::InvalidApplication {
+                field: "series",
+                reason: format!("cannot replay the series {years} times"),
+            })?;
         let comparison = compiled.evaluate(point)?;
         let apps = point.applications as f64;
         let fpga_devices = (point.volume * compiled.fpga().chips_per_unit()) as f64;
@@ -587,30 +621,34 @@ impl CarbonIntensitySeries {
         let mut worst_excess = 0.0f64;
         let mut losses = 0usize;
         let mut ratio = f64::INFINITY;
-        for step in 0..self.points.len() {
-            let kg_per_kwh = self.sample(step, interpolate) / 1000.0;
-            fpga_total += fpga_kwh_per_hour * self.step_hours * kg_per_kwh;
-            asic_total += asic_kwh_per_hour * self.step_hours * kg_per_kwh;
-            ratio = if asic_total > 0.0 {
-                fpga_total / asic_total
-            } else {
-                f64::INFINITY
-            };
-            ratio_sum += ratio;
-            worst_ratio = worst_ratio.max(ratio);
-            let excess = (ratio - 1.0).max(0.0);
-            excess_sum += excess;
-            worst_excess = worst_excess.max(excess);
-            if ratio > 1.0 {
-                losses += 1;
+        // Year after year over the one series: the stitched copy holds the
+        // same samples, and interpolation wraps at each year's end too.
+        for _ in 0..years {
+            for step in 0..self.points.len() {
+                let kg_per_kwh = self.sample(step, interpolate) / 1000.0;
+                fpga_total += fpga_kwh_per_hour * self.step_hours * kg_per_kwh;
+                asic_total += asic_kwh_per_hour * self.step_hours * kg_per_kwh;
+                ratio = if asic_total > 0.0 {
+                    fpga_total / asic_total
+                } else {
+                    f64::INFINITY
+                };
+                ratio_sum += ratio;
+                worst_ratio = worst_ratio.max(ratio);
+                let excess = (ratio - 1.0).max(0.0);
+                excess_sum += excess;
+                worst_excess = worst_excess.max(excess);
+                if ratio > 1.0 {
+                    losses += 1;
+                }
             }
         }
-        let steps = self.points.len() as f64;
+        let step_count = steps as f64;
         // Finite totals and a finite mean ratio bound every other member.
         for (what, value) in [
             ("FPGA replay total", fpga_total),
             ("ASIC replay total", asic_total),
-            ("mean replay ratio", ratio_sum / steps),
+            ("mean replay ratio", ratio_sum / step_count),
         ] {
             if !value.is_finite() {
                 return Err(GreenFpgaError::NonFinite {
@@ -624,21 +662,21 @@ impl CarbonIntensitySeries {
             0.0
         };
         let verdict = Verdict::from_penalties(
-            excess_sum / steps,
+            excess_sum / step_count,
             worst_excess,
-            losses as f64 / steps,
+            losses as f64 / step_count,
             embodied_share,
         );
         Ok(ReplayOutcome {
-            steps: self.points.len() as u64,
+            steps: steps as u64,
             fpga_operational: Carbon::from_kg(fpga_total - fpga_base),
             asic_operational: Carbon::from_kg(asic_total - asic_base),
             fpga_total: Carbon::from_kg(fpga_total),
             asic_total: Carbon::from_kg(asic_total),
-            mean_ratio: ratio_sum / steps,
+            mean_ratio: ratio_sum / step_count,
             worst_ratio,
             final_ratio: ratio,
-            fpga_win_fraction: 1.0 - losses as f64 / steps,
+            fpga_win_fraction: 1.0 - losses as f64 / step_count,
             verdict,
         })
     }

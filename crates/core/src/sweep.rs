@@ -851,59 +851,56 @@ mod tests {
 
     #[test]
     fn grid_stream_matches_buffered_grid_bit_for_bit() {
-        let x_values: Vec<f64> = (1..=13).map(|i| i as f64).collect();
-        let y_values: Vec<f64> = (1..=7).map(|i| 0.3 * i as f64).collect();
         let base = OperatingPoint::paper_default();
         let compiled = estimator().compile(Domain::Dnn).unwrap();
-        let buffered = compiled
-            .ratio_grid(
-                SweepAxis::Applications,
-                &x_values,
-                SweepAxis::LifetimeYears,
-                &y_values,
-                base,
-                0,
-            )
-            .unwrap();
-        // Exercise block heights that divide the row count, don't, and
-        // exceed it.
-        for block_rows in [1usize, 2, 3, 7, 100] {
-            let mut stream = compiled
-                .grid_stream(
-                    SweepAxis::Applications,
-                    x_values.clone(),
-                    SweepAxis::LifetimeYears,
-                    y_values.clone(),
-                    base,
-                    0,
-                )
-                .unwrap()
-                .with_block_rows(block_rows);
-            assert_eq!(stream.columns(), x_values.len());
-            assert_eq!(stream.rows(), y_values.len());
-            assert_eq!(stream.block_rows(), block_rows.min(y_values.len()));
-            let mut next_expected_row = 0;
-            while let Some(block) = stream.next_block() {
-                let block = block.unwrap();
-                assert_eq!(block.start_row(), next_expected_row);
-                for r in 0..block.rows() {
-                    let absolute = block.start_row() + r;
-                    for (c, ratio) in block.row(r).enumerate() {
-                        assert_eq!(
-                            ratio.to_bits(),
-                            buffered.ratios[absolute][c].to_bits(),
-                            "cell ({absolute},{c}) diverged at block_rows {block_rows}"
-                        );
+        for (x_axis, x_values, y_axis, y_values) in memo_lattices() {
+            let buffered = compiled
+                .ratio_grid(x_axis, &x_values, y_axis, &y_values, base, 1)
+                .unwrap();
+            // Exercise block heights that divide the row count, don't, and
+            // exceed it, at each thread count.
+            for (threads, block_rows) in [1, 2, 8]
+                .into_iter()
+                .flat_map(|t| [1usize, 2, 3, 7, 100].map(|b| (t, b)))
+            {
+                let mut stream = compiled
+                    .grid_stream(
+                        x_axis,
+                        x_values.clone(),
+                        y_axis,
+                        y_values.clone(),
+                        base,
+                        threads,
+                    )
+                    .unwrap()
+                    .with_block_rows(block_rows);
+                assert_eq!(stream.columns(), x_values.len());
+                assert_eq!(stream.rows(), y_values.len());
+                assert_eq!(stream.block_rows(), block_rows.min(y_values.len()));
+                let mut next_expected_row = 0;
+                while let Some(block) = stream.next_block() {
+                    let block = block.unwrap();
+                    assert_eq!(block.start_row(), next_expected_row);
+                    for r in 0..block.rows() {
+                        let absolute = block.start_row() + r;
+                        for (c, ratio) in block.row(r).enumerate() {
+                            assert_eq!(
+                                ratio.to_bits(),
+                                buffered.ratios[absolute][c].to_bits(),
+                                "{x_axis:?} x {y_axis:?} cell ({absolute},{c}) diverged at \
+                                 block_rows {block_rows}, {threads} threads"
+                            );
+                        }
                     }
+                    next_expected_row += block.rows();
                 }
-                next_expected_row += block.rows();
+                assert!(stream.is_finished());
+                assert_eq!(stream.rows_delivered(), y_values.len());
+                assert_eq!(
+                    stream.fpga_winning_fraction().to_bits(),
+                    buffered.fpga_winning_fraction().to_bits()
+                );
             }
-            assert!(stream.is_finished());
-            assert_eq!(stream.rows_delivered(), y_values.len());
-            assert_eq!(
-                stream.fpga_winning_fraction().to_bits(),
-                buffered.fpga_winning_fraction().to_bits()
-            );
         }
     }
 
@@ -1041,28 +1038,71 @@ mod tests {
         }
     }
 
+    /// Lattices with the applications on x (each row shares its lifetime
+    /// and volume, so the kernel reuses the row's lines) and on y (every
+    /// cell changes them), with fractional coordinates that round to the
+    /// same application count or repeat a lifetime.
+    fn memo_lattices() -> Vec<(SweepAxis, Vec<f64>, SweepAxis, Vec<f64>)> {
+        let apps = vec![1.0, 1.2, 1.4, 2.5, 2.6, 3.0, 6.0, 6.49, 6.51, 24.0];
+        let lifetimes = vec![0.25, 0.5, 0.5, 1.5, 2.75, 2.75, 3.0];
+        let volumes = vec![1e3, 1e3, 5e4, 1e6, 1e6];
+        vec![
+            (
+                SweepAxis::Applications,
+                apps.clone(),
+                SweepAxis::LifetimeYears,
+                lifetimes.clone(),
+            ),
+            (
+                SweepAxis::LifetimeYears,
+                lifetimes,
+                SweepAxis::Applications,
+                apps.clone(),
+            ),
+            (
+                SweepAxis::Applications,
+                apps.clone(),
+                SweepAxis::VolumeUnits,
+                volumes.clone(),
+            ),
+            (
+                SweepAxis::VolumeUnits,
+                volumes,
+                SweepAxis::Applications,
+                apps,
+            ),
+        ]
+    }
+
     #[test]
     fn grid_matches_naive_point_wise_evaluation() {
         let est = estimator();
-        let x_values = [1.0, 3.0, 6.0];
-        let y_values = [0.5, 1.5];
-        let grid = est
-            .ratio_grid(
-                Domain::Dnn,
-                SweepAxis::Applications,
-                &x_values,
-                SweepAxis::LifetimeYears,
-                &y_values,
-                OperatingPoint::paper_default(),
-            )
-            .unwrap();
-        for (row, &y) in y_values.iter().enumerate() {
-            for (col, &x) in x_values.iter().enumerate() {
-                let naive = est
-                    .compare_uniform(Domain::Dnn, x as u64, y, 1_000_000)
-                    .unwrap()
-                    .fpga_to_asic_ratio();
-                assert_eq!(grid.ratios[row][col], naive, "cell ({row},{col})");
+        let compiled = est.compile(Domain::Dnn).unwrap();
+        let base = OperatingPoint::paper_default();
+        for (x_axis, x_values, y_axis, y_values) in memo_lattices() {
+            for threads in [1, 2, 8] {
+                let grid = compiled
+                    .ratio_grid(x_axis, &x_values, y_axis, &y_values, base, threads)
+                    .unwrap();
+                for (row, &y) in y_values.iter().enumerate() {
+                    for (col, &x) in x_values.iter().enumerate() {
+                        let point = base.with_axis(y_axis, y).with_axis(x_axis, x);
+                        let naive = est
+                            .compare_uniform(
+                                Domain::Dnn,
+                                point.applications,
+                                point.lifetime_years,
+                                point.volume,
+                            )
+                            .unwrap()
+                            .fpga_to_asic_ratio();
+                        assert_eq!(
+                            grid.ratios[row][col].to_bits(),
+                            naive.to_bits(),
+                            "{x_axis:?} x {y_axis:?} cell ({row},{col}), {threads} threads"
+                        );
+                    }
+                }
             }
         }
     }

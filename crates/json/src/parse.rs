@@ -53,6 +53,7 @@ pub fn parse_with(text: &str, limits: ParseLimits) -> Result<Value, JsonError> {
         });
     }
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         limits,
@@ -67,6 +68,7 @@ pub fn parse_with(text: &str, limits: ParseLimits) -> Result<Value, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     limits: ParseLimits,
@@ -182,35 +184,32 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(byte) = self.peek() else {
-                return Err(self.syntax("unterminated string"));
-            };
-            match byte {
-                b'"' => {
+            // Take the run up to the next quote, backslash or control byte
+            // in one piece. Those bytes are ASCII, so the run ends on a
+            // character boundary.
+            let start = self.pos;
+            self.pos += self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            let run = &self.text[start..self.pos];
+            if out.is_empty() {
+                // A string without escapes costs one exact-size allocation.
+                out = run.to_owned();
+            } else {
+                out.push_str(run);
+            }
+            match self.peek() {
+                Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                b'\\' => {
+                Some(b'\\') => {
                     self.pos += 1;
                     self.parse_escape(&mut out)?;
                 }
-                0x00..=0x1f => {
-                    return Err(self.syntax("raw control character in string"));
-                }
-                _ => {
-                    // Consume one UTF-8 scalar; the input is a &str so the
-                    // encoding is already valid.
-                    let start = self.pos;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xc0) == 0x80 {
-                        end += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..end])
-                            .expect("input is a &str, so every scalar is valid UTF-8"),
-                    );
-                    self.pos = end;
-                }
+                Some(_) => return Err(self.syntax("raw control character in string")),
+                None => return Err(self.syntax("unterminated string")),
             }
         }
     }

@@ -16,6 +16,29 @@ use std::fmt::Write as _;
 use crate::number::write_f64;
 use crate::{JsonError, ToJson, Value};
 
+/// Slots of [`JsonWriter`]'s number memo; a power of two.
+const NUMBER_SLOTS: usize = 32;
+
+/// Where the writer's text first holds a printed number: the number's
+/// bits and its byte range. An empty slot holds NaN bits, which no
+/// printed (finite) number has.
+#[derive(Debug, Clone, Copy)]
+struct Printed {
+    bits: u64,
+    start: u32,
+    len: u32,
+}
+
+impl Default for Printed {
+    fn default() -> Printed {
+        Printed {
+            bits: f64::NAN.to_bits(),
+            start: 0,
+            len: 0,
+        }
+    }
+}
+
 /// A one-pass compact JSON encoder over a growing `String`.
 ///
 /// Containers open and close with [`begin_object`](JsonWriter::begin_object)
@@ -23,6 +46,13 @@ use crate::{JsonError, ToJson, Value};
 /// writer places the commas. A non-finite number is written as `null` to
 /// keep the text well formed and recorded as [`JsonError::NonFinite`],
 /// which [`finish`](JsonWriter::finish) returns.
+///
+/// Result bodies repeat numbers (a grid row's cells at equal application
+/// counts, a sweep's held coordinates), so [`number`](JsonWriter::number)
+/// keeps a small direct-mapped table from a number's bits to the bytes
+/// where this writer first printed it, and copies those bytes on a hit.
+/// The copy is exact: the text depends only on the bits, and the writer
+/// only appends, so printed bytes never change.
 ///
 /// ```
 /// use gf_json::JsonWriter;
@@ -50,6 +80,7 @@ pub struct JsonWriter {
     /// Open object depth, and one bit per depth whose braces were spliced.
     depth: u32,
     spliced: u64,
+    printed: [Printed; NUMBER_SLOTS],
 }
 
 impl JsonWriter {
@@ -155,7 +186,27 @@ impl JsonWriter {
     pub fn number(&mut self, n: f64) {
         self.separate();
         if n.is_finite() {
-            write_f64(&mut self.out, n);
+            let bits = n.to_bits();
+            // Fibonacci hashing: the top bits of the product mix every bit.
+            let slot = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                >> (u64::BITS - NUMBER_SLOTS.trailing_zeros())) as usize;
+            let seen = self.printed[slot];
+            if seen.bits == bits {
+                let start = seen.start as usize;
+                self.out
+                    .extend_from_within(start..start + seen.len as usize);
+            } else {
+                let start = self.out.len();
+                write_f64(&mut self.out, n);
+                // Bodies past 4 GiB print their later numbers afresh.
+                if let Ok(start) = u32::try_from(start) {
+                    self.printed[slot] = Printed {
+                        bits,
+                        start,
+                        len: (self.out.len() - start as usize) as u32,
+                    };
+                }
+            }
         } else {
             self.non_finite = true;
             self.out.push_str("null");

@@ -9,7 +9,7 @@
 //! differential sample (over 50M values).
 
 use gf_json::number::{inv_pow5, pow5, POW5_INV_SPLIT2, POW5_SPLIT2, POW5_TABLE};
-use gf_json::{parse, parse_with, write_f64, JsonError, ParseLimits, Value};
+use gf_json::{parse, parse_with, write_f64, JsonError, JsonWriter, ParseLimits, Value};
 use gf_support::SplitMix64;
 
 const CASES: usize = 256;
@@ -281,27 +281,59 @@ fn tie_sweep(seed: u64, per_binade: usize) {
 
 #[test]
 fn shortest_printer_matches_std_display() {
-    for x in [
+    let mut sample = vec![
         0.0,
         -0.0,
         f64::MIN_POSITIVE,
         -f64::MIN_POSITIVE,
         f64::MAX,
         f64::MIN,
-    ] {
-        assert_prints_like_std(x);
-    }
+    ];
     for bits in (1..=64u64).chain([0x000f_ffff_ffff_ffff, 0x0008_0000_0000_0000]) {
-        assert_prints_like_std(f64::from_bits(bits)); // subnormals
+        sample.push(f64::from_bits(bits)); // subnormals
     }
     for k in -323..=308 {
         let x: f64 = format!("1e{k}").parse().unwrap();
-        assert_prints_like_std(x);
-        assert_prints_like_std(-x);
+        sample.extend([x, -x]);
     }
+    for n in 1..=100u64 {
+        sample.extend([n as f64, -(n as f64), (n << 40) as f64]);
+    }
+    for &x in &sample {
+        assert_prints_like_std(x);
+    }
+    // The writer's number memo copies earlier text for repeated numbers;
+    // the body must still read like std, fresh or appending to a prefix.
+    let mut rng = rng(10);
+    assert_writer_prints_like_std("", &sample, &mut rng);
+    assert_writer_prints_like_std(r#"{"head":[1,2],"cells":"#, &sample, &mut rng);
     // About a million values in all.
     differential_sample(6, 256, 200_000);
     tie_sweep(7, 100);
+}
+
+/// Writes `values` through one [`JsonWriter`] the ways a result body
+/// repeats numbers, and compares the text with std's `Display` of each,
+/// joined. Each value comes back at once, after a short gap and after a
+/// random longer one; then the first 64 values cycle four times, more
+/// distinct numbers than the memo has slots, so they collide and evict
+/// each other.
+fn assert_writer_prints_like_std(prefix: &str, values: &[f64], rng: &mut SplitMix64) {
+    let mut sequence = Vec::with_capacity(4 * values.len() + 256);
+    for (i, &x) in values.iter().enumerate() {
+        sequence.extend([x, x, values[i / 2], values[rng.gen_index(i + 1)]]);
+    }
+    for _ in 0..4 {
+        sequence.extend_from_slice(&values[..64]);
+    }
+    let mut w = JsonWriter::appending(prefix.to_string());
+    w.begin_array();
+    for &x in &sequence {
+        w.number(x);
+    }
+    w.end_array();
+    let std: Vec<String> = sequence.iter().map(|x| format!("{x}")).collect();
+    assert_eq!(w.finish().unwrap(), format!("{prefix}[{}]", std.join(",")));
 }
 
 #[test]

@@ -519,16 +519,53 @@ fn replay_years_stitches_validates_and_stays_off_the_wire_when_one() {
         other => panic!("unexpected outcome {other:?}"),
     };
     assert_eq!(stitched.replay.steps, 3 * single.replay.steps);
+    // The engine walks the one-year series three times without copying
+    // it; the result is bit for bit the replay of the stitched copy.
+    let entry = greenfpga::catalog_entry("dnn_fleet_10k_3y").unwrap().1;
+    let year = greenfpga::CarbonIntensitySeries::region("solar_duck").unwrap();
+    for interpolate in [false, true] {
+        let copied = year
+            .repeat(3)
+            .unwrap()
+            .replay(&compiled_entry(entry), entry.point, interpolate)
+            .unwrap();
+        let walked = match engine
+            .run(&Query::Replay(ReplayRequest {
+                interpolate,
+                ..request.clone()
+            }))
+            .unwrap()
+        {
+            greenfpga::api::Outcome::Replay(response) => response.replay,
+            other => panic!("unexpected outcome {other:?}"),
+        };
+        assert_eq!(walked, copied, "interpolate={interpolate}");
+    }
 
-    // Validation: zero years and years beyond the lifetime are usage
-    // errors, reported before any kernel work.
-    for years in [0u64, 10] {
+    // Validation: zero years, years beyond the lifetime and more than
+    // `MAX_STEPS` replay steps are usage errors, reported before any
+    // kernel work. The last two pass the lifetime check on a long-lived
+    // point; the second is the probe that once aborted the process on a
+    // 70 GB stitched copy.
+    let long_lived = Some(OperatingPoint {
+        lifetime_years: 1e6,
+        ..entry.point
+    });
+    let past_cap = (ReplayRequest::MAX_STEPS / greenfpga::HOURS_PER_YEAR) as u64 + 1;
+    for (years, point) in [
+        (0u64, None),
+        (10, None),
+        (past_cap, long_lived),
+        (1_000_000, long_lived),
+    ] {
         let error = engine
             .run(&Query::Replay(ReplayRequest {
                 years,
+                point,
                 ..request.clone()
             }))
             .expect_err("invalid years");
         assert_eq!(error.code, ApiErrorCode::BadRequest, "years={years}");
+        assert!(error.message.contains("years"), "{}", error.message);
     }
 }

@@ -150,6 +150,21 @@ fn replay_and_catalog_routes_serve_golden_bodies_on_both_drivers() {
         let served = ReplayResponse::from_json(&value).expect("typed decode");
         assert_eq!(served, local_replay, "{driver:?}");
         assert_eq!(served.replay.steps, HOURS_PER_YEAR as u64);
+        // A million-year replay on a million-year point is a 400 naming
+        // `years`, and the server keeps serving.
+        let probe = r#"{"id": "dnn_baseline", "series": "solar_duck", "years": 1000000,
+            "point": {"applications": 5, "lifetime_years": 1000000, "volume": 1000000}}"#;
+        let (status, value) = post(&mut client, QueryKind::Replay.path(), probe);
+        assert_eq!(status, 400, "{driver:?}: {value:?}");
+        let message = value
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Value::as_str)
+            .expect("error message");
+        assert!(message.contains("years"), "{driver:?}: {message}");
+        let (status, value) = post(&mut client, QueryKind::Replay.path(), body);
+        assert_eq!(status, 200, "{driver:?}: {value:?}");
+        assert_eq!(ReplayResponse::from_json(&value).unwrap(), local_replay);
 
         let (status, text) = client.get(QueryKind::Catalog.path()).expect("catalog GET");
         assert_eq!(status, 200, "{driver:?}: {text}");
