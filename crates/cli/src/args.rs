@@ -1,266 +1,65 @@
-//! Hand-rolled argument parsing for the `greenfpga` CLI.
+//! Command-line parsing for the `greenfpga` CLI.
 //!
-//! The binary intentionally avoids an argument-parsing dependency: the
-//! interface is a handful of subcommands with `--key value` options, which a
-//! small parser covers while keeping the dependency set to the offline
-//! whitelist.
+//! A subcommand names a [`QueryKind`], and each `--flag` sets one member of
+//! that kind's JSON request object (the body `POST /v1/<kind>` carries), so
+//! the request goes through [`QueryKind::decode_request`] and
+//! `Query::validate` with the wire's defaults and rules. This module rejects
+//! only what is wrong with the command line itself: an unknown subcommand
+//! or flag, a flag the subcommand does not take, a missing value, and the
+//! shape of the few flags that build nested members.
 
 use std::fmt;
 
-use greenfpga::{
-    Constraint, Domain, MonteCarloRequest, Objective, OptPlatform, SearchKnob, SweepAxis,
-};
+use gf_json::{ToJson, Value};
+use gf_server::ServerConfig;
+use greenfpga::api::QueryKind;
+use greenfpga::catalog_entry;
 
-/// A parsed command line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Command {
-    /// Compare FPGA vs ASIC at one operating point, in one or more domains
-    /// (`--domain dnn,crypto` compares side by side).
-    Compare {
-        /// Common workload arguments (the domain list overrides its
-        /// domain).
-        workload: WorkloadArgs,
-        /// The domains to compare, in order.
-        domains: Vec<Domain>,
-    },
-    /// Evaluate one operating point in one scenario (the `evaluate` query).
-    Evaluate(WorkloadArgs),
-    /// Run one raw `Query` JSON envelope from a file or stdin.
-    Query {
-        /// Path to the envelope (`-`/absent = stdin).
-        file: Option<String>,
-    },
-    /// Sweep one workload axis and print the series (optionally as CSV).
-    Sweep {
-        /// Common workload arguments (the swept axis value is ignored).
-        workload: WorkloadArgs,
-        /// Axis to sweep.
-        axis: SweepAxis,
-        /// First value of the sweep.
-        from: f64,
-        /// Last value of the sweep.
-        to: f64,
-        /// Number of samples.
-        steps: usize,
-        /// Emit CSV instead of a table.
-        csv: bool,
-    },
-    /// Report all three crossover points for a domain.
-    Crossover(WorkloadArgs),
-    /// Evaluate the Table 3 industry testcases (Figs. 10–11).
-    Industry,
-    /// One-at-a-time sensitivity (tornado) analysis.
-    Tornado(WorkloadArgs),
-    /// Monte-Carlo uncertainty analysis.
-    MonteCarlo {
-        /// Common workload arguments.
-        workload: WorkloadArgs,
-        /// Number of samples to draw.
-        samples: usize,
-        /// RNG seed (deterministic results for a fixed seed).
-        seed: u64,
-    },
-    /// Run the HTTP/JSON estimation service (`greenfpga-serve`).
-    Serve(ServeArgs),
-    /// Evaluate a 2-D ratio grid and print it as a character heatmap
-    /// (Fig. 8), using the parallel batch engine.
-    Grid {
-        /// Common workload arguments (the two swept axes override it).
-        workload: WorkloadArgs,
-        /// Lattice geometry: axes, ranges and resolution.
-        shape: GridShape,
-        /// Classify winners by bisecting each row for its flip instead of
-        /// evaluating every cell.
-        adaptive: bool,
-        /// Stream row-blocks as they are computed instead of buffering the
-        /// whole grid (bounded memory for million-point lattices).
-        stream: bool,
-    },
-    /// Trace the crossover frontier of a 2-D lattice by bisecting each row
-    /// for its single winner flip, and print the winner map.
-    Frontier {
-        /// Common workload arguments (the two swept axes override it).
-        workload: WorkloadArgs,
-        /// Lattice geometry: axes, ranges and resolution.
-        shape: GridShape,
-    },
-    /// List the named scenario catalog, or run one cataloged scenario by
-    /// id with a scored verdict (the `catalog` / `scenario` queries).
-    Scenarios {
-        /// Catalog id to run; `None` lists the catalog.
-        id: Option<String>,
-        /// Operating-point overrides on the cataloged default.
-        point: PointOverrides,
-    },
-    /// Replay a cataloged scenario against a year of time-varying grid
-    /// carbon intensity (the `replay` query).
-    Replay {
-        /// Catalog id of the scenario to replay.
-        id: String,
-        /// Carbon-intensity region preset (`None` = the wire default).
-        region: Option<String>,
-        /// Interpolate linearly between hourly samples.
-        interpolate: bool,
-        /// Operating-point overrides on the cataloged default.
-        point: PointOverrides,
-        /// How many times the series is stitched end-to-end (`--years`).
-        years: u64,
-    },
-    /// Solve an inverse query: minimize an objective (or fill a carbon
-    /// budget) over a box of search knobs (the `optimize` query).
-    Optimize {
-        /// Catalog id supplying the scenario; `None` uses the baseline of
-        /// `--domain`.
-        id: Option<String>,
-        /// Domain of the inline baseline scenario when no id is given.
-        domain: Domain,
-        /// Operating-point overrides supplying the non-searched axes.
-        point: PointOverrides,
-        /// What to minimize or satisfy.
-        objective: Objective,
-        /// The searched axes and their bounds (`--knob`, repeatable).
-        search: Vec<SearchKnob>,
-        /// Feasibility constraints (`--fpga-wins`, `--cap-kg`).
-        constraints: Vec<Constraint>,
-        /// `--tolerance`, when given.
-        tolerance: Option<f64>,
-        /// `--max-evals`, when given.
-        max_evals: Option<u64>,
-    },
-    /// Print usage information.
-    Help,
-}
-
-/// Geometry of a 2-D operating-point lattice shared by the `grid` and
-/// `frontier` subcommands.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GridShape {
-    /// Axis swept along the columns.
-    pub x_axis: SweepAxis,
-    /// Column range start.
-    pub x_from: f64,
-    /// Column range end.
-    pub x_to: f64,
-    /// Axis swept along the rows.
-    pub y_axis: SweepAxis,
-    /// Row range start.
-    pub y_from: f64,
-    /// Row range end.
-    pub y_to: f64,
-    /// Lattice resolution per axis.
-    pub steps: usize,
-}
-
-/// Options of the `serve` subcommand.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeArgs {
-    /// Bind address.
-    pub addr: String,
-    /// Connection worker threads (`0` = auto).
-    pub workers: usize,
-    /// Worker threads per batch evaluation.
-    pub eval_threads: usize,
-    /// Cached compiled scenarios.
-    pub cache_capacity: usize,
-    /// Scenario cache shards.
-    pub cache_shards: usize,
-    /// Hard cap on live connections (admission control beyond it).
-    pub max_connections: usize,
-    /// Keep-alive idle close, in seconds.
-    pub idle_timeout_secs: u64,
-    /// Slowloris `408` deadline, in seconds.
-    pub header_timeout_secs: u64,
-    /// Readiness driver for the event loop.
-    pub driver: gf_server::DriverKind,
-}
-
-impl Default for ServeArgs {
-    fn default() -> Self {
-        ServeArgs {
-            addr: "127.0.0.1:7878".to_string(),
-            workers: 0,
-            eval_threads: 1,
-            cache_capacity: 64,
-            cache_shards: 8,
-            max_connections: 4096,
-            idle_timeout_secs: 5,
-            header_timeout_secs: 10,
-            driver: gf_server::DriverKind::Auto,
-        }
-    }
-}
-
-/// A parsed command line: the command plus global output options.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedCommand {
-    /// The subcommand to run.
-    pub command: Command,
-    /// Emit JSON (via the `greenfpga::api` serializers) instead of tables.
+/// A parsed command line: what to do plus the global output options.
+#[derive(Debug)]
+pub struct Invocation {
+    /// What to run.
+    pub action: Action,
+    /// Emit JSON (the matching route's response body) instead of tables.
     pub json: bool,
     /// Stderr diagnostic verbosity: `0` quiet (warnings only), `1` = `-v`
     /// (phase timings), `2` = `-vv` (per-span detail).
     pub verbosity: u8,
 }
 
-/// Partial operating-point overrides for the catalog-backed subcommands:
-/// each field only replaces the cataloged default when the flag was
-/// actually given, so `greenfpga scenarios <id>` with no flags runs the
-/// exact request `POST /v1/scenario {"scenario":{"id":...}}` sends.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PointOverrides {
-    /// `--apps`, when given.
-    pub apps: Option<u64>,
-    /// `--lifetime`, when given.
-    pub lifetime_years: Option<f64>,
-    /// `--volume`, when given.
-    pub volume: Option<u64>,
+/// What a command line asks for.
+#[derive(Debug)]
+pub enum Action {
+    /// Print usage information.
+    Help,
+    /// Run the HTTP/JSON estimation service.
+    Serve(ServerConfig),
+    /// Run one raw `Query` envelope from a file (`None` = stdin).
+    RawQuery(Option<String>),
+    /// Decode `request` as a `kind` request and run it.
+    Run {
+        /// The query kind the subcommand selects.
+        kind: QueryKind,
+        /// The request object assembled from the flags.
+        request: Value,
+        /// Render a sweep as CSV instead of a table.
+        csv: bool,
+    },
 }
 
-impl PointOverrides {
-    /// Whether any override flag was given.
-    pub fn is_empty(&self) -> bool {
-        *self == PointOverrides::default()
-    }
-}
-
-/// Workload arguments shared by most subcommands.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkloadArgs {
-    /// Application domain.
-    pub domain: Domain,
-    /// Number of applications.
-    pub apps: u64,
-    /// Per-application lifetime in years.
-    pub lifetime_years: f64,
-    /// Per-application volume in devices.
-    pub volume: u64,
-}
-
-impl Default for WorkloadArgs {
-    fn default() -> Self {
-        WorkloadArgs {
-            domain: Domain::Dnn,
-            apps: 5,
-            lifetime_years: 2.0,
-            volume: 1_000_000,
-        }
-    }
-}
-
-/// Errors produced while parsing the command line.
-#[derive(Debug, Clone, PartialEq)]
+/// A command-line error (exit 2, printed with the usage text).
+#[derive(Debug)]
 pub struct ParseError(pub String);
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        f.write_str(&self.0)
     }
 }
 
-impl std::error::Error for ParseError {}
-
-/// Usage text printed by `greenfpga help` and on parse errors.
-pub const USAGE: &str = "\
+/// Usage text printed by `greenfpga help` and on command-line errors.
+pub const USAGE: &str = concat!(
+    "\
 greenfpga — lifecycle carbon-footprint model for FPGA vs ASIC acceleration
 
 USAGE:
@@ -285,8 +84,9 @@ COMMANDS:
   help         Show this message
 
 Every command is an adapter over the same engine the HTTP service runs:
-the result of `greenfpga <cmd> --json` is identical to the matching
-`POST /v1/<kind>` response body.
+each flag sets one member of the `POST /v1/<kind>` request body, with the
+wire's defaults and rules, and the result of `greenfpga <cmd> --json` is
+identical to that route's response body.
 
 COMMON OPTIONS:
   --domain <dnn|imgproc|crypto>   application domain       (default: dnn)
@@ -302,16 +102,9 @@ COMMON OPTIONS:
                                   cutoff, and the louder of the two wins
 
 SERVE OPTIONS:
-  --addr <HOST:PORT>              bind address             (default: 127.0.0.1:7878)
-  --workers <N>                   connection workers       (default: auto)
-  --eval-threads <N>              threads per batch eval   (default: 1)
-  --cache-capacity <N>            cached scenarios         (default: 64)
-  --cache-shards <N>              scenario cache shards    (default: 8)
-  --max-connections <N>           live connection cap      (default: 4096)
-  --idle-timeout <SECS>           keep-alive idle close    (default: 5)
-  --header-timeout <SECS>         slowloris 408 deadline   (default: 10)
-  --driver <epoll|portable|auto>  readiness driver         (default: auto)
-
+",
+    gf_server::options_help!(),
+    "
 SWEEP OPTIONS:
   --axis <apps|lifetime|volume>   axis to sweep            (required)
   --from <VALUE> --to <VALUE>     sweep bounds             (required)
@@ -367,930 +160,656 @@ GRID / FRONTIER OPTIONS:
   --stream                        grid only: evaluate and print row-blocks
                                   incrementally, holding only one block in
                                   memory at a time
-";
+"
+);
 
-fn parse_domain(value: &str) -> Result<Domain, ParseError> {
-    match value.to_ascii_lowercase().as_str() {
-        "dnn" => Ok(Domain::Dnn),
-        "imgproc" | "image" | "imageprocessing" => Ok(Domain::ImageProcessing),
-        "crypto" | "cryptography" => Ok(Domain::Crypto),
-        other => Err(ParseError(format!("unknown domain '{other}'"))),
+/// Where a flag's value goes.
+enum Target {
+    /// The request member at this dotted path takes the value.
+    Member(&'static str),
+    /// The request member at this path becomes `true` (no value).
+    True(&'static str),
+    /// `domain`, or `compare`'s comma-separated `scenarios` list.
+    Domain,
+    /// `objective.goal`, with the short goal names mapped to wire goals.
+    Goal,
+    /// One `search` entry, from `axis:min:max[:int]`.
+    Knob,
+    /// The `fpga_wins` constraint (no value).
+    FpgaWins,
+    /// This member of the `max_total_kg` constraint.
+    Cap(&'static str),
+    /// Read by the CLI itself, not sent: `--csv`, `--adaptive` (no value)
+    /// and `--file`.
+    Csv,
+    Adaptive,
+    File,
+}
+
+/// One row of the flag table: the flag, its target and the commands
+/// (query kind ids, plus `query`) that take it, space-separated.
+struct Flag {
+    name: &'static str,
+    target: Target,
+    commands: &'static str,
+}
+
+/// Kinds whose scenario is an inline domain when no catalog id is given.
+const INLINE: &str = "evaluate compare crossover tornado montecarlo sweep grid frontier optimize";
+/// Kinds with an operating point.
+const POINT: &str =
+    "evaluate compare crossover tornado montecarlo sweep grid frontier scenario replay optimize";
+const LATTICE: &str = "grid frontier";
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "domain", target: Target::Domain, commands: INLINE },
+    Flag { name: "apps", target: Target::Member("point.applications"), commands: POINT },
+    Flag { name: "lifetime", target: Target::Member("point.lifetime_years"), commands: POINT },
+    Flag { name: "volume", target: Target::Member("point.volume"), commands: POINT },
+    Flag { name: "axis", target: Target::Member("axis"), commands: "sweep" },
+    Flag { name: "from", target: Target::Member("from"), commands: "sweep" },
+    Flag { name: "to", target: Target::Member("to"), commands: "sweep" },
+    Flag { name: "csv", target: Target::Csv, commands: "sweep" },
+    Flag { name: "steps", target: Target::Member("steps"), commands: "sweep grid frontier" },
+    Flag { name: "x-axis", target: Target::Member("x_axis"), commands: LATTICE },
+    Flag { name: "x-from", target: Target::Member("x_from"), commands: LATTICE },
+    Flag { name: "x-to", target: Target::Member("x_to"), commands: LATTICE },
+    Flag { name: "y-axis", target: Target::Member("y_axis"), commands: LATTICE },
+    Flag { name: "y-from", target: Target::Member("y_from"), commands: LATTICE },
+    Flag { name: "y-to", target: Target::Member("y_to"), commands: LATTICE },
+    Flag { name: "adaptive", target: Target::Adaptive, commands: "grid" },
+    Flag { name: "stream", target: Target::True("stream"), commands: "grid" },
+    Flag { name: "samples", target: Target::Member("samples"), commands: "montecarlo" },
+    Flag { name: "seed", target: Target::Member("seed"), commands: "montecarlo" },
+    Flag { name: "id", target: Target::Member("id"), commands: "scenario replay optimize" },
+    Flag { name: "region", target: Target::Member("series"), commands: "replay" },
+    Flag { name: "interpolate", target: Target::True("interpolate"), commands: "replay" },
+    Flag { name: "years", target: Target::Member("years"), commands: "replay" },
+    Flag { name: "objective", target: Target::Goal, commands: "optimize" },
+    Flag { name: "platform", target: Target::Member("objective.platform"), commands: "optimize" },
+    Flag { name: "budget-kg", target: Target::Member("objective.budget_kg"), commands: "optimize" },
+    Flag { name: "knob", target: Target::Knob, commands: "optimize" },
+    Flag { name: "fpga-wins", target: Target::FpgaWins, commands: "optimize" },
+    Flag { name: "cap-kg", target: Target::Cap("limit_kg"), commands: "optimize" },
+    Flag { name: "cap-platform", target: Target::Cap("platform"), commands: "optimize" },
+    Flag { name: "tolerance", target: Target::Member("tolerance"), commands: "optimize" },
+    Flag { name: "max-evals", target: Target::Member("max_evals"), commands: "optimize" },
+    Flag { name: "file", target: Target::File, commands: "query" },
+];
+
+/// The table row of a flag the table is known to hold.
+fn flag(name: &str) -> &'static Flag {
+    FLAGS
+        .iter()
+        .find(|flag| flag.name == name)
+        .expect("a flag of the table")
+}
+
+fn error<T>(message: impl Into<String>) -> Result<T, ParseError> {
+    Err(ParseError(message.into()))
+}
+
+/// A value token as a request member: a number when it reads as one, a
+/// string otherwise.
+fn token(text: &str) -> Value {
+    match text.parse::<f64>() {
+        Ok(number) if number.is_finite() => Value::Number(number),
+        _ => Value::String(text.to_string()),
     }
 }
 
-fn parse_axis(value: &str) -> Result<SweepAxis, ParseError> {
-    match value.to_ascii_lowercase().as_str() {
-        "apps" | "applications" => Ok(SweepAxis::Applications),
-        "lifetime" => Ok(SweepAxis::LifetimeYears),
-        "volume" => Ok(SweepAxis::VolumeUnits),
-        other => Err(ParseError(format!("unknown sweep axis '{other}'"))),
-    }
+fn object<const N: usize>(members: [(&str, Value); N]) -> Value {
+    Value::Object(members.map(|(k, v)| (k.to_string(), v)).into())
 }
 
-fn parse_number<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, ParseError> {
-    value
-        .parse::<T>()
-        .map_err(|_| ParseError(format!("invalid value '{value}' for {key}")))
-}
-
-struct Options {
-    pairs: Vec<(String, String)>,
-    flags: Vec<String>,
-}
-
-impl Options {
-    fn parse(args: &[String]) -> Result<Self, ParseError> {
-        let mut pairs = Vec::new();
-        let mut flags = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let arg = &args[i];
-            if arg == "-v" || arg == "-vv" {
-                flags.push(arg.trim_start_matches('-').to_string());
-                i += 1;
-            } else if let Some(key) = arg.strip_prefix("--") {
-                if matches!(
-                    key,
-                    "csv" | "adaptive" | "json" | "stream" | "interpolate" | "fpga-wins"
-                ) {
-                    flags.push(key.to_string());
-                    i += 1;
-                } else if i + 1 < args.len() {
-                    pairs.push((key.to_string(), args[i + 1].clone()));
-                    i += 2;
-                } else {
-                    return Err(ParseError(format!("missing value for --{key}")));
-                }
-            } else {
-                return Err(ParseError(format!("unexpected argument '{arg}'")));
-            }
-        }
-        Ok(Options { pairs, flags })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Every value given for a repeatable option, in command-line order
-    /// (unlike [`Options::get`], which is last-wins for scalar options).
-    fn get_all(&self, key: &str) -> Vec<&str> {
-        self.pairs
-            .iter()
-            .filter(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .collect()
-    }
-
-    fn has_flag(&self, flag: &str) -> bool {
-        self.flags.iter().any(|f| f == flag)
-    }
-
-    /// The `--domain` list (`compare` accepts several, comma-separated;
-    /// at most [`greenfpga::CompareRequest::MAX_SCENARIOS`], matching the
-    /// wire-side limit).
-    fn domains(&self) -> Result<Vec<Domain>, ParseError> {
-        match self.get("domain") {
-            None => Ok(vec![Domain::Dnn]),
-            Some(list) => {
-                let domains: Vec<Domain> = list
-                    .split(',')
-                    .map(|part| parse_domain(part.trim()))
-                    .collect::<Result<_, _>>()?;
-                if domains.is_empty() {
-                    return Err(ParseError("--domain must name a domain".to_string()));
-                }
-                if domains.len() > greenfpga::CompareRequest::MAX_SCENARIOS {
-                    return Err(ParseError(format!(
-                        "--domain lists at most {} domains",
-                        greenfpga::CompareRequest::MAX_SCENARIOS
-                    )));
-                }
-                Ok(domains)
-            }
-        }
-    }
-
-    /// The shared workload arguments. A comma-separated `--domain` list is
-    /// only meaningful for `compare` (which parses it via
-    /// [`Options::domains`] and supplies the leading domain here); every
-    /// other subcommand rejects a list instead of silently dropping
-    /// entries.
-    fn workload_with(&self, domain: Option<Domain>) -> Result<WorkloadArgs, ParseError> {
-        let mut workload = WorkloadArgs::default();
-        match (domain, self.get("domain")) {
-            (Some(domain), _) => workload.domain = domain,
-            (None, Some(v)) => workload.domain = parse_domain(v)?,
-            (None, None) => {}
-        }
-        if let Some(v) = self.get("apps") {
-            workload.apps = parse_number("--apps", v)?;
-        }
-        if let Some(v) = self.get("lifetime") {
-            workload.lifetime_years = parse_number("--lifetime", v)?;
-        }
-        if let Some(v) = self.get("volume") {
-            workload.volume = parse_number("--volume", v)?;
-        }
-        if workload.apps == 0 {
-            return Err(ParseError("--apps must be at least 1".to_string()));
-        }
-        if workload.volume == 0 {
-            return Err(ParseError("--volume must be at least 1".to_string()));
-        }
-        if workload.lifetime_years <= 0.0 || workload.lifetime_years.is_nan() {
-            return Err(ParseError("--lifetime must be positive".to_string()));
-        }
-        Ok(workload)
-    }
-
-    fn workload(&self) -> Result<WorkloadArgs, ParseError> {
-        self.workload_with(None)
-    }
-
-    /// The partial operating-point overrides of the catalog-backed
-    /// subcommands: validated like [`Options::workload_with`], but a flag
-    /// that was not given stays `None` so the cataloged default survives.
-    fn point_overrides(&self) -> Result<PointOverrides, ParseError> {
-        let mut point = PointOverrides::default();
-        if let Some(v) = self.get("apps") {
-            let apps: u64 = parse_number("--apps", v)?;
-            if apps == 0 {
-                return Err(ParseError("--apps must be at least 1".to_string()));
-            }
-            point.apps = Some(apps);
-        }
-        if let Some(v) = self.get("lifetime") {
-            let lifetime: f64 = parse_number("--lifetime", v)?;
-            if lifetime <= 0.0 || lifetime.is_nan() {
-                return Err(ParseError("--lifetime must be positive".to_string()));
-            }
-            point.lifetime_years = Some(lifetime);
-        }
-        if let Some(v) = self.get("volume") {
-            let volume: u64 = parse_number("--volume", v)?;
-            if volume == 0 {
-                return Err(ParseError("--volume must be at least 1".to_string()));
-            }
-            point.volume = Some(volume);
-        }
-        Ok(point)
-    }
-}
-
-/// Parses the shared 2-D lattice geometry of the `grid` and `frontier`
-/// subcommands.
-fn parse_grid_shape(options: &Options) -> Result<GridShape, ParseError> {
-    let axis_or = |key: &str, fallback: SweepAxis| -> Result<SweepAxis, ParseError> {
-        options.get(key).map_or(Ok(fallback), parse_axis)
-    };
-    let number_or = |key: &str, fallback: f64| -> Result<f64, ParseError> {
-        options
-            .get(key)
-            .map_or(Ok(fallback), |v| parse_number(key, v))
-    };
-    let x_axis = axis_or("x-axis", SweepAxis::Applications)?;
-    let y_axis = axis_or("y-axis", SweepAxis::LifetimeYears)?;
-    if x_axis == y_axis {
-        return Err(ParseError("--x-axis and --y-axis must differ".to_string()));
-    }
-    let x_from = number_or("x-from", 1.0)?;
-    let x_to = number_or("x-to", 12.0)?;
-    let y_from = number_or("y-from", 0.25)?;
-    let y_to = number_or("y-to", 3.0)?;
-    let steps: usize = match options.get("steps") {
-        Some(v) => parse_number("--steps", v)?,
-        None => 24,
-    };
-    if steps < 2 {
-        return Err(ParseError("--steps must be at least 2".to_string()));
-    }
-    let range_invalid = |from: f64, to: f64| to <= from || to.is_nan() || from.is_nan();
-    if range_invalid(x_from, x_to) || range_invalid(y_from, y_to) {
-        return Err(ParseError(
-            "grid ranges must have --*-to greater than --*-from".to_string(),
-        ));
-    }
-    Ok(GridShape {
-        x_axis,
-        x_from,
-        x_to,
-        y_axis,
-        y_from,
-        y_to,
-        steps,
-    })
-}
-
-/// Parses the options of the `serve` subcommand.
-fn parse_serve(options: &Options) -> Result<ServeArgs, ParseError> {
-    let mut serve = ServeArgs::default();
-    if let Some(v) = options.get("addr") {
-        serve.addr = v.to_string();
-    }
-    if let Some(v) = options.get("workers") {
-        serve.workers = parse_number("--workers", v)?;
-    }
-    if let Some(v) = options.get("eval-threads") {
-        serve.eval_threads = parse_number::<usize>("--eval-threads", v)?.max(1);
-    }
-    // Zero is a configuration bug for these three, not a value to clamp —
-    // reject it loudly, matching the library-level cache contract.
-    let positive = |flag: &'static str, n: usize| -> Result<usize, ParseError> {
-        if n == 0 {
-            Err(ParseError(format!("{flag} must be at least 1")))
-        } else {
-            Ok(n)
+/// The member slot at a dotted `path`, created (as `null`, with objects on
+/// the way) when absent.
+fn slot<'a>(members: &'a mut Vec<(String, Value)>, path: &str) -> &'a mut Value {
+    let (key, rest) = path.split_once('.').unwrap_or((path, ""));
+    let index = match members.iter().position(|(k, _)| k == key) {
+        Some(index) => index,
+        None => {
+            members.push((key.to_string(), Value::Null));
+            members.len() - 1
         }
     };
-    if let Some(v) = options.get("cache-capacity") {
-        serve.cache_capacity = positive(
-            "--cache-capacity",
-            parse_number::<usize>("--cache-capacity", v)?,
-        )?;
+    let member = &mut members[index].1;
+    if rest.is_empty() {
+        return member;
     }
-    if let Some(v) = options.get("cache-shards") {
-        serve.cache_shards = positive(
-            "--cache-shards",
-            parse_number::<usize>("--cache-shards", v)?,
-        )?;
+    if !matches!(member, Value::Object(_)) {
+        *member = Value::Object(Vec::new());
     }
-    if let Some(v) = options.get("max-connections") {
-        serve.max_connections = positive(
-            "--max-connections",
-            parse_number::<usize>("--max-connections", v)?,
-        )?;
-    }
-    if let Some(v) = options.get("idle-timeout") {
-        serve.idle_timeout_secs = positive(
-            "--idle-timeout",
-            parse_number::<usize>("--idle-timeout", v)?,
-        )? as u64;
-    }
-    if let Some(v) = options.get("header-timeout") {
-        serve.header_timeout_secs = positive(
-            "--header-timeout",
-            parse_number::<usize>("--header-timeout", v)?,
-        )? as u64;
-    }
-    if let Some(v) = options.get("driver") {
-        serve.driver = match v {
-            "epoll" => gf_server::DriverKind::Epoll,
-            "portable" => gf_server::DriverKind::Portable,
-            "auto" => gf_server::DriverKind::Auto,
-            other => {
-                return Err(ParseError(format!(
-                    "--driver must be epoll|portable|auto, got '{other}'"
-                )))
-            }
-        };
-    }
-    Ok(serve)
+    let Value::Object(inner) = member else {
+        unreachable!("just made an object")
+    };
+    slot(inner, rest)
 }
 
-/// Parses `--platform fpga|asic` (default FPGA, matching the wire).
-fn parse_platform(value: Option<&str>, key: &str) -> Result<OptPlatform, ParseError> {
-    match value {
-        None => Ok(OptPlatform::Fpga),
-        Some("fpga") => Ok(OptPlatform::Fpga),
-        Some("asic") => Ok(OptPlatform::Asic),
-        Some(other) => Err(ParseError(format!(
-            "{key} must be fpga or asic, got '{other}'"
-        ))),
+/// Appends to the array member `key`.
+fn push(members: &mut Vec<(String, Value)>, key: &str, value: Value) {
+    let member = slot(members, key);
+    match member {
+        Value::Array(items) => items.push(value),
+        _ => *member = Value::Array(vec![value]),
     }
 }
 
-/// Parses one `--knob axis:min:max[:int]` specification.
-fn parse_knob(spec: &str) -> Result<SearchKnob, ParseError> {
+/// `axis:min:max[:int]` as a `search` entry.
+fn knob(spec: &str) -> Result<Value, ParseError> {
     let parts: Vec<&str> = spec.split(':').collect();
-    if parts.len() < 3 || parts.len() > 4 {
-        return Err(ParseError(format!(
-            "--knob expects axis:min:max[:int], got '{spec}'"
-        )));
-    }
-    let axis = parse_axis(parts[0])?;
-    let min: f64 = parse_number("--knob min", parts[1])?;
-    let max: f64 = parse_number("--knob max", parts[2])?;
-    let integer = match parts.get(3) {
-        None => false,
-        Some(&"int") | Some(&"integer") => true,
-        Some(other) => {
-            return Err(ParseError(format!(
-                "--knob flag must be 'int', got '{other}'"
-            )))
-        }
+    let (axis, min, max) = match parts[..] {
+        [axis, min, max] | [axis, min, max, _] => (axis, min, max),
+        _ => return error(format!("--knob expects axis:min:max[:int], got '{spec}'")),
     };
-    Ok(SearchKnob {
-        axis,
-        min,
-        max,
-        integer,
-    })
+    let mut entry = object([
+        ("axis", token(axis)),
+        ("min", token(min)),
+        ("max", token(max)),
+    ]);
+    match parts.get(3) {
+        None => {}
+        Some(&"int" | &"integer") => {
+            if let Value::Object(members) = &mut entry {
+                members.push(("integer".to_string(), Value::Bool(true)));
+            }
+        }
+        Some(other) => return error(format!("--knob flag must be 'int', got '{other}'")),
+    }
+    Ok(entry)
 }
 
-/// Parses the `optimize` subcommand: objective, search knobs, constraints
-/// and solver controls.
-fn parse_optimize(positionals: &[String], options: &Options) -> Result<Command, ParseError> {
-    let id = positionals
-        .first()
-        .cloned()
-        .or_else(|| options.get("id").map(str::to_string));
-    if id.is_some() && options.get("domain").is_some() {
-        return Err(ParseError(
-            "--domain conflicts with a catalog id (the catalog entry names its domain)".to_string(),
-        ));
-    }
-    let domain = match options.get("domain") {
-        Some(v) => parse_domain(v)?,
-        None => Domain::Dnn,
+/// The wire goal for an `--objective` spelling: the short names, plus the
+/// wire goals themselves in any case with `-` for `_`.
+fn goal(name: &str) -> String {
+    let name = name.to_ascii_lowercase().replace('-', "_");
+    let wire = match name.as_str() {
+        "total" => "min_total",
+        "operational" => "min_operational",
+        "embodied" => "min_embodied",
+        "margin" => "max_margin",
+        "ratio" => "min_ratio",
+        other => other,
     };
-    let platform = parse_platform(options.get("platform"), "--platform")?;
-    let budget_kg = match options.get("budget-kg") {
-        Some(v) => Some(parse_number::<f64>("--budget-kg", v)?),
-        None => None,
-    };
-    let goal = options
-        .get("objective")
-        .ok_or_else(|| ParseError("--objective is required".to_string()))?;
-    let objective = match goal.to_ascii_lowercase().as_str() {
-        "total" | "min_total" | "min-total" => Objective::MinTotal(platform),
-        "operational" | "min_operational" | "min-operational" => {
-            Objective::MinOperational(platform)
-        }
-        "embodied" | "min_embodied" | "min-embodied" => Objective::MinEmbodied(platform),
-        "margin" | "max_margin" | "max-margin" => Objective::MaxFpgaMargin,
-        "ratio" | "min_ratio" | "min-ratio" => Objective::MinRatio,
-        "budget" => Objective::MeetBudget {
-            platform,
-            budget_kg: budget_kg
-                .ok_or_else(|| ParseError("--objective budget needs --budget-kg".to_string()))?,
-        },
-        other => {
-            return Err(ParseError(format!(
-                "unknown objective '{other}' (expected total, operational, embodied, \
-                 margin, ratio or budget)"
-            )))
-        }
-    };
-    if budget_kg.is_some() && !matches!(objective, Objective::MeetBudget { .. }) {
-        return Err(ParseError(
-            "--budget-kg only applies to --objective budget".to_string(),
-        ));
-    }
-    let search = options
-        .get_all("knob")
-        .into_iter()
-        .map(parse_knob)
-        .collect::<Result<Vec<_>, _>>()?;
-    if search.is_empty() {
-        return Err(ParseError(
-            "at least one --knob axis:min:max[:int] is required".to_string(),
-        ));
-    }
-    let mut constraints = Vec::new();
-    if options.has_flag("fpga-wins") {
-        constraints.push(Constraint::FpgaWins);
-    }
-    if let Some(v) = options.get("cap-kg") {
-        constraints.push(Constraint::MaxTotalKg {
-            platform: parse_platform(options.get("cap-platform"), "--cap-platform")?,
-            limit_kg: parse_number("--cap-kg", v)?,
-        });
-    } else if options.get("cap-platform").is_some() {
-        return Err(ParseError(
-            "--cap-platform only applies together with --cap-kg".to_string(),
-        ));
-    }
-    let tolerance = match options.get("tolerance") {
-        Some(v) => Some(parse_number::<f64>("--tolerance", v)?),
-        None => None,
-    };
-    let max_evals = match options.get("max-evals") {
-        Some(v) => Some(parse_number::<u64>("--max-evals", v)?),
-        None => None,
-    };
-    Ok(Command::Optimize {
-        id,
-        domain,
-        point: options.point_overrides()?,
-        objective,
-        search,
-        constraints,
-        tolerance,
-        max_evals,
-    })
+    wire.to_string()
 }
 
 /// Parses a full command line (excluding the program name).
-pub fn parse(args: &[String]) -> Result<ParsedCommand, ParseError> {
-    let Some((command, rest)) = args.split_first() else {
-        return Ok(ParsedCommand {
-            command: Command::Help,
-            json: false,
-            verbosity: 0,
-        });
+pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
+    let (name, rest) = match args.split_first() {
+        Some((name, rest)) => (name.as_str(), rest),
+        None => ("help", &[][..]),
     };
-    // Peel the leading positional tokens (the catalog id of `scenarios`
-    // and `replay`) before option parsing, which rejects bare tokens.
-    let mut rest = rest;
-    let mut positionals = Vec::new();
-    while let Some((first, more)) = rest.split_first() {
-        if first.starts_with('-') {
-            break;
+    let mut json = false;
+    let mut verbosity = 0;
+    let mut tokens = Vec::new();
+    for arg in rest {
+        match arg.as_str() {
+            "--json" => json = true,
+            "-v" => verbosity = verbosity.max(1),
+            "-vv" => verbosity = 2,
+            other => tokens.push(other),
         }
-        positionals.push(first.clone());
-        rest = more;
     }
-    let options = Options::parse(rest)?;
-    let json = options.has_flag("json");
-    let verbosity = if options.has_flag("vv") {
-        2
-    } else if options.has_flag("v") {
-        1
-    } else {
-        0
+    let action = match name {
+        "help" | "--help" | "-h" => match tokens.first() {
+            Some(extra) => return error(format!("unexpected argument '{extra}'")),
+            None => Action::Help,
+        },
+        "serve" => match ServerConfig::from_args(&tokens).map_err(ParseError)? {
+            Some(config) => Action::Serve(config),
+            None => Action::Help,
+        },
+        _ => command(name, &tokens)?,
     };
-    let command = parse_command(command, &positionals, &options)?;
-    Ok(ParsedCommand {
-        command,
+    Ok(Invocation {
+        action,
         json,
         verbosity,
     })
 }
 
-fn parse_command(
-    command: &str,
-    positionals: &[String],
-    options: &Options,
-) -> Result<Command, ParseError> {
-    // Only the catalog-backed subcommands take a positional (the id);
-    // everywhere else a bare token is a mistake, as it always was.
-    if !positionals.is_empty() && !matches!(command, "scenarios" | "replay" | "optimize") {
-        return Err(ParseError(format!(
-            "unexpected argument '{}'",
-            positionals[0]
-        )));
-    }
-    if positionals.len() > 1 {
-        return Err(ParseError(format!(
-            "unexpected argument '{}'",
-            positionals[1]
-        )));
-    }
-    match command {
-        "compare" => {
-            let domains = options.domains()?;
-            Ok(Command::Compare {
-                workload: options.workload_with(Some(domains[0]))?,
-                domains,
-            })
-        }
-        "evaluate" => Ok(Command::Evaluate(options.workload()?)),
-        "query" => Ok(Command::Query {
-            file: options
-                .get("file")
-                .filter(|path| *path != "-")
-                .map(str::to_string),
-        }),
-        "crossover" => Ok(Command::Crossover(options.workload()?)),
-        "tornado" => Ok(Command::Tornado(options.workload()?)),
-        "industry" => Ok(Command::Industry),
-        "montecarlo" | "monte-carlo" => {
-            let samples = match options.get("samples") {
-                Some(v) => parse_number("--samples", v)?,
-                None => 512,
-            };
-            if samples == 0 {
-                return Err(ParseError("--samples must be at least 1".to_string()));
-            }
-            let seed: u64 = match options.get("seed") {
-                Some(v) => parse_number("--seed", v)?,
-                None => MonteCarloRequest::DEFAULT_SEED,
-            };
-            // The wire format carries the seed as a JSON number, which is
-            // only exact below 2^53 — reject larger seeds here so the CLI
-            // result always matches the equivalent HTTP request.
-            if seed >= (1 << 53) {
-                return Err(ParseError("--seed must be below 2^53".to_string()));
-            }
-            Ok(Command::MonteCarlo {
-                workload: options.workload()?,
-                samples,
-                seed,
-            })
-        }
-        "sweep" => {
-            let axis = parse_axis(
-                options
-                    .get("axis")
-                    .ok_or_else(|| ParseError("--axis is required".into()))?,
-            )?;
-            let from: f64 = parse_number(
-                "--from",
-                options
-                    .get("from")
-                    .ok_or_else(|| ParseError("--from is required".into()))?,
-            )?;
-            let to: f64 = parse_number(
-                "--to",
-                options
-                    .get("to")
-                    .ok_or_else(|| ParseError("--to is required".into()))?,
-            )?;
-            let steps: usize = match options.get("steps") {
-                Some(v) => parse_number("--steps", v)?,
-                None => 10,
-            };
-            if steps < 2 {
-                return Err(ParseError("--steps must be at least 2".to_string()));
-            }
-            if to <= from || to.is_nan() || from.is_nan() {
-                return Err(ParseError("--to must be greater than --from".to_string()));
-            }
-            Ok(Command::Sweep {
-                workload: options.workload()?,
-                axis,
-                from,
-                to,
-                steps,
-                csv: options.has_flag("csv"),
-            })
-        }
-        "grid" | "heatmap" => Ok(Command::Grid {
-            workload: options.workload()?,
-            shape: parse_grid_shape(options)?,
-            adaptive: options.has_flag("adaptive"),
-            stream: options.has_flag("stream"),
-        }),
-        "frontier" => Ok(Command::Frontier {
-            workload: options.workload()?,
-            shape: parse_grid_shape(options)?,
-        }),
-        "serve" => Ok(Command::Serve(parse_serve(options)?)),
-        "scenarios" => Ok(Command::Scenarios {
-            id: positionals
-                .first()
-                .cloned()
-                .or_else(|| options.get("id").map(str::to_string)),
-            point: options.point_overrides()?,
-        }),
-        "replay" => Ok(Command::Replay {
-            id: positionals
-                .first()
-                .cloned()
-                .or_else(|| options.get("id").map(str::to_string))
-                .ok_or_else(|| {
-                    ParseError(
-                        "replay needs a catalog scenario id (see `greenfpga scenarios`)".into(),
-                    )
-                })?,
-            region: options.get("region").map(str::to_string),
-            interpolate: options.has_flag("interpolate"),
-            point: options.point_overrides()?,
-            years: match options.get("years") {
-                Some(v) => {
-                    let years: u64 = parse_number("--years", v)?;
-                    if years == 0 {
-                        return Err(ParseError("--years must be at least 1".to_string()));
-                    }
-                    years
-                }
-                None => 1,
+/// Parses an analytic subcommand (or `query`) and its flags.
+fn command(name: &str, tokens: &[&str]) -> Result<Action, ParseError> {
+    // Leading bare tokens are the catalog id, where one is taken.
+    let split = tokens
+        .iter()
+        .position(|t| t.starts_with('-'))
+        .unwrap_or(tokens.len());
+    let (positionals, tokens) = tokens.split_at(split);
+    let mut flags: Vec<(&Flag, &str)> = Vec::new();
+    let mut tokens = tokens.iter();
+    while let Some(&token) = tokens.next() {
+        let Some(key) = token.strip_prefix("--") else {
+            return error(format!("unexpected argument '{token}'"));
+        };
+        let Some(flag) = FLAGS.iter().find(|flag| flag.name == key) else {
+            return error(format!("unknown option '{token}'"));
+        };
+        let value = match flag.target {
+            Target::True(_) | Target::FpgaWins | Target::Csv | Target::Adaptive => "",
+            _ => match tokens.next() {
+                Some(value) => value,
+                None => return error(format!("missing value for {token}")),
             },
-        }),
-        "optimize" => parse_optimize(positionals, options),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(ParseError(format!("unknown command '{other}'"))),
+        };
+        flags.push((flag, value));
     }
+
+    let given = |name: &str| flags.iter().rev().find(|(flag, _)| flag.name == name);
+    let id = positionals
+        .first()
+        .copied()
+        .or_else(|| given("id").map(|&(_, value)| value));
+    let command = match name {
+        "evaluate" | "compare" | "sweep" | "crossover" | "grid" | "frontier" | "industry"
+        | "tornado" | "montecarlo" | "replay" | "optimize" | "query" => name,
+        "heatmap" => "grid",
+        "monte-carlo" => "montecarlo",
+        "scenarios" if id.is_some() => "scenario",
+        "scenarios" => "catalog",
+        other => return error(format!("unknown command '{other}'")),
+    };
+    let takes = |flag: &Flag| flag.commands.split(' ').any(|c| c == command);
+    if let Some(extra) = positionals.get(usize::from(takes(flag("id")))) {
+        return error(format!("unexpected argument '{extra}'"));
+    }
+    if let Some((flag, _)) = flags.iter().find(|(flag, _)| !takes(flag)) {
+        let without = if command == "catalog" {
+            " without a catalog id"
+        } else {
+            ""
+        };
+        return error(format!(
+            "--{} does not apply to '{name}'{without}",
+            flag.name
+        ));
+    }
+    if command == "query" {
+        let file = given("file")
+            .map(|&(_, path)| path)
+            .filter(|&path| path != "-");
+        return Ok(Action::RawQuery(file.map(str::to_string)));
+    }
+    if command == "replay" && id.is_none() {
+        return error("replay needs a catalog scenario id (see `greenfpga scenarios`)");
+    }
+    if id.is_some() && given("domain").is_some() {
+        return error("--domain conflicts with a catalog id (the catalog entry names its domain)");
+    }
+    let goal_given = given("objective").map(|&(_, name)| goal(name));
+    if given("budget-kg").is_some() && goal_given.as_deref() != Some("budget") {
+        return error("--budget-kg only applies to --objective budget");
+    }
+
+    let mut members = Vec::new();
+    // Point flags on a catalog scenario override its cataloged point, so
+    // the members they leave unset keep the cataloged values.
+    let sets_point = |(flag, _): &(&Flag, &str)| matches!(flag.target, Target::Member(path) if path.starts_with("point."));
+    if let Some((_, entry)) = id.and_then(catalog_entry) {
+        if flags.iter().any(sets_point) {
+            *slot(&mut members, "point") = entry.point.to_json();
+        }
+    }
+    // An inline scenario names its domain on the wire; the CLI's is dnn.
+    let domain = (id.is_none() && takes(flag("domain"))).then_some((flag("domain"), "dnn"));
+    let (mut csv, mut adaptive, mut cap) = (false, false, Vec::new());
+    for &(flag, value) in domain.iter().chain(&flags) {
+        match flag.target {
+            Target::Member(path) => *slot(&mut members, path) = token(value),
+            Target::True(path) => *slot(&mut members, path) = Value::Bool(true),
+            Target::Domain if command == "compare" => {
+                let scenarios = value
+                    .split(',')
+                    .map(|d| object([("domain", token(d.trim()))]));
+                *slot(&mut members, "scenarios") = Value::Array(scenarios.collect());
+            }
+            Target::Domain if value.contains(',') => {
+                return error("a --domain list only applies to 'compare'")
+            }
+            Target::Domain => *slot(&mut members, "domain") = token(value),
+            Target::Goal => *slot(&mut members, "objective.goal") = Value::String(goal(value)),
+            Target::Knob => push(&mut members, "search", knob(value)?),
+            Target::FpgaWins => push(
+                &mut members,
+                "constraints",
+                object([("kind", token("fpga_wins"))]),
+            ),
+            Target::Cap(key) => *slot(&mut cap, key) = token(value),
+            Target::Csv => csv = true,
+            Target::Adaptive => adaptive = true,
+            Target::File => {}
+        }
+    }
+    // A positional id wins over `--id`, as it does for `id` above.
+    if let Some(id) = positionals.first() {
+        *slot(&mut members, "id") = token(id);
+    }
+    if !cap.is_empty() {
+        if given("cap-kg").is_none() {
+            return error("--cap-platform only applies together with --cap-kg");
+        }
+        *slot(&mut cap, "kind") = token("max_total_kg");
+        push(&mut members, "constraints", Value::Object(cap));
+    }
+    let kind = if adaptive { "frontier" } else { command };
+    Ok(Action::Run {
+        kind: QueryKind::parse_id(kind).expect("every command names a query kind"),
+        request: Value::Object(members),
+        csv,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use greenfpga::{ApiError, Engine};
 
     fn argv(line: &str) -> Vec<String> {
         line.split_whitespace().map(str::to_string).collect()
     }
 
-    /// Parses a line and returns the command, ignoring output options.
-    fn parse_cmd(line: &str) -> Result<Command, ParseError> {
-        parse(&argv(line)).map(|parsed| parsed.command)
+    /// What a command line comes to: `usage: <message>` for a command-line
+    /// error, the `code: message` of a request the decoder or the engine
+    /// rejects, or else the request body the engine ran.
+    fn outcome(line: &str) -> String {
+        static ENGINE: std::sync::OnceLock<Engine> = std::sync::OnceLock::new();
+        let action = match parse(&argv(line)) {
+            Ok(invocation) => invocation.action,
+            Err(e) => return format!("usage: {e}"),
+        };
+        let Action::Run { kind, request, .. } = action else {
+            return format!("{action:?}");
+        };
+        let query = match kind.decode_request(&request) {
+            Ok(query) => query,
+            Err(e) => return ApiError::from(e).to_string(),
+        };
+        let engine = ENGINE.get_or_init(|| Engine::with_defaults().expect("engine"));
+        match engine.run(&query) {
+            Ok(_) => query.request_body().to_json_string().expect("serialize"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    /// Checks `argv => expected` rows, one per line: the outcome starts with
+    /// the expected text (a whole body, or an error's code and member).
+    fn check(rows: &str) {
+        for row in rows.lines().filter(|row| !row.trim().is_empty()) {
+            let (line, expected) = row.split_once(" => ").expect("an `argv => expected` row");
+            let actual = outcome(line);
+            assert!(
+                actual.starts_with(expected.trim()),
+                "{line}\n  expected {expected}\n  got      {actual}"
+            );
+        }
+    }
+
+    fn kind(line: &str) -> QueryKind {
+        match parse(&argv(line)).expect("parse").action {
+            Action::Run { kind, .. } => kind,
+            other => panic!("'{line}' is not a query: {other:?}"),
+        }
+    }
+
+    fn serve_config(line: &str) -> ServerConfig {
+        match parse(&argv(line)).expect("parse").action {
+            Action::Serve(config) => config,
+            other => panic!("'{line}' does not serve: {other:?}"),
+        }
     }
 
     #[test]
     fn empty_command_line_is_help() {
-        assert_eq!(parse(&[]).unwrap().command, Command::Help);
-        assert_eq!(parse_cmd("help").unwrap(), Command::Help);
-        assert_eq!(parse_cmd("--help").unwrap(), Command::Help);
+        for line in ["", "help", "--help", "-h", "serve --help"] {
+            assert!(
+                matches!(parse(&argv(line)).unwrap().action, Action::Help),
+                "{line}"
+            );
+        }
+        check("help extra => usage: unexpected argument 'extra'");
     }
 
     #[test]
     fn json_flag_is_global_and_off_by_default() {
         assert!(!parse(&argv("compare")).unwrap().json);
-        assert!(parse(&argv("compare --json")).unwrap().json);
-        assert!(
-            parse(&argv("crossover --domain crypto --json"))
-                .unwrap()
-                .json
-        );
-        assert!(parse(&argv("montecarlo --json --samples 16")).unwrap().json);
+        for line in [
+            "compare --json",
+            "crossover --domain crypto --json",
+            "montecarlo --json --samples 16",
+            "serve --json",
+        ] {
+            assert!(parse(&argv(line)).unwrap().json, "{line}");
+        }
     }
 
     #[test]
     fn verbosity_flags_are_global() {
-        assert_eq!(parse(&argv("compare")).unwrap().verbosity, 0);
-        assert_eq!(parse(&argv("compare -v")).unwrap().verbosity, 1);
-        assert_eq!(parse(&argv("compare -vv")).unwrap().verbosity, 2);
-        // -vv wins over -v regardless of order, and the flags compose
-        // with options anywhere on the line.
-        assert_eq!(parse(&argv("compare -v -vv")).unwrap().verbosity, 2);
-        assert_eq!(
-            parse(&argv("grid -vv --domain crypto --steps 8"))
-                .unwrap()
-                .verbosity,
-            2
-        );
-        assert_eq!(
-            parse(&argv("montecarlo --samples 16 -v"))
-                .unwrap()
-                .verbosity,
-            1
-        );
+        // -vv wins over -v regardless of order, and the flags compose with
+        // options anywhere on the line.
+        for (line, verbosity) in [
+            ("compare", 0),
+            ("compare -v", 1),
+            ("compare -vv", 2),
+            ("compare -v -vv", 2),
+            ("compare -vv -v", 2),
+            ("grid -vv --domain crypto --steps 8", 2),
+            ("montecarlo --samples 16 -v", 1),
+        ] {
+            assert_eq!(parse(&argv(line)).unwrap().verbosity, verbosity, "{line}");
+        }
         // Other single-dash spellings are still rejected.
-        assert!(parse(&argv("compare -x")).is_err());
-        assert!(parse(&argv("compare -vvv")).is_err());
+        check(
+            "compare -x => usage: unexpected argument '-x'
+             compare -vvv => usage: unexpected argument '-vvv'",
+        );
     }
 
     #[test]
     fn serve_defaults_and_overrides() {
+        let (config, defaults) = (serve_config("serve"), ServerConfig::default());
         assert_eq!(
-            parse_cmd("serve").unwrap(),
-            Command::Serve(ServeArgs::default())
+            (config.addr, config.driver),
+            (defaults.addr, defaults.driver)
         );
-        let command = parse_cmd(
+        assert_eq!(
+            (config.workers, config.eval_threads),
+            (defaults.workers, defaults.eval_threads)
+        );
+        // Every server flag reaches `greenfpga serve`, `--max-body-bytes`,
+        // `--trace-log` and `--slow-request-us` included.
+        let config = serve_config(
             "serve --addr 0.0.0.0:9999 --workers 4 --eval-threads 2 --cache-capacity 16 \
-             --idle-timeout 60 --header-timeout 2 --driver portable \
-             --cache-shards 2 --max-connections 32",
-        )
-        .unwrap();
-        match command {
-            Command::Serve(serve) => {
-                assert_eq!(serve.addr, "0.0.0.0:9999");
-                assert_eq!(serve.workers, 4);
-                assert_eq!(serve.eval_threads, 2);
-                assert_eq!(serve.cache_capacity, 16);
-                assert_eq!(serve.cache_shards, 2);
-                assert_eq!(serve.max_connections, 32);
-                assert_eq!(serve.idle_timeout_secs, 60);
-                assert_eq!(serve.header_timeout_secs, 2);
-                assert_eq!(serve.driver, gf_server::DriverKind::Portable);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-        assert!(parse_cmd("serve --workers x").is_err());
-        assert!(parse_cmd("serve --header-timeout 0").is_err());
-        assert!(parse_cmd("serve --driver kqueue").is_err());
+             --idle-timeout 60 --header-timeout 2 --driver portable -v --cache-shards 2 \
+             --max-connections 32 --max-body-bytes 65536 --trace-log t.ndjson --slow-request-us 250",
+        );
+        assert_eq!(config.addr, "0.0.0.0:9999");
+        assert_eq!((config.workers, config.eval_threads), (4, 2));
+        assert_eq!((config.cache_capacity, config.cache_shards), (16, 2));
+        assert_eq!((config.max_connections, config.max_body_bytes), (32, 65536));
+        assert_eq!(config.idle_timeout, std::time::Duration::from_secs(60));
+        assert_eq!(config.header_timeout, std::time::Duration::from_secs(2));
+        assert_eq!(config.driver, gf_server::DriverKind::Portable);
+        assert_eq!(config.trace_log, Some("t.ndjson".into()));
+        assert_eq!(config.slow_request_us, 250);
         // Zero eval-threads clamps to serial; zero capacities/shards/caps
         // are configuration errors, not clamps.
-        match parse_cmd("serve --eval-threads 0").unwrap() {
-            Command::Serve(serve) => assert_eq!(serve.eval_threads, 1),
-            other => panic!("unexpected command {other:?}"),
-        }
-        assert!(parse_cmd("serve --cache-capacity 0").is_err());
-        assert!(parse_cmd("serve --cache-shards 0").is_err());
-        assert!(parse_cmd("serve --max-connections 0").is_err());
+        assert_eq!(serve_config("serve --eval-threads 0").eval_threads, 1);
+        check(
+            "serve --workers x => usage: invalid value 'x' for --workers
+             serve --header-timeout 0 => usage: --header-timeout must be at least 1
+             serve --driver kqueue => usage: --driver must be epoll|portable|auto
+             serve --cache-capacity 0 => usage: --cache-capacity must be at least 1
+             serve --cache-shards 0 => usage: --cache-shards must be at least 1
+             serve --max-connections 0 => usage: --max-connections must be at least 1
+             serve --trace-log x --frobnicate 1 => usage: unknown option '--frobnicate'",
+        );
     }
 
     #[test]
     fn compare_with_defaults_and_overrides() {
-        let cmd = parse_cmd("compare").unwrap();
-        assert_eq!(
-            cmd,
-            Command::Compare {
-                workload: WorkloadArgs::default(),
-                domains: vec![Domain::Dnn],
-            }
+        check(
+            r#"
+            compare => {"scenarios":[{"domain":"dnn","knobs":{}}],"point":{"applications":5,"lifetime_years":2,"volume":1000000}}
+            compare --domain crypto --apps 3 --lifetime 1.5 --volume 250000 => {"scenarios":[{"domain":"crypto","knobs":{}}],"point":{"applications":3,"lifetime_years":1.5,"volume":250000}}
+        "#,
         );
-        let cmd =
-            parse_cmd("compare --domain crypto --apps 3 --lifetime 1.5 --volume 250000").unwrap();
-        match cmd {
-            Command::Compare {
-                workload: w,
-                domains,
-            } => {
-                assert_eq!(w.domain, Domain::Crypto);
-                assert_eq!(domains, vec![Domain::Crypto]);
-                assert_eq!(w.apps, 3);
-                assert!((w.lifetime_years - 1.5).abs() < 1e-12);
-                assert_eq!(w.volume, 250_000);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
     }
 
     #[test]
     fn compare_accepts_a_domain_list() {
-        let cmd = parse_cmd("compare --domain dnn,crypto").unwrap();
-        match cmd {
-            Command::Compare { workload, domains } => {
-                assert_eq!(domains, vec![Domain::Dnn, Domain::Crypto]);
-                assert_eq!(workload.domain, Domain::Dnn, "workload takes the first");
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-        assert!(parse_cmd("compare --domain dnn,gpu").is_err());
-        // A list longer than the wire limit is rejected at parse time.
+        // A list longer than the wire limit is the wire's error; other
+        // commands reject a list instead of silently dropping entries.
         let many = vec!["dnn"; greenfpga::CompareRequest::MAX_SCENARIOS + 1].join(",");
-        assert!(parse_cmd(&format!("compare --domain {many}")).is_err());
-        // Other commands reject a list instead of silently dropping entries.
-        assert!(parse_cmd("evaluate --domain dnn,crypto").is_err());
-        assert!(parse_cmd("sweep --domain dnn,crypto --axis apps --from 1 --to 8").is_err());
-        let cmd = parse_cmd("evaluate --domain crypto").unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Evaluate(WorkloadArgs {
-                domain: Domain::Crypto,
-                ..
-            })
+        check(&format!(
+            "compare --domain {many} => bad_request: JSON schema error at scenarios:"
         ));
+        check(
+            r#"
+            compare --domain dnn,crypto => {"scenarios":[{"domain":"dnn","knobs":{}},{"domain":"crypto","knobs":{}}],"point":{"applications":5,"lifetime_years":2,"volume":1000000}}
+            compare --domain dnn,gpu => bad_request: JSON schema error at scenarios.domain: unknown domain 'gpu'
+            evaluate --domain dnn,crypto => usage: a --domain list only applies to 'compare'
+            sweep --domain dnn,crypto --axis apps --from 1 --to 8 => usage: a --domain list only applies to 'compare'
+            evaluate --domain crypto => {"domain":"crypto","knobs":{},"point":{"applications":5,"lifetime_years":2,"volume":1000000}}
+        "#,
+        );
     }
 
     #[test]
     fn query_takes_an_optional_file() {
-        assert_eq!(parse_cmd("query").unwrap(), Command::Query { file: None });
-        assert_eq!(
-            parse_cmd("query --file q.json").unwrap(),
-            Command::Query {
-                file: Some("q.json".to_string())
+        for (line, file) in [
+            ("query", None),
+            ("query --file q.json", Some("q.json")),
+            ("query --file -", None),
+        ] {
+            match parse(&argv(line)).unwrap().action {
+                Action::RawQuery(path) => assert_eq!(path.as_deref(), file, "{line}"),
+                other => panic!("unexpected action {other:?}"),
             }
-        );
-        assert_eq!(
-            parse_cmd("query --file -").unwrap(),
-            Command::Query { file: None },
-            "'-' means stdin"
-        );
+        }
+        check("query --apps 3 => usage: --apps does not apply to 'query'");
     }
 
     #[test]
     fn domain_aliases_are_accepted() {
-        for (alias, expected) in [
-            ("dnn", Domain::Dnn),
-            ("imgproc", Domain::ImageProcessing),
-            ("ImageProcessing", Domain::ImageProcessing),
-            ("CRYPTO", Domain::Crypto),
-        ] {
-            let cmd = parse(&argv(&format!("evaluate --domain {alias}")))
-                .unwrap()
-                .command;
-            match cmd {
-                Command::Evaluate(w) => assert_eq!(w.domain, expected, "{alias}"),
-                other => panic!("unexpected command {other:?}"),
-            }
-        }
-        assert!(parse_cmd("compare --domain gpu").is_err());
+        check(
+            r#"
+            evaluate --domain dnn => {"domain":"dnn","knobs":{},"point"
+            evaluate --domain imgproc => {"domain":"imgproc","knobs":{},"point"
+            evaluate --domain ImageProcessing => {"domain":"imgproc","knobs":{},"point"
+            evaluate --domain CRYPTO => {"domain":"crypto","knobs":{},"point"
+            compare --domain gpu => bad_request: JSON schema error at scenarios.domain: unknown domain 'gpu'
+        "#,
+        );
     }
 
     #[test]
     fn sweep_requires_axis_and_bounds() {
-        assert!(parse_cmd("sweep").is_err());
-        assert!(parse_cmd("sweep --axis apps").is_err());
-        assert!(parse_cmd("sweep --axis apps --from 1 --to 0.5").is_err());
-        assert!(parse_cmd("sweep --axis apps --from 1 --to 8 --steps 1").is_err());
-        let cmd = parse_cmd("sweep --axis lifetime --from 0.2 --to 2.5 --steps 6 --csv").unwrap();
-        match cmd {
-            Command::Sweep {
-                axis,
-                from,
-                to,
-                steps,
-                csv,
-                ..
-            } => {
-                assert_eq!(axis, SweepAxis::LifetimeYears);
-                assert!((from - 0.2).abs() < 1e-12 && (to - 2.5).abs() < 1e-12);
-                assert_eq!(steps, 6);
-                assert!(csv);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
+        check(
+            r#"
+            sweep => bad_request: JSON schema error at axis: missing
+            sweep --axis apps => bad_request: JSON schema error at from: missing
+            sweep --axis apps --from 1 --to 0.5 => bad_request: JSON schema error at from: sweep range must be finite with to > from
+            sweep --axis apps --from 1 --to 8 --steps 1 => bad_request: JSON schema error at steps
+            sweep --axis lifetime --from 0.2 --to 2.5 --steps 6 --csv => {"domain":"dnn","knobs":{},"point":{"applications":5,"lifetime_years":2,"volume":1000000},"axis":"lifetime","from":0.2,"to":2.5,"steps":6}
+        "#,
+        );
+        let csv =
+            |line| matches!(parse(&argv(line)).unwrap().action, Action::Run { csv, .. } if csv);
+        assert!(csv("sweep --axis apps --from 1 --to 2 --csv"));
+        assert!(!csv("sweep --axis apps --from 1 --to 2"));
     }
 
     #[test]
     fn montecarlo_sample_parsing() {
-        let cmd = parse_cmd("montecarlo --domain dnn --samples 128").unwrap();
-        match cmd {
-            Command::MonteCarlo {
-                samples,
-                workload,
-                seed,
-            } => {
-                assert_eq!(samples, 128);
-                assert_eq!(workload.domain, Domain::Dnn);
-                assert_eq!(seed, MonteCarloRequest::DEFAULT_SEED);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-        let cmd = parse_cmd("montecarlo --samples 16 --seed 42").unwrap();
-        assert!(matches!(cmd, Command::MonteCarlo { seed: 42, .. }));
-        assert!(parse_cmd("montecarlo --samples 0").is_err());
-        assert!(parse_cmd("montecarlo --samples abc").is_err());
-        assert!(parse_cmd("montecarlo --seed x").is_err());
         // Seeds at or above 2^53 would not survive the JSON wire format.
-        assert!(parse_cmd("montecarlo --seed 9007199254740992").is_err());
-        assert!(parse_cmd("montecarlo --seed 9007199254740991").is_ok());
+        check(
+            r#"
+            montecarlo --domain dnn --samples 128 => {"domain":"dnn","knobs":{},"point":{"applications":5,"lifetime_years":2,"volume":1000000},"samples":128,"seed":2654435769}
+            monte-carlo --samples 16 --seed 42 => {"domain":"dnn","knobs":{},"point":{"applications":5,"lifetime_years":2,"volume":1000000},"samples":16,"seed":42}
+            montecarlo --samples 0 => bad_request: JSON schema error at samples
+            montecarlo --samples abc => bad_request: JSON schema error at samples
+            montecarlo --seed x => bad_request: JSON schema error at seed
+            montecarlo --seed 9007199254740992 => bad_request: JSON schema error at seed
+            montecarlo --samples 1 --seed 9007199254740991 => {"domain":"dnn"
+        "#,
+        );
     }
 
     #[test]
     fn invalid_inputs_are_rejected_with_messages() {
-        assert!(parse_cmd("frobnicate").is_err());
-        assert!(parse_cmd("compare --apps 0").is_err());
-        assert!(parse_cmd("compare --volume 0").is_err());
-        assert!(parse_cmd("compare --lifetime -1").is_err());
-        assert!(parse_cmd("compare --apps").is_err());
-        assert!(parse_cmd("compare apps 5").is_err());
-        let err = parse_cmd("compare --apps x").unwrap_err();
-        assert!(err.to_string().contains("--apps"));
+        // HTTP serves a zero lifetime, so the CLI does too.
+        check(
+            r#"
+            frobnicate => usage: unknown command 'frobnicate'
+            batch => usage: unknown command 'batch'
+            compare --apps 0 => model: workload must contain at least one application
+            compare --volume 0 => model: invalid application volume
+            compare --lifetime -1 => model: invalid application lifetime
+            compare --apps => usage: missing value for --apps
+            compare apps 5 => usage: unexpected argument 'apps'
+            compare --apps x => bad_request: JSON schema error at point.applications
+            compare --apps 9007199254740994 => bad_request: JSON schema error at point.applications
+            evaluate --lifetime inf => bad_request: JSON schema error at point.lifetime_years
+            evaluate --frobnicate 1 --steps 9 => usage: unknown option '--frobnicate'
+            evaluate --steps 9 => usage: --steps does not apply to 'evaluate'
+            industry --apps 0 => usage: --apps does not apply to 'industry'
+            evaluate --lifetime 0 => {"domain":"dnn","knobs":{},"point":{"applications":5,"lifetime_years":0,
+        "#,
+        );
     }
 
     #[test]
     fn last_value_wins_for_repeated_options() {
-        let cmd = parse_cmd("compare --apps 3 --apps 7").unwrap();
-        match cmd {
-            Command::Compare { workload: w, .. } => assert_eq!(w.apps, 7),
-            other => panic!("unexpected command {other:?}"),
-        }
+        check(
+            r#"compare --apps 3 --apps 7 => {"scenarios":[{"domain":"dnn","knobs":{}}],"point":{"applications":7,"lifetime_years":2,"volume":1000000}}"#,
+        );
     }
 
     #[test]
     fn grid_defaults_and_validation() {
-        let cmd = parse_cmd("grid --domain imgproc --steps 8").unwrap();
-        match cmd {
-            Command::Grid {
-                workload,
-                shape,
-                adaptive,
-                stream,
-            } => {
-                assert_eq!(workload.domain, Domain::ImageProcessing);
-                assert_eq!(shape.x_axis, SweepAxis::Applications);
-                assert_eq!(shape.y_axis, SweepAxis::LifetimeYears);
-                assert_eq!(shape.steps, 8);
-                assert!(!adaptive);
-                assert!(!stream);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-        assert!(parse_cmd("grid --x-axis apps --y-axis apps").is_err());
-        assert!(parse_cmd("grid --steps 1").is_err());
-        assert!(parse_cmd("grid --x-from 5 --x-to 2").is_err());
-        let cmd = parse_cmd("heatmap --x-axis volume --x-from 1000 --x-to 1000000 --y-axis apps --y-from 1 --y-to 10")
-        .unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Grid {
-                shape: GridShape {
-                    x_axis: SweepAxis::VolumeUnits,
-                    y_axis: SweepAxis::Applications,
-                    ..
-                },
-                ..
-            }
-        ));
+        assert_eq!(kind("grid --steps 8"), QueryKind::Grid);
+        check(
+            r#"
+            grid --domain imgproc --steps 8 => {"domain":"imgproc","knobs":{},"point":{"applications":5,"lifetime_years":2,"volume":1000000},"x_axis":"apps","x_from":1,"x_to":12,"y_axis":"lifetime","y_from":0.25,"y_to":3,"steps":8}
+            grid --x-axis apps --y-axis apps => bad_request: JSON schema error at y_axis: x_axis and y_axis must differ
+            grid --steps 1 => bad_request: JSON schema error at steps
+            grid --x-from 5 --x-to 2 => bad_request: JSON schema error at x_from
+            heatmap --x-axis volume --x-from 1000 --x-to 1000000 --y-axis apps --y-from 1 --y-to 10 => {"domain":"dnn","knobs":{},"point":{"applications":5,"lifetime_years":2,"volume":1000000},"x_axis":"volume","x_from":1000,"x_to":1000000,"y_axis":"apps","y_from":1,"y_to":10,"steps":24}
+        "#,
+        );
     }
 
     #[test]
     fn grid_adaptive_flag_is_parsed() {
-        let cmd = parse_cmd("grid --domain dnn --steps 16 --adaptive").unwrap();
-        assert!(matches!(cmd, Command::Grid { adaptive: true, .. }));
+        assert_eq!(
+            kind("grid --domain dnn --steps 16 --adaptive"),
+            QueryKind::Frontier
+        );
+        check("frontier --adaptive => usage: --adaptive does not apply to 'frontier'");
     }
 
     #[test]
     fn grid_stream_flag_is_parsed() {
-        let cmd = parse_cmd("grid --domain dnn --steps 16 --stream").unwrap();
-        assert!(matches!(cmd, Command::Grid { stream: true, .. }));
+        check(
+            r#"
+            grid --domain dnn --steps 16 --stream => {"domain":"dnn","knobs":{},"point":{"applications":5,"lifetime_years":2,"volume":1000000},"x_axis":"apps","x_from":1,"x_to":12,"y_axis":"lifetime","y_from":0.25,"y_to":3,"steps":16,"stream":true}
+            frontier --stream => usage: --stream does not apply to 'frontier'
+        "#,
+        );
     }
 
     #[test]
     fn frontier_shares_grid_geometry() {
-        let cmd = parse_cmd("frontier --domain dnn --x-axis apps --x-from 1 --x-to 32 --y-axis lifetime --y-from 0.1 --y-to 3 --steps 64")
-        .unwrap();
-        match cmd {
-            Command::Frontier { workload, shape } => {
-                assert_eq!(workload.domain, Domain::Dnn);
-                assert_eq!(shape.x_axis, SweepAxis::Applications);
-                assert_eq!(shape.y_axis, SweepAxis::LifetimeYears);
-                assert_eq!(shape.steps, 64);
-                assert!((shape.x_to - 32.0).abs() < 1e-12);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-        assert!(parse_cmd("frontier --x-axis apps --y-axis apps").is_err());
-        assert!(parse_cmd("frontier --steps 1").is_err());
-        assert!(parse_cmd("frontier --y-from 3 --y-to 1").is_err());
+        check(
+            r#"
+            frontier --domain dnn --x-axis apps --x-from 1 --x-to 32 --y-axis lifetime --y-from 0.1 --y-to 3 --steps 64 => {"domain":"dnn","knobs":{},"point":{"applications":5,"lifetime_years":2,"volume":1000000},"x_axis":"apps","x_from":1,"x_to":32,"y_axis":"lifetime","y_from":0.1,"y_to":3,"steps":64}
+            frontier --x-axis apps --y-axis apps => bad_request: JSON schema error at y_axis
+            frontier --steps 1 => bad_request: JSON schema error at steps
+            frontier --y-from 3 --y-to 1 => bad_request: JSON schema error at x_from
+        "#,
+        );
     }
 
     #[test]
@@ -1313,177 +832,69 @@ mod tests {
         ] {
             assert!(USAGE.contains(command), "usage is missing {command}");
         }
+        // The serve section is the server's own option reference.
+        assert!(USAGE.contains(gf_server::options_help!()));
     }
 
     #[test]
     fn scenarios_lists_or_runs_by_id() {
-        assert_eq!(
-            parse_cmd("scenarios").unwrap(),
-            Command::Scenarios {
-                id: None,
-                point: PointOverrides::default(),
-            }
+        assert_eq!(kind("scenarios"), QueryKind::Catalog);
+        assert_eq!(kind("scenarios dnn_baseline"), QueryKind::Scenario);
+        // `--id` spells the positional; point overrides stay partial, so
+        // unset flags keep the cataloged value.
+        check(
+            r#"
+            scenarios dnn_baseline --json => {"id":"dnn_baseline","knobs":{}}
+            scenarios --id dnn_baseline => {"id":"dnn_baseline","knobs":{}}
+            scenarios dnn_fleet_10k_3y --apps 9 => {"id":"dnn_fleet_10k_3y","knobs":{},"point":{"applications":9,"lifetime_years":3,"volume":10000}}
+            scenarios dnn_baseline extra => usage: unexpected argument 'extra'
+            scenarios --apps 9 => usage: --apps does not apply to 'scenarios' without a catalog id
+            scenarios dnn_baseline --domain crypto => usage: --domain does not apply to 'scenarios'
+            scenarios dnn_baseline --apps 0 => model: workload must contain at least one application
+            scenarios dnn_baseline --lifetime -2 => model: invalid application lifetime
+            scenarios no_such_entry --apps 3 => not_found: unknown catalog scenario 'no_such_entry'
+        "#,
         );
-        let cmd = parse_cmd("scenarios dnn_baseline --json").unwrap();
-        assert_eq!(
-            cmd,
-            Command::Scenarios {
-                id: Some("dnn_baseline".to_string()),
-                point: PointOverrides::default(),
-            }
-        );
-        // `--id` spells the same thing without a positional.
-        assert_eq!(parse_cmd("scenarios --id dnn_baseline").unwrap(), cmd);
-        // Point overrides stay partial: unset flags keep the cataloged value.
-        let cmd = parse_cmd("scenarios dnn_baseline --apps 9").unwrap();
-        match cmd {
-            Command::Scenarios { point, .. } => {
-                assert_eq!(point.apps, Some(9));
-                assert_eq!(point.lifetime_years, None);
-                assert_eq!(point.volume, None);
-                assert!(!point.is_empty());
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-        assert!(parse_cmd("scenarios dnn_baseline extra").is_err());
-        assert!(parse_cmd("scenarios dnn_baseline --apps 0").is_err());
-        assert!(parse_cmd("scenarios dnn_baseline --lifetime -2").is_err());
     }
 
     #[test]
     fn replay_requires_an_id_and_parses_its_options() {
-        assert!(parse_cmd("replay").is_err());
-        let cmd = parse_cmd("replay crypto_fleet_1m_5y").unwrap();
-        assert_eq!(
-            cmd,
-            Command::Replay {
-                id: "crypto_fleet_1m_5y".to_string(),
-                region: None,
-                interpolate: false,
-                point: PointOverrides::default(),
-                years: 1,
-            }
-        );
-        let cmd = parse_cmd("replay dnn_baseline --region solar_duck --interpolate --volume 5000")
-            .unwrap();
-        match cmd {
-            Command::Replay {
-                id,
-                region,
-                interpolate,
-                point,
-                years,
-            } => {
-                assert_eq!(id, "dnn_baseline");
-                assert_eq!(region.as_deref(), Some("solar_duck"));
-                assert!(interpolate);
-                assert_eq!(point.volume, Some(5000));
-                assert_eq!(years, 1);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-        let cmd = parse_cmd("replay crypto_fleet_1m_5y --years 5").unwrap();
-        assert!(matches!(cmd, Command::Replay { years: 5, .. }));
-        assert!(parse_cmd("replay crypto_fleet_1m_5y --years 0").is_err());
         // Positionals stay rejected everywhere else.
-        assert!(parse_cmd("evaluate dnn_baseline").is_err());
+        check(
+            r#"
+            replay => usage: replay needs a catalog scenario id
+            replay crypto_fleet_1m_5y => {"id":"crypto_fleet_1m_5y","knobs":{},"series":"global_flat","interpolate":false}
+            replay dnn_baseline --region solar_duck --interpolate --volume 5000 => {"id":"dnn_baseline","knobs":{},"point":{"applications":5,"lifetime_years":2,"volume":5000},"series":"solar_duck","interpolate":true}
+            replay crypto_fleet_1m_5y --years 5 => {"id":"crypto_fleet_1m_5y","knobs":{},"series":"global_flat","interpolate":false,"years":5}
+            replay crypto_fleet_1m_5y --years 0 => bad_request: JSON schema error at years
+            evaluate dnn_baseline => usage: unexpected argument 'dnn_baseline'
+        "#,
+        );
     }
 
     #[test]
     fn optimize_parses_objective_knobs_and_constraints() {
-        let cmd =
-            parse_cmd("optimize --objective total --knob apps:1:12 --knob lifetime:0.5:4").unwrap();
-        match cmd {
-            Command::Optimize {
-                id,
-                domain,
-                objective,
-                search,
-                constraints,
-                tolerance,
-                max_evals,
-                ..
-            } => {
-                assert_eq!(id, None);
-                assert_eq!(domain, Domain::Dnn);
-                assert_eq!(objective, Objective::MinTotal(OptPlatform::Fpga));
-                assert_eq!(search.len(), 2);
-                assert_eq!(search[0].axis, SweepAxis::Applications);
-                assert!((search[0].min - 1.0).abs() < 1e-12);
-                assert!((search[0].max - 12.0).abs() < 1e-12);
-                assert!(!search[0].integer);
-                assert_eq!(search[1].axis, SweepAxis::LifetimeYears);
-                assert!(constraints.is_empty());
-                assert_eq!(tolerance, None);
-                assert_eq!(max_evals, None);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-
-        let cmd = parse_cmd(
-            "optimize dnn_baseline --objective budget --platform asic --budget-kg 5e6 \
-             --knob volume:1000:2000000:int --tolerance 1e-4 --max-evals 500",
-        )
-        .unwrap();
-        match cmd {
-            Command::Optimize {
-                id,
-                objective,
-                search,
-                tolerance,
-                max_evals,
-                ..
-            } => {
-                assert_eq!(id.as_deref(), Some("dnn_baseline"));
-                assert_eq!(
-                    objective,
-                    Objective::MeetBudget {
-                        platform: OptPlatform::Asic,
-                        budget_kg: 5e6,
-                    }
-                );
-                assert!(search[0].integer);
-                assert_eq!(tolerance, Some(1e-4));
-                assert_eq!(max_evals, Some(500));
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-
-        let cmd = parse_cmd(
-            "optimize --objective ratio --knob apps:1:20 --fpga-wins \
-             --cap-kg 1e9 --cap-platform asic",
-        )
-        .unwrap();
-        match cmd {
-            Command::Optimize { constraints, .. } => {
-                assert_eq!(constraints.len(), 2);
-                assert_eq!(constraints[0], Constraint::FpgaWins);
-                assert_eq!(
-                    constraints[1],
-                    Constraint::MaxTotalKg {
-                        platform: OptPlatform::Asic,
-                        limit_kg: 1e9,
-                    }
-                );
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-
-        // Required pieces and conflicts are rejected loudly.
-        assert!(parse_cmd("optimize --knob apps:1:12").is_err());
-        assert!(parse_cmd("optimize --objective total").is_err());
-        assert!(parse_cmd("optimize --objective budget --knob apps:1:12").is_err());
-        assert!(parse_cmd("optimize --objective total --budget-kg 5 --knob apps:1:12").is_err());
-        assert!(parse_cmd("optimize --objective total --knob apps:1").is_err());
-        assert!(parse_cmd("optimize --objective total --knob watts:1:2").is_err());
-        assert!(parse_cmd("optimize --objective glory --knob apps:1:12").is_err());
-        assert!(parse_cmd("optimize --objective total --knob apps:1:12 --platform gpu").is_err());
-        assert!(
-            parse_cmd("optimize --objective total --knob apps:1:12 --cap-platform asic").is_err()
+        // Wire goals pass through in any case, with `-` for `_`; required
+        // pieces and conflicts are rejected loudly.
+        check(
+            r#"
+            optimize --objective total --knob apps:1:12 --knob lifetime:0.5:4 => {"domain":"dnn","knobs":{},"objective":{"goal":"min_total"},"search":[{"axis":"apps","min":1,"max":12},{"axis":"lifetime","min":0.5,"max":4}]}
+            optimize dnn_baseline --objective budget --platform asic --budget-kg 5e6 --knob volume:1000:2000000:int --tolerance 1e-4 --max-evals 500 => {"id":"dnn_baseline","knobs":{},"objective":{"goal":"budget","platform":"asic","budget_kg":5000000},"search":[{"axis":"volume","min":1000,"max":2000000,"integer":true}],"tolerance":0.0001,"max_evals":500}
+            optimize --objective ratio --knob apps:1:20 --fpga-wins --cap-kg 1e9 --cap-platform asic => {"domain":"dnn","knobs":{},"objective":{"goal":"min_ratio"},"search":[{"axis":"apps","min":1,"max":20}],"constraints":[{"kind":"fpga_wins"},{"kind":"max_total_kg","platform":"asic","limit_kg":1000000000}]}
+            optimize --objective MIN-TOTAL --knob apps:1:12 => {"domain":"dnn","knobs":{},"objective":{"goal":"min_total"}
+            optimize --knob apps:1:12 => bad_request: JSON schema error at objective: missing
+            optimize --objective total => bad_request: JSON schema error at search: missing
+            optimize --objective budget --knob apps:1:12 => bad_request: JSON schema error at objective.budget_kg: missing
+            optimize --objective total --budget-kg 5 --knob apps:1:12 => usage: --budget-kg only applies to --objective budget
+            optimize --objective total --knob apps:1 => usage: --knob expects axis:min:max[:int], got 'apps:1'
+            optimize --objective total --knob apps:1:2:float => usage: --knob flag must be 'int', got 'float'
+            optimize --objective total --knob watts:1:2 => bad_request: JSON schema error at search.axis: unknown axis 'watts'
+            optimize --objective glory --knob apps:1:12 => bad_request: JSON schema error at objective.goal: unknown goal 'glory'
+            optimize --objective total --knob apps:1:12 --platform gpu => bad_request: JSON schema error at objective.platform
+            optimize --objective total --knob apps:1:12 --cap-platform asic => usage: --cap-platform only applies together with --cap-kg
+            optimize dnn_baseline --domain crypto --objective total --knob apps:1:12 => usage: --domain conflicts with a catalog id
+            optimize --objective budget --budget-kg 1 --knob apps:1:12 => model: 
+        "#,
         );
-        assert!(parse_cmd(
-            "optimize dnn_baseline --domain crypto --objective total --knob apps:1:12"
-        )
-        .is_err());
     }
 }

@@ -16,50 +16,72 @@
 //! echo '{"kind":"sweep","domain":"dnn","axis":"apps","from":1,"to":12}' | greenfpga query
 //! ```
 //!
-//! Every subcommand is a thin adapter over [`greenfpga::Engine`]: it
-//! builds the same [`greenfpga::Query`] the HTTP service decodes, runs it
-//! through the same facade, and renders the typed outcome — as a table by
+//! Every subcommand is a thin adapter over [`greenfpga::Engine`]: its
+//! flags assemble the request object `POST /v1/<kind>` carries, which is
+//! decoded by the same `QueryKind::decode_request` and run through the
+//! same facade, and the typed outcome is rendered — as a table by
 //! default, or as the identical wire JSON with `--json`. Failures exit
 //! with the [`greenfpga::ApiErrorCode`] taxonomy's canonical codes:
 //! `2` usage, `3` model, `4` overloaded, `5` internal.
 
 mod args;
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::process::ExitCode;
 
 use gf_json::{FromJson, ToJson, Value};
-use greenfpga::api::{
-    CatalogRequest, CompareRequest, EvaluateRequest, FrontierResponse, GridRequest,
-    IndustryRequest, MonteCarloRequest, MonteCarloResponse, OptimizeRequest, Outcome, Query,
-    ReplayRequest, ScenarioRef, ScenarioRunRequest, SweepRequest, TornadoRequest,
-};
+use greenfpga::api::{Outcome, Query};
 use greenfpga::{
-    catalog_entry, csv_from_rows, render_table, ApiError, CfpBreakdown, CrossoverRequest, Domain,
-    Engine, FrontierRequest, HeatmapRenderer, OperatingPoint, PlatformComparison, ReplayOutcome,
-    ScenarioSpec, SeriesRef, SweepAxis, SweepSeries, TornadoAnalysis, Verdict,
+    csv_from_rows, render_table, ApiError, CfpBreakdown, Engine, GridRequest, HeatmapRenderer,
+    OperatingPoint, PlatformComparison, Verdict,
 };
 
-use args::{Command, GridShape, PointOverrides, ServeArgs, WorkloadArgs, USAGE};
+use args::{Action, Invocation, USAGE};
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match args::parse(&raw) {
-        Ok(parsed) => parsed,
+    let invocation = match args::parse(&raw) {
+        Ok(invocation) => invocation,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::from(ApiError::bad_request(String::new()).exit_code());
         }
     };
-    apply_log_level(parsed.verbosity, std::env::var("GF_LOG").ok().as_deref());
-    match run(parsed.command, parsed.json) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(e.exit_code())
+    apply_log_level(
+        invocation.verbosity,
+        std::env::var("GF_LOG").ok().as_deref(),
+    );
+    let error = match run(invocation) {
+        Ok(()) => return ExitCode::SUCCESS,
+        // A reader that stopped reading (`| head`) wants no more output.
+        Err(Failure::Io(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            return ExitCode::SUCCESS
         }
-    }
+        Err(Failure::Io(e)) => ApiError::internal(format!("stdout write failed: {e}")),
+        Err(Failure::Api(e)) => e,
+    };
+    eprintln!("error: {error}");
+    ExitCode::from(error.exit_code())
 }
+
+/// Why a run stopped short: the engine's error, or stdout refusing output.
+enum Failure {
+    Api(ApiError),
+    Io(std::io::Error),
+}
+
+/// `?` converts each error the engine, the decoder or stdout raises.
+macro_rules! failure_from {
+    ($($source:ty => $variant:ident),*) => {$(
+        impl From<$source> for Failure {
+            fn from(e: $source) -> Failure {
+                Failure::$variant(e.into())
+            }
+        }
+    )*};
+}
+
+failure_from!(ApiError => Api, gf_json::JsonError => Api, greenfpga::GreenFpgaError => Api, std::io::Error => Io);
 
 /// Resolves the stderr diagnostic cutoff from `-v`/`-vv` and `GF_LOG`
 /// (the louder of the two wins) and installs it process-wide.
@@ -88,53 +110,54 @@ fn apply_log_level(verbosity: u8, gf_log: Option<&str>) {
     }
 }
 
-fn run(command: Command, json: bool) -> Result<(), ApiError> {
-    match command {
-        Command::Help => {
+fn run(Invocation { action, json, .. }: Invocation) -> Result<(), Failure> {
+    let mut out = std::io::stdout().lock();
+    match action {
+        Action::Help => {
             reject_json(json, "help")?;
-            println!("{USAGE}");
-            Ok(())
+            writeln!(out, "{USAGE}")?;
         }
-        Command::Serve(serve_args) => {
+        Action::Serve(config) => {
             reject_json(json, "serve")?;
-            serve(serve_args)
+            // The server runs until the process is stopped.
+            drop(out);
+            return serve(config);
         }
-        Command::Query { file } => run_raw_query(file),
-        command => {
+        Action::RawQuery(file) => run_raw_query(file, &mut out)?,
+        Action::Run { kind, request, csv } => {
             // One request id for the whole analytic run, so engine-level
             // spans (tile batches, cache compiles) land under it and the
             // `-v`/`-vv` diagnostics can read them back afterwards.
+            let query = kind.decode_request(&request)?;
             let request_id = gf_trace::next_id();
             gf_trace::set_current_request(request_id);
-            let compile = gf_trace::span(gf_trace::SpanName::CliCompile);
-            let engine = Engine::with_defaults()?;
-            compile.finish();
-            let result = if let Command::Grid {
-                adaptive: false,
-                stream: true,
-                ..
-            } = command
-            {
-                let eval = gf_trace::span(gf_trace::SpanName::CliEval);
-                let result = run_grid_stream(&engine, &command, json);
-                eval.finish();
-                result
-            } else {
-                let query = build_query(&command)?;
-                let eval = gf_trace::span(gf_trace::SpanName::CliEval);
-                let outcome = engine.run(&query);
-                eval.finish();
-                let outcome = outcome?;
-                if json {
-                    print_json(&outcome.result_json())
-                } else {
-                    render_outcome(&command, &outcome)
-                }
-            };
+            let result = run_query(query, json, csv, &mut out);
             gf_trace::set_current_request(0);
             log_phase_timings(request_id);
-            result
+            result?;
         }
+    }
+    Ok(out.flush()?)
+}
+
+/// Runs one decoded request and writes its rendering.
+fn run_query(query: Query, json: bool, csv: bool, out: &mut dyn Write) -> Result<(), Failure> {
+    let compile = gf_trace::span(gf_trace::SpanName::CliCompile);
+    let engine = Engine::with_defaults()?;
+    compile.finish();
+    let eval = gf_trace::span(gf_trace::SpanName::CliEval);
+    if let Query::Grid(request @ GridRequest { stream: true, .. }) = &query {
+        let result = run_grid_stream(&engine, request, json, out);
+        eval.finish();
+        return result;
+    }
+    let outcome = engine.run(&query);
+    eval.finish();
+    let outcome = outcome?;
+    if json {
+        write_json(out, &outcome.result_json())
+    } else {
+        Ok(render(out, &query, &outcome, csv)?)
     }
 }
 
@@ -188,186 +211,6 @@ fn reject_json(json: bool, command: &str) -> Result<(), ApiError> {
     Ok(())
 }
 
-/// Maps an analytic subcommand to its [`Query`] — the same request the
-/// HTTP route for that kind decodes.
-fn build_query(command: &Command) -> Result<Query, ApiError> {
-    Ok(match command {
-        Command::Evaluate(workload) => Query::Evaluate(EvaluateRequest {
-            scenario: ScenarioSpec::baseline(workload.domain),
-            point: operating_point(*workload),
-        }),
-        Command::Compare { workload, domains } => Query::Compare(CompareRequest {
-            scenarios: domains.iter().map(|&d| ScenarioSpec::baseline(d)).collect(),
-            point: operating_point(*workload),
-        }),
-        Command::Crossover(workload) => Query::Crossover(CrossoverRequest::with_default_ranges(
-            ScenarioSpec::baseline(workload.domain),
-            operating_point(*workload),
-        )),
-        Command::Sweep {
-            workload,
-            axis,
-            from,
-            to,
-            steps,
-            ..
-        } => Query::Sweep(SweepRequest {
-            scenario: ScenarioSpec::baseline(workload.domain),
-            base: operating_point(*workload),
-            axis: *axis,
-            range: (*from, *to),
-            steps: *steps,
-        }),
-        Command::Industry => Query::Industry(IndustryRequest::default()),
-        Command::Tornado(workload) => Query::Tornado(TornadoRequest {
-            scenario: ScenarioSpec::baseline(workload.domain),
-            point: operating_point(*workload),
-        }),
-        Command::MonteCarlo {
-            workload,
-            samples,
-            seed,
-        } => Query::MonteCarlo(MonteCarloRequest {
-            scenario: ScenarioSpec::baseline(workload.domain),
-            point: operating_point(*workload),
-            samples: *samples,
-            seed: *seed,
-        }),
-        Command::Grid {
-            workload,
-            shape,
-            adaptive,
-            stream,
-        } => {
-            if *adaptive {
-                Query::Frontier(frontier_request(*workload, *shape))
-            } else {
-                Query::Grid(GridRequest {
-                    scenario: ScenarioSpec::baseline(workload.domain),
-                    base: operating_point(*workload),
-                    x_axis: shape.x_axis,
-                    x_range: (shape.x_from, shape.x_to),
-                    y_axis: shape.y_axis,
-                    y_range: (shape.y_from, shape.y_to),
-                    steps: shape.steps,
-                    stream: *stream,
-                })
-            }
-        }
-        Command::Frontier { workload, shape } => {
-            Query::Frontier(frontier_request(*workload, *shape))
-        }
-        Command::Scenarios { id: None, .. } => Query::Catalog(CatalogRequest),
-        Command::Scenarios {
-            id: Some(id),
-            point,
-        } => Query::Scenario(ScenarioRunRequest {
-            scenario: catalog_ref(id),
-            point: resolved_override(id, *point),
-        }),
-        Command::Replay {
-            id,
-            region,
-            interpolate,
-            point,
-            years,
-        } => Query::Replay(ReplayRequest {
-            scenario: catalog_ref(id),
-            point: resolved_override(id, *point),
-            series: SeriesRef::Region(
-                region
-                    .clone()
-                    .unwrap_or_else(|| ReplayRequest::DEFAULT_REGION.to_string()),
-            ),
-            interpolate: *interpolate,
-            years: *years,
-        }),
-        Command::Optimize {
-            id,
-            domain,
-            point,
-            objective,
-            search,
-            constraints,
-            tolerance,
-            max_evals,
-        } => {
-            let (scenario, point) = match id {
-                Some(id) => (catalog_ref(id), resolved_override(id, *point)),
-                None => (
-                    ScenarioRef::Inline(ScenarioSpec::baseline(*domain)),
-                    paper_override(*point),
-                ),
-            };
-            Query::Optimize(OptimizeRequest {
-                scenario,
-                point,
-                objective: *objective,
-                search: search.clone(),
-                constraints: constraints.clone(),
-                tolerance: tolerance.unwrap_or(OptimizeRequest::DEFAULT_TOLERANCE),
-                max_evals: max_evals.unwrap_or(OptimizeRequest::DEFAULT_MAX_EVALS),
-            })
-        }
-        Command::Help | Command::Serve(_) | Command::Query { .. } => {
-            unreachable!("handled before query dispatch")
-        }
-    })
-}
-
-/// Like [`resolved_override`] for inline (domain-only) scenarios: partial
-/// point flags are completed from the paper-default operating point so the
-/// built query carries the same full point the engine would resolve.
-fn paper_override(point: PointOverrides) -> Option<OperatingPoint> {
-    if point.is_empty() {
-        return None;
-    }
-    let base = OperatingPoint::paper_default();
-    Some(OperatingPoint {
-        applications: point.apps.unwrap_or(base.applications),
-        lifetime_years: point.lifetime_years.unwrap_or(base.lifetime_years),
-        volume: point.volume.unwrap_or(base.volume),
-    })
-}
-
-/// A catalog reference with no knob overrides — exactly the request
-/// `{"scenario": {"id": ...}}` decodes to on the wire.
-fn catalog_ref(id: &str) -> ScenarioRef {
-    ScenarioRef::Catalog {
-        id: id.to_string(),
-        knobs: Vec::new(),
-    }
-}
-
-/// Turns partial `--apps`/`--lifetime`/`--volume` overrides into the full
-/// request point, filling unset fields from the cataloged default so the
-/// built query is byte-identical to the equivalent HTTP request. No flags
-/// → `None`, and the engine applies the cataloged point itself; unknown
-/// ids also return `None` and let the engine report `not_found`.
-fn resolved_override(id: &str, point: PointOverrides) -> Option<OperatingPoint> {
-    if point.is_empty() {
-        return None;
-    }
-    let base = catalog_entry(id).map(|(_, entry)| entry.point)?;
-    Some(OperatingPoint {
-        applications: point.apps.unwrap_or(base.applications),
-        lifetime_years: point.lifetime_years.unwrap_or(base.lifetime_years),
-        volume: point.volume.unwrap_or(base.volume),
-    })
-}
-
-fn frontier_request(workload: WorkloadArgs, shape: GridShape) -> FrontierRequest {
-    FrontierRequest {
-        scenario: ScenarioSpec::baseline(workload.domain),
-        base: operating_point(workload),
-        x_axis: shape.x_axis,
-        x_range: (shape.x_from, shape.x_to),
-        y_axis: shape.y_axis,
-        y_range: (shape.y_from, shape.y_to),
-        steps: shape.steps,
-    }
-}
-
 /// Streams a ratio grid row-block by row-block: each block prints (and
 /// flushes) as soon as the engine finishes it, so a million-point lattice
 /// never materialises in memory — the resident buffer is one row-block.
@@ -375,50 +218,39 @@ fn frontier_request(workload: WorkloadArgs, shape: GridShape) -> FrontierRequest
 /// incrementally written `ratios` array exactly as the HTTP streaming
 /// route does; the human view prints glyph rows in evaluation order
 /// (ascending y) instead of the buffered heatmap's top-down frame.
-fn run_grid_stream(engine: &Engine, command: &Command, json: bool) -> Result<(), ApiError> {
-    use std::io::Write;
-    let Command::Grid {
-        workload, shape, ..
-    } = command
-    else {
-        return Err(ApiError::internal("streamed grid on a non-grid command"));
-    };
-    let Query::Grid(request) = build_query(command)? else {
-        return Err(ApiError::internal("streamed grid built a non-grid query"));
-    };
-    let mut stream = engine.grid_stream(&request)?;
+fn run_grid_stream(
+    engine: &Engine,
+    request: &GridRequest,
+    json: bool,
+    out: &mut dyn Write,
+) -> Result<(), Failure> {
+    let mut stream = engine.grid_stream(request)?;
     let y_values = stream.y_values().to_vec();
     let columns = stream.columns();
-    let mut out = std::io::stdout().lock();
-    let io = |e: std::io::Error| ApiError::internal(format!("stdout write failed: {e}"));
     let ser =
         |e: gf_json::JsonError| ApiError::internal(format!("result serialization failed: {e}"));
     if json {
-        out.write_all(stream.head_json().map_err(ser)?.as_bytes())
-            .map_err(io)?;
+        out.write_all(stream.head_json().map_err(ser)?.as_bytes())?;
         while let Some(block) = stream.next_block() {
-            out.write_all(block?.rows_json().map_err(ser)?.as_bytes())
-                .map_err(io)?;
-            out.flush().map_err(io)?;
+            out.write_all(block?.rows_json().map_err(ser)?.as_bytes())?;
+            out.flush()?;
         }
-        writeln!(out, "{}", stream.tail_json().map_err(ser)?).map_err(io)?;
+        writeln!(out, "{}", stream.tail_json().map_err(ser)?)?;
     } else {
         writeln!(
             out,
             "{} ratio grid, {}x{} cells, streaming {} rows per block (ascending y):",
-            workload.domain,
-            shape.steps,
-            shape.steps,
+            request.scenario.domain,
+            request.steps,
+            request.steps,
             stream.block_rows()
-        )
-        .map_err(io)?;
+        )?;
         writeln!(
             out,
             "FPGA:ASIC CFP ratio — x: {}, y: {} ('#','+' FPGA wins, '=', '.', ' ' ASIC wins)",
             stream.x_axis().label(),
             stream.y_axis().label()
-        )
-        .map_err(io)?;
+        )?;
         let renderer = HeatmapRenderer::new();
         while let Some(block) = stream.next_block() {
             let block = block?;
@@ -427,122 +259,170 @@ fn run_grid_stream(engine: &Engine, command: &Command, json: bool) -> Result<(),
                 let y = y_values[block.start_row() + row];
                 text.push_str(&renderer.render_row(y, block.row(row)));
             }
-            out.write_all(text.as_bytes()).map_err(io)?;
-            out.flush().map_err(io)?;
+            out.write_all(text.as_bytes())?;
+            out.flush()?;
         }
         writeln!(
             out,
             "FPGA wins in {:.1}% of {} cells.",
             stream.fpga_winning_fraction() * 100.0,
             stream.rows_delivered() * columns
-        )
-        .map_err(io)?;
+        )?;
     }
     Ok(())
 }
 
-/// Renders a typed outcome as the human-readable tables and maps.
-fn render_outcome(command: &Command, outcome: &Outcome) -> Result<(), ApiError> {
-    match (command, outcome) {
-        (Command::Evaluate(workload), Outcome::Evaluate(response)) => {
-            print_comparison_table(*workload, &response.comparison);
-            Ok(())
+/// Renders a typed outcome as the human-readable tables and maps, reading
+/// the request for what the response does not repeat.
+fn render(out: &mut dyn Write, query: &Query, outcome: &Outcome, csv: bool) -> std::io::Result<()> {
+    match (query, outcome) {
+        (Query::Evaluate(request), Outcome::Evaluate(response)) => {
+            comparison_table(out, &request.point, &response.comparison)
         }
-        (Command::Compare { workload, .. }, Outcome::Compare(response)) => {
+        (Query::Compare(request), Outcome::Compare(response)) => {
             for comparison in &response.comparisons {
-                let mut workload = *workload;
-                workload.domain = comparison.domain;
-                print_comparison_table(workload, comparison);
+                comparison_table(out, &request.point, comparison)?;
             }
             Ok(())
         }
-        (Command::Crossover(workload), Outcome::Crossover(response)) => {
-            println!(
+        (Query::Crossover(request), Outcome::Crossover(response)) => {
+            let base = &request.base;
+            writeln!(
+                out,
                 "Crossover points for {} (around {} apps, {:.1} y, {} units):",
-                workload.domain, workload.apps, workload.lifetime_years, workload.volume
-            );
+                request.scenario.domain, base.applications, base.lifetime_years, base.volume
+            )?;
             match response.applications {
-                Some(n) => println!("  applications: FPGA becomes greener from {n} applications"),
-                None => println!("  applications: no crossover within 20 applications"),
+                Some(n) => writeln!(
+                    out,
+                    "  applications: FPGA becomes greener from {n} applications"
+                )?,
+                None => writeln!(out, "  applications: no crossover within 20 applications")?,
             }
             match &response.lifetime {
-                Some(c) => println!("  lifetime:     {} at {:.2} years", c.direction, c.at),
-                None => println!("  lifetime:     no crossover in 0.05–5 years"),
+                Some(c) => writeln!(out, "  lifetime:     {} at {:.2} years", c.direction, c.at)?,
+                None => writeln!(out, "  lifetime:     no crossover in 0.05–5 years")?,
             }
             match &response.volume {
-                Some(c) => println!("  volume:       {} at {:.0} units", c.direction, c.at),
-                None => println!("  volume:       no crossover in 1K–50M units"),
+                Some(c) => writeln!(out, "  volume:       {} at {:.0} units", c.direction, c.at),
+                None => writeln!(out, "  volume:       no crossover in 1K–50M units"),
+            }
+        }
+        (Query::Sweep(request), Outcome::Sweep(series)) => {
+            let rows: Vec<Vec<String>> = series
+                .points
+                .iter()
+                .map(|p| {
+                    vec![
+                        format!("{:.4}", p.x),
+                        format!("{:.3}", p.fpga.total().as_tons()),
+                        format!("{:.3}", p.asic.total().as_tons()),
+                        format!("{:.4}", p.ratio()),
+                    ]
+                })
+                .collect();
+            let headers = [
+                series.axis.label(),
+                "FPGA total (t)",
+                "ASIC total (t)",
+                "FPGA:ASIC",
+            ];
+            if csv {
+                return write!(out, "{}", csv_from_rows(&headers, &rows));
+            }
+            let domain = request.scenario.domain;
+            writeln!(out, "{} sweep for {domain}:", series.axis.label())?;
+            writeln!(out, "{}", render_table(&headers, &rows))?;
+            for c in series.crossovers() {
+                writeln!(out, "{} crossover at {:.3}", c.direction, c.at)?;
             }
             Ok(())
         }
-        (Command::Sweep { workload, csv, .. }, Outcome::Sweep(series)) => {
-            print_sweep(workload.domain, series, *csv);
-            Ok(())
-        }
-        (Command::Industry, Outcome::Industry(response)) => {
+        (_, Outcome::Industry(response)) => {
             let rows: Vec<Vec<String>> = response
                 .devices
                 .iter()
                 .map(|device| breakdown_row(&device.device, &device.cfp))
                 .collect();
-            println!("Industry testcases, 6-year service at 1M units (tCO2e):");
-            println!(
-                "{}",
-                render_table(
-                    &[
-                        "Device",
-                        "Design",
-                        "Mfg+Pkg",
-                        "EOL",
-                        "Operation",
-                        "App dev",
-                        "Total"
-                    ],
-                    &rows
-                )
-            );
-            Ok(())
+            writeln!(
+                out,
+                "Industry testcases, 6-year service at 1M units (tCO2e):"
+            )?;
+            writeln!(out, "{}", breakdown_table("Device", "Total", &rows))
         }
-        (Command::Tornado(workload), Outcome::Tornado(analysis)) => {
-            print_tornado(*workload, analysis);
-            Ok(())
+        (Query::Tornado(request), Outcome::Tornado(analysis)) => {
+            let rows: Vec<Vec<String>> = analysis
+                .entries
+                .iter()
+                .map(|e| {
+                    vec![
+                        e.knob.to_string(),
+                        format!("{:.3}", e.ratio_at_low),
+                        format!("{:.3}", e.ratio_at_high),
+                        format!("{:.3}", e.swing()),
+                        (if e.flips_winner() { "yes" } else { "no" }).to_string(),
+                    ]
+                })
+                .collect();
+            let baseline = analysis.entries.first().map(|e| e.ratio_at_baseline);
+            writeln!(
+                out,
+                "Sensitivity of the FPGA:ASIC ratio for {} (baseline {:.3}):",
+                request.scenario.domain,
+                baseline.unwrap_or(f64::NAN)
+            )?;
+            let headers = [
+                "Knob",
+                "Ratio @ low",
+                "Ratio @ high",
+                "Swing",
+                "Flips winner?",
+            ];
+            writeln!(out, "{}", render_table(&headers, &rows))
         }
-        (
-            Command::MonteCarlo {
-                workload, samples, ..
-            },
-            Outcome::MonteCarlo(response),
-        ) => {
-            print_monte_carlo(*workload, *samples, response);
-            Ok(())
+        (Query::MonteCarlo(request), Outcome::MonteCarlo(response)) => {
+            let (domain, samples) = (request.scenario.domain, request.samples);
+            writeln!(
+                out,
+                "Monte-Carlo study for {domain} ({samples} samples over the Table 1 ranges):"
+            )?;
+            writeln!(out, "  ratio p5     {:.3}", response.ratio_p5)?;
+            writeln!(out, "  ratio median {:.3}", response.ratio_median)?;
+            writeln!(out, "  ratio p95    {:.3}", response.ratio_p95)?;
+            writeln!(out, "  ratio mean   {:.3}", response.ratio_mean)?;
+            let win = response.fpga_win_probability * 100.0;
+            writeln!(out, "  P(FPGA greener) = {win:.1}%")?;
+            writeln!(out, "  majority winner: {}", response.majority_winner)
         }
-        (
-            Command::Grid {
-                workload, shape, ..
-            },
-            Outcome::Grid(grid),
-        ) => {
-            println!(
+        (Query::Grid(request), Outcome::Grid(grid)) => {
+            writeln!(
+                out,
                 "{} ratio grid, {}x{} cells (FPGA wins in {:.1}% of them):",
-                workload.domain,
-                shape.steps,
-                shape.steps,
+                request.scenario.domain,
+                request.steps,
+                request.steps,
                 grid.fpga_winning_fraction() * 100.0
-            );
-            print!("{}", HeatmapRenderer::new().render(grid));
-            Ok(())
+            )?;
+            write!(out, "{}", HeatmapRenderer::new().render(grid))
         }
-        (
-            Command::Frontier { workload, shape }
-            | Command::Grid {
-                workload, shape, ..
-            },
-            Outcome::Frontier(frontier),
-        ) => {
-            print_frontier(*workload, *shape, frontier);
-            Ok(())
+        (Query::Frontier(request), Outcome::Frontier(frontier)) => {
+            writeln!(
+                out,
+                "{} crossover frontier, {}x{} cells (FPGA wins in {:.1}%; {} evaluations, {:.1}% of dense):",
+                request.scenario.domain,
+                request.steps,
+                request.steps,
+                frontier.fpga_winning_fraction * 100.0,
+                frontier.evaluations,
+                frontier.evaluated_fraction * 100.0
+            )?;
+            write!(
+                out,
+                "{}",
+                HeatmapRenderer::new().render_frontier_response(frontier)
+            )
         }
-        (Command::Scenarios { id: None, .. }, Outcome::Catalog(response)) => {
+        (_, Outcome::Catalog(response)) => {
             let rows: Vec<Vec<String>> = response
                 .entries
                 .iter()
@@ -557,97 +437,129 @@ fn render_outcome(command: &Command, outcome: &Outcome) -> Result<(), ApiError> 
                     ]
                 })
                 .collect();
-            println!("Scenario catalog ({} entries):", response.entries.len());
-            println!(
+            writeln!(
+                out,
+                "Scenario catalog ({} entries):",
+                response.entries.len()
+            )?;
+            writeln!(
+                out,
                 "{}",
                 render_table(
                     &["Id", "Domain", "Apps", "Lifetime", "Volume", "Title"],
                     &rows
                 )
-            );
-            Ok(())
+            )
         }
-        (Command::Scenarios { .. }, Outcome::Scenario(response)) => {
-            let workload = WorkloadArgs {
-                domain: response.comparison.domain,
-                apps: response.point.applications,
-                lifetime_years: response.point.lifetime_years,
-                volume: response.point.volume,
-            };
+        (_, Outcome::Scenario(response)) => {
             if let Some(id) = &response.id {
-                println!("Scenario '{id}':");
+                writeln!(out, "Scenario '{id}':")?;
             }
-            print_comparison_table(workload, &response.comparison);
-            print_verdict(&response.verdict);
-            Ok(())
+            comparison_table(out, &response.point, &response.comparison)?;
+            verdict(out, &response.verdict)
         }
-        (Command::Replay { .. }, Outcome::Replay(response)) => {
-            print_replay(response.id.as_deref(), response.domain, &response.replay);
-            Ok(())
-        }
-        (Command::Optimize { .. }, Outcome::Optimize(response)) => {
+        (_, Outcome::Replay(response)) => {
+            let (domain, replay) = (response.domain, &response.replay);
             match &response.id {
-                Some(id) => println!("Optimum for '{id}' ({}):", response.domain),
-                None => println!("Optimum ({}):", response.domain),
+                Some(id) => writeln!(out, "Replay of '{id}' ({domain}, {} steps):", replay.steps)?,
+                None => writeln!(out, "Replay ({domain}, {} steps):", replay.steps)?,
+            }
+            let (fpga, asic) = (&replay.fpga_total, &replay.asic_total);
+            let operation = (&replay.fpga_operational, &replay.asic_operational);
+            writeln!(
+                out,
+                "  FPGA total  {:.1} t (operation {:.1} t)",
+                fpga.as_tons(),
+                operation.0.as_tons()
+            )?;
+            writeln!(
+                out,
+                "  ASIC total  {:.1} t (operation {:.1} t)",
+                asic.as_tons(),
+                operation.1.as_tons()
+            )?;
+            writeln!(
+                out,
+                "  FPGA:ASIC ratio mean {:.3}, worst {:.3}, final {:.3}",
+                replay.mean_ratio, replay.worst_ratio, replay.final_ratio
+            )?;
+            let win = replay.fpga_win_fraction * 100.0;
+            writeln!(out, "  FPGA greener in {win:.1}% of steps")?;
+            verdict(out, &replay.verdict)
+        }
+        (_, Outcome::Optimize(response)) => {
+            match &response.id {
+                Some(id) => writeln!(out, "Optimum for '{id}' ({}):", response.domain)?,
+                None => writeln!(out, "Optimum ({}):", response.domain)?,
             }
             for (axis, value) in &response.argmin {
-                println!("  {:14} {value}", format!("{}:", axis.label()));
+                writeln!(out, "  {:14} {value}", format!("{}:", axis.label()))?;
             }
-            println!(
+            writeln!(
+                out,
                 "  at {} apps, {:.3} y, {} units",
                 response.point.applications, response.point.lifetime_years, response.point.volume
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "  objective {:.6} via the {} solver ({} evaluations)",
                 response.objective, response.solver, response.evaluations
-            );
+            )?;
             for probe in &response.certificate {
-                println!(
+                writeln!(
+                    out,
                     "  probe {} = {}: objective {:.6} (delta {:+.6})",
                     probe.axis.label(),
                     probe.at,
                     probe.objective,
                     probe.delta
-                );
+                )?;
             }
-            print_verdict(&response.verdict);
-            Ok(())
+            verdict(out, &response.verdict)
         }
-        _ => Err(ApiError::internal(
-            "outcome kind does not match the subcommand",
-        )),
+        (query, outcome) => unreachable!(
+            "the engine answers a {} query with a {} outcome",
+            query.kind(),
+            outcome.kind()
+        ),
     }
 }
 
-fn print_comparison_table(args: WorkloadArgs, comparison: &PlatformComparison) {
-    println!(
+fn comparison_table(
+    out: &mut dyn Write,
+    point: &OperatingPoint,
+    comparison: &PlatformComparison,
+) -> std::io::Result<()> {
+    writeln!(
+        out,
         "{} — {} applications, {:.1}-year lifetimes, {} units each:",
-        comparison.domain, args.apps, args.lifetime_years, args.volume
-    );
+        comparison.domain, point.applications, point.lifetime_years, point.volume
+    )?;
     let rows = vec![
         breakdown_row("FPGA", &comparison.fpga),
         breakdown_row("ASIC", &comparison.asic),
     ];
-    println!(
-        "{}",
-        render_table(
-            &[
-                "Platform",
-                "Design",
-                "Mfg+Pkg",
-                "EOL",
-                "Operation",
-                "App dev",
-                "Total (t)"
-            ],
-            &rows
-        )
-    );
-    println!(
+    writeln!(out, "{}", breakdown_table("Platform", "Total (t)", &rows))?;
+    writeln!(
+        out,
         "FPGA:ASIC ratio {:.3} — greener platform: {}",
         comparison.fpga_to_asic_ratio(),
         comparison.winner()
-    );
+    )
+}
+
+/// A table of breakdown rows under the given first and last headers.
+fn breakdown_table(first: &str, total: &str, rows: &[Vec<String>]) -> String {
+    let headers = [
+        first,
+        "Design",
+        "Mfg+Pkg",
+        "EOL",
+        "Operation",
+        "App dev",
+        total,
+    ];
+    render_table(&headers, rows)
 }
 
 /// One table row of a breakdown, in tons.
@@ -663,151 +575,21 @@ fn breakdown_row(label: &str, cfp: &CfpBreakdown) -> Vec<String> {
     ]
 }
 
-fn print_sweep(domain: Domain, series: &SweepSeries, csv: bool) {
-    let axis: SweepAxis = series.axis;
-    let rows: Vec<Vec<String>> = series
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                format!("{:.4}", p.x),
-                format!("{:.3}", p.fpga.total().as_tons()),
-                format!("{:.3}", p.asic.total().as_tons()),
-                format!("{:.4}", p.ratio()),
-            ]
-        })
-        .collect();
-    let headers = [
-        axis.label(),
-        "FPGA total (t)",
-        "ASIC total (t)",
-        "FPGA:ASIC",
-    ];
-    if csv {
-        print!("{}", csv_from_rows(&headers, &rows));
-    } else {
-        println!("{} sweep for {}:", axis.label(), domain);
-        println!("{}", render_table(&headers, &rows));
-        for c in series.crossovers() {
-            println!("{} crossover at {:.3}", c.direction, c.at);
-        }
-    }
-}
-
-fn print_tornado(args: WorkloadArgs, analysis: &TornadoAnalysis) {
-    let rows: Vec<Vec<String>> = analysis
-        .entries
-        .iter()
-        .map(|e| {
-            vec![
-                e.knob.to_string(),
-                format!("{:.3}", e.ratio_at_low),
-                format!("{:.3}", e.ratio_at_high),
-                format!("{:.3}", e.swing()),
-                if e.flips_winner() {
-                    "yes".into()
-                } else {
-                    "no".into()
-                },
-            ]
-        })
-        .collect();
-    println!(
-        "Sensitivity of the FPGA:ASIC ratio for {} (baseline {:.3}):",
-        args.domain,
-        analysis
-            .entries
-            .first()
-            .map(|e| e.ratio_at_baseline)
-            .unwrap_or(f64::NAN)
-    );
-    println!(
-        "{}",
-        render_table(
-            &[
-                "Knob",
-                "Ratio @ low",
-                "Ratio @ high",
-                "Swing",
-                "Flips winner?"
-            ],
-            &rows
-        )
-    );
-}
-
-fn print_monte_carlo(args: WorkloadArgs, samples: usize, response: &MonteCarloResponse) {
-    println!(
-        "Monte-Carlo study for {} ({samples} samples over the Table 1 ranges):",
-        args.domain
-    );
-    println!("  ratio p5     {:.3}", response.ratio_p5);
-    println!("  ratio median {:.3}", response.ratio_median);
-    println!("  ratio p95    {:.3}", response.ratio_p95);
-    println!("  ratio mean   {:.3}", response.ratio_mean);
-    println!(
-        "  P(FPGA greener) = {:.1}%",
-        response.fpga_win_probability * 100.0
-    );
-    println!("  majority winner: {}", response.majority_winner);
-}
-
-fn print_verdict(verdict: &Verdict) {
-    println!(
+fn verdict(out: &mut dyn Write, verdict: &Verdict) -> std::io::Result<()> {
+    writeln!(
+        out,
         "Verdict: score {:.4} (mean excess {:.3}, worst excess {:.3}, loss fraction {:.3}, embodied share {:.3})",
         verdict.score,
         verdict.mean_excess,
         verdict.worst_excess,
         verdict.loss_fraction,
         verdict.embodied_share
-    );
-}
-
-fn print_replay(id: Option<&str>, domain: Domain, replay: &ReplayOutcome) {
-    match id {
-        Some(id) => println!("Replay of '{id}' ({domain}, {} steps):", replay.steps),
-        None => println!("Replay ({domain}, {} steps):", replay.steps),
-    }
-    println!(
-        "  FPGA total  {:.1} t (operation {:.1} t)",
-        replay.fpga_total.as_tons(),
-        replay.fpga_operational.as_tons()
-    );
-    println!(
-        "  ASIC total  {:.1} t (operation {:.1} t)",
-        replay.asic_total.as_tons(),
-        replay.asic_operational.as_tons()
-    );
-    println!(
-        "  FPGA:ASIC ratio mean {:.3}, worst {:.3}, final {:.3}",
-        replay.mean_ratio, replay.worst_ratio, replay.final_ratio
-    );
-    println!(
-        "  FPGA greener in {:.1}% of steps",
-        replay.fpga_win_fraction * 100.0
-    );
-    print_verdict(&replay.verdict);
-}
-
-fn print_frontier(args: WorkloadArgs, shape: GridShape, frontier: &FrontierResponse) {
-    println!(
-        "{} crossover frontier, {}x{} cells (FPGA wins in {:.1}%; {} evaluations, {:.1}% of dense):",
-        args.domain,
-        shape.steps,
-        shape.steps,
-        frontier.fpga_winning_fraction * 100.0,
-        frontier.evaluations,
-        frontier.evaluated_fraction * 100.0
-    );
-    print!(
-        "{}",
-        HeatmapRenderer::new().render_frontier_response(frontier)
-    );
+    )
 }
 
 /// The `query` subcommand: one raw [`Query`] envelope in, one
 /// [`Outcome`] envelope out.
-fn run_raw_query(file: Option<String>) -> Result<(), ApiError> {
+fn run_raw_query(file: Option<String>, out: &mut dyn Write) -> Result<(), Failure> {
     let text = match file {
         Some(path) => std::fs::read_to_string(&path)
             .map_err(|e| ApiError::bad_request(format!("cannot read {path}: {e}")))?,
@@ -823,23 +605,11 @@ fn run_raw_query(file: Option<String>) -> Result<(), ApiError> {
     let query = Query::from_json(&value)?;
     let engine = Engine::with_defaults()?;
     let outcome = engine.run(&query)?;
-    print_json(&outcome.to_json())
+    write_json(out, &outcome.to_json())
 }
 
 /// Runs the HTTP service in the foreground until the process is stopped.
-fn serve(serve_args: ServeArgs) -> Result<(), ApiError> {
-    let config = gf_server::ServerConfig {
-        addr: serve_args.addr,
-        workers: serve_args.workers,
-        eval_threads: serve_args.eval_threads,
-        cache_capacity: serve_args.cache_capacity,
-        cache_shards: serve_args.cache_shards,
-        max_connections: serve_args.max_connections,
-        idle_timeout: std::time::Duration::from_secs(serve_args.idle_timeout_secs),
-        header_timeout: std::time::Duration::from_secs(serve_args.header_timeout_secs),
-        driver: serve_args.driver,
-        ..gf_server::ServerConfig::default()
-    };
+fn serve(config: gf_server::ServerConfig) -> Result<(), Failure> {
     let workers = config.workers_resolved();
     let driver = config.driver.name();
     let server = gf_server::Server::bind(config)
@@ -852,27 +622,18 @@ fn serve(serve_args: ServeArgs) -> Result<(), ApiError> {
     Ok(())
 }
 
-fn operating_point(args: WorkloadArgs) -> OperatingPoint {
-    OperatingPoint {
-        applications: args.apps,
-        lifetime_years: args.lifetime_years,
-        volume: args.volume,
-    }
-}
-
-/// Prints a JSON document (pretty, machine-parseable) to stdout.
+/// Writes a JSON document (pretty, machine-parseable).
 ///
 /// # Errors
 ///
 /// Surfaces serialization failures (a non-finite number in the result) as
 /// an internal error, so `--json` consumers get a non-zero exit instead of
 /// an empty file.
-fn print_json(value: &Value) -> Result<(), ApiError> {
+fn write_json(out: &mut dyn Write, value: &Value) -> Result<(), Failure> {
     let text = value
         .to_json_string_pretty()
         .map_err(|e| ApiError::internal(format!("result serialization failed: {e}")))?;
-    print!("{text}");
-    Ok(())
+    Ok(out.write_all(text.as_bytes())?)
 }
 
 #[cfg(test)]
@@ -881,9 +642,11 @@ mod tests {
 
     fn query_body(line: &str) -> String {
         let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        let parsed = args::parse(&argv).expect("parse");
-        build_query(&parsed.command)
-            .expect("build query")
+        let Action::Run { kind, request, .. } = args::parse(&argv).expect("parse").action else {
+            panic!("'{line}' is not a query");
+        };
+        kind.decode_request(&request)
+            .expect("decode")
             .request_body()
             .to_json_string()
             .expect("serialize")

@@ -6,7 +6,7 @@
 //! (`CARGO_TARGET_TMPDIR/transcripts/<name>.txt`) so it can be diffed
 //! against, or copied over, the committed one.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
@@ -94,6 +94,22 @@ const CASES: &[(&str, &str, Option<&str>)] = &[
     ("error_unknown_catalog_id", "scenarios no_such_entry", None),
     ("error_knob_malformed", "optimize --objective total --knob apps:1", None),
     ("error_optimize_infeasible", "optimize --objective budget --budget-kg 1 --knob apps:1:12", None),
+    ("error_apps_above_2_53", "evaluate --apps 9007199254740994", None),
+    ("error_serve_unknown_flag", "serve --trace-log x --frobnicate 1", None),
+    ("error_catalog_point_flag", "scenarios --apps 9", None),
+    ("error_domain_list", "evaluate --domain dnn,crypto", None),
+    (
+        "error_domain_with_id",
+        "optimize dnn_baseline --domain crypto --objective total --knob apps:1:12",
+        None,
+    ),
+    (
+        "error_cap_platform_alone",
+        "optimize --objective total --knob apps:1:12 --cap-platform asic",
+        None,
+    ),
+    ("error_budget_partner", "optimize --objective total --budget-kg 5 --knob apps:1:12", None),
+    ("serve_help", "serve --help", None),
 ];
 
 fn transcript(args: &str, stdin: Option<&str>) -> String {
@@ -117,7 +133,10 @@ fn transcript(args: &str, stdin: Option<&str>) -> String {
     };
     format!(
         "{header}\nexit {}\n--- stdout\n{}--- stderr\n{}",
-        output.status.code().map_or("signal".to_string(), |c| c.to_string()),
+        output
+            .status
+            .code()
+            .map_or("signal".to_string(), |c| c.to_string()),
         String::from_utf8_lossy(&output.stdout),
         String::from_utf8_lossy(&output.stderr)
     )
@@ -127,6 +146,8 @@ fn transcript(args: &str, stdin: Option<&str>) -> String {
 fn every_transcript_matches_its_golden() {
     let goldens = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/transcripts");
     let actuals = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("transcripts");
+    // Stale transcripts of an earlier run would read as current mismatches.
+    let _ = std::fs::remove_dir_all(&actuals);
     std::fs::create_dir_all(&actuals).expect("create the actual-transcript directory");
     let mut mismatched = Vec::new();
     for &(name, args, stdin) in CASES {
@@ -143,4 +164,32 @@ fn every_transcript_matches_its_golden() {
         "transcripts differ from their goldens: {mismatched:?} (actual output in {})",
         actuals.display()
     );
+}
+
+/// A reader that stops early (`| head -1`) ends the run quietly: exit 0,
+/// nothing on stderr. Each output exceeds the 64 KiB pipe buffer, so the
+/// write after the read end closes really fails.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    for args in [
+        "sweep --axis apps --from 1 --to 12 --steps 100000 --csv",
+        "grid --steps 1024 --stream",
+        "grid --steps 1024 --stream --json",
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_greenfpga"))
+            .args(args.split_whitespace())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn greenfpga");
+        let mut stdout = child.stdout.take().expect("stdout");
+        let mut first_line = [0u8; 16];
+        stdout
+            .read_exact(&mut first_line)
+            .expect("the output starts");
+        drop(stdout);
+        let output = child.wait_with_output().expect("wait for greenfpga");
+        assert_eq!(output.status.code(), Some(0), "{args}");
+        assert_eq!(String::from_utf8_lossy(&output.stderr), "", "{args}");
+    }
 }

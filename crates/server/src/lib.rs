@@ -176,7 +176,91 @@ impl Default for ServerConfig {
     }
 }
 
+/// The option reference of both server binaries (`greenfpga-serve` and
+/// `greenfpga serve`), one line per flag [`ServerConfig::from_args`] reads.
+#[macro_export]
+macro_rules! options_help {
+    () => {
+        "  \
+  --addr <HOST:PORT>      bind address                 (default: 127.0.0.1:7878)
+  --workers <N>           connection worker threads    (default: auto)
+  --eval-threads <N>      threads per batch evaluation (default: 1)
+  --cache-capacity <N>    cached compiled scenarios    (default: 64)
+  --cache-shards <N>      scenario cache shards        (default: 8)
+  --max-connections <N>   live connection hard cap     (default: 4096)
+  --max-body-bytes <N>    request body limit           (default: 4194304)
+  --idle-timeout <SECS>   keep-alive idle close        (default: 5)
+  --header-timeout <SECS> slowloris 408 deadline       (default: 10)
+  --driver <NAME>         epoll | portable | auto      (default: auto)
+  --trace-log <PATH>      stream spans to PATH as NDJSON (default: off)
+  --slow-request-us <N>   log requests slower than N us  (default: off)
+"
+    };
+}
+
 impl ServerConfig {
+    /// Parses the server's `--key value` flags (see [`options_help!`]) on
+    /// top of the defaults. `Ok(None)` means the arguments ask for help.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the unknown option, the missing value or the
+    /// invalid one.
+    pub fn from_args<S: AsRef<str>>(args: &[S]) -> Result<Option<ServerConfig>, String> {
+        let mut config = ServerConfig::default();
+        let mut args = args.iter().map(AsRef::as_ref);
+        while let Some(key) = args.next() {
+            if matches!(key, "--help" | "-h" | "help") {
+                return Ok(None);
+            }
+            let value = args
+                .next()
+                .ok_or_else(|| format!("missing value for {key}"))?;
+            let number = || -> Result<usize, String> {
+                value
+                    .parse()
+                    .map_err(|_| format!("invalid value '{value}' for {key}"))
+            };
+            // Zero is a configuration bug for these, not a value to clamp —
+            // rejected so the mistake is visible, matching the library-level
+            // `ScenarioCache`/`ShardedScenarioCache` contract. (A zero
+            // `--slow-request-us` reads like "log everything"; "off" is
+            // reached by omitting the flag.)
+            let positive = || match number()? {
+                0 => Err(format!("{key} must be at least 1")),
+                n => Ok(n),
+            };
+            let seconds = || positive().map(|n| Duration::from_secs(n as u64));
+            match key {
+                "--addr" => config.addr = value.to_string(),
+                "--workers" => config.workers = number()?,
+                "--eval-threads" => config.eval_threads = number()?.max(1),
+                "--cache-capacity" => config.cache_capacity = positive()?,
+                "--cache-shards" => config.cache_shards = positive()?,
+                "--max-connections" => config.max_connections = positive()?,
+                "--max-body-bytes" => config.max_body_bytes = number()?.max(1024),
+                "--idle-timeout" => config.idle_timeout = seconds()?,
+                "--header-timeout" => config.header_timeout = seconds()?,
+                "--trace-log" => config.trace_log = Some(value.into()),
+                "--slow-request-us" => config.slow_request_us = positive()? as u64,
+                "--driver" => {
+                    config.driver = match value {
+                        "epoll" => DriverKind::Epoll,
+                        "portable" => DriverKind::Portable,
+                        "auto" => DriverKind::Auto,
+                        other => {
+                            return Err(format!(
+                                "--driver must be epoll|portable|auto, got '{other}'"
+                            ))
+                        }
+                    }
+                }
+                other => return Err(format!("unknown option '{other}'")),
+            }
+        }
+        Ok(Some(config))
+    }
+
     /// The worker count after resolving `0` to the machine default.
     pub fn workers_resolved(&self) -> usize {
         if self.workers == 0 {

@@ -15,26 +15,17 @@ use std::process::ExitCode;
 
 use gf_server::{Server, ServerConfig};
 
-const USAGE: &str = "\
+const USAGE: &str = concat!(
+    "\
 greenfpga-serve — HTTP/JSON estimation service over the GreenFPGA engine
 
 USAGE:
   greenfpga-serve [OPTIONS]
 
 OPTIONS:
-  --addr <HOST:PORT>      bind address                 (default: 127.0.0.1:7878)
-  --workers <N>           connection worker threads    (default: auto)
-  --eval-threads <N>      threads per batch evaluation (default: 1)
-  --cache-capacity <N>    cached compiled scenarios    (default: 64)
-  --cache-shards <N>      scenario cache shards        (default: 8)
-  --max-connections <N>   live connection hard cap     (default: 4096)
-  --max-body-bytes <N>    request body limit           (default: 4194304)
-  --idle-timeout <SECS>   keep-alive idle close        (default: 5)
-  --header-timeout <SECS> slowloris 408 deadline       (default: 10)
-  --driver <NAME>         epoll | portable | auto      (default: auto)
-  --trace-log <PATH>      stream spans to PATH as NDJSON (default: off)
-  --slow-request-us <N>   log requests slower than N us  (default: off)
-
+",
+    gf_server::options_help!(),
+    "
 ROUTES:
   GET  /healthz        liveness: status, version, uptime, workers
   GET  /v1/metrics     per-route counters + bytes, latency histograms, cache shards
@@ -58,79 +49,18 @@ ROUTES:
 Errors are {\"error\": {\"code\", \"message\", \"retryable\"}} with canonical
 HTTP statuses (400 bad_request, 404 not_found, 405 method_not_allowed,
 422 model, 503 overloaded + Retry-After, 500 internal).
-";
-
-/// Parses `--key value` pairs into a config; the tiny hand parser matches
-/// the CLI's dependency-free house style.
-fn parse_config(args: &[String]) -> Result<ServerConfig, String> {
-    let mut config = ServerConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].as_str();
-        if matches!(key, "--help" | "-h" | "help") {
-            return Err(String::new());
-        }
-        let Some(value) = args.get(i + 1) else {
-            return Err(format!("missing value for {key}"));
-        };
-        let parse_usize = |v: &str| -> Result<usize, String> {
-            v.parse()
-                .map_err(|_| format!("invalid value '{v}' for {key}"))
-        };
-        // Zero is a configuration bug for these, not a value to clamp —
-        // reject it here so the mistake is visible, matching the
-        // library-level `ScenarioCache`/`ShardedScenarioCache` contract.
-        let parse_positive = |v: &str| -> Result<usize, String> {
-            match parse_usize(v)? {
-                0 => Err(format!("{key} must be at least 1")),
-                n => Ok(n),
-            }
-        };
-        match key {
-            "--addr" => config.addr = value.clone(),
-            "--workers" => config.workers = parse_usize(value)?,
-            "--eval-threads" => config.eval_threads = parse_usize(value)?.max(1),
-            "--cache-capacity" => config.cache_capacity = parse_positive(value)?,
-            "--cache-shards" => config.cache_shards = parse_positive(value)?,
-            "--max-connections" => config.max_connections = parse_positive(value)?,
-            "--max-body-bytes" => config.max_body_bytes = parse_usize(value)?.max(1024),
-            "--idle-timeout" => {
-                config.idle_timeout = std::time::Duration::from_secs(parse_positive(value)? as u64)
-            }
-            "--header-timeout" => {
-                config.header_timeout =
-                    std::time::Duration::from_secs(parse_positive(value)? as u64)
-            }
-            "--trace-log" => config.trace_log = Some(std::path::PathBuf::from(value)),
-            "--slow-request-us" => config.slow_request_us = parse_positive(value)? as u64,
-            "--driver" => {
-                config.driver = match value.as_str() {
-                    "epoll" => gf_server::DriverKind::Epoll,
-                    "portable" => gf_server::DriverKind::Portable,
-                    "auto" => gf_server::DriverKind::Auto,
-                    other => {
-                        return Err(format!(
-                            "--driver must be epoll|portable|auto, got '{other}'"
-                        ))
-                    }
-                }
-            }
-            other => return Err(format!("unknown option '{other}'")),
-        }
-        i += 2;
-    }
-    Ok(config)
-}
+"
+);
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let config = match parse_config(&args) {
-        Ok(config) => config,
+    let config = match ServerConfig::from_args(&args) {
+        Ok(Some(config)) => config,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(message) => {
-            if message.is_empty() {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
             eprintln!("error: {message}\n\n{USAGE}");
             return ExitCode::from(2);
         }
@@ -173,7 +103,7 @@ mod tests {
 
     #[test]
     fn defaults_and_overrides_parse() {
-        let config = parse_config(&[]).unwrap();
+        let config = ServerConfig::from_args::<&str>(&[]).unwrap().unwrap();
         assert_eq!(config.addr, "127.0.0.1:7878");
         assert_eq!(config.cache_shards, 8);
         assert_eq!(config.max_connections, 4096);
@@ -181,11 +111,12 @@ mod tests {
         assert_eq!(config.driver, gf_server::DriverKind::Auto);
         assert_eq!(config.trace_log, None);
         assert_eq!(config.slow_request_us, 0);
-        let config = parse_config(&argv(
+        let config = ServerConfig::from_args(&argv(
             "--addr 0.0.0.0:9000 --workers 8 --eval-threads 2 --cache-shards 4 --max-connections 64 \
              --idle-timeout 30 --header-timeout 3 --driver portable \
              --trace-log /tmp/spans.ndjson --slow-request-us 500",
         ))
+        .unwrap()
         .unwrap();
         assert_eq!(config.addr, "0.0.0.0:9000");
         assert_eq!(config.workers, 8);
@@ -204,18 +135,18 @@ mod tests {
 
     #[test]
     fn bad_options_are_rejected() {
-        assert!(parse_config(&argv("--workers")).is_err());
-        assert!(parse_config(&argv("--workers x")).is_err());
-        assert!(parse_config(&argv("--frobnicate 1")).is_err());
-        assert_eq!(parse_config(&argv("--help")).unwrap_err(), "");
+        assert!(ServerConfig::from_args(&argv("--workers")).is_err());
+        assert!(ServerConfig::from_args(&argv("--workers x")).is_err());
+        assert!(ServerConfig::from_args(&argv("--frobnicate 1")).is_err());
+        assert!(ServerConfig::from_args(&argv("--help")).unwrap().is_none());
         // Zero capacities/shards/caps are configuration errors, not clamps.
-        assert!(parse_config(&argv("--cache-capacity 0")).is_err());
-        assert!(parse_config(&argv("--cache-shards 0")).is_err());
-        assert!(parse_config(&argv("--max-connections 0")).is_err());
-        assert!(parse_config(&argv("--header-timeout 0")).is_err());
-        assert!(parse_config(&argv("--driver kqueue")).is_err());
+        assert!(ServerConfig::from_args(&argv("--cache-capacity 0")).is_err());
+        assert!(ServerConfig::from_args(&argv("--cache-shards 0")).is_err());
+        assert!(ServerConfig::from_args(&argv("--max-connections 0")).is_err());
+        assert!(ServerConfig::from_args(&argv("--header-timeout 0")).is_err());
+        assert!(ServerConfig::from_args(&argv("--driver kqueue")).is_err());
         // A zero floor means "off" — reached by omitting the flag, not by
         // passing 0 (which reads like a typo for "log everything").
-        assert!(parse_config(&argv("--slow-request-us 0")).is_err());
+        assert!(ServerConfig::from_args(&argv("--slow-request-us 0")).is_err());
     }
 }
