@@ -46,6 +46,16 @@ fn post_json(client: &mut Client, path: &str, request: &impl ToJson) -> (u16, Va
     (status, value)
 }
 
+/// An error body with its `"request_id"` member removed: the id differs
+/// per request, every other byte is pinned.
+fn without_request_id(body: &str) -> String {
+    let start = body
+        .find(r#","request_id":""#)
+        .unwrap_or_else(|| panic!("no request_id in {body}"));
+    let id_end = start + r#","request_id":""#.len() + 16 + 1;
+    format!("{}{}", &body[..start], &body[id_end..])
+}
+
 fn scenario_cases() -> Vec<ScenarioSpec> {
     let mut specs: Vec<ScenarioSpec> = Domain::ALL
         .into_iter()
@@ -358,11 +368,25 @@ fn malformed_requests_are_rejected_without_harming_the_server() {
         )
         .unwrap();
     assert_eq!(status, 422, "{body}");
-    // Unknown routes and methods.
-    let (status, _) = client.get("/v2/evaluate").unwrap();
+    // Unknown routes and methods: byte-exact bodies, the request id aside.
+    let (status, body) = client.get("/v2/evaluate").unwrap();
     assert_eq!(status, 404);
-    let (status, _) = client.request("DELETE", "/healthz", None).unwrap();
+    assert_eq!(
+        without_request_id(&body),
+        r#"{"error":{"code":"not_found","message":"no route for GET /v2/evaluate","retryable":false}}"#
+    );
+    let (status, body) = client.request("DELETE", "/healthz", None).unwrap();
     assert_eq!(status, 405);
+    assert_eq!(
+        without_request_id(&body),
+        r#"{"error":{"code":"method_not_allowed","message":"/healthz only supports GET","retryable":false}}"#
+    );
+    let (status, body) = client.post("/metrics", "{}").unwrap();
+    assert_eq!(status, 405, "the text route answers a JSON 405");
+    assert_eq!(
+        without_request_id(&body),
+        r#"{"error":{"code":"method_not_allowed","message":"/metrics only supports GET","retryable":false}}"#
+    );
     // The connection that sent garbage is still serviceable...
     let (status, _) = client.get("/healthz").unwrap();
     assert_eq!(status, 200);
@@ -412,6 +436,14 @@ fn metrics_route_has_the_golden_shape_and_counts() {
     assert_eq!(status, 400);
     let (status, _) = client.get("/healthz").unwrap();
     assert_eq!(status, 200);
+    // Unknown paths and wrong methods meter against the `other` bucket,
+    // never against the route whose path they name.
+    let (status, _) = client.get("/v2/evaluate").unwrap();
+    assert_eq!(status, 404);
+    let (status, _) = client.request("DELETE", "/healthz", None).unwrap();
+    assert_eq!(status, 405);
+    let (status, _) = client.post("/metrics", "{}").unwrap();
+    assert_eq!(status, 405);
 
     let (status, body) = client.get("/v1/metrics").unwrap();
     assert_eq!(status, 200, "{body}");
@@ -424,7 +456,7 @@ fn metrics_route_has_the_golden_shape_and_counts() {
         ServerConfig::default().max_connections as u64
     );
     assert_eq!(metrics.connections_rejected, 0);
-    assert!(metrics.requests_served >= 5);
+    assert!(metrics.requests_served >= 8);
     let route = |label: &str| {
         metrics
             .routes
@@ -446,7 +478,12 @@ fn metrics_route_has_the_golden_shape_and_counts() {
         evaluate.requests,
         "every request lands in exactly one latency bucket"
     );
-    assert!(route("GET /healthz").requests >= 1);
+    assert_eq!(route("GET /healthz").requests, 1);
+    assert_eq!(route("GET /metrics").requests, 0);
+    let other = route("other");
+    assert_eq!(other.requests, 3, "404 and both 405s");
+    assert_eq!(other.errors_4xx, 3);
+    assert_eq!(other.bytes_in, 2, "the POST /metrics body");
     // Cache shards: stats sum matches the scenario traffic (one distinct
     // scenario -> one miss, the rest hits).
     assert_eq!(
@@ -765,6 +802,20 @@ fn streamed_grid_body_is_byte_identical_to_buffered() {
     assert_eq!(
         streamed, buffered,
         "chunk-decoded streamed body must be byte-identical to buffered"
+    );
+    // An invalid body answers the same 400 in either mode.
+    let (status, buffered) = client
+        .post(QueryKind::Grid.path(), &grid_body(1, false))
+        .expect("invalid buffered grid");
+    assert_eq!(status, 400, "{buffered}");
+    let (status, streamed) = client
+        .post(QueryKind::Grid.path(), &grid_body(1, true))
+        .expect("invalid streamed grid");
+    assert_eq!(status, 400, "{streamed}");
+    assert_eq!(without_request_id(&streamed), without_request_id(&buffered));
+    assert_eq!(
+        without_request_id(&buffered),
+        r#"{"error":{"code":"bad_request","message":"JSON schema error at steps: expected 2 ≤ steps ≤ 1024","retryable":false}}"#
     );
     // The keep-alive connection survives a streamed response.
     let (status, _) = client.get("/healthz").expect("keep-alive after stream");

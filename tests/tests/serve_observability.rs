@@ -211,6 +211,25 @@ fn prometheus_exposition_is_well_formed_and_matches_the_typed_registry() {
     let (status, _) = client.post("/v1/evaluate", "{not json").unwrap();
     assert_eq!(status, 400);
 
+    // The exposition's own framing: text, not JSON, and a request id.
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    write!(raw, "GET /metrics HTTP/1.1\r\nHost: loopback\r\n\r\n").expect("send");
+    let response = String::from_utf8(read_framed(&mut raw)).expect("UTF-8 response");
+    let head = response.split("\r\n\r\n").next().expect("head");
+    assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+    assert!(
+        head.contains("\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\n"),
+        "{head}"
+    );
+    let header_id = head
+        .lines()
+        .find_map(|line| line.strip_prefix("x-request-id: "))
+        .expect("/metrics carries x-request-id");
+    assert!(is_hex_id(header_id), "header id '{header_id}'");
+    drop(raw);
+
     // Quiesced cross-check: the text page first, the typed registry
     // second. Neither request touches the evaluate route or the scenario
     // cache, so those counters must agree exactly across the two reads.
@@ -226,6 +245,15 @@ fn prometheus_exposition_is_well_formed_and_matches_the_typed_registry() {
         .iter()
         .find(|r| r.route == "POST /v1/evaluate")
         .expect("evaluate route tracked");
+    // Both text scrapes meter under their own route, none under `other`.
+    let scrapes = typed
+        .routes
+        .iter()
+        .find(|r| r.route == "GET /metrics")
+        .expect("text route tracked");
+    assert_eq!((scrapes.requests, scrapes.errors), (2, 0));
+    let other = typed.routes.last().expect("fallback bucket");
+    assert_eq!((other.route.as_str(), other.requests), ("other", 0));
     let route_label = r#"route="POST /v1/evaluate""#;
     assert_eq!(
         sample_value(&samples, "gf_route_requests_total", route_label),
