@@ -621,27 +621,27 @@ mod tests {
         // `--trace-log` and `--slow-request-us` included.
         let config = serve_config(
             "serve --addr 0.0.0.0:9999 --workers 4 --eval-threads 2 --cache-capacity 16 \
-             --idle-timeout 60 --header-timeout 2 --driver portable -v --cache-shards 2 \
+             --idle-timeout 60 --header-timeout 2 --driver portable -v \
              --max-connections 32 --max-body-bytes 65536 --trace-log t.ndjson --slow-request-us 250",
         );
         assert_eq!(config.addr, "0.0.0.0:9999");
         assert_eq!((config.workers, config.eval_threads), (4, 2));
-        assert_eq!((config.cache_capacity, config.cache_shards), (16, 2));
+        assert_eq!(config.cache_capacity, 16);
         assert_eq!((config.max_connections, config.max_body_bytes), (32, 65536));
         assert_eq!(config.idle_timeout, std::time::Duration::from_secs(60));
         assert_eq!(config.header_timeout, std::time::Duration::from_secs(2));
         assert_eq!(config.driver, gf_server::DriverKind::Portable);
         assert_eq!(config.trace_log, Some("t.ndjson".into()));
         assert_eq!(config.slow_request_us, 250);
-        // Zero eval-threads clamps to serial; zero capacities/shards/caps
-        // are configuration errors, not clamps.
+        // Zero eval-threads clamps to serial; zero capacities/caps are
+        // configuration errors, not clamps.
         assert_eq!(serve_config("serve --eval-threads 0").eval_threads, 1);
         check(
             "serve --workers x => usage: invalid value 'x' for --workers
              serve --header-timeout 0 => usage: --header-timeout must be at least 1
              serve --driver kqueue => usage: --driver must be epoll|portable|auto
              serve --cache-capacity 0 => usage: --cache-capacity must be at least 1
-             serve --cache-shards 0 => usage: --cache-shards must be at least 1
+             serve --cache-shards 2 => usage: unknown option '--cache-shards'
              serve --max-connections 0 => usage: --max-connections must be at least 1
              serve --trace-log x --frobnicate 1 => usage: unknown option '--frobnicate'",
         );
@@ -668,7 +668,7 @@ mod tests {
         check(
             r#"
             compare --domain dnn,crypto => {"scenarios":[{"domain":"dnn","knobs":{}},{"domain":"crypto","knobs":{}}],"point":{"applications":5,"lifetime_years":2,"volume":1000000}}
-            compare --domain dnn,gpu => bad_request: JSON schema error at scenarios.domain: unknown domain 'gpu'
+            compare --domain dnn,gpu => bad_request: JSON schema error at scenarios[1].domain: unknown domain 'gpu'
             evaluate --domain dnn,crypto => usage: a --domain list only applies to 'compare'
             sweep --domain dnn,crypto --axis apps --from 1 --to 8 => usage: a --domain list only applies to 'compare'
             evaluate --domain crypto => {"domain":"crypto","knobs":{},"point":{"applications":5,"lifetime_years":2,"volume":1000000}}
@@ -699,7 +699,7 @@ mod tests {
             evaluate --domain imgproc => {"domain":"imgproc","knobs":{},"point"
             evaluate --domain ImageProcessing => {"domain":"imgproc","knobs":{},"point"
             evaluate --domain CRYPTO => {"domain":"crypto","knobs":{},"point"
-            compare --domain gpu => bad_request: JSON schema error at scenarios.domain: unknown domain 'gpu'
+            compare --domain gpu => bad_request: JSON schema error at scenarios[0].domain: unknown domain 'gpu'
         "#,
         );
     }
@@ -888,7 +888,7 @@ mod tests {
             optimize --objective total --budget-kg 5 --knob apps:1:12 => usage: --budget-kg only applies to --objective budget
             optimize --objective total --knob apps:1 => usage: --knob expects axis:min:max[:int], got 'apps:1'
             optimize --objective total --knob apps:1:2:float => usage: --knob flag must be 'int', got 'float'
-            optimize --objective total --knob watts:1:2 => bad_request: JSON schema error at search.axis: unknown axis 'watts'
+            optimize --objective total --knob watts:1:2 => bad_request: JSON schema error at search[0].axis: unknown axis 'watts'
             optimize --objective glory --knob apps:1:12 => bad_request: JSON schema error at objective.goal: unknown goal 'glory'
             optimize --objective total --knob apps:1:12 --platform gpu => bad_request: JSON schema error at objective.platform
             optimize --objective total --knob apps:1:12 --cap-platform asic => usage: --cap-platform only applies together with --cap-kg

@@ -1163,10 +1163,10 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// One scenario-cache shard's counters in `GET /v1/metrics`.
+    /// The scenario cache's counters in `GET /v1/metrics`.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct CacheShardMetrics {
-        /// Compiled scenarios currently cached in the shard.
+        /// Compiled scenarios currently cached.
         pub entries: u64,
         /// Lifetime lookup hits.
         pub hits: u64,
@@ -1177,7 +1177,7 @@ wire_struct! {
 
 wire_struct! {
     /// `GET /v1/metrics` response: the serving core's observability snapshot —
-    /// per-route request/error counters and latency histograms, per-shard
+    /// per-route request/error counters and latency histograms, the
     /// scenario-cache statistics, and the connection governor's gauges.
     #[derive(Debug, Clone, PartialEq)]
     pub struct MetricsResponse {
@@ -1191,7 +1191,8 @@ wire_struct! {
         pub connections_rejected: u64,
         /// Per-route counters, in stable route order.
         pub routes: Vec<RouteMetrics>,
-        /// Per-shard scenario-cache statistics, in shard order.
+        /// Scenario-cache statistics: one element, the engine's one cache
+        /// (a list, so readers that fold it keep working).
         pub cache_shards: Vec<CacheShardMetrics>,
     }
 }
@@ -1212,7 +1213,7 @@ wire_struct! {
         pub start_ns: u64,
         /// Duration in nanoseconds (`0` for instant events).
         pub duration_ns: u64,
-        /// Span-class-specific detail (cache shard index, byte count, ...).
+        /// Span-class-specific detail (byte count, catalog index, ...).
         pub aux: u64 [default 0],
         /// Recording thread's trace-ring id.
         pub thread: u64 [default 0],

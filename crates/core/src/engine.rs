@@ -1,7 +1,7 @@
 //! The unified engine facade: one entry point for every query kind.
 //!
 //! [`Engine`] owns the two long-lived pieces of serving state that used to
-//! live inside `greenfpga-serve` — the sharded compiled-scenario cache and
+//! live inside `greenfpga-serve` — the compiled-scenario cache and
 //! a persistent [`exec::WorkerPool`] — and dispatches every
 //! [`Query`] variant through one [`Engine::run`] call. The HTTP
 //! server, the CLI and the bench clients are all thin adapters over this
@@ -44,11 +44,8 @@ use crate::{
 /// exposes the interesting ones as flags.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Maximum cached compiled scenarios (split across the shards).
+    /// Maximum cached compiled scenarios.
     pub cache_capacity: usize,
-    /// Scenario-cache shards. Lookups lock one shard, so concurrent
-    /// callers contend only on hash collisions.
-    pub cache_shards: usize,
     /// Worker threads per batch/sweep/grid evaluation (`0` =
     /// [`exec::default_threads`]). Servers should keep this at 1: request
     /// concurrency already comes from connection workers.
@@ -63,20 +60,8 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             cache_capacity: 64,
-            cache_shards: 8,
             eval_threads: 0,
             workers: 0,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// The pool worker count after resolving `0` to the machine default.
-    pub fn workers_resolved(&self) -> usize {
-        if self.workers == 0 {
-            exec::default_threads()
-        } else {
-            self.workers
         }
     }
 }
@@ -89,14 +74,14 @@ struct PoolSlot {
     closed: bool,
 }
 
-/// The unified engine: a sharded compiled-scenario cache, a persistent
+/// The unified engine: a compiled-scenario cache, a persistent
 /// worker pool, and one [`Engine::run`] dispatch for every [`Query`].
 ///
 /// The `Debug` form reports only the configuration; cache contents and
 /// pool state are runtime details.
 pub struct Engine {
     config: EngineConfig,
-    cache: ShardedScenarioCache,
+    cache: Mutex<ScenarioCache>,
     pool: Mutex<PoolSlot>,
 }
 
@@ -109,21 +94,16 @@ impl std::fmt::Debug for Engine {
 }
 
 impl Engine {
-    /// Capacity (bytes) each pool worker's thread-local [`ResultBuffer`]
-    /// keeps between jobs — 64 KiB ≈ 680 points at 96 bytes per point,
-    /// comfortably above the common serving batch sizes.
-    pub const WORKER_BUFFER_RETAIN_BYTES: usize = 64 << 10;
-
     /// Builds an engine: resolves every domain template and sizes the
     /// scenario cache.
     ///
     /// # Errors
     ///
-    /// Returns [`ApiError`] (code `model`) for a zero cache capacity or
-    /// shard count, and propagates calibration failures (the built-in
-    /// calibrations never trigger them).
+    /// Returns [`ApiError`] (code `model`) for a zero cache capacity, and
+    /// propagates calibration failures (the built-in calibrations never
+    /// trigger them).
     pub fn new(config: EngineConfig) -> Result<Engine, ApiError> {
-        let cache = ShardedScenarioCache::new(config.cache_shards, config.cache_capacity)?;
+        let cache = Mutex::new(ScenarioCache::new(config.cache_capacity)?);
         Ok(Engine {
             config,
             cache,
@@ -148,14 +128,39 @@ impl Engine {
         &self.config
     }
 
-    /// The compiled scenario for a spec — cached when seen before.
+    /// The compiled scenario for a spec — cached when seen before. A miss
+    /// compiles under the cache lock (pure arithmetic, microseconds), so
+    /// concurrent misses on one spec compile it once.
     ///
     /// # Errors
     ///
     /// Propagates compile errors (knob overrides are range-clamped, so
     /// spec-derived parameters never trigger them).
     pub fn compiled(&self, spec: &ScenarioSpec) -> Result<CompiledScenario, ApiError> {
-        Ok(self.cache.lookup(spec)?)
+        let traced = gf_trace::enabled();
+        let from_ticks = if traced { gf_trace::now_ticks() } else { 0 };
+        let mut cache = self.cache.lock().expect("scenario cache poisoned");
+        let misses_before = cache.misses;
+        let result = cache.lookup(spec);
+        let missed = cache.misses > misses_before;
+        drop(cache);
+        if traced {
+            if missed {
+                let end = gf_trace::now_ticks();
+                gf_trace::record_span_at(
+                    gf_trace::SpanName::Compile,
+                    from_ticks,
+                    end.saturating_sub(from_ticks),
+                    0,
+                );
+                gf_trace::record_span_at(gf_trace::SpanName::CacheMiss, end, 0, 0);
+            } else {
+                // Hit path: reuse the probe's entry stamp — the common case
+                // pays exactly one clock read.
+                gf_trace::record_span_at(gf_trace::SpanName::CacheHit, from_ticks, 0, 0);
+            }
+        }
+        Ok(result?)
     }
 
     /// Runs one query and returns its outcome. Allocates a scratch
@@ -418,22 +423,14 @@ impl Engine {
         )?)
     }
 
-    /// Number of scenario-cache shards.
-    pub fn cache_shard_count(&self) -> usize {
-        self.cache.shard_count()
-    }
-
-    /// Per-shard scenario-cache statistics, in shard order.
-    pub fn cache_shard_metrics(&self) -> Vec<CacheShardMetrics> {
-        self.cache
-            .per_shard()
-            .into_iter()
-            .map(|(entries, hits, misses)| CacheShardMetrics {
-                entries: entries as u64,
-                hits,
-                misses,
-            })
-            .collect()
+    /// Scenario-cache occupancy and lifetime hit/miss counters.
+    pub fn cache_metrics(&self) -> CacheShardMetrics {
+        let cache = self.cache.lock().expect("scenario cache poisoned");
+        CacheShardMetrics {
+            entries: cache.entries.len() as u64,
+            hits: cache.hits,
+            misses: cache.misses,
+        }
     }
 
     /// Submits a job to the persistent worker pool, spawning the pool on
@@ -447,39 +444,6 @@ impl Engine {
         slot.pool
             .get_or_insert_with(|| exec::WorkerPool::new(workers))
             .execute(job)
-    }
-
-    /// [`Engine::execute`] for completion-callback jobs that want a
-    /// scratch [`ResultBuffer`]: the buffer is **worker-thread-local** and
-    /// reused across every job that worker runs, so a serving transport
-    /// dispatching queries to the pool pays for the result storage once
-    /// per worker, not once per request.
-    ///
-    /// After each job the retained capacity is capped at
-    /// [`Engine::WORKER_BUFFER_RETAIN_BYTES`]: batches that fit keep their
-    /// storage allocated (steady-state serving stays zero-allocation),
-    /// while one outsized request — a million-point batch, say — no longer
-    /// pins its high-water footprint in every worker forever.
-    pub fn execute_with_buffer(
-        &self,
-        job: impl FnOnce(&mut ResultBuffer) + Send + 'static,
-    ) -> bool {
-        self.execute(move || {
-            thread_local! {
-                static BUFFER: std::cell::RefCell<ResultBuffer> =
-                    std::cell::RefCell::new(ResultBuffer::new());
-            }
-            BUFFER.with(|buffer| match buffer.try_borrow_mut() {
-                Ok(mut buffer) => {
-                    job(&mut buffer);
-                    buffer.shrink_retained(Engine::WORKER_BUFFER_RETAIN_BYTES);
-                }
-                // A job that re-enters the pool worker (it cannot today,
-                // but the contract should not quietly assume that) falls
-                // back to a throwaway buffer instead of panicking.
-                Err(_) => job(&mut ResultBuffer::new()),
-            })
-        })
     }
 
     /// Jobs accepted by the pool and not yet claimed by a worker (`0`
@@ -609,33 +573,10 @@ fn key_of(spec: &ScenarioSpec) -> Key {
     (domain, knobs)
 }
 
-/// FNV-1a over the canonical key bytes — the shard selector. Stable across
-/// lookups of the same spec by construction (the key is already
-/// bit-canonical), and cheap next to even a cache hit.
-fn hash_of(key: &Key) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut eat = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(PRIME);
-    };
-    for byte in (key.0 as u64).to_le_bytes() {
-        eat(byte);
-    }
-    for &(index, bits) in &key.1 {
-        eat(index);
-        for byte in bits.to_le_bytes() {
-            eat(byte);
-        }
-    }
-    hash
-}
-
-/// One shard of the scenario cache: a keyed LRU of compiled scenarios.
+/// The engine's scenario cache: a keyed LRU of compiled scenarios.
 /// Templates for every domain are resolved once at construction, so even a
 /// cache miss pays only the pure-arithmetic [`ScenarioTemplate::compile`],
-/// never spec rebuilding. Each shard is a plain move-to-front vector: at
+/// never spec rebuilding. The cache is a plain move-to-front vector: at
 /// serving capacities (dozens of distinct scenarios) a linear scan of
 /// small keys beats hashing, and [`CompiledScenario`] is `Copy`, so a hit
 /// clones nothing and the lock is held only for the scan.
@@ -675,14 +616,9 @@ impl ScenarioCache {
         })
     }
 
-    /// The compiled scenario for a spec, with the canonical key already
-    /// computed — the sharded wrapper hashes the key for shard selection
-    /// and must not pay for building it twice.
-    fn lookup_keyed(
-        &mut self,
-        key: Key,
-        spec: &ScenarioSpec,
-    ) -> Result<CompiledScenario, GreenFpgaError> {
+    /// The compiled scenario for a spec, compiled and inserted on a miss.
+    fn lookup(&mut self, spec: &ScenarioSpec) -> Result<CompiledScenario, GreenFpgaError> {
+        let key = key_of(spec);
         if let Some(position) = self.entries.iter().position(|entry| entry.key == key) {
             self.hits += 1;
             // Move to front: position 0 is most recently used.
@@ -699,132 +635,6 @@ impl ScenarioCache {
         self.entries.insert(0, Entry { key, compiled });
         Ok(compiled)
     }
-
-    /// Spec-keyed lookup for the single-shard unit tests.
-    #[cfg(test)]
-    fn lookup(&mut self, spec: &ScenarioSpec) -> Result<CompiledScenario, GreenFpgaError> {
-        self.lookup_keyed(key_of(spec), spec)
-    }
-
-    /// Number of cached scenarios.
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Lifetime (hits, misses) counters.
-    fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
-
-/// Per-shard statistics snapshot: `(entries, hits, misses)`.
-type ShardStats = (usize, u64, u64);
-
-/// The engine's scenario cache: N independent [`ScenarioCache`] shards
-/// selected by spec-hash, each behind its own lock.
-///
-/// A lookup locks exactly one shard, so concurrent callers contend only
-/// when their scenarios collide on a shard. The same spec always hashes to
-/// the same shard, so hit/miss behavior per scenario is deterministic;
-/// lifetime statistics are aggregated across shards on read.
-struct ShardedScenarioCache {
-    shards: Vec<Mutex<ScenarioCache>>,
-}
-
-impl ShardedScenarioCache {
-    /// Builds `shards` shards splitting `capacity` entries between them
-    /// (each shard gets `ceil(capacity / shards)`, so the total is never
-    /// below the requested capacity and every shard can hold at least one
-    /// entry).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GreenFpgaError::InvalidRange`] when `shards` or
-    /// `capacity` is zero; propagates template-resolution errors.
-    fn new(shards: usize, capacity: usize) -> Result<Self, GreenFpgaError> {
-        if shards == 0 {
-            return Err(GreenFpgaError::InvalidRange {
-                what: "scenario cache shard count (must be at least 1)",
-            });
-        }
-        let per_shard = capacity.div_ceil(shards);
-        let shards = (0..shards)
-            .map(|_| Ok(Mutex::new(ScenarioCache::new(per_shard)?)))
-            .collect::<Result<_, GreenFpgaError>>()?;
-        Ok(ShardedScenarioCache { shards })
-    }
-
-    /// The compiled scenario for a spec, from the shard its key hashes to.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ScenarioCache::lookup_keyed`].
-    fn lookup(&self, spec: &ScenarioSpec) -> Result<CompiledScenario, GreenFpgaError> {
-        let key = key_of(spec);
-        let shard = (hash_of(&key) % self.shards.len() as u64) as usize;
-        let traced = gf_trace::enabled();
-        let from_ticks = if traced { gf_trace::now_ticks() } else { 0 };
-        let mut guard = self.shards[shard]
-            .lock()
-            .expect("scenario cache shard poisoned");
-        let misses_before = guard.misses;
-        let result = guard.lookup_keyed(key, spec);
-        let missed = guard.misses > misses_before;
-        drop(guard);
-        if traced {
-            // Shard index rides in `aux`, so a hot shard is visible in the
-            // trace without a label dimension.
-            if missed {
-                let end = gf_trace::now_ticks();
-                gf_trace::record_span_at(
-                    gf_trace::SpanName::Compile,
-                    from_ticks,
-                    end.saturating_sub(from_ticks),
-                    shard as u64,
-                );
-                gf_trace::record_span_at(gf_trace::SpanName::CacheMiss, end, 0, shard as u64);
-            } else {
-                // Hit path: reuse the probe's entry stamp — the common case
-                // pays exactly one clock read.
-                gf_trace::record_span_at(gf_trace::SpanName::CacheHit, from_ticks, 0, shard as u64);
-            }
-        }
-        result
-    }
-
-    /// Number of shards.
-    fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Cached scenarios across all shards (tests only; production callers
-    /// fold [`ShardedScenarioCache::per_shard`] once instead).
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.per_shard().iter().map(|(entries, _, _)| entries).sum()
-    }
-
-    /// Aggregated lifetime (hits, misses) counters (tests only).
-    #[cfg(test)]
-    fn stats(&self) -> (u64, u64) {
-        self.per_shard()
-            .iter()
-            .fold((0, 0), |(h, m), &(_, hits, misses)| (h + hits, m + misses))
-    }
-
-    /// Per-shard `(entries, hits, misses)` snapshots, in shard order. Each
-    /// shard is snapshotted under its own lock; the combined view is not a
-    /// single atomic cut, which is fine for monitoring counters.
-    fn per_shard(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let shard = shard.lock().expect("scenario cache shard poisoned");
-                let (hits, misses) = shard.stats();
-                (shard.len(), hits, misses)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -837,6 +647,30 @@ mod tests {
             domain,
             knobs: knobs.to_vec(),
         }
+    }
+
+    impl ScenarioCache {
+        fn len(&self) -> usize {
+            self.entries.len()
+        }
+
+        fn stats(&self) -> (u64, u64) {
+            (self.hits, self.misses)
+        }
+    }
+
+    fn engine_with_capacity(cache_capacity: usize) -> Engine {
+        Engine::new(EngineConfig {
+            cache_capacity,
+            ..EngineConfig::default()
+        })
+        .unwrap()
+    }
+
+    /// `(entries, hits, misses)` of an engine's cache.
+    fn counts(engine: &Engine) -> (u64, u64, u64) {
+        let metrics = engine.cache_metrics();
+        (metrics.entries, metrics.hits, metrics.misses)
     }
 
     #[test]
@@ -898,14 +732,6 @@ mod tests {
             ScenarioCache::new(0),
             Err(GreenFpgaError::InvalidRange { .. })
         ));
-        assert!(matches!(
-            ShardedScenarioCache::new(4, 0),
-            Err(GreenFpgaError::InvalidRange { .. })
-        ));
-        assert!(matches!(
-            ShardedScenarioCache::new(0, 64),
-            Err(GreenFpgaError::InvalidRange { .. })
-        ));
         // The same contract surfaces through the engine as an ApiError.
         let error = Engine::new(EngineConfig {
             cache_capacity: 0,
@@ -916,70 +742,62 @@ mod tests {
     }
 
     #[test]
-    fn sharded_lookup_matches_direct_compilation_and_counts() {
-        let cache = ShardedScenarioCache::new(4, 64).unwrap();
-        assert_eq!(cache.shard_count(), 4);
+    fn engine_lookup_matches_direct_compilation_and_counts() {
+        let engine = engine_with_capacity(64);
         let spec = spec(Domain::Dnn, &[(Knob::DutyCycle, 0.4)]);
-        let first = cache.lookup(&spec).unwrap();
-        let second = cache.lookup(&spec).unwrap();
-        assert_eq!(first, second, "same spec hits the same shard");
-        assert_eq!(cache.stats(), (1, 1));
-        assert_eq!(cache.len(), 1);
+        let first = engine.compiled(&spec).unwrap();
+        let second = engine.compiled(&spec).unwrap();
+        assert_eq!(first, second, "the second lookup hits");
+        assert_eq!(counts(&engine), (1, 1, 1));
         let direct = Estimator::new(spec.params()).compile(Domain::Dnn).unwrap();
         assert_eq!(
             first.evaluate(OperatingPoint::paper_default()).unwrap(),
             direct.evaluate(OperatingPoint::paper_default()).unwrap()
         );
-        // Per-shard stats sum to the aggregate.
-        let per_shard = cache.per_shard();
-        assert_eq!(per_shard.len(), 4);
-        assert_eq!(per_shard.iter().map(|s| s.1).sum::<u64>(), 1);
-        assert_eq!(per_shard.iter().map(|s| s.2).sum::<u64>(), 1);
     }
 
     #[test]
-    fn sharded_capacity_splits_but_never_starves_a_shard() {
-        // 4 shards over capacity 2 still give every shard one slot.
-        let cache = ShardedScenarioCache::new(4, 2).unwrap();
+    fn capacity_bounds_entries_across_every_domain() {
+        // Capacity 2 over three domains: the engine cache holds two, and
+        // the most recent one still hits.
+        let engine = engine_with_capacity(2);
         for domain in Domain::ALL {
-            cache.lookup(&spec(domain, &[])).unwrap();
+            engine.compiled(&spec(domain, &[])).unwrap();
         }
-        assert!(cache.len() >= 1);
-        // A single-shard cache behaves exactly like the flat cache.
-        let single = ShardedScenarioCache::new(1, 8).unwrap();
-        single.lookup(&spec(Domain::Dnn, &[])).unwrap();
-        single.lookup(&spec(Domain::Dnn, &[])).unwrap();
-        assert_eq!(single.stats(), (1, 1));
+        assert_eq!(counts(&engine), (2, 0, Domain::ALL.len() as u64));
+        let last = Domain::ALL[Domain::ALL.len() - 1];
+        engine.compiled(&spec(last, &[])).unwrap();
+        assert_eq!(counts(&engine), (2, 1, Domain::ALL.len() as u64));
     }
 
     #[test]
     fn concurrent_hammering_keeps_stats_consistent() {
-        use std::sync::Arc;
-        let cache = Arc::new(ShardedScenarioCache::new(4, 64).unwrap());
+        let engine = engine_with_capacity(64);
         let threads = 8;
         let rounds = 50;
         std::thread::scope(|scope| {
             for worker in 0..threads {
-                let cache = Arc::clone(&cache);
+                let engine = &engine;
                 scope.spawn(move || {
                     for round in 0..rounds {
                         let domain = Domain::ALL[(worker + round) % Domain::ALL.len()];
                         let duty = 0.1 + 0.1 * ((worker + round) % 5) as f64;
                         let spec = spec(domain, &[(Knob::DutyCycle, duty)]);
-                        cache.lookup(&spec).unwrap();
+                        engine.compiled(&spec).unwrap();
                     }
                 });
             }
         });
-        let (hits, misses) = cache.stats();
+        let (entries, hits, misses) = counts(&engine);
         assert_eq!(
             hits + misses,
             (threads * rounds) as u64,
             "every lookup is counted exactly once"
         );
-        // 3 domains x 5 duty cycles = 15 distinct scenarios at most.
+        // 3 domains x 5 duty cycles = 15 distinct scenarios, each compiled
+        // exactly once: a miss compiles under the lock.
         assert!(misses <= 15, "misses {misses} exceed the distinct specs");
-        assert!(cache.len() <= 15);
+        assert_eq!(entries, misses);
     }
 
     #[test]
@@ -1005,20 +823,12 @@ mod tests {
 
     #[test]
     fn engine_cache_counts_surface_through_metrics() {
-        let engine = Engine::new(EngineConfig {
-            cache_shards: 2,
-            ..EngineConfig::default()
-        })
-        .unwrap();
+        let engine = Engine::with_defaults().unwrap();
         let spec = ScenarioSpec::baseline(Domain::Dnn);
         for _ in 0..3 {
             engine.compiled(&spec).unwrap();
         }
-        let shards = engine.cache_shard_metrics();
-        assert_eq!(shards.len(), 2);
-        assert_eq!(engine.cache_shard_count(), 2);
-        assert_eq!(shards.iter().map(|s| s.misses).sum::<u64>(), 1);
-        assert_eq!(shards.iter().map(|s| s.hits).sum::<u64>(), 2);
+        assert_eq!(counts(&engine), (1, 2, 1));
     }
 
     #[test]

@@ -672,24 +672,6 @@ impl ResultBuffer {
         self.results.clear();
     }
 
-    /// Heap bytes currently reserved for results.
-    pub fn capacity_bytes(&self) -> usize {
-        self.results.capacity() * core::mem::size_of::<(CfpBreakdown, CfpBreakdown)>()
-    }
-
-    /// Clears the buffer and releases capacity beyond `max_bytes` — the
-    /// shrink-after-use policy for long-lived buffers (the engine's
-    /// worker-thread-local scratch), so one huge batch does not pin its
-    /// high-water footprint forever. Capacity at or under `max_bytes` is
-    /// kept so steady-state serving stays zero-allocation.
-    pub fn shrink_retained(&mut self, max_bytes: usize) {
-        self.clear();
-        if self.capacity_bytes() > max_bytes {
-            self.results
-                .shrink_to(max_bytes / core::mem::size_of::<(CfpBreakdown, CfpBreakdown)>());
-        }
-    }
-
     /// The [`CfpBreakdown::finite`] check over every result, in index
     /// order. One pass after the fill keeps the check out of the per-point
     /// kernel, where it cost a third of a ~20 ns evaluation; the scan costs
@@ -824,36 +806,6 @@ mod tests {
             }
         }
         out
-    }
-
-    #[test]
-    fn shrink_retained_caps_capacity_but_keeps_small_buffers() {
-        let compiled = estimator().compile(Domain::Dnn).unwrap();
-        let cap = 64 << 10;
-        let big = vec![OperatingPoint::paper_default(); 20_000];
-        let mut buffer = ResultBuffer::new();
-        compiled.evaluate_into(&big, &mut buffer).unwrap();
-        // 20_000 points × 12 components × 8 bytes ≈ 1.9 MiB resident.
-        assert!(buffer.capacity_bytes() >= 12 * 20_000 * 8);
-        buffer.shrink_retained(cap);
-        assert!(buffer.is_empty());
-        assert!(
-            buffer.capacity_bytes() <= cap,
-            "retained {} bytes > cap {cap}",
-            buffer.capacity_bytes()
-        );
-        // A buffer already under the cap keeps its capacity untouched.
-        let small = points();
-        compiled.evaluate_into(&small, &mut buffer).unwrap();
-        let before = buffer.capacity_bytes();
-        assert!(before <= cap);
-        buffer.shrink_retained(cap);
-        assert_eq!(buffer.capacity_bytes(), before);
-        // And the buffer stays fully usable after shrinking.
-        let mut reference = ResultBuffer::new();
-        compiled.evaluate_into(&small, &mut reference).unwrap();
-        compiled.evaluate_into(&small, &mut buffer).unwrap();
-        assert_eq!(reference, buffer, "post-shrink refill");
     }
 
     /// The batch kernel is bit-identical to point-wise evaluation and to

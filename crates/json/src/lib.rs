@@ -443,13 +443,18 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
+/// An element's schema error names its index: `[1].domain`, which a
+/// member prefix turns into `scenarios[1].domain`.
 impl<T: FromJson> FromJson for Vec<T> {
     fn from_json(value: &Value) -> Result<Vec<T>, JsonError> {
         value
             .as_array()
             .ok_or_else(|| JsonError::schema("array", "expected an array"))?
             .iter()
-            .map(T::from_json)
+            .enumerate()
+            .map(|(i, item)| {
+                T::from_json(item).map_err(|e| wire::prefix_schema(&format!("[{i}]"), e))
+            })
             .collect()
     }
 }
@@ -581,5 +586,35 @@ mod tests {
         }
         .to_string()
         .contains("byte 3"));
+    }
+
+    #[test]
+    fn element_errors_name_their_index() {
+        let nested = parse(r#"{"items":[{"n":1},{"n":"x"}]}"#).unwrap();
+        struct N;
+        impl FromJson for N {
+            fn from_json(value: &Value) -> Result<N, JsonError> {
+                wire::decode_member::<u64>(value, "n").map(|_| N)
+            }
+        }
+        let at = |error: JsonError| match error {
+            JsonError::Schema { at, .. } => at,
+            other => panic!("not a schema error: {other}"),
+        };
+        let error = wire::decode_member::<Vec<N>>(&nested, "items")
+            .err()
+            .unwrap();
+        assert_eq!(
+            at(error),
+            "items[1].n",
+            "the index survives the member prefix"
+        );
+        let flat = parse("[1, 2, true]").unwrap();
+        assert_eq!(at(Vec::<u64>::from_json(&flat).err().unwrap()), "[2]");
+        let error = wire::decode_member::<Vec<u64>>(&parse(r#"{"xs":[1,"a"]}"#).unwrap(), "xs");
+        assert_eq!(at(error.err().unwrap()), "xs[1]");
+        let grid = parse(r#"{"rows":[[1],[2,null]]}"#).unwrap();
+        let error = wire::decode_member::<Vec<Vec<u64>>>(&grid, "rows");
+        assert_eq!(at(error.err().unwrap()), "rows[1][1]");
     }
 }

@@ -37,17 +37,19 @@ pub fn decode_member_or<T: FromJson>(
 }
 
 /// Prefixes the field path of a nested schema error, so `lifetime_years`
-/// inside `point` reports as `point.lifetime_years`. Errors raised by a
-/// primitive decoder (`at` is empty or names the primitive) report `key`
-/// alone.
+/// inside `point` reports as `point.lifetime_years` and element `[3]` of
+/// `points` as `points[3]`. Errors raised by a primitive decoder (`at` is
+/// empty or names the primitive) report `key` alone.
 pub fn prefix_schema(key: &str, error: JsonError) -> JsonError {
     match error {
         JsonError::Schema { at, message } => JsonError::Schema {
             at: if at.is_empty()
-                || at == key
+                || (at == key && !key.starts_with('['))
                 || matches!(at.as_str(), "number" | "string" | "bool" | "array")
             {
                 key.to_string()
+            } else if at.starts_with('[') {
+                format!("{key}{at}")
             } else {
                 format!("{key}.{at}")
             },

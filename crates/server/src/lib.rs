@@ -20,15 +20,15 @@
 //! | Route | |
 //! |---|---|
 //! | `GET /healthz` | liveness, version, uptime |
-//! | `GET /v1/metrics` | per-route counters, latency histograms, cache shards |
-//! | `GET /metrics` | the same registry as Prometheus text exposition |
+//! | `GET /v1/metrics` | per-route counters, latency histograms, scenario-cache counters |
+//! | `GET /metrics` | the same snapshot as Prometheus text exposition |
 //! | `GET /v1/trace` | recent spans from the per-thread trace rings |
-//! | `POST /v1/<kind>` | [`greenfpga::Engine::run`] for every [`greenfpga::api::QueryKind`]: `evaluate`, `batch`, `compare`, `crossover`, `frontier`, `sweep`, `grid`, `tornado`, `montecarlo`, `industry`, `scenario`, `replay` |
+//! | `POST /v1/<kind>` | [`greenfpga::Engine::run`] for every [`greenfpga::api::QueryKind`]: `evaluate`, `batch`, `compare`, `crossover`, `frontier`, `sweep`, `grid`, `tornado`, `montecarlo`, `industry`, `scenario`, `replay`, `optimize` |
 //! | `GET /v1/catalog` | the named scenario catalog (the one body-less query kind) |
 //!
 //! Request/response schemas are the typed structs of [`greenfpga::api`]; a
 //! scenario (`domain` + Table 1 `knobs` overrides) addresses the engine's
-//! sharded keyed LRU cache of [`greenfpga::CompiledScenario`]s, so the
+//! keyed LRU cache of [`greenfpga::CompiledScenario`]s, so the
 //! common case — same scenario, different operating points — never
 //! recompiles anything. Failures speak the stable
 //! [`greenfpga::ApiError`] taxonomy (`error.code` / `error.message` /
@@ -39,10 +39,10 @@
 //! Cheap queries (point evaluations, the `GET` endpoints) run **inline on
 //! the event loop**: at microsecond service times, a thread handoff costs
 //! more than the work. Fan-out queries (`batch`, `sweep`, `grid`,
-//! `frontier`, `tornado`, `montecarlo`, `replay`) go to the worker pool so a
-//! millisecond-scale computation never stalls the other connections; the
-//! worker completes the response into a queue and pokes the loop's wakeup
-//! pipe.
+//! `frontier`, `tornado`, `montecarlo`, `replay`, `optimize`) go to the
+//! worker pool so a millisecond-scale computation never stalls the other
+//! connections; the worker completes the response into a queue and pokes
+//! the loop's wakeup pipe.
 //!
 //! ## Embedding
 //!
@@ -78,7 +78,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use greenfpga::{Engine, EngineConfig, ResultBuffer};
+use greenfpga::{Engine, EngineConfig};
 
 use conn::{Conn, ConnSlab, ConnState, StreamState};
 use metrics::Metrics;
@@ -126,12 +126,8 @@ pub struct ServerConfig {
     pub eval_threads: usize,
     /// Maximum request body size in bytes.
     pub max_body_bytes: usize,
-    /// Maximum cached compiled scenarios (split across the shards).
+    /// Maximum cached compiled scenarios.
     pub cache_capacity: usize,
-    /// Scenario-cache shards. Lookups lock one shard, so concurrent
-    /// requests contend only on hash collisions; more shards buy less
-    /// contention at slightly coarser LRU eviction (capacity is split).
-    pub cache_shards: usize,
     /// Hard cap on live connections. The governor answers `503` with
     /// `Retry-After` beyond it instead of queueing unboundedly. A
     /// connection costs one file descriptor and its buffers — not a
@@ -165,7 +161,6 @@ impl Default for ServerConfig {
             eval_threads: 1,
             max_body_bytes: 4 << 20,
             cache_capacity: 64,
-            cache_shards: 8,
             max_connections: 4096,
             idle_timeout: Duration::from_secs(5),
             header_timeout: Duration::from_secs(10),
@@ -186,7 +181,6 @@ macro_rules! options_help {
   --workers <N>           connection worker threads    (default: auto)
   --eval-threads <N>      threads per batch evaluation (default: 1)
   --cache-capacity <N>    cached compiled scenarios    (default: 64)
-  --cache-shards <N>      scenario cache shards        (default: 8)
   --max-connections <N>   live connection hard cap     (default: 4096)
   --max-body-bytes <N>    request body limit           (default: 4194304)
   --idle-timeout <SECS>   keep-alive idle close        (default: 5)
@@ -223,7 +217,7 @@ impl ServerConfig {
             };
             // Zero is a configuration bug for these, not a value to clamp —
             // rejected so the mistake is visible, matching the library-level
-            // `ScenarioCache`/`ShardedScenarioCache` contract. (A zero
+            // `ScenarioCache` contract. (A zero
             // `--slow-request-us` reads like "log everything"; "off" is
             // reached by omitting the flag.)
             let positive = || match number()? {
@@ -236,7 +230,6 @@ impl ServerConfig {
                 "--workers" => config.workers = number()?,
                 "--eval-threads" => config.eval_threads = number()?.max(1),
                 "--cache-capacity" => config.cache_capacity = positive()?,
-                "--cache-shards" => config.cache_shards = positive()?,
                 "--max-connections" => config.max_connections = positive()?,
                 "--max-body-bytes" => config.max_body_bytes = number()?.max(1024),
                 "--idle-timeout" => config.idle_timeout = seconds()?,
@@ -277,11 +270,11 @@ impl ServerConfig {
 /// on server memory.
 const STREAM_CHANNEL_DEPTH: usize = 2;
 
-/// A fully buffered response computed on a worker.
-struct Response {
+/// What the loop needs to answer a request, wherever it ran.
+#[derive(Clone, Copy)]
+struct Meta {
     token: u64,
-    status: u16,
-    body: String,
+    /// Metrics-registry index ([`routes::find`]; out of range = `other`).
     route: usize,
     started: Instant,
     bytes_in: u64,
@@ -294,22 +287,8 @@ struct Response {
 /// What a worker sends back to the event loop through the completion
 /// queue.
 enum Completion {
-    /// A complete buffered response, ready to encode and flush.
-    Respond(Response),
-    /// A streamed response is starting: the loop should send the chunked
-    /// head plus the opening body fragment, then relay events from `rx`.
-    StreamStart {
-        token: u64,
-        /// Opening body fragment (response JSON up to the streamed rows).
-        head: String,
-        /// The worker's fragment channel for the rest of the body.
-        rx: std::sync::mpsc::Receiver<StreamEvent>,
-        route: usize,
-        started: Instant,
-        bytes_in: u64,
-        keep_alive: bool,
-        request_id: u64,
-    },
+    /// An offloaded request's reply, ready for [`EventLoop::answer`].
+    Reply(Meta, routes::Reply),
     /// The worker queued more stream events for `token`'s channel.
     StreamWake { token: u64 },
 }
@@ -428,7 +407,6 @@ impl Server {
         let addr = listener.local_addr()?;
         let engine = Engine::new(EngineConfig {
             cache_capacity: config.cache_capacity,
-            cache_shards: config.cache_shards,
             eval_threads: config.eval_threads.max(1),
             workers: config.workers,
         })
@@ -589,8 +567,6 @@ struct EventLoop {
     timers: BinaryHeap<Reverse<(Instant, u64)>>,
     events: Vec<poll::Event>,
     scratch: Vec<u8>,
-    /// Result scratch for queries handled inline on the loop.
-    buffer: ResultBuffer,
     wake_pipe: WakePipe,
     /// Whether the last iteration accomplished anything — paces the
     /// portable driver's speculative sweeps.
@@ -636,7 +612,6 @@ impl EventLoop {
             timers: BinaryHeap::new(),
             events: Vec::with_capacity(1024),
             scratch: vec![0u8; 64 << 10],
-            buffer: ResultBuffer::new(),
             wake_pipe,
             progress: true,
             idle_streak: 0,
@@ -1075,126 +1050,86 @@ impl EventLoop {
     /// the next pipelined request's parse span without a fresh clock
     /// read (0 = nothing to hand back: untraced or offloaded).
     fn dispatch(&mut self, token: u64, request: http::Request, exec_start_ticks: u64) -> u64 {
-        let route = routes::route_index(&request.method, &request.path);
-        let offload = routes::offloads(&request.method, &request.path);
-        let started = Instant::now();
-        let bytes_in = request.body.len() as u64;
-        let keep_alive = request.keep_alive;
-        let request_id;
-        {
-            let Some(conn) = self.conns.get_mut(token) else {
-                return 0;
-            };
-            conn.header_deadline_armed = false;
-            if conn.request_id == 0 {
-                conn.request_id = gf_trace::next_id();
-            }
-            request_id = conn.request_id;
-            if offload {
-                conn.state = ConnState::Dispatched;
-                conn.deadline = None; // the engine owes us, the peer owes nothing
-            }
+        let found = routes::find(&request.method, &request.path);
+        let (route, offload) = match &found {
+            Ok((index, entry)) => (*index, entry.offloads()),
+            Err(_) => (usize::MAX, false),
+        };
+        let found = found.map(|(_, entry)| entry);
+        let Some(conn) = self.conns.get_mut(token) else {
+            return 0;
+        };
+        conn.header_deadline_armed = false;
+        if conn.request_id == 0 {
+            conn.request_id = gf_trace::next_id();
         }
-        if offload {
-            let state = Arc::clone(&self.state);
-            let queued_ticks = exec_start_ticks;
-            let queued = self.state.engine.execute_with_buffer(move |buffer| {
-                gf_trace::set_current_request(request_id);
-                // One worker-side read closes the queue wait and opens
-                // the execute span.
-                let claimed_ticks = if queued_ticks != 0 {
-                    let claimed = gf_trace::now_ticks();
-                    gf_trace::record_span_at(
-                        gf_trace::SpanName::QueueWait,
-                        queued_ticks,
-                        claimed.saturating_sub(queued_ticks),
-                        0,
-                    );
-                    claimed
-                } else {
-                    0
-                };
-                let reply = routes::handle_offloaded(&state, buffer, &request, claimed_ticks);
-                match reply {
-                    routes::Reply::Full { status, body } => {
-                        gf_trace::set_current_request(0);
-                        state.complete(Completion::Respond(Response {
-                            token,
-                            status,
-                            body,
-                            route,
-                            started,
-                            bytes_in,
-                            keep_alive,
-                            request_id,
-                        }));
-                    }
-                    routes::Reply::GridStream { head, stream } => {
-                        let (tx, rx) = std::sync::mpsc::sync_channel(STREAM_CHANNEL_DEPTH);
-                        state.complete(Completion::StreamStart {
-                            token,
-                            head,
-                            rx,
-                            route,
-                            started,
-                            bytes_in,
-                            keep_alive,
-                            request_id,
-                        });
-                        // Blocks on the channel whenever the loop (and
-                        // ultimately the peer) falls behind; returns early
-                        // if the connection dies (the rx drops).
-                        routes::stream_grid_blocks(&state, token, &tx, stream);
-                        gf_trace::set_current_request(0);
-                    }
-                }
-            });
-            if !queued {
-                // Only possible racing shutdown: the loop is about to tear
-                // everything down anyway.
-                self.close(token);
-            }
-            0
-        } else if routes::is_prometheus(&request.method, &request.path) {
-            // The one non-JSON route: rendered here by the transport so
-            // the dispatcher's JSON contract stays uniform.
-            gf_trace::set_current_request(request_id);
-            let body = prometheus::render(&self.state);
-            let end_ticks = if exec_start_ticks != 0 {
-                let end = gf_trace::now_ticks();
+        let meta = Meta {
+            token,
+            route,
+            started: Instant::now(),
+            bytes_in: request.body.len() as u64,
+            keep_alive: request.keep_alive,
+            request_id: conn.request_id,
+        };
+        if !offload {
+            gf_trace::set_current_request(meta.request_id);
+            let reply = routes::handle(&self.state, found, &request, exec_start_ticks);
+            gf_trace::set_current_request(0);
+            return self.answer(meta, reply);
+        }
+        conn.state = ConnState::Dispatched;
+        conn.deadline = None; // the engine owes us, the peer owes nothing
+        let state = Arc::clone(&self.state);
+        let queued = self.state.engine.execute(move || {
+            gf_trace::set_current_request(meta.request_id);
+            // One worker-side read closes the queue wait and opens the
+            // execute span.
+            let claimed_ticks = if exec_start_ticks != 0 {
+                let claimed = gf_trace::now_ticks();
                 gf_trace::record_span_at(
-                    gf_trace::SpanName::Execute,
+                    gf_trace::SpanName::QueueWait,
                     exec_start_ticks,
-                    end.saturating_sub(exec_start_ticks),
+                    claimed.saturating_sub(exec_start_ticks),
                     0,
                 );
-                end
+                claimed
             } else {
                 0
             };
+            let reply = routes::handle(&state, found, &request, claimed_ticks);
             gf_trace::set_current_request(0);
-            self.finish_request(
-                token, route, 200, &body, started, bytes_in, keep_alive, request_id, true,
-                end_ticks,
-            )
-        } else {
-            gf_trace::set_current_request(request_id);
-            let (status, body, handled_end) =
-                routes::handle(&self.state, &mut self.buffer, &request, exec_start_ticks);
-            gf_trace::set_current_request(0);
-            self.finish_request(
-                token,
-                route,
-                status,
-                &body,
-                started,
-                bytes_in,
-                keep_alive,
-                request_id,
-                false,
-                handled_end,
-            )
+            state.complete(Completion::Reply(meta, reply));
+        });
+        if !queued {
+            // Only possible racing shutdown: the loop is about to tear
+            // everything down anyway.
+            self.close(token);
         }
+        0
+    }
+
+    /// Answers a routed request wherever it ran: queues a buffered
+    /// response, or opens a streamed one and hands its row-blocks to a
+    /// pool worker. Returns the write span's opening stamp (0 for a
+    /// stream or when untraced).
+    fn answer(&mut self, meta: Meta, reply: routes::Reply) -> u64 {
+        let (head, stream) = match reply {
+            routes::Reply::Full(response) => return self.finish_request(meta, &response),
+            routes::Reply::GridStream { head, stream } => (head, stream),
+        };
+        let (tx, rx) = std::sync::mpsc::sync_channel(STREAM_CHANNEL_DEPTH);
+        self.start_stream(meta, head, rx);
+        let state = Arc::clone(&self.state);
+        // The worker blocks on the channel whenever the loop (and
+        // ultimately the peer) falls behind, and stops early if the
+        // connection dies (the rx drops) or the pool is closing (the tx
+        // drops unsent).
+        self.state.engine.execute(move || {
+            gf_trace::set_current_request(meta.request_id);
+            routes::stream_grid_blocks(&state, meta.token, &tx, stream);
+            gf_trace::set_current_request(0);
+        });
+        0
     }
 
     /// Records and encodes one finished request. The response bytes are
@@ -1202,62 +1137,61 @@ impl EventLoop {
     /// [`Self::process_buffered`]) so pipelined responses share a write.
     /// A keep-alive connection goes straight back to `Read` with its idle
     /// deadline re-armed; a closing one waits in `Write` for the flush.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_request(
-        &mut self,
-        token: u64,
-        route: usize,
-        status: u16,
-        body: &str,
-        started: Instant,
-        bytes_in: u64,
-        request_keep_alive: bool,
-        request_id: u64,
-        text_plain: bool,
-        handed_ticks: u64,
-    ) -> u64 {
-        let keep_alive = request_keep_alive && !self.state.stop.load(Ordering::SeqCst);
+    fn finish_request(&mut self, meta: Meta, response: &routes::Response) -> u64 {
+        let keep_alive = meta.keep_alive && !self.state.stop.load(Ordering::SeqCst);
+        let (status, body) = (response.status, &response.body);
         // One `Instant` read serves the latency metric and the idle
         // deadline both.
         let now = Instant::now();
-        let elapsed_us = now.duration_since(started).as_secs_f64() * 1e6;
-        self.state
-            .metrics
-            .record(route, status, elapsed_us, bytes_in, body.len() as u64);
+        let elapsed_us = now.duration_since(meta.started).as_secs_f64() * 1e6;
+        self.state.metrics.record(
+            meta.route,
+            status,
+            elapsed_us,
+            meta.bytes_in,
+            body.len() as u64,
+        );
         self.state.requests.fetch_add(1, Ordering::Relaxed);
         let slow_floor = self.state.config.slow_request_us;
         if slow_floor > 0 && elapsed_us >= slow_floor as f64 {
-            log_slow_request(request_id, route, status, elapsed_us);
+            log_slow_request(meta.request_id, meta.route, status, elapsed_us);
         }
         let idle_deadline = now + self.state.config.idle_timeout;
         // The write span opens at the dispatcher's last boundary stamp
         // (serialize end, handed down to avoid a fresh clock read) and
         // closes when the coalesced flush fully drains — so it covers
         // encoding, queueing and the socket write.
-        let cursor_ticks = if handed_ticks != 0 {
-            handed_ticks
+        let cursor_ticks = if response.end_ticks != 0 {
+            response.end_ticks
         } else if gf_trace::enabled() {
             gf_trace::now_ticks()
         } else {
             0
         };
-        let Some(conn) = self.conns.get_mut(token) else {
+        let Some(conn) = self.conns.get_mut(meta.token) else {
             return cursor_ticks; // closed while dispatched (shutdown) — counted, unsendable
         };
         conn.close_after_write = !keep_alive;
-        if text_plain {
-            http::encode_text_response(&mut conn.outbuf, status, body, keep_alive, request_id);
+        if response.text {
+            http::encode_text_response(&mut conn.outbuf, status, body, keep_alive, meta.request_id);
         } else {
-            http::encode_response(&mut conn.outbuf, status, body, keep_alive, None, request_id);
+            http::encode_response(
+                &mut conn.outbuf,
+                status,
+                body,
+                keep_alive,
+                None,
+                meta.request_id,
+            );
         }
         if cursor_ticks != 0 && conn.write_started_ticks == 0 {
             conn.write_started_ticks = cursor_ticks;
-            conn.write_request_id = request_id;
+            conn.write_request_id = meta.request_id;
         }
         conn.request_id = 0;
         if keep_alive {
             conn.state = ConnState::Read;
-            arm_deadline(&mut self.timers, conn, token, idle_deadline);
+            arm_deadline(&mut self.timers, conn, meta.token, idle_deadline);
         } else {
             conn.state = ConnState::Write;
         }
@@ -1439,35 +1373,12 @@ impl EventLoop {
         for completion in completed {
             self.progress = true;
             match completion {
-                Completion::Respond(response) => {
-                    self.finish_request(
-                        response.token,
-                        response.route,
-                        response.status,
-                        &response.body,
-                        response.started,
-                        response.bytes_in,
-                        response.keep_alive,
-                        response.request_id,
-                        false,
-                        0,
-                    );
+                Completion::Reply(meta, reply) => {
+                    self.answer(meta, reply);
                     // Flush the queued response, resume any pipelined
                     // follower behind it, and re-sync interest/deadlines.
-                    self.process_buffered(response.token);
+                    self.process_buffered(meta.token);
                 }
-                Completion::StreamStart {
-                    token,
-                    head,
-                    rx,
-                    route,
-                    started,
-                    bytes_in,
-                    keep_alive,
-                    request_id,
-                } => self.start_stream(
-                    token, head, rx, route, started, bytes_in, keep_alive, request_id,
-                ),
                 Completion::StreamWake { token } => self.pump_stream(token),
             }
         }
@@ -1477,37 +1388,31 @@ impl EventLoop {
     /// fragment, then whatever the worker has already queued. If the
     /// connection died while the request was dispatched, the dropped
     /// receiver stops the worker at its next send.
-    #[allow(clippy::too_many_arguments)]
     fn start_stream(
         &mut self,
-        token: u64,
+        meta: Meta,
         head: String,
         rx: std::sync::mpsc::Receiver<StreamEvent>,
-        route: usize,
-        started: Instant,
-        bytes_in: u64,
-        keep_alive: bool,
-        request_id: u64,
     ) {
-        let keep_alive = keep_alive && !self.state.stop.load(Ordering::SeqCst);
+        let keep_alive = meta.keep_alive && !self.state.stop.load(Ordering::SeqCst);
         {
-            let Some(conn) = self.conns.get_mut(token) else {
+            let Some(conn) = self.conns.get_mut(meta.token) else {
                 return; // closed while dispatched: rx drops here
             };
             conn.state = ConnState::Stream;
             conn.close_after_write = !keep_alive;
             conn.request_id = 0;
-            http::encode_stream_head(&mut conn.outbuf, 200, keep_alive, request_id);
+            http::encode_stream_head(&mut conn.outbuf, 200, keep_alive, meta.request_id);
             http::encode_chunk(&mut conn.outbuf, head.as_bytes());
             conn.streaming = Some(StreamState {
                 rx,
-                route,
-                started,
-                bytes_in,
+                route: meta.route,
+                started: meta.started,
+                bytes_in: meta.bytes_in,
                 bytes_out: head.len() as u64,
             });
         }
-        self.pump_stream(token);
+        self.pump_stream(meta.token);
     }
 
     /// Relays queued stream events into the connection's output buffer, up

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! greenfpga-serve [--addr 127.0.0.1:7878] [--workers N] [--eval-threads N]
-//!                 [--cache-capacity N] [--cache-shards N]
-//!                 [--max-connections N] [--max-body-bytes N]
+//!                 [--cache-capacity N] [--max-connections N]
+//!                 [--max-body-bytes N]
 //!                 [--idle-timeout SECS] [--header-timeout SECS]
 //!                 [--driver epoll|portable|auto]
 //!                 [--trace-log PATH] [--slow-request-us N]
@@ -105,14 +105,14 @@ mod tests {
     fn defaults_and_overrides_parse() {
         let config = ServerConfig::from_args::<&str>(&[]).unwrap().unwrap();
         assert_eq!(config.addr, "127.0.0.1:7878");
-        assert_eq!(config.cache_shards, 8);
+        assert_eq!(config.cache_capacity, 64);
         assert_eq!(config.max_connections, 4096);
         assert_eq!(config.header_timeout, std::time::Duration::from_secs(10));
         assert_eq!(config.driver, gf_server::DriverKind::Auto);
         assert_eq!(config.trace_log, None);
         assert_eq!(config.slow_request_us, 0);
         let config = ServerConfig::from_args(&argv(
-            "--addr 0.0.0.0:9000 --workers 8 --eval-threads 2 --cache-shards 4 --max-connections 64 \
+            "--addr 0.0.0.0:9000 --workers 8 --eval-threads 2 --cache-capacity 4 --max-connections 64 \
              --idle-timeout 30 --header-timeout 3 --driver portable \
              --trace-log /tmp/spans.ndjson --slow-request-us 500",
         ))
@@ -121,7 +121,7 @@ mod tests {
         assert_eq!(config.addr, "0.0.0.0:9000");
         assert_eq!(config.workers, 8);
         assert_eq!(config.eval_threads, 2);
-        assert_eq!(config.cache_shards, 4);
+        assert_eq!(config.cache_capacity, 4);
         assert_eq!(config.max_connections, 64);
         assert_eq!(config.idle_timeout, std::time::Duration::from_secs(30));
         assert_eq!(config.header_timeout, std::time::Duration::from_secs(3));
@@ -139,9 +139,13 @@ mod tests {
         assert!(ServerConfig::from_args(&argv("--workers x")).is_err());
         assert!(ServerConfig::from_args(&argv("--frobnicate 1")).is_err());
         assert!(ServerConfig::from_args(&argv("--help")).unwrap().is_none());
-        // Zero capacities/shards/caps are configuration errors, not clamps.
+        // Zero capacities/caps are configuration errors, not clamps.
         assert!(ServerConfig::from_args(&argv("--cache-capacity 0")).is_err());
-        assert!(ServerConfig::from_args(&argv("--cache-shards 0")).is_err());
+        // The scenario cache is one LRU; the old shard flag is unknown.
+        assert_eq!(
+            ServerConfig::from_args(&argv("--cache-shards 4")).unwrap_err(),
+            "unknown option '--cache-shards'"
+        );
         assert!(ServerConfig::from_args(&argv("--max-connections 0")).is_err());
         assert!(ServerConfig::from_args(&argv("--header-timeout 0")).is_err());
         assert!(ServerConfig::from_args(&argv("--driver kqueue")).is_err());

@@ -1,7 +1,9 @@
 //! Hand-rolled Prometheus text exposition for `GET /metrics`.
 //!
-//! The same registry `GET /v1/metrics` serializes as typed JSON, rendered
-//! in the [text-based exposition format] a Prometheus scraper ingests —
+//! The same [`MetricsResponse`] snapshot `GET /v1/metrics` serializes as
+//! typed JSON — plus the uptime, the per-route latency sums and the
+//! event-loop stats, which only this page shows — rendered in the
+//! [text-based exposition format] a Prometheus scraper ingests —
 //! written by hand because the format is a dozen lines of `write!` and the
 //! workspace takes no external dependencies. Counter families end in
 //! `_total`, histograms emit cumulative `_bucket{le=...}` series closed by
@@ -17,12 +19,16 @@
 use std::fmt::Write;
 use std::sync::atomic::Ordering;
 
+use greenfpga::api::{CacheShardMetrics, MetricsResponse, RouteMetrics};
+
 use crate::metrics::{LoopStats, CONN_STATES, LOOP_BOUNDS_US};
 use crate::ServerState;
 
-/// Renders the whole exposition page. Counters are read relaxed, route by
-/// route — the page is not one atomic cut, same contract as the JSON view.
-pub(crate) fn render(state: &ServerState) -> String {
+/// Renders the whole exposition page from `snapshot` (the `/v1/metrics`
+/// body) and the server's extra counters. Counters are read relaxed,
+/// route by route — the page is not one atomic cut, same contract as the
+/// JSON view.
+pub(crate) fn render(state: &ServerState, snapshot: &MetricsResponse) -> String {
     let mut out = String::with_capacity(8 * 1024);
     let o = &mut out;
 
@@ -36,40 +42,37 @@ pub(crate) fn render(state: &ServerState) -> String {
         o,
         "gf_requests_total",
         "counter",
-        state.requests.load(Ordering::Relaxed) as f64,
+        snapshot.requests_served as f64,
     );
     scalar(
         o,
         "gf_connections_live",
         "gauge",
-        state.live_connections.load(Ordering::SeqCst) as f64,
+        snapshot.connections_live as f64,
     );
     scalar(
         o,
         "gf_connections_max",
         "gauge",
-        state.config.max_connections as f64,
+        snapshot.connections_max as f64,
     );
     scalar(
         o,
         "gf_connections_rejected_total",
         "counter",
-        state.metrics.rejected.load(Ordering::Relaxed) as f64,
+        snapshot.connections_rejected as f64,
     );
 
-    routes(o, state);
-    cache(o, state);
+    routes(o, &snapshot.routes, &state.metrics.sums_us());
+    cache(o, snapshot);
     event_loop(o, &state.loop_stats);
     out
 }
 
 /// Per-route request/error/byte counters and the latency histogram.
-fn routes(o: &mut String, state: &ServerState) {
-    let snapshots = state.metrics.snapshot_routes();
-    let sums_us = state.metrics.sums_us();
-
+fn routes(o: &mut String, snapshots: &[RouteMetrics], sums_us: &[f64]) {
     let _ = writeln!(o, "# TYPE gf_route_requests_total counter");
-    for route in &snapshots {
+    for route in snapshots {
         let label = escape(&route.route);
         let _ = writeln!(
             o,
@@ -78,7 +81,7 @@ fn routes(o: &mut String, state: &ServerState) {
         );
     }
     let _ = writeln!(o, "# TYPE gf_route_errors_total counter");
-    for route in &snapshots {
+    for route in snapshots {
         let label = escape(&route.route);
         let _ = writeln!(
             o,
@@ -92,7 +95,7 @@ fn routes(o: &mut String, state: &ServerState) {
         );
     }
     let _ = writeln!(o, "# TYPE gf_route_bytes_in_total counter");
-    for route in &snapshots {
+    for route in snapshots {
         let _ = writeln!(
             o,
             "gf_route_bytes_in_total{{route=\"{}\"}} {}",
@@ -101,7 +104,7 @@ fn routes(o: &mut String, state: &ServerState) {
         );
     }
     let _ = writeln!(o, "# TYPE gf_route_bytes_out_total counter");
-    for route in &snapshots {
+    for route in snapshots {
         let _ = writeln!(
             o,
             "gf_route_bytes_out_total{{route=\"{}\"}} {}",
@@ -111,7 +114,7 @@ fn routes(o: &mut String, state: &ServerState) {
     }
 
     let _ = writeln!(o, "# TYPE gf_route_latency_us histogram");
-    for (route, sum_us) in snapshots.iter().zip(&sums_us) {
+    for (route, sum_us) in snapshots.iter().zip(sums_us) {
         let label = escape(&route.route);
         let mut cumulative = 0u64;
         for (bound, count) in route.latency.bounds_us.iter().zip(&route.latency.counts) {
@@ -135,21 +138,15 @@ fn routes(o: &mut String, state: &ServerState) {
     }
 }
 
-/// Per-shard scenario-cache occupancy and hit/miss counters.
-fn cache(o: &mut String, state: &ServerState) {
-    let shards = state.engine.cache_shard_metrics();
-    let _ = writeln!(o, "# TYPE gf_cache_entries gauge");
-    for (i, shard) in shards.iter().enumerate() {
-        let _ = writeln!(o, "gf_cache_entries{{shard=\"{i}\"}} {}", shard.entries);
-    }
-    let _ = writeln!(o, "# TYPE gf_cache_hits_total counter");
-    for (i, shard) in shards.iter().enumerate() {
-        let _ = writeln!(o, "gf_cache_hits_total{{shard=\"{i}\"}} {}", shard.hits);
-    }
-    let _ = writeln!(o, "# TYPE gf_cache_misses_total counter");
-    for (i, shard) in shards.iter().enumerate() {
-        let _ = writeln!(o, "gf_cache_misses_total{{shard=\"{i}\"}} {}", shard.misses);
-    }
+/// Scenario-cache occupancy and hit/miss counters.
+fn cache(o: &mut String, snapshot: &MetricsResponse) {
+    let shards = &snapshot.cache_shards;
+    let total = |field: fn(&CacheShardMetrics) -> u64| -> f64 {
+        shards.iter().map(field).sum::<u64>() as f64
+    };
+    scalar(o, "gf_cache_entries", "gauge", total(|s| s.entries));
+    scalar(o, "gf_cache_hits_total", "counter", total(|s| s.hits));
+    scalar(o, "gf_cache_misses_total", "counter", total(|s| s.misses));
 }
 
 /// Event-loop health: iteration-duration histogram, driver wait, wakeup

@@ -4,9 +4,9 @@
 //! identity: every `/v1/<kind>` entry (method from [`QueryKind::method`],
 //! `POST` for all kinds except the body-less `GET /v1/catalog`) is derived
 //! from [`QueryKind::ALL`], the metrics registry builds its labels from the
-//! same table, and [`route_index`] positions a request against it — so
-//! adding a query kind to the core enum makes it servable *and* metered
-//! with no server-side list to update.
+//! same table, and [`find`] looks a request up in it once — so adding a
+//! query kind to the core enum makes it servable *and* metered with no
+//! server-side list to update.
 //!
 //! Every query handler decodes the typed request from [`greenfpga::api`],
 //! runs it through the shared [`greenfpga::Engine`] — the **same**
@@ -19,9 +19,9 @@
 use std::sync::mpsc::SyncSender;
 use std::sync::OnceLock;
 
-use gf_json::{object, FromJson, JsonWriter, ToJson, Value};
-use greenfpga::api::{MetricsResponse, QueryKind, TraceResponse};
-use greenfpga::{ApiError, GridRequest, GridStream, Outcome, ResultBuffer};
+use gf_json::{object, JsonWriter, ToJson, Value};
+use greenfpga::api::{MetricsResponse, Query, QueryKind, TraceResponse};
+use greenfpga::{ApiError, GridStream, Outcome};
 
 use crate::http::Request;
 use crate::{Completion, ServerState, StreamEvent};
@@ -33,9 +33,8 @@ pub(crate) enum Endpoint {
     Healthz,
     /// `GET /v1/metrics`: the typed observability snapshot (JSON).
     Metrics,
-    /// `GET /metrics`: the same registry in Prometheus text format. The
-    /// one non-JSON response in the table — rendered by the transport
-    /// (see [`crate::prometheus`]), not the JSON dispatcher.
+    /// `GET /metrics`: the same snapshot in Prometheus text format — the
+    /// one non-JSON response in the table (see [`crate::prometheus`]).
     Prometheus,
     /// `GET /v1/trace`: the recent-span rings as typed JSON.
     Trace,
@@ -52,6 +51,17 @@ pub(crate) struct Route {
     pub path: &'static str,
     /// What it serves.
     pub endpoint: Endpoint,
+}
+
+impl Route {
+    /// Whether the request runs on the worker pool instead of inline on
+    /// the event loop ([`QueryKind::offloads`]). Point lookups finish in
+    /// single-digit microseconds — handing them to another thread costs
+    /// more than answering them — while the fan-out kinds can burn
+    /// milliseconds and would stall every other connection on the loop.
+    pub(crate) fn offloads(&self) -> bool {
+        matches!(self.endpoint, Endpoint::Query(kind) if kind.offloads())
+    }
 }
 
 /// The dispatch table: the observability `GET` endpoints followed by one
@@ -90,93 +100,50 @@ pub(crate) fn route_table() -> &'static [Route] {
     })
 }
 
-/// The metrics-registry index of a request — its dispatch-table position,
-/// falling back to the trailing bucket for unknown paths and methods.
-pub(crate) fn route_index(method: &str, path: &str) -> usize {
-    route_table()
+/// Looks a request up in the dispatch table — the one scan a request
+/// costs. Returns the entry with its table index, which is also its
+/// metrics-registry index. An unknown path is a 404 and a known path
+/// under another method a 405; both meter against the fallback bucket.
+pub(crate) fn find(method: &str, path: &str) -> Result<(usize, &'static Route), ApiError> {
+    let (index, entry) = route_table()
         .iter()
-        .position(|route| route.method == method && route.path == path)
-        .unwrap_or(usize::MAX)
+        .enumerate()
+        .find(|(_, route)| route.path == path)
+        .ok_or_else(|| ApiError::not_found(format!("no route for {method} {path}")))?;
+    if entry.method != method {
+        return Err(ApiError::method_not_allowed(format!(
+            "{} only supports {}",
+            entry.path, entry.method
+        )));
+    }
+    Ok((index, entry))
 }
 
-/// Whether a request should run on the worker pool instead of inline on
-/// the event loop ([`QueryKind::offloads`]). Point lookups finish in
-/// single-digit microseconds — handing them to another thread costs more
-/// than answering them — while the fan-out kinds can burn milliseconds and
-/// would stall every other connection if they ran on the loop.
-pub(crate) fn offloads(method: &str, path: &str) -> bool {
-    route_table()
-        .iter()
-        .find(|route| route.method == method && route.path == path)
-        .is_some_and(|route| match route.endpoint {
-            Endpoint::Query(kind) => kind.offloads(),
-            Endpoint::Healthz | Endpoint::Metrics | Endpoint::Prometheus | Endpoint::Trace => false,
-        })
+/// A buffered response.
+pub(crate) struct Response {
+    /// HTTP status.
+    pub status: u16,
+    /// Response body: JSON, or Prometheus text when `text` is set.
+    pub body: String,
+    /// Whether the body is the `text/plain` exposition.
+    pub text: bool,
+    /// The serialize span's closing stamp (0 when untraced), which opens
+    /// the write span.
+    pub end_ticks: u64,
 }
 
-/// True when the request addresses the Prometheus text endpoint — the one
-/// route whose response the transport renders as `text/plain` instead of
-/// routing through the JSON dispatcher.
-pub(crate) fn is_prometheus(method: &str, path: &str) -> bool {
-    route_table()
-        .iter()
-        .find(|route| route.method == method && route.path == path)
-        .is_some_and(|route| route.endpoint == Endpoint::Prometheus)
-}
-
-/// What an offloaded request produced on the worker.
+/// What a routed request produced.
 pub(crate) enum Reply {
     /// A complete buffered response.
-    Full {
-        /// HTTP status.
-        status: u16,
-        /// JSON body.
-        body: String,
-    },
+    Full(Response),
     /// A `stream: true` grid request: the response head (JSON up to the
-    /// streamed rows) is ready and the worker should pump the row-blocks.
+    /// streamed rows) is ready and a worker should pump the row-blocks.
     GridStream {
         /// Response JSON up to and including `"ratios":[`.
         head: String,
         /// The bounded-memory grid evaluation to pump.
         stream: Box<GridStream>,
     },
-}
-
-/// Routes one offloaded request, additionally recognizing the streamed
-/// grid mode ([`Reply::GridStream`]) that the inline path never serves
-/// (grids always offload). Everything else behaves exactly like
-/// [`handle`].
-pub(crate) fn handle_offloaded(
-    state: &ServerState,
-    buffer: &mut ResultBuffer,
-    request: &Request,
-    exec_start_ticks: u64,
-) -> Reply {
-    if request.method == "POST" && request.path == QueryKind::Grid.path() {
-        match try_grid_stream(state, request) {
-            Ok(Some(stream)) => {
-                // The execute span for a streamed grid covers decode and
-                // compile, and the serialize span the head; the rows show
-                // up as `eval_batch` spans while the stream drains.
-                let mid = record_span(gf_trace::SpanName::Execute, exec_start_ticks, 0);
-                return match stream.head_json() {
-                    Ok(head) => {
-                        record_span(gf_trace::SpanName::Serialize, mid, head.len() as u64);
-                        Reply::GridStream { head, stream }
-                    }
-                    Err(e) => Reply::error(&serialization_error(&e)),
-                };
-            }
-            Ok(None) => {} // `stream` not requested: buffered path below
-            Err(error) => {
-                record_span(gf_trace::SpanName::Execute, exec_start_ticks, 0);
-                return Reply::error(&error);
-            }
-        }
-    }
-    let (status, body, _) = handle(state, buffer, request, exec_start_ticks);
-    Reply::Full { status, body }
 }
 
 /// Closes a span opened at `start_ticks` and returns its end stamp, which
@@ -193,29 +160,6 @@ fn record_span(name: gf_trace::SpanName, start_ticks: u64, aux: u64) -> u64 {
 
 fn serialization_error(error: &gf_json::JsonError) -> ApiError {
     ApiError::internal(format!("response serialization failed: {error}"))
-}
-
-impl Reply {
-    fn error(error: &ApiError) -> Reply {
-        Reply::Full {
-            status: error.http_status(),
-            body: error_body(error),
-        }
-    }
-}
-
-/// Decodes a grid request and, when it asked to stream, compiles the
-/// scenario. `Ok(None)` means "buffered request — use the ordinary path".
-fn try_grid_stream(
-    state: &ServerState,
-    request: &Request,
-) -> Result<Option<Box<GridStream>>, ApiError> {
-    let body = parse_body(state, request)?;
-    let grid = GridRequest::from_json(&body)?;
-    if !grid.stream {
-        return Ok(None);
-    }
-    Ok(Some(Box::new(state.engine.grid_stream(&grid)?)))
 }
 
 /// Evaluates a grid stream block by block on the worker, sending each
@@ -252,9 +196,20 @@ pub(crate) fn stream_grid_blocks(
     };
 }
 
-/// What a successful dispatch answers with: a typed response, written
-/// into the body only after the execute span closes.
+/// What a successful dispatch answers with, written into the body only
+/// after the execute span closes.
 enum Payload {
+    /// A JSON body.
+    Json(Json),
+    /// `GET /metrics`: the Prometheus text page.
+    Text(String),
+    /// A `stream: true` grid: its head is written here, its rows by a
+    /// worker ([`stream_grid_blocks`]).
+    GridStream(Box<GridStream>),
+}
+
+/// A JSON response body.
+enum Json {
     /// A `/v1/<kind>` query's outcome; the body is its bare result.
     Outcome(Outcome),
     Metrics(MetricsResponse),
@@ -262,86 +217,83 @@ enum Payload {
     Health(Value),
 }
 
-impl ToJson for Payload {
+impl ToJson for Json {
     fn write_json(&self, w: &mut JsonWriter) {
         match self {
-            Payload::Outcome(outcome) => outcome.write_result(w),
-            Payload::Metrics(metrics) => metrics.write_json(w),
-            Payload::Trace(trace) => trace.write_json(w),
-            Payload::Health(health) => health.write_json(w),
+            Json::Outcome(outcome) => outcome.write_result(w),
+            Json::Metrics(metrics) => metrics.write_json(w),
+            Json::Trace(trace) => trace.write_json(w),
+            Json::Health(health) => health.write_json(w),
         }
     }
 }
 
-/// Routes one request. Returns `(status, body, end_ticks)`; the body is
-/// always JSON. `exec_start_ticks` (0 = untraced) opens the execute
-/// span, which ends when the engine (or the error) returns; its closing
-/// stamp opens the serialize span over the one writer pass that produces
-/// the body. The final boundary stamp is returned so the transport can
-/// open the write span without a fresh clock read (0 when untraced).
+/// Runs one request against the entry [`find`] resolved it to (or answers
+/// the lookup's 404/405). `exec_start_ticks` (0 = untraced) opens the
+/// execute span, which ends when the engine (or the error) returns; its
+/// closing stamp opens the serialize span over the one writer pass that
+/// produces the body, and the final boundary stamp rides back in
+/// [`Response::end_ticks`].
 pub(crate) fn handle(
     state: &ServerState,
-    buffer: &mut ResultBuffer,
+    route: Result<&Route, ApiError>,
     request: &Request,
     exec_start_ticks: u64,
-) -> (u16, String, u64) {
-    let result = dispatch(state, buffer, request);
+) -> Reply {
+    let result = route.and_then(|route| dispatch(state, route, request));
     let mid = record_span(gf_trace::SpanName::Execute, exec_start_ticks, 0);
-    let written = result.and_then(|payload| {
-        payload
+    let written = match result {
+        Ok(Payload::GridStream(stream)) => match stream.head_json() {
+            Ok(head) => {
+                record_span(gf_trace::SpanName::Serialize, mid, head.len() as u64);
+                return Reply::GridStream { head, stream };
+            }
+            Err(e) => Err(serialization_error(&e)),
+        },
+        Ok(Payload::Text(text)) => Ok((text, true)),
+        Ok(Payload::Json(json)) => json
             .to_json_string()
-            .map_err(|e| serialization_error(&e))
-    });
-    let (status, body) = match written {
-        Ok(body) => (200, body),
-        Err(error) => (error.http_status(), error_body(&error)),
+            .map(|body| (body, false))
+            .map_err(|e| serialization_error(&e)),
+        Err(error) => Err(error),
     };
-    let end = record_span(gf_trace::SpanName::Serialize, mid, body.len() as u64);
-    (status, body, end)
+    let (status, body, text) = match written {
+        Ok((body, text)) => (200, body, text),
+        Err(error) => (error.http_status(), error_body(&error), false),
+    };
+    let end_ticks = record_span(gf_trace::SpanName::Serialize, mid, body.len() as u64);
+    Reply::Full(Response {
+        status,
+        body,
+        text,
+        end_ticks,
+    })
 }
 
-/// Finds the dispatch-table entry for a request and runs it.
-fn dispatch(
-    state: &ServerState,
-    buffer: &mut ResultBuffer,
-    request: &Request,
-) -> Result<Payload, ApiError> {
-    let entry = route_table()
-        .iter()
-        .find(|route| route.path == request.path)
-        .ok_or_else(|| {
-            ApiError::not_found(format!("no route for {} {}", request.method, request.path))
-        })?;
-    if entry.method != request.method {
-        return Err(ApiError::method_not_allowed(format!(
-            "{} only supports {}",
-            entry.path, entry.method
-        )));
-    }
-    match entry.endpoint {
-        Endpoint::Healthz => Ok(Payload::Health(healthz(state))),
-        Endpoint::Metrics => Ok(Payload::Metrics(metrics(state))),
-        // The transport intercepts `GET /metrics` before dispatch (its
-        // response is text, not JSON); reaching this arm means a bug in
-        // that interception, not a client error.
-        Endpoint::Prometheus => Err(ApiError::internal(
-            "prometheus exposition must be rendered by the transport",
-        )),
-        Endpoint::Trace => Ok(Payload::Trace(trace())),
+/// Runs a resolved dispatch-table entry. A query body is parsed and
+/// decoded once; the decoded grid request itself says whether to stream.
+fn dispatch(state: &ServerState, route: &Route, request: &Request) -> Result<Payload, ApiError> {
+    Ok(match route.endpoint {
+        Endpoint::Healthz => Payload::Json(Json::Health(healthz(state))),
+        Endpoint::Metrics => Payload::Json(Json::Metrics(metrics(state))),
+        Endpoint::Prometheus => Payload::Text(crate::prometheus::render(state, &metrics(state))),
+        Endpoint::Trace => Payload::Json(Json::Trace(trace())),
         Endpoint::Query(kind) => {
             // `GET` query routes (the catalog) carry no body; decode from
             // the empty object instead of parsing zero bytes as JSON.
-            let body = if entry.method == "GET" {
+            let body = if route.method == "GET" {
                 Value::Object(Vec::new())
             } else {
                 parse_body(state, request)?
             };
-            let query = kind.decode_request(&body)?;
-            Ok(Payload::Outcome(
-                state.engine.run_with_buffer(&query, buffer)?,
-            ))
+            match kind.decode_request(&body)? {
+                Query::Grid(grid) if grid.stream => {
+                    Payload::GridStream(Box::new(state.engine.grid_stream(&grid)?))
+                }
+                query => Payload::Json(Json::Outcome(state.engine.run(&query)?)),
+            }
         }
-    }
+    })
 }
 
 /// Parses the request body (bounded by the transport's body limit, plus
@@ -435,7 +387,7 @@ fn metrics(state: &ServerState) -> MetricsResponse {
         connections_max: state.config.max_connections as u64,
         connections_rejected: state.metrics.rejected.load(Ordering::Relaxed),
         routes: state.metrics.snapshot_routes(),
-        cache_shards: state.engine.cache_shard_metrics(),
+        cache_shards: vec![state.engine.cache_metrics()],
     }
 }
 
@@ -446,28 +398,38 @@ mod tests {
     #[test]
     fn every_query_kind_is_in_the_dispatch_table() {
         for kind in QueryKind::ALL {
-            let index = route_index(kind.method(), kind.path());
-            let entry = &route_table()[index];
+            let (index, entry) = find(kind.method(), kind.path()).unwrap();
+            assert_eq!(
+                route_table()[index].endpoint,
+                Endpoint::Query(kind),
+                "{kind}"
+            );
             assert_eq!(entry.endpoint, Endpoint::Query(kind), "{kind}");
             assert_eq!(entry.method, kind.method());
         }
         // The catalog is the one body-less query route.
-        assert_eq!(route_index("POST", QueryKind::Catalog.path()), usize::MAX);
-        assert!(route_index("GET", "/healthz") < route_table().len());
-        assert!(route_index("GET", "/v1/metrics") < route_table().len());
-        assert!(route_index("GET", "/metrics") < route_table().len());
-        assert!(route_index("GET", "/v1/trace") < route_table().len());
-        // Unknown requests clamp to the fallback bucket downstream.
-        assert_eq!(route_index("GET", "/nope"), usize::MAX);
-        assert_eq!(route_index("PATCH", "/healthz"), usize::MAX);
+        let error = find("POST", QueryKind::Catalog.path()).unwrap_err();
+        assert_eq!(error.code, greenfpga::ApiErrorCode::MethodNotAllowed);
+        for path in ["/healthz", "/v1/metrics", "/metrics", "/v1/trace"] {
+            assert!(find("GET", path).is_ok(), "{path}");
+        }
+        // Unknown paths are 404s, known paths under another method 405s.
+        let error = find("GET", "/nope").unwrap_err();
+        assert_eq!(error.code, greenfpga::ApiErrorCode::NotFound);
+        let error = find("PATCH", "/healthz").unwrap_err();
+        assert_eq!(error.code, greenfpga::ApiErrorCode::MethodNotAllowed);
     }
 
     #[test]
     fn observability_routes_stay_inline_and_prometheus_is_flagged() {
-        assert!(!offloads("GET", "/metrics"));
-        assert!(!offloads("GET", "/v1/trace"));
-        assert!(is_prometheus("GET", "/metrics"));
-        assert!(!is_prometheus("GET", "/v1/metrics"));
-        assert!(!is_prometheus("POST", "/metrics"), "405s stay JSON");
+        for path in ["/metrics", "/v1/trace", "/v1/metrics", "/healthz"] {
+            assert!(!find("GET", path).unwrap().1.offloads(), "{path}");
+        }
+        assert_eq!(
+            find("GET", "/metrics").unwrap().1.endpoint,
+            Endpoint::Prometheus
+        );
+        assert!(find("POST", "/metrics").is_err(), "405s stay JSON");
+        assert!(find("POST", QueryKind::Grid.path()).unwrap().1.offloads());
     }
 }

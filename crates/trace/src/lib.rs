@@ -75,7 +75,7 @@ pub enum SpanName {
     Admission = 1,
     /// Offloaded request's wait from enqueue to worker pickup (server).
     QueueWait = 2,
-    /// Scenario compile on a cache miss (engine; `aux` = shard index).
+    /// Scenario compile on a cache miss (engine; `aux` = 0).
     Compile = 3,
     /// Query execution (server; `aux` = 0): request-body parse, decode
     /// and the engine call, ending when `Engine::run` (or the error)
@@ -90,9 +90,9 @@ pub enum SpanName {
     /// `aux` = bytes written) — covers HTTP encoding, output queueing,
     /// and every readiness round the flush takes.
     Write = 6,
-    /// Scenario-cache hit (engine; `aux` = shard index; zero duration).
+    /// Scenario-cache hit (engine; `aux` = 0; zero duration).
     CacheHit = 7,
-    /// Scenario-cache miss (engine; `aux` = shard index; zero duration —
+    /// Scenario-cache miss (engine; `aux` = 0; zero duration —
     /// the compile cost is the paired [`SpanName::Compile`] span).
     CacheMiss = 8,
     /// Pool job's queue wait from submit to claim (exec).
@@ -184,7 +184,7 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Duration in nanoseconds (`0` for instant events).
     pub duration_ns: u64,
-    /// Span-class-specific detail (shard index, byte count, ...).
+    /// Span-class-specific detail (byte count, catalog index, ...).
     pub aux: u64,
     /// Small id of the recording thread's ring.
     pub thread: u64,

@@ -182,10 +182,8 @@ fn replay_and_catalog_routes_serve_golden_bodies_on_both_drivers() {
 #[test]
 fn repeated_named_scenario_requests_hit_the_compiled_cache() {
     let engine = Engine::with_defaults().unwrap();
-    let misses =
-        |engine: &Engine| -> u64 { engine.cache_shard_metrics().iter().map(|s| s.misses).sum() };
-    let hits =
-        |engine: &Engine| -> u64 { engine.cache_shard_metrics().iter().map(|s| s.hits).sum() };
+    let misses = |engine: &Engine| -> u64 { engine.cache_metrics().misses };
+    let hits = |engine: &Engine| -> u64 { engine.cache_metrics().hits };
     engine.run(&scenario_query("dnn_fleet_10k_3y")).unwrap();
     let misses_after_first = misses(&engine);
     assert_eq!(misses_after_first, 1, "first run compiles");

@@ -356,6 +356,18 @@ fn malformed_requests_are_rejected_without_harming_the_server() {
         .unwrap();
     assert_eq!(status, 400);
     assert!(body.contains("flux"), "{body}");
+    // A bad list element is named by its index.
+    let (status, body) = client
+        .post(
+            "/v1/compare",
+            r#"{"scenarios":[{"domain":"dnn"},{"domain":"gpu"}]}"#,
+        )
+        .unwrap();
+    assert_eq!(status, 400);
+    assert_eq!(
+        without_request_id(&body),
+        r#"{"error":{"code":"bad_request","message":"JSON schema error at scenarios[1].domain: unknown domain 'gpu'","retryable":false}}"#
+    );
     // Hostile nesting trips the parser's depth limit, not the stack.
     let deep = format!("{}{}", "[".repeat(50_000), "]".repeat(50_000));
     let (status, _) = client.post("/v1/evaluate", &deep).unwrap();
@@ -484,12 +496,9 @@ fn metrics_route_has_the_golden_shape_and_counts() {
     assert_eq!(other.requests, 3, "404 and both 405s");
     assert_eq!(other.errors_4xx, 3);
     assert_eq!(other.bytes_in, 2, "the POST /metrics body");
-    // Cache shards: stats sum matches the scenario traffic (one distinct
-    // scenario -> one miss, the rest hits).
-    assert_eq!(
-        metrics.cache_shards.len(),
-        ServerConfig::default().cache_shards
-    );
+    // The one scenario cache: its stats match the scenario traffic (one
+    // distinct scenario -> one miss, the rest hits).
+    assert_eq!(metrics.cache_shards.len(), 1);
     let misses: u64 = metrics.cache_shards.iter().map(|s| s.misses).sum();
     let hits: u64 = metrics.cache_shards.iter().map(|s| s.hits).sum();
     assert_eq!(misses, 1);
@@ -580,11 +589,10 @@ fn rejected_connections_carry_retry_after() {
 }
 
 #[test]
-fn sharded_cache_survives_concurrent_hammering_with_exact_stats() {
+fn scenario_cache_survives_concurrent_hammering_with_exact_stats() {
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 8,
-        cache_shards: 4,
         idle_timeout: std::time::Duration::from_secs(2),
         ..ServerConfig::default()
     };
@@ -629,13 +637,13 @@ fn sharded_cache_survives_concurrent_hammering_with_exact_stats() {
     let mut client = connect(&handle);
     let (_, body) = client.get("/v1/metrics").unwrap();
     let metrics = MetricsResponse::from_json(&gf_json::parse(&body).unwrap()).unwrap();
-    assert_eq!(metrics.cache_shards.len(), 4);
+    assert_eq!(metrics.cache_shards.len(), 1);
     let hits: u64 = metrics.cache_shards.iter().map(|s| s.hits).sum();
     let misses: u64 = metrics.cache_shards.iter().map(|s| s.misses).sum();
     assert_eq!(
         hits + misses,
         (clients * rounds) as u64,
-        "every lookup counted exactly once across shards"
+        "every lookup counted exactly once"
     );
     assert!(
         misses <= scenarios.len() as u64,
