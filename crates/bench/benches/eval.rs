@@ -662,7 +662,7 @@ fn main() {
             }
         })
         .collect();
-    let mut text = String::with_capacity(CODEC_NUMBERS * 24);
+    let mut text = Vec::with_capacity(CODEC_NUMBERS * 24);
     let codec_f64 = bench_with("codec_f64_4096", Duration::from_millis(120), 5, || {
         text.clear();
         for &n in &numbers {

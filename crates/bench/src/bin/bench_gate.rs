@@ -23,7 +23,9 @@
 //!   the frontier no slower than the dense grid on the same lattice
 //!   (`frontier_speedup ≥ 1`), the batch kernel's cost per point
 //!   (`evaluate_ns_per_point ≤`
-//!   [`gf_bench::EVALUATE_NS_PER_POINT_CEILING`]), the serving soak
+//!   [`gf_bench::EVALUATE_NS_PER_POINT_CEILING`]), the shortest-`f64`
+//!   printer's cost per number (`codec_f64_ns ≤`
+//!   [`gf_bench::CODEC_F64_NS_CEILING`]), the serving soak
 //!   holding at least [`gf_bench::SERVE_CONNECTIONS_FLOOR`] verified live
 //!   keep-alive connections (`serve_connections`), and the default-on
 //!   tracing costing at most 3% of serve throughput (`trace_overhead ≥`
@@ -134,6 +136,21 @@ fn run(baseline_path: &str, candidate_path: &str, tolerance: f64) -> Result<bool
         println!(
             "  {:<40} {ns:>31.1}ns   {verdict}  (absolute ceiling {ceiling})",
             "evaluate_ns_per_point (ceiling)"
+        );
+    }
+    // The shortest-f64 printer has its own ceiling (see
+    // [`gf_bench::CODEC_F64_NS_CEILING`]) next to the relative gate.
+    if let Some(ns) = lookup(&candidate, "codec_f64_ns") {
+        let ceiling = gf_bench::CODEC_F64_NS_CEILING;
+        let verdict = if ns > ceiling {
+            failed = true;
+            "REGRESSED"
+        } else {
+            "ok"
+        };
+        println!(
+            "  {:<40} {ns:>31.1}ns   {verdict}  (absolute ceiling {ceiling})",
+            "codec_f64_ns (ceiling)"
         );
     }
     // The serving soak must keep demonstrating event-loop connection
@@ -478,6 +495,40 @@ mod tests {
             std::fs::write(
                 &candidate,
                 format!("{{\n  \"evaluate_ns_per_point\": {passing}\n}}\n"),
+            )
+            .unwrap();
+            assert!(!run(
+                baseline.to_str().unwrap(),
+                candidate.to_str().unwrap(),
+                1.25
+            )
+            .unwrap());
+        }
+    }
+
+    #[test]
+    fn codec_f64_ns_has_an_absolute_ceiling() {
+        let dir = std::env::temp_dir().join("gf_bench_gate_codec_f64_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let baseline = dir.join("baseline.json");
+        let candidate = dir.join("candidate.json");
+        // A baseline that recorded the same slow printer cannot grandfather
+        // it in: the relative comparison is green, the ceiling still fails.
+        std::fs::write(&baseline, "{\n  \"codec_f64_ns\": 55\n}\n").unwrap();
+        std::fs::write(&candidate, "{\n  \"codec_f64_ns\": 55\n}\n").unwrap();
+        assert!(run(
+            baseline.to_str().unwrap(),
+            candidate.to_str().unwrap(),
+            1.25
+        )
+        .unwrap());
+        // At or under the ceiling passes against a baseline it is within
+        // tolerance of.
+        std::fs::write(&baseline, "{\n  \"codec_f64_ns\": 25\n}\n").unwrap();
+        for passing in [12.0, 20.0, gf_bench::CODEC_F64_NS_CEILING] {
+            std::fs::write(
+                &candidate,
+                format!("{{\n  \"codec_f64_ns\": {passing}\n}}\n"),
             )
             .unwrap();
             assert!(!run(

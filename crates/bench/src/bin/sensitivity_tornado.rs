@@ -13,7 +13,7 @@ fn main() -> Result<(), greenfpga::GreenFpgaError> {
     let point = OperatingPoint::paper_default();
 
     for domain in Domain::ALL {
-        let tornado = estimator.tornado_analysis(domain, point)?;
+        let tornado = estimator.tornado_analysis(domain, point, 0)?;
         let baseline = tornado
             .entries
             .first()

@@ -20,6 +20,17 @@ use greenfpga::{CfpBreakdown, Estimator, EstimatorParams};
 /// above the ceiling even when a stale baseline would wave it through.
 pub const EVALUATE_NS_PER_POINT_CEILING: f64 = 50.0;
 
+/// Absolute ceiling for the `codec_f64_ns` metric — `bench eval`'s median
+/// time per number of `gf_json::write_f64` over 4096 ratios and kilogram
+/// totals — checked by `bench_gate` on the candidate. The Schubfach
+/// printer spends three 128-bit multiplies and at most one digit-removal
+/// step per number and writes the digits straight into the body; a
+/// digit-search loop, a staging copy or a per-number UTF-8 check coming
+/// back lands above the ceiling even when a stale baseline would wave it
+/// through. On a shared 2-vCPU x86-64 VM the printer measures 35–41 ns,
+/// so a runner that slow fails this ceiling.
+pub const CODEC_F64_NS_CEILING: f64 = 30.0;
+
 /// Absolute floor for the `serve_connections` soak metric: the event-loop
 /// server must demonstrably hold at least this many concurrently-live,
 /// individually re-verified keep-alive connections while serving active

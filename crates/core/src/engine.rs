@@ -278,9 +278,11 @@ impl Engine {
             }
             Query::Tornado(request) => {
                 let estimator = Estimator::new(request.scenario.params());
-                Outcome::Tornado(
-                    estimator.tornado_analysis(request.scenario.domain, request.point)?,
-                )
+                Outcome::Tornado(estimator.tornado_analysis(
+                    request.scenario.domain,
+                    request.point,
+                    threads,
+                )?)
             }
             Query::MonteCarlo(request) => {
                 let report = MonteCarlo::new(request.samples)

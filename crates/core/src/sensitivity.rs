@@ -69,7 +69,9 @@ impl Estimator {
     /// The baseline and the two endpoints of every knob are evaluated
     /// through the batch engine — each probe retunes one knob in place,
     /// compiles the scenario once and evaluates the point — with the
-    /// `2 × knobs` probes fanned out over the work-stealing pool.
+    /// `2 × knobs` probes fanned out over `threads` workers (0 = automatic,
+    /// see [`exec::try_fill_indexed`]). The result is the same for every
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -78,6 +80,7 @@ impl Estimator {
         &self,
         domain: Domain,
         point: OperatingPoint,
+        threads: usize,
     ) -> Result<TornadoAnalysis, GreenFpgaError> {
         let template = ScenarioTemplate::new(domain)?;
         let baseline_ratio = template.compile(self.params())?.ratio(point)?;
@@ -90,7 +93,7 @@ impl Estimator {
             })
             .collect();
         let mut ratios = vec![0.0f64; probes.len()];
-        exec::try_fill_indexed(&mut ratios, 0, |i| {
+        exec::try_fill_indexed(&mut ratios, threads, |i| {
             let (knob, value) = probes[i];
             let mut params = self.params().clone();
             knob.apply_mut(&mut params, value);
@@ -122,7 +125,7 @@ mod tests {
 
     fn analysis(domain: Domain) -> TornadoAnalysis {
         Estimator::default()
-            .tornado_analysis(domain, OperatingPoint::paper_default())
+            .tornado_analysis(domain, OperatingPoint::paper_default(), 0)
             .unwrap()
     }
 

@@ -1,383 +1,287 @@
-//! Shortest round-trip `f64` printing, byte-identical to `format!("{}", x)`.
+//! Shortest round-trip `f64` printing, byte-identical to `format!("{}", x)`,
+//! straight into a byte buffer.
 //!
-//! The digits come from Ryu's `d2d` search (Ulf Adams, "Ryū: fast
-//! float-to-string conversion", PLDI 2018): the shortest decimal inside the
-//! interval of reals that round to `x`, and of those the closest to `x`.
-//! The power-of-5 multipliers use Ryu's small-table variant: every 26th
-//! power is a constant below, and the rest are one 64×128-bit product away,
-//! plus a two-bit correction from the offset tables. The layout is std's
-//! `Display`: plain decimal with no exponent, `0.000…` below one, `-0` for
-//! negative zero and no `.0` on integers.
+//! The digits come from Schubfach (Raffaello Giulietti, "The Schubfach way
+//! to render doubles", 2020). Scaled by `10^-k`, the interval of reals that
+//! round to `x` is between 1 and 10 units wide, so it holds at most one
+//! multiple of ten units and at least one whole unit. Three 128-bit
+//! multiplies bound it; one check for a multiple of ten, then one pick
+//! between the two units around `x`, give the shortest decimal and, of
+//! those, the closest. There is no digit-removal loop: trailing zeros are
+//! read off the digit bytes.
 //!
-//! One departure from Ryu: when `x` lies exactly halfway between the two
-//! closest shortest candidates, std rounds up and Ryu rounds to even, so
+//! The multipliers are `10^e`'s top 128 bits rounded up ([`POW10`]),
+//! built at compile time by a small bignum. The layout is std's `Display`:
+//! plain decimal with no exponent, `0.000…` below one, `-0` for negative
+//! zero and no `.0` on integers. The digits are split out eight at a time
+//! by SWAR arithmetic and stored straight into the caller's buffer, 16
+//! bytes per store; nothing is staged or re-validated.
+//!
+//! One departure from the paper: when `x` lies exactly halfway between the
+//! two closest candidates, std rounds up and Schubfach rounds to even, so
 //! this printer rounds up (`1800059038860668.25` prints as
 //! `1800059038860668.3`).
 
-/// Bits of each 128-bit power-of-5 multiplier.
-const POW5_BITCOUNT: i32 = 125;
-/// Bits of each 128-bit inverse power-of-5 multiplier.
-const POW5_INV_BITCOUNT: i32 = 125;
-/// Stride of the stored powers: 5^(26k) and 5^-(26k) are stored, and
-/// `5^offset` for `offset < 26` fits in a `u64`.
-const POW5_STRIDE: u32 = 26;
+/// The smallest exponent `e` of [`POW10`]; the largest is 324.
+pub const POW10_MIN_EXP: i32 = -292;
 
-/// `5^0 ..= 5^25`.
-pub const POW5_TABLE: [u64; POW5_STRIDE as usize] = {
-    let mut table = [1u64; POW5_STRIDE as usize];
+/// `⌈10^e · 2^(127 − ⌊log2 10^e⌋)⌉`, the top 128 bits of `10^e` rounded
+/// up, for `e` in `-292..=324`: entry `e − POW10_MIN_EXP`.
+pub static POW10: [u128; 617] = pow10_table();
+
+/// Limbs of the table builder's bignum: `2^832` fits, and so does `5^324`.
+const LIMBS: usize = 14;
+
+/// `big`'s limb `i − down`, or 0 below the first.
+const fn limb(big: &[u64; LIMBS], i: usize, down: usize) -> u64 {
+    if i >= down {
+        big[i - down]
+    } else {
+        0
+    }
+}
+
+/// `big`'s top 128 bits and whether any bit below them is set.
+const fn top_bits(big: &[u64; LIMBS]) -> (u128, bool) {
+    let mut top = LIMBS - 1;
+    while big[top] == 0 {
+        top -= 1;
+    }
+    // The top three limbs, shifted so the leading one is the window's.
+    let shift = big[top].leading_zeros();
+    let high = (big[top] as u128) << 64 | limb(big, top, 1) as u128;
+    let low = limb(big, top, 2);
+    let value = if shift == 0 {
+        high
+    } else {
+        high << shift | (low >> (64 - shift)) as u128
+    };
+    let mut inexact = low << shift != 0;
+    let mut i = 0;
+    while i + 2 < top {
+        inexact |= big[i] != 0;
+        i += 1;
+    }
+    (value, inexact)
+}
+
+const fn pow10_table() -> [u128; 617] {
+    let mut table = [0u128; 617];
+    let zero = -POW10_MIN_EXP as usize;
+    // 10^e and 5^e share their significand: 5^e for e ≥ 0, rounded up.
+    let mut big = [0u64; LIMBS];
+    big[0] = 1;
+    let mut e = 0;
+    while e < table.len() - zero {
+        let (value, inexact) = top_bits(&big);
+        table[zero + e] = value + inexact as u128;
+        let mut carry = 0u128;
+        let mut i = 0;
+        while i < LIMBS {
+            let product = big[i] as u128 * 5 + carry;
+            big[i] = product as u64;
+            carry = product >> 64;
+            i += 1;
+        }
+        e += 1;
+    }
+    // ⌊2^832 / 5^j⌋ by repeated exact division; 2^832 / 5^j is never an
+    // integer, so rounding its top bits up adds one.
+    let mut big = [0u64; LIMBS];
+    big[LIMBS - 1] = 1;
+    let mut j = 1;
+    while j <= zero {
+        let mut remainder = 0u128;
+        let mut i = LIMBS;
+        while i > 0 {
+            i -= 1;
+            let current = remainder << 64 | big[i] as u128;
+            big[i] = (current / 5) as u64;
+            remainder = current % 5;
+        }
+        table[zero - j] = top_bits(&big).0 + 1;
+        j += 1;
+    }
+    table
+}
+
+/// `⌊g · cp / 2^128⌋`, with its lowest bit set when the discarded part
+/// is above the error of the rounded-up `g` (round to odd).
+fn round_to_odd(g: u128, cp: u64) -> u64 {
+    let cp = u128::from(cp);
+    let low = (g as u64 as u128) * cp;
+    let high = (g >> 64) * cp + (low >> 64);
+    (high >> 64) as u64 | u64::from(high as u64 > 1)
+}
+
+/// The shortest decimal `digits · 10^exponent` inside the round-trip
+/// interval of `c · 2^q`, and of those the closest to it; `digits` may
+/// end in zeros, which the layout drops. `lower_closer` marks a power of
+/// two whose lower neighbour is half as far away as its upper one.
+fn shortest(c: u64, q: i32, lower_closer: bool) -> (u64, i32) {
+    // k = ⌊log10(2^q)⌋, or ⌊log10(3/4 · 2^q)⌋ for the narrower interval.
+    let k = (q * 315_653 - if lower_closer { 131_237 } else { 0 }) >> 20;
+    // h = q + ⌊log2 10^-k⌋ + 1 leaves the products scaled by 10^-k · 2^q.
+    let h = q + ((-k * 1_741_647) >> 19) + 1;
+    let g = POW10[(-k - POW10_MIN_EXP) as usize];
+    // Four times the value and its bounds, scaled; round-half-even
+    // parsing lets an even significand own its bounds.
+    let vb = round_to_odd(g, c << (h + 2));
+    let lower = round_to_odd(g, (4 * c - 2 + u64::from(lower_closer)) << h) + (c & 1);
+    let upper = round_to_odd(g, (4 * c + 2) << h) - (c & 1);
+    let s = vb / 4;
+    // At most one multiple of ten units fits in the interval: if it does,
+    // it is the answer. Otherwise pick between the two units around the
+    // value: the one inside, or the closer one, and the upper on a tie.
+    // Selects, not branches: either case is about as likely.
+    let ten = s / 10 * 40;
+    let (down, up) = (lower <= ten, ten + 40 <= upper);
+    let short = down != up;
+    let (down_unit, up_unit) = (lower <= 4 * s, 4 * s + 4 <= upper);
+    let up_unit = if down_unit == up_unit {
+        vb >= 4 * s + 2
+    } else {
+        up_unit
+    };
+    let digits = if short {
+        s / 10 + u64::from(up)
+    } else {
+        s + u64::from(up_unit)
+    };
+    (digits, k + i32::from(short))
+}
+
+/// `10^0 ..= 10^19`.
+static POW10_U64: [u64; 20] = {
+    let mut table = [1u64; 20];
     let mut i = 1;
     while i < table.len() {
-        table[i] = table[i - 1] * 5;
+        table[i] = table[i - 1] * 10;
         i += 1;
     }
     table
 };
 
-/// `5^(26k)` normalized to its top 125 bits, for `k = 0..13`.
-pub const POW5_SPLIT2: [u128; 13] = [
-    0x10000000_00000000_00000000_00000000,
-    0x14adf4b7_320334b9_00000000_00000000,
-    0x1aba4714_957d300d_0e549208_b31adb10,
-    0x1145b7e2_85bf98f5_6dc6ad26_4d8f0866,
-    0x1652efdc_6018a1fc_eb1dbd92_3d8596ca,
-    0x1cda6205_5b2d9d83_b4c1b80b_22ae923c,
-    0x12a5568b_9f52f416_5bb28b4e_8f7e4c30,
-    0x18196515_31f9e78f_f08aed43_7682d4fb,
-    0x1f25c186_a6f04c28_b4ee134a_d99bf150,
-    0x1420eb44_9c8842e6_16499ecb_70c25f03,
-    0x1a03fde2_14caf085_85a56ead_360865b0,
-    0x10cfeb35_3a97dad8_093db1d5_7999890b,
-    0x15baaf44_fa52673e_cf38bb73_5e3f36ac,
-];
-
-/// `⌊2^(bits(5^(26k)) − 1 + 125) / 5^(26k)⌋ + 1`, for `k = 0..13`.
-pub const POW5_INV_SPLIT2: [u128; 13] = [
-    0x20000000_00000000_00000000_00000001,
-    0x18c240c4_aecb13bb_52a6c95f_c0655034,
-    0x1327fc58_da0f6ff5_7ca8d500_71dfc806,
-    0x1da48ce4_68e7c702_6520247d_3556476e,
-    0x16ef5b40_c2fc7779_6139cdd7_6802e6e9,
-    0x11bebdf5_78b2f391_f951a7ff_43de8c79,
-    0x1b758d84_8fac54b0_7be8bee8_d6e957e8,
-    0x153eda61_4071a3b7_8bd3f9e9_99a423ea,
-    0x10701bd5_27b4978c_0848f973_cb3ee3ce,
-    0x196fbb9b_b44db44d_153285eb_b9efbfa2,
-    0x13ae3591_f5b4d936_adeee7f8_6c07b696,
-    0x1e74404f_3daada91_4d686a4e_af182222,
-    0x17900ea4_fda7c257_98c0a106_e09ebd9f,
-];
-
-/// Two-bit corrections of [`pow5`], sixteen per word, for `i = 0..326`.
-pub const POW5_OFFSETS: [u32; 21] = [
-    0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x40000000, 0x59695995, 0x55545555, 0x56555515,
-    0x41150504, 0x40555410, 0x44555145, 0x44504540, 0x45555550, 0x40004000, 0x96440440, 0x55565565,
-    0x54454045, 0x40154151, 0x55559155, 0x51405555, 0x00000105,
-];
-
-/// Two-bit corrections of [`inv_pow5`], sixteen per word, for `i = 0..292`.
-pub const POW5_INV_OFFSETS: [u32; 19] = [
-    0x54544554, 0x04055545, 0x10041000, 0x00400414, 0x40010000, 0x41155555, 0x00000454, 0x00010044,
-    0x40000000, 0x44000041, 0x50454450, 0x55550054, 0x51655554, 0x40004000, 0x01000001, 0x00010500,
-    0x51515411, 0x05555554, 0x00000000,
-];
-
-/// `⌈log2(5^e)⌉` (1 for `e = 0`), exact for `0 ≤ e ≤ 3528`.
-const fn pow5bits(e: u32) -> u32 {
-    ((e * 1_217_359) >> 19) + 1
-}
-
-/// `⌊log10(2^e)⌋`, exact for `0 ≤ e ≤ 1650`.
-const fn log10_pow2(e: u32) -> u32 {
-    (e * 78_913) >> 18
-}
-
-/// `⌊log10(5^e)⌋`, exact for `0 ≤ e ≤ 2620`.
-const fn log10_pow5(e: u32) -> u32 {
-    (e * 732_923) >> 20
-}
-
-fn correction(offsets: &[u32], i: u32) -> u128 {
-    u128::from((offsets[(i / 16) as usize] >> ((i % 16) * 2)) & 3)
-}
-
-/// `5^i` normalized to its top 125 bits, for `i < 326`.
-pub fn pow5(i: u32) -> u128 {
-    if i < POW5_STRIDE {
-        // Exact: 5^i < 2^59 shifts up into the top 125 bits.
-        return u128::from(POW5_TABLE[i as usize]) << (125 - pow5bits(i));
-    }
-    let base = i / POW5_STRIDE;
-    let base2 = base * POW5_STRIDE;
-    let mul = POW5_SPLIT2[base as usize];
-    let offset = i - base2;
-    if offset == 0 {
-        return mul;
-    }
-    let shift = pow5bits(i) - pow5bits(base2);
-    shift_product(POW5_TABLE[offset as usize], mul, shift) + correction(&POW5_OFFSETS, i)
-}
-
-/// `⌊2^(bits(5^i) − 1 + 125) / 5^i⌋ + 1`, for `i < 292`.
-pub fn inv_pow5(i: u32) -> u128 {
-    let base = i.div_ceil(POW5_STRIDE);
-    let base2 = base * POW5_STRIDE;
-    let mul = POW5_INV_SPLIT2[base as usize];
-    let offset = base2 - i;
-    if offset == 0 {
-        return mul;
-    }
-    let shift = pow5bits(base2) - pow5bits(i);
-    shift_product(POW5_TABLE[offset as usize], mul - 1, shift)
-        + 1
-        + correction(&POW5_INV_OFFSETS, i)
-}
-
-/// `⌊m · mul / 2^shift⌋` for `shift < 64`, truncated to 128 bits.
-fn shift_product(m: u64, mul: u128, shift: u32) -> u128 {
-    let m = u128::from(m);
-    let low = m * (mul as u64 as u128);
-    let high = m * (mul >> 64);
-    (high << (64 - shift)).wrapping_add(low >> shift)
-}
-
-/// `⌊m · mul / 2^j⌋` for `j ≥ 64`.
-fn mul_shift(m: u64, mul: u128, j: u32) -> u64 {
-    let low = u128::from(m) * (mul as u64 as u128);
-    let high = u128::from(m) * (mul >> 64);
-    (((low >> 64) + high) >> (j - 64)) as u64
-}
-
-fn pow5_factor(mut value: u64) -> u32 {
-    let mut count = 0;
-    while value.is_multiple_of(5) {
-        value /= 5;
-        count += 1;
-    }
-    count
-}
-
-fn multiple_of_power_of_5(value: u64, p: u32) -> bool {
-    pow5_factor(value) >= p
-}
-
-/// The shortest decimal `(digits, exponent)` with `digits · 10^exponent`
-/// inside the round-trip interval of the positive finite double with the
-/// given IEEE fields.
-fn d2d(ieee_mantissa: u64, ieee_exponent: u32) -> (u64, i32) {
-    // Two extra bits so the interval bounds stay integral.
-    let (e2, m2) = if ieee_exponent == 0 {
-        (1 - 1023 - 52 - 2, ieee_mantissa)
-    } else {
-        (
-            ieee_exponent as i32 - 1023 - 52 - 2,
-            (1u64 << 52) | ieee_mantissa,
-        )
-    };
-    // Round-half-even parsing: an even mantissa owns its interval bounds.
-    let accept_bounds = m2 & 1 == 0;
-    let mv = 4 * m2;
-    // A power of two above the smallest normal has its lower neighbour
-    // half as far away, so its lower bound is closer (mm_shift 0).
-    let mm_shift = u64::from(ieee_mantissa != 0 || ieee_exponent <= 1);
-
-    let (mut vr, mut vp, mut vm, e10);
-    // Whether the exact lower bound ends in the digits removed so far.
-    let mut vm_trailing_zeros = false;
-    if e2 >= 0 {
-        let q = log10_pow2(e2 as u32) - u32::from(e2 > 3);
-        e10 = q as i32;
-        let k = POW5_INV_BITCOUNT + pow5bits(q) as i32 - 1;
-        let j = (-e2 + q as i32 + k) as u32;
-        let mul = inv_pow5(q);
-        vr = mul_shift(mv, mul, j);
-        vp = mul_shift(mv + 2, mul, j);
-        vm = mul_shift(mv - 1 - mm_shift, mul, j);
-        // At most one of mv, mp and mm is a multiple of 5.
-        if q <= 21 && !mv.is_multiple_of(5) {
-            if accept_bounds {
-                vm_trailing_zeros = multiple_of_power_of_5(mv - 1 - mm_shift, q);
-            } else {
-                vp -= u64::from(multiple_of_power_of_5(mv + 2, q));
-            }
-        }
-    } else {
-        let q = log10_pow5((-e2) as u32) - u32::from(-e2 > 1);
-        e10 = q as i32 + e2;
-        let i = (-e2) as u32 - q;
-        let k = pow5bits(i) as i32 - POW5_BITCOUNT;
-        let j = (q as i32 - k) as u32;
-        let mul = pow5(i);
-        vr = mul_shift(mv, mul, j);
-        vp = mul_shift(mv + 2, mul, j);
-        vm = mul_shift(mv - 1 - mm_shift, mul, j);
-        if q <= 1 {
-            if accept_bounds {
-                vm_trailing_zeros = mm_shift == 1;
-            } else {
-                vp -= 1;
-            }
-        }
-    }
-
-    // Drop digits while the interval still holds a shorter candidate, then
-    // round vr by the last digit dropped. Ryu also tracks whether the
-    // dropped digits of vr are exactly 50…0, to round that tie to even;
-    // std rounds it up, so the last dropped digit alone decides here.
-    let mut removed = 0;
-    let output = if vm_trailing_zeros {
-        // Rare: the exact lower bound may itself be the shortest candidate.
-        let mut last_removed = 0;
-        while vp / 10 > vm / 10 {
-            vm_trailing_zeros &= vm.is_multiple_of(10);
-            last_removed = vr % 10;
-            vr /= 10;
-            vp /= 10;
-            vm /= 10;
-            removed += 1;
-        }
-        if vm_trailing_zeros {
-            while vm.is_multiple_of(10) {
-                last_removed = vr % 10;
-                vr /= 10;
-                vm /= 10;
-                removed += 1;
-            }
-        }
-        vr + u64::from((vr == vm && (!accept_bounds || !vm_trailing_zeros)) || last_removed >= 5)
-    } else {
-        let mut round_up = false;
-        // Two digits at a time first: most values drop at least two.
-        if vp / 100 > vm / 100 {
-            round_up = vr % 100 >= 50;
-            vr /= 100;
-            vp /= 100;
-            vm /= 100;
-            removed += 2;
-        }
-        while vp / 10 > vm / 10 {
-            round_up = vr % 10 >= 5;
-            vr /= 10;
-            vp /= 10;
-            vm /= 10;
-            removed += 1;
-        }
-        // Step up when vr falls outside the interval or rounds up.
-        vr + u64::from(vr == vm || round_up)
-    };
-    (output, e10 + removed)
-}
-
-const DIGIT_PAIRS: &[u8; 200] = b"\
-    0001020304050607080910111213141516171819\
-    2021222324252627282930313233343536373839\
-    4041424344454647484950515253545556575859\
-    6061626364656667686970717273747576777879\
-    8081828384858687888990919293949596979899";
-
-/// Writes `n`'s decimal digits right-aligned into `buf`, returning the
-/// index of the first digit.
-fn write_digits(mut n: u64, buf: &mut [u8; 20]) -> usize {
-    let mut at = buf.len();
-    while n >= 100 {
-        let pair = (n % 100) as usize * 2;
-        n /= 100;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    }
-    if n >= 10 {
-        let pair = n as usize * 2;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    } else {
-        at -= 1;
-        buf[at] = b'0' + n as u8;
-    }
-    at
-}
-
-fn push_ascii(out: &mut String, bytes: &[u8]) {
-    out.push_str(std::str::from_utf8(bytes).expect("digits are ASCII"));
-}
-
-fn push_zeros(out: &mut String, count: usize) {
-    const ZEROS: &str = "0000000000000000000000000000000000000000000000000000000000000000";
-    let mut left = count;
-    while left > 0 {
-        let run = left.min(ZEROS.len());
-        out.push_str(&ZEROS[..run]);
-        left -= run;
-    }
+/// The number of decimal digits of `n > 0`.
+fn decimal_len(n: u64) -> usize {
+    // ⌊log10 n⌋ is `guess` or `guess − 1`.
+    let guess = (((64 - n.leading_zeros()) * 1233) >> 12) as usize;
+    guess + usize::from(n >= POW10_U64[guess])
 }
 
 /// Appends `x` exactly as `format!("{}", x)` renders it: the shortest
 /// decimal that parses back to the same bits, in plain positional
 /// notation. Non-finite values print as std prints them (`NaN`, `inf`,
 /// `-inf`); JSON callers reject those before they get here.
-pub fn write_f64(out: &mut String, x: f64) {
+pub fn write_f64(out: &mut Vec<u8>, x: f64) {
     if !x.is_finite() {
-        out.push_str(if x.is_nan() {
-            "NaN"
+        out.extend_from_slice(if x.is_nan() {
+            b"NaN"
         } else if x > 0.0 {
-            "inf"
+            b"inf"
         } else {
-            "-inf"
+            b"-inf"
         });
         return;
     }
     let bits = x.to_bits();
     if bits >> 63 != 0 {
-        out.push('-');
+        out.push(b'-');
     }
-    let ieee_mantissa = bits & ((1u64 << 52) - 1);
-    let ieee_exponent = ((bits >> 52) & 0x7ff) as u32;
-    let mut digits = [0u8; 20];
-
-    // Integers below 2^53 print as their own digits.
-    let e2 = ieee_exponent as i32 - 1023 - 52;
-    if (-52..=0).contains(&e2) {
-        let m2 = (1u64 << 52) | ieee_mantissa;
-        if m2 & ((1u64 << -e2) - 1) == 0 {
-            let first = write_digits(m2 >> -e2, &mut digits);
-            push_ascii(out, &digits[first..]);
-            return;
-        }
-    }
-    if ieee_exponent == 0 && ieee_mantissa == 0 {
-        out.push('0');
+    let fraction = bits & ((1u64 << 52) - 1);
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    if biased == 0 && fraction == 0 {
+        out.push(b'0');
         return;
     }
-
-    let (mut mantissa, mut exponent) = d2d(ieee_mantissa, ieee_exponent);
-    while mantissa.is_multiple_of(10) {
-        mantissa /= 10;
-        exponent += 1;
-    }
-    let first = write_digits(mantissa, &mut digits);
-    let digits = &digits[first..];
-    let len = digits.len();
+    let (c, q) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << 52, biased - 1075)
+    };
+    // Integers below 2^53 print as their own digits.
+    let (digits, exponent) = if (-52..=0).contains(&q) && c & ((1u64 << -q) - 1) == 0 {
+        (c >> -q, 0)
+    } else {
+        shortest(c, q, fraction == 0 && biased > 1)
+    };
+    // The last digit, and the rest as sixteen digit bytes with the first
+    // in the lowest byte: trailing zeros are zero bytes at the top, and
+    // the text leaves them out.
+    let len = decimal_len(digits);
+    let (head, last) = (digits / 10, (digits % 10) as u8);
+    let values = digit_values(head);
+    let zeros = if last == 0 {
+        1 + values.leading_zeros() as usize / 8
+    } else {
+        0
+    };
+    let (len, exponent, full) = (len - zeros, exponent + zeros as i32, len);
     // The decimal point sits `point` digits from the left.
     let point = len as i32 + exponent;
-    // Lay the text out on the stack when it fits, as one push.
-    let mut text = [b'0'; 48];
-    if point <= 0 {
-        let zeros = (-point) as usize;
-        if 2 + zeros + len <= text.len() {
-            text[1] = b'.';
-            text[2 + zeros..2 + zeros + len].copy_from_slice(digits);
-            push_ascii(out, &text[..2 + zeros + len]);
-        } else {
-            out.push_str("0.");
-            push_zeros(out, zeros);
-            push_ascii(out, digits);
-        }
-    } else if (point as usize) < len {
-        let (int, frac) = digits.split_at(point as usize);
-        text[..int.len()].copy_from_slice(int);
-        text[int.len()] = b'.';
-        text[int.len() + 1..=len].copy_from_slice(frac);
-        push_ascii(out, &text[..=len]);
+    let text = if point <= 0 {
+        2 + (-point) as usize + len
     } else {
-        push_ascii(out, digits);
-        push_zeros(out, point as usize - len);
+        len.max(point as usize) + usize::from((point as usize) < len)
+    };
+    // Lay the text out over a run of '0's, which already holds every
+    // leading and trailing zero, with whole 16-byte stores that may run
+    // past the text; then cut the run back to the text. Up to 24 bytes of
+    // text (every 17-digit fraction) the run has a fixed size.
+    let start = out.len();
+    if text <= 24 {
+        out.extend_from_slice(&[b'0'; 40]);
+    } else {
+        out.resize(start + text + 16, b'0');
     }
+    let body = &mut out[start..];
+    // All digits but the last, left-aligned in 16 bytes; the last is
+    // stored on its own, where a stripped trailing zero is cut off again.
+    let lead = shift_out(values, 17 - full);
+    let last = b'0' + last;
+    if point <= 0 {
+        let first = text - len;
+        body[1] = b'.';
+        body[first..first + 16].copy_from_slice(&ascii(lead));
+        body[first + full - 1] = last;
+    } else {
+        body[..16].copy_from_slice(&ascii(lead));
+        if (point as usize) < len {
+            let point = point as usize;
+            body[point] = b'.';
+            body[point + 1..point + 17].copy_from_slice(&ascii(shift_out(lead, point)));
+            body[full] = last;
+        } else {
+            body[full - 1] = last;
+        }
+    }
+    out.truncate(start + text);
+}
+
+/// `values` without its first `n ≤ 16` digit bytes.
+fn shift_out(values: u128, n: usize) -> u128 {
+    values.checked_shr(8 * n as u32).unwrap_or(0)
+}
+
+/// 16 digit bytes as ASCII, little-endian: the first digit first.
+fn ascii(values: u128) -> [u8; 16] {
+    (values + 0x3030_3030_3030_3030_3030_3030_3030_3030).to_le_bytes()
+}
+
+/// `n < 10^16`'s sixteen decimal digits, zero-padded, one per byte with
+/// the first digit in the lowest byte.
+fn digit_values(n: u64) -> u128 {
+    u128::from(eight_values((n / 100_000_000) as u32))
+        | u128::from(eight_values((n % 100_000_000) as u32)) << 64
+}
+
+/// `n < 10^8`'s eight digits, one per byte with the first in the lowest,
+/// by SWAR arithmetic: halves, then pairs, then digits, each split in
+/// every lane at once.
+fn eight_values(n: u32) -> u64 {
+    let x = u64::from(n / 10_000) | u64::from(n % 10_000) << 32;
+    let hundreds = ((x * 10_486) >> 20) & 0x0000_007f_0000_007f;
+    let x = hundreds | (x - hundreds * 100) << 16;
+    let tens = ((x * 103) >> 10) & 0x000f_000f_000f_000f;
+    tens | (x - tens * 10) << 8
 }

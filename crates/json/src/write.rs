@@ -1,8 +1,11 @@
 //! JSON serialization with round-tripping `f64` output.
 //!
-//! [`JsonWriter`] appends compact JSON straight into a `String`; every
-//! [`ToJson`] impl writes through it, [`Value`] included. Pretty printing
-//! is a [`Value`]-only second pass for human-facing artifacts.
+//! [`JsonWriter`] appends compact JSON straight into a byte buffer; every
+//! [`ToJson`] impl writes through it, [`Value`] included. Numbers print
+//! their digits into that buffer, and keys and strings copy their UTF-8
+//! bytes, so the text is valid UTF-8 by construction:
+//! [`finish`](JsonWriter::finish) checks it once per document. Pretty
+//! printing is a [`Value`]-only second pass for human-facing artifacts.
 //!
 //! Numbers use the shortest round-trip formatting of [`write_f64`], which
 //! matches Rust's `{}` on `f64` byte for byte and guarantees
@@ -10,8 +13,6 @@
 //! property the serving tests golden-match on. Non-finite numbers are an
 //! error: JSON has no lexeme for them, and the usual fallback (emitting
 //! `null`) silently breaks round-tripping.
-
-use std::fmt::Write as _;
 
 use crate::number::write_f64;
 use crate::{JsonError, ToJson, Value};
@@ -39,7 +40,7 @@ impl Default for Printed {
     }
 }
 
-/// A one-pass compact JSON encoder over a growing `String`.
+/// A one-pass compact JSON encoder over a growing byte buffer.
 ///
 /// Containers open and close with [`begin_object`](JsonWriter::begin_object)
 /// / [`end_object`](JsonWriter::end_object) and their array twins; the
@@ -71,7 +72,7 @@ impl Default for Printed {
 /// ```
 #[derive(Debug, Default)]
 pub struct JsonWriter {
-    out: String,
+    out: Vec<u8>,
     /// Whether the next value or key needs a leading comma.
     comma: bool,
     non_finite: bool,
@@ -93,7 +94,7 @@ impl JsonWriter {
     /// (no comma precedes the first value).
     pub fn appending(prefix: String) -> JsonWriter {
         JsonWriter {
-            out: prefix,
+            out: prefix.into_bytes(),
             ..JsonWriter::default()
         }
     }
@@ -108,13 +109,14 @@ impl JsonWriter {
         if self.non_finite {
             Err(JsonError::NonFinite)
         } else {
-            Ok(self.out)
+            // The one UTF-8 check of the document.
+            Ok(String::from_utf8(self.out).expect("the writer appends only UTF-8"))
         }
     }
 
     fn separate(&mut self) {
         if self.comma {
-            self.out.push(',');
+            self.out.push(b',');
         }
     }
 
@@ -126,7 +128,7 @@ impl JsonWriter {
             self.spliced |= 1 << self.depth;
         } else {
             self.separate();
-            self.out.push('{');
+            self.out.push(b'{');
             self.comma = false;
         }
         self.depth += 1;
@@ -141,7 +143,7 @@ impl JsonWriter {
             // A spliced object's members continue the enclosing object.
             self.spliced &= !bit;
         } else {
-            self.out.push('}');
+            self.out.push(b'}');
             self.comma = true;
         }
     }
@@ -149,13 +151,13 @@ impl JsonWriter {
     /// Opens an array.
     pub fn begin_array(&mut self) {
         self.separate();
-        self.out.push('[');
+        self.out.push(b'[');
         self.comma = false;
     }
 
     /// Closes the innermost open array.
     pub fn end_array(&mut self) {
-        self.out.push(']');
+        self.out.push(b']');
         self.comma = true;
     }
 
@@ -163,7 +165,7 @@ impl JsonWriter {
     pub fn key(&mut self, key: &str) {
         self.separate();
         write_string(&mut self.out, key);
-        self.out.push(':');
+        self.out.push(b':');
         self.comma = false;
     }
 
@@ -209,7 +211,7 @@ impl JsonWriter {
             }
         } else {
             self.non_finite = true;
-            self.out.push_str("null");
+            self.out.extend_from_slice(b"null");
         }
         self.comma = true;
     }
@@ -224,14 +226,15 @@ impl JsonWriter {
     /// Writes `true` or `false`.
     pub fn bool(&mut self, b: bool) {
         self.separate();
-        self.out.push_str(if b { "true" } else { "false" });
+        self.out
+            .extend_from_slice(if b { b"true" } else { b"false" });
         self.comma = true;
     }
 
     /// Writes `null`.
     pub fn null(&mut self) {
         self.separate();
-        self.out.push_str("null");
+        self.out.extend_from_slice(b"null");
         self.comma = true;
     }
 }
@@ -263,75 +266,90 @@ impl ToJson for Value {
 
 /// Serializes `value` with two-space indentation.
 pub fn to_string_pretty(value: &Value) -> Result<String, JsonError> {
-    let mut out = String::new();
+    let mut out = Vec::new();
     write_pretty(&mut out, value, 0)?;
-    out.push('\n');
-    Ok(out)
+    out.push(b'\n');
+    Ok(String::from_utf8(out).expect("the writer appends only UTF-8"))
 }
 
-fn write_pretty(out: &mut String, value: &Value, indent: usize) -> Result<(), JsonError> {
+fn write_pretty(out: &mut Vec<u8>, value: &Value, indent: usize) -> Result<(), JsonError> {
     match value {
         Value::Array(items) if !items.is_empty() => {
-            out.push('[');
+            out.push(b'[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 newline_indent(out, indent + 1);
                 write_pretty(out, item, indent + 1)?;
             }
             newline_indent(out, indent);
-            out.push(']');
+            out.push(b']');
         }
         Value::Object(members) if !members.is_empty() => {
-            out.push('{');
+            out.push(b'{');
             for (i, (key, member)) in members.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 newline_indent(out, indent + 1);
                 write_string(out, key);
-                out.push_str(": ");
+                out.extend_from_slice(b": ");
                 write_pretty(out, member, indent + 1)?;
             }
             newline_indent(out, indent);
-            out.push('}');
+            out.push(b'}');
         }
-        scalar => out.push_str(&scalar.to_json_string()?),
+        scalar => out.extend_from_slice(scalar.to_json_string()?.as_bytes()),
     }
     Ok(())
 }
 
-fn newline_indent(out: &mut String, indent: usize) {
-    out.push('\n');
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
+fn newline_indent(out: &mut Vec<u8>, indent: usize) {
+    out.push(b'\n');
+    out.resize(out.len() + 2 * indent, b' ');
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
-        out.push_str(s);
-        out.push('"');
-        return;
+/// Appends `s` quoted, escaping `"`, `\` and control bytes; every other
+/// byte, multi-byte characters included, is copied as is.
+fn write_string(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    if bytes.iter().any(|&b| b == b'"' || b == b'\\' || b < 0x20) {
+        write_escaped(out, bytes);
+    } else {
+        out.extend_from_slice(bytes);
     }
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000c}' => out.push_str("\\f"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    out.push(b'"');
+}
+
+/// [`write_string`]'s rare case: copies the runs between escapes whole.
+#[cold]
+fn write_escaped(out: &mut Vec<u8>, bytes: &[u8]) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut copied = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let unicode;
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            0x08 => b"\\b",
+            0x0c => b"\\f",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..0x20 => {
+                let (high, low) = (HEX[usize::from(b >> 4)], HEX[usize::from(b & 15)]);
+                unicode = [b'\\', b'u', b'0', b'0', high, low];
+                &unicode
             }
-            c => out.push(c),
-        }
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[copied..i]);
+        out.extend_from_slice(escape);
+        copied = i + 1;
     }
-    out.push('"');
+    out.extend_from_slice(&bytes[copied..]);
 }
 
 #[cfg(test)]

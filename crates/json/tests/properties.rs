@@ -8,7 +8,7 @@
 //! byte. `cargo test --release -p gf-json -- --ignored` runs the long
 //! differential sample (over 50M values).
 
-use gf_json::number::{inv_pow5, pow5, POW5_INV_SPLIT2, POW5_SPLIT2, POW5_TABLE};
+use gf_json::number::{POW10, POW10_MIN_EXP};
 use gf_json::{parse, parse_with, write_f64, JsonError, JsonWriter, ParseLimits, Value};
 use gf_support::SplitMix64;
 
@@ -238,10 +238,10 @@ fn nested_round_trip_preserves_structure_through_reserialization() {
 }
 
 fn assert_prints_like_std(x: f64) {
-    let mut ours = String::new();
+    let mut ours = Vec::new();
     write_f64(&mut ours, x);
     let std = format!("{x}");
-    assert_eq!(ours, std, "bits {:#018x}", x.to_bits());
+    assert_eq!(ours, std.as_bytes(), "bits {:#018x}: {std}", x.to_bits());
 }
 
 /// `per_binade` random mantissas (either sign) in each of the 2047 finite
@@ -306,18 +306,55 @@ fn shortest_printer_matches_std_display() {
     // the body must still read like std, fresh or appending to a prefix.
     let mut rng = rng(10);
     assert_writer_prints_like_std("", &sample, &mut rng);
-    assert_writer_prints_like_std(r#"{"head":[1,2],"cells":"#, &sample, &mut rng);
+    assert_writer_prints_like_std(
+        r#"{"région":"Île-de-France ⚡","cells":"#,
+        &sample,
+        &mut rng,
+    );
     // About a million values in all.
     differential_sample(6, 256, 200_000);
     tie_sweep(7, 100);
 }
 
+/// Strings a body carries between its numbers: escapes, control bytes
+/// and multi-byte characters.
+const TEXTS: [&str; 6] = [
+    "plain",
+    "tab\t quote\" back\\ nl\n",
+    "é→\u{1f600} ünï",
+    "nul\u{0} bell\u{7} us\u{1f}",
+    "日本語\r\u{8}\u{c}",
+    "",
+];
+
+/// `s` as a JSON string, escaped one character at a time.
+fn json_string(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{8}' => out.push_str("\\b"),
+            '\u{c}' => out.push_str("\\f"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Writes `values` through one [`JsonWriter`] the ways a result body
-/// repeats numbers, and compares the text with std's `Display` of each,
-/// joined. Each value comes back at once, after a short gap and after a
-/// random longer one; then the first 64 values cycle four times, more
-/// distinct numbers than the memo has slots, so they collide and evict
-/// each other.
+/// repeats numbers, and compares the text with the same document built
+/// from std's `Display` of each. Each value comes back at once, after a
+/// short gap and after a random longer one; then the first 64 values cycle
+/// four times, more distinct numbers than the memo has slots, so they
+/// collide and evict each other. Strings and objects with escaped or
+/// multi-byte keys sit between the numbers, with the number before each
+/// repeated after it (a memo hit across it), and the body passes 64 KiB.
 fn assert_writer_prints_like_std(prefix: &str, values: &[f64], rng: &mut SplitMix64) {
     let mut sequence = Vec::with_capacity(4 * values.len() + 256);
     for (i, &x) in values.iter().enumerate() {
@@ -327,23 +364,40 @@ fn assert_writer_prints_like_std(prefix: &str, values: &[f64], rng: &mut SplitMi
         sequence.extend_from_slice(&values[..64]);
     }
     let mut w = JsonWriter::appending(prefix.to_string());
+    let mut std = Vec::with_capacity(2 * sequence.len());
     w.begin_array();
-    for &x in &sequence {
+    for (i, &x) in sequence.iter().enumerate() {
+        let text = TEXTS[i / 8 % TEXTS.len()];
+        match i % 8 {
+            3 => {
+                w.string(text);
+                std.push(json_string(text));
+            }
+            6 => {
+                w.begin_object();
+                w.member(text, &x);
+                w.end_object();
+                std.push(format!("{{{}:{x}}}", json_string(text)));
+            }
+            _ => {}
+        }
         w.number(x);
+        std.push(format!("{x}"));
     }
     w.end_array();
-    let std: Vec<String> = sequence.iter().map(|x| format!("{x}")).collect();
-    assert_eq!(w.finish().unwrap(), format!("{prefix}[{}]", std.join(",")));
+    let text = w.finish().unwrap();
+    assert!(text.len() > 64 << 10, "a {} byte body", text.len());
+    assert_eq!(text, format!("{prefix}[{}]", std.join(",")));
 }
 
 #[test]
 fn exact_ties_round_up_like_std() {
     // …668.25 sits halfway between …668.2 and …668.3: std rounds up,
-    // Ryu's round-half-even would print …668.2.
+    // Schubfach's round-half-even would print …668.2.
     let x = f64::from_bits(0x4319_9493_9e58_15f1);
-    let mut out = String::new();
+    let mut out = Vec::new();
     write_f64(&mut out, x);
-    assert_eq!(out, "1800059038860668.3");
+    assert_eq!(out, b"1800059038860668.3");
 }
 
 #[test]
@@ -394,6 +448,11 @@ impl Big {
         top as u32 * 32 + (32 - self.0[top].leading_zeros())
     }
 
+    /// Whether any of the lowest `n` bits is set.
+    fn any_below(&self, n: u32) -> bool {
+        (0..n).any(|bit| self.0[bit as usize / 32] >> (bit % 32) & 1 == 1)
+    }
+
     /// The value shifted so exactly `n ≤ 128` significant bits remain
     /// (the value itself when `n` is its bit length).
     fn top_bits(&self, n: u32) -> u128 {
@@ -406,41 +465,30 @@ impl Big {
     }
 }
 
-/// `5^i` normalized to its top 125 bits.
-fn exact_pow5(i: u32) -> u128 {
-    Big::pow5(i).top_bits(125)
-}
-
-/// `⌊2^(bits(5^i) − 1 + 125) / 5^i⌋ + 1`.
-fn exact_inv_pow5(i: u32) -> u128 {
-    let mut quotient = Big::pow2(Big::pow5(i).bits() - 1 + 125);
-    for _ in 0..i {
+/// `10^e`'s top 128 bits, rounded up: `5^e`'s for `e ≥ 0`, and
+/// `⌊2^(bits(5^j) + 127) / 5^j⌋ + 1` for `e = −j < 0` (never exact).
+fn exact_pow10(e: i32) -> u128 {
+    let j = e.unsigned_abs();
+    let power = Big::pow5(j);
+    if e >= 0 {
+        let dropped = power.bits().saturating_sub(128);
+        return power.top_bits(128) + u128::from(power.any_below(dropped));
+    }
+    let mut quotient = Big::pow2(power.bits() + 127);
+    for _ in 0..j {
         quotient.div5();
     }
-    quotient.top_bits(quotient.bits()) + 1
+    quotient.top_bits(128) + 1
 }
 
 #[test]
 fn power_of_5_tables_match_a_bignum_rebuild() {
-    for (i, &power) in POW5_TABLE.iter().enumerate() {
-        let exact = Big::pow5(i as u32);
-        assert_eq!(u128::from(power), exact.top_bits(exact.bits()), "5^{i}");
+    // The multipliers are 10^e's, so 5^e's, significands: every one the
+    // printer can reach, from the smallest subnormal to f64::MAX.
+    for (i, &stored) in POW10.iter().enumerate() {
+        let e = i as i32 + POW10_MIN_EXP;
+        assert_eq!(stored, exact_pow10(e), "10^{e}");
     }
-    for (k, &stored) in POW5_SPLIT2.iter().enumerate() {
-        assert_eq!(stored, exact_pow5(26 * k as u32), "split 26·{k}");
-    }
-    for (k, &stored) in POW5_INV_SPLIT2.iter().enumerate() {
-        assert_eq!(
-            stored,
-            exact_inv_pow5(26 * k as u32),
-            "inverse split 26·{k}"
-        );
-    }
-    // Every multiplier the printer derives, corrections included.
-    for i in 0..326 {
-        assert_eq!(pow5(i), exact_pow5(i), "5^{i}");
-    }
-    for i in 0..292 {
-        assert_eq!(inv_pow5(i), exact_inv_pow5(i), "5^-{i}");
-    }
+    assert_eq!(POW10_MIN_EXP + POW10.len() as i32 - 1, 324);
+    assert_eq!(POW10[(-POW10_MIN_EXP) as usize], 1 << 127, "10^0 is exact");
 }

@@ -278,10 +278,10 @@ fn evaluate_batch_round_trips_large_point_sets() {
 fn tornado_analysis_is_deterministic() {
     let est = estimator();
     let a = est
-        .tornado_analysis(Domain::Dnn, OperatingPoint::paper_default())
+        .tornado_analysis(Domain::Dnn, OperatingPoint::paper_default(), 0)
         .unwrap();
     let b = est
-        .tornado_analysis(Domain::Dnn, OperatingPoint::paper_default())
+        .tornado_analysis(Domain::Dnn, OperatingPoint::paper_default(), 0)
         .unwrap();
     assert_eq!(a, b);
     assert_eq!(a.entries.len(), Knob::ALL.len());

@@ -21,8 +21,8 @@ use greenfpga::api::{
 };
 use greenfpga::{
     catalog, ApiError, ApiErrorCode, CarbonIntensitySeries, CrossoverRequest, Domain, Engine,
-    Estimator, FrontierRequest, HeatmapRenderer, Knob, MonteCarlo, Objective, OperatingPoint,
-    OptPlatform, ScenarioSpec, SearchKnob, SeriesRef, SweepAxis,
+    EngineConfig, Estimator, FrontierRequest, HeatmapRenderer, Knob, MonteCarlo, Objective,
+    OperatingPoint, OptPlatform, ScenarioSpec, SearchKnob, SeriesRef, SweepAxis,
 };
 
 fn engine() -> Engine {
@@ -326,7 +326,7 @@ fn tornado_montecarlo_and_industry_match_direct_calls() {
     assert_eq!(
         analysis,
         Estimator::new(scenario.params())
-            .tornado_analysis(scenario.domain, point)
+            .tornado_analysis(scenario.domain, point, 0)
             .unwrap()
     );
 
@@ -370,6 +370,40 @@ fn tornado_montecarlo_and_industry_match_direct_calls() {
     assert_eq!(industry.devices.len(), expected.len());
     for (device, expected) in industry.devices.iter().zip(&expected) {
         assert_eq!(device.cfp, *expected, "{}", device.device);
+    }
+}
+
+#[test]
+fn tornado_is_bit_identical_across_eval_threads() {
+    let request = Query::Tornado(TornadoRequest {
+        scenario: ScenarioSpec {
+            domain: Domain::Crypto,
+            knobs: vec![(Knob::DutyCycle, 0.45)],
+        },
+        point: OperatingPoint::paper_default(),
+    });
+    let bars = |threads: usize| {
+        let engine = Engine::new(EngineConfig {
+            eval_threads: threads,
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        let Outcome::Tornado(analysis) = engine.run(&request).unwrap() else {
+            panic!("wrong outcome kind");
+        };
+        analysis
+            .entries
+            .iter()
+            .map(|e| {
+                let ratios = [e.ratio_at_low, e.ratio_at_high, e.ratio_at_baseline];
+                (e.knob, ratios.map(f64::to_bits))
+            })
+            .collect::<Vec<_>>()
+    };
+    let serial = bars(1);
+    assert_eq!(serial.len(), Knob::ALL.len());
+    for threads in [2, 8] {
+        assert_eq!(bars(threads), serial, "{threads} eval threads");
     }
 }
 

@@ -916,7 +916,7 @@ fn tornado_route_is_bit_identical_to_the_direct_analysis() {
     assert_eq!(status, 200, "{value:?}");
     let served = TornadoAnalysis::from_json(&value).expect("decode tornado");
     let direct = Estimator::new(scenario.params())
-        .tornado_analysis(scenario.domain, request.point)
+        .tornado_analysis(scenario.domain, request.point, 0)
         .unwrap();
     assert_eq!(served, direct);
     handle.shutdown();
