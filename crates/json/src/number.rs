@@ -13,9 +13,11 @@
 //! The multipliers are `10^e`'s top 128 bits rounded up ([`POW10`]),
 //! built at compile time by a small bignum. The layout is std's `Display`:
 //! plain decimal with no exponent, `0.000…` below one, `-0` for negative
-//! zero and no `.0` on integers. The digits are split out eight at a time
-//! by SWAR arithmetic and stored straight into the caller's buffer, 16
-//! bytes per store; nothing is staged or re-validated.
+//! zero and no `.0` on integers. The digits come out as four groups of
+//! four, each from its own quotient, which SWAR arithmetic splits into
+//! digit bytes two groups at a time; they are stored straight into the
+//! caller's buffer, 16 bytes per store, and nothing is staged or
+//! re-validated.
 //!
 //! One departure from the paper: when `x` lies exactly halfway between the
 //! two closest candidates, std rounds up and Schubfach rounds to even, so
@@ -208,9 +210,13 @@ pub fn write_f64(out: &mut Vec<u8>, x: f64) {
     // The last digit, and the rest as sixteen digit bytes with the first
     // in the lowest byte: trailing zeros are zero bytes at the top, and
     // the text leaves them out.
-    let len = decimal_len(digits);
-    let (head, last) = (digits / 10, (digits % 10) as u8);
-    let values = digit_values(head);
+    let len = if digits >= POW10_U64[14] {
+        // Schubfach's digits, normal numbers' at least: 15 to 17 of them.
+        15 + usize::from(digits >= POW10_U64[15]) + usize::from(digits >= POW10_U64[16])
+    } else {
+        decimal_len(digits)
+    };
+    let (values, last) = (digit_values(digits), (digits % 10) as u8);
     let zeros = if last == 0 {
         1 + values.leading_zeros() as usize / 8
     } else {
@@ -258,9 +264,12 @@ pub fn write_f64(out: &mut Vec<u8>, x: f64) {
     out.truncate(start + text);
 }
 
-/// `values` without its first `n ≤ 16` digit bytes.
+/// `values` without its first `n` digit bytes, for `n < 16`. At `n = 16`
+/// the shift wraps and `values` comes back whole; that is harmless here:
+/// the lead of a one-digit number is all zero bytes, and a fraction of
+/// one digit has its bytes overwritten by the last digit or cut off.
 fn shift_out(values: u128, n: usize) -> u128 {
-    values.checked_shr(8 * n as u32).unwrap_or(0)
+    values.wrapping_shr(8 * n as u32)
 }
 
 /// 16 digit bytes as ASCII, little-endian: the first digit first.
@@ -268,18 +277,21 @@ fn ascii(values: u128) -> [u8; 16] {
     (values + 0x3030_3030_3030_3030_3030_3030_3030_3030).to_le_bytes()
 }
 
-/// `n < 10^16`'s sixteen decimal digits, zero-padded, one per byte with
-/// the first digit in the lowest byte.
+/// The first sixteen of `n < 10^17`'s seventeen decimal digits,
+/// zero-padded, one per byte with the first digit in the lowest byte.
 fn digit_values(n: u64) -> u128 {
-    u128::from(eight_values((n / 100_000_000) as u32))
-        | u128::from(eight_values((n % 100_000_000) as u32)) << 64
+    // Four groups of four digits, each from its own quotient of `n`, so
+    // no split waits on another.
+    let (q13, q9, q5, q1) = (n / 10_000_000_000_000, n / 1_000_000_000, n / 100_000, n / 10);
+    let high = q13 | (q9 - q13 * 10_000) << 32;
+    let low = (q5 - q9 * 10_000) | (q1 - q5 * 10_000) << 32;
+    u128::from(group_values(high)) | u128::from(group_values(low)) << 64
 }
 
-/// `n < 10^8`'s eight digits, one per byte with the first in the lowest,
-/// by SWAR arithmetic: halves, then pairs, then digits, each split in
-/// every lane at once.
-fn eight_values(n: u32) -> u64 {
-    let x = u64::from(n / 10_000) | u64::from(n % 10_000) << 32;
+/// Two four-digit groups, one per 32-bit lane, to their eight digits, one
+/// per byte with the first in the lowest, by SWAR arithmetic: pairs, then
+/// digits, each split in every lane at once.
+fn group_values(x: u64) -> u64 {
     let hundreds = ((x * 10_486) >> 20) & 0x0000_007f_0000_007f;
     let x = hundreds | (x - hundreds * 100) << 16;
     let tens = ((x * 103) >> 10) & 0x000f_000f_000f_000f;

@@ -3,7 +3,8 @@
 //! [`JsonWriter`] appends compact JSON straight into a byte buffer; every
 //! [`ToJson`] impl writes through it, [`Value`] included. Numbers print
 //! their digits into that buffer, and keys and strings copy their UTF-8
-//! bytes, so the text is valid UTF-8 by construction:
+//! bytes (a key is written inline at its call site, where a literal's
+//! escape check folds away), so the text is valid UTF-8 by construction:
 //! [`finish`](JsonWriter::finish) checks it once per document. Pretty
 //! printing is a [`Value`]-only second pass for human-facing artifacts.
 //!
@@ -114,6 +115,7 @@ impl JsonWriter {
         }
     }
 
+    #[inline]
     fn separate(&mut self) {
         if self.comma {
             self.out.push(b',');
@@ -162,6 +164,10 @@ impl JsonWriter {
     }
 
     /// Writes an object key; the member's value follows.
+    ///
+    /// Always inlined: keys are mostly string literals, and at the call
+    /// site the escape scan folds away and the copy becomes a few stores.
+    #[inline(always)]
     pub fn key(&mut self, key: &str) {
         self.separate();
         write_string(&mut self.out, key);
@@ -312,6 +318,7 @@ fn newline_indent(out: &mut Vec<u8>, indent: usize) {
 
 /// Appends `s` quoted, escaping `"`, `\` and control bytes; every other
 /// byte, multi-byte characters included, is copied as is.
+#[inline(always)]
 fn write_string(out: &mut Vec<u8>, s: &str) {
     out.push(b'"');
     let bytes = s.as_bytes();
