@@ -27,7 +27,7 @@ pub const EVALUATE_NS_PER_POINT_CEILING: f64 = 50.0;
 /// step per number and writes the digits straight into the body; a
 /// digit-search loop, a staging copy or a per-number UTF-8 check coming
 /// back lands above the ceiling even when a stale baseline would wave it
-/// through. On a shared 2-vCPU x86-64 VM the printer measures 35–41 ns,
+/// through. On a shared 2-vCPU x86-64 VM the printer measures 35–43 ns,
 /// so a runner that slow fails this ceiling.
 pub const CODEC_F64_NS_CEILING: f64 = 30.0;
 

@@ -207,15 +207,16 @@ pub fn write_f64(out: &mut Vec<u8>, x: f64) {
     } else {
         shortest(c, q, fraction == 0 && biased > 1)
     };
-    // The last digit, and the rest as sixteen digit bytes with the first
-    // in the lowest byte: trailing zeros are zero bytes at the top, and
-    // the text leaves them out.
+    // From 10^14 up, which every normal number's Schubfach digits are, two
+    // comparisons give the length.
     let len = if digits >= POW10_U64[14] {
-        // Schubfach's digits, normal numbers' at least: 15 to 17 of them.
         15 + usize::from(digits >= POW10_U64[15]) + usize::from(digits >= POW10_U64[16])
     } else {
         decimal_len(digits)
     };
+    // The last digit, and the rest as sixteen digit bytes with the first
+    // in the lowest byte: trailing zeros are zero bytes at the top, and
+    // the text leaves them out.
     let (values, last) = (digit_values(digits), (digits % 10) as u8);
     let zeros = if last == 0 {
         1 + values.leading_zeros() as usize / 8
@@ -282,7 +283,12 @@ fn ascii(values: u128) -> [u8; 16] {
 fn digit_values(n: u64) -> u128 {
     // Four groups of four digits, each from its own quotient of `n`, so
     // no split waits on another.
-    let (q13, q9, q5, q1) = (n / 10_000_000_000_000, n / 1_000_000_000, n / 100_000, n / 10);
+    let (q13, q9, q5, q1) = (
+        n / 10_000_000_000_000,
+        n / 1_000_000_000,
+        n / 100_000,
+        n / 10,
+    );
     let high = q13 | (q9 - q13 * 10_000) << 32;
     let low = (q5 - q9 * 10_000) | (q1 - q5 * 10_000) << 32;
     u128::from(group_values(high)) | u128::from(group_values(low)) << 64
