@@ -43,7 +43,7 @@
 
 use gf_json::{
     decode_member, decode_member_or, prefix_schema, wire_struct, FromJson, JsonError, JsonWriter,
-    ToJson, Value,
+    ParseLimits, ToJson, Value,
 };
 
 use crate::optimize::{
@@ -1762,6 +1762,17 @@ macro_rules! query_kinds {
                 Ok(match self {
                     $(QueryKind::$variant => Query::$variant(<$request>::from_json(value)?),)*
                 })
+            }
+
+            /// Decodes this kind's request payload from body text, parsed
+            /// under `limits` — the entry a serving transport uses.
+            ///
+            /// # Errors
+            ///
+            /// The parse error of a malformed body, else the schema error of
+            /// the offending member.
+            pub fn decode_body(self, text: &str, limits: ParseLimits) -> Result<Query, JsonError> {
+                self.decode_request(&gf_json::parse_with(text, limits)?)
             }
 
             /// Decodes this kind's response payload (the bare result object a

@@ -281,12 +281,17 @@ fn dispatch(state: &ServerState, route: &Route, request: &Request) -> Result<Pay
         Endpoint::Query(kind) => {
             // `GET` query routes (the catalog) carry no body; decode from
             // the empty object instead of parsing zero bytes as JSON.
-            let body = if route.method == "GET" {
-                Value::Object(Vec::new())
+            let text = if route.method == "GET" {
+                "{}"
             } else {
-                parse_body(state, request)?
+                std::str::from_utf8(&request.body)
+                    .map_err(|_| ApiError::bad_request("body is not UTF-8"))?
             };
-            match kind.decode_request(&body)? {
+            let limits = gf_json::ParseLimits {
+                max_bytes: state.config.max_body_bytes,
+                ..gf_json::ParseLimits::default()
+            };
+            match kind.decode_body(text, limits)? {
                 Query::Grid(grid) if grid.stream => {
                     Payload::GridStream(Box::new(state.engine.grid_stream(&grid)?))
                 }
@@ -294,18 +299,6 @@ fn dispatch(state: &ServerState, route: &Route, request: &Request) -> Result<Pay
             }
         }
     })
-}
-
-/// Parses the request body (bounded by the transport's body limit, plus
-/// the JSON parser's own depth limit).
-fn parse_body(state: &ServerState, request: &Request) -> Result<Value, ApiError> {
-    let text = std::str::from_utf8(&request.body)
-        .map_err(|_| ApiError::bad_request("body is not UTF-8"))?;
-    let limits = gf_json::ParseLimits {
-        max_bytes: state.config.max_body_bytes,
-        ..gf_json::ParseLimits::default()
-    };
-    Ok(gf_json::parse_with(text, limits)?)
 }
 
 /// Encodes an [`ApiError`] as the JSON error body, attaching the calling
