@@ -28,7 +28,8 @@
 //!   exact vertex tier (`optimize_analytic_ns`) and a two-knob FPGA-total
 //!   minimum subject to `fpga_wins` through the coordinate-search tier
 //!   (`optimize_search_ns`), the paths behind `POST /v1/optimize`, and
-//! * the wire codec — parsing and decoding a 64-point batch request body
+//! * the wire codec — the served text path of a 64-point batch request
+//!   body, lexed to a token tape and decoded from it
 //!   (`codec_batch64_parse_ns`), the one-pass writer encoding a 64-point
 //!   batch result (`codec_batch64_encode_ns`) and a 64×64 grid result
 //!   (`codec_grid64_encode_ns`) into the served body, and the shortest
@@ -106,12 +107,11 @@ fn codec_inputs(engine: &Engine) -> (Query, Outcome, Outcome) {
     (batch, batch_outcome, engine.run(&grid).expect("grid runs"))
 }
 
-/// The served request path up to the engine: parse the body, then decode
-/// it into the typed query.
+/// The served request path up to the engine: lex the body text to a
+/// token tape and decode the typed query from it.
 fn decode_batch(body: &str) -> Query {
-    let value = gf_json::parse(body).expect("body parses");
     QueryKind::Batch
-        .decode_request(&value)
+        .decode_body(body, gf_json::ParseLimits::default())
         .expect("body decodes")
 }
 

@@ -42,8 +42,8 @@
 //! ```
 
 use gf_json::{
-    decode_member, decode_member_or, prefix_schema, wire_struct, FromJson, JsonError, JsonWriter,
-    ParseLimits, ToJson, Value,
+    decode_member, decode_member_or, prefix_schema, wire_struct, Document, FromJson, JsonError,
+    JsonWriter, Node, ParseLimits, ToJson, Value,
 };
 
 use crate::optimize::{
@@ -64,14 +64,14 @@ pub const API_VERSION: u64 = 1;
 
 /// Decodes a string id through `parse`, naming `what` in errors.
 fn decode_id<T>(
-    value: &Value,
+    value: Node<'_>,
     what: &str,
     parse: impl FnOnce(&str) -> Option<T>,
 ) -> Result<T, JsonError> {
     let id = value
         .as_str()
         .ok_or_else(|| JsonError::schema("", format!("expected a {what} string")))?;
-    parse(id).ok_or_else(|| JsonError::schema("", format!("unknown {what} '{id}'")))
+    parse(&id).ok_or_else(|| JsonError::schema("", format!("unknown {what} '{id}'")))
 }
 
 /// String-valued enums: each variant travels as its fixed id.
@@ -84,7 +84,7 @@ macro_rules! wire_ids {
         }
 
         impl FromJson for $ty {
-            fn from_json(value: &Value) -> Result<$ty, JsonError> {
+            fn from_node(value: Node<'_>) -> Result<$ty, JsonError> {
                 decode_id(value, $what, |id| match id {
                     $($id => Some($ty::$variant),)*
                     _ => None,
@@ -108,7 +108,7 @@ impl ToJson for Domain {
 }
 
 impl FromJson for Domain {
-    fn from_json(value: &Value) -> Result<Domain, JsonError> {
+    fn from_node(value: Node<'_>) -> Result<Domain, JsonError> {
         decode_id(value, "domain", Domain::parse_id)
     }
 }
@@ -120,7 +120,7 @@ impl ToJson for Knob {
 }
 
 impl FromJson for Knob {
-    fn from_json(value: &Value) -> Result<Knob, JsonError> {
+    fn from_node(value: Node<'_>) -> Result<Knob, JsonError> {
         decode_id(value, "knob", Knob::parse_id)
     }
 }
@@ -140,15 +140,20 @@ impl ToJson for SweepAxis {
     }
 }
 
+/// A sweep axis by wire id: case-insensitive, and `applications` is
+/// accepted for `apps`.
+fn parse_axis(id: &str) -> Option<SweepAxis> {
+    match id.to_ascii_lowercase().as_str() {
+        "apps" | "applications" => Some(SweepAxis::Applications),
+        "lifetime" => Some(SweepAxis::LifetimeYears),
+        "volume" => Some(SweepAxis::VolumeUnits),
+        _ => None,
+    }
+}
+
 impl FromJson for SweepAxis {
-    /// Case-insensitive; `applications` is accepted for `apps`.
-    fn from_json(value: &Value) -> Result<SweepAxis, JsonError> {
-        decode_id(value, "axis", |id| match id.to_ascii_lowercase().as_str() {
-            "apps" | "applications" => Some(SweepAxis::Applications),
-            "lifetime" => Some(SweepAxis::LifetimeYears),
-            "volume" => Some(SweepAxis::VolumeUnits),
-            _ => None,
-        })
+    fn from_node(value: Node<'_>) -> Result<SweepAxis, JsonError> {
+        decode_id(value, "axis", parse_axis)
     }
 }
 
@@ -160,9 +165,9 @@ mod kg {
         w.number(carbon.as_kg());
     }
 
-    pub(super) fn from_json(member: Option<&Value>) -> Result<Carbon, JsonError> {
+    pub(super) fn from_node(member: Option<Node<'_>>) -> Result<Carbon, JsonError> {
         let member = member.ok_or_else(|| JsonError::schema("", "missing required field"))?;
-        f64::from_json(member).map(Carbon::from_kg)
+        f64::from_node(member).map(Carbon::from_kg)
     }
 }
 
@@ -179,27 +184,30 @@ mod knob_overrides {
         w.end_object();
     }
 
-    pub(super) fn from_json(member: Option<&Value>) -> Result<Vec<(Knob, f64)>, JsonError> {
+    /// Members are read in document order: a knob named twice is an
+    /// error, not last-wins.
+    pub(super) fn from_node(member: Option<Node<'_>>) -> Result<Vec<(Knob, f64)>, JsonError> {
         let mut knobs = Vec::new();
-        match member {
-            None | Some(Value::Null) => {}
-            Some(Value::Object(members)) => {
-                for (id, member) in members {
-                    let knob = Knob::parse_id(id)
-                        .ok_or_else(|| JsonError::schema(id.as_str(), "unknown knob"))?;
-                    if knobs.iter().any(|&(seen, _)| seen == knob) {
-                        return Err(JsonError::schema(
-                            id.as_str(),
-                            format!("knob '{id}' overridden more than once"),
-                        ));
-                    }
-                    let value = member
-                        .as_f64()
-                        .ok_or_else(|| JsonError::schema(id.as_str(), "expected a number"))?;
-                    knobs.push((knob, value));
-                }
+        let Some(member) = member.filter(|member| !member.is_null()) else {
+            return Ok(knobs);
+        };
+        let members = member
+            .members()
+            .ok_or_else(|| JsonError::schema("", "expected an object of knob values"))?;
+        for (id, member) in members {
+            let id = id.as_str().unwrap_or_default();
+            let knob =
+                Knob::parse_id(&id).ok_or_else(|| JsonError::schema(&*id, "unknown knob"))?;
+            if knobs.iter().any(|&(seen, _)| seen == knob) {
+                return Err(JsonError::schema(
+                    &*id,
+                    format!("knob '{id}' overridden more than once"),
+                ));
             }
-            Some(_) => return Err(JsonError::schema("", "expected an object of knob values")),
+            let value = member
+                .as_f64()
+                .ok_or_else(|| JsonError::schema(&*id, "expected a number"))?;
+            knobs.push((knob, value));
         }
         Ok(knobs)
     }
@@ -218,15 +226,15 @@ mod axis_values {
         w.end_object();
     }
 
-    pub(super) fn from_json(member: Option<&Value>) -> Result<Vec<(SweepAxis, f64)>, JsonError> {
-        let members = member
+    pub(super) fn from_node(member: Option<Node<'_>>) -> Result<Vec<(SweepAxis, f64)>, JsonError> {
+        member
             .ok_or_else(|| JsonError::schema("", "missing required field"))?
-            .as_object()
-            .ok_or_else(|| JsonError::schema("", "expected an object of knob values"))?;
-        members
-            .iter()
+            .members()
+            .ok_or_else(|| JsonError::schema("", "expected an object of knob values"))?
             .map(|(key, member)| {
-                let axis = SweepAxis::from_json(&Value::String(key.clone()))?;
+                let key = key.as_str().unwrap_or_default();
+                let axis = parse_axis(&key)
+                    .ok_or_else(|| JsonError::schema("", format!("unknown axis '{key}'")))?;
                 let value = member
                     .as_f64()
                     .ok_or_else(|| JsonError::schema("", "expected a numeric knob value"))?;
@@ -292,7 +300,7 @@ impl ToJson for PlatformComparison {
 
 impl FromJson for PlatformComparison {
     /// The derived `ratio` and `winner` members are ignored.
-    fn from_json(value: &Value) -> Result<PlatformComparison, JsonError> {
+    fn from_node(value: Node<'_>) -> Result<PlatformComparison, JsonError> {
         Ok(PlatformComparison::new(
             decode_member(value, "domain")?,
             decode_member(value, "fpga")?,
@@ -526,14 +534,14 @@ impl ToJson for ScenarioRef {
 }
 
 impl FromJson for ScenarioRef {
-    fn from_json(value: &Value) -> Result<ScenarioRef, JsonError> {
+    fn from_node(value: Node<'_>) -> Result<ScenarioRef, JsonError> {
         match value.get("id") {
-            None | Some(Value::Null) => Ok(ScenarioRef::Inline(ScenarioSpec::from_json(value)?)),
-            Some(member) => Ok(ScenarioRef::Catalog {
-                id: String::from_json(member).map_err(|e| prefix_schema("id", e))?,
-                knobs: knob_overrides::from_json(value.get("knobs"))
+            Some(member) if !member.is_null() => Ok(ScenarioRef::Catalog {
+                id: String::from_node(member).map_err(|e| prefix_schema("id", e))?,
+                knobs: knob_overrides::from_node(value.get("knobs"))
                     .map_err(|e| prefix_schema("knobs", e))?,
             }),
+            _ => Ok(ScenarioRef::Inline(ScenarioSpec::from_node(value)?)),
         }
     }
 }
@@ -602,21 +610,21 @@ impl ToJson for SeriesRef {
 }
 
 impl FromJson for SeriesRef {
-    fn from_json(value: &Value) -> Result<SeriesRef, JsonError> {
-        match value {
-            Value::String(name) => Ok(SeriesRef::Region(name.clone())),
-            Value::Object(_) => {
-                let points: Vec<f64> = decode_member(value, "points")?;
-                let step_hours = decode_member_or(value, "step_hours", || 1.0)?;
-                let series = CarbonIntensitySeries::new(points, step_hours)
-                    .map_err(|e| JsonError::schema("series", e.to_string()))?;
-                Ok(SeriesRef::Inline(series))
-            }
-            _ => Err(JsonError::schema(
+    fn from_node(value: Node<'_>) -> Result<SeriesRef, JsonError> {
+        if let Some(name) = value.as_str() {
+            return Ok(SeriesRef::Region(name.into_owned()));
+        }
+        if value.members().is_none() {
+            return Err(JsonError::schema(
                 "series",
                 "expected a region name or a {points, step_hours} object",
-            )),
+            ));
         }
+        let points: Vec<f64> = decode_member(value, "points")?;
+        let step_hours = decode_member_or(value, "step_hours", || 1.0)?;
+        let series = CarbonIntensitySeries::new(points, step_hours)
+            .map_err(|e| JsonError::schema("series", e.to_string()))?;
+        Ok(SeriesRef::Inline(series))
     }
 }
 
@@ -683,7 +691,7 @@ wire_struct! {
 }
 
 /// Decodes an optional `"platform"` member, defaulting to the FPGA.
-fn decode_platform(value: &Value) -> Result<OptPlatform, JsonError> {
+fn decode_platform(value: Node<'_>) -> Result<OptPlatform, JsonError> {
     decode_member_or(value, "platform", || OptPlatform::Fpga)
 }
 
@@ -718,7 +726,7 @@ impl ToJson for Objective {
 }
 
 impl FromJson for Objective {
-    fn from_json(value: &Value) -> Result<Objective, JsonError> {
+    fn from_node(value: Node<'_>) -> Result<Objective, JsonError> {
         let goal: String = decode_member(value, "goal")?;
         match goal.as_str() {
             "min_total" => Ok(Objective::MinTotal(decode_platform(value)?)),
@@ -766,7 +774,7 @@ impl ToJson for Constraint {
 }
 
 impl FromJson for Constraint {
-    fn from_json(value: &Value) -> Result<Constraint, JsonError> {
+    fn from_node(value: Node<'_>) -> Result<Constraint, JsonError> {
         let kind: String = decode_member(value, "kind")?;
         match kind.as_str() {
             "fpga_wins" => Ok(Constraint::FpgaWins),
@@ -863,7 +871,7 @@ impl ToJson for CatalogRequest {
 }
 
 impl FromJson for CatalogRequest {
-    fn from_json(value: &Value) -> Result<CatalogRequest, JsonError> {
+    fn from_node(value: Node<'_>) -> Result<CatalogRequest, JsonError> {
         gf_json::expect_object(value).map(|()| CatalogRequest)
     }
 }
@@ -933,8 +941,8 @@ impl ToJson for EvaluateResponse {
 }
 
 impl FromJson for EvaluateResponse {
-    fn from_json(value: &Value) -> Result<EvaluateResponse, JsonError> {
-        PlatformComparison::from_json(value).map(|comparison| EvaluateResponse { comparison })
+    fn from_node(value: Node<'_>) -> Result<EvaluateResponse, JsonError> {
+        PlatformComparison::from_node(value).map(|comparison| EvaluateResponse { comparison })
     }
 }
 
@@ -1416,7 +1424,8 @@ impl Default for IndustryRequest {
     /// The paper's setup: 6 years, 3 FPGA applications, 1 M units, no
     /// overrides — the field list's defaults.
     fn default() -> Self {
-        IndustryRequest::from_json(&Value::Object(Vec::new())).expect("every member has a default")
+        let empty = Document::parse("{}", ParseLimits::default()).expect("`{}` parses");
+        IndustryRequest::from_node(empty.root()).expect("every member has a default")
     }
 }
 
@@ -1510,7 +1519,7 @@ impl ToJson for ApiError {
 }
 
 impl FromJson for ApiError {
-    fn from_json(value: &Value) -> Result<ApiError, JsonError> {
+    fn from_node(value: Node<'_>) -> Result<ApiError, JsonError> {
         let error = value
             .get("error")
             .ok_or_else(|| JsonError::schema("error", "missing required field"))?;
@@ -1753,37 +1762,49 @@ macro_rules! query_kinds {
             }
 
             /// Decodes this kind's request payload (the flat request object a
-            /// `POST /v1/<kind>` body carries — no envelope members required).
+            /// `POST /v1/<kind>` body carries — no envelope members required)
+            /// from a tree: the cold adapter for callers that hold a
+            /// [`Value`], such as the CLI's flag object. It decodes exactly
+            /// as [`QueryKind::decode_body`] does the tree's text.
             ///
             /// # Errors
             ///
             /// Returns the schema error of the offending member.
             pub fn decode_request(self, value: &Value) -> Result<Query, JsonError> {
-                Ok(match self {
-                    $(QueryKind::$variant => Query::$variant(<$request>::from_json(value)?),)*
-                })
+                gf_json::decode_value(value, |node| self.request_from_node(node))
             }
 
             /// Decodes this kind's request payload from body text, parsed
-            /// under `limits` — the entry a serving transport uses.
+            /// under `limits` into a token tape and decoded from it with no
+            /// [`Value`] tree — the entry a serving transport uses.
             ///
             /// # Errors
             ///
             /// The parse error of a malformed body, else the schema error of
             /// the offending member.
             pub fn decode_body(self, text: &str, limits: ParseLimits) -> Result<Query, JsonError> {
-                self.decode_request(&gf_json::parse_with(text, limits)?)
+                self.request_from_node(Document::parse(text, limits)?.root())
+            }
+
+            fn request_from_node(self, node: Node<'_>) -> Result<Query, JsonError> {
+                Ok(match self {
+                    $(QueryKind::$variant => Query::$variant(<$request>::from_node(node)?),)*
+                })
             }
 
             /// Decodes this kind's response payload (the bare result object a
-            /// `POST /v1/<kind>` route answers with).
+            /// `POST /v1/<kind>` route answers with) from a tree.
             ///
             /// # Errors
             ///
             /// Returns the schema error of the offending member.
             pub fn decode_result(self, value: &Value) -> Result<Outcome, JsonError> {
+                gf_json::decode_value(value, |node| self.result_from_node(node))
+            }
+
+            fn result_from_node(self, node: Node<'_>) -> Result<Outcome, JsonError> {
                 Ok(match self {
-                    $(QueryKind::$variant => Outcome::$variant(<$response>::from_json(value)?),)*
+                    $(QueryKind::$variant => Outcome::$variant(<$response>::from_node(node)?),)*
                 })
             }
         }
@@ -1942,7 +1963,7 @@ impl std::fmt::Display for QueryKind {
 }
 
 /// Reads and validates the `"v"`/`"kind"` envelope members.
-fn decode_envelope(value: &Value) -> Result<QueryKind, JsonError> {
+fn decode_envelope(value: Node<'_>) -> Result<QueryKind, JsonError> {
     let version: u64 = decode_member_or(value, "v", || API_VERSION)?;
     if version != API_VERSION {
         return Err(JsonError::schema(
@@ -1966,8 +1987,8 @@ impl ToJson for Query {
 }
 
 impl FromJson for Query {
-    fn from_json(value: &Value) -> Result<Query, JsonError> {
-        decode_envelope(value)?.decode_request(value)
+    fn from_node(value: Node<'_>) -> Result<Query, JsonError> {
+        decode_envelope(value)?.request_from_node(value)
     }
 }
 
@@ -1983,12 +2004,12 @@ impl ToJson for Outcome {
 }
 
 impl FromJson for Outcome {
-    fn from_json(value: &Value) -> Result<Outcome, JsonError> {
+    fn from_node(value: Node<'_>) -> Result<Outcome, JsonError> {
         let kind = decode_envelope(value)?;
         let result = value
             .get("result")
             .ok_or_else(|| JsonError::schema("result", "missing required field"))?;
-        kind.decode_result(result)
+        kind.result_from_node(result)
             .map_err(|e| prefix_schema("result", e))
     }
 }

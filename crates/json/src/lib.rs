@@ -1,9 +1,11 @@
 //! # gf-json
 //!
 //! A small, real JSON subsystem for the offline GreenFPGA workspace: a
-//! [`Value`] tree, a recursive-descent parser with depth and size limits
-//! ([`parse`], [`parse_with`]), and a one-pass writer ([`JsonWriter`])
-//! whose `f64` rendering round-trips bit-for-bit ([`write_f64`]).
+//! one-pass lexer from text to a flat, borrowed token tape with depth and
+//! size limits ([`Document`], read through [`Node`]), a [`Value`] tree
+//! built from that tape ([`parse`], [`parse_with`]), and a one-pass writer
+//! ([`JsonWriter`]) whose `f64` rendering round-trips bit-for-bit
+//! ([`write_f64`]).
 //!
 //! Every machine-readable artifact — bench metrics, the `bench_gate`
 //! baseline, and the `greenfpga-serve` HTTP API — goes through this crate
@@ -21,10 +23,14 @@
 //!    into the output; no intermediate tree is built on the way out. The
 //!    [`Value`]-returning [`ToJson::to_json`] is write-then-parse, for
 //!    cold callers that want to inspect or pretty-print a document.
-//! 3. **Bounded input**: the parser enforces a nesting-depth limit and an
+//! 3. **One decoder per type**: [`FromJson::from_node`] reads members
+//!    straight from a [`Document`]'s tape; no tree is built on the way
+//!    in. The [`Value`]-taking [`FromJson::from_json`] is write, tape,
+//!    decode, for cold callers that hold a tree.
+//! 4. **Bounded input**: the parser enforces a nesting-depth limit and an
 //!    input-size limit so a hostile request body cannot blow the stack or
 //!    memory of a long-lived server.
-//! 4. **Strict JSON**: no NaN/Infinity literals, no trailing commas, no
+//! 5. **Strict JSON**: no NaN/Infinity literals, no trailing commas, no
 //!    comments, no unquoted keys. Numbers that overflow `f64` are rejected
 //!    rather than silently becoming infinite.
 //!
@@ -49,11 +55,14 @@ mod parse;
 mod wire;
 mod write;
 
+use std::borrow::Cow;
 use std::fmt;
 
 pub use number::write_f64;
-pub use parse::{parse, parse_with, ParseLimits};
-pub use wire::{decode_member, decode_member_or, expect_object, prefix_schema};
+pub use parse::{parse, parse_with, Document, Node, ParseLimits};
+pub use wire::{
+    decode_found, decode_found_or, decode_member, decode_member_or, expect_object, prefix_schema,
+};
 pub use write::JsonWriter;
 
 /// A JSON document: the result of parsing, and the input to writing.
@@ -119,11 +128,7 @@ impl Value {
     /// cannot represent every integer and a silent rounding would corrupt
     /// counts).
     pub fn as_u64(&self) -> Option<u64> {
-        const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-        match self {
-            Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= MAX_EXACT => Some(*n as u64),
-            _ => None,
-        }
+        self.as_f64().and_then(exact_u64)
     }
 
     /// The string content, or `None` for other variants.
@@ -175,6 +180,14 @@ impl Value {
     pub fn to_json_string_pretty(&self) -> Result<String, JsonError> {
         write::to_string_pretty(self)
     }
+}
+
+/// `n` as an exact unsigned integer: integral, non-negative, at most 2⁵³.
+#[inline]
+fn exact_u64(n: f64) -> Option<u64> {
+    const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+                                                    // In range, the cast truncates, so it round-trips only for integers.
+    ((0.0..=MAX_EXACT).contains(&n) && n as u64 as f64 == n).then_some(n as u64)
 }
 
 impl From<bool> for Value {
@@ -260,7 +273,7 @@ pub enum JsonError {
     /// parse).
     NonFinite,
     /// A well-formed document did not match the expected schema
-    /// (`from_json` decoding).
+    /// ([`FromJson`] decoding).
     Schema {
         /// Which field or element was wrong.
         at: String,
@@ -333,22 +346,66 @@ pub trait ToJson {
         let text = self
             .to_json_string()
             .unwrap_or_else(|e| panic!("cannot build a JSON value: {e}"));
-        let unbounded = ParseLimits {
-            max_depth: usize::MAX,
-            max_bytes: usize::MAX,
-        };
-        parse_with(&text, unbounded).expect("the writer emits valid JSON")
+        parse_with(&text, UNBOUNDED).expect("the writer emits valid JSON")
     }
 }
 
-/// Deserialization from a JSON [`Value`].
+/// Limits for text this crate's writer produced.
+const UNBOUNDED: ParseLimits = ParseLimits {
+    max_depth: usize::MAX,
+    max_bytes: usize::MAX,
+};
+
+/// Deserialization from JSON.
+///
+/// A type's one decoder is [`FromJson::from_node`], which reads a
+/// [`Node`] of a [`Document`] — the token tape one lexer pass makes of the
+/// text, so decoding a request body builds no [`Value`] tree. Callers that
+/// already hold a tree use [`FromJson::from_json`], a cold adapter.
+///
+/// ```
+/// use gf_json::{Document, FromJson, ParseLimits};
+///
+/// let doc = Document::parse("[1, 2.5]", ParseLimits::default())?;
+/// assert_eq!(Vec::<f64>::from_node(doc.root())?, [1.0, 2.5]);
+/// # Ok::<(), gf_json::JsonError>(())
+/// ```
 pub trait FromJson: Sized {
-    /// Decodes `self` from a JSON value.
+    /// Decodes `Self` from a tape node.
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError::Schema`] when the value does not match.
-    fn from_json(value: &Value) -> Result<Self, JsonError>;
+    /// Returns [`JsonError::Schema`] when the node does not match.
+    fn from_node(node: Node<'_>) -> Result<Self, JsonError>;
+
+    /// Decodes `Self` from a [`Value`] tree: the tree is written, taped
+    /// and decoded with [`FromJson::from_node`], so both entries share one
+    /// decoder.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JsonError::Schema`] when the value does not match, and
+    /// [`JsonError::NonFinite`] when it holds a NaN or infinite number.
+    #[cold]
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        decode_value(value, Self::from_node)
+    }
+}
+
+/// Runs `decode` on the root of `value`'s tape — the cold adapter from a
+/// [`Value`] tree to the one tape decoder.
+///
+/// # Errors
+///
+/// [`JsonError::NonFinite`] when `value` holds a NaN or infinite number,
+/// else whatever `decode` returns.
+#[cold]
+pub fn decode_value<T>(
+    value: &Value,
+    decode: impl FnOnce(Node<'_>) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
+    let text = value.to_json_string()?;
+    decode(Document::parse(&text, UNBOUNDED)?.root())
 }
 
 impl ToJson for f64 {
@@ -358,7 +415,7 @@ impl ToJson for f64 {
 }
 
 impl FromJson for f64 {
-    fn from_json(value: &Value) -> Result<f64, JsonError> {
+    fn from_node(value: Node<'_>) -> Result<f64, JsonError> {
         value
             .as_f64()
             .ok_or_else(|| JsonError::schema("number", "expected a number"))
@@ -373,7 +430,7 @@ impl ToJson for u64 {
 }
 
 impl FromJson for u64 {
-    fn from_json(value: &Value) -> Result<u64, JsonError> {
+    fn from_node(value: Node<'_>) -> Result<u64, JsonError> {
         value
             .as_u64()
             .ok_or_else(|| JsonError::schema("number", "expected a non-negative integer ≤ 2^53"))
@@ -387,8 +444,8 @@ impl ToJson for usize {
 }
 
 impl FromJson for usize {
-    fn from_json(value: &Value) -> Result<usize, JsonError> {
-        u64::from_json(value).map(|n| n as usize)
+    fn from_node(value: Node<'_>) -> Result<usize, JsonError> {
+        u64::from_node(value).map(|n| n as usize)
     }
 }
 
@@ -399,7 +456,7 @@ impl ToJson for bool {
 }
 
 impl FromJson for bool {
-    fn from_json(value: &Value) -> Result<bool, JsonError> {
+    fn from_node(value: Node<'_>) -> Result<bool, JsonError> {
         value
             .as_bool()
             .ok_or_else(|| JsonError::schema("bool", "expected true or false"))
@@ -419,10 +476,10 @@ impl ToJson for String {
 }
 
 impl FromJson for String {
-    fn from_json(value: &Value) -> Result<String, JsonError> {
+    fn from_node(value: Node<'_>) -> Result<String, JsonError> {
         value
             .as_str()
-            .map(str::to_string)
+            .map(Cow::into_owned)
             .ok_or_else(|| JsonError::schema("string", "expected a string"))
     }
 }
@@ -446,16 +503,16 @@ impl<T: ToJson> ToJson for Vec<T> {
 /// An element's schema error names its index: `[1].domain`, which a
 /// member prefix turns into `scenarios[1].domain`.
 impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(value: &Value) -> Result<Vec<T>, JsonError> {
-        value
-            .as_array()
-            .ok_or_else(|| JsonError::schema("array", "expected an array"))?
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                T::from_json(item).map_err(|e| wire::prefix_schema(&format!("[{i}]"), e))
-            })
-            .collect()
+    fn from_node(value: Node<'_>) -> Result<Vec<T>, JsonError> {
+        let items = value
+            .items()
+            .ok_or_else(|| JsonError::schema("array", "expected an array"))?;
+        let mut decoded = Vec::with_capacity(items.len());
+        for (i, item) in items.enumerate() {
+            let at = |e| wire::prefix_schema(&format!("[{i}]"), e);
+            decoded.push(T::from_node(item).map_err(at)?);
+        }
+        Ok(decoded)
     }
 }
 
@@ -471,10 +528,11 @@ impl<T: ToJson> ToJson for Option<T> {
 
 /// `null` decodes as `None`.
 impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(value: &Value) -> Result<Option<T>, JsonError> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_json(other).map(Some),
+    fn from_node(value: Node<'_>) -> Result<Option<T>, JsonError> {
+        if value.is_null() {
+            Ok(None)
+        } else {
+            T::from_node(value).map(Some)
         }
     }
 }
@@ -490,9 +548,10 @@ impl<A: ToJson, B: ToJson> ToJson for (A, B) {
 }
 
 impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(value: &Value) -> Result<(A, B), JsonError> {
-        match value.as_array() {
-            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
+    fn from_node(value: Node<'_>) -> Result<(A, B), JsonError> {
+        let mut items = value.items().into_iter().flatten();
+        match (items.next(), items.next(), items.next()) {
+            (Some(a), Some(b), None) => Ok((A::from_node(a)?, B::from_node(b)?)),
             _ => Err(JsonError::schema("array", "expected a [low, high] pair")),
         }
     }
@@ -590,10 +649,11 @@ mod tests {
 
     #[test]
     fn element_errors_name_their_index() {
-        let nested = parse(r#"{"items":[{"n":1},{"n":"x"}]}"#).unwrap();
+        let tape = |text| Document::parse(text, ParseLimits::default()).unwrap();
+        let nested = tape(r#"{"items":[{"n":1},{"n":"x"}]}"#);
         struct N;
         impl FromJson for N {
-            fn from_json(value: &Value) -> Result<N, JsonError> {
+            fn from_node(value: Node<'_>) -> Result<N, JsonError> {
                 wire::decode_member::<u64>(value, "n").map(|_| N)
             }
         }
@@ -601,7 +661,7 @@ mod tests {
             JsonError::Schema { at, .. } => at,
             other => panic!("not a schema error: {other}"),
         };
-        let error = wire::decode_member::<Vec<N>>(&nested, "items")
+        let error = wire::decode_member::<Vec<N>>(nested.root(), "items")
             .err()
             .unwrap();
         assert_eq!(
@@ -611,10 +671,10 @@ mod tests {
         );
         let flat = parse("[1, 2, true]").unwrap();
         assert_eq!(at(Vec::<u64>::from_json(&flat).err().unwrap()), "[2]");
-        let error = wire::decode_member::<Vec<u64>>(&parse(r#"{"xs":[1,"a"]}"#).unwrap(), "xs");
+        let error = wire::decode_member::<Vec<u64>>(tape(r#"{"xs":[1,"a"]}"#).root(), "xs");
         assert_eq!(at(error.err().unwrap()), "xs[1]");
-        let grid = parse(r#"{"rows":[[1],[2,null]]}"#).unwrap();
-        let error = wire::decode_member::<Vec<Vec<u64>>>(&grid, "rows");
+        let grid = tape(r#"{"rows":[[1],[2,null]]}"#);
+        let error = wire::decode_member::<Vec<Vec<u64>>>(grid.root(), "rows");
         assert_eq!(at(error.err().unwrap()), "rows[1][1]");
     }
 }

@@ -1,10 +1,23 @@
-//! Recursive-descent JSON parser with depth and size limits.
+//! One validating pass from JSON text to a flat, borrowed token tape,
+//! after simdjson's (Langdale & Lemire, "Parsing Gigabytes of JSON per
+//! Second", 2019): one 16-byte node per value in document order. A number
+//! holds its `f64`, converted once; a string is a slice of the text plus a
+//! flag saying whether it holds escapes (decoded only when read); a
+//! container stores the index just past its subtree, so skipping one is
+//! O(1), and an object's children alternate key and value. The grammar is
+//! strict RFC 8259; decoders read the tape through [`Node`], and [`parse`]
+//! builds a [`Value`] from it.
 //!
-//! Strict RFC 8259 grammar: one top-level value, no trailing commas, no
-//! comments, no NaN/Infinity literals, `\uXXXX` escapes with surrogate-pair
-//! decoding. The limits exist because the parser's primary caller is a
-//! long-lived server reading request bodies from the network: depth bounds
-//! the recursion (stack), size bounds the scan (memory/time).
+//! Numbers take exact fast paths only (Clinger, "How to Read Floating
+//! Point Numbers Accurately", 1990): a lexeme of at most 15 digits and no
+//! exponent is `m / 10^k` with `m` and `10^k` exact in `f64`, so the one
+//! correctly rounded division gives the correctly rounded value; any
+//! other lexeme goes through `str::parse::<f64>`.
+//!
+//! The depth limit bounds the open containers and the size limit the
+//! scan, since the main caller is a server reading network bodies.
+
+use std::borrow::Cow;
 
 use crate::{JsonError, Value};
 
@@ -14,7 +27,8 @@ pub struct ParseLimits {
     /// Maximum container nesting depth. A top-level scalar has depth 0; each
     /// enclosing array or object adds one.
     pub max_depth: usize,
-    /// Maximum input length in bytes, checked before scanning starts.
+    /// Maximum input length in bytes, checked before scanning starts. The
+    /// tape holds 32-bit offsets, so it is at most `u32::MAX` in effect.
     pub max_bytes: usize,
 }
 
@@ -47,34 +61,256 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
 ///
 /// Same conditions as [`parse`].
 pub fn parse_with(text: &str, limits: ParseLimits) -> Result<Value, JsonError> {
-    if text.len() > limits.max_bytes {
-        return Err(JsonError::SizeLimit {
-            limit: limits.max_bytes,
-        });
-    }
-    let mut parser = Parser {
-        text,
-        bytes: text.as_bytes(),
-        pos: 0,
-        limits,
-    };
-    parser.skip_whitespace();
-    let value = parser.parse_value(0)?;
-    parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.syntax("trailing data after the document"));
-    }
-    Ok(value)
+    Ok(Document::parse(text, limits)?.root().to_value())
 }
 
-struct Parser<'a> {
-    text: &'a str,
+/// One tape node: a string is `text[start..start + len]`; an array or
+/// object's subtree ends before `end` and holds `len` items or members.
+#[derive(Debug, Clone, Copy)]
+enum Tok {
+    Null,
+    Bool(bool),
+    Number(f64),
+    Str { start: u32, len: u32, escaped: bool },
+    Container { object: bool, end: u32, len: u32 },
+}
+
+const _: () = assert!(std::mem::size_of::<Tok>() <= 16);
+
+/// A parsed JSON document: the input text and its token tape. A text of
+/// `n` bytes makes at most `(n + 1) / 2` nodes.
+#[derive(Debug, Clone)]
+pub struct Document<'t> {
+    text: &'t str,
+    tape: Vec<Tok>,
+}
+
+impl<'t> Document<'t> {
+    /// Lexes `text` into a tape in one validating pass.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions, messages and byte offsets as [`parse_with`].
+    pub fn parse(text: &'t str, limits: ParseLimits) -> Result<Document<'t>, JsonError> {
+        let max_bytes = limits.max_bytes.min(u32::MAX as usize);
+        if text.len() > max_bytes {
+            return Err(JsonError::SizeLimit { limit: max_bytes });
+        }
+        // About one node per 8 bytes of a request body.
+        let mut lexer = Lexer::new(text, limits.max_depth, text.len() / 8 + 1);
+        lexer.skip_whitespace();
+        lexer.document()?;
+        lexer.skip_whitespace();
+        if lexer.pos != text.len() {
+            return Err(lexer.syntax("trailing data after the document"));
+        }
+        let tape = lexer.tape;
+        Ok(Document { text, tape })
+    }
+
+    /// The top-level value.
+    pub fn root(&self) -> Node<'_> {
+        Node { doc: self, at: 0 }
+    }
+
+    /// The number of tape nodes (an object's keys count).
+    pub fn node_count(&self) -> usize {
+        self.tape.len()
+    }
+}
+
+/// A value inside a [`Document`]: a copyable view of one tape node, with
+/// the accessors of [`Value`].
+#[derive(Debug, Clone, Copy)]
+pub struct Node<'a> {
+    doc: &'a Document<'a>,
+    at: usize,
+}
+
+impl<'a> Node<'a> {
+    #[inline]
+    fn tok(self) -> Tok {
+        self.doc.tape[self.at]
+    }
+
+    /// The children of a container: `len` of them, each `width` nodes
+    /// wide at its head (2 for an object's key and value).
+    fn children(self, len: u32, width: usize) -> impl ExactSizeIterator<Item = Node<'a>> {
+        let mut at = self.at + 1;
+        (0..len).map(move |_| {
+            let child = Node { doc: self.doc, at };
+            let value = Node {
+                at: at + width - 1,
+                ..child
+            };
+            at = match value.tok() {
+                Tok::Container { end, .. } => end as usize,
+                _ => value.at + 1,
+            };
+            child
+        })
+    }
+
+    /// `true` for `null`.
+    #[inline]
+    pub fn is_null(self) -> bool {
+        matches!(self.tok(), Tok::Null)
+    }
+
+    /// The boolean content, or `None` for other kinds.
+    #[inline]
+    pub fn as_bool(self) -> Option<bool> {
+        match self.tok() {
+            Tok::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// The numeric content, or `None` for other kinds.
+    #[inline]
+    pub fn as_f64(self) -> Option<f64> {
+        match self.tok() {
+            Tok::Number(n) => Some(n),
+            _ => None,
+        }
+    }
+
+    /// The content as an exact integer, as [`Value::as_u64`] reads it.
+    #[inline]
+    pub fn as_u64(self) -> Option<u64> {
+        self.as_f64().and_then(crate::exact_u64)
+    }
+
+    /// The string content, borrowed unless it holds escapes, or `None`
+    /// for other kinds.
+    pub fn as_str(self) -> Option<Cow<'a, str>> {
+        let Tok::Str {
+            start,
+            len,
+            escaped,
+        } = self.tok()
+        else {
+            return None;
+        };
+        let raw = &self.doc.text[start as usize..(start + len) as usize];
+        Some(if escaped {
+            Cow::Owned(unescape(raw))
+        } else {
+            Cow::Borrowed(raw)
+        })
+    }
+
+    /// The array items in order, or `None` for other kinds.
+    pub fn items(self) -> Option<impl ExactSizeIterator<Item = Node<'a>>> {
+        let Tok::Container {
+            object: false, len, ..
+        } = self.tok()
+        else {
+            return None;
+        };
+        Some(self.children(len, 1))
+    }
+
+    /// `true` when this is the string `s` (escapes decoded).
+    #[inline]
+    pub fn is_str(self, s: &str) -> bool {
+        match self.tok() {
+            Tok::Str {
+                start,
+                len,
+                escaped: false,
+            } => {
+                let raw = &self.doc.text.as_bytes()[start as usize..];
+                len as usize == s.len() && raw.starts_with(s.as_bytes())
+            }
+            _ => self.as_str().is_some_and(|text| text == s),
+        }
+    }
+
+    /// The object members as (key, value) in document order, duplicates
+    /// included, or `None` for other kinds. A key is a string node.
+    pub fn members(self) -> Option<impl ExactSizeIterator<Item = (Node<'a>, Node<'a>)>> {
+        let Tok::Container {
+            object: true, len, ..
+        } = self.tok()
+        else {
+            return None;
+        };
+        Some(self.children(len, 2).map(|key| {
+            (
+                key,
+                Node {
+                    at: key.at + 1,
+                    ..key
+                },
+            )
+        }))
+    }
+
+    /// The member of an object by key (the last occurrence wins; escaped
+    /// keys compare unescaped), or `None` for a missing key or a
+    /// non-object.
+    pub fn get(self, key: &str) -> Option<Node<'a>> {
+        let found = self.members()?.filter(|(k, _)| k.is_str(key)).last();
+        found.map(|(_, value)| value)
+    }
+
+    /// This node's subtree as a [`Value`] tree.
+    pub fn to_value(self) -> Value {
+        match self.tok() {
+            Tok::Null => Value::Null,
+            Tok::Bool(b) => Value::Bool(b),
+            Tok::Number(n) => Value::Number(n),
+            Tok::Str { .. } => Value::String(self.as_str().unwrap_or_default().into_owned()),
+            Tok::Container {
+                object: false, len, ..
+            } => Value::Array(self.children(len, 1).map(Node::to_value).collect()),
+            Tok::Container { .. } => Value::Object(
+                (self.members().into_iter().flatten())
+                    .map(|(key, value)| (key.as_str().unwrap_or_default().into(), value.to_value()))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// The decoded text of a string whose escapes the lexer validated.
+fn unescape(raw: &str) -> String {
+    let mut lexer = Lexer::new(raw, 0, 0);
+    let mut out = String::with_capacity(raw.len());
+    while let Some(run) = raw[lexer.pos..].find('\\') {
+        out.push_str(&raw[lexer.pos..lexer.pos + run]);
+        lexer.pos += run + 1;
+        out.push(lexer.escape().expect("the lexer validated every escape"));
+    }
+    out.push_str(&raw[lexer.pos..]);
+    out
+}
+
+/// `10^k` for the exact fast path; each is exact in `f64`.
+const EXACT_POW10: [f64; 16] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
+
+struct Lexer<'a> {
     bytes: &'a [u8],
     pos: usize,
-    limits: ParseLimits,
+    max_depth: usize,
+    tape: Vec<Tok>,
 }
 
-impl<'a> Parser<'a> {
+impl Lexer<'_> {
+    fn new(text: &str, max_depth: usize, capacity: usize) -> Lexer<'_> {
+        let tape = Vec::with_capacity(capacity);
+        Lexer {
+            bytes: text.as_bytes(),
+            pos: 0,
+            max_depth,
+            tape,
+        }
+    }
+
+    #[cold]
     fn syntax(&self, message: impl Into<String>) -> JsonError {
         JsonError::Syntax {
             offset: self.pos,
@@ -82,131 +318,186 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_whitespace(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
         if self.peek() == Some(byte) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.syntax(format!("expected '{}'", byte as char)))
+            Err(self.expected(byte))
         }
     }
 
-    fn parse_value(&mut self, depth: usize) -> Result<Value, JsonError> {
-        if depth > self.limits.max_depth {
-            return Err(JsonError::DepthLimit {
-                limit: self.limits.max_depth,
-            });
-        }
-        match self.peek() {
-            Some(b'{') => self.parse_object(depth),
-            Some(b'[') => self.parse_array(depth),
-            Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", Value::Bool(true)),
-            Some(b'f') => self.parse_literal("false", Value::Bool(false)),
-            Some(b'n') => self.parse_literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(other) => Err(self.syntax(format!("unexpected byte 0x{other:02x}"))),
-            None => Err(self.syntax("unexpected end of input")),
+    #[cold]
+    fn expected(&self, byte: u8) -> JsonError {
+        self.syntax(format!("expected '{}'", byte as char))
+    }
+
+    /// Lexes one value and everything nested in it. The open containers
+    /// form a stack inside the tape: until it closes, a container node's
+    /// `end` holds the index of the container it is in (`ROOT` for none),
+    /// and its `len` that container's count so far.
+    fn document(&mut self) -> Result<(), JsonError> {
+        const ROOT: u32 = u32::MAX;
+        // The innermost open container: its node, whether it is an object,
+        // and its members so far.
+        let (mut open, mut object, mut len, mut depth) = (ROOT, false, 0, 0);
+        loop {
+            // A value starts here, at nesting depth `depth`.
+            if depth > self.max_depth {
+                let limit = self.max_depth;
+                return Err(JsonError::DepthLimit { limit });
+            }
+            let at = self.tape.len() as u32;
+            let tok = match self.peek() {
+                Some(byte @ (b'{' | b'[')) => Tok::Container {
+                    object: byte == b'{',
+                    end: open,
+                    len,
+                },
+                Some(b'"') => self.string()?,
+                Some(b't') => self.literal("true", Tok::Bool(true))?,
+                Some(b'f') => self.literal("false", Tok::Bool(false))?,
+                Some(b'n') => self.literal("null", Tok::Null)?,
+                Some(b'-' | b'0'..=b'9') => Tok::Number(self.number()?),
+                Some(other) => return Err(self.syntax(format!("unexpected byte 0x{other:02x}"))),
+                None => return Err(self.syntax("unexpected end of input")),
+            };
+            self.tape.push(tok);
+            let mut closing = false;
+            if let Tok::Container { object: opened, .. } = tok {
+                self.pos += 1;
+                (open, object, len, depth) = (at, opened, 0, depth + 1);
+                self.skip_whitespace();
+                closing = self.peek() == Some(if object { b'}' } else { b']' });
+                if !closing {
+                    len += 1;
+                    self.member(object)?;
+                    continue;
+                }
+            }
+            // The value ended: close containers until one has a next member.
+            while open != ROOT {
+                if !closing {
+                    self.skip_whitespace();
+                    match (self.peek(), object) {
+                        (Some(b','), _) => {
+                            self.pos += 1;
+                            len += 1;
+                            self.member(object)?;
+                            break;
+                        }
+                        (Some(b'}'), true) | (Some(b']'), false) => {}
+                        (_, true) => return Err(self.syntax("expected ',' or '}' in object")),
+                        (_, false) => return Err(self.syntax("expected ',' or ']' in array")),
+                    }
+                }
+                closing = false;
+                self.pos += 1;
+                let end = self.tape.len() as u32;
+                let node = &mut self.tape[open as usize];
+                let Tok::Container {
+                    end: parent,
+                    len: outer,
+                    ..
+                } = *node
+                else {
+                    unreachable!("only containers are open");
+                };
+                *node = Tok::Container { object, end, len };
+                (open, len, depth) = (parent, outer, depth - 1);
+                object = matches!(
+                    self.tape.get(open as usize),
+                    Some(Tok::Container { object: true, .. })
+                );
+            }
+            if open == ROOT {
+                return Ok(());
+            }
         }
     }
 
-    fn parse_literal(&mut self, literal: &str, value: Value) -> Result<Value, JsonError> {
+    /// Starts a container's next member: in an object, its key and colon.
+    #[inline(always)]
+    fn member(&mut self, object: bool) -> Result<(), JsonError> {
+        self.skip_whitespace();
+        if object {
+            let key = self.string()?;
+            self.tape.push(key);
+            self.skip_whitespace();
+            self.expect(b':')?;
+            self.skip_whitespace();
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn literal(&mut self, literal: &str, tok: Tok) -> Result<Tok, JsonError> {
         if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
             self.pos += literal.len();
-            Ok(value)
+            Ok(tok)
         } else {
             Err(self.syntax(format!("expected '{literal}'")))
         }
     }
 
-    fn parse_object(&mut self, depth: usize) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(members));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            self.skip_whitespace();
-            let value = self.parse_value(depth + 1)?;
-            members.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(members));
-                }
-                _ => return Err(self.syntax("expected ',' or '}' in object")),
+    /// Skips to the next quote, backslash or control byte, eight bytes at
+    /// a time: a byte is flagged when it XORs to zero with `"` or `\` or
+    /// is below 0x20. A borrow can flag only bytes above a flagged one, so
+    /// the lowest flag is exact.
+    #[inline(always)]
+    fn skip_string_run(&mut self) {
+        const ONES: u64 = 0x0101_0101_0101_0101;
+        let below = |x: u64, n: u64| x.wrapping_sub(ONES * n) & !x;
+        while let Some(chunk) = self.bytes.get(self.pos..self.pos + 8) {
+            let x = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+            let quote = below(x ^ (ONES * 0x22), 1);
+            let backslash = below(x ^ (ONES * 0x5c), 1);
+            let stop = (quote | backslash | below(x, 0x20)) & (ONES * 0x80);
+            if stop != 0 {
+                self.pos += (stop.trailing_zeros() / 8) as usize;
+                return;
             }
+            self.pos += 8;
+        }
+        while !matches!(self.peek(), None | Some(b'"' | b'\\' | 0..=0x1f)) {
+            self.pos += 1;
         }
     }
 
-    fn parse_array(&mut self, depth: usize) -> Result<Value, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_whitespace();
-            items.push(self.parse_value(depth + 1)?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.syntax("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, JsonError> {
+    #[inline(always)]
+    fn string(&mut self) -> Result<Tok, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let (start, mut escaped) = (self.pos, false);
         loop {
-            // Take the run up to the next quote, backslash or control byte
-            // in one piece. Those bytes are ASCII, so the run ends on a
-            // character boundary.
-            let start = self.pos;
-            self.pos += self.bytes[start..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                .unwrap_or(self.bytes.len() - start);
-            let run = &self.text[start..self.pos];
-            if out.is_empty() {
-                // A string without escapes costs one exact-size allocation.
-                out = run.to_owned();
-            } else {
-                out.push_str(run);
-            }
+            self.skip_string_run();
             match self.peek() {
                 Some(b'"') => {
+                    let len = (self.pos - start) as u32;
                     self.pos += 1;
-                    return Ok(out);
+                    let start = start as u32;
+                    return Ok(Tok::Str {
+                        start,
+                        len,
+                        escaped,
+                    });
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    self.parse_escape(&mut out)?;
+                    self.escape()?;
+                    escaped = true;
                 }
                 Some(_) => return Err(self.syntax("raw control character in string")),
                 None => return Err(self.syntax("unterminated string")),
@@ -214,23 +505,25 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+    /// Decodes the escape after a backslash.
+    #[inline(never)]
+    fn escape(&mut self) -> Result<char, JsonError> {
         let Some(byte) = self.peek() else {
             return Err(self.syntax("unterminated escape"));
         };
         self.pos += 1;
-        match byte {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'b' => out.push('\u{0008}'),
-            b'f' => out.push('\u{000c}'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
+        Ok(match byte {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{0008}',
+            b'f' => '\u{000c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
             b'u' => {
-                let unit = self.parse_hex4()?;
-                let ch = if (0xd800..0xdc00).contains(&unit) {
+                let unit = self.hex4()?;
+                if (0xd800..0xdc00).contains(&unit) {
                     // High surrogate: a low surrogate escape must follow.
                     if self.peek() != Some(b'\\') {
                         return Err(self.syntax("unpaired high surrogate"));
@@ -240,7 +533,7 @@ impl<'a> Parser<'a> {
                         return Err(self.syntax("unpaired high surrogate"));
                     }
                     self.pos += 1;
-                    let low = self.parse_hex4()?;
+                    let low = self.hex4()?;
                     if !(0xdc00..0xe000).contains(&low) {
                         return Err(self.syntax("invalid low surrogate"));
                     }
@@ -250,17 +543,15 @@ impl<'a> Parser<'a> {
                     return Err(self.syntax("unpaired low surrogate"));
                 } else {
                     char::from_u32(unit).ok_or_else(|| self.syntax("invalid \\u escape"))?
-                };
-                out.push(ch);
+                }
             }
             other => {
                 return Err(self.syntax(format!("invalid escape '\\{}'", other as char)));
             }
-        }
-        Ok(())
+        })
     }
 
-    fn parse_hex4(&mut self) -> Result<u32, JsonError> {
+    fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut unit = 0u32;
         for _ in 0..4 {
             let Some(byte) = self.peek() else {
@@ -278,31 +569,48 @@ impl<'a> Parser<'a> {
         Ok(unit)
     }
 
-    fn parse_number(&mut self) -> Result<Value, JsonError> {
+    /// Skips a run of digits, appending them to `mantissa` (which wraps
+    /// past 19 digits; the fast path reads it only up to 15). Returns the
+    /// run's length.
+    #[inline]
+    fn digits(&mut self, mantissa: &mut u64) -> usize {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        while let Some(digit @ b'0'..=b'9') = self.peek() {
+            *mantissa = mantissa
+                .wrapping_mul(10)
+                .wrapping_add(u64::from(digit - b'0'));
             self.pos += 1;
         }
+        self.pos - start
+    }
+
+    #[inline(always)]
+    fn number(&mut self) -> Result<f64, JsonError> {
+        let start = self.pos;
+        let negative = self.peek() == Some(b'-');
+        self.pos += usize::from(negative);
+        let mut mantissa = 0u64;
         // Integer part: a single 0, or a nonzero digit followed by digits.
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
+        let mut digits = match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                1
             }
+            Some(b'1'..=b'9') => self.digits(&mut mantissa),
             _ => return Err(self.syntax("expected a digit")),
-        }
+        };
+        let mut scale = 0;
         if self.peek() == Some(b'.') {
             self.pos += 1;
             if !matches!(self.peek(), Some(b'0'..=b'9')) {
                 return Err(self.syntax("expected a digit after '.'"));
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            scale = self.digits(&mut mantissa);
+            digits += scale;
         }
+        let mut exact = digits <= 15;
         if matches!(self.peek(), Some(b'e' | b'E')) {
+            exact = false;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
@@ -314,6 +622,15 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
+        if exact {
+            // `mantissa < 10^15 < 2^53` and `10^scale` are exact, so the
+            // one rounding of the division is the correct rounding.
+            let magnitude = match scale {
+                0 => mantissa as f64,
+                _ => mantissa as f64 / EXACT_POW10[scale],
+            };
+            return Ok(if negative { -magnitude } else { magnitude });
+        }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number lexemes are ASCII");
         let number: f64 = text
@@ -324,7 +641,7 @@ impl<'a> Parser<'a> {
             // infinity would poison downstream arithmetic silently.
             return Err(JsonError::NonFinite);
         }
-        Ok(Value::Number(number))
+        Ok(number)
     }
 }
 

@@ -5,18 +5,22 @@
 //! [`ToJson`]: crate::ToJson
 //! [`FromJson`]: crate::FromJson
 
-use crate::{FromJson, JsonError, Value};
+use crate::{FromJson, JsonError, Node};
 
 /// Reads and decodes a required object member, naming `key` in errors.
 ///
 /// # Errors
 ///
 /// [`JsonError::Schema`] when the member is missing or does not decode.
-pub fn decode_member<T: FromJson>(value: &Value, key: &'static str) -> Result<T, JsonError> {
-    let member = value
-        .get(key)
-        .ok_or_else(|| JsonError::schema(key, "missing required field"))?;
-    T::from_json(member).map_err(|e| prefix_schema(key, e))
+pub fn decode_member<T: FromJson>(value: Node<'_>, key: &'static str) -> Result<T, JsonError> {
+    decode_found(value.get(key), key)
+}
+
+/// [`decode_member`] of a member already looked up.
+#[doc(hidden)]
+pub fn decode_found<T: FromJson>(member: Option<Node<'_>>, key: &str) -> Result<T, JsonError> {
+    let member = member.ok_or_else(|| JsonError::schema(key, "missing required field"))?;
+    T::from_node(member).map_err(|e| prefix_schema(key, e))
 }
 
 /// Decodes an optional object member, falling back to `fallback()` when it
@@ -26,13 +30,23 @@ pub fn decode_member<T: FromJson>(value: &Value, key: &'static str) -> Result<T,
 ///
 /// [`JsonError::Schema`] when a present member does not decode.
 pub fn decode_member_or<T: FromJson>(
-    value: &Value,
+    value: Node<'_>,
     key: &'static str,
     fallback: impl FnOnce() -> T,
 ) -> Result<T, JsonError> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(fallback()),
-        Some(member) => T::from_json(member).map_err(|e| prefix_schema(key, e)),
+    decode_found_or(value.get(key), key, fallback)
+}
+
+/// [`decode_member_or`] of a member already looked up.
+#[doc(hidden)]
+pub fn decode_found_or<T: FromJson>(
+    member: Option<Node<'_>>,
+    key: &str,
+    fallback: impl FnOnce() -> T,
+) -> Result<T, JsonError> {
+    match member.filter(|member| !member.is_null()) {
+        Some(member) => T::from_node(member).map_err(|e| prefix_schema(key, e)),
+        None => Ok(fallback()),
     }
 }
 
@@ -65,10 +79,11 @@ pub fn prefix_schema(key: &str, error: JsonError) -> JsonError {
 /// # Errors
 ///
 /// [`JsonError::Schema`] for a non-object.
-pub fn expect_object(value: &Value) -> Result<(), JsonError> {
-    match value {
-        Value::Object(_) => Ok(()),
-        _ => Err(JsonError::schema("", "expected an object")),
+pub fn expect_object(value: Node<'_>) -> Result<(), JsonError> {
+    if value.members().is_some() {
+        Ok(())
+    } else {
+        Err(JsonError::schema("", "expected an object"))
     }
 }
 
@@ -84,10 +99,12 @@ pub fn expect_object(value: &Value) -> Result<(), JsonError> {
 /// | `f: T [default d]` | always | `d` when absent or `null` |
 /// | `f: T [omit d]` | only when `f != d` | `d` when absent or `null` |
 /// | `f: T [flatten]` | `f`'s object members, spliced in place | from the whole object |
-/// | `f: T [with m]` | `m::write_json(&f, w)` | `m::from_json(member)` (`member: Option<&Value>`) |
+/// | `f: T [with m]` | `m::write_json(&f, w)` | `m::from_node(member)` (`member: Option<Node>`) |
 /// | `f: (A, B) as ("lo", "hi")` | two members | two members (`[default (a, b)]` allowed) |
 ///
-/// `as "key"` renames the wire member. An `Option<T>` field encodes `null`
+/// The decoder reads a [`Node`](crate::Node) of the body's tape
+/// ([`FromJson::from_node`](crate::FromJson::from_node)). `as "key"`
+/// renames the wire member. An `Option<T>` field encodes `null`
 /// for `None`; give it `[default None]` to accept absence, or
 /// `[omit None]` to leave it off the wire too. A trailing `check path`
 /// runs `path(&decoded)?` after decoding, for shape rules that span
@@ -144,10 +161,17 @@ macro_rules! wire_struct {
     } $(check $check:path)?) => {
         $(#[$meta])*
         impl $crate::FromJson for $name {
-            fn from_json(value: &$crate::Value) -> Result<$name, $crate::JsonError> {
+            #[allow(unused_mut, unused_variables)]
+            fn from_node(value: $crate::Node<'_>) -> Result<$name, $crate::JsonError> {
                 $crate::expect_object(value)?;
+                // One pass over the members; each field keeps the last of
+                // its own (a `flatten` field reads the whole object).
+                $(let mut $field = $crate::__wire_find!($field $($key)?; $($($mode)*)?);)*
+                for (key, member) in value.members().into_iter().flatten() {
+                    $($crate::__wire_find!(key, member, $field $($key)?; $($($mode)*)?);)*
+                }
                 let decoded = $name {
-                    $($field: $crate::__wire_decode!(value, $ty, $field $($key)?; $($($mode)*)?),)*
+                    $($field: $crate::__wire_decode!(value, $field, $ty, $field $($key)?; $($($mode)*)?),)*
                 };
                 $($check(&decoded)?;)?
                 Ok(decoded)
@@ -207,33 +231,65 @@ macro_rules! __wire_encode {
     };
 }
 
+/// The member slot of a field (one arm set), and the step of the member
+/// pass that fills it (the other).
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_find {
+    ($field:ident; flatten) => {
+        ()
+    };
+    ($field:ident ($lo:literal, $hi:literal); $($mode:tt)*) => {
+        (None, None)
+    };
+    ($field:ident $($key:literal)?; $($mode:tt)*) => {
+        None
+    };
+    ($k:ident, $member:ident, $field:ident; flatten) => {};
+    ($k:ident, $member:ident, $field:ident ($lo:literal, $hi:literal); $($mode:tt)*) => {
+        if $k.is_str($lo) {
+            $field.0 = Some($member);
+            continue;
+        } else if $k.is_str($hi) {
+            $field.1 = Some($member);
+            continue;
+        }
+    };
+    ($k:ident, $member:ident, $field:ident $($key:literal)?; $($mode:tt)*) => {
+        if $k.is_str($crate::__wire_key!($field $($key)?)) {
+            $field = Some($member);
+            continue;
+        }
+    };
+}
+
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __wire_decode {
-    ($value:ident, $ty:ty, $field:ident; flatten) => {
-        <$ty as $crate::FromJson>::from_json($value)?
+    ($value:ident, $slot:ident, $ty:ty, $field:ident; flatten) => {
+        <$ty as $crate::FromJson>::from_node($value)?
     };
-    ($value:ident, $ty:ty, $field:ident ($lo:literal, $hi:literal); default $default:expr) => {
+    ($value:ident, $slot:ident, $ty:ty, $field:ident ($lo:literal, $hi:literal); default $default:expr) => {
         (
-            $crate::decode_member_or($value, $lo, || $default.0)?,
-            $crate::decode_member_or($value, $hi, || $default.1)?,
+            $crate::decode_found_or($slot.0, $lo, || $default.0)?,
+            $crate::decode_found_or($slot.1, $hi, || $default.1)?,
         )
     };
-    ($value:ident, $ty:ty, $field:ident ($lo:literal, $hi:literal);) => {
+    ($value:ident, $slot:ident, $ty:ty, $field:ident ($lo:literal, $hi:literal);) => {
         (
-            $crate::decode_member($value, $lo)?,
-            $crate::decode_member($value, $hi)?,
+            $crate::decode_found($slot.0, $lo)?,
+            $crate::decode_found($slot.1, $hi)?,
         )
     };
-    ($value:ident, $ty:ty, $field:ident $($key:literal)?; with $codec:ident) => {{
+    ($value:ident, $slot:ident, $ty:ty, $field:ident $($key:literal)?; with $codec:ident) => {{
         let key = $crate::__wire_key!($field $($key)?);
-        $codec::from_json($value.get(key)).map_err(|e| $crate::prefix_schema(key, e))?
+        $codec::from_node($slot).map_err(|e| $crate::prefix_schema(key, e))?
     }};
     // `default d` and `omit d` decode alike.
-    ($value:ident, $ty:ty, $field:ident $($key:literal)?; $mode:ident $default:expr) => {
-        $crate::decode_member_or($value, $crate::__wire_key!($field $($key)?), || $default)?
+    ($value:ident, $slot:ident, $ty:ty, $field:ident $($key:literal)?; $mode:ident $default:expr) => {
+        $crate::decode_found_or($slot, $crate::__wire_key!($field $($key)?), || $default)?
     };
-    ($value:ident, $ty:ty, $field:ident $($key:literal)?;) => {
-        $crate::decode_member($value, $crate::__wire_key!($field $($key)?))?
+    ($value:ident, $slot:ident, $ty:ty, $field:ident $($key:literal)?;) => {
+        $crate::decode_found($slot, $crate::__wire_key!($field $($key)?))?
     };
 }

@@ -230,18 +230,20 @@ impl ToJson for Json {
 
 /// Runs one request against the entry [`find`] resolved it to (or answers
 /// the lookup's 404/405). `exec_start_ticks` (0 = untraced) opens the
-/// execute span, which ends when the engine (or the error) returns; its
-/// closing stamp opens the serialize span over the one writer pass that
-/// produces the body, and the final boundary stamp rides back in
-/// [`Response::end_ticks`].
+/// request's server-side work: a query route's body decode is the decode
+/// span, and the execute span runs from its closing stamp until the engine
+/// (or the error) returns. That stamp opens the serialize span over the
+/// one writer pass that produces the body, and the final boundary stamp
+/// rides back in [`Response::end_ticks`].
 pub(crate) fn handle(
     state: &ServerState,
     route: Result<&Route, ApiError>,
     request: &Request,
     exec_start_ticks: u64,
 ) -> Reply {
-    let result = route.and_then(|route| dispatch(state, route, request));
-    let mid = record_span(gf_trace::SpanName::Execute, exec_start_ticks, 0);
+    let mut start = exec_start_ticks;
+    let result = route.and_then(|route| dispatch(state, route, request, &mut start));
+    let mid = record_span(gf_trace::SpanName::Execute, start, 0);
     let written = match result {
         Ok(Payload::GridStream(stream)) => match stream.head_json() {
             Ok(head) => {
@@ -271,8 +273,15 @@ pub(crate) fn handle(
 }
 
 /// Runs a resolved dispatch-table entry. A query body is parsed and
-/// decoded once; the decoded grid request itself says whether to stream.
-fn dispatch(state: &ServerState, route: &Route, request: &Request) -> Result<Payload, ApiError> {
+/// decoded once, from its text, in the decode span that `start` opens;
+/// `start` then becomes that span's closing stamp. The decoded grid
+/// request itself says whether to stream.
+fn dispatch(
+    state: &ServerState,
+    route: &Route,
+    request: &Request,
+    start: &mut u64,
+) -> Result<Payload, ApiError> {
     Ok(match route.endpoint {
         Endpoint::Healthz => Payload::Json(Json::Health(healthz(state))),
         Endpoint::Metrics => Payload::Json(Json::Metrics(metrics(state))),
@@ -291,7 +300,13 @@ fn dispatch(state: &ServerState, route: &Route, request: &Request) -> Result<Pay
                 max_bytes: state.config.max_body_bytes,
                 ..gf_json::ParseLimits::default()
             };
-            match kind.decode_body(text, limits)? {
+            let query = kind.decode_body(text, limits);
+            *start = record_span(
+                gf_trace::SpanName::Decode,
+                *start,
+                request.body.len() as u64,
+            );
+            match query? {
                 Query::Grid(grid) if grid.stream => {
                     Payload::GridStream(Box::new(state.engine.grid_stream(&grid)?))
                 }

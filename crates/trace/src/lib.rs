@@ -77,9 +77,11 @@ pub enum SpanName {
     QueueWait = 2,
     /// Scenario compile on a cache miss (engine; `aux` = 0).
     Compile = 3,
-    /// Query execution (server; `aux` = 0): request-body parse, decode
-    /// and the engine call, ending when `Engine::run` (or the error)
-    /// returns. The typed outcome is then written in the serialize span.
+    /// Query execution (server; `aux` = 0): the engine call, from the
+    /// [`SpanName::Decode`] span's end (or, on a route without a body to
+    /// decode, from the parse span's end) until `Engine::run` (or the
+    /// error) returns. The typed outcome is then written in the serialize
+    /// span.
     Execute = 4,
     /// Response-body serialization (server; `aux` = body bytes): the one
     /// `JsonWriter` pass from the typed outcome (or error) to the body
@@ -116,11 +118,17 @@ pub enum SpanName {
     /// inside a coordinate-descent pass (engine; `aux` = kernel
     /// evaluations spent refining).
     OptimizeRefine = 17,
+    /// Request-body decode (server; `aux` = body bytes): one lexer pass
+    /// from the body text to a token tape and the typed query read from
+    /// it, on a `/v1/<kind>` route. It shares its closing stamp with the
+    /// [`SpanName::Execute`] span that follows, and ends on the decode
+    /// error of a malformed body too.
+    Decode = 18,
 }
 
 impl SpanName {
     /// Every name, in discriminant order (for exposition layers).
-    pub const ALL: [SpanName; 18] = [
+    pub const ALL: [SpanName; 19] = [
         SpanName::Parse,
         SpanName::Admission,
         SpanName::QueueWait,
@@ -139,6 +147,7 @@ impl SpanName {
         SpanName::Replay,
         SpanName::Optimize,
         SpanName::OptimizeRefine,
+        SpanName::Decode,
     ];
 
     /// The wire/display spelling (`snake_case`).
@@ -162,6 +171,7 @@ impl SpanName {
             SpanName::Replay => "replay",
             SpanName::Optimize => "optimize",
             SpanName::OptimizeRefine => "optimize_refine",
+            SpanName::Decode => "decode",
         }
     }
 

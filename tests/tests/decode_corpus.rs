@@ -18,7 +18,7 @@ use std::path::PathBuf;
 
 use gf_json::{FromJson, JsonError, ParseLimits, Value};
 use gf_support::SplitMix64;
-use greenfpga::api::Query;
+use greenfpga::api::{Query, QueryKind};
 
 const WIRE: &str = include_str!("../wire_corpus.txt");
 const FROZEN: &str = include_str!("../decode_corpus.txt");
@@ -258,4 +258,30 @@ fn mutated_request_bodies_decode_as_the_frozen_corpus() {
             frozen.get(at),
         );
     }
+}
+
+/// The served text entry at the size and depth extremes, with the
+/// outcomes captured before the tape decoder existed.
+#[test]
+fn bodies_at_the_size_and_depth_extremes_decode_as_before() {
+    let decode = |body: &str| {
+        let error = QueryKind::Batch
+            .decode_body(body, ParseLimits::default())
+            .unwrap_err();
+        error.to_string()
+    };
+    let zeros = format!("[{}]", vec!["0"; 2 << 20].join(","));
+    assert_eq!(decode(&zeros), "JSON schema error: expected an object");
+    let points = |depth: usize| {
+        let (open, close) = ("[".repeat(depth), "]".repeat(depth));
+        format!("{{\"domain\":\"dnn\",\"points\":{open}0{close}}}")
+    };
+    assert_eq!(
+        decode(&points(63)),
+        "JSON schema error at points[0]: expected an object"
+    );
+    assert_eq!(
+        decode(&points(64)),
+        "JSON nesting exceeds the depth limit of 64"
+    );
 }

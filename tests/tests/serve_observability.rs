@@ -40,10 +40,11 @@ const EVALUATE_BODY: &str =
 
 /// Every span-name spelling the exposition may emit. Pinned here so a
 /// renamed span class is a visible wire-format change, not drift.
-const SPAN_NAMES: [&str; 16] = [
+const SPAN_NAMES: [&str; 17] = [
     "parse",
     "admission",
     "queue_wait",
+    "decode",
     "compile",
     "execute",
     "serialize",
@@ -113,6 +114,41 @@ fn trace_route_has_the_golden_shape() {
                 .all(|phase| names.contains(phase))
         }),
         "no request shows the full parse/execute/serialize lifecycle: {by_request:?}"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn a_post_records_decode_before_execute() {
+    let handle = spawn_server();
+    let mut client = connect(&handle);
+    let (status, _) = client.post("/v1/evaluate", EVALUATE_BODY).unwrap();
+    assert_eq!(status, 200);
+    let (_, body) = client.get("/v1/trace").unwrap();
+    let trace = TraceResponse::from_json(&gf_json::parse(&body).unwrap()).unwrap();
+    // Other tests share the span rings, so check every request that
+    // shows both spans, and that this POST is among them.
+    let mut paired = 0;
+    for decode in trace.spans.iter().filter(|span| span.name == "decode") {
+        let Some(execute) = trace
+            .spans
+            .iter()
+            .find(|span| span.name == "execute" && span.request_id == decode.request_id)
+        else {
+            continue;
+        };
+        // The two spans share one boundary stamp; each converts to
+        // nanoseconds on its own, so allow a nanosecond of rounding.
+        assert!(
+            decode.start_ns <= execute.start_ns
+                && decode.start_ns + decode.duration_ns <= execute.start_ns + 1,
+            "decode {decode:?} ends before execute {execute:?} starts"
+        );
+        paired += usize::from(decode.aux == EVALUATE_BODY.len() as u64);
+    }
+    assert!(
+        paired >= 1,
+        "the POST left a decode span (aux = body bytes)"
     );
     handle.shutdown();
 }
