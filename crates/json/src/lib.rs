@@ -183,10 +183,10 @@ impl Value {
 }
 
 /// `n` as an exact unsigned integer: integral, non-negative, at most 2⁵³.
+/// In that range the cast truncates, so it round-trips only for integers.
 #[inline]
 fn exact_u64(n: f64) -> Option<u64> {
     const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-                                                    // In range, the cast truncates, so it round-trips only for integers.
     ((0.0..=MAX_EXACT).contains(&n) && n as u64 as f64 == n).then_some(n as u64)
 }
 
@@ -356,20 +356,10 @@ const UNBOUNDED: ParseLimits = ParseLimits {
     max_bytes: usize::MAX,
 };
 
-/// Deserialization from JSON.
-///
-/// A type's one decoder is [`FromJson::from_node`], which reads a
-/// [`Node`] of a [`Document`] — the token tape one lexer pass makes of the
-/// text, so decoding a request body builds no [`Value`] tree. Callers that
-/// already hold a tree use [`FromJson::from_json`], a cold adapter.
-///
-/// ```
-/// use gf_json::{Document, FromJson, ParseLimits};
-///
-/// let doc = Document::parse("[1, 2.5]", ParseLimits::default())?;
-/// assert_eq!(Vec::<f64>::from_node(doc.root())?, [1.0, 2.5]);
-/// # Ok::<(), gf_json::JsonError>(())
-/// ```
+/// Deserialization from JSON. A type's one decoder is
+/// [`FromJson::from_node`], which reads a [`Node`] of a [`Document`]'s
+/// token tape, so decoding text builds no [`Value`] tree;
+/// [`FromJson::from_json`] is a cold adapter for callers holding a tree.
 pub trait FromJson: Sized {
     /// Decodes `Self` from a tape node.
     ///
@@ -392,13 +382,12 @@ pub trait FromJson: Sized {
     }
 }
 
-/// Runs `decode` on the root of `value`'s tape — the cold adapter from a
-/// [`Value`] tree to the one tape decoder.
+/// Runs `decode` on the root of `value`'s tape: the cold adapter from a
+/// [`Value`] tree to a tape decoder.
 ///
 /// # Errors
 ///
-/// [`JsonError::NonFinite`] when `value` holds a NaN or infinite number,
-/// else whatever `decode` returns.
+/// [`JsonError::NonFinite`] for a NaN or infinite number, else `decode`'s.
 #[cold]
 pub fn decode_value<T>(
     value: &Value,
@@ -415,6 +404,7 @@ impl ToJson for f64 {
 }
 
 impl FromJson for f64 {
+    #[inline]
     fn from_node(value: Node<'_>) -> Result<f64, JsonError> {
         value
             .as_f64()
@@ -430,6 +420,7 @@ impl ToJson for u64 {
 }
 
 impl FromJson for u64 {
+    #[inline]
     fn from_node(value: Node<'_>) -> Result<u64, JsonError> {
         value
             .as_u64()
@@ -444,6 +435,7 @@ impl ToJson for usize {
 }
 
 impl FromJson for usize {
+    #[inline]
     fn from_node(value: Node<'_>) -> Result<usize, JsonError> {
         u64::from_node(value).map(|n| n as usize)
     }
@@ -456,6 +448,7 @@ impl ToJson for bool {
 }
 
 impl FromJson for bool {
+    #[inline]
     fn from_node(value: Node<'_>) -> Result<bool, JsonError> {
         value
             .as_bool()

@@ -109,6 +109,7 @@ impl<'t> Document<'t> {
     }
 
     /// The top-level value.
+    #[inline]
     pub fn root(&self) -> Node<'_> {
         Node { doc: self, at: 0 }
     }
@@ -135,6 +136,7 @@ impl<'a> Node<'a> {
 
     /// The children of a container: `len` of them, each `width` nodes
     /// wide at its head (2 for an object's key and value).
+    #[inline]
     fn children(self, len: u32, width: usize) -> impl ExactSizeIterator<Item = Node<'a>> {
         let mut at = self.at + 1;
         (0..len).map(move |_| {
@@ -183,6 +185,7 @@ impl<'a> Node<'a> {
 
     /// The string content, borrowed unless it holds escapes, or `None`
     /// for other kinds.
+    #[inline]
     pub fn as_str(self) -> Option<Cow<'a, str>> {
         let Tok::Str {
             start,
@@ -201,6 +204,7 @@ impl<'a> Node<'a> {
     }
 
     /// The array items in order, or `None` for other kinds.
+    #[inline]
     pub fn items(self) -> Option<impl ExactSizeIterator<Item = Node<'a>>> {
         let Tok::Container {
             object: false, len, ..
@@ -212,7 +216,7 @@ impl<'a> Node<'a> {
     }
 
     /// `true` when this is the string `s` (escapes decoded).
-    #[inline]
+    #[inline(always)]
     pub fn is_str(self, s: &str) -> bool {
         match self.tok() {
             Tok::Str {
@@ -229,6 +233,7 @@ impl<'a> Node<'a> {
 
     /// The object members as (key, value) in document order, duplicates
     /// included, or `None` for other kinds. A key is a string node.
+    #[inline]
     pub fn members(self) -> Option<impl ExactSizeIterator<Item = (Node<'a>, Node<'a>)>> {
         let Tok::Container {
             object: true, len, ..
@@ -336,13 +341,8 @@ impl Lexer<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.expected(byte))
+            Err(self.syntax(format!("expected '{}'", byte as char)))
         }
-    }
-
-    #[cold]
-    fn expected(&self, byte: u8) -> JsonError {
-        self.syntax(format!("expected '{}'", byte as char))
     }
 
     /// Lexes one value and everything nested in it. The open containers
