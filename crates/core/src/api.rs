@@ -143,12 +143,16 @@ impl ToJson for SweepAxis {
 /// A sweep axis by wire id: case-insensitive, and `applications` is
 /// accepted for `apps`.
 fn parse_axis(id: &str) -> Option<SweepAxis> {
-    match id.to_ascii_lowercase().as_str() {
-        "apps" | "applications" => Some(SweepAxis::Applications),
-        "lifetime" => Some(SweepAxis::LifetimeYears),
-        "volume" => Some(SweepAxis::VolumeUnits),
-        _ => None,
-    }
+    let names = [
+        ("apps", SweepAxis::Applications),
+        ("applications", SweepAxis::Applications),
+        ("lifetime", SweepAxis::LifetimeYears),
+        ("volume", SweepAxis::VolumeUnits),
+    ];
+    let found = names
+        .into_iter()
+        .find(|(name, _)| id.eq_ignore_ascii_case(name));
+    found.map(|(_, axis)| axis)
 }
 
 impl FromJson for SweepAxis {

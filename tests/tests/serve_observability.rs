@@ -40,7 +40,7 @@ const EVALUATE_BODY: &str =
 
 /// Every span-name spelling the exposition may emit. Pinned here so a
 /// renamed span class is a visible wire-format change, not drift.
-const SPAN_NAMES: [&str; 17] = [
+const SPAN_NAMES: [&str; 19] = [
     "parse",
     "admission",
     "queue_wait",
@@ -58,6 +58,8 @@ const SPAN_NAMES: [&str; 17] = [
     "cli_eval",
     "catalog_resolve",
     "replay",
+    "optimize",
+    "optimize_refine",
 ];
 
 fn is_hex_id(id: &str) -> bool {
