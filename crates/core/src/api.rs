@@ -13,7 +13,9 @@
 //! encoders that add computed members (`ratio`, `winner`, `total_kg`, …)
 //! are hand-written. Every type has exactly one encoder,
 //! [`ToJson::write_json`], which appends to a [`JsonWriter`] with no
-//! intermediate tree; the `Value`-returning accessors
+//! intermediate tree, and one decoder, [`FromJson::from_node`], which
+//! reads the token tape of the body text ([`QueryKind::decode_body`]);
+//! the `Value`-taking decoders and the `Value`-returning accessors
 //! ([`Outcome::result_json`], [`Query::request_body`]) write and then
 //! parse, for cold callers. Each query kind is one row of the
 //! `query_kinds!` table, which generates [`QueryKind`], [`Query`],

@@ -79,7 +79,7 @@ const _: () = assert!(std::mem::size_of::<Tok>() <= 16);
 
 /// A parsed JSON document: the input text and its token tape. A text of
 /// `n` bytes makes at most `(n + 1) / 2` nodes.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Document<'t> {
     text: &'t str,
     tape: Vec<Tok>,
@@ -261,7 +261,7 @@ impl<'a> Node<'a> {
     }
 
     /// This node's subtree as a [`Value`] tree.
-    pub fn to_value(self) -> Value {
+    pub(crate) fn to_value(self) -> Value {
         match self.tok() {
             Tok::Null => Value::Null,
             Tok::Bool(b) => Value::Bool(b),
