@@ -158,7 +158,7 @@ fn a_tape_holds_at_most_one_node_per_two_bytes() {
 }
 
 #[test]
-fn a_4_mib_array_and_the_depth_limit_read_as_before() {
+fn a_4_mib_array_parses_and_depth_65_is_rejected() {
     let zeros = format!("[{}]", vec!["0"; 2 << 20].join(","));
     assert_eq!(zeros.len(), (4 << 20) + 1);
     let doc = Document::parse(&zeros, ParseLimits::default()).unwrap();

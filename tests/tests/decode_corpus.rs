@@ -260,10 +260,11 @@ fn mutated_request_bodies_decode_as_the_frozen_corpus() {
     }
 }
 
-/// The served text entry at the size and depth extremes, with the
-/// outcomes captured before the tape decoder existed.
+/// The served text entry at the size and depth extremes: a 4 MiB array
+/// is read whole and rejected as a non-object, and nesting fails one
+/// level past the depth limit, not before.
 #[test]
-fn bodies_at_the_size_and_depth_extremes_decode_as_before() {
+fn bodies_at_the_size_and_depth_extremes_decode_as_pinned() {
     let decode = |body: &str| {
         let error = QueryKind::Batch
             .decode_body(body, ParseLimits::default())
