@@ -78,10 +78,10 @@ pub enum SpanName {
     /// Scenario compile on a cache miss (engine; `aux` = 0).
     Compile = 3,
     /// Query execution (server; `aux` = 0): the engine call, from the
-    /// [`SpanName::Decode`] span's end (or, on a route without a body to
-    /// decode, from the parse span's end) until `Engine::run` (or the
-    /// error) returns. The typed outcome is then written in the serialize
-    /// span.
+    /// [`SpanName::Decode`] span's end until `Engine::run` (or the error)
+    /// returns. On the health, metrics and trace routes, which decode
+    /// nothing, it opens where decode would. The typed outcome is then
+    /// written in the serialize span.
     Execute = 4,
     /// Response-body serialization (server; `aux` = body bytes): the one
     /// `JsonWriter` pass from the typed outcome (or error) to the body
