@@ -11,19 +11,25 @@ fn main() {
 
     bench("crossover_applications_dnn", || {
         estimator
-            .crossover_in_applications(black_box(Domain::Dnn), 16, 2.0, 1_000_000)
+            .compile(black_box(Domain::Dnn))
+            .expect("compile")
+            .crossover_in_applications_verified(16, 2.0, 1_000_000)
             .expect("search")
     });
 
     bench("crossover_lifetime_dnn", || {
         estimator
-            .crossover_in_lifetime(black_box(Domain::Dnn), 5, 1_000_000, 0.05, 3.0)
+            .compile(black_box(Domain::Dnn))
+            .expect("compile")
+            .crossover_in_lifetime_verified(5, 1_000_000, 0.05, 3.0)
             .expect("search")
     });
 
     bench("crossover_volume_dnn", || {
         estimator
-            .crossover_in_volume(black_box(Domain::Dnn), 5, 2.0, 1_000, 20_000_000)
+            .compile(black_box(Domain::Dnn))
+            .expect("compile")
+            .crossover_in_volume_verified(5, 2.0, 1_000, 20_000_000)
             .expect("search")
     });
 }

@@ -4,8 +4,8 @@
 //! layers were built for:
 //!
 //! * a 64×64 DNN ratio heatmap (Fig. 8 class) — naive per-cell
-//!   `compare_uniform` versus `Estimator::ratio_grid` (compiled scenario +
-//!   batch kernel + thread pool),
+//!   `compare_uniform` versus `CompiledScenario::ratio_grid` (compile +
+//!   batch kernel + scoped fan-out),
 //! * a 10 000-sample Monte-Carlo study — the pre-PR structure (one
 //!   parameter clone per knob per trial, full model rebuild per trial,
 //!   serial) versus `MonteCarlo::run`,
@@ -13,7 +13,7 @@
 //!   on a compiled scenario versus the closed-form solver
 //!   (`crossover_*_analytic`),
 //! * the 64×64 winner map — dense `ratio_grid` versus the per-row
-//!   bisection frontier (`Estimator::frontier`), and
+//!   bisection frontier (`CompiledScenario::frontier`), and
 //! * the batch kernel — `CompiledScenario::evaluate_into` into a reused
 //!   buffer (`evaluate_batch_ns`, gated per point by `bench_gate`'s
 //!   absolute `evaluate_ns_per_point` ceiling), and one evaluation at 5
@@ -45,7 +45,7 @@
 use std::hint::black_box;
 use std::time::Duration;
 
-use gf_bench::harness::{bench_with, metrics_json};
+use gf_bench::harness::{bench_pair, bench_with, metrics_json};
 use gf_json::{JsonWriter, ToJson};
 use gf_support::SplitMix64;
 use greenfpga::api::{BatchEvalRequest, GridRequest, Query, QueryKind};
@@ -134,13 +134,15 @@ fn naive_grid(estimator: &Estimator) -> Vec<f64> {
 fn batch_grid(estimator: &Estimator) -> Vec<f64> {
     let (apps, lifetimes) = grid_axes();
     let grid = estimator
+        .compile(Domain::Dnn)
+        .expect("compile dnn")
         .ratio_grid(
-            Domain::Dnn,
             SweepAxis::Applications,
             &apps,
             SweepAxis::LifetimeYears,
             &lifetimes,
             OperatingPoint::paper_default(),
+            0,
         )
         .expect("batch grid");
     grid.ratios.into_iter().flatten().collect()
@@ -271,58 +273,50 @@ fn main() {
         }
     }
 
-    let naive_heatmap = bench_with(
-        &format!("heatmap_{GRID_SIZE}x{GRID_SIZE}_naive"),
+    let (naive_heatmap, batch_heatmap, heatmap_speedup) = bench_pair(
+        (&format!("heatmap_{GRID_SIZE}x{GRID_SIZE}_naive"), || {
+            naive_grid(&estimator)
+        }),
+        (&format!("heatmap_{GRID_SIZE}x{GRID_SIZE}_batch"), || {
+            batch_grid(&estimator)
+        }),
         Duration::from_millis(300),
         5,
-        || naive_grid(&estimator),
     );
     println!("{naive_heatmap}");
-    let batch_heatmap = bench_with(
-        &format!("heatmap_{GRID_SIZE}x{GRID_SIZE}_batch"),
-        Duration::from_millis(300),
-        5,
-        || batch_grid(&estimator),
-    );
     println!("{batch_heatmap}");
-    let heatmap_speedup = naive_heatmap.median_ns / batch_heatmap.median_ns;
     println!("heatmap speedup: {heatmap_speedup:.1}x");
 
-    let naive_mc = bench_with(
-        &format!("monte_carlo_{MC_SAMPLES}_naive"),
-        Duration::from_millis(300),
-        3,
-        || naive_monte_carlo(&base, MC_SAMPLES),
-    );
-    println!("{naive_mc}");
-    let batch_mc = bench_with(
-        &format!("monte_carlo_{MC_SAMPLES}_batch"),
-        Duration::from_millis(300),
-        3,
-        || {
+    let (naive_mc, batch_mc, mc_speedup) = bench_pair(
+        (&format!("monte_carlo_{MC_SAMPLES}_naive"), || {
+            naive_monte_carlo(&base, MC_SAMPLES)
+        }),
+        (&format!("monte_carlo_{MC_SAMPLES}_batch"), || {
             MonteCarlo::new(MC_SAMPLES)
                 .run(&base, Domain::Dnn, OperatingPoint::paper_default())
                 .expect("batch monte carlo")
-        },
+        }),
+        Duration::from_millis(300),
+        3,
     );
+    println!("{naive_mc}");
     println!("{batch_mc}");
-    let mc_speedup = naive_mc.median_ns / batch_mc.median_ns;
     println!("monte-carlo speedup: {mc_speedup:.1}x");
 
     // --- Closed-form crossovers vs the scan/bisection searches. ---
     let compiled = estimator.compile(Domain::Dnn).expect("compile dnn");
     {
-        // Sanity: the Estimator wrappers (analytic + boundary verification)
+        // Sanity: the verified searches (analytic + boundary verification)
         // must reproduce the scan/bisection answers before the kernel
         // timing means anything.
         let (scan_apps, scan_lifetime, scan_volume) = scan_crossovers(&compiled);
         let point = OperatingPoint::paper_default();
-        let apps = estimator
-            .crossover_in_applications(Domain::Dnn, 20, point.lifetime_years, point.volume)
+        let apps = compiled
+            .crossover_in_applications_verified(20, point.lifetime_years, point.volume)
             .expect("apps crossover");
         assert_eq!(apps, scan_apps, "applications crossover mismatch");
-        let lifetime = estimator
-            .crossover_in_lifetime(Domain::Dnn, point.applications, point.volume, 0.05, 5.0)
+        let lifetime = compiled
+            .crossover_in_lifetime_verified(point.applications, point.volume, 0.05, 5.0)
             .expect("lifetime crossover")
             .expect("lifetime crossover exists");
         assert!(
@@ -330,9 +324,8 @@ fn main() {
             "lifetime crossover mismatch: analytic {} vs bisection {scan_lifetime}",
             lifetime.at
         );
-        let volume = estimator
-            .crossover_in_volume(
-                Domain::Dnn,
+        let volume = compiled
+            .crossover_in_volume_verified(
                 point.applications,
                 point.lifetime_years,
                 1_000,
@@ -342,45 +335,40 @@ fn main() {
             .expect("volume crossover exists");
         assert_eq!(volume.at, scan_volume, "volume crossover mismatch");
     }
-    let scan_crossover = bench_with(
-        "crossover_3axis_scan_bisect",
+    let (scan_crossover, analytic_crossover, crossover_speedup) = bench_pair(
+        ("crossover_3axis_scan_bisect", || scan_crossovers(&compiled)),
+        ("crossover_3axis_analytic", || {
+            analytic_crossovers(&compiled)
+        }),
         Duration::from_millis(100),
         5,
-        || scan_crossovers(&compiled),
     );
     println!("{scan_crossover}");
-    let analytic_crossover = bench_with(
-        "crossover_3axis_analytic",
-        Duration::from_millis(100),
-        5,
-        || analytic_crossovers(&compiled),
-    );
     println!("{analytic_crossover}");
-    let crossover_speedup = scan_crossover.median_ns / analytic_crossover.median_ns;
     println!("crossover speedup: {crossover_speedup:.1}x");
 
     // --- Per-row bisection frontier vs the dense winner map. ---
     let (apps, lifetimes) = frontier_axes();
-    let frontier_result = estimator
+    let frontier_result = compiled
         .frontier(
-            Domain::Dnn,
             SweepAxis::Applications,
             &apps,
             SweepAxis::LifetimeYears,
             &lifetimes,
             OperatingPoint::paper_default(),
+            0,
         )
         .expect("frontier");
     {
         // Sanity: bit-consistent winner mask against the dense grid.
-        let dense = estimator
+        let dense = compiled
             .ratio_grid(
-                Domain::Dnn,
                 SweepAxis::Applications,
                 &apps,
                 SweepAxis::LifetimeYears,
                 &lifetimes,
                 OperatingPoint::paper_default(),
+                0,
             )
             .expect("dense grid");
         for (row, dense_row) in dense.ratios.iter().enumerate() {
@@ -400,25 +388,32 @@ fn main() {
         frontier_result.len(),
         frontier_fraction * 100.0
     );
-    let adaptive_frontier = bench_with(
-        &format!("frontier_{GRID_SIZE}x{GRID_SIZE}_adaptive"),
+    let (dense_heatmap, adaptive_frontier, frontier_speedup) = bench_pair(
+        (&format!("heatmap_{GRID_SIZE}x{GRID_SIZE}_batch"), || {
+            batch_grid(&estimator)
+        }),
+        (
+            &format!("frontier_{GRID_SIZE}x{GRID_SIZE}_adaptive"),
+            || {
+                estimator
+                    .compile(Domain::Dnn)
+                    .expect("compile dnn")
+                    .frontier(
+                        SweepAxis::Applications,
+                        &apps,
+                        SweepAxis::LifetimeYears,
+                        &lifetimes,
+                        OperatingPoint::paper_default(),
+                        0,
+                    )
+                    .expect("frontier")
+            },
+        ),
         Duration::from_millis(300),
         5,
-        || {
-            estimator
-                .frontier(
-                    Domain::Dnn,
-                    SweepAxis::Applications,
-                    &apps,
-                    SweepAxis::LifetimeYears,
-                    &lifetimes,
-                    OperatingPoint::paper_default(),
-                )
-                .expect("frontier")
-        },
     );
+    println!("{dense_heatmap}");
     println!("{adaptive_frontier}");
-    let frontier_speedup = batch_heatmap.median_ns / adaptive_frontier.median_ns;
     println!("frontier speedup over dense batch grid: {frontier_speedup:.1}x");
 
     // --- Batch kernel: cost per point, and flat in the application count. ---
@@ -454,17 +449,20 @@ fn main() {
         applications,
         ..OperatingPoint::paper_default()
     };
-    let evaluate_apps_5 = bench_with("evaluate_apps_5", Duration::from_millis(60), 5, || {
-        compiled.evaluate(black_box(at_apps(5))).expect("n = 5")
-    });
+    let (evaluate_apps_2p53, evaluate_apps_5, apps_cost_ratio) = bench_pair(
+        ("evaluate_apps_2p53", || {
+            compiled
+                .evaluate(black_box(at_apps(1 << 53)))
+                .expect("n = 2^53")
+        }),
+        ("evaluate_apps_5", || {
+            compiled.evaluate(black_box(at_apps(5))).expect("n = 5")
+        }),
+        Duration::from_millis(60),
+        5,
+    );
     println!("{evaluate_apps_5}");
-    let evaluate_apps_2p53 = bench_with("evaluate_apps_2p53", Duration::from_millis(60), 5, || {
-        compiled
-            .evaluate(black_box(at_apps(1 << 53)))
-            .expect("n = 2^53")
-    });
     println!("{evaluate_apps_2p53}");
-    let apps_cost_ratio = evaluate_apps_2p53.median_ns / evaluate_apps_5.median_ns;
     println!("evaluate cost at 2^53 vs 5 applications: {apps_cost_ratio:.2}x");
 
     // --- Streamed million-point grid: the batch kernel end to end. ---

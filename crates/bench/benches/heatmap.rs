@@ -15,13 +15,15 @@ fn main() {
         let lifetimes: Vec<f64> = (1..=size).map(|i| 0.25 * i as f64).collect();
         bench(&format!("fig8_ratio_grid/{}", size * size), || {
             estimator
+                .compile(Domain::Dnn)
+                .expect("compile")
                 .ratio_grid(
-                    Domain::Dnn,
                     SweepAxis::Applications,
                     black_box(&apps),
                     SweepAxis::LifetimeYears,
                     black_box(&lifetimes),
                     base,
+                    0,
                 )
                 .expect("grid")
         });
@@ -30,13 +32,15 @@ fn main() {
     let apps: Vec<f64> = (1..=10).map(|n| n as f64).collect();
     let lifetimes: Vec<f64> = (1..=10).map(|i| 0.25 * i as f64).collect();
     let grid = estimator
+        .compile(Domain::Dnn)
+        .expect("compile")
         .ratio_grid(
-            Domain::Dnn,
             SweepAxis::Applications,
             &apps,
             SweepAxis::LifetimeYears,
             &lifetimes,
             base,
+            0,
         )
         .expect("grid");
     let renderer = HeatmapRenderer::new();

@@ -51,9 +51,10 @@ fn main() -> Result<(), greenfpga::GreenFpgaError> {
     // Crossover sensitivity.
     let mut crossover_rows = Vec::new();
     for (name, model) in models {
-        let estimator = Estimator::new(EstimatorParams::paper_defaults().with_yield_model(model));
-        let apps = estimator.crossover_in_applications(Domain::Dnn, 20, 2.0, 1_000_000)?;
-        let lifetime = estimator.crossover_in_lifetime(Domain::Dnn, 5, 1_000_000, 0.05, 3.0)?;
+        let compiled = Estimator::new(EstimatorParams::paper_defaults().with_yield_model(model))
+            .compile(Domain::Dnn)?;
+        let apps = compiled.crossover_in_applications_verified(20, 2.0, 1_000_000)?;
+        let lifetime = compiled.crossover_in_lifetime_verified(5, 1_000_000, 0.05, 3.0)?;
         crossover_rows.push(vec![
             name.to_string(),
             apps.map_or("none".into(), |n| format!("{n}")),
@@ -74,10 +75,10 @@ fn main() -> Result<(), greenfpga::GreenFpgaError> {
     );
 
     println!("Baseline (paper defaults) for reference:");
-    let default_est = paper_estimator();
+    let default_dnn = paper_estimator().compile(Domain::Dnn)?;
     println!(
         "  A2F at {:?} applications",
-        default_est.crossover_in_applications(Domain::Dnn, 20, 2.0, 1_000_000)?
+        default_dnn.crossover_in_applications_verified(20, 2.0, 1_000_000)?
     );
     Ok(())
 }

@@ -32,12 +32,13 @@ fn main() -> Result<(), greenfpga::GreenFpgaError> {
             let c = estimator.compare_uniform(domain, n, base.lifetime_years, base.volume)?;
             println!("  N={n:2}  ratio {:.3}", c.fpga_to_asic_ratio());
         }
-        if let Some(c) = estimator.crossover_in_lifetime(domain, 5, 1_000_000, 0.05, 3.0)? {
+        let compiled = estimator.compile(domain)?;
+        if let Some(c) = compiled.crossover_in_lifetime_verified(5, 1_000_000, 0.05, 3.0)? {
             println!("  lifetime crossover: {} at {:.2} y", c.direction, c.at);
         } else {
             println!("  lifetime crossover: none");
         }
-        if let Some(c) = estimator.crossover_in_volume(domain, 5, 2.0, 1_000, 20_000_000)? {
+        if let Some(c) = compiled.crossover_in_volume_verified(5, 2.0, 1_000, 20_000_000)? {
             println!("  volume crossover: {} at {:.0}", c.direction, c.at);
         } else {
             println!("  volume crossover: none");

@@ -5,7 +5,7 @@
 //! (DNN) and 12 applications (ImgProc).
 
 use gf_bench::paper_estimator;
-use greenfpga::{csv_from_rows, Domain, OperatingPoint};
+use greenfpga::{csv_from_rows, Domain, OperatingPoint, SweepAxis};
 
 fn main() -> Result<(), greenfpga::GreenFpgaError> {
     let estimator = paper_estimator();
@@ -14,11 +14,12 @@ fn main() -> Result<(), greenfpga::GreenFpgaError> {
         lifetime_years: 2.0,
         volume: 1_000_000,
     };
-    let counts: Vec<u64> = (1..=12).collect();
+    let counts: Vec<f64> = (1..=12).map(|n| n as f64).collect();
 
     let mut rows = Vec::new();
     for domain in Domain::ALL {
-        let series = estimator.sweep_applications(domain, &counts, base)?;
+        let compiled = estimator.compile(domain)?;
+        let series = compiled.sweep_series(SweepAxis::Applications, &counts, base, 0)?;
         println!("Figure 4 — {domain} (T_i = 2 y, N_vol = 1e6):");
         for point in &series.points {
             println!(
@@ -36,7 +37,7 @@ fn main() -> Result<(), greenfpga::GreenFpgaError> {
                 format!("{:.4}", point.ratio()),
             ]);
         }
-        match estimator.crossover_in_applications(domain, 16, 2.0, 1_000_000)? {
+        match compiled.crossover_in_applications_verified(16, 2.0, 1_000_000)? {
             Some(n) => println!("  -> A2F crossover at {n} applications"),
             None => println!("  -> no A2F crossover within 16 applications"),
         }

@@ -5,7 +5,7 @@
 //! ASIC, and DNN shows an F2A crossover at roughly 1.6 years.
 
 use gf_bench::paper_estimator;
-use greenfpga::{csv_from_rows, Domain, OperatingPoint};
+use greenfpga::{csv_from_rows, Domain, OperatingPoint, SweepAxis};
 
 fn main() -> Result<(), greenfpga::GreenFpgaError> {
     let estimator = paper_estimator();
@@ -20,7 +20,8 @@ fn main() -> Result<(), greenfpga::GreenFpgaError> {
 
     let mut rows = Vec::new();
     for domain in Domain::ALL {
-        let series = estimator.sweep_lifetime(domain, &lifetimes, base)?;
+        let compiled = estimator.compile(domain)?;
+        let series = compiled.sweep_series(SweepAxis::LifetimeYears, &lifetimes, base, 0)?;
         println!("Figure 5 — {domain} (N_app = 5, N_vol = 1e6):");
         for point in &series.points {
             println!(
@@ -38,7 +39,7 @@ fn main() -> Result<(), greenfpga::GreenFpgaError> {
                 format!("{:.4}", point.ratio()),
             ]);
         }
-        match estimator.crossover_in_lifetime(domain, 5, 1_000_000, 0.05, 3.0)? {
+        match compiled.crossover_in_lifetime_verified(5, 1_000_000, 0.05, 3.0)? {
             Some(c) => println!("  -> {} crossover at {:.2} years", c.direction, c.at),
             None => println!("  -> no crossover: the same platform wins at every lifetime"),
         }

@@ -5,7 +5,7 @@
 //! crossovers at roughly 300K and 2M units respectively.
 
 use gf_bench::paper_estimator;
-use greenfpga::{csv_from_rows, log_spaced_volumes, Domain, OperatingPoint};
+use greenfpga::{csv_from_rows, log_spaced_volumes, Domain, OperatingPoint, SweepAxis};
 
 fn main() -> Result<(), greenfpga::GreenFpgaError> {
     let estimator = paper_estimator();
@@ -14,11 +14,15 @@ fn main() -> Result<(), greenfpga::GreenFpgaError> {
         lifetime_years: 2.0,
         volume: 1_000_000,
     };
-    let volumes = log_spaced_volumes(1_000, 10_000_000, 17);
+    let volumes: Vec<f64> = log_spaced_volumes(1_000, 10_000_000, 17)
+        .into_iter()
+        .map(|v| v as f64)
+        .collect();
 
     let mut rows = Vec::new();
     for domain in Domain::ALL {
-        let series = estimator.sweep_volume(domain, &volumes, base)?;
+        let compiled = estimator.compile(domain)?;
+        let series = compiled.sweep_series(SweepAxis::VolumeUnits, &volumes, base, 0)?;
         println!("Figure 6 — {domain} (N_app = 5, T_i = 2 y):");
         for point in &series.points {
             println!(
@@ -36,7 +40,7 @@ fn main() -> Result<(), greenfpga::GreenFpgaError> {
                 format!("{:.4}", point.ratio()),
             ]);
         }
-        match estimator.crossover_in_volume(domain, 5, 2.0, 1_000, 20_000_000)? {
+        match compiled.crossover_in_volume_verified(5, 2.0, 1_000, 20_000_000)? {
             Some(c) => println!("  -> {} crossover at about {:.0} units", c.direction, c.at),
             None => println!("  -> no crossover: the same platform wins at every volume"),
         }

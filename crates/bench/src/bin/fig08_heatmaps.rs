@@ -9,7 +9,7 @@ use gf_bench::paper_estimator;
 use greenfpga::{log_spaced_volumes, Domain, HeatmapRenderer, OperatingPoint, SweepAxis};
 
 fn main() -> Result<(), greenfpga::GreenFpgaError> {
-    let estimator = paper_estimator();
+    let dnn = paper_estimator().compile(Domain::Dnn)?;
     let base = OperatingPoint {
         applications: 5,
         lifetime_years: 2.0,
@@ -25,13 +25,13 @@ fn main() -> Result<(), greenfpga::GreenFpgaError> {
         .collect();
 
     println!("Figure 8(a) — N_app x T_i grid (N_vol fixed at 1e6):");
-    let grid = estimator.ratio_grid(
-        Domain::Dnn,
+    let grid = dnn.ratio_grid(
         SweepAxis::Applications,
         &apps,
         SweepAxis::LifetimeYears,
         &lifetimes,
         base,
+        0,
     )?;
     println!("{}", renderer.render(&grid));
     println!(
@@ -41,13 +41,13 @@ fn main() -> Result<(), greenfpga::GreenFpgaError> {
     println!();
 
     println!("Figure 8(b) — N_vol x T_i grid (N_app fixed at 5):");
-    let grid = estimator.ratio_grid(
-        Domain::Dnn,
+    let grid = dnn.ratio_grid(
         SweepAxis::VolumeUnits,
         &volumes,
         SweepAxis::LifetimeYears,
         &lifetimes,
         base,
+        0,
     )?;
     println!("{}", renderer.render(&grid));
     println!(
@@ -57,13 +57,13 @@ fn main() -> Result<(), greenfpga::GreenFpgaError> {
     println!();
 
     println!("Figure 8(c) — N_vol x N_app grid (T_i fixed at 2 years):");
-    let grid = estimator.ratio_grid(
-        Domain::Dnn,
+    let grid = dnn.ratio_grid(
         SweepAxis::VolumeUnits,
         &volumes,
         SweepAxis::Applications,
         &apps,
         base,
+        0,
     )?;
     println!("{}", renderer.render(&grid));
     println!(

@@ -13,9 +13,10 @@ fn main() -> Result<(), greenfpga::GreenFpgaError> {
     let mut rows = Vec::new();
 
     for domain in Domain::ALL {
-        let apps = estimator.crossover_in_applications(domain, 20, 2.0, 1_000_000)?;
-        let lifetime = estimator.crossover_in_lifetime(domain, 5, 1_000_000, 0.05, 3.0)?;
-        let volume = estimator.crossover_in_volume(domain, 5, 2.0, 1_000, 20_000_000)?;
+        let compiled = estimator.compile(domain)?;
+        let apps = compiled.crossover_in_applications_verified(20, 2.0, 1_000_000)?;
+        let lifetime = compiled.crossover_in_lifetime_verified(5, 1_000_000, 0.05, 3.0)?;
+        let volume = compiled.crossover_in_volume_verified(5, 2.0, 1_000, 20_000_000)?;
         rows.push(vec![
             domain.to_string(),
             apps.map_or("never (<=20)".to_string(), |n| format!("{n} apps")),

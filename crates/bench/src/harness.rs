@@ -45,8 +45,49 @@ pub fn bench_with<R>(
     batches: usize,
     mut f: impl FnMut() -> R,
 ) -> BenchResult {
-    // Warm up and calibrate: double the batch size until it exceeds ~1/4 of
-    // the target, then scale to the target.
+    let iters = calibrate(target_batch, &mut f);
+    let samples = (0..batches.max(1))
+        .map(|_| time_batch(iters, &mut f))
+        .collect();
+    summarize(name, iters, samples)
+}
+
+/// Measures two arms against each other: each arm is calibrated on its
+/// own, then their timed batches alternate (`a`, `b`, `a`, `b`, …) so a
+/// host-speed swing lands on both arms of a pair instead of on one arm.
+///
+/// Returns both arms' statistics (as [`bench_with`] reports them) and the
+/// median over the `batches` pairs of the per-pair ratio `a / b`, a speedup
+/// when `a` is the slow path.
+pub fn bench_pair<A, B>(
+    (name_a, mut a): (&str, impl FnMut() -> A),
+    (name_b, mut b): (&str, impl FnMut() -> B),
+    target_batch: Duration,
+    batches: usize,
+) -> (BenchResult, BenchResult, f64) {
+    let iters_a = calibrate(target_batch, &mut a);
+    let iters_b = calibrate(target_batch, &mut b);
+    let (samples_a, samples_b): (Vec<f64>, Vec<f64>) = (0..batches.max(1))
+        .map(|_| (time_batch(iters_a, &mut a), time_batch(iters_b, &mut b)))
+        .unzip();
+    let mut ratios: Vec<f64> = samples_a
+        .iter()
+        .zip(&samples_b)
+        .map(|(a, b)| a / b)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[ratios.len() / 2];
+    (
+        summarize(name_a, iters_a, samples_a),
+        summarize(name_b, iters_b, samples_b),
+        ratio,
+    )
+}
+
+/// Warms up and calibrates: doubles the batch size until one batch exceeds
+/// ~1/4 of `target_batch`, then scales to the target. Returns the
+/// iterations per timed batch.
+fn calibrate<R>(target_batch: Duration, f: &mut impl FnMut() -> R) -> u64 {
     let mut iters: u64 = 1;
     let per_iter = loop {
         let start = Instant::now();
@@ -59,19 +100,21 @@ pub fn bench_with<R>(
         }
         iters *= 2;
     };
-    let iters_per_batch = ((target_batch.as_secs_f64() / per_iter).ceil() as u64).max(1);
+    ((target_batch.as_secs_f64() / per_iter).ceil() as u64).max(1)
+}
 
-    let mut samples: Vec<f64> = (0..batches.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters_per_batch {
-                black_box(f());
-            }
-            start.elapsed().as_secs_f64() * 1e9 / iters_per_batch as f64
-        })
-        .collect();
+/// Times one batch of `iters` calls, in nanoseconds per call.
+fn time_batch<R>(iters: u64, f: &mut impl FnMut() -> R) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    start.elapsed().as_secs_f64() * 1e9 / iters as f64
+}
+
+/// Per-iteration statistics over the timed batches' samples.
+fn summarize(name: &str, iters_per_batch: u64, mut samples: Vec<f64>) -> BenchResult {
     samples.sort_by(f64::total_cmp);
-
     BenchResult {
         name: name.to_string(),
         iters_per_batch,
@@ -181,6 +224,24 @@ mod tests {
         assert!(result.iters_per_batch >= 1);
         assert_eq!(result.batches, 3);
         assert!(result.to_string().contains("spin"));
+    }
+
+    #[test]
+    fn bench_pair_times_both_arms_and_their_ratio() {
+        let spin = |n: u64| move || (0..n).map(black_box).sum::<u64>();
+        let (slow, fast, ratio) = bench_pair(
+            ("slow", spin(4_000)),
+            ("fast", spin(100)),
+            Duration::from_millis(2),
+            3,
+        );
+        assert_eq!((slow.name.as_str(), fast.name.as_str()), ("slow", "fast"));
+        assert_eq!((slow.batches, fast.batches), (3, 3));
+        assert!(fast.median_ns > 0.0 && slow.median_ns > 0.0);
+        assert!(
+            ratio > 1.0,
+            "a 40x larger loop timed {ratio:.2}x the small one"
+        );
     }
 
     #[test]

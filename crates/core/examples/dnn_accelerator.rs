@@ -10,6 +10,7 @@
 use greenfpga::units::{CarbonIntensity, Fraction};
 use greenfpga::{
     log_spaced_volumes, DeploymentParams, Domain, Estimator, EstimatorParams, OperatingPoint,
+    SweepAxis,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,11 +21,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         CarbonIntensity::from_grams_per_kwh(200.0),
     );
     let estimator = Estimator::new(EstimatorParams::paper_defaults().with_deployment(deployment));
+    let dnn = estimator.compile(Domain::Dnn)?;
 
     println!("== How many model generations until the FPGA is greener? ==");
     for lifetime_years in [1.0, 1.5, 2.0, 2.5] {
-        let crossover =
-            estimator.crossover_in_applications(Domain::Dnn, 20, lifetime_years, 1_000_000)?;
+        let crossover = dnn.crossover_in_applications_verified(20, lifetime_years, 1_000_000)?;
         match crossover {
             Some(n) => println!(
                 "  generation lifetime {lifetime_years:.1} y: FPGA wins from {n} generations"
@@ -42,8 +43,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         lifetime_years: 2.0,
         volume: 1_000_000,
     };
-    let volumes = log_spaced_volumes(10_000, 10_000_000, 7);
-    let series = estimator.sweep_volume(Domain::Dnn, &volumes, base)?;
+    let volumes: Vec<f64> = log_spaced_volumes(10_000, 10_000_000, 7)
+        .into_iter()
+        .map(|v| v as f64)
+        .collect();
+    let series = dnn.sweep_series(SweepAxis::VolumeUnits, &volumes, base, 0)?;
     for point in &series.points {
         println!(
             "  volume {:>12}: FPGA {:>14}  ASIC {:>14}  ratio {:.2}",

@@ -35,8 +35,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Greener platform:    {}", comparison.winner());
 
     // 4. Ask where the preference flips: how many applications does the
-    //    FPGA need before its one-time embodied cost is amortized?
-    if let Some(n) = estimator.crossover_in_applications(Domain::Dnn, 16, 2.0, 1_000_000)? {
+    //    FPGA need before its one-time embodied cost is amortized? Fast
+    //    analyses run on the domain compiled once against the parameters.
+    let dnn = estimator.compile(Domain::Dnn)?;
+    if let Some(n) = dnn.crossover_in_applications_verified(16, 2.0, 1_000_000)? {
         println!("FPGA becomes greener from {n} applications onward (A2F crossover).");
     } else {
         println!("The FPGA never catches up within 16 applications.");

@@ -241,7 +241,7 @@ impl CompiledScenario {
     /// count, holding lifetime and volume fixed (the paper's Fig. 4 axis).
     /// The root is real-valued; the first integer count at which the FPGA
     /// actually wins is `floor(at) + 1` (see
-    /// [`crate::Estimator::crossover_in_applications`]).
+    /// [`CompiledScenario::crossover_in_applications_verified`]).
     pub fn crossover_in_applications_analytic(
         &self,
         lifetime_years: f64,

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{CfpBreakdown, Domain, Estimator, GreenFpgaError, Workload};
+use crate::{CfpBreakdown, Domain, GreenFpgaError};
 
 /// Which platform a comparison favours.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,11 +120,12 @@ impl fmt::Display for PlatformComparison {
     }
 }
 
-impl Estimator {
+impl crate::CompiledScenario {
     /// Finds the smallest application count in `1..=max_applications` for
     /// which the FPGA platform has the lower total CFP (the paper's A2F
     /// crossover of Fig. 4), holding the per-application lifetime and volume
-    /// fixed.
+    /// fixed: the closed-form root plus kernel verification of the integer
+    /// boundary.
     ///
     /// Returns `Ok(None)` when the FPGA never wins within the range.
     ///
@@ -132,105 +133,6 @@ impl Estimator {
     ///
     /// Returns [`GreenFpgaError::InvalidRange`] when `max_applications` is
     /// zero, and propagates model errors.
-    pub fn crossover_in_applications(
-        &self,
-        domain: Domain,
-        max_applications: u64,
-        lifetime_years: f64,
-        volume: u64,
-    ) -> Result<Option<u64>, GreenFpgaError> {
-        self.compile(domain)?.crossover_in_applications_verified(
-            max_applications,
-            lifetime_years,
-            volume,
-        )
-    }
-
-    /// Finds the application lifetime at which the preferred platform flips
-    /// (the paper's F2A point of Fig. 5), holding the application count and
-    /// volume fixed. The search bisects `[min_years, max_years]`.
-    ///
-    /// Returns `Ok(None)` when the same platform wins across the whole
-    /// range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GreenFpgaError::InvalidRange`] for an inverted or
-    /// non-finite range, and propagates model errors.
-    pub fn crossover_in_lifetime(
-        &self,
-        domain: Domain,
-        applications: u64,
-        volume: u64,
-        min_years: f64,
-        max_years: f64,
-    ) -> Result<Option<Crossover>, GreenFpgaError> {
-        self.compile(domain)?.crossover_in_lifetime_verified(
-            applications,
-            volume,
-            min_years,
-            max_years,
-        )
-    }
-
-    /// Finds the application volume at which the preferred platform flips
-    /// (the paper's F2A point of Fig. 6), holding the application count and
-    /// lifetime fixed. The search scans a geometric grid between
-    /// `min_volume` and `max_volume` and then bisects the bracketing
-    /// interval.
-    ///
-    /// Returns `Ok(None)` when the same platform wins across the whole
-    /// range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GreenFpgaError::InvalidRange`] for an inverted or zero
-    /// range, and propagates model errors.
-    pub fn crossover_in_volume(
-        &self,
-        domain: Domain,
-        applications: u64,
-        lifetime_years: f64,
-        min_volume: u64,
-        max_volume: u64,
-    ) -> Result<Option<Crossover>, GreenFpgaError> {
-        self.compile(domain)?.crossover_in_volume_verified(
-            applications,
-            lifetime_years,
-            min_volume,
-            max_volume,
-        )
-    }
-
-    /// Convenience wrapper returning the full comparison for a uniform
-    /// workload at a single operating point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates workload construction and model errors.
-    pub fn compare_uniform(
-        &self,
-        domain: Domain,
-        applications: u64,
-        lifetime_years: f64,
-        volume: u64,
-    ) -> Result<PlatformComparison, GreenFpgaError> {
-        let workload = Workload::uniform(domain, applications, lifetime_years, volume)?;
-        self.compare_domain(&workload)
-    }
-}
-
-impl crate::CompiledScenario {
-    /// [`Estimator::crossover_in_applications`] on an already-compiled
-    /// scenario: the closed-form root plus kernel verification of the
-    /// integer boundary. Callers with a scenario cache (the server) use
-    /// these `_verified` entry points to search compile-free; the estimator
-    /// wrappers delegate here, so the answers are identical by
-    /// construction.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Estimator::crossover_in_applications`].
     pub fn crossover_in_applications_verified(
         &self,
         max_applications: u64,
@@ -279,12 +181,18 @@ impl crate::CompiledScenario {
         crate::analytic::verify_integer_boundary(Some(crossover.at), 2, max_applications, wins_at)
     }
 
-    /// [`Estimator::crossover_in_lifetime`] on an already-compiled
-    /// scenario.
+    /// Finds the application lifetime at which the preferred platform flips
+    /// (the paper's F2A point of Fig. 5), holding the application count and
+    /// volume fixed: the closed-form root inside `[min_years, max_years]`,
+    /// once the endpoint evaluations show a flip.
+    ///
+    /// Returns `Ok(None)` when the same platform wins across the whole
+    /// range.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Estimator::crossover_in_lifetime`].
+    /// Returns [`GreenFpgaError::InvalidRange`] for an inverted or
+    /// non-finite range, and propagates model errors.
     pub fn crossover_in_lifetime_verified(
         &self,
         applications: u64,
@@ -332,11 +240,19 @@ impl crate::CompiledScenario {
         Ok(Some(Crossover { at, direction }))
     }
 
-    /// [`Estimator::crossover_in_volume`] on an already-compiled scenario.
+    /// Finds the application volume at which the preferred platform flips
+    /// (the paper's F2A point of Fig. 6), holding the application count and
+    /// lifetime fixed: the smallest integer volume in
+    /// `min_volume + 1..=max_volume` past the flip, from the closed-form
+    /// root verified against the kernel.
+    ///
+    /// Returns `Ok(None)` when the same platform wins across the whole
+    /// range.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Estimator::crossover_in_volume`].
+    /// Returns [`GreenFpgaError::InvalidRange`] for an inverted or zero
+    /// range, and propagates model errors.
     pub fn crossover_in_volume_verified(
         &self,
         applications: u64,
@@ -419,6 +335,7 @@ pub(crate) fn crossovers_from_samples(samples: &[(f64, f64, f64)]) -> Vec<Crosso
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Estimator;
     use gf_units::Carbon;
 
     fn breakdown(total_kg: f64) -> CfpBreakdown {
@@ -484,15 +401,21 @@ mod tests {
     fn crossover_search_validates_ranges() {
         let est = Estimator::default();
         assert!(matches!(
-            est.crossover_in_applications(Domain::Dnn, 0, 2.0, 1000),
+            est.compile(Domain::Dnn)
+                .unwrap()
+                .crossover_in_applications_verified(0, 2.0, 1000),
             Err(GreenFpgaError::InvalidRange { .. })
         ));
         assert!(matches!(
-            est.crossover_in_lifetime(Domain::Dnn, 5, 1000, 2.0, 1.0),
+            est.compile(Domain::Dnn)
+                .unwrap()
+                .crossover_in_lifetime_verified(5, 1000, 2.0, 1.0),
             Err(GreenFpgaError::InvalidRange { .. })
         ));
         assert!(matches!(
-            est.crossover_in_volume(Domain::Dnn, 5, 2.0, 0, 100),
+            est.compile(Domain::Dnn)
+                .unwrap()
+                .crossover_in_volume_verified(5, 2.0, 0, 100),
             Err(GreenFpgaError::InvalidRange { .. })
         ));
     }
@@ -503,7 +426,9 @@ mod tests {
         // application because FPGA and ASIC implementations match.
         let est = Estimator::default();
         let n = est
-            .crossover_in_applications(Domain::Crypto, 8, 2.0, 1_000_000)
+            .compile(Domain::Crypto)
+            .unwrap()
+            .crossover_in_applications_verified(8, 2.0, 1_000_000)
             .unwrap()
             .expect("crypto must cross over");
         assert!(n <= 2, "crypto A2F at {n} applications");
@@ -515,7 +440,9 @@ mod tests {
         // None (the old scan's behavior), not panic in the candidate clamp.
         let est = Estimator::default();
         assert_eq!(
-            est.crossover_in_applications(Domain::Dnn, 1, 2.0, 1_000_000)
+            est.compile(Domain::Dnn)
+                .unwrap()
+                .crossover_in_applications_verified(1, 2.0, 1_000_000)
                 .unwrap(),
             None
         );
@@ -533,7 +460,9 @@ mod tests {
                 .winner()
                 == PlatformKind::Fpga;
             assert_eq!(
-                est.crossover_in_applications(domain, 1, 2.0, 1_000_000)
+                est.compile(domain)
+                    .unwrap()
+                    .crossover_in_applications_verified(1, 2.0, 1_000_000)
                     .unwrap(),
                 wins.then_some(1),
                 "{domain}"
@@ -545,11 +474,11 @@ mod tests {
     fn application_crossover_matches_brute_force_scan() {
         let est = Estimator::default();
         for domain in crate::Domain::ALL {
+            let compiled = est.compile(domain).unwrap();
             for (lifetime, volume) in [(0.5, 10_000u64), (2.0, 1_000_000), (4.0, 250_000)] {
-                let fast = est
-                    .crossover_in_applications(domain, 24, lifetime, volume)
+                let fast = compiled
+                    .crossover_in_applications_verified(24, lifetime, volume)
                     .unwrap();
-                let compiled = est.compile(domain).unwrap();
                 let slow = (1..=24u64).find(|&n| {
                     compiled
                         .evaluate(crate::OperatingPoint {
@@ -580,8 +509,8 @@ mod tests {
                 .unwrap();
             c.fpga.total().as_kg() - c.asic.total().as_kg()
         };
-        let crossover = est
-            .crossover_in_volume(Domain::Dnn, 5, 2.0, 1_000, 50_000_000)
+        let crossover = compiled
+            .crossover_in_volume_verified(5, 2.0, 1_000, 50_000_000)
             .unwrap()
             .expect("dnn crosses over in volume");
         let at = crossover.at as u64;
@@ -598,8 +527,8 @@ mod tests {
     fn lifetime_crossover_root_zeroes_the_difference() {
         let est = Estimator::default();
         let compiled = est.compile(Domain::Dnn).unwrap();
-        let crossover = est
-            .crossover_in_lifetime(Domain::Dnn, 5, 1_000_000, 0.2, 2.5)
+        let crossover = compiled
+            .crossover_in_lifetime_verified(5, 1_000_000, 0.2, 2.5)
             .unwrap()
             .expect("dnn crosses over in lifetime");
         let c = compiled
@@ -621,7 +550,9 @@ mod tests {
         // Paper Fig. 5: DNN F2A at ~1.6 years for 5 applications, 1M units.
         let est = Estimator::default();
         let crossover = est
-            .crossover_in_lifetime(Domain::Dnn, 5, 1_000_000, 0.2, 2.5)
+            .compile(Domain::Dnn)
+            .unwrap()
+            .crossover_in_lifetime_verified(5, 1_000_000, 0.2, 2.5)
             .unwrap()
             .expect("dnn must cross over in lifetime");
         assert_eq!(crossover.direction, CrossoverDirection::FpgaToAsic);

@@ -4,8 +4,8 @@ use gf_lifecycle::DevelopmentFlow;
 use gf_units::Carbon;
 
 use crate::{
-    Application, AsicSpec, CfpBreakdown, ChipSpec, DesignStaffing, EstimatorParams, FpgaSpec,
-    GreenFpgaError, PlatformComparison, PlatformKind, Workload,
+    Application, AsicSpec, CfpBreakdown, ChipSpec, DesignStaffing, Domain, EstimatorParams,
+    FpgaSpec, GreenFpgaError, PlatformComparison, PlatformKind, Workload,
 };
 
 /// Evaluates total lifecycle carbon footprints for FPGA- and ASIC-based
@@ -266,6 +266,23 @@ impl Estimator {
             fpga_total,
             asic_total,
         ))
+    }
+
+    /// Convenience wrapper returning the full comparison for a uniform
+    /// workload at a single operating point.
+    ///
+    /// # Errors
+    ///
+    /// Propagates workload construction and model errors.
+    pub fn compare_uniform(
+        &self,
+        domain: Domain,
+        applications: u64,
+        lifetime_years: f64,
+        volume: u64,
+    ) -> Result<PlatformComparison, GreenFpgaError> {
+        let workload = Workload::uniform(domain, applications, lifetime_years, volume)?;
+        self.compare_domain(&workload)
     }
 }
 

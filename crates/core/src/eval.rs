@@ -19,10 +19,11 @@
 //! estimator groups identical applications into the same expression, so
 //! compiled results are bit-identical to [`Estimator::compare_uniform`].
 //!
-//! [`Estimator::evaluate_batch`] adds the parallel fan-out: a
-//! [`BatchRequest`] is compiled once and its points are spread over the
-//! work-stealing pool in [`crate::exec`], deterministically with respect to
-//! thread count.
+//! [`CompiledScenario::evaluate_into`] and
+//! [`CompiledScenario::evaluate_indexed_into`] add the parallel fan-out:
+//! the points are split into contiguous chunks over the scoped workers of
+//! [`crate::exec`] and written in place into a reusable [`ResultBuffer`],
+//! deterministically with respect to thread count.
 
 use gf_act::TechnologyNode;
 use gf_lifecycle::{AppDevModel, DesignProject, DevelopmentFlow, OperationProfile};
@@ -466,46 +467,6 @@ impl CompiledScenario {
         }
         result
     }
-
-    /// Evaluates `n` indexed points in bounded memory: the index space is
-    /// processed in `chunk`-point blocks through the reusable `buffer`, and
-    /// each filled block is handed to `sink(start, buffer)` before the next
-    /// one overwrites it — the streaming form of
-    /// [`CompiledScenario::evaluate_indexed_into`] behind `GridStream` and
-    /// the million-point bench workloads.
-    ///
-    /// `sink` returns `false` to cancel the run early (`Ok(false)`);
-    /// `Ok(true)` means every block was evaluated and delivered. Peak
-    /// memory is one block of results, independent of `n`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the point-validation error with the globally lowest index:
-    /// blocks run in ascending order and a failing block surfaces its own
-    /// lowest-index error (same conditions as
-    /// [`CompiledScenario::evaluate`]). Blocks before the failing one have
-    /// already been delivered to `sink` in that case.
-    pub fn evaluate_chunked(
-        &self,
-        n: usize,
-        point_of: impl Fn(usize) -> OperatingPoint + Sync,
-        chunk: usize,
-        threads: usize,
-        buffer: &mut ResultBuffer,
-        mut sink: impl FnMut(usize, &ResultBuffer) -> bool,
-    ) -> Result<bool, GreenFpgaError> {
-        let chunk = chunk.max(1);
-        let mut start = 0;
-        while start < n {
-            let len = chunk.min(n - start);
-            self.evaluate_indexed_into(len, |i| point_of(start + i), buffer, threads)?;
-            if !sink(start, buffer) {
-                return Ok(false);
-            }
-            start += len;
-        }
-        Ok(true)
-    }
 }
 
 /// One platform's footprint as a line in the application count `n`:
@@ -700,35 +661,6 @@ impl ResultBuffer {
     }
 }
 
-/// A batch of operating points to evaluate in one domain.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchRequest {
-    /// Domain every point is evaluated in.
-    pub domain: Domain,
-    /// The operating points.
-    pub points: Vec<OperatingPoint>,
-    /// Worker threads (`0` = auto; see [`exec::default_threads`]).
-    pub threads: usize,
-}
-
-impl BatchRequest {
-    /// Creates a batch request with automatic thread selection.
-    pub fn new(domain: Domain, points: Vec<OperatingPoint>) -> Self {
-        BatchRequest {
-            domain,
-            points,
-            threads: 0,
-        }
-    }
-
-    /// Overrides the worker-thread count (`0` = auto). Results are
-    /// identical for every setting; this only controls resource usage.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-}
-
 impl Estimator {
     /// Compiles one domain's calibration against this estimator's
     /// parameters for cheap repeated evaluation.
@@ -738,49 +670,6 @@ impl Estimator {
     /// Same conditions as [`CompiledScenario::compile`].
     pub fn compile(&self, domain: Domain) -> Result<CompiledScenario, GreenFpgaError> {
         CompiledScenario::compile(self.params(), domain)
-    }
-
-    /// Evaluates every point of a [`BatchRequest`] in parallel.
-    ///
-    /// The scenario is compiled once and the points stream through the
-    /// batch kernel ([`CompiledScenario::evaluate_into`]); results come
-    /// back in request order and are deterministic for every thread count.
-    /// Callers that evaluate many batches should hold a [`ResultBuffer`] and
-    /// call [`Estimator::evaluate_batch_into`] instead to skip the per-call
-    /// output allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compile errors and the point-validation error with the
-    /// lowest index.
-    pub fn evaluate_batch(
-        &self,
-        request: &BatchRequest,
-    ) -> Result<Vec<PlatformComparison>, GreenFpgaError> {
-        let mut buffer = ResultBuffer::new();
-        self.evaluate_batch_into(request, &mut buffer)?;
-        Ok(buffer.comparisons().collect())
-    }
-
-    /// [`Estimator::evaluate_batch`] into a caller-provided reusable buffer:
-    /// after the first fill at a given size, repeated batches allocate
-    /// nothing.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Estimator::evaluate_batch`].
-    pub fn evaluate_batch_into(
-        &self,
-        request: &BatchRequest,
-        out: &mut ResultBuffer,
-    ) -> Result<(), GreenFpgaError> {
-        let compiled = self.compile(request.domain)?;
-        compiled.evaluate_indexed_into(
-            request.points.len(),
-            |i| request.points[i],
-            out,
-            request.threads,
-        )
     }
 }
 
@@ -915,28 +804,32 @@ mod tests {
         }
     }
 
+    /// Every point of one buffered fill, as comparisons.
+    fn batch(domain: Domain, points: &[OperatingPoint], threads: usize) -> Vec<PlatformComparison> {
+        let compiled = estimator().compile(domain).unwrap();
+        let mut buffer = ResultBuffer::new();
+        compiled
+            .evaluate_indexed_into(points.len(), |i| points[i], &mut buffer, threads)
+            .unwrap();
+        buffer.comparisons().collect()
+    }
+
     #[test]
     fn evaluate_batch_matches_point_wise_evaluation() {
-        let est = estimator();
-        let request = BatchRequest::new(Domain::ImageProcessing, points());
-        let batch = est.evaluate_batch(&request).unwrap();
-        assert_eq!(batch.len(), request.points.len());
-        let compiled = est.compile(Domain::ImageProcessing).unwrap();
-        for (comparison, point) in batch.iter().zip(&request.points) {
+        let points = points();
+        let batch = batch(Domain::ImageProcessing, &points, 0);
+        assert_eq!(batch.len(), points.len());
+        let compiled = estimator().compile(Domain::ImageProcessing).unwrap();
+        for (comparison, point) in batch.iter().zip(&points) {
             assert_eq!(*comparison, compiled.evaluate(*point).unwrap());
         }
     }
 
     #[test]
     fn batch_is_thread_count_independent() {
-        let est = estimator();
-        let serial = est
-            .evaluate_batch(&BatchRequest::new(Domain::Dnn, points()).with_threads(1))
-            .unwrap();
+        let serial = batch(Domain::Dnn, &points(), 1);
         for threads in [2, 4, 13] {
-            let parallel = est
-                .evaluate_batch(&BatchRequest::new(Domain::Dnn, points()).with_threads(threads))
-                .unwrap();
+            let parallel = batch(Domain::Dnn, &points(), threads);
             assert_eq!(serial, parallel, "{threads} threads");
         }
     }
@@ -986,7 +879,9 @@ mod tests {
             ..OperatingPoint::paper_default()
         });
         let err = estimator()
-            .evaluate_batch(&BatchRequest::new(Domain::Dnn, pts))
+            .compile(Domain::Dnn)
+            .unwrap()
+            .evaluate_into(&pts, &mut ResultBuffer::new())
             .unwrap_err();
         assert!(matches!(err, GreenFpgaError::EmptyWorkload));
     }

@@ -1,23 +1,23 @@
-//! Work-stealing-style parallel execution for batch evaluations.
+//! Parallel execution for batch evaluations.
 //!
-//! The batch engine fans independent model evaluations out over scoped
-//! threads. Workers pull dynamically sized chunks of the index space from a
-//! shared atomic cursor, so a slow cell (or an unlucky scheduling hiccup)
-//! never serializes a whole row the way the old one-thread-per-row grid
-//! evaluation did. Results are keyed by index and reassembled in order,
-//! which makes every parallel API in this crate **deterministic regardless
-//! of thread count** — a property the Monte-Carlo engine relies on.
+//! Every parallel evaluation in this crate — the batch kernel behind
+//! sweeps and grids, frontier rows, Monte-Carlo trials and tornado probes —
+//! fans out through one primitive, [`try_fill_chunks`]: the caller's output
+//! slice is split into one static contiguous chunk per scoped worker
+//! thread, and each worker writes its chunk in place. Nothing is buffered
+//! or reassembled, and a value depends only on its index, which makes every
+//! parallel API in this crate **deterministic regardless of thread count**
+//! — a property the Monte-Carlo engine relies on.
 //!
-//! The pool is intentionally dependency-free (no rayon in the offline build
-//! environment) and unsafe-free: workers buffer `(index, value)` pairs
-//! locally and the caller scatters them into place afterwards.
+//! The scoped fan-out is dependency-free (no rayon in the offline build
+//! environment) and unsafe-free. [`WorkerPool`] is the separate,
+//! long-lived pool a server hands whole requests to.
 //!
 //! The default worker count is [`std::thread::available_parallelism`],
 //! overridable with the `GF_THREADS` environment variable (`GF_THREADS=1`
 //! forces serial evaluation).
 
-use std::convert::Infallible;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 /// Default number of worker threads: `GF_THREADS` if set and valid,
@@ -43,108 +43,13 @@ pub fn default_threads() -> usize {
     })
 }
 
-/// Runs `f(0..n)` in parallel on `threads` workers (`0` = auto) and returns
-/// the results in index order. Falls back to a serial loop for tiny inputs
-/// or a single worker.
-///
-/// The output is identical for every thread count: work is partitioned
-/// dynamically but results are reassembled by index.
-pub fn map_indexed<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    match try_map_indexed::<R, Infallible, _>(n, threads, |i| Ok(f(i))) {
-        Ok(values) => values,
-        Err(e) => match e {},
-    }
-}
-
-/// Fallible variant of [`map_indexed`]: evaluates `f` over `0..n` in
-/// parallel and returns either every result in index order or the error
-/// with the **lowest index** (so error reporting is deterministic too).
-///
-/// Workers stop claiming new work once any of them has produced an error,
-/// so a large batch with an early invalid item does not evaluate the whole
-/// index space before failing. The lowest-index guarantee survives the
-/// cancellation: chunks are claimed in ascending order, so every index
-/// below an observed error has already been (or is being) evaluated.
-pub fn try_map_indexed<R, E, F>(n: usize, threads: usize, f: F) -> Result<Vec<R>, E>
-where
-    R: Send,
-    E: Send,
-    F: Fn(usize) -> Result<R, E> + Sync,
-{
-    let workers = effective_workers(n, threads);
-    if workers <= 1 {
-        return (0..n).map(&f).collect();
-    }
-
-    // Dynamic chunking: small enough to balance, large enough to keep the
-    // cursor off the hot path. Each worker grabs the next unclaimed chunk.
-    let chunk = (n / (workers * 8)).max(1);
-    let cursor = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let f = &f;
-    let cursor = &cursor;
-    let failed = &failed;
-
-    let mut buffers: Vec<Vec<(usize, Result<R, E>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    while !failed.load(Ordering::Relaxed) {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + chunk).min(n);
-                        for i in start..end {
-                            let result = f(i);
-                            let is_err = result.is_err();
-                            local.push((i, result));
-                            if is_err {
-                                failed.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch evaluation worker panicked"))
-            .collect()
-    });
-
-    let mut slots: Vec<Option<Result<R, E>>> = (0..n).map(|_| None).collect();
-    for (index, result) in buffers.drain(..).flatten() {
-        slots[index] = Some(result);
-    }
-    let mut out = Vec::with_capacity(n);
-    for slot in slots {
-        match slot {
-            Some(Ok(value)) => out.push(value),
-            Some(Err(e)) => return Err(e),
-            // Indices are only skipped above an evaluated error, and the
-            // ascending scan returns that error before reaching them.
-            None => unreachable!("index skipped without a lower-index error"),
-        }
-    }
-    Ok(out)
-}
-
 /// Fills `out[i] = f(i)` in parallel, writing directly into the caller's
-/// buffer — the zero-allocation counterpart of [`try_map_indexed`] used by
-/// Monte-Carlo trials and tornado probes; [`try_fill_chunks`] with one
-/// call per index.
+/// buffer: [`try_fill_chunks`] with one call per index, used by frontier
+/// rows, Monte-Carlo trials and tornado probes.
 ///
 /// # Errors
 ///
-/// Returns the error with the **lowest index**, like [`try_map_indexed`];
+/// Returns the error with the **lowest index**, like [`try_fill_chunks`];
 /// `out` is left partially written in that case and callers must treat
 /// its contents as unspecified.
 pub fn try_fill_indexed<T, E, F>(out: &mut [T], threads: usize, f: F) -> Result<(), E>
@@ -415,66 +320,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map_preserves_index_order() {
-        for threads in [0, 1, 2, 7] {
-            let out = map_indexed(100, threads, |i| i * i);
-            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn empty_and_singleton_inputs() {
-        assert!(map_indexed(0, 0, |i| i).is_empty());
-        assert_eq!(map_indexed(1, 8, |i| i + 41), vec![41]);
-    }
-
-    #[test]
-    fn results_are_thread_count_independent() {
-        let serial = map_indexed(257, 1, |i| (i as f64).sqrt());
-        for threads in [2, 3, 4, 16] {
-            assert_eq!(serial, map_indexed(257, threads, |i| (i as f64).sqrt()));
-        }
-    }
-
-    #[test]
-    fn try_map_returns_lowest_index_error() {
-        let result: Result<Vec<usize>, usize> =
-            try_map_indexed(100, 4, |i| if i % 30 == 7 { Err(i) } else { Ok(i) });
-        assert_eq!(result, Err(7));
-    }
-
-    #[test]
-    fn early_error_cancels_remaining_work() {
-        use std::sync::atomic::AtomicUsize;
-        let calls = AtomicUsize::new(0);
-        let n = 100_000;
-        let result: Result<Vec<usize>, &str> = try_map_indexed(n, 4, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            if i == 0 {
-                Err("boom")
-            } else {
-                Ok(i)
-            }
-        });
-        assert_eq!(result, Err("boom"));
-        // Workers finish the chunks they already claimed (on a loaded
-        // single-core machine the scheduler can let them claim many before
-        // the erroring worker runs at all), but the final chunk can never be
-        // evaluated: the index-0 error always lands before the cursor would
-        // be re-polled for it.
-        assert!(
-            calls.load(Ordering::Relaxed) < n,
-            "evaluated all {n} items despite an index-0 error"
-        );
-    }
-
-    #[test]
-    fn try_map_collects_all_on_success() {
-        let result: Result<Vec<usize>, ()> = try_map_indexed(64, 3, Ok);
-        assert_eq!(result.unwrap(), (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
     }
@@ -493,14 +338,21 @@ mod tests {
     }
 
     #[test]
-    fn fill_matches_map_for_every_thread_count() {
-        let expected: Vec<f64> = (0..257).map(|i| (i as f64).sqrt()).collect();
-        for threads in [0, 1, 2, 3, 16] {
+    fn results_are_thread_count_independent() {
+        let fill = |threads| {
             let mut out = vec![0.0f64; 257];
             let result: Result<(), ()> =
                 try_fill_indexed(&mut out, threads, |i| Ok((i as f64).sqrt()));
-            assert!(result.is_ok());
-            assert_eq!(out, expected, "{threads} threads");
+            assert!(result.is_ok(), "{threads} threads");
+            out
+        };
+        let serial = fill(1);
+        assert_eq!(
+            serial,
+            (0..257).map(|i| (i as f64).sqrt()).collect::<Vec<_>>()
+        );
+        for threads in [0, 2, 3, 4, 16] {
+            assert_eq!(fill(threads), serial, "{threads} threads");
         }
     }
 

@@ -7,18 +7,17 @@
 //! their difference is too, and the winner along a row flips **at most
 //! once** when the row's coordinates are monotone.
 //!
-//! [`Estimator::frontier`] uses this row by row: evaluate both ends, fill
-//! the row when they agree, otherwise bisect the column indices for the
-//! single flip and fill each side — O(log n) evaluations per row instead
-//! of O(n). Only the column order matters; a row whose x coordinates are
-//! not monotone is evaluated cell by cell. Rows fan out over
-//! [`crate::exec`], and the result is the dense winner mask the CLI
+//! [`CompiledScenario::frontier`] uses this row by row: evaluate both ends,
+//! fill the row when they agree, otherwise bisect the column indices for
+//! the single flip and fill each side — O(log n) evaluations per row
+//! instead of O(n). Only the column order matters; a row whose x
+//! coordinates are not monotone is evaluated cell by cell. Rows fan out
+//! over [`crate::exec`], and the result is the dense winner mask the CLI
 //! renders, cell for cell the full grid's.
 
 use crate::eval::LineMemo;
 use crate::{
-    exec, CompiledScenario, Domain, Estimator, GreenFpgaError, OperatingPoint, PlatformKind,
-    SweepAxis,
+    exec, CompiledScenario, Domain, GreenFpgaError, OperatingPoint, PlatformKind, SweepAxis,
 };
 
 /// The winner map of a 2-D operating-point lattice.
@@ -203,46 +202,23 @@ impl FrontierResult {
     }
 }
 
-impl Estimator {
+impl CompiledScenario {
     /// Traces the crossover frontier of a 2-D operating-point lattice,
     /// classifying **every** lattice cell while evaluating only each row's
     /// ends and the bisection steps to its flip.
     ///
     /// The winner mask is identical to what a dense
-    /// [`Estimator::ratio_grid`] over the same `x_values` / `y_values`
-    /// would report cell for cell (evaluated cells run the same compiled
-    /// kernel; inferred cells follow from the affine structure of the
-    /// model — see the module docs). Rows are evaluated in parallel
-    /// through [`crate::exec`].
+    /// [`CompiledScenario::ratio_grid`] over the same `x_values` /
+    /// `y_values` would report cell for cell (evaluated cells run the same
+    /// compiled kernel; inferred cells follow from the affine structure of
+    /// the model — see the module docs). Rows fan out through
+    /// [`crate::exec`]; `threads` follows the batch kernel's convention
+    /// (`0` = auto) and the result is bit-identical for every thread count.
     ///
     /// # Errors
     ///
     /// Returns [`GreenFpgaError::InvalidRange`] when either value list is
     /// empty and propagates the model error of the lowest failing row.
-    pub fn frontier(
-        &self,
-        domain: Domain,
-        x_axis: SweepAxis,
-        x_values: &[f64],
-        y_axis: SweepAxis,
-        y_values: &[f64],
-        base: OperatingPoint,
-    ) -> Result<FrontierResult, GreenFpgaError> {
-        self.compile(domain)?
-            .frontier(x_axis, x_values, y_axis, y_values, base, 0)
-    }
-}
-
-impl CompiledScenario {
-    /// [`Estimator::frontier`] on an already-compiled scenario — the entry
-    /// point callers with a scenario cache (the server) use to trace winner
-    /// maps compile-free. `threads` follows the batch kernel's convention
-    /// (`0` = auto); the result is identical for every thread count and to
-    /// the estimator path, which delegates here.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Estimator::frontier`].
     pub fn frontier(
         &self,
         x_axis: SweepAxis,
@@ -256,48 +232,46 @@ impl CompiledScenario {
         crate::sweep::check_axis_values(y_values, "frontier values")?;
         let width = x_values.len();
         let bisect = is_monotone(x_values);
-        let rows = exec::try_map_indexed(
-            y_values.len(),
-            threads,
-            |row| -> Result<_, GreenFpgaError> {
-                let row_base = base.with_axis(y_axis, y_values[row]);
-                let mut ratios = vec![f64::NAN; width];
-                let mut lines = LineMemo::new();
-                let mut wins = |col: usize| -> Result<bool, GreenFpgaError> {
-                    let ratio = self
-                        .evaluate_with(row_base.with_axis(x_axis, x_values[col]), &mut lines)?
-                        .fpga_to_asic_ratio();
-                    ratios[col] = ratio;
-                    Ok(ratio < 1.0)
-                };
-                let mut winners = Vec::with_capacity(width);
-                if !bisect {
-                    for col in 0..width {
-                        winners.push(wins(col)?);
-                    }
-                    return Ok((winners, ratios));
+        // One `(winners, ratios)` slot per row, filled in place.
+        let mut rows = vec![(Vec::new(), Vec::new()); y_values.len()];
+        exec::try_fill_indexed(&mut rows, threads, |row| -> Result<_, GreenFpgaError> {
+            let row_base = base.with_axis(y_axis, y_values[row]);
+            let mut ratios = vec![f64::NAN; width];
+            let mut lines = LineMemo::new();
+            let mut wins = |col: usize| -> Result<bool, GreenFpgaError> {
+                let ratio = self
+                    .evaluate_with(row_base.with_axis(x_axis, x_values[col]), &mut lines)?
+                    .fpga_to_asic_ratio();
+                ratios[col] = ratio;
+                Ok(ratio < 1.0)
+            };
+            let mut winners = Vec::with_capacity(width);
+            if !bisect {
+                for col in 0..width {
+                    winners.push(wins(col)?);
                 }
-                // Cells up to `lo` share the left end's winner, cells from `hi`
-                // on the right end's; the single flip lies between them.
-                let (mut lo, mut hi) = (0, width - 1);
-                let left = wins(lo)?;
-                let right = if hi == lo { left } else { wins(hi)? };
-                if left == right {
-                    lo = hi;
+                return Ok((winners, ratios));
+            }
+            // Cells up to `lo` share the left end's winner, cells from `hi`
+            // on the right end's; the single flip lies between them.
+            let (mut lo, mut hi) = (0, width - 1);
+            let left = wins(lo)?;
+            let right = if hi == lo { left } else { wins(hi)? };
+            if left == right {
+                lo = hi;
+            }
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if wins(mid)? == left {
+                    lo = mid;
+                } else {
+                    hi = mid;
                 }
-                while hi - lo > 1 {
-                    let mid = lo + (hi - lo) / 2;
-                    if wins(mid)? == left {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                winners.resize(lo + 1, left);
-                winners.resize(width, right);
-                Ok((winners, ratios))
-            },
-        )?;
+            }
+            winners.resize(lo + 1, left);
+            winners.resize(width, right);
+            Ok((winners, ratios))
+        })?;
         let (winners, ratios): (Vec<Vec<bool>>, Vec<Vec<f64>>) = rows.into_iter().unzip();
         let ratios: Vec<f64> = ratios.concat();
         Ok(FrontierResult {
@@ -323,8 +297,8 @@ fn is_monotone(values: &[f64]) -> bool {
 mod tests {
     use super::*;
 
-    fn estimator() -> Estimator {
-        Estimator::default()
+    fn estimator() -> crate::Estimator {
+        crate::Estimator::default()
     }
 
     fn lattice(n: usize) -> (Vec<f64>, Vec<f64>) {
@@ -337,13 +311,15 @@ mod tests {
     fn dnn_frontier(n: usize) -> FrontierResult {
         let (apps, lifetimes) = lattice(n);
         estimator()
+            .compile(Domain::Dnn)
+            .unwrap()
             .frontier(
-                Domain::Dnn,
                 SweepAxis::Applications,
                 &apps,
                 SweepAxis::LifetimeYears,
                 &lifetimes,
                 OperatingPoint::paper_default(),
+                0,
             )
             .unwrap()
     }
@@ -360,17 +336,17 @@ mod tests {
     }
 
     fn assert_matches_dense(
-        est: &Estimator,
-        domain: Domain,
+        compiled: &CompiledScenario,
         (x_axis, x_values): (SweepAxis, &[f64]),
         (y_axis, y_values): (SweepAxis, &[f64]),
     ) -> FrontierResult {
         let base = OperatingPoint::paper_default();
-        let frontier = est
-            .frontier(domain, x_axis, x_values, y_axis, y_values, base)
+        let domain = compiled.domain();
+        let frontier = compiled
+            .frontier(x_axis, x_values, y_axis, y_values, base, 0)
             .unwrap();
-        let dense = est
-            .ratio_grid(domain, x_axis, x_values, y_axis, y_values, base)
+        let dense = compiled
+            .ratio_grid(x_axis, x_values, y_axis, y_values, base, 0)
             .unwrap();
         for (row, dense_row) in dense.ratios.iter().enumerate() {
             for (col, &ratio) in dense_row.iter().enumerate() {
@@ -393,13 +369,14 @@ mod tests {
             SweepAxis::VolumeUnits,
         ];
         for domain in Domain::ALL {
+            let compiled = est.compile(domain).unwrap();
             for x_axis in axes {
                 for y_axis in axes.into_iter().filter(|&y| y != x_axis) {
                     let ascending = axis_values(x_axis, 17);
                     let descending: Vec<f64> = ascending.iter().rev().copied().collect();
                     let y_values = axis_values(y_axis, 17);
                     for x_values in [&ascending, &descending] {
-                        assert_matches_dense(&est, domain, (x_axis, x_values), (y_axis, &y_values));
+                        assert_matches_dense(&compiled, (x_axis, x_values), (y_axis, &y_values));
                     }
                 }
             }
@@ -410,8 +387,7 @@ mod tests {
         let lifetimes = axis_values(SweepAxis::LifetimeYears, 17);
         let shuffled: Vec<f64> = (0..17).map(|i| lifetimes[i * 7 % 17]).collect();
         let frontier = assert_matches_dense(
-            &est,
-            Domain::Dnn,
+            &est.compile(Domain::Dnn).unwrap(),
             (SweepAxis::Applications, &apps),
             (SweepAxis::LifetimeYears, &shuffled),
         );
@@ -423,13 +399,15 @@ mod tests {
         let frontier = dnn_frontier(17);
         let (apps, lifetimes) = lattice(17);
         let dense = estimator()
+            .compile(Domain::Dnn)
+            .unwrap()
             .ratio_grid(
-                Domain::Dnn,
                 SweepAxis::Applications,
                 &apps,
                 SweepAxis::LifetimeYears,
                 &lifetimes,
                 OperatingPoint::paper_default(),
+                0,
             )
             .unwrap();
         let mut seen = 0;
@@ -470,7 +448,8 @@ mod tests {
         assert_eq!(a, b);
         let (apps, lifetimes) = lattice(33);
         let compiled = estimator().compile(Domain::Dnn).unwrap();
-        for threads in [1, 2, 8] {
+        // Uneven chunks (3 threads over 33 rows) and more threads than rows.
+        for threads in [1, 2, 3, 8, 64] {
             let threaded = compiled
                 .frontier(
                     SweepAxis::Applications,
@@ -491,24 +470,28 @@ mod tests {
         // A single row is one bisection.
         let apps: Vec<f64> = (1..=16).map(|i| i as f64).collect();
         let row = est
+            .compile(Domain::Dnn)
+            .unwrap()
             .frontier(
-                Domain::Dnn,
                 SweepAxis::Applications,
                 &apps,
                 SweepAxis::LifetimeYears,
                 &[2.0],
                 OperatingPoint::paper_default(),
+                0,
             )
             .unwrap();
         assert_eq!(row.len(), 16);
         let dense = est
+            .compile(Domain::Dnn)
+            .unwrap()
             .ratio_grid(
-                Domain::Dnn,
                 SweepAxis::Applications,
                 &apps,
                 SweepAxis::LifetimeYears,
                 &[2.0],
                 OperatingPoint::paper_default(),
+                0,
             )
             .unwrap();
         for (col, &ratio) in dense.ratios[0].iter().enumerate() {
@@ -516,13 +499,15 @@ mod tests {
         }
         // A 1×1 lattice is a single evaluated cell.
         let single = est
+            .compile(Domain::Crypto)
+            .unwrap()
             .frontier(
-                Domain::Crypto,
                 SweepAxis::Applications,
                 &[4.0],
                 SweepAxis::LifetimeYears,
                 &[1.0],
                 OperatingPoint::paper_default(),
+                0,
             )
             .unwrap();
         assert_eq!(single.len(), 1);
@@ -540,24 +525,28 @@ mod tests {
         let apps = [1.0, 12.0, 2.0, 9.0, 4.0];
         let lifetimes = [0.5, 2.5, 1.0];
         let frontier = est
+            .compile(Domain::Dnn)
+            .unwrap()
             .frontier(
-                Domain::Dnn,
                 SweepAxis::Applications,
                 &apps,
                 SweepAxis::LifetimeYears,
                 &lifetimes,
                 OperatingPoint::paper_default(),
+                0,
             )
             .unwrap();
         assert_eq!(frontier.evaluations(), apps.len() * lifetimes.len());
         let dense = est
+            .compile(Domain::Dnn)
+            .unwrap()
             .ratio_grid(
-                Domain::Dnn,
                 SweepAxis::Applications,
                 &apps,
                 SweepAxis::LifetimeYears,
                 &lifetimes,
                 OperatingPoint::paper_default(),
+                0,
             )
             .unwrap();
         for (row, dense_row) in dense.ratios.iter().enumerate() {
@@ -570,24 +559,28 @@ mod tests {
         let descending: Vec<f64> = (1..=16).rev().map(|i| i as f64).collect();
         let lifetimes: Vec<f64> = (1..=16).map(|i| 0.2 * i as f64).collect();
         let adaptive = est
+            .compile(Domain::Dnn)
+            .unwrap()
             .frontier(
-                Domain::Dnn,
                 SweepAxis::Applications,
                 &descending,
                 SweepAxis::LifetimeYears,
                 &lifetimes,
                 OperatingPoint::paper_default(),
+                0,
             )
             .unwrap();
         assert!(adaptive.evaluations() < adaptive.len());
         let dense = est
+            .compile(Domain::Dnn)
+            .unwrap()
             .ratio_grid(
-                Domain::Dnn,
                 SweepAxis::Applications,
                 &descending,
                 SweepAxis::LifetimeYears,
                 &lifetimes,
                 OperatingPoint::paper_default(),
+                0,
             )
             .unwrap();
         for (row, dense_row) in dense.ratios.iter().enumerate() {
@@ -600,13 +593,13 @@ mod tests {
     #[test]
     fn empty_axes_are_rejected() {
         assert!(matches!(
-            estimator().frontier(
-                Domain::Dnn,
+            estimator().compile(Domain::Dnn).unwrap().frontier(
                 SweepAxis::Applications,
                 &[],
                 SweepAxis::LifetimeYears,
                 &[1.0],
                 OperatingPoint::paper_default(),
+                0,
             ),
             Err(GreenFpgaError::InvalidRange { .. })
         ));
@@ -619,13 +612,15 @@ mod tests {
         let apps: Vec<f64> = (2..=33).map(|i| i as f64).collect();
         let lifetimes: Vec<f64> = (1..=32).map(|i| 0.1 * i as f64).collect();
         let frontier = estimator()
+            .compile(Domain::Crypto)
+            .unwrap()
             .frontier(
-                Domain::Crypto,
                 SweepAxis::Applications,
                 &apps,
                 SweepAxis::LifetimeYears,
                 &lifetimes,
                 OperatingPoint::paper_default(),
+                0,
             )
             .unwrap();
         assert_eq!(frontier.evaluations(), 2 * frontier.height());

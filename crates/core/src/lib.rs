@@ -25,7 +25,9 @@
 //! end-of-life / application-development / operation models in
 //! [`gf_lifecycle`]; this crate composes them into platform estimates,
 //! comparisons, crossover searches, parameter sweeps and the paper's
-//! experiment scenarios.
+//! experiment scenarios. [`Estimator`] is the naive reference model;
+//! [`Estimator::compile`] returns the [`CompiledScenario`] every fast
+//! analysis runs on, and [`Engine`] serves those analyses as queries.
 //!
 //! ## Quick start
 //!
@@ -88,7 +90,7 @@ pub use domain::{Domain, DomainCalibration, IsoPerformanceRatios};
 pub use engine::{Engine, EngineConfig};
 pub use error::{ApiError, ApiErrorCode, GreenFpgaError};
 pub use estimator::Estimator;
-pub use eval::{BatchRequest, CompiledPlatform, CompiledScenario, ResultBuffer, ScenarioTemplate};
+pub use eval::{CompiledPlatform, CompiledScenario, ResultBuffer, ScenarioTemplate};
 pub use frontier::FrontierResult;
 pub use knobs::{Knob, KnobRange};
 pub use optimize::{

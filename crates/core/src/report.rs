@@ -366,13 +366,15 @@ mod tests {
         let apps: Vec<f64> = (1..=12).map(|i| i as f64).collect();
         let lifetimes: Vec<f64> = (1..=10).map(|i| 0.25 * i as f64).collect();
         let frontier = Estimator::default()
+            .compile(Domain::Dnn)
+            .unwrap()
             .frontier(
-                Domain::Dnn,
                 SweepAxis::Applications,
                 &apps,
                 SweepAxis::LifetimeYears,
                 &lifetimes,
                 OperatingPoint::paper_default(),
+                0,
             )
             .unwrap();
         let rendered = HeatmapRenderer::new().render_frontier(&frontier);

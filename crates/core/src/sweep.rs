@@ -7,7 +7,7 @@
 use gf_json::{JsonError, JsonWriter};
 
 use crate::comparison::crossovers_from_samples;
-use crate::{CfpBreakdown, Crossover, Domain, Estimator, GreenFpgaError, ResultBuffer};
+use crate::{CfpBreakdown, Crossover, Domain, GreenFpgaError, ResultBuffer};
 
 /// The workload parameter varied by a sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -187,108 +187,15 @@ impl GridSweep {
     }
 }
 
-impl Estimator {
-    /// Sweeps one workload parameter over the given values, holding the
-    /// other two at `base`.
-    ///
-    /// The domain is compiled once and the values stream through the
-    /// batch kernel ([`crate::CompiledScenario::evaluate_into`]), in
-    /// parallel for large sweeps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GreenFpgaError::InvalidRange`] for an empty value list and
-    /// propagates model errors.
-    pub fn sweep(
-        &self,
-        domain: Domain,
-        axis: SweepAxis,
-        values: &[f64],
-        base: OperatingPoint,
-    ) -> Result<SweepSeries, GreenFpgaError> {
-        self.compile(domain)?.sweep_series(axis, values, base, 0)
-    }
-
-    /// Sweeps the number of applications (Fig. 4).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Estimator::sweep`].
-    pub fn sweep_applications(
-        &self,
-        domain: Domain,
-        counts: &[u64],
-        base: OperatingPoint,
-    ) -> Result<SweepSeries, GreenFpgaError> {
-        let values: Vec<f64> = counts.iter().map(|&n| n as f64).collect();
-        self.sweep(domain, SweepAxis::Applications, &values, base)
-    }
-
-    /// Sweeps the per-application lifetime (Fig. 5).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Estimator::sweep`].
-    pub fn sweep_lifetime(
-        &self,
-        domain: Domain,
-        lifetimes_years: &[f64],
-        base: OperatingPoint,
-    ) -> Result<SweepSeries, GreenFpgaError> {
-        self.sweep(domain, SweepAxis::LifetimeYears, lifetimes_years, base)
-    }
-
-    /// Sweeps the per-application volume (Fig. 6).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Estimator::sweep`].
-    pub fn sweep_volume(
-        &self,
-        domain: Domain,
-        volumes: &[u64],
-        base: OperatingPoint,
-    ) -> Result<SweepSeries, GreenFpgaError> {
-        let values: Vec<f64> = volumes.iter().map(|&v| v as f64).collect();
-        self.sweep(domain, SweepAxis::VolumeUnits, &values, base)
-    }
-
-    /// Evaluates the FPGA:ASIC total-CFP ratio over a 2-D grid (Fig. 8).
-    ///
-    /// The domain is compiled once and the flattened lattice streams
-    /// through the batch kernel
-    /// ([`crate::CompiledScenario::evaluate_indexed_into`]) without ever
-    /// materializing the operating points; workers each fill a contiguous
-    /// slab of the grid.
-    ///
-    /// When only the *winner* of each cell matters, prefer
-    /// [`Estimator::frontier`]: it classifies the same lattice from a small
-    /// fraction of the evaluations by refining only the crossover contour.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GreenFpgaError::InvalidRange`] when either value list is
-    /// empty and propagates the model error with the lowest cell index.
-    pub fn ratio_grid(
-        &self,
-        domain: Domain,
-        x_axis: SweepAxis,
-        x_values: &[f64],
-        y_axis: SweepAxis,
-        y_values: &[f64],
-        base: OperatingPoint,
-    ) -> Result<GridSweep, GreenFpgaError> {
-        self.compile(domain)?
-            .ratio_grid(x_axis, x_values, y_axis, y_values, base, 0)
-    }
-}
-
 impl crate::CompiledScenario {
     /// Sweeps one workload parameter over the given values, holding the
-    /// other two at `base` — the compiled body behind [`Estimator::sweep`],
-    /// callable off a cached compilation. `threads` follows the batch
-    /// kernel's convention (`0` = auto); the result is identical for every
-    /// thread count.
+    /// other two at `base` (Figs. 4–6; count and volume axes take the
+    /// integer values as `f64`).
+    ///
+    /// The values stream through the batch kernel
+    /// ([`CompiledScenario::evaluate_indexed_into`](crate::CompiledScenario::evaluate_indexed_into)).
+    /// `threads` follows the kernel's convention (`0` = auto); the result is
+    /// identical for every thread count.
     ///
     /// # Errors
     ///
@@ -325,10 +232,19 @@ impl crate::CompiledScenario {
         })
     }
 
-    /// Evaluates the FPGA:ASIC ratio over a 2-D lattice — the compiled
-    /// body behind [`Estimator::ratio_grid`], callable off a cached
-    /// compilation. `threads` follows the batch kernel's convention (`0` =
-    /// auto); the result is identical for every thread count.
+    /// Evaluates the FPGA:ASIC total-CFP ratio over a 2-D lattice (Fig. 8).
+    ///
+    /// The flattened lattice streams through the batch kernel
+    /// ([`CompiledScenario::evaluate_indexed_into`](crate::CompiledScenario::evaluate_indexed_into))
+    /// without ever materializing the operating points; workers each fill a
+    /// contiguous slab of the grid. `threads` follows the kernel's
+    /// convention (`0` = auto); the result is identical for every thread
+    /// count.
+    ///
+    /// When only the *winner* of each cell matters, prefer
+    /// [`CompiledScenario::frontier`](crate::CompiledScenario::frontier): it
+    /// classifies the same lattice from a small fraction of the evaluations
+    /// by refining only the crossover contour.
     ///
     /// # Errors
     ///
@@ -683,15 +599,29 @@ pub fn log_spaced_volumes(min: u64, max: u64, steps: usize) -> Vec<u64> {
 mod tests {
     use super::*;
 
-    fn estimator() -> Estimator {
-        Estimator::default()
+    fn estimator() -> crate::Estimator {
+        crate::Estimator::default()
+    }
+
+    fn compiled(domain: Domain) -> crate::CompiledScenario {
+        estimator().compile(domain).unwrap()
+    }
+
+    /// Integer sample values as the `f64` coordinates a sweep takes.
+    fn as_values(integers: &[u64]) -> Vec<f64> {
+        integers.iter().map(|&n| n as f64).collect()
     }
 
     #[test]
     fn application_sweep_shows_fpga_amortization() {
         let counts: Vec<u64> = (1..=8).collect();
-        let series = estimator()
-            .sweep_applications(Domain::Dnn, &counts, OperatingPoint::paper_default())
+        let series = compiled(Domain::Dnn)
+            .sweep_series(
+                SweepAxis::Applications,
+                &as_values(&counts),
+                OperatingPoint::paper_default(),
+                0,
+            )
             .unwrap();
         assert_eq!(series.points.len(), 8);
         // The FPGA:ASIC ratio must fall monotonically as apps are added.
@@ -707,19 +637,19 @@ mod tests {
         let lifetimes: Vec<f64> = (1..=12).map(|i| 0.2 + 0.2 * i as f64).collect();
         let base = OperatingPoint::paper_default();
         // Crypto: FPGA always wins.
-        let crypto = estimator()
-            .sweep_lifetime(Domain::Crypto, &lifetimes, base)
+        let crypto = compiled(Domain::Crypto)
+            .sweep_series(SweepAxis::LifetimeYears, &lifetimes, base, 0)
             .unwrap();
         assert!(crypto.points.iter().all(|p| p.ratio() < 1.0));
         assert!(crypto.crossovers().is_empty());
         // ImgProc: ASIC always wins.
-        let img = estimator()
-            .sweep_lifetime(Domain::ImageProcessing, &lifetimes, base)
+        let img = compiled(Domain::ImageProcessing)
+            .sweep_series(SweepAxis::LifetimeYears, &lifetimes, base, 0)
             .unwrap();
         assert!(img.points.iter().all(|p| p.ratio() > 1.0));
         // DNN: one F2A crossover.
-        let dnn = estimator()
-            .sweep_lifetime(Domain::Dnn, &lifetimes, base)
+        let dnn = compiled(Domain::Dnn)
+            .sweep_series(SweepAxis::LifetimeYears, &lifetimes, base, 0)
             .unwrap();
         let crossovers = dnn.crossovers();
         assert_eq!(crossovers.len(), 1);
@@ -731,10 +661,10 @@ mod tests {
 
     #[test]
     fn volume_sweep_has_f2a_for_dnn_and_none_for_crypto() {
-        let volumes = log_spaced_volumes(1_000, 10_000_000, 16);
+        let volumes = as_values(&log_spaced_volumes(1_000, 10_000_000, 16));
         let base = OperatingPoint::paper_default();
-        let dnn = estimator()
-            .sweep_volume(Domain::Dnn, &volumes, base)
+        let dnn = compiled(Domain::Dnn)
+            .sweep_series(SweepAxis::VolumeUnits, &volumes, base, 0)
             .unwrap();
         let crossovers = dnn.crossovers();
         assert!(!crossovers.is_empty(), "DNN volume sweep must cross over");
@@ -742,8 +672,8 @@ mod tests {
             crossovers[0].direction,
             crate::CrossoverDirection::FpgaToAsic
         );
-        let crypto = estimator()
-            .sweep_volume(Domain::Crypto, &volumes, base)
+        let crypto = compiled(Domain::Crypto)
+            .sweep_series(SweepAxis::VolumeUnits, &volumes, base, 0)
             .unwrap();
         assert!(crypto.points.iter().all(|p| p.ratio() < 1.0));
     }
@@ -751,11 +681,11 @@ mod tests {
     #[test]
     fn sweep_rejects_empty_values() {
         assert!(matches!(
-            estimator().sweep(
-                Domain::Dnn,
+            compiled(Domain::Dnn).sweep_series(
                 SweepAxis::Applications,
                 &[],
-                OperatingPoint::default()
+                OperatingPoint::default(),
+                0
             ),
             Err(GreenFpgaError::InvalidRange { .. })
         ));
@@ -763,8 +693,13 @@ mod tests {
 
     #[test]
     fn nearest_finds_closest_sample() {
-        let series = estimator()
-            .sweep_applications(Domain::Dnn, &[1, 2, 4, 8], OperatingPoint::paper_default())
+        let series = compiled(Domain::Dnn)
+            .sweep_series(
+                SweepAxis::Applications,
+                &[1.0, 2.0, 4.0, 8.0],
+                OperatingPoint::paper_default(),
+                0,
+            )
             .unwrap();
         assert_eq!(series.nearest(3.4).unwrap().x, 4.0);
         assert_eq!(series.nearest(0.0).unwrap().x, 1.0);
@@ -779,8 +714,13 @@ mod tests {
         };
         assert!(empty.nearest(1.0).is_none());
         assert!(empty.crossovers().is_empty());
-        let series = estimator()
-            .sweep_applications(Domain::Dnn, &[1, 2], OperatingPoint::paper_default())
+        let series = compiled(Domain::Dnn)
+            .sweep_series(
+                SweepAxis::Applications,
+                &[1.0, 2.0],
+                OperatingPoint::paper_default(),
+                0,
+            )
             .unwrap();
         assert!(series.nearest(f64::NAN).is_none());
         // All distances to an infinite probe are infinite; ties go to the
@@ -822,14 +762,14 @@ mod tests {
 
     #[test]
     fn ratio_grid_is_rectangular_and_finite() {
-        let grid = estimator()
+        let grid = compiled(Domain::Dnn)
             .ratio_grid(
-                Domain::Dnn,
                 SweepAxis::Applications,
                 &[1.0, 4.0, 8.0],
                 SweepAxis::LifetimeYears,
                 &[0.5, 1.0, 2.0, 2.5],
                 OperatingPoint::paper_default(),
+                0,
             )
             .unwrap();
         assert_eq!(grid.ratios.len(), 4);
@@ -978,13 +918,13 @@ mod tests {
     #[test]
     fn grid_rejects_empty_axes() {
         assert!(matches!(
-            estimator().ratio_grid(
-                Domain::Dnn,
+            compiled(Domain::Dnn).ratio_grid(
                 SweepAxis::Applications,
                 &[],
                 SweepAxis::LifetimeYears,
                 &[1.0],
                 OperatingPoint::paper_default(),
+                0,
             ),
             Err(GreenFpgaError::InvalidRange { .. })
         ));

@@ -6,7 +6,8 @@
 use gf_support::SplitMix64;
 use greenfpga::units::{Fraction, TimeSpan};
 use greenfpga::{
-    Domain, Estimator, EstimatorParams, LongHorizonScenario, OperatingPoint, PlatformKind, Workload,
+    Domain, Estimator, EstimatorParams, LongHorizonScenario, OperatingPoint, PlatformKind,
+    SweepAxis, Workload,
 };
 
 const CASES: usize = 64;
@@ -199,8 +200,12 @@ fn sweep_points_match_individual_evaluations() {
         let napps = rng.gen_range_u64(1, 7);
         let est = estimator();
         let base = OperatingPoint::paper_default();
-        let counts: Vec<u64> = (1..=napps).collect();
-        let series = est.sweep_applications(domain, &counts, base).unwrap();
+        let counts: Vec<f64> = (1..=napps).map(|n| n as f64).collect();
+        let series = est
+            .compile(domain)
+            .unwrap()
+            .sweep_series(SweepAxis::Applications, &counts, base, 0)
+            .unwrap();
         let last = series.points.last().unwrap();
         let direct = est
             .compare_uniform(domain, napps, base.lifetime_years, base.volume)

@@ -74,7 +74,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -353,7 +353,6 @@ pub(crate) struct ServerState {
     pub config: ServerConfig,
     pub engine: Engine,
     pub started: Instant,
-    pub requests: AtomicU64,
     pub stop: AtomicBool,
     pub metrics: Metrics,
     /// Connections admitted and not yet closed — the governor's gauge.
@@ -416,7 +415,6 @@ impl Server {
             config,
             engine,
             started: Instant::now(),
-            requests: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             metrics: Metrics::new(),
             live_connections: AtomicUsize::new(0),
@@ -470,9 +468,10 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Requests served so far (responses produced, any status).
+    /// Requests served so far (responses produced, any status): the sum
+    /// of the per-route request counters.
     pub fn requests_served(&self) -> u64 {
-        self.state.requests.load(Ordering::Relaxed)
+        self.state.metrics.requests()
     }
 
     /// Stops the event loop, closes every connection, drains the workers
@@ -1151,7 +1150,6 @@ impl EventLoop {
             meta.bytes_in,
             body.len() as u64,
         );
-        self.state.requests.fetch_add(1, Ordering::Relaxed);
         let slow_floor = self.state.config.slow_request_us;
         if slow_floor > 0 && elapsed_us >= slow_floor as f64 {
             log_slow_request(meta.request_id, meta.route, status, elapsed_us);
@@ -1201,8 +1199,7 @@ impl EventLoop {
     /// Answers a protocol-level rejection (bad request line, oversized
     /// head, header deadline, ...) and closes after the write. Counted
     /// against the fallback metrics bucket so rejections are not
-    /// invisible — and against `requests` too, so `requests_served` stays
-    /// the sum of the per-route counters.
+    /// invisible (`requests_served` is the sum of the per-route counters).
     fn protocol_error(&mut self, token: u64, status: u16, message: &str) {
         let request_id = self.conns.get_mut(token).map_or(0, |conn| {
             if conn.request_id == 0 {
@@ -1220,7 +1217,6 @@ impl EventLoop {
             0,
             body.len() as u64,
         );
-        self.state.requests.fetch_add(1, Ordering::Relaxed);
         {
             let Some(conn) = self.conns.get_mut(token) else {
                 return;
@@ -1480,7 +1476,6 @@ impl EventLoop {
                 done.bytes_in,
                 done.bytes_out,
             );
-            self.state.requests.fetch_add(1, Ordering::Relaxed);
         }
         self.flush_out(token);
         let resumed = self

@@ -155,6 +155,14 @@ impl Metrics {
         self.routes[index].record(status, elapsed_us, bytes_in, bytes_out);
     }
 
+    /// Requests answered across every route, fallback included.
+    pub fn requests(&self) -> u64 {
+        self.routes
+            .iter()
+            .map(|stats| stats.requests.load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Per-route snapshots in dispatch-table order (fallback last).
     pub fn snapshot_routes(&self) -> Vec<RouteMetrics> {
         self.labels

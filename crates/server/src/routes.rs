@@ -389,12 +389,13 @@ fn trace() -> TraceResponse {
 
 fn metrics(state: &ServerState) -> MetricsResponse {
     use std::sync::atomic::Ordering;
+    let routes = state.metrics.snapshot_routes();
     MetricsResponse {
-        requests_served: state.requests.load(Ordering::Relaxed),
+        requests_served: routes.iter().map(|route| route.requests).sum(),
         connections_live: state.live_connections.load(Ordering::SeqCst) as u64,
         connections_max: state.config.max_connections as u64,
         connections_rejected: state.metrics.rejected.load(Ordering::Relaxed),
-        routes: state.metrics.snapshot_routes(),
+        routes,
         cache_shards: vec![state.engine.cache_metrics()],
     }
 }

@@ -37,8 +37,10 @@ fn golden_analytic_crossovers_match_the_sampled_oracle() {
         let compiled = est.compile(domain).unwrap();
 
         // Applications axis: dense integer sweep 1..=64.
-        let counts: Vec<u64> = (1..=64).collect();
-        let series = est.sweep_applications(domain, &counts, base).unwrap();
+        let counts: Vec<f64> = (1..=64).map(|n| n as f64).collect();
+        let series = compiled
+            .sweep_series(SweepAxis::Applications, &counts, base, 0)
+            .unwrap();
         let oracle = series.crossovers();
         assert!(
             oracle.len() <= 1,
@@ -69,7 +71,9 @@ fn golden_analytic_crossovers_match_the_sampled_oracle() {
         let lifetimes: Vec<f64> = (0..512)
             .map(|i| 0.05 + (6.0 - 0.05) * i as f64 / 511.0)
             .collect();
-        let series = est.sweep_lifetime(domain, &lifetimes, base).unwrap();
+        let series = compiled
+            .sweep_series(SweepAxis::LifetimeYears, &lifetimes, base, 0)
+            .unwrap();
         let oracle = series.crossovers();
         assert!(
             oracle.len() <= 1,
@@ -96,8 +100,13 @@ fn golden_analytic_crossovers_match_the_sampled_oracle() {
         // Volume axis: log-spaced integer sweep over three decades. The
         // sweep samples are integers but the diff is affine in the volume,
         // so interpolation between any two samples is still exact.
-        let volumes = greenfpga::log_spaced_volumes(1_000, 50_000_000, 48);
-        let series = est.sweep_volume(domain, &volumes, base).unwrap();
+        let volumes: Vec<f64> = greenfpga::log_spaced_volumes(1_000, 50_000_000, 48)
+            .into_iter()
+            .map(|v| v as f64)
+            .collect();
+        let series = compiled
+            .sweep_series(SweepAxis::VolumeUnits, &volumes, base, 0)
+            .unwrap();
         let oracle = series.crossovers();
         assert!(
             oracle.len() <= 1,
@@ -137,8 +146,8 @@ fn golden_analytic_crossovers_track_retuned_operating_points() {
             volume,
         };
         let lifetimes: Vec<f64> = (0..256).map(|i| 0.05 + 8.0 * i as f64 / 255.0).collect();
-        let oracle = est
-            .sweep_lifetime(Domain::Dnn, &lifetimes, base)
+        let oracle = compiled
+            .sweep_series(SweepAxis::LifetimeYears, &lifetimes, base, 0)
             .unwrap()
             .crossovers();
         let analytic = compiled.crossover_in_lifetime_analytic(applications, volume);
@@ -163,24 +172,25 @@ fn golden_frontier_raster_matches_dense_winner_mask() {
     let apps: Vec<f64> = (1..=24).map(|i| i as f64).collect();
     let lifetimes: Vec<f64> = (1..=24).map(|i| 0.125 * i as f64).collect();
     for domain in Domain::ALL {
-        let frontier = est
+        let compiled = est.compile(domain).unwrap();
+        let frontier = compiled
             .frontier(
-                domain,
                 SweepAxis::Applications,
                 &apps,
                 SweepAxis::LifetimeYears,
                 &lifetimes,
                 base,
+                0,
             )
             .unwrap();
-        let dense = est
+        let dense = compiled
             .ratio_grid(
-                domain,
                 SweepAxis::Applications,
                 &apps,
                 SweepAxis::LifetimeYears,
                 &lifetimes,
                 base,
+                0,
             )
             .unwrap();
         let mask = frontier.winner_mask();
@@ -199,24 +209,25 @@ fn golden_frontier_raster_matches_dense_winner_mask() {
         .into_iter()
         .map(|v| v as f64)
         .collect();
-    let frontier = est
+    let dnn = est.compile(Domain::Dnn).unwrap();
+    let frontier = dnn
         .frontier(
-            Domain::Dnn,
             SweepAxis::VolumeUnits,
             &volumes,
             SweepAxis::Applications,
             &apps,
             base,
+            0,
         )
         .unwrap();
-    let dense = est
+    let dense = dnn
         .ratio_grid(
-            Domain::Dnn,
             SweepAxis::VolumeUnits,
             &volumes,
             SweepAxis::Applications,
             &apps,
             base,
+            0,
         )
         .unwrap();
     for (row, dense_row) in dense.ratios.iter().enumerate() {
@@ -234,17 +245,17 @@ fn golden_frontier_raster_matches_dense_winner_mask() {
 fn golden_frontier_meets_the_evaluation_budget_at_64x64() {
     // Acceptance criterion: a 64×64-equivalent frontier from ≤20% of the
     // dense grid's point evaluations with a bit-consistent winner mask.
-    let est = estimator();
+    let dnn = estimator().compile(Domain::Dnn).unwrap();
     let apps: Vec<f64> = (1..=64).map(|i| i as f64).collect();
     let lifetimes: Vec<f64> = (1..=64).map(|i| 0.05 * i as f64).collect();
-    let frontier = est
+    let frontier = dnn
         .frontier(
-            Domain::Dnn,
             SweepAxis::Applications,
             &apps,
             SweepAxis::LifetimeYears,
             &lifetimes,
             OperatingPoint::paper_default(),
+            0,
         )
         .unwrap();
     assert_eq!(frontier.len(), 64 * 64);
@@ -253,14 +264,14 @@ fn golden_frontier_meets_the_evaluation_budget_at_64x64() {
         "64x64 frontier evaluated {:.1}% of the lattice",
         frontier.evaluated_fraction() * 100.0
     );
-    let dense = est
+    let dense = dnn
         .ratio_grid(
-            Domain::Dnn,
             SweepAxis::Applications,
             &apps,
             SweepAxis::LifetimeYears,
             &lifetimes,
             OperatingPoint::paper_default(),
+            0,
         )
         .unwrap();
     for (row, dense_row) in dense.ratios.iter().enumerate() {
@@ -276,14 +287,14 @@ fn golden_frontier_meets_the_evaluation_budget_at_64x64() {
 
 #[test]
 fn golden_estimator_crossovers_keep_their_scan_semantics() {
-    // The Estimator wrappers changed engines (scan/bisect → closed form);
+    // The crossover searches changed engines (scan/bisect → closed form);
     // their observable contracts must not move.
     let est = estimator();
     for domain in Domain::ALL {
         let compiled = est.compile(domain).unwrap();
         // Applications: result equals the first FPGA win of a linear scan.
-        let fast = est
-            .crossover_in_applications(domain, 20, 2.0, 1_000_000)
+        let fast = compiled
+            .crossover_in_applications_verified(20, 2.0, 1_000_000)
             .unwrap();
         let slow = (1..=20u64).find(|&n| {
             let c = compiled
@@ -298,8 +309,8 @@ fn golden_estimator_crossovers_keep_their_scan_semantics() {
         assert_eq!(fast, slow, "{domain} applications");
 
         // Volume: the reported integer is the first sign flip.
-        if let Some(c) = est
-            .crossover_in_volume(domain, 5, 2.0, 1_000, 50_000_000)
+        if let Some(c) = compiled
+            .crossover_in_volume_verified(5, 2.0, 1_000, 50_000_000)
             .unwrap()
         {
             let diff = |v: u64| {
@@ -323,8 +334,8 @@ fn golden_estimator_crossovers_keep_their_scan_semantics() {
         }
 
         // Lifetime: the root actually zeroes the difference.
-        if let Some(c) = est
-            .crossover_in_lifetime(domain, 5, 1_000_000, 0.05, 6.0)
+        if let Some(c) = compiled
+            .crossover_in_lifetime_verified(5, 1_000_000, 0.05, 6.0)
             .unwrap()
         {
             let r = compiled

@@ -10,7 +10,7 @@
 
 use gf_support::SplitMix64;
 use greenfpga::{
-    BatchRequest, Domain, Estimator, EstimatorParams, Knob, MonteCarlo, OperatingPoint, SweepAxis,
+    Domain, Estimator, EstimatorParams, Knob, MonteCarlo, OperatingPoint, ResultBuffer, SweepAxis,
 };
 
 fn estimator() -> Estimator {
@@ -143,7 +143,11 @@ fn batch_sweep_matches_point_wise_compare_domain() {
                 .map(|_| rng.gen_range_u64(1_000, 3_000_000) as f64)
                 .collect(),
         };
-        let series = est.sweep(domain, axis, &values, base).unwrap();
+        let series = est
+            .compile(domain)
+            .unwrap()
+            .sweep_series(axis, &values, base, 0)
+            .unwrap();
         assert_eq!(series.points.len(), values.len());
         for point in &series.points {
             let expected = match axis {
@@ -186,13 +190,15 @@ fn ratio_grid_matches_point_wise_compare_domain() {
     let base = OperatingPoint::paper_default();
     for domain in Domain::ALL {
         let grid = est
+            .compile(domain)
+            .unwrap()
             .ratio_grid(
-                domain,
                 SweepAxis::Applications,
                 &apps,
                 SweepAxis::VolumeUnits,
                 &volumes,
                 base,
+                0,
             )
             .unwrap();
         for (row, &volume) in volumes.iter().enumerate() {
@@ -247,8 +253,12 @@ fn evaluate_batch_round_trips_large_point_sets() {
             volume: rng.gen_range_u64(1, 10_000_000),
         })
         .collect();
-    let request = BatchRequest::new(Domain::Dnn, points.clone());
-    let results = est.evaluate_batch(&request).unwrap();
+    let mut buffer = ResultBuffer::new();
+    est.compile(Domain::Dnn)
+        .unwrap()
+        .evaluate_into(&points, &mut buffer)
+        .unwrap();
+    let results: Vec<_> = buffer.comparisons().collect();
     assert_eq!(results.len(), points.len());
     // Spot-check a deterministic sample of cells against the naive path.
     for index in (0..points.len()).step_by(41) {

@@ -191,25 +191,26 @@ fn crossover_matches_the_direct_searches() {
         let Outcome::Crossover(response) = engine.run(&Query::Crossover(request)).unwrap() else {
             panic!("wrong outcome kind");
         };
-        let estimator = Estimator::new(scenario.params());
+        let compiled = Estimator::new(scenario.params())
+            .compile(scenario.domain)
+            .unwrap();
         let base = OperatingPoint::paper_default();
         assert_eq!(
             response.applications,
-            estimator
-                .crossover_in_applications(scenario.domain, 20, base.lifetime_years, base.volume)
+            compiled
+                .crossover_in_applications_verified(20, base.lifetime_years, base.volume)
                 .unwrap()
         );
         assert_eq!(
             response.lifetime,
-            estimator
-                .crossover_in_lifetime(scenario.domain, base.applications, base.volume, 0.05, 5.0)
+            compiled
+                .crossover_in_lifetime_verified(base.applications, base.volume, 0.05, 5.0)
                 .unwrap()
         );
         assert_eq!(
             response.volume,
-            estimator
-                .crossover_in_volume(
-                    scenario.domain,
+            compiled
+                .crossover_in_volume_verified(
                     base.applications,
                     base.lifetime_years,
                     1_000,
@@ -237,13 +238,15 @@ fn frontier_matches_the_direct_refiner_and_renderer() {
     };
     let (x_values, y_values) = request.lattice();
     let direct = Estimator::default()
+        .compile(Domain::Dnn)
+        .unwrap()
         .frontier(
-            Domain::Dnn,
             request.x_axis,
             &x_values,
             request.y_axis,
             &y_values,
             request.base,
+            0,
         )
         .unwrap();
     assert_eq!(response, FrontierResponse::from(&direct));
@@ -274,7 +277,9 @@ fn sweep_and_grid_match_the_direct_estimator() {
             panic!("wrong outcome kind");
         };
         let direct = Estimator::new(scenario.params())
-            .sweep(scenario.domain, sweep.axis, &sweep.values(), sweep.base)
+            .compile(scenario.domain)
+            .unwrap()
+            .sweep_series(sweep.axis, &sweep.values(), sweep.base, 0)
             .unwrap();
         assert_eq!(series, direct, "{scenario:?}");
 
@@ -293,14 +298,9 @@ fn sweep_and_grid_match_the_direct_estimator() {
         };
         let (x_values, y_values) = grid.lattice();
         let direct = Estimator::new(scenario.params())
-            .ratio_grid(
-                scenario.domain,
-                grid.x_axis,
-                &x_values,
-                grid.y_axis,
-                &y_values,
-                grid.base,
-            )
+            .compile(scenario.domain)
+            .unwrap()
+            .ratio_grid(grid.x_axis, &x_values, grid.y_axis, &y_values, grid.base, 0)
             .unwrap();
         assert_eq!(served, direct, "{scenario:?}");
     }

@@ -29,15 +29,21 @@ fn fig2_fpga_wins_by_double_digit_margin_at_ten_apps() {
 fn fig4_crossover_ordering_matches_the_paper() {
     let est = estimator();
     let crypto = est
-        .crossover_in_applications(Domain::Crypto, 20, 2.0, 1_000_000)
+        .compile(Domain::Crypto)
+        .unwrap()
+        .crossover_in_applications_verified(20, 2.0, 1_000_000)
         .unwrap()
         .expect("crypto crossover");
     let dnn = est
-        .crossover_in_applications(Domain::Dnn, 20, 2.0, 1_000_000)
+        .compile(Domain::Dnn)
+        .unwrap()
+        .crossover_in_applications_verified(20, 2.0, 1_000_000)
         .unwrap()
         .expect("dnn crossover");
     let imgproc = est
-        .crossover_in_applications(Domain::ImageProcessing, 20, 2.0, 1_000_000)
+        .compile(Domain::ImageProcessing)
+        .unwrap()
+        .crossover_in_applications_verified(20, 2.0, 1_000_000)
         .unwrap()
         .expect("imgproc crossover");
     // Paper: 1 app (Crypto) < 6 apps (DNN) < 12 apps (ImgProc).
@@ -53,7 +59,9 @@ fn fig5_lifetime_behaviour_matches_the_paper() {
     let est = estimator();
     // Crypto: FPGA wins at every lifetime.
     assert!(est
-        .crossover_in_lifetime(Domain::Crypto, 5, 1_000_000, 0.05, 3.0)
+        .compile(Domain::Crypto)
+        .unwrap()
+        .crossover_in_lifetime_verified(5, 1_000_000, 0.05, 3.0)
         .unwrap()
         .is_none());
     for lifetime in [0.2, 1.0, 2.5] {
@@ -64,7 +72,9 @@ fn fig5_lifetime_behaviour_matches_the_paper() {
     }
     // ImgProc: ASIC wins at every lifetime.
     assert!(est
-        .crossover_in_lifetime(Domain::ImageProcessing, 5, 1_000_000, 0.05, 3.0)
+        .compile(Domain::ImageProcessing)
+        .unwrap()
+        .crossover_in_lifetime_verified(5, 1_000_000, 0.05, 3.0)
         .unwrap()
         .is_none());
     for lifetime in [0.2, 1.0, 2.5] {
@@ -75,7 +85,9 @@ fn fig5_lifetime_behaviour_matches_the_paper() {
     }
     // DNN: F2A crossover near 1.6 years.
     let crossover = est
-        .crossover_in_lifetime(Domain::Dnn, 5, 1_000_000, 0.05, 3.0)
+        .compile(Domain::Dnn)
+        .unwrap()
+        .crossover_in_lifetime_verified(5, 1_000_000, 0.05, 3.0)
         .unwrap()
         .expect("dnn lifetime crossover");
     assert_eq!(crossover.direction, CrossoverDirection::FpgaToAsic);
@@ -91,17 +103,23 @@ fn fig6_volume_behaviour_matches_the_paper() {
     let est = estimator();
     // Crypto: FPGA wins at every volume.
     assert!(est
-        .crossover_in_volume(Domain::Crypto, 5, 2.0, 1_000, 20_000_000)
+        .compile(Domain::Crypto)
+        .unwrap()
+        .crossover_in_volume_verified(5, 2.0, 1_000, 20_000_000)
         .unwrap()
         .is_none());
     // DNN and ImgProc: F2A crossovers, with ImgProc flipping at a lower
     // volume than DNN (paper: 300K vs 2M).
     let dnn = est
-        .crossover_in_volume(Domain::Dnn, 5, 2.0, 1_000, 20_000_000)
+        .compile(Domain::Dnn)
+        .unwrap()
+        .crossover_in_volume_verified(5, 2.0, 1_000, 20_000_000)
         .unwrap()
         .expect("dnn volume crossover");
     let imgproc = est
-        .crossover_in_volume(Domain::ImageProcessing, 5, 2.0, 1_000, 20_000_000)
+        .compile(Domain::ImageProcessing)
+        .unwrap()
+        .crossover_in_volume_verified(5, 2.0, 1_000, 20_000_000)
         .unwrap()
         .expect("imgproc volume crossover");
     assert_eq!(dnn.direction, CrossoverDirection::FpgaToAsic);
@@ -154,13 +172,15 @@ fn fig8_heatmap_frontier_moves_the_right_way() {
     let apps: Vec<f64> = (1..=8).map(|n| n as f64).collect();
     let lifetimes: Vec<f64> = (1..=8).map(|i| 0.3 * i as f64).collect();
     let grid = est
+        .compile(Domain::Dnn)
+        .unwrap()
         .ratio_grid(
-            Domain::Dnn,
             SweepAxis::Applications,
             &apps,
             SweepAxis::LifetimeYears,
             &lifetimes,
             base,
+            0,
         )
         .unwrap();
     // Within a row (fixed lifetime) the ratio falls as apps increase.

@@ -201,27 +201,28 @@ fn crossover_matches_the_estimator_searches() {
         let (status, value) = post_json(&mut client, "/v1/crossover", &request);
         assert_eq!(status, 200, "{value:?}");
         let response = CrossoverResponse::from_json(&value).expect("decode crossover");
-        let estimator = Estimator::new(scenario.params());
+        let compiled = Estimator::new(scenario.params())
+            .compile(scenario.domain)
+            .unwrap();
         let base = OperatingPoint::paper_default();
         assert_eq!(
             response.applications,
-            estimator
-                .crossover_in_applications(scenario.domain, 20, base.lifetime_years, base.volume)
+            compiled
+                .crossover_in_applications_verified(20, base.lifetime_years, base.volume)
                 .unwrap(),
             "{scenario:?}"
         );
         assert_eq!(
             response.lifetime,
-            estimator
-                .crossover_in_lifetime(scenario.domain, base.applications, base.volume, 0.05, 5.0)
+            compiled
+                .crossover_in_lifetime_verified(base.applications, base.volume, 0.05, 5.0)
                 .unwrap(),
             "{scenario:?}"
         );
         assert_eq!(
             response.volume,
-            estimator
-                .crossover_in_volume(
-                    scenario.domain,
+            compiled
+                .crossover_in_volume_verified(
                     base.applications,
                     base.lifetime_years,
                     1_000,
@@ -253,13 +254,15 @@ fn frontier_matches_the_direct_winner_map() {
 
     let (x_values, y_values) = request.lattice();
     let direct = Estimator::new(scenario.params())
+        .compile(scenario.domain)
+        .unwrap()
         .frontier(
-            scenario.domain,
             request.x_axis,
             &x_values,
             request.y_axis,
             &y_values,
             request.base,
+            0,
         )
         .unwrap();
     assert_eq!(
@@ -723,12 +726,9 @@ fn sweep_route_is_bit_identical_to_the_direct_series() {
     assert_eq!(status, 200, "{value:?}");
     let served = SweepSeries::from_json(&value).expect("decode series");
     let direct = Estimator::new(scenario.params())
-        .sweep(
-            scenario.domain,
-            request.axis,
-            &request.values(),
-            request.base,
-        )
+        .compile(scenario.domain)
+        .unwrap()
+        .sweep_series(request.axis, &request.values(), request.base, 0)
         .unwrap();
     assert_eq!(served, direct);
     assert_eq!(
@@ -758,13 +758,15 @@ fn grid_route_is_bit_identical_to_the_direct_grid() {
     let served = GridSweep::from_json(&value).expect("decode grid");
     let (x_values, y_values) = request.lattice();
     let direct = Estimator::new(scenario.params())
+        .compile(scenario.domain)
+        .unwrap()
         .ratio_grid(
-            scenario.domain,
             request.x_axis,
             &x_values,
             request.y_axis,
             &y_values,
             request.base,
+            0,
         )
         .unwrap();
     assert_eq!(served, direct);
