@@ -347,12 +347,20 @@ mod tests {
             out
         };
         let serial = fill(1);
-        assert_eq!(
-            serial,
-            (0..257).map(|i| (i as f64).sqrt()).collect::<Vec<_>>()
-        );
         for threads in [0, 2, 3, 4, 16] {
             assert_eq!(fill(threads), serial, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn fill_matches_map_for_every_thread_count() {
+        let expected: Vec<f64> = (0..257).map(|i| (i as f64).sqrt()).collect();
+        for threads in [0, 1, 2, 3, 16] {
+            let mut out = vec![0.0f64; 257];
+            let result: Result<(), ()> =
+                try_fill_indexed(&mut out, threads, |i| Ok((i as f64).sqrt()));
+            assert!(result.is_ok());
+            assert_eq!(out, expected, "{threads} threads");
         }
     }
 
