@@ -5,15 +5,14 @@
 //! design CFP; with the report-based model, design is roughly 15% of the
 //! embodied CFP for the industry FPGAs.
 
-use gf_bench::paper_estimator;
 use greenfpga::lifecycle::GateBasedDesignModel;
 use greenfpga::{
     industry_asic1, industry_asic2, industry_fpga1, industry_fpga2, render_table, ChipSpec,
-    DesignStaffing, IndustryScenario,
+    DesignStaffing, Estimator, IndustryScenario,
 };
 
 fn main() -> Result<(), greenfpga::GreenFpgaError> {
-    let estimator = paper_estimator();
+    let estimator = Estimator::default();
     let scenario = IndustryScenario::paper_defaults();
     let staffing: DesignStaffing = scenario.staffing;
     let baseline = GateBasedDesignModel::ecochip_defaults();

@@ -6,7 +6,6 @@
 //! — large dies at a pessimistic yield model make the FPGA's embodied cost
 //! harder to amortize, pushing the A2F crossover to more applications.
 
-use gf_bench::paper_estimator;
 use greenfpga::act::YieldModel;
 use greenfpga::units::Area;
 use greenfpga::{render_table, Domain, Estimator, EstimatorParams};
@@ -75,7 +74,7 @@ fn main() -> Result<(), greenfpga::GreenFpgaError> {
     );
 
     println!("Baseline (paper defaults) for reference:");
-    let default_dnn = paper_estimator().compile(Domain::Dnn)?;
+    let default_dnn = Estimator::default().compile(Domain::Dnn)?;
     println!(
         "  A2F at {:?} applications",
         default_dnn.crossover_in_applications_verified(20, 2.0, 1_000_000)?

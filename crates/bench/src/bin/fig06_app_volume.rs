@@ -4,11 +4,10 @@
 //! Paper result: Crypto always favours the FPGA; ImgProc and DNN show F2A
 //! crossovers at roughly 300K and 2M units respectively.
 
-use gf_bench::paper_estimator;
-use greenfpga::{csv_from_rows, log_spaced_volumes, Domain, OperatingPoint, SweepAxis};
+use greenfpga::{csv_from_rows, log_spaced_volumes, Domain, Estimator, OperatingPoint, SweepAxis};
 
 fn main() -> Result<(), greenfpga::GreenFpgaError> {
-    let estimator = paper_estimator();
+    let estimator = Estimator::default();
     let base = OperatingPoint {
         applications: 5,
         lifetime_years: 2.0,

@@ -5,11 +5,12 @@
 //! lifetimes and low volumes; the ratio-1 contour (drawn with `=`) marks the
 //! crossover front.
 
-use gf_bench::paper_estimator;
-use greenfpga::{log_spaced_volumes, Domain, HeatmapRenderer, OperatingPoint, SweepAxis};
+use greenfpga::{
+    log_spaced_volumes, Domain, Estimator, HeatmapRenderer, OperatingPoint, SweepAxis,
+};
 
 fn main() -> Result<(), greenfpga::GreenFpgaError> {
-    let dnn = paper_estimator().compile(Domain::Dnn)?;
+    let dnn = Estimator::default().compile(Domain::Dnn)?;
     let base = OperatingPoint {
         applications: 5,
         lifetime_years: 2.0,

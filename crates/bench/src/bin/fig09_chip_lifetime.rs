@@ -6,11 +6,10 @@
 //! ImgProc the jumps create multiple A2F/F2A crossovers; for DNN and Crypto
 //! the greener platform does not change.
 
-use gf_bench::paper_estimator;
-use greenfpga::{Domain, LongHorizonScenario};
+use greenfpga::{Domain, Estimator, LongHorizonScenario};
 
 fn main() -> Result<(), greenfpga::GreenFpgaError> {
-    let estimator = paper_estimator();
+    let estimator = Estimator::default();
     for domain in Domain::ALL {
         let series = LongHorizonScenario::paper_fig9(domain).run(&estimator)?;
         println!("Figure 9 — {domain} (1-year applications, 1e6 units, 15-year FPGA lifetime):");

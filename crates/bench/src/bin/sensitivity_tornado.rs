@@ -5,11 +5,10 @@
 //! paper defaults. Knobs are ranked by how much they swing the ratio, and
 //! the ones able to flip the greener platform are flagged.
 
-use gf_bench::paper_estimator;
-use greenfpga::{render_table, Domain, OperatingPoint};
+use greenfpga::{render_table, Domain, Estimator, OperatingPoint};
 
 fn main() -> Result<(), greenfpga::GreenFpgaError> {
-    let estimator = paper_estimator();
+    let estimator = Estimator::default();
     let point = OperatingPoint::paper_default();
 
     for domain in Domain::ALL {

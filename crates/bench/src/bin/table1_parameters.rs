@@ -1,12 +1,11 @@
 //! Table 1: the input parameter ranges of GreenFPGA and the defaults this
 //! reproduction uses.
 
-use gf_bench::paper_estimator;
 use greenfpga::lifecycle::EolModel;
-use greenfpga::render_table;
+use greenfpga::{render_table, Estimator};
 
 fn main() {
-    let estimator = paper_estimator();
+    let estimator = Estimator::default();
     let params = estimator.params();
     let appdev = params.appdev();
     let house = params.design_house();

@@ -37,7 +37,7 @@ fn main() -> Result<(), greenfpga::GreenFpgaError> {
         )
     );
 
-    println!("Calibrated absolute reference implementations (see DESIGN.md):");
+    println!("Calibrated absolute reference implementations:");
     println!(
         "{}",
         render_table(

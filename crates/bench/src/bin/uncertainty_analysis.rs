@@ -5,11 +5,10 @@
 //! and the FPGA:ASIC ratio distribution is reported per domain at the
 //! paper's operating point (5 applications, 2-year lifetimes, 1M units).
 
-use gf_bench::paper_estimator;
-use greenfpga::{render_table, Domain, MonteCarlo, OperatingPoint};
+use greenfpga::{render_table, Domain, Estimator, MonteCarlo, OperatingPoint};
 
 fn main() -> Result<(), greenfpga::GreenFpgaError> {
-    let estimator = paper_estimator();
+    let estimator = Estimator::default();
     let point = OperatingPoint::paper_default();
     let study = MonteCarlo::new(512);
 

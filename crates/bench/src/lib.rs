@@ -1,13 +1,15 @@
 //! Shared helpers for the GreenFPGA experiment harness.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md for the index); the benches in `benches/` measure the
-//! evaluation throughput of the model itself through the [`harness`]
-//! mini-framework (the offline environment has no Criterion).
+//! The binaries in `src/bin/` print the paper's figures and tables that no
+//! `greenfpga` query returns (the rest are `paper_*` cases of the CLI's
+//! transcript suite; README "Reproducing the paper's figures" has the
+//! index), and `tests/figures.rs` pins each one's stdout. `serve_load` and
+//! `bench_gate` drive and gate the serving benchmark; the benches in
+//! `benches/` measure the evaluation throughput of the model itself through
+//! the [`harness`] mini-framework (the offline environment has no
+//! Criterion).
 
 pub mod harness;
-
-use greenfpga::{CfpBreakdown, Estimator, EstimatorParams};
 
 /// Absolute ceiling for the `evaluate_ns_per_point` metric — the batch
 /// kernel's median time per evaluated point over the 4096-point grid batch
@@ -51,58 +53,3 @@ pub const SERVE_CONNECTIONS_FLOOR: f64 = 4096.0;
 /// the span path shows up here as a ratio well under the floor even when
 /// absolute throughput still clears `serve_rps` against a stale baseline.
 pub const TRACE_OVERHEAD_FLOOR: f64 = 0.97;
-
-/// Builds the estimator every experiment binary uses: the paper-calibrated
-/// defaults. Override knobs inside individual binaries where an experiment
-/// calls for it.
-pub fn paper_estimator() -> Estimator {
-    Estimator::new(EstimatorParams::paper_defaults())
-}
-
-/// Formats a breakdown as `total (EC embodied / OC deployment)` in tons,
-/// the unit the paper's figures use.
-pub fn format_ec_oc(breakdown: &CfpBreakdown) -> String {
-    format!(
-        "{:>12.1} t (EC {:>12.1} t / OC {:>12.1} t)",
-        breakdown.total().as_tons(),
-        breakdown.embodied().as_tons(),
-        breakdown.deployment().as_tons()
-    )
-}
-
-/// Formats kilograms as tons with one decimal, for table cells.
-pub fn tons(kg: f64) -> String {
-    format!("{:.1}", kg / 1000.0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gf_units::Carbon;
-
-    #[test]
-    fn format_ec_oc_reports_tons() {
-        let b = CfpBreakdown {
-            manufacturing: Carbon::from_tons(2.0),
-            operation: Carbon::from_tons(1.0),
-            ..CfpBreakdown::ZERO
-        };
-        let s = format_ec_oc(&b);
-        assert!(s.contains("3.0 t"));
-        assert!(s.contains("EC"));
-        assert!(s.contains("OC"));
-    }
-
-    #[test]
-    fn tons_formats_kilograms() {
-        assert_eq!(tons(2500.0), "2.5");
-    }
-
-    #[test]
-    fn paper_estimator_uses_paper_defaults() {
-        assert_eq!(
-            paper_estimator().params(),
-            &EstimatorParams::paper_defaults()
-        );
-    }
-}

@@ -2,9 +2,11 @@
 //!
 //! Each bin in `src/bin/` (apart from `serve_load` and `bench_gate`, which
 //! measure the server rather than reproduce the paper) runs once and its
-//! stdout is compared with `tests/figures/<bin>.txt`. On a mismatch the
-//! actual output is written to `CARGO_TARGET_TMPDIR/figures/<bin>.txt` so it
-//! can be diffed against, or copied over, the committed golden.
+//! stdout is compared with `tests/figures/<bin>.txt`. The figures that one
+//! `greenfpga` query reproduces are not bins: they are the `paper_*` cases
+//! of the CLI's transcript suite. On a mismatch the actual output is written
+//! to `CARGO_TARGET_TMPDIR/figures/<bin>.txt` so it can be diffed against,
+//! or copied over, the committed golden.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -24,16 +26,9 @@ const FIGURES: &[(&str, &str)] = figures![
     ablation_design_model,
     ablation_yield_model,
     calibration_debug,
-    fig02_single_vs_ten,
-    fig04_num_apps,
-    fig05_app_lifetime,
     fig06_app_volume,
-    fig07_breakdown,
     fig08_heatmaps,
     fig09_chip_lifetime,
-    fig10_industry_fpga,
-    fig11_industry_asic,
-    headline_scenarios,
     sensitivity_tornado,
     table1_parameters,
     table2_testcases,

@@ -32,8 +32,8 @@ use std::process::ExitCode;
 use gf_json::{FromJson, ToJson, Value};
 use greenfpga::api::{Outcome, Query};
 use greenfpga::{
-    csv_from_rows, render_table, ApiError, CfpBreakdown, Engine, GridRequest, HeatmapRenderer,
-    OperatingPoint, PlatformComparison, Verdict,
+    csv_from_rows, render_table, ApiError, CfpBreakdown, CrossoverRequest, Engine, GridRequest,
+    HeatmapRenderer, OperatingPoint, PlatformComparison, Verdict,
 };
 
 use args::{Action, Invocation, USAGE};
@@ -297,15 +297,30 @@ fn render(out: &mut dyn Write, query: &Query, outcome: &Outcome, csv: bool) -> s
                     out,
                     "  applications: FPGA becomes greener from {n} applications"
                 )?,
-                None => writeln!(out, "  applications: no crossover within 20 applications")?,
+                None => writeln!(
+                    out,
+                    "  applications: no crossover within {} applications",
+                    CrossoverRequest::DEFAULT_MAX_APPLICATIONS
+                )?,
             }
             match &response.lifetime {
                 Some(c) => writeln!(out, "  lifetime:     {} at {:.2} years", c.direction, c.at)?,
-                None => writeln!(out, "  lifetime:     no crossover in 0.05–5 years")?,
+                None => {
+                    let (from, to) = CrossoverRequest::DEFAULT_LIFETIME_RANGE;
+                    writeln!(out, "  lifetime:     no crossover in {from}–{to} years")?
+                }
             }
             match &response.volume {
                 Some(c) => writeln!(out, "  volume:       {} at {:.0} units", c.direction, c.at),
-                None => writeln!(out, "  volume:       no crossover in 1K–50M units"),
+                None => {
+                    let (from, to) = CrossoverRequest::DEFAULT_VOLUME_RANGE;
+                    writeln!(
+                        out,
+                        "  volume:       no crossover in {}K–{}M units",
+                        from / 1_000,
+                        to / 1_000_000
+                    )
+                }
             }
         }
         (Query::Sweep(request), Outcome::Sweep(series)) => {

@@ -45,8 +45,86 @@ const CASES: &[(&str, &str, Option<&str>)] = &[
         "optimize --domain crypto --objective budget --platform asic --budget-kg 5000000 --knob volume:1000:2000000",
         None,
     ),
-    // Other human renderings.
+    // The paper's figures that one query reproduces: each figure's claim,
+    // then the cases that show its numbers. The figures no query returns
+    // are bins of `gf-bench`, pinned by `crates/bench/tests/figures.rs`.
+    //
+    // Figure 2: DNN, T_i = 2 years, N_vol = 1e6, one application against
+    // ten. Paper result: for one application the ASIC is greener; reused
+    // across ten applications the FPGA ends up with roughly 25% lower total
+    // CFP (here 1 - 0.662, about 34% lower).
+    ("paper_fig02_one_app", "compare --domain dnn --apps 1", None),
+    ("paper_fig02_ten_apps", "compare --domain dnn --apps 10", None),
+    // Figure 4: total CFP versus N_app (1-12), with T_i = 2 years and
+    // N_vol = 1e6, for all three domains. Paper result: A2F crossover after
+    // 1 application (Crypto), 6 applications (DNN) and 12 applications
+    // (ImgProc). The crossovers are the `paper_crossover_*` cases.
+    ("paper_fig04_dnn", "sweep --domain dnn --axis apps --from 1 --to 12 --steps 12", None),
+    ("paper_fig04_imgproc", "sweep --domain imgproc --axis apps --from 1 --to 12 --steps 12", None),
+    ("paper_fig04_crypto", "sweep --domain crypto --axis apps --from 1 --to 12 --steps 12", None),
+    // Figure 5: total CFP versus T_i (0.3-2.5 years), with N_app = 5 and
+    // N_vol = 1e6, for all three domains. Paper result: Crypto always
+    // favours the FPGA, ImgProc always favours the ASIC, and DNN shows an
+    // F2A crossover at roughly 1.6 years.
+    ("paper_fig05_dnn", "sweep --domain dnn --axis lifetime --from 0.3 --to 2.5 --steps 12", None),
+    (
+        "paper_fig05_imgproc",
+        "sweep --domain imgproc --axis lifetime --from 0.3 --to 2.5 --steps 12",
+        None,
+    ),
+    (
+        "paper_fig05_crypto",
+        "sweep --domain crypto --axis lifetime --from 0.3 --to 2.5 --steps 12",
+        None,
+    ),
+    // Figure 7: embodied (EC: design, manufacturing, packaging, EOL) versus
+    // operational (OC: operation, app dev) carbon for the DNN domain while
+    // varying (a) N_app, (b) T_i and (c) N_vol; the unset members are the
+    // paper's point (5 applications, 2 years, 1e6 units). Paper result:
+    // varying N_app grows the ASIC's EC (new chips per application) until
+    // it dominates; varying T_i grows the FPGA's OC; at low volumes EC
+    // dominates both platforms, at high volumes the FPGA's growing EC makes
+    // it the less sustainable choice.
+    (
+        "paper_fig07a_apps",
+        "query",
+        Some(
+            r#"{"kind":"batch","domain":"dnn","points":[{"applications":1},{"applications":2},{"applications":3},{"applications":4},{"applications":5},{"applications":6},{"applications":8}]}"#,
+        ),
+    ),
+    (
+        "paper_fig07b_lifetime",
+        "query",
+        Some(
+            r#"{"kind":"batch","domain":"dnn","points":[{"lifetime_years":0.5},{"lifetime_years":1.0},{"lifetime_years":1.5},{"lifetime_years":2.0},{"lifetime_years":2.5}]}"#,
+        ),
+    ),
+    (
+        "paper_fig07c_volume",
+        "query",
+        Some(
+            r#"{"kind":"batch","domain":"dnn","points":[{"volume":1000},{"volume":10000},{"volume":100000},{"volume":300000},{"volume":1000000},{"volume":3000000}]}"#,
+        ),
+    ),
+    // The headline claims (contribution 5 / abstract), and the crossover
+    // lines of Figures 4-6: FPGAs are the sustainable choice when (i)
+    // application lifetimes are below ~1.6 years, (ii) the FPGA is reused
+    // for more than ~5 applications, or (iii) application volumes are below
+    // ~2 million units in specific domains. ImgProc's crossovers are
+    // `quickstart_crossover`.
+    ("paper_crossover_dnn", "crossover --domain dnn", None),
+    ("paper_crossover_crypto", "crossover --domain crypto", None),
+    // Figures 10 and 11: CFP components of the industry FPGAs
+    // (Agilex-7-class IndustryFPGA1, Stratix-10-class IndustryFPGA2; six
+    // years, three applications, one million units) and ASICs
+    // (Antoum-class IndustryASIC1, TPU-class IndustryASIC2; one six-year
+    // application, no reprogramming). Paper result: operational CFP
+    // dominates, followed by manufacturing and design; application
+    // development is minimal even after three reprogrammings; design is
+    // roughly 15% of the FPGAs' embodied CFP; EOL is tiny.
     ("industry", "industry", None),
+    ("json_industry", "industry --json", None),
+    // Other human renderings.
     ("help", "help", None),
     ("sweep_csv", "sweep --axis apps --from 1 --to 12 --steps 12 --csv", None),
     ("sweep_table", "sweep --domain crypto --axis lifetime --from 0.5 --to 4 --steps 8", None),
@@ -62,7 +140,6 @@ const CASES: &[(&str, &str, Option<&str>)] = &[
     ("json_crossover", "crossover --domain crypto --json", None),
     ("json_grid", "grid --steps 4 --json", None),
     ("json_grid_stream", "grid --steps 4 --stream --json", None),
-    ("json_industry", "industry --json", None),
     ("json_tornado", "tornado --domain crypto --json", None),
     ("json_montecarlo", "montecarlo --samples 64 --seed 7 --json", None),
     ("json_catalog", "scenarios --json", None),

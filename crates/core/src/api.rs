@@ -1003,24 +1003,30 @@ wire_struct! {
         /// The base operating point supplying the held parameters.
         pub base: OperatingPoint as "point" [default OperatingPoint::paper_default()],
         /// Upper bound of the application-count search (Fig. 4).
-        pub max_applications: u64 [default 20],
+        pub max_applications: u64 [default Self::DEFAULT_MAX_APPLICATIONS],
         /// Lifetime search range in years (Fig. 5).
-        pub lifetime_range: (f64, f64) [default (0.05, 5.0)],
+        pub lifetime_range: (f64, f64) [default Self::DEFAULT_LIFETIME_RANGE],
         /// Volume search range in devices (Fig. 6).
-        pub volume_range: (u64, u64) [default (1_000, 50_000_000)],
+        pub volume_range: (u64, u64) [default Self::DEFAULT_VOLUME_RANGE],
     }
 }
 
 impl CrossoverRequest {
-    /// The CLI's default search windows: 20 applications, 0.05–5 years,
-    /// 1 K–50 M devices.
+    /// Default upper bound of the application-count search.
+    pub const DEFAULT_MAX_APPLICATIONS: u64 = 20;
+    /// Default lifetime search range in years.
+    pub const DEFAULT_LIFETIME_RANGE: (f64, f64) = (0.05, 5.0);
+    /// Default volume search range in devices.
+    pub const DEFAULT_VOLUME_RANGE: (u64, u64) = (1_000, 50_000_000);
+
+    /// A request with the default search windows (the wire's and the CLI's).
     pub fn with_default_ranges(scenario: ScenarioSpec, base: OperatingPoint) -> Self {
         CrossoverRequest {
             scenario,
             base,
-            max_applications: 20,
-            lifetime_range: (0.05, 5.0),
-            volume_range: (1_000, 50_000_000),
+            max_applications: Self::DEFAULT_MAX_APPLICATIONS,
+            lifetime_range: Self::DEFAULT_LIFETIME_RANGE,
+            volume_range: Self::DEFAULT_VOLUME_RANGE,
         }
     }
 }

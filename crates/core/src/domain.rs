@@ -6,7 +6,8 @@
 //! cryptography. The absolute size and power of the reference ASIC
 //! implementation are not given in the paper; the calibrated values embedded
 //! here were chosen so that the crossover behaviour reported in the paper's
-//! Figures 4–6 is reproduced (see DESIGN.md and EXPERIMENTS.md).
+//! Figures 4–6 is reproduced (README "Reproducing the paper's figures" lists
+//! the pinned outputs that show it).
 
 use std::fmt;
 
@@ -89,7 +90,7 @@ impl Domain {
         // Reference ASIC accelerators are modeled as edge-class inference /
         // processing engines at the paper's 10 nm comparison node. Design
         // staffing values are the calibration knob that positions the
-        // volume-crossover points (Fig. 6); see DESIGN.md.
+        // volume-crossover points (Fig. 6).
         match self {
             Domain::Dnn => DomainCalibration {
                 domain: self,

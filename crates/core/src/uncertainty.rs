@@ -29,7 +29,9 @@ pub struct MonteCarlo {
 }
 
 impl MonteCarlo {
-    /// A 1000-sample study with a fixed seed.
+    /// A `samples`-sample study with a fixed seed. The seed is at least
+    /// 2⁵³, so no wire request can reproduce it: a request's seed must stay
+    /// below 2⁵³ (see [`crate::MonteCarloRequest::DEFAULT_SEED`]).
     pub fn new(samples: usize) -> Self {
         MonteCarlo {
             samples,

@@ -11,9 +11,6 @@
 //! C_des = C_emp × N_emp,chip × (N_gates / N_gates,avg) × T_proj
 //! C_emp = (E_des × C_src,des) / N_emp,total
 //! ```
-//!
-//! See DESIGN.md ("Design-CFP interpretation note") for how this maps onto
-//! the paper's notation.
 
 use gf_units::{Carbon, CarbonIntensity, Energy, Fraction, GateCount, TimeSpan};
 
