@@ -251,6 +251,30 @@ mod tests {
         assert!(json.contains("\"a\": 1.5,"));
         assert!(json.contains("\"b\": null,"));
         assert!(json.contains("\"c\": 3\n"));
+        assert_eq!(
+            json, "{\n  \"a\": 1.5,\n  \"b\": null,\n  \"c\": 3\n}\n",
+            "the artifact layout is pinned byte for byte"
+        );
+        assert_eq!(metrics_json(&[]), "{}\n");
+    }
+
+    #[test]
+    fn committed_baseline_rewrites_to_the_same_bytes() {
+        let committed = include_str!("../../../BENCH_eval.json");
+        let metrics: Vec<(String, f64)> = parse_metrics_json(committed)
+            .unwrap()
+            .into_iter()
+            .map(|(key, value)| (key, value.unwrap_or(f64::NAN)))
+            .collect();
+        let metrics: Vec<(&str, f64)> = metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        assert_eq!(metrics_json(&metrics), committed);
+    }
+
+    #[test]
+    fn reindenter_matches_the_tree_pretty_printer_on_metrics() {
+        let metrics = [("grid_ns", 1234.5678), ("broken", f64::NAN), ("n", 64.0)];
+        let compact = metrics_value(&metrics).to_json_string().unwrap();
+        assert_eq!(gf_json::pretty(&compact), metrics_json(&metrics));
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use parse::{parse, parse_with, Document, Node, ParseLimits};
 pub use wire::{
     decode_found, decode_found_or, decode_member, decode_member_or, expect_object, prefix_schema,
 };
-pub use write::JsonWriter;
+pub use write::{pretty, JsonWriter};
 
 /// A JSON document: the result of parsing, and the input to writing.
 ///

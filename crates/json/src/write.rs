@@ -311,6 +311,54 @@ fn write_pretty(out: &mut Vec<u8>, value: &Value, indent: usize) -> Result<(), J
     Ok(())
 }
 
+/// Re-indents compact JSON text, as [`JsonWriter`] writes it, for
+/// human-facing artifacts (the committed `BENCH_eval.json` baseline, the
+/// CLI's `--json`): two spaces per level, `": "` after a key, empty
+/// containers kept as `{}` and `[]`, and a final newline. Strings and
+/// numbers are copied as written, so the result parses to the same
+/// document and differs from `compact` only in whitespace.
+pub fn pretty(compact: &str) -> String {
+    let bytes = compact.as_bytes();
+    let mut out = Vec::with_capacity(bytes.len() + bytes.len() / 2);
+    let (mut depth, mut in_string, mut escaped) = (0, false, false);
+    let mut i = 0;
+    while let Some(&b) = bytes.get(i) {
+        i += 1;
+        if in_string {
+            (in_string, escaped) = (escaped || b != b'"', !escaped && b == b'\\');
+            out.push(b);
+            continue;
+        }
+        match b {
+            b'{' | b'[' if matches!(bytes.get(i), Some(b'}' | b']')) => {
+                out.extend_from_slice(&bytes[i - 1..=i]);
+                i += 1;
+            }
+            b'{' | b'[' => {
+                depth += 1;
+                out.push(b);
+                newline_indent(&mut out, depth);
+            }
+            b'}' | b']' => {
+                depth = usize::saturating_sub(depth, 1);
+                newline_indent(&mut out, depth);
+                out.push(b);
+            }
+            b',' => {
+                out.push(b);
+                newline_indent(&mut out, depth);
+            }
+            b':' => out.extend_from_slice(b": "),
+            _ => {
+                in_string = b == b'"';
+                out.push(b);
+            }
+        }
+    }
+    out.push(b'\n');
+    String::from_utf8(out).expect("only ASCII is inserted, between tokens")
+}
+
 fn newline_indent(out: &mut Vec<u8>, indent: usize) {
     out.push(b'\n');
     out.resize(out.len() + 2 * indent, b' ');

@@ -119,6 +119,20 @@ fn random_trees_round_trip_compact_and_pretty() {
 }
 
 #[test]
+fn reindenter_matches_the_tree_pretty_printer() {
+    let mut rng = rng(9);
+    for case in 0..CASES {
+        let value = gen_value(&mut rng, 4);
+        let compact = value.to_json_string().unwrap();
+        assert_eq!(
+            gf_json::pretty(&compact),
+            value.to_json_string_pretty().unwrap(),
+            "case {case}: {compact}"
+        );
+    }
+}
+
+#[test]
 fn random_f64_bit_patterns_round_trip_exactly() {
     let mut rng = rng(2);
     for _ in 0..4 * CASES {

@@ -94,6 +94,21 @@ fn healthz_is_liveness_only_and_metrics_counts_requests() {
     let mut client = connect(&handle);
     let (status, body) = client.get("/healthz").expect("healthz");
     assert_eq!(status, 200);
+    // The member order is pinned, values masked: clients read `workers`
+    // from this body at setup.
+    let doc = gf_json::Document::parse(&body, gf_json::ParseLimits::default()).unwrap();
+    let masked: Vec<String> = doc
+        .root()
+        .members()
+        .expect("an object")
+        .map(|(key, _)| format!("{}:_", key.as_str().unwrap()))
+        .collect();
+    assert_eq!(
+        masked.join(","),
+        "status:_,version:_,uptime_seconds:_,workers:_",
+        "{body}"
+    );
+    assert!(body.starts_with(r#"{"status":"ok","version":""#), "{body}");
     let value = gf_json::parse(&body).unwrap();
     assert_eq!(value.get("status").and_then(Value::as_str), Some("ok"));
     // The version is gf-server's own CARGO_PKG_VERSION; assert shape, not
