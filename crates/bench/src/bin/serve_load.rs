@@ -15,10 +15,9 @@
 //! still answers afterwards.
 //!
 //! Every response is golden-matched **byte-for-byte**: a warmup round
-//! captures the full wire bytes of each distinct response and verifies them
-//! (decoded) against direct engine calls, and the hot loops then compare
-//! raw bytes. That is simultaneously a stronger check than per-response
-//! JSON decoding (any drifted byte fails, not just decoded fields) and
+//! captures the full wire bytes of each distinct response and checks each
+//! body against the in-process encoding of the same query, and the hot
+//! loops then compare raw bytes. Any drifted byte fails, and the check is
 //! cheap enough that the generator measures the server instead of itself.
 //!
 //! Results merge into the `BENCH_eval.json` trajectory artifact (override
@@ -57,17 +56,16 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use gf_bench::harness::parse_metrics_json;
-use gf_json::{FromJson, Value};
+use gf_bench::harness::{metrics_json, parse_metrics_json};
+use gf_json::JsonWriter;
 use gf_server::{Server, ServerConfig};
 use greenfpga::api::{
-    BatchEvalRequest, BatchEvalResponse, EvaluateRequest, EvaluateResponse, OptimizeRequest,
-    OptimizeResponse, Query, QueryKind, ReplayRequest, ReplayResponse, ScenarioRef,
-    ScenarioRunRequest, ScenarioRunResponse, SeriesRef,
+    BatchEvalRequest, EvaluateRequest, OptimizeRequest, Query, ReplayRequest, ScenarioRef,
+    ScenarioRunRequest, SeriesRef,
 };
 use greenfpga::{
-    catalog, CarbonIntensitySeries, Constraint, Domain, Engine, Estimator, Objective,
-    OperatingPoint, PlatformComparison, ResultBuffer, ScenarioSpec, SearchKnob, SweepAxis,
+    catalog, Constraint, Domain, Engine, Objective, OperatingPoint, ScenarioSpec, SearchKnob,
+    SweepAxis,
 };
 
 /// Distinct operating points the clients rotate through — enough variety
@@ -403,70 +401,50 @@ struct Workload {
 }
 
 /// Builds the workload: encodes every request, then captures each distinct
-/// response's wire bytes from a scratch server and proves them bit-identical
-/// to direct engine calls before the hot loops trust them as goldens.
+/// response's wire bytes from a scratch server and checks them byte for
+/// byte against the in-process encoding of the same query
+/// ([`Engine::run`] plus [`Outcome::write_result`](greenfpga::Outcome::write_result))
+/// before the hot loops trust them as goldens.
 fn build_workload() -> Workload {
-    let estimator = Estimator::default();
-    let compiled = estimator.compile(Domain::Dnn).expect("compile dnn");
     let points = operating_points();
-    // Bodies come from the same `Query` types every other frontend speaks:
-    // `Query::request_body()` is exactly what `POST /v1/<kind>` decodes.
-    let evaluate_requests: Vec<Vec<u8>> = points
+    let evaluate_queries: Vec<Query> = points
         .iter()
         .map(|&point| {
-            let body = Query::Evaluate(EvaluateRequest {
+            Query::Evaluate(EvaluateRequest {
                 scenario: ScenarioSpec::baseline(Domain::Dnn),
                 point,
             })
-            .request_body()
-            .to_json_string()
-            .expect("request serializes");
-            encode_request(QueryKind::Evaluate.path(), &body)
         })
         .collect();
-    let batch_points: Vec<OperatingPoint> = points.iter().copied().take(64).collect();
-    let batch_body = Query::Batch(BatchEvalRequest {
+    let batch_query = Query::Batch(BatchEvalRequest {
         scenario: ScenarioSpec::baseline(Domain::Dnn),
-        points: batch_points.clone(),
-    })
-    .request_body()
-    .to_json_string()
-    .expect("batch request serializes");
-    let batch_request = encode_request(QueryKind::Batch.path(), &batch_body);
+        points: points.iter().copied().take(64).collect(),
+    });
     // The scenario mix: every cataloged id by reference (the body the CLI
     // and every other catalog client sends), plus one full-year replay.
-    let scenario_requests: Vec<Vec<u8>> = catalog()
+    let scenario_queries: Vec<Query> = catalog()
         .iter()
         .map(|entry| {
-            let body = Query::Scenario(ScenarioRunRequest {
+            Query::Scenario(ScenarioRunRequest {
                 scenario: ScenarioRef::Catalog {
                     id: entry.id.to_string(),
                     knobs: Vec::new(),
                 },
                 point: None,
             })
-            .request_body()
-            .to_json_string()
-            .expect("scenario request serializes");
-            encode_request(QueryKind::Scenario.path(), &body)
         })
         .collect();
     const REPLAY_ID: &str = "dnn_fleet_10k_3y";
-    const REPLAY_REGION: &str = "solar_duck";
-    let replay_body = Query::Replay(ReplayRequest {
+    let replay_query = Query::Replay(ReplayRequest {
         scenario: ScenarioRef::Catalog {
             id: REPLAY_ID.to_string(),
             knobs: Vec::new(),
         },
         point: None,
-        series: SeriesRef::Region(REPLAY_REGION.to_string()),
+        series: SeriesRef::Region("solar_duck".to_string()),
         interpolate: true,
         years: 1,
-    })
-    .request_body()
-    .to_json_string()
-    .expect("replay request serializes");
-    let replay_request = encode_request(QueryKind::Replay.path(), &replay_body);
+    });
     // The inverse-query mix: a two-knob minimum ratio subject to
     // `fpga_wins` on a cataloged fleet — solved at the box vertices, and
     // offloaded to the worker pool like every optimize request.
@@ -495,11 +473,6 @@ fn build_workload() -> Workload {
         tolerance: OptimizeRequest::DEFAULT_TOLERANCE,
         max_evals: OptimizeRequest::DEFAULT_MAX_EVALS,
     });
-    let optimize_body = optimize_query
-        .request_body()
-        .to_json_string()
-        .expect("optimize request serializes");
-    let optimize_request = encode_request(QueryKind::Optimize.path(), &optimize_body);
 
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -511,105 +484,33 @@ fn build_workload() -> Workload {
     let handle = server.spawn();
     let mut stream = TcpStream::connect(addr).expect("connect for golden capture");
     stream.set_nodelay(true).expect("nodelay");
-
-    let evaluate_goldens: Vec<Vec<u8>> = points
-        .iter()
-        .zip(&evaluate_requests)
-        .map(|(&point, request)| {
-            stream.write_all(request).expect("send capture request");
-            let raw = read_framed(&mut stream).expect("capture response");
-            let value = gf_json::parse(body_of(&raw)).expect("response is JSON");
-            let response = EvaluateResponse::from_json(&value).expect("decode evaluate");
-            let expected = compiled.evaluate(point).expect("golden evaluate");
-            assert_eq!(
-                response.comparison, expected,
-                "served evaluate drifted from the direct engine call at {point:?}"
-            );
-            raw
-        })
-        .collect();
-    stream
-        .write_all(&batch_request)
-        .expect("send batch capture");
-    let batch_golden = read_framed(&mut stream).expect("capture batch response");
-    let value = gf_json::parse(body_of(&batch_golden)).expect("batch response is JSON");
-    let response = BatchEvalResponse::from_json(&value).expect("decode batch");
-    let mut buffer = ResultBuffer::new();
-    compiled
-        .evaluate_into(&batch_points, &mut buffer)
-        .expect("golden batch");
-    let expected: Vec<PlatformComparison> = (0..batch_points.len())
-        .map(|i| buffer.comparison(i))
-        .collect();
-    assert_eq!(
-        response.comparisons, expected,
-        "served batch drifted from the batch kernel"
-    );
-
-    let scenario_goldens: Vec<Vec<u8>> = catalog()
-        .iter()
-        .zip(&scenario_requests)
-        .map(|(entry, request)| {
-            stream.write_all(request).expect("send scenario capture");
-            let raw = read_framed(&mut stream).expect("capture scenario response");
-            let value = gf_json::parse(body_of(&raw)).expect("scenario response is JSON");
-            let response = ScenarioRunResponse::from_json(&value).expect("decode scenario");
-            let expected = Estimator::new(entry.scenario.params())
-                .compile(entry.scenario.domain)
-                .expect("compile cataloged scenario")
-                .evaluate(entry.point)
-                .expect("golden scenario");
-            assert_eq!(
-                response.comparison, expected,
-                "served scenario '{}' drifted from the direct engine call",
-                entry.id
-            );
-            raw
-        })
-        .collect();
-
-    stream
-        .write_all(&replay_request)
-        .expect("send replay capture");
-    let replay_golden = read_framed(&mut stream).expect("capture replay response");
-    let value = gf_json::parse(body_of(&replay_golden)).expect("replay response is JSON");
-    let response = ReplayResponse::from_json(&value).expect("decode replay");
-    let (_, fleet) = greenfpga::catalog_entry(REPLAY_ID).expect("cataloged fleet");
-    let expected = CarbonIntensitySeries::region(REPLAY_REGION)
-        .expect("region preset")
-        .replay(
-            &Estimator::new(fleet.scenario.params())
-                .compile(fleet.scenario.domain)
-                .expect("compile fleet scenario"),
-            fleet.point,
-            true,
-        )
-        .expect("golden replay");
-    assert_eq!(
-        response.replay, expected,
-        "served replay drifted from the direct series replay"
-    );
-
-    stream
-        .write_all(&optimize_request)
-        .expect("send optimize capture");
-    let optimize_golden = read_framed(&mut stream).expect("capture optimize response");
-    // The served body must be byte-for-byte the engine's own encoding of
-    // the same inverse query, and the typed decoder must accept it.
-    let engine_body = Engine::with_defaults()
-        .expect("engine for optimize golden")
-        .run(&optimize_query)
-        .expect("golden optimize")
-        .result_json()
-        .to_json_string()
-        .expect("serialize optimize golden");
-    assert_eq!(
-        body_of(&optimize_golden),
-        engine_body,
-        "served optimize drifted from the direct engine solve"
-    );
-    OptimizeResponse::from_json(&gf_json::parse(body_of(&optimize_golden)).expect("optimize JSON"))
-        .expect("decode optimize");
+    let engine = Engine::with_defaults().expect("engine for goldens");
+    // Sends one query's request payload (what `POST /v1/<kind>` decodes)
+    // and returns the request bytes with the captured response bytes.
+    let mut capture = |query: &Query| -> (Vec<u8>, Vec<u8>) {
+        let kind = query.kind();
+        let mut w = JsonWriter::new();
+        query.write_body(&mut w);
+        let request = encode_request(kind.path(), &w.finish().expect("requests are finite"));
+        stream.write_all(&request).expect("send capture request");
+        let raw = read_framed(&mut stream).expect("capture response");
+        let mut w = JsonWriter::new();
+        engine
+            .run(query)
+            .expect("golden query runs")
+            .write_result(&mut w);
+        assert_eq!(
+            body_of(&raw),
+            w.finish().expect("golden result serializes"),
+            "served {kind} drifted from the in-process engine"
+        );
+        (request, raw)
+    };
+    let (evaluate_requests, evaluate_goldens) = evaluate_queries.iter().map(&mut capture).unzip();
+    let (batch_request, batch_golden) = capture(&batch_query);
+    let (scenario_requests, scenario_goldens) = scenario_queries.iter().map(&mut capture).unzip();
+    let (replay_request, replay_golden) = capture(&replay_query);
+    let (optimize_request, optimize_golden) = capture(&optimize_query);
     handle.shutdown();
 
     Workload {
@@ -1027,20 +928,11 @@ fn main() {
     for (key, value) in serve_metrics {
         merged.push((key, Some(value)));
     }
-    let members: Vec<(String, Value)> = merged
+    let merged: Vec<(String, f64)> = merged
         .into_iter()
-        .map(|(key, value)| {
-            let rendered = match value {
-                Some(v) if v.is_finite() => Value::Number(v),
-                _ => Value::Null,
-            };
-            (key, rendered)
-        })
+        .map(|(key, value)| (key, value.unwrap_or(f64::NAN)))
         .collect();
-    let json = Value::Object(members)
-        .to_json_string_pretty()
-        .expect("metrics serialize");
-    std::fs::write(&out, &json).expect("write bench json");
+    std::fs::write(&out, metrics_json(&merged)).expect("write bench json");
     println!("merged serve metrics into {out}");
 
     if std::env::var_os("GF_BENCH_NO_ASSERT").is_none() {

@@ -160,31 +160,23 @@ fn format_ns(ns: f64) -> String {
 }
 
 /// Renders `(key, value)` metric pairs as a flat JSON object, for the
-/// `BENCH_*.json` artifacts CI tracks. Non-finite values become `null`
-/// (JSON has no lexeme for them); everything else round-trips with full
-/// precision through the real JSON writer in [`gf_json`].
-pub fn metrics_json(metrics: &[(&str, f64)]) -> String {
-    metrics_value(metrics)
-        .to_json_string_pretty()
-        .expect("non-finite values are mapped to null above")
-}
-
-/// The [`gf_json::Value`] form of a metrics set, for callers that merge
-/// new keys into an existing artifact before writing.
-pub fn metrics_value(metrics: &[(&str, f64)]) -> gf_json::Value {
-    gf_json::Value::Object(
-        metrics
-            .iter()
-            .map(|&(key, value)| {
-                let rendered = if value.is_finite() {
-                    gf_json::Value::Number(value)
-                } else {
-                    gf_json::Value::Null
-                };
-                (key.to_string(), rendered)
-            })
-            .collect(),
-    )
+/// `BENCH_*.json` artifacts CI tracks, pretty-printed with
+/// [`gf_json::pretty`]. Non-finite values become `null` (JSON has no
+/// lexeme for them); everything else round-trips with full precision
+/// through the real JSON writer in [`gf_json`].
+pub fn metrics_json<K: AsRef<str>>(metrics: &[(K, f64)]) -> String {
+    let mut w = gf_json::JsonWriter::new();
+    w.begin_object();
+    for (key, value) in metrics {
+        w.key(key.as_ref());
+        if value.is_finite() {
+            w.number(*value);
+        } else {
+            w.null();
+        }
+    }
+    w.end_object();
+    gf_json::pretty(&w.finish().expect("non-finite values are written as null"))
 }
 
 /// Parses a metrics artifact produced by [`metrics_json`] back into
@@ -196,16 +188,20 @@ pub fn metrics_value(metrics: &[(&str, f64)]) -> gf_json::Value {
 /// Returns a human-readable message for malformed JSON, a non-object
 /// document, or non-numeric members.
 pub fn parse_metrics_json(text: &str) -> Result<Vec<(String, Option<f64>)>, String> {
-    let value = gf_json::parse(text).map_err(|e| e.to_string())?;
-    let members = value
-        .as_object()
+    let doc = gf_json::Document::parse(text, gf_json::ParseLimits::default())
+        .map_err(|e| e.to_string())?;
+    let members = doc
+        .root()
+        .members()
         .ok_or_else(|| "expected a flat JSON object of metrics".to_string())?;
     members
-        .iter()
-        .map(|(key, member)| match member {
-            gf_json::Value::Null => Ok((key.clone(), None)),
-            gf_json::Value::Number(n) => Ok((key.clone(), Some(*n))),
-            other => Err(format!("non-numeric value {other:?} for {key}")),
+        .map(|(key, member)| {
+            let key = key.as_str().unwrap_or_default().into_owned();
+            match member.as_f64() {
+                Some(n) => Ok((key, Some(n))),
+                None if member.is_null() => Ok((key, None)),
+                None => Err(format!("non-numeric value for {key}")),
+            }
         })
         .collect()
 }
@@ -255,7 +251,7 @@ mod tests {
             json, "{\n  \"a\": 1.5,\n  \"b\": null,\n  \"c\": 3\n}\n",
             "the artifact layout is pinned byte for byte"
         );
-        assert_eq!(metrics_json(&[]), "{}\n");
+        assert_eq!(metrics_json::<&str>(&[]), "{}\n");
     }
 
     #[test]
@@ -266,15 +262,7 @@ mod tests {
             .into_iter()
             .map(|(key, value)| (key, value.unwrap_or(f64::NAN)))
             .collect();
-        let metrics: Vec<(&str, f64)> = metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
         assert_eq!(metrics_json(&metrics), committed);
-    }
-
-    #[test]
-    fn reindenter_matches_the_tree_pretty_printer_on_metrics() {
-        let metrics = [("grid_ns", 1234.5678), ("broken", f64::NAN), ("n", 64.0)];
-        let compact = metrics_value(&metrics).to_json_string().unwrap();
-        assert_eq!(gf_json::pretty(&compact), metrics_json(&metrics));
     }
 
     #[test]

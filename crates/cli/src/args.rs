@@ -1,12 +1,13 @@
 //! Command-line parsing for the `greenfpga` CLI.
 //!
 //! A subcommand names a [`QueryKind`], and each `--flag` sets one member of
-//! that kind's JSON request object (the body `POST /v1/<kind>` carries), so
-//! the request goes through [`QueryKind::decode_request`] and
-//! `Query::validate` with the wire's defaults and rules. This module rejects
-//! only what is wrong with the command line itself: an unknown subcommand
-//! or flag, a flag the subcommand does not take, a missing value, and the
-//! shape of the few flags that build nested members.
+//! that kind's JSON request object (the body `POST /v1/<kind>` carries). The
+//! object is written as text, and that text goes through
+//! [`QueryKind::decode_body`], the server's own entry, and
+//! `Query::validate`, so the CLI accepts exactly what HTTP accepts. This
+//! module rejects only what is wrong with the command line itself: an
+//! unknown subcommand or flag, a flag the subcommand does not take, a
+//! missing value, and the shape of the few flags that build nested members.
 
 use std::fmt;
 
@@ -36,12 +37,12 @@ pub enum Action {
     Serve(ServerConfig),
     /// Run one raw `Query` envelope from a file (`None` = stdin).
     RawQuery(Option<String>),
-    /// Decode `request` as a `kind` request and run it.
+    /// Decode `body` as a `kind` request and run it.
     Run {
         /// The query kind the subcommand selects.
         kind: QueryKind,
-        /// The request object assembled from the flags.
-        request: Value,
+        /// The request object assembled from the flags, as JSON text.
+        body: String,
         /// Render a sweep as CSV instead of a table.
         csv: bool,
     },
@@ -496,7 +497,9 @@ fn command(name: &str, tokens: &[&str]) -> Result<Action, ParseError> {
     let kind = if adaptive { "frontier" } else { command };
     Ok(Action::Run {
         kind: QueryKind::parse_id(kind).expect("every command names a query kind"),
-        request: Value::Object(members),
+        body: Value::Object(members)
+            .to_json_string()
+            .expect("flag values are strings or finite numbers"),
         csv,
     })
 }
@@ -519,16 +522,20 @@ mod tests {
             Ok(invocation) => invocation.action,
             Err(e) => return format!("usage: {e}"),
         };
-        let Action::Run { kind, request, .. } = action else {
+        let Action::Run { kind, body, .. } = action else {
             return format!("{action:?}");
         };
-        let query = match kind.decode_request(&request) {
+        let query = match kind.decode_body(&body, gf_json::ParseLimits::default()) {
             Ok(query) => query,
             Err(e) => return ApiError::from(e).to_string(),
         };
         let engine = ENGINE.get_or_init(|| Engine::with_defaults().expect("engine"));
         match engine.run(&query) {
-            Ok(_) => query.request_body().to_json_string().expect("serialize"),
+            Ok(_) => {
+                let mut w = gf_json::JsonWriter::new();
+                query.write_body(&mut w);
+                w.finish().expect("serialize")
+            }
             Err(e) => e.to_string(),
         }
     }

@@ -18,7 +18,7 @@
 //!
 //! Every subcommand is a thin adapter over [`greenfpga::Engine`]: its
 //! flags assemble the request object `POST /v1/<kind>` carries, which is
-//! decoded by the same `QueryKind::decode_request` and run through the
+//! decoded by the server's own `QueryKind::decode_body` and run through the
 //! same facade, and the typed outcome is rendered — as a table by
 //! default, or as the identical wire JSON with `--json`. Failures exit
 //! with the [`greenfpga::ApiErrorCode`] taxonomy's canonical codes:
@@ -29,7 +29,7 @@ mod args;
 use std::io::{Read, Write};
 use std::process::ExitCode;
 
-use gf_json::{FromJson, ToJson, Value};
+use gf_json::{Document, FromJson, JsonError, JsonWriter, ParseLimits, ToJson};
 use greenfpga::api::{Outcome, Query};
 use greenfpga::{
     csv_from_rows, render_table, ApiError, CfpBreakdown, CrossoverRequest, Engine, GridRequest,
@@ -124,11 +124,11 @@ fn run(Invocation { action, json, .. }: Invocation) -> Result<(), Failure> {
             return serve(config);
         }
         Action::RawQuery(file) => run_raw_query(file, &mut out)?,
-        Action::Run { kind, request, csv } => {
+        Action::Run { kind, body, csv } => {
             // One request id for the whole analytic run, so engine-level
             // spans (tile batches, cache compiles) land under it and the
             // `-v`/`-vv` diagnostics can read them back afterwards.
-            let query = kind.decode_request(&request)?;
+            let query = kind.decode_body(&body, ParseLimits::default())?;
             let request_id = gf_trace::next_id();
             gf_trace::set_current_request(request_id);
             let result = run_query(query, json, csv, &mut out);
@@ -155,7 +155,9 @@ fn run_query(query: Query, json: bool, csv: bool, out: &mut dyn Write) -> Result
     eval.finish();
     let outcome = outcome?;
     if json {
-        write_json(out, &outcome.result_json())
+        let mut w = JsonWriter::new();
+        outcome.write_result(&mut w);
+        write_json(out, w.finish())
     } else {
         Ok(render(out, &query, &outcome, csv)?)
     }
@@ -616,11 +618,10 @@ fn run_raw_query(file: Option<String>, out: &mut dyn Write) -> Result<(), Failur
             text
         }
     };
-    let value = gf_json::parse(&text)?;
-    let query = Query::from_json(&value)?;
+    let query = Query::from_node(Document::parse(&text, ParseLimits::default())?.root())?;
     let engine = Engine::with_defaults()?;
     let outcome = engine.run(&query)?;
-    write_json(out, &outcome.to_json())
+    write_json(out, outcome.to_json_string())
 }
 
 /// Runs the HTTP service in the foreground until the process is stopped.
@@ -637,18 +638,17 @@ fn serve(config: gf_server::ServerConfig) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Writes a JSON document (pretty, machine-parseable).
+/// Writes a compact JSON document pretty-printed (still machine-parseable).
 ///
 /// # Errors
 ///
 /// Surfaces serialization failures (a non-finite number in the result) as
 /// an internal error, so `--json` consumers get a non-zero exit instead of
 /// an empty file.
-fn write_json(out: &mut dyn Write, value: &Value) -> Result<(), Failure> {
-    let text = value
-        .to_json_string_pretty()
-        .map_err(|e| ApiError::internal(format!("result serialization failed: {e}")))?;
-    Ok(out.write_all(text.as_bytes())?)
+fn write_json(out: &mut dyn Write, compact: Result<String, JsonError>) -> Result<(), Failure> {
+    let text =
+        compact.map_err(|e| ApiError::internal(format!("result serialization failed: {e}")))?;
+    Ok(out.write_all(gf_json::pretty(&text).as_bytes())?)
 }
 
 #[cfg(test)]
@@ -657,14 +657,14 @@ mod tests {
 
     fn query_body(line: &str) -> String {
         let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        let Action::Run { kind, request, .. } = args::parse(&argv).expect("parse").action else {
+        let Action::Run { kind, body, .. } = args::parse(&argv).expect("parse").action else {
             panic!("'{line}' is not a query");
         };
-        kind.decode_request(&request)
+        let mut w = JsonWriter::new();
+        kind.decode_body(&body, ParseLimits::default())
             .expect("decode")
-            .request_body()
-            .to_json_string()
-            .expect("serialize")
+            .write_body(&mut w);
+        w.finish().expect("serialize")
     }
 
     #[test]

@@ -1,29 +1,34 @@
 //! Typed wire format of the estimation service.
 //!
 //! This module is the single place where model types meet JSON: the
-//! [`gf_json::ToJson`] / [`gf_json::FromJson`] impls for the core result
-//! types, and the typed request/response structs `greenfpga-serve` exposes
-//! over HTTP. Putting them in the core crate (rather than the server) means
+//! [`gf_json::ToJson`] / [`gf_json::FromJson`] impls for the core types,
+//! and the typed request/response structs `greenfpga-serve` exposes over
+//! HTTP. Putting them in the core crate (rather than the server) means
 //! every consumer — the server, the CLI's `--json` output, the load
-//! generator and the integration tests — shares one schema, so a response a
-//! test decodes is *structurally guaranteed* to match what the server
-//! encoded.
+//! generator and the integration tests — shares one schema.
 //!
 //! Each wire struct is declared once with [`gf_json::wire_struct!`]; only
 //! encoders that add computed members (`ratio`, `winner`, `total_kg`, …)
 //! are hand-written. Every type has exactly one encoder,
 //! [`ToJson::write_json`], which appends to a [`JsonWriter`] with no
-//! intermediate tree, and one decoder, [`FromJson::from_node`], which
-//! reads the token tape of the body text ([`QueryKind::decode_body`]);
-//! the `Value`-taking decoders and the `Value`-returning accessors
-//! ([`Outcome::result_json`], [`Query::request_body`]) write and then
-//! parse, for cold callers. Each query kind is one row of the
+//! intermediate tree. Decoding runs in one direction, text in and
+//! [`Query`] out: the request types and their members, the [`Query`]
+//! envelope and the [`MetricsResponse`] tree have one decoder each,
+//! [`FromJson::from_node`], which reads the token tape of the body text
+//! ([`QueryKind::decode_body`]). Results, errors and the [`Outcome`]
+//! envelope only encode; tests compare their bytes with an in-process
+//! encoding instead of decoding them. Each query kind is one row of the
 //! `query_kinds!` table, which generates [`QueryKind`], [`Query`],
 //! [`Outcome`] and their dispatch.
 //!
+//! [`QueryKind::decode_request`], [`Query::request_body`] and
+//! [`Outcome::result_json`] are the `Value`-tree adapter the benchmark
+//! client is built against; they write and parse, and nothing else here
+//! calls them.
+//!
 //! Numbers are serialized with round-tripping `f64` formatting (see
-//! [`gf_json`]), so decoding a response reconstructs carbon breakdowns
-//! **bit-identical** to the values the engine produced.
+//! [`gf_json`]), so every number in a response parses back
+//! **bit-identical** to the value the engine produced.
 //!
 //! Decoders check shape only (types, required members, known ids); range
 //! rules live in [`Query::validate`], which [`crate::Engine`] runs on
@@ -55,9 +60,9 @@ use crate::scenario::{
     CarbonIntensitySeries, CatalogEntry, ReplayOutcome, Verdict, HOURS_PER_YEAR,
 };
 use crate::{
-    ApiError, ApiErrorCode, CfpBreakdown, Crossover, CrossoverDirection, Domain, EstimatorParams,
-    FrontierResult, GridSweep, Knob, OperatingPoint, PlatformComparison, PlatformKind,
-    SensitivityEntry, SweepAxis, SweepPoint, SweepSeries, TornadoAnalysis,
+    ApiError, CfpBreakdown, Crossover, CrossoverDirection, Domain, EstimatorParams, FrontierResult,
+    GridSweep, Knob, OperatingPoint, PlatformComparison, PlatformKind, SensitivityEntry, SweepAxis,
+    SweepPoint, SweepSeries, TornadoAnalysis,
 };
 use gf_units::Carbon;
 
@@ -76,14 +81,18 @@ fn decode_id<T>(
     parse(&id).ok_or_else(|| JsonError::schema("", format!("unknown {what} '{id}'")))
 }
 
-/// String-valued enums: each variant travels as its fixed id.
+/// String-valued enums: each variant travels as its fixed id. A
+/// `decode` entry, one a request carries, decodes as well.
 macro_rules! wire_ids {
-    ($($ty:ident($what:literal) { $($variant:ident = $id:literal),* })*) => {$(
+    ($ty:ident { $($variant:ident = $id:literal),* }) => {
         impl ToJson for $ty {
             fn write_json(&self, w: &mut JsonWriter) {
                 w.string(match self { $($ty::$variant => $id,)* });
             }
         }
+    };
+    (decode $ty:ident($what:literal) { $($variant:ident = $id:literal),* }) => {
+        wire_ids!($ty { $($variant = $id),* });
 
         impl FromJson for $ty {
             fn from_node(value: Node<'_>) -> Result<$ty, JsonError> {
@@ -93,15 +102,13 @@ macro_rules! wire_ids {
                 })
             }
         }
-    )*};
+    };
 }
 
-wire_ids! {
-    PlatformKind("platform") { Fpga = "FPGA", Asic = "ASIC" }
-    CrossoverDirection("direction") { AsicToFpga = "A2F", FpgaToAsic = "F2A" }
-    OptPlatform("platform") { Fpga = "fpga", Asic = "asic" }
-    SolverKind("solver") { Analytic = "analytic", Search = "search" }
-}
+wire_ids!(PlatformKind { Fpga = "FPGA", Asic = "ASIC" });
+wire_ids!(CrossoverDirection { AsicToFpga = "A2F", FpgaToAsic = "F2A" });
+wire_ids!(decode OptPlatform("platform") { Fpga = "fpga", Asic = "asic" });
+wire_ids!(SolverKind { Analytic = "analytic", Search = "search" });
 
 impl ToJson for Domain {
     fn write_json(&self, w: &mut JsonWriter) {
@@ -170,11 +177,6 @@ mod kg {
     pub(super) fn write_json(carbon: &Carbon, w: &mut JsonWriter) {
         w.number(carbon.as_kg());
     }
-
-    pub(super) fn from_node(member: Option<Node<'_>>) -> Result<Carbon, JsonError> {
-        let member = member.ok_or_else(|| JsonError::schema("", "missing required field"))?;
-        f64::from_node(member).map(Carbon::from_kg)
-    }
 }
 
 /// `[with knob_overrides]`: Table 1 knob overrides travel as an object
@@ -231,27 +233,10 @@ mod axis_values {
         }
         w.end_object();
     }
-
-    pub(super) fn from_node(member: Option<Node<'_>>) -> Result<Vec<(SweepAxis, f64)>, JsonError> {
-        member
-            .ok_or_else(|| JsonError::schema("", "missing required field"))?
-            .members()
-            .ok_or_else(|| JsonError::schema("", "expected an object of knob values"))?
-            .map(|(key, member)| {
-                let key = key.as_str().unwrap_or_default();
-                let axis = parse_axis(&key)
-                    .ok_or_else(|| JsonError::schema("", format!("unknown axis '{key}'")))?;
-                let value = member
-                    .as_f64()
-                    .ok_or_else(|| JsonError::schema("", "expected a numeric knob value"))?;
-                Ok((axis, value))
-            })
-            .collect()
-    }
 }
 
 wire_struct! {
-    impl Crossover {
+    impl ToJson for Crossover {
         at: f64,
         direction: CrossoverDirection,
     }
@@ -279,19 +264,6 @@ impl ToJson for CfpBreakdown {
     }
 }
 
-wire_struct! {
-    /// The derived `total_kg` member is ignored (it is the sum of the
-    /// decoded components).
-    impl FromJson for CfpBreakdown {
-        design: Carbon as "design_kg" [with kg],
-        manufacturing: Carbon as "manufacturing_kg" [with kg],
-        packaging: Carbon as "packaging_kg" [with kg],
-        eol: Carbon as "eol_kg" [with kg],
-        operation: Carbon as "operation_kg" [with kg],
-        app_dev: Carbon as "app_dev_kg" [with kg],
-    }
-}
-
 impl ToJson for PlatformComparison {
     fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
@@ -301,17 +273,6 @@ impl ToJson for PlatformComparison {
         w.member("ratio", &self.fpga_to_asic_ratio());
         w.member("winner", &self.winner());
         w.end_object();
-    }
-}
-
-impl FromJson for PlatformComparison {
-    /// The derived `ratio` and `winner` members are ignored.
-    fn from_node(value: Node<'_>) -> Result<PlatformComparison, JsonError> {
-        Ok(PlatformComparison::new(
-            decode_member(value, "domain")?,
-            decode_member(value, "fpga")?,
-            decode_member(value, "asic")?,
-        ))
     }
 }
 
@@ -326,15 +287,6 @@ impl ToJson for SweepPoint {
     }
 }
 
-wire_struct! {
-    /// The derived `ratio` member is ignored.
-    impl FromJson for SweepPoint {
-        x: f64,
-        fpga: CfpBreakdown,
-        asic: CfpBreakdown,
-    }
-}
-
 impl ToJson for SweepSeries {
     fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
@@ -343,16 +295,6 @@ impl ToJson for SweepSeries {
         w.member("points", &self.points);
         w.member("crossovers", &self.crossovers());
         w.end_object();
-    }
-}
-
-wire_struct! {
-    /// The derived `crossovers` member is ignored (it is recomputed from
-    /// the decoded points, bit-identically).
-    impl FromJson for SweepSeries {
-        domain: Domain,
-        axis: SweepAxis,
-        points: Vec<SweepPoint>,
     }
 }
 
@@ -370,17 +312,7 @@ impl ToJson for SensitivityEntry {
 }
 
 wire_struct! {
-    /// The derived `swing` and `flips_winner` members are ignored.
-    impl FromJson for SensitivityEntry {
-        knob: Knob,
-        ratio_at_low: f64,
-        ratio_at_high: f64,
-        ratio_at_baseline: f64,
-    }
-}
-
-wire_struct! {
-    impl TornadoAnalysis {
+    impl ToJson for TornadoAnalysis {
         domain: Domain,
         point: OperatingPoint,
         entries: Vec<SensitivityEntry>,
@@ -417,39 +349,6 @@ impl ToJson for GridSweep {
         w.member("fpga_winning_fraction", &self.fpga_winning_fraction());
         w.end_object();
     }
-}
-
-wire_struct! {
-    /// The derived `fpga_winning_fraction` member is ignored. The ratio
-    /// matrix must match the coordinate lists.
-    impl FromJson for GridSweep {
-        domain: Domain,
-        x_axis: SweepAxis,
-        x_values: Vec<f64>,
-        y_axis: SweepAxis,
-        y_values: Vec<f64>,
-        ratios: Vec<Vec<f64>>,
-    } check grid_shape
-}
-
-/// One row per y value and one column per x value.
-fn matrix_shape<T>(
-    rows: &[Vec<T>],
-    y_values: &[f64],
-    x_values: &[f64],
-    key: &'static str,
-) -> Result<(), JsonError> {
-    if rows.len() != y_values.len() || rows.iter().any(|row| row.len() != x_values.len()) {
-        return Err(JsonError::schema(
-            key,
-            "expected one row per y value and one column per x value",
-        ));
-    }
-    Ok(())
-}
-
-fn grid_shape(grid: &GridSweep) -> Result<(), JsonError> {
-    matrix_shape(&grid.ratios, &grid.y_values, &grid.x_values, "ratios")
 }
 
 wire_struct! {
@@ -569,9 +468,9 @@ wire_struct! {
 wire_struct! {
     /// `POST /v1/scenario` response: the comparison plus its scored verdict.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct ScenarioRunResponse {
+    pub struct ScenarioRunResponse: ToJson {
         /// The resolved catalog id (`None` for inline specs).
-        pub id: Option<String> [default None],
+        pub id: Option<String>,
         /// The point the scenario was evaluated at.
         pub point: OperatingPoint,
         /// The comparison the engine produced.
@@ -582,7 +481,7 @@ wire_struct! {
 }
 
 wire_struct! {
-    impl Verdict {
+    impl ToJson for Verdict {
         mean_excess: f64,
         worst_excess: f64,
         loss_fraction: f64,
@@ -666,7 +565,7 @@ impl ReplayRequest {
 }
 
 wire_struct! {
-    impl ReplayOutcome {
+    impl ToJson for ReplayOutcome {
         steps: u64,
         fpga_operational: Carbon as "fpga_operational_kg" [with kg],
         asic_operational: Carbon as "asic_operational_kg" [with kg],
@@ -683,9 +582,9 @@ wire_struct! {
 wire_struct! {
     /// `POST /v1/replay` response: the replay summary and scored verdict.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct ReplayResponse {
+    pub struct ReplayResponse: ToJson {
         /// The resolved catalog id (`None` for inline specs).
-        pub id: Option<String> [default None],
+        pub id: Option<String>,
         /// The replayed domain.
         pub domain: Domain,
         /// The point the scenario was replayed at.
@@ -797,7 +696,7 @@ impl FromJson for Constraint {
 }
 
 wire_struct! {
-    impl CertificateProbe {
+    impl ToJson for CertificateProbe {
         axis: SweepAxis,
         at: f64,
         objective: f64,
@@ -841,9 +740,9 @@ wire_struct! {
     /// `POST /v1/optimize` response: the argmin, its verdict, and the solve's
     /// evidence trail.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct OptimizeResponse {
+    pub struct OptimizeResponse: ToJson {
         /// The resolved catalog id (`None` for inline specs).
-        pub id: Option<String> [default None],
+        pub id: Option<String>,
         /// The optimized domain.
         pub domain: Domain,
         /// The full operating point at the optimum.
@@ -884,10 +783,9 @@ impl FromJson for CatalogRequest {
 
 wire_struct! {
     /// One catalog entry as listed on the wire — [`CatalogEntry`] with owned
-    /// strings so responses decode without referencing the process's static
-    /// catalog.
+    /// strings, so a response does not borrow the process's static catalog.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct CatalogEntryInfo {
+    pub struct CatalogEntryInfo: ToJson {
         /// The concrete scenario the id resolves to.
         pub scenario: ScenarioSpec [flatten],
         /// Stable wire id.
@@ -916,7 +814,7 @@ impl From<&CatalogEntry> for CatalogEntryInfo {
 wire_struct! {
     /// `GET /v1/catalog` response: every named scenario, in catalog order.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct CatalogResponse {
+    pub struct CatalogResponse: ToJson {
         /// The catalog entries.
         pub entries: Vec<CatalogEntryInfo>,
     }
@@ -943,12 +841,6 @@ pub struct EvaluateResponse {
 impl ToJson for EvaluateResponse {
     fn write_json(&self, w: &mut JsonWriter) {
         self.comparison.write_json(w);
-    }
-}
-
-impl FromJson for EvaluateResponse {
-    fn from_node(value: Node<'_>) -> Result<EvaluateResponse, JsonError> {
-        PlatformComparison::from_node(value).map(|comparison| EvaluateResponse { comparison })
     }
 }
 
@@ -983,13 +875,6 @@ pub struct BatchEvalResponse {
 impl ToJson for BatchEvalResponse {
     fn write_json(&self, w: &mut JsonWriter) {
         write_results(w, &self.comparisons);
-    }
-}
-
-wire_struct! {
-    /// The derived `count` member is ignored.
-    impl FromJson for BatchEvalResponse {
-        comparisons: Vec<PlatformComparison> as "results",
     }
 }
 
@@ -1035,17 +920,17 @@ wire_struct! {
     /// `POST /v1/crossover` response: one entry per searched axis; `None`
     /// where the preferred platform never flips inside the window.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct CrossoverResponse {
+    pub struct CrossoverResponse: ToJson {
         /// The domain searched.
         pub domain: Domain,
         /// The base operating point the held parameters came from.
         pub base: OperatingPoint as "point",
         /// Smallest winning application count (Fig. 4), if any.
-        pub applications: Option<u64> [default None],
+        pub applications: Option<u64>,
         /// Lifetime crossover (Fig. 5), if any.
-        pub lifetime: Option<Crossover> [default None],
+        pub lifetime: Option<Crossover>,
         /// Volume crossover (Fig. 6), if any.
-        pub volume: Option<Crossover> [default None],
+        pub volume: Option<Crossover>,
     }
 }
 
@@ -1221,7 +1106,7 @@ wire_struct! {
     /// One span in `GET /v1/trace`: a named, timed slice of work with the
     /// request id that correlates it to an `x-request-id` response header.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct TraceSpan {
+    pub struct TraceSpan: ToJson {
         /// Span class, e.g. `"parse"`, `"execute"`, `"cache_hit"`.
         pub name: String,
         /// Unique span id, 16 lowercase hex digits.
@@ -1234,9 +1119,9 @@ wire_struct! {
         /// Duration in nanoseconds (`0` for instant events).
         pub duration_ns: u64,
         /// Span-class-specific detail (byte count, catalog index, ...).
-        pub aux: u64 [default 0],
+        pub aux: u64,
         /// Recording thread's trace-ring id.
-        pub thread: u64 [default 0],
+        pub thread: u64,
     }
 }
 
@@ -1244,11 +1129,11 @@ wire_struct! {
     /// `GET /v1/trace` response: the most recent spans from every thread's
     /// trace ring, newest first.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct TraceResponse {
+    pub struct TraceResponse: ToJson {
         /// Recent spans, newest first.
         pub spans: Vec<TraceSpan>,
         /// Whether tracing is currently recording.
-        pub enabled: bool [default true],
+        pub enabled: bool,
     }
 }
 
@@ -1280,13 +1165,6 @@ pub struct CompareResponse {
 impl ToJson for CompareResponse {
     fn write_json(&self, w: &mut JsonWriter) {
         write_results(w, &self.comparisons);
-    }
-}
-
-wire_struct! {
-    /// The derived `count` member is ignored.
-    impl FromJson for CompareResponse {
-        comparisons: Vec<PlatformComparison> as "results",
     }
 }
 
@@ -1378,7 +1256,7 @@ wire_struct! {
     /// `POST /v1/montecarlo` response: the summary statistics of the sampled
     /// FPGA:ASIC ratio distribution (the full sample vector stays server-side).
     #[derive(Debug, Clone, PartialEq)]
-    pub struct MonteCarloResponse {
+    pub struct MonteCarloResponse: ToJson {
         /// Domain the study was run in.
         pub domain: Domain,
         /// The (fixed) workload operating point.
@@ -1444,7 +1322,7 @@ impl Default for IndustryRequest {
 wire_struct! {
     /// One device's footprint in a [`IndustryResponse`].
     #[derive(Debug, Clone, PartialEq)]
-    pub struct IndustryDeviceReport {
+    pub struct IndustryDeviceReport: ToJson {
         /// Device name (Table 3).
         pub device: String,
         /// Which platform the device is.
@@ -1458,7 +1336,7 @@ wire_struct! {
     /// `POST /v1/industry` response: every Table 3 device's footprint, FPGAs
     /// first.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct IndustryResponse {
+    pub struct IndustryResponse: ToJson {
         /// Per-device footprints.
         pub devices: Vec<IndustryDeviceReport>,
     }
@@ -1470,7 +1348,7 @@ wire_struct! {
     /// evaluation accounting (the per-cell ratios of evaluated cells stay
     /// engine-side).
     #[derive(Debug, Clone, PartialEq)]
-    pub struct FrontierResponse {
+    pub struct FrontierResponse: ToJson {
         /// Domain the frontier was traced in.
         pub domain: Domain,
         /// Axis swept along the columns.
@@ -1489,16 +1367,7 @@ wire_struct! {
         pub evaluations: u64,
         /// `evaluations` over the dense cell count.
         pub evaluated_fraction: f64,
-    } check frontier_shape
-}
-
-fn frontier_shape(frontier: &FrontierResponse) -> Result<(), JsonError> {
-    matrix_shape(
-        &frontier.fpga_wins,
-        &frontier.y_values,
-        &frontier.x_values,
-        "fpga_wins",
-    )
+    }
 }
 
 impl From<&FrontierResult> for FrontierResponse {
@@ -1527,22 +1396,6 @@ impl ToJson for ApiError {
         w.member("retryable", &self.retryable);
         w.end_object();
         w.end_object();
-    }
-}
-
-impl FromJson for ApiError {
-    fn from_node(value: Node<'_>) -> Result<ApiError, JsonError> {
-        let error = value
-            .get("error")
-            .ok_or_else(|| JsonError::schema("error", "missing required field"))?;
-        let id: String = decode_member(error, "code")?;
-        let code = ApiErrorCode::parse_id(&id)
-            .ok_or_else(|| JsonError::schema("error.code", format!("unknown code '{id}'")))?;
-        Ok(ApiError {
-            code,
-            message: decode_member(error, "message")?,
-            retryable: decode_member_or(error, "retryable", || code.default_retryable())?,
-        })
     }
 }
 
@@ -1775,9 +1628,9 @@ macro_rules! query_kinds {
 
             /// Decodes this kind's request payload (the flat request object a
             /// `POST /v1/<kind>` body carries — no envelope members required)
-            /// from a tree: the cold adapter for callers that hold a
-            /// [`Value`], such as the CLI's flag object. It decodes exactly
-            /// as [`QueryKind::decode_body`] does the tree's text.
+            /// from a tree, exactly as [`QueryKind::decode_body`] decodes the
+            /// tree's text. Part of the `Value` adapter the benchmark client
+            /// is built against.
             ///
             /// # Errors
             ///
@@ -1801,22 +1654,6 @@ macro_rules! query_kinds {
             fn request_from_node(self, node: Node<'_>) -> Result<Query, JsonError> {
                 Ok(match self {
                     $(QueryKind::$variant => Query::$variant(<$request>::from_node(node)?),)*
-                })
-            }
-
-            /// Decodes this kind's response payload (the bare result object a
-            /// `POST /v1/<kind>` route answers with) from a tree.
-            ///
-            /// # Errors
-            ///
-            /// Returns the schema error of the offending member.
-            pub fn decode_result(self, value: &Value) -> Result<Outcome, JsonError> {
-                gf_json::decode_value(value, |node| self.result_from_node(node))
-            }
-
-            fn result_from_node(self, node: Node<'_>) -> Result<Outcome, JsonError> {
-                Ok(match self {
-                    $(QueryKind::$variant => Outcome::$variant(<$response>::from_node(node)?),)*
                 })
             }
         }
@@ -1848,7 +1685,7 @@ macro_rules! query_kinds {
 
             /// The flat request payload (what a `POST /v1/<kind>` body
             /// carries, without the envelope members), written and parsed
-            /// back.
+            /// back: the `Value` adapter's encoder.
             ///
             /// # Panics
             ///
@@ -1856,6 +1693,14 @@ macro_rules! query_kinds {
             pub fn request_body(&self) -> Value {
                 match self {
                     $(Query::$variant(request) => request.to_json(),)*
+                }
+            }
+
+            /// Writes the flat request payload: what a `POST /v1/<kind>`
+            /// body carries, without the envelope members.
+            pub fn write_body(&self, w: &mut JsonWriter) {
+                match self {
+                    $(Query::$variant(request) => request.write_json(w),)*
                 }
             }
 
@@ -1909,7 +1754,7 @@ macro_rules! query_kinds {
             }
 
             /// The bare result payload as a [`Value`], written and parsed
-            /// back — for callers that inspect or pretty-print it.
+            /// back: the `Value` adapter's result.
             ///
             /// # Panics
             ///
@@ -2015,17 +1860,6 @@ impl ToJson for Outcome {
     }
 }
 
-impl FromJson for Outcome {
-    fn from_node(value: Node<'_>) -> Result<Outcome, JsonError> {
-        let kind = decode_envelope(value)?;
-        let result = value
-            .get("result")
-            .ok_or_else(|| JsonError::schema("result", "missing required field"))?;
-        kind.result_from_node(result)
-            .map_err(|e| prefix_schema("result", e))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2063,12 +1897,37 @@ mod tests {
         let comparison = crate::Estimator::default()
             .compare_uniform(Domain::Dnn, 5, 2.0, 1_000_000)
             .unwrap();
-        let text = comparison.to_json().to_json_string().unwrap();
-        let back = PlatformComparison::from_json(&parse(&text).unwrap()).unwrap();
-        assert_eq!(back, comparison);
-        assert_eq!(
-            back.fpga.total().as_kg().to_bits(),
-            comparison.fpga.total().as_kg().to_bits()
+        let text = comparison.to_json_string().unwrap();
+        // Every number the tape reads back has the engine's bits.
+        let doc = Document::parse(&text, ParseLimits::default()).unwrap();
+        let number = |path: &[&str]| {
+            let found = path.iter().try_fold(doc.root(), |node, key| node.get(key));
+            found.and_then(Node::as_f64).map(f64::to_bits)
+        };
+        for (platform, cfp) in [("fpga", &comparison.fpga), ("asic", &comparison.asic)] {
+            for (member, carbon) in [
+                ("design_kg", cfp.design),
+                ("manufacturing_kg", cfp.manufacturing),
+                ("packaging_kg", cfp.packaging),
+                ("eol_kg", cfp.eol),
+                ("operation_kg", cfp.operation),
+                ("app_dev_kg", cfp.app_dev),
+                ("total_kg", cfp.total()),
+            ] {
+                let bits = Some(carbon.as_kg().to_bits());
+                assert_eq!(number(&[platform, member]), bits, "{platform}.{member}");
+            }
+        }
+        let ratio = comparison.fpga_to_asic_ratio().to_bits();
+        assert_eq!(number(&["ratio"]), Some(ratio));
+        assert!(
+            text.starts_with(r#"{"domain":"dnn","fpga":{"design_kg":"#),
+            "{text}"
+        );
+        let winner = comparison.winner().to_json_string().unwrap();
+        assert!(
+            text.ends_with(&format!(r#","winner":{winner}}}"#)),
+            "{text}"
         );
     }
 
@@ -2090,11 +1949,9 @@ mod tests {
         .unwrap();
         assert_eq!(request.scenario.knobs, vec![(Knob::DutyCycle, 0.5)]);
         assert_eq!(request.point.applications, 3);
-        // Round trip through to_json.
-        let again = EvaluateRequest::from_json(
-            &parse(&request.to_json().to_json_string().unwrap()).unwrap(),
-        )
-        .unwrap();
+        // Round trip through the encoder.
+        let again = EvaluateRequest::from_json(&parse(&request.to_json_string().unwrap()).unwrap())
+            .unwrap();
         assert_eq!(again, request);
     }
 
@@ -2154,7 +2011,8 @@ mod tests {
             &parse(r#"{"domain": "dnn", "lifetime_range": [1]}"#).unwrap()
         )
         .is_err());
-        // Response round-trip.
+        // The response encodes every member, `null` where no crossover was
+        // found.
         let response = CrossoverResponse {
             domain: Domain::Dnn,
             base: OperatingPoint::paper_default(),
@@ -2165,10 +2023,9 @@ mod tests {
             }),
             volume: None,
         };
-        let text = response.to_json().to_json_string().unwrap();
         assert_eq!(
-            CrossoverResponse::from_json(&parse(&text).unwrap()).unwrap(),
-            response
+            response.to_json_string().unwrap(),
+            r#"{"domain":"dnn","point":{"applications":5,"lifetime_years":2,"volume":1000000},"applications":4,"lifetime":{"at":1.625,"direction":"F2A"},"volume":null}"#
         );
     }
 
@@ -2229,7 +2086,7 @@ mod tests {
                 },
             ],
         };
-        let text = response.to_json().to_json_string().unwrap();
+        let text = response.to_json_string().unwrap();
         let back = MetricsResponse::from_json(&parse(&text).unwrap()).unwrap();
         assert_eq!(back, response);
         // A histogram whose counts don't cover the overflow bucket is a
@@ -2271,9 +2128,16 @@ mod tests {
             ],
             enabled: true,
         };
-        let text = response.to_json().to_json_string().unwrap();
-        let back = TraceResponse::from_json(&parse(&text).unwrap()).unwrap();
-        assert_eq!(back, response);
+        assert_eq!(
+            response.to_json_string().unwrap(),
+            concat!(
+                r#"{"spans":[{"name":"execute","span_id":"00000000000000ab","#,
+                r#""request_id":"00000000000000cd","start_ns":1000,"duration_ns":250,"#,
+                r#""aux":4,"thread":0},{"name":"cache_hit","span_id":"00000000000000ef","#,
+                r#""request_id":"0000000000000000","start_ns":900,"duration_ns":0,"#,
+                r#""aux":2,"thread":1}],"enabled":true}"#
+            )
+        );
     }
 
     #[test]
@@ -2287,11 +2151,14 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let response = BatchEvalResponse {
-            comparisons: comparisons.clone(),
-        };
-        let text = response.to_json().to_json_string().unwrap();
-        let back = BatchEvalResponse::from_json(&parse(&text).unwrap()).unwrap();
-        assert_eq!(back.comparisons, comparisons);
+        let results: Vec<String> = comparisons
+            .iter()
+            .map(|comparison| comparison.to_json_string().unwrap())
+            .collect();
+        let response = BatchEvalResponse { comparisons };
+        assert_eq!(
+            response.to_json_string().unwrap(),
+            format!(r#"{{"count":3,"results":[{}]}}"#, results.join(","))
+        );
     }
 }

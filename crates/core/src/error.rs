@@ -169,11 +169,6 @@ impl ApiErrorCode {
         }
     }
 
-    /// Parses a wire identifier back to its code.
-    pub fn parse_id(id: &str) -> Option<ApiErrorCode> {
-        ApiErrorCode::ALL.into_iter().find(|code| code.id() == id)
-    }
-
     /// The canonical HTTP status `greenfpga-serve` answers with.
     ///
     /// Transport-level [`ApiErrorCode::Protocol`] rejections may carry a
@@ -346,11 +341,9 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for code in ApiErrorCode::ALL {
             assert!(seen.insert(code.id()), "duplicate id {}", code.id());
-            assert_eq!(ApiErrorCode::parse_id(code.id()), Some(code));
             assert!((400..=599).contains(&code.http_status()), "{code}");
             assert!((2..=5).contains(&code.exit_code()), "{code}");
         }
-        assert_eq!(ApiErrorCode::parse_id("teapot"), None);
         // The canonical table the README documents.
         assert_eq!(ApiErrorCode::BadRequest.http_status(), 400);
         assert_eq!(ApiErrorCode::NotFound.http_status(), 404);

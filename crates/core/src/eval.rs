@@ -804,36 +804,6 @@ mod tests {
         }
     }
 
-    /// Every point of one buffered fill, as comparisons.
-    fn batch(domain: Domain, points: &[OperatingPoint], threads: usize) -> Vec<PlatformComparison> {
-        let compiled = estimator().compile(domain).unwrap();
-        let mut buffer = ResultBuffer::new();
-        compiled
-            .evaluate_indexed_into(points.len(), |i| points[i], &mut buffer, threads)
-            .unwrap();
-        buffer.comparisons().collect()
-    }
-
-    #[test]
-    fn evaluate_batch_matches_point_wise_evaluation() {
-        let points = points();
-        let batch = batch(Domain::ImageProcessing, &points, 0);
-        assert_eq!(batch.len(), points.len());
-        let compiled = estimator().compile(Domain::ImageProcessing).unwrap();
-        for (comparison, point) in batch.iter().zip(&points) {
-            assert_eq!(*comparison, compiled.evaluate(*point).unwrap());
-        }
-    }
-
-    #[test]
-    fn batch_is_thread_count_independent() {
-        let serial = batch(Domain::Dnn, &points(), 1);
-        for threads in [2, 4, 13] {
-            let parallel = batch(Domain::Dnn, &points(), threads);
-            assert_eq!(serial, parallel, "{threads} threads");
-        }
-    }
-
     #[test]
     fn evaluate_validates_points() {
         let compiled = estimator().compile(Domain::Dnn).unwrap();
@@ -912,42 +882,51 @@ mod tests {
 
     #[test]
     fn evaluate_into_matches_evaluate_bit_for_bit() {
-        let compiled = estimator().compile(Domain::Dnn).unwrap();
         let pts = points();
-        let mut buffer = ResultBuffer::new();
-        compiled.evaluate_into(&pts, &mut buffer).unwrap();
-        assert_eq!(buffer.len(), pts.len());
-        assert_eq!(buffer.domain(), Some(Domain::Dnn));
-        for (i, point) in pts.iter().enumerate() {
-            let direct = compiled.evaluate(*point).unwrap();
-            assert_eq!(buffer.comparison(i), direct, "point {i}");
-            assert_eq!(buffer.ratio(i), direct.fpga_to_asic_ratio(), "point {i}");
+        for domain in Domain::ALL {
+            let compiled = estimator().compile(domain).unwrap();
+            let mut buffer = ResultBuffer::new();
+            compiled.evaluate_into(&pts, &mut buffer).unwrap();
+            assert_eq!(buffer.len(), pts.len());
+            assert_eq!(buffer.domain(), Some(domain));
+            for (i, point) in pts.iter().enumerate() {
+                let direct = compiled.evaluate(*point).unwrap();
+                assert_eq!(buffer.comparison(i), direct, "{domain} point {i}");
+                let ratio = direct.fpga_to_asic_ratio();
+                assert_eq!(buffer.ratio(i), ratio, "{domain} point {i}");
+            }
+            let all: Vec<PlatformComparison> = buffer.comparisons().collect();
+            let each: Vec<PlatformComparison> =
+                (0..pts.len()).map(|i| buffer.comparison(i)).collect();
+            assert_eq!(all, each, "{domain}");
         }
     }
 
     #[test]
     fn evaluate_into_is_thread_count_independent_and_reusable() {
-        let compiled = estimator().compile(Domain::Crypto).unwrap();
         let pts = points();
-        let mut serial = ResultBuffer::new();
-        compiled
-            .evaluate_indexed_into(pts.len(), |i| pts[i], &mut serial, 1)
-            .unwrap();
-        let mut buffer = ResultBuffer::new();
-        for threads in [2, 3, 16] {
-            // Reuse the same buffer across fills of different sizes.
+        for domain in [Domain::Dnn, Domain::Crypto] {
+            let compiled = estimator().compile(domain).unwrap();
+            let mut serial = ResultBuffer::new();
             compiled
-                .evaluate_indexed_into(3, |i| pts[i], &mut buffer, threads)
+                .evaluate_indexed_into(pts.len(), |i| pts[i], &mut serial, 1)
                 .unwrap();
-            assert_eq!(buffer.len(), 3);
-            compiled
-                .evaluate_indexed_into(pts.len(), |i| pts[i], &mut buffer, threads)
-                .unwrap();
-            assert_eq!(serial, buffer, "{threads} threads");
+            let mut buffer = ResultBuffer::new();
+            for threads in [0, 2, 3, 4, 13, 16] {
+                // Reuse the same buffer across fills of different sizes.
+                compiled
+                    .evaluate_indexed_into(3, |i| pts[i], &mut buffer, threads)
+                    .unwrap();
+                assert_eq!(buffer.len(), 3);
+                compiled
+                    .evaluate_indexed_into(pts.len(), |i| pts[i], &mut buffer, threads)
+                    .unwrap();
+                assert_eq!(serial, buffer, "{domain} {threads} threads");
+            }
+            buffer.clear();
+            assert!(buffer.is_empty());
+            assert_eq!(buffer.domain(), None);
         }
-        buffer.clear();
-        assert!(buffer.is_empty());
-        assert_eq!(buffer.domain(), None);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! A small, real JSON subsystem for the offline GreenFPGA workspace: a
 //! one-pass lexer from text to a flat, borrowed token tape with depth and
-//! size limits ([`Document`], read through [`Node`]), a [`Value`] tree
-//! built from that tape ([`parse`], [`parse_with`]), and a one-pass writer
+//! size limits ([`Document`], read through [`Node`]), a one-pass writer
 //! ([`JsonWriter`]) whose `f64` rendering round-trips bit-for-bit
-//! ([`write_f64`]).
+//! ([`write_f64`]), and a reindenter for human-facing output ([`pretty`]).
 //!
 //! Every machine-readable artifact — bench metrics, the `bench_gate`
 //! baseline, and the `greenfpga-serve` HTTP API — goes through this crate
@@ -13,36 +12,39 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Round-tripping**: `parse(v.to_json_string()) == v` for every value
-//!    this crate can produce. Numbers are written as the shortest decimal
+//! 1. **Round-tripping**: numbers are written as the shortest decimal
 //!    that parses back to the same bits, byte-identical to Rust's `{}` on
-//!    `f64`, so a parsed response compares *bit-identical* to the `f64`
-//!    the producer serialized — the property the serving integration
-//!    tests golden-match on.
-//! 2. **One encoder per type**: [`ToJson::write_json`] appends straight
-//!    into the output; no intermediate tree is built on the way out. The
-//!    [`Value`]-returning [`ToJson::to_json`] is write-then-parse, for
-//!    cold callers that want to inspect or pretty-print a document.
-//! 3. **One decoder per type**: [`FromJson::from_node`] reads members
-//!    straight from a [`Document`]'s tape; no tree is built on the way
-//!    in. The [`Value`]-taking [`FromJson::from_json`] is write, tape,
-//!    decode, for cold callers that hold a tree.
-//! 4. **Bounded input**: the parser enforces a nesting-depth limit and an
+//!    `f64`, so a served number is *bit-identical* to the `f64` the
+//!    engine produced — the property the serving tests golden-match on,
+//!    byte for byte.
+//! 2. **Encode everything, decode what is read**: [`ToJson::write_json`]
+//!    appends straight into the output, with no intermediate tree. Only
+//!    what the service reads has a decoder: requests, the query envelope
+//!    and the metrics snapshot. [`FromJson::from_node`] reads their
+//!    members straight from a [`Document`]'s tape, with no tree either.
+//!    Results only leave the process, so they only encode.
+//! 3. **Bounded input**: the parser enforces a nesting-depth limit and an
 //!    input-size limit so a hostile request body cannot blow the stack or
 //!    memory of a long-lived server.
-//! 5. **Strict JSON**: no NaN/Infinity literals, no trailing commas, no
+//! 4. **Strict JSON**: no NaN/Infinity literals, no trailing commas, no
 //!    comments, no unquoted keys. Numbers that overflow `f64` are rejected
 //!    rather than silently becoming infinite.
+//!
+//! [`Value`], with [`parse`], [`FromJson::from_json`] and [`decode_value`],
+//! is a cold tree adapter: the CLI assembles its flag object as a tree,
+//! and the benchmark client reads through it. Everything else reads the
+//! tape.
 //!
 //! ## Example
 //!
 //! ```
-//! use gf_json::{parse, Value};
+//! use gf_json::{pretty, Document, ParseLimits};
 //!
-//! let value = parse(r#"{"domain": "dnn", "points": [1, 2.5e0]}"#)?;
-//! assert_eq!(value.get("domain").and_then(Value::as_str), Some("dnn"));
-//! let back = parse(&value.to_json_string()?)?;
-//! assert_eq!(back, value);
+//! let text = r#"{"domain": "dnn", "points": [1, 2.5e0]}"#;
+//! let doc = Document::parse(text, ParseLimits::default())?;
+//! assert!(doc.root().get("domain").is_some_and(|d| d.is_str("dnn")));
+//! assert_eq!(doc.root().get("points").and_then(|p| p.items()).map(|i| i.len()), Some(2));
+//! assert_eq!(pretty(r#"{"k":[1,2],"e":{}}"#), "{\n  \"k\": [\n    1,\n    2\n  ],\n  \"e\": {}\n}\n");
 //! # Ok::<(), gf_json::JsonError>(())
 //! ```
 
@@ -170,16 +172,6 @@ impl Value {
     pub fn to_json_string(&self) -> Result<String, JsonError> {
         ToJson::to_json_string(self)
     }
-
-    /// Serializes with two-space indentation, for human-facing artifacts
-    /// like the committed `BENCH_eval.json` baseline.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Value::to_json_string`].
-    pub fn to_json_string_pretty(&self) -> Result<String, JsonError> {
-        write::to_string_pretty(self)
-    }
 }
 
 /// `n` as an exact unsigned integer: integral, non-negative, at most 2⁵³.
@@ -188,64 +180,6 @@ impl Value {
 fn exact_u64(n: f64) -> Option<u64> {
     const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
     ((0.0..=MAX_EXACT).contains(&n) && n as u64 as f64 == n).then_some(n as u64)
-}
-
-impl From<bool> for Value {
-    fn from(b: bool) -> Value {
-        Value::Bool(b)
-    }
-}
-
-impl From<f64> for Value {
-    fn from(n: f64) -> Value {
-        Value::Number(n)
-    }
-}
-
-impl From<u64> for Value {
-    fn from(n: u64) -> Value {
-        Value::Number(n as f64)
-    }
-}
-
-impl From<usize> for Value {
-    fn from(n: usize) -> Value {
-        Value::Number(n as f64)
-    }
-}
-
-impl From<&str> for Value {
-    fn from(s: &str) -> Value {
-        Value::String(s.to_string())
-    }
-}
-
-impl From<String> for Value {
-    fn from(s: String) -> Value {
-        Value::String(s)
-    }
-}
-
-impl From<Vec<Value>> for Value {
-    fn from(items: Vec<Value>) -> Value {
-        Value::Array(items)
-    }
-}
-
-/// Builds a [`Value::Object`] from `(key, value)` pairs — the ergonomic
-/// constructor the response builders use.
-pub fn object<K: Into<String>, V: Into<Value>>(members: impl IntoIterator<Item = (K, V)>) -> Value {
-    Value::Object(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.into(), v.into()))
-            .collect(),
-    )
-}
-
-/// Builds a [`Value::Array`] from anything convertible to values.
-pub fn array<V: Into<Value>>(items: impl IntoIterator<Item = V>) -> Value {
-    Value::Array(items.into_iter().map(Into::into).collect())
 }
 
 /// Errors raised while parsing, writing, or decoding JSON.
@@ -334,9 +268,9 @@ pub trait ToJson {
         w.finish()
     }
 
-    /// The encoding as a [`Value`] tree: written, then parsed back. For
-    /// cold callers that inspect or pretty-print a document; hot paths
-    /// write with [`ToJson::write_json`].
+    /// The encoding as a [`Value`] tree: written, then parsed back. Only
+    /// the tree adapter needs it; everything else writes with
+    /// [`ToJson::write_json`].
     ///
     /// # Panics
     ///
@@ -356,7 +290,8 @@ const UNBOUNDED: ParseLimits = ParseLimits {
     max_bytes: usize::MAX,
 };
 
-/// Deserialization from JSON. A type's one decoder is
+/// Deserialization from JSON, for what the service reads: requests, the
+/// query envelope and the metrics snapshot. A type's one decoder is
 /// [`FromJson::from_node`], which reads a [`Node`] of a [`Document`]'s
 /// token tape, so decoding text builds no [`Value`] tree;
 /// [`FromJson::from_json`] is a cold adapter for callers holding a tree.
@@ -462,6 +397,13 @@ impl ToJson for str {
     }
 }
 
+/// A reference encodes as its referent.
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, w: &mut JsonWriter) {
+        (**self).write_json(w);
+    }
+}
+
 impl ToJson for String {
     fn write_json(&self, w: &mut JsonWriter) {
         w.string(self);
@@ -556,13 +498,7 @@ mod tests {
 
     #[test]
     fn accessors_match_variants() {
-        let doc = object([
-            ("flag", Value::Bool(true)),
-            ("n", Value::Number(2.5)),
-            ("s", Value::from("hi")),
-            ("list", array([1.0, 2.0])),
-            ("nothing", Value::Null),
-        ]);
+        let doc = parse(r#"{"flag":true,"n":2.5,"s":"hi","list":[1,2],"nothing":null}"#).unwrap();
         assert_eq!(doc.get("flag").and_then(Value::as_bool), Some(true));
         assert_eq!(doc.get("n").and_then(Value::as_f64), Some(2.5));
         assert_eq!(doc.get("s").and_then(Value::as_str), Some("hi"));
@@ -581,7 +517,7 @@ mod tests {
 
     #[test]
     fn duplicate_keys_resolve_to_the_last() {
-        let doc = object([("k", 1.0), ("k", 2.0)]);
+        let doc = parse(r#"{"k":1,"k":2}"#).unwrap();
         assert_eq!(doc.get("k").and_then(Value::as_f64), Some(2.0));
     }
 
@@ -621,7 +557,7 @@ mod tests {
         );
         let pair = (0.5f64, 9u64);
         assert_eq!(<(f64, u64)>::from_json(&pair.to_json()).unwrap(), pair);
-        assert!(<(f64, f64)>::from_json(&array([1.0])).is_err());
+        assert!(<(f64, f64)>::from_json(&parse("[1]").unwrap()).is_err());
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Declarative wire structs: one field list generates both [`ToJson`] and
-//! [`FromJson`] (see [`wire_struct!`](crate::wire_struct)), plus the
-//! member helpers the generated and the hand-written codecs share.
+//! Declarative wire structs: one field list generates a [`ToJson`] and,
+//! where the type is read as well as written, a [`FromJson`] (see
+//! [`wire_struct!`](crate::wire_struct)), plus the member helpers the
+//! generated and the hand-written decoders share.
 //!
 //! [`ToJson`]: crate::ToJson
 //! [`FromJson`]: crate::FromJson
@@ -88,7 +89,8 @@ pub fn expect_object(value: Node<'_>) -> Result<(), JsonError> {
 }
 
 /// Declares a wire struct: one field list generates the struct, its
-/// [`ToJson`](crate::ToJson) and its [`FromJson`](crate::FromJson).
+/// [`ToJson`](crate::ToJson) and, for what the service reads, its
+/// [`FromJson`](crate::FromJson).
 ///
 /// Members are encoded in field order. Each field is
 /// `name: Type [as key] [[mode]]`:
@@ -110,10 +112,22 @@ pub fn expect_object(value: Node<'_>) -> Result<(), JsonError> {
 /// runs `path(&decoded)?` after decoding, for shape rules that span
 /// fields.
 ///
-/// Two more forms generate codecs for structs declared elsewhere:
-/// `wire_struct! { impl Name { fields } }` generates both traits, and
-/// `wire_struct! { impl FromJson for Name { fields } }` only the decoder,
-/// for types whose encoder adds computed members by hand.
+/// The forms, by what they generate:
+///
+/// | Form | `ToJson` | `FromJson` |
+/// |---|---|---|
+/// | `struct Name { fields }` | yes | yes |
+/// | `struct Name: ToJson { fields }` | yes | no |
+/// | `impl Name { fields }` | yes | yes |
+/// | `impl ToJson for Name { fields }` | yes | no |
+/// | `impl FromJson for Name { fields }` | no | yes |
+///
+/// A `struct` form also declares the struct; an `impl` form is for a
+/// struct declared elsewhere. Requests decode and encode; results only
+/// leave the process, so they take an encode-only form (`: ToJson` or
+/// `impl ToJson for`), and their `[with m]` codecs need no `from_node`.
+/// `impl FromJson for` is for types whose encoder adds computed members by
+/// hand.
 ///
 /// ```
 /// use gf_json::{parse, wire_struct, FromJson, ToJson};
@@ -133,19 +147,28 @@ pub fn expect_object(value: Node<'_>) -> Result<(), JsonError> {
 ///     }
 /// }
 ///
+/// wire_struct! {
+///     /// A result: encoded, never decoded.
+///     pub struct Echo: ToJson {
+///         /// The probe's name.
+///         pub name: String,
+///     }
+/// }
+///
 /// let probe = Probe::from_json(&parse(r#"{"name": "a", "from": 1, "to": 2}"#)?)?;
 /// assert_eq!(probe.size, 64);
 /// assert_eq!(
-///     probe.to_json().to_json_string()?,
+///     probe.to_json_string()?,
 ///     r#"{"name":"a","bytes":64,"from":1,"to":2}"#
 /// );
+/// assert_eq!(Echo { name: probe.name }.to_json_string()?, r#"{"name":"a"}"#);
 /// # Ok::<(), gf_json::JsonError>(())
 /// ```
 #[macro_export]
 macro_rules! wire_struct {
     (
         $(#[$meta:meta])*
-        $vis:vis struct $name:ident {
+        $vis:vis struct $name:ident $(: $only:ident)? {
             $($(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty $(as $key:tt)? $([$($mode:tt)*])?),* $(,)?
         }
         $(check $check:path)?
@@ -153,7 +176,7 @@ macro_rules! wire_struct {
         $(#[$meta])*
         $vis struct $name { $($(#[$fmeta])* $fvis $field: $ty,)* }
         $crate::wire_struct! {
-            impl $name { $($field: $ty $(as $key)? $([$($mode)*])?),* } $(check $check)?
+            impl $($only for)? $name { $($field: $ty $(as $key)? $([$($mode)*])?),* } $(check $check)?
         }
     };
     ($(#[$meta:meta])* impl FromJson for $name:ident {
@@ -178,9 +201,9 @@ macro_rules! wire_struct {
             }
         }
     };
-    ($(#[$meta:meta])* impl $name:ident {
+    ($(#[$meta:meta])* impl ToJson for $name:ident {
         $($field:ident : $ty:ty $(as $key:tt)? $([$($mode:tt)*])?),* $(,)?
-    } $(check $check:path)?) => {
+    }) => {
         $(#[$meta])*
         impl $crate::ToJson for $name {
             fn write_json(&self, w: &mut $crate::JsonWriter) {
@@ -188,6 +211,13 @@ macro_rules! wire_struct {
                 $($crate::__wire_encode!(w, &self.$field, $field $($key)?; $($($mode)*)?);)*
                 w.end_object();
             }
+        }
+    };
+    ($(#[$meta:meta])* impl $name:ident {
+        $($field:ident : $ty:ty $(as $key:tt)? $([$($mode:tt)*])?),* $(,)?
+    } $(check $check:path)?) => {
+        $crate::wire_struct! {
+            $(#[$meta])* impl ToJson for $name { $($field: $ty $(as $key)? $([$($mode)*])?),* }
         }
         $crate::wire_struct! {
             impl FromJson for $name { $($field: $ty $(as $key)? $([$($mode)*])?),* } $(check $check)?

@@ -6,7 +6,8 @@
 //! bytes (a key is written inline at its call site, where a literal's
 //! escape check folds away), so the text is valid UTF-8 by construction:
 //! [`finish`](JsonWriter::finish) checks it once per document. Pretty
-//! printing is a [`Value`]-only second pass for human-facing artifacts.
+//! printing is [`pretty`], a second pass over the compact text for
+//! human-facing artifacts.
 //!
 //! Numbers use the shortest round-trip formatting of [`write_f64`], which
 //! matches Rust's `{}` on `f64` byte for byte and guarantees
@@ -270,47 +271,6 @@ impl ToJson for Value {
     }
 }
 
-/// Serializes `value` with two-space indentation.
-pub fn to_string_pretty(value: &Value) -> Result<String, JsonError> {
-    let mut out = Vec::new();
-    write_pretty(&mut out, value, 0)?;
-    out.push(b'\n');
-    Ok(String::from_utf8(out).expect("the writer appends only UTF-8"))
-}
-
-fn write_pretty(out: &mut Vec<u8>, value: &Value, indent: usize) -> Result<(), JsonError> {
-    match value {
-        Value::Array(items) if !items.is_empty() => {
-            out.push(b'[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(b',');
-                }
-                newline_indent(out, indent + 1);
-                write_pretty(out, item, indent + 1)?;
-            }
-            newline_indent(out, indent);
-            out.push(b']');
-        }
-        Value::Object(members) if !members.is_empty() => {
-            out.push(b'{');
-            for (i, (key, member)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(b',');
-                }
-                newline_indent(out, indent + 1);
-                write_string(out, key);
-                out.extend_from_slice(b": ");
-                write_pretty(out, member, indent + 1)?;
-            }
-            newline_indent(out, indent);
-            out.push(b'}');
-        }
-        scalar => out.extend_from_slice(scalar.to_json_string()?.as_bytes()),
-    }
-    Ok(())
-}
-
 /// Re-indents compact JSON text, as [`JsonWriter`] writes it, for
 /// human-facing artifacts (the committed `BENCH_eval.json` baseline, the
 /// CLI's `--json`): two spaces per level, `": "` after a key, empty
@@ -410,15 +370,11 @@ fn write_escaped(out: &mut Vec<u8>, bytes: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{array, object, parse};
+    use crate::parse;
 
     #[test]
     fn compact_output_matches_expectations() {
-        let doc = object([
-            ("a", Value::Number(1.0)),
-            ("b", array([Value::Null, Value::Bool(false)])),
-            ("c", Value::from("x\"y")),
-        ]);
+        let doc = parse(r#"{"a": 1.0, "b": [null, false], "c": "x\"y"}"#).unwrap();
         assert_eq!(
             doc.to_json_string().unwrap(),
             r#"{"a":1,"b":[null,false],"c":"x\"y"}"#
@@ -429,11 +385,14 @@ mod tests {
 
     #[test]
     fn pretty_output_is_indented_and_parseable() {
-        let doc = object([("k", array([1.0, 2.0])), ("m", array::<f64>([]))]);
-        let pretty = doc.to_json_string_pretty().unwrap();
-        assert!(pretty.contains("\n  \"k\": ["));
-        assert!(pretty.ends_with("}\n"));
-        assert_eq!(parse(&pretty).unwrap(), doc);
+        let compact = r#"{"k":[1,2],"m":[],"s":"a,b:{[\"]}","o":{"n":null}}"#;
+        let pretty = pretty(compact);
+        assert_eq!(
+            pretty,
+            "{\n  \"k\": [\n    1,\n    2\n  ],\n  \"m\": [],\n  \"s\": \"a,b:{[\\\"]}\",\n  \"o\": {\n    \"n\": null\n  }\n}\n"
+        );
+        assert_eq!(parse(&pretty).unwrap(), parse(compact).unwrap());
+        assert_eq!(super::pretty("7"), "7\n");
     }
 
     #[test]
@@ -452,22 +411,23 @@ mod tests {
                 Value::Number(bad).to_json_string().unwrap_err(),
                 JsonError::NonFinite
             );
-            assert_eq!(
-                array([bad]).to_json_string_pretty().unwrap_err(),
-                JsonError::NonFinite
-            );
+            let mut w = JsonWriter::new();
+            w.begin_array();
+            w.number(bad);
+            w.end_array();
+            assert_eq!(w.finish().unwrap_err(), JsonError::NonFinite);
         }
     }
 
     #[test]
     fn spliced_objects_continue_the_enclosing_object() {
-        let inner = object([("b", 2.0), ("c", 3.0)]);
+        let inner = parse(r#"{"b":2,"c":3}"#).unwrap();
         let mut w = JsonWriter::new();
         w.begin_object();
         w.member("a", &1.0);
         w.splice(&inner);
         w.splice(&Value::Object(Vec::new()));
-        w.member("d", &object([("e", 4.0)]));
+        w.member("d", &parse(r#"{"e":4}"#).unwrap());
         w.end_object();
         assert_eq!(w.finish().unwrap(), r#"{"a":1,"b":2,"c":3,"d":{"e":4}}"#);
 

@@ -19,7 +19,7 @@
 use std::sync::mpsc::SyncSender;
 use std::sync::OnceLock;
 
-use gf_json::{object, JsonWriter, ToJson, Value};
+use gf_json::{wire_struct, JsonWriter, ToJson};
 use greenfpga::api::{MetricsResponse, Query, QueryKind, TraceResponse};
 use greenfpga::{ApiError, GridStream, Outcome};
 
@@ -214,7 +214,7 @@ enum Json {
     Outcome(Outcome),
     Metrics(MetricsResponse),
     Trace(TraceResponse),
-    Health(Value),
+    Health(Health),
 }
 
 impl ToJson for Json {
@@ -348,17 +348,24 @@ pub(crate) fn overload_error_body() -> String {
     ))
 }
 
-fn healthz(state: &ServerState) -> Value {
-    // Liveness only: cache and request counters live in `/v1/metrics`.
-    object([
-        ("status", Value::from("ok")),
-        ("version", Value::from(env!("CARGO_PKG_VERSION"))),
-        (
-            "uptime_seconds",
-            Value::Number(state.started.elapsed().as_secs_f64()),
-        ),
-        ("workers", Value::from(state.config.workers_resolved())),
-    ])
+wire_struct! {
+    /// The `GET /healthz` body: liveness only; cache and request counters
+    /// live in `/v1/metrics`.
+    struct Health: ToJson {
+        status: &'static str,
+        version: &'static str,
+        uptime_seconds: f64,
+        workers: usize,
+    }
+}
+
+fn healthz(state: &ServerState) -> Health {
+    Health {
+        status: "ok",
+        version: env!("CARGO_PKG_VERSION"),
+        uptime_seconds: state.started.elapsed().as_secs_f64(),
+        workers: state.config.workers_resolved(),
+    }
 }
 
 /// Most spans one `GET /v1/trace` response returns. A bound, not a page:

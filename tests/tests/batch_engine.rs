@@ -243,7 +243,7 @@ fn monte_carlo_is_deterministic_across_thread_counts_and_runs() {
 }
 
 #[test]
-fn evaluate_batch_round_trips_large_point_sets() {
+fn evaluate_into_matches_the_naive_model_on_large_point_sets() {
     let est = estimator();
     let mut rng = SplitMix64::new(0xBA7C);
     let points: Vec<OperatingPoint> = (0..500)

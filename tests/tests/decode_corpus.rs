@@ -169,7 +169,7 @@ fn mutations(rng: &mut SplitMix64, body: &Value) -> Vec<(String, String)> {
     let mut tree = body.clone();
     if let Value::Object(members) = node_at(&mut tree, &path) {
         let at = rng.gen_index(members.len() + 1);
-        members.insert(at, ("zz_unknown".into(), Value::from("?")));
+        members.insert(at, ("zz_unknown".into(), Value::String("?".into())));
         cases.push(("unknown".into(), text(&tree)));
     }
     for _ in 0..2 {

@@ -7,12 +7,14 @@
 //!   `Estimator`/`CompiledScenario` call a library user would write, for
 //!   every query kind — the facade adds caching and dispatch, never
 //!   arithmetic.
-//! * **Round-tripping**: every new request/response type encodes to JSON,
-//!   decodes back to an equal value, and re-encodes to the identical text
-//!   (`gf_json`'s shortest-round-trip `f64` writer makes this a bit-level
-//!   property).
+//! * **Round-tripping**: every request type encodes to JSON, decodes back
+//!   to an equal value, and re-encodes to the identical text (`gf_json`'s
+//!   shortest-round-trip `f64` writer makes this a bit-level property).
+//!   Results only encode: an outcome's envelope is its bare result wrapped
+//!   byte for byte, and running the decoded query again encodes the same
+//!   bytes.
 
-use gf_json::{parse, FromJson, ToJson};
+use gf_json::{parse, Document, FromJson, JsonWriter, ParseLimits, ToJson};
 use gf_support::SplitMix64;
 use greenfpga::api::{
     CatalogRequest, CompareRequest, EvaluateRequest, FrontierResponse, GridRequest,
@@ -655,29 +657,45 @@ fn outcome_envelopes_round_trip_bit_for_bit() {
             _ => random_query(kind, &mut rng),
         };
         let outcome = engine.run(&query).unwrap();
-        let text = outcome.to_json().to_json_string().unwrap();
-        let decoded = Outcome::from_json(&parse(&text).unwrap())
-            .unwrap_or_else(|e| panic!("{kind}: {e}\n{text}"));
-        assert_eq!(decoded, outcome, "{kind}");
-        let again = decoded.to_json().to_json_string().unwrap();
-        assert_eq!(again, text, "{kind}");
-        // The bare result decodes through the client-side path too.
-        let body = outcome.result_json().to_json_string().unwrap();
+        let result = result_text(&outcome);
+        // The envelope is the bare result wrapped, byte for byte.
+        let text = outcome.to_json_string().unwrap();
         assert_eq!(
-            kind.decode_result(&parse(&body).unwrap()).unwrap(),
-            outcome,
-            "{kind} (result body)"
+            text,
+            format!(r#"{{"v":1,"kind":"{kind}","result":{result}}}"#),
+            "{kind}"
         );
+        // The query's envelope decodes to a query that runs to an equal
+        // outcome, which encodes to the same bytes.
+        let envelope = query.to_json_string().unwrap();
+        let doc = Document::parse(&envelope, ParseLimits::default()).unwrap();
+        let rerun = engine.run(&Query::from_node(doc.root()).unwrap()).unwrap();
+        assert_eq!(rerun, outcome, "{kind}");
+        assert_eq!(result_text(&rerun), result, "{kind}");
+        // The tape reads the result back as one well-formed document.
+        let doc = Document::parse(&result, ParseLimits::default()).unwrap();
+        assert!(doc.root().members().is_some(), "{kind}: {result}");
     }
+}
+
+/// The bare result body of an outcome, as the matching route writes it.
+fn result_text(outcome: &Outcome) -> String {
+    let mut w = JsonWriter::new();
+    outcome.write_result(&mut w);
+    w.finish().unwrap()
 }
 
 #[test]
 fn api_errors_round_trip_and_envelope_rejects_garbage() {
     for code in ApiErrorCode::ALL {
-        let error = ApiError::new(code, format!("probe {code}"));
-        let text = error.to_json().to_json_string().unwrap();
-        let decoded = ApiError::from_json(&parse(&text).unwrap()).unwrap();
-        assert_eq!(decoded, error);
+        let error = ApiError::new(code, format!("probe \"{code}\""));
+        assert_eq!(
+            error.to_json_string().unwrap(),
+            format!(
+                r#"{{"error":{{"code":"{code}","message":"probe \"{code}\"","retryable":{}}}}}"#,
+                error.retryable
+            )
+        );
     }
     // Unknown kinds and unsupported versions are schema errors.
     assert!(Query::from_json(&parse(r#"{"kind": "teleport", "domain": "dnn"}"#).unwrap()).is_err());

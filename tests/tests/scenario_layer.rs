@@ -4,16 +4,15 @@
 //! (on both event-loop drivers), and the CLI's query path.
 //!
 //! Bit-identity works for the same reason as in `serve.rs`: the wire
-//! format serializes `f64` with shortest round-trip formatting, so
-//! decoding a served body reconstructs exactly the bits the server's
-//! engine produced and `PartialEq` on the typed structs compares bits.
+//! format serializes `f64` with shortest round-trip formatting, so a
+//! served body that equals the in-process encoding byte for byte carries
+//! exactly the bits the engine produced.
 
-use gf_json::{FromJson, Value};
+use gf_json::{JsonWriter, Value};
 use gf_server::client::Client;
 use gf_server::{DriverKind, Server, ServerConfig, ServerHandle};
 use greenfpga::api::{
-    CatalogRequest, CatalogResponse, Query, QueryKind, ReplayRequest, ReplayResponse, ScenarioRef,
-    ScenarioRunRequest, ScenarioRunResponse,
+    CatalogRequest, Query, QueryKind, ReplayRequest, ScenarioRef, ScenarioRunRequest,
 };
 use greenfpga::{
     catalog, catalog_entry, ApiErrorCode, CarbonIntensitySeries, Domain, Engine, EngineConfig,
@@ -41,9 +40,26 @@ fn drivers() -> Vec<DriverKind> {
     }
 }
 
-fn post(client: &mut Client, path: &str, body: &str) -> (u16, Value) {
-    let (status, text) = client.post(path, body).expect("request round-trip");
-    (status, gf_json::parse(&text).expect("response is JSON"))
+fn post(client: &mut Client, path: &str, body: &str) -> (u16, String) {
+    client.post(path, body).expect("request round-trip")
+}
+
+/// The bare result body of an outcome, encoded in-process exactly as the
+/// matching route writes it.
+fn result_text(outcome: &Outcome) -> String {
+    let mut w = JsonWriter::new();
+    outcome.write_result(&mut w);
+    w.finish().expect("results are finite")
+}
+
+/// The `error.message` member of an error body.
+fn error_message(body: &str) -> String {
+    let value = gf_json::parse(body).expect("error bodies are JSON");
+    let message = value.get("error").and_then(|e| e.get("message"));
+    message
+        .and_then(Value::as_str)
+        .expect("error message")
+        .to_string()
 }
 
 /// A scenario query by catalog id, as the CLI builds it.
@@ -92,30 +108,19 @@ fn every_cataloged_id_matches_the_direct_computation() {
 
 #[test]
 fn named_scenarios_are_bit_identical_across_http_cli_and_engine() {
-    // One engine outcome per id, compared against the served body of both
-    // drivers AND the CLI's `--json` document (the CLI prints
-    // `outcome.result_json()` — the same value `decode_result` parses).
+    // One engine outcome per id, compared byte for byte against the served
+    // body of both drivers. The CLI's `--json` document reindents these
+    // same bytes (`Outcome::write_result`, then `gf_json::pretty`).
     let engine = Engine::with_defaults().unwrap();
     for driver in drivers() {
         let handle = spawn_server(driver);
         let mut client = Client::connect(handle.addr()).expect("connect");
         for entry in catalog() {
-            let Outcome::Scenario(local) = engine.run(&scenario_query(entry.id)).unwrap() else {
-                panic!("wrong outcome kind");
-            };
+            let local = result_text(&engine.run(&scenario_query(entry.id)).unwrap());
             let body = format!(r#"{{"id": "{}"}}"#, entry.id);
-            let (status, value) = post(&mut client, QueryKind::Scenario.path(), &body);
-            assert_eq!(status, 200, "{driver:?} {}: {value:?}", entry.id);
-            let served = ScenarioRunResponse::from_json(&value).expect("typed decode");
-            assert_eq!(served, local, "{driver:?} {}", entry.id);
-            // The CLI's JSON document is the same result value serialized
-            // by the same writer.
-            let cli_json = Outcome::Scenario(local.clone())
-                .result_json()
-                .to_json_string()
-                .unwrap();
-            let http_json = value.to_json_string().unwrap();
-            assert_eq!(cli_json, http_json, "{driver:?} {}", entry.id);
+            let (status, text) = post(&mut client, QueryKind::Scenario.path(), &body);
+            assert_eq!(status, 200, "{driver:?} {}: {text}", entry.id);
+            assert_eq!(text, local, "{driver:?} {}", entry.id);
         }
         handle.shutdown();
     }
@@ -134,47 +139,42 @@ fn replay_and_catalog_routes_serve_golden_bodies_on_both_drivers() {
         interpolate: true,
         years: 1,
     });
-    let Outcome::Replay(local_replay) = engine.run(&replay_query).unwrap() else {
+    let replay = engine.run(&replay_query).unwrap();
+    let Outcome::Replay(local_replay) = &replay else {
         panic!("wrong outcome kind");
     };
-    let Outcome::Catalog(local_catalog) = engine.run(&Query::Catalog(CatalogRequest)).unwrap()
-    else {
-        panic!("wrong outcome kind");
-    };
+    assert_eq!(local_replay.replay.steps, HOURS_PER_YEAR as u64);
+    let local_replay = result_text(&replay);
+    let local_catalog = result_text(&engine.run(&Query::Catalog(CatalogRequest)).unwrap());
+    assert!(local_catalog.starts_with(r#"{"entries":[{"domain":"#));
     for driver in drivers() {
         let handle = spawn_server(driver);
         let mut client = Client::connect(handle.addr()).expect("connect");
         let body = r#"{"id": "crypto_fleet_1m_5y", "series": "solar_duck", "interpolate": true}"#;
-        let (status, value) = post(&mut client, QueryKind::Replay.path(), body);
-        assert_eq!(status, 200, "{driver:?}: {value:?}");
-        let served = ReplayResponse::from_json(&value).expect("typed decode");
-        assert_eq!(served, local_replay, "{driver:?}");
-        assert_eq!(served.replay.steps, HOURS_PER_YEAR as u64);
+        let (status, text) = post(&mut client, QueryKind::Replay.path(), body);
+        assert_eq!(status, 200, "{driver:?}: {text}");
+        assert_eq!(text, local_replay, "{driver:?}");
         // A million-year replay on a million-year point is a 400 naming
         // `years`, and the server keeps serving.
         let probe = r#"{"id": "dnn_baseline", "series": "solar_duck", "years": 1000000,
             "point": {"applications": 5, "lifetime_years": 1000000, "volume": 1000000}}"#;
-        let (status, value) = post(&mut client, QueryKind::Replay.path(), probe);
-        assert_eq!(status, 400, "{driver:?}: {value:?}");
-        let message = value
-            .get("error")
-            .and_then(|e| e.get("message"))
-            .and_then(Value::as_str)
-            .expect("error message");
+        let (status, text) = post(&mut client, QueryKind::Replay.path(), probe);
+        assert_eq!(status, 400, "{driver:?}: {text}");
+        let message = error_message(&text);
         assert!(message.contains("years"), "{driver:?}: {message}");
-        let (status, value) = post(&mut client, QueryKind::Replay.path(), body);
-        assert_eq!(status, 200, "{driver:?}: {value:?}");
-        assert_eq!(ReplayResponse::from_json(&value).unwrap(), local_replay);
+        let (status, text) = post(&mut client, QueryKind::Replay.path(), body);
+        assert_eq!(status, 200, "{driver:?}: {text}");
+        assert_eq!(text, local_replay, "{driver:?}");
 
         let (status, text) = client.get(QueryKind::Catalog.path()).expect("catalog GET");
         assert_eq!(status, 200, "{driver:?}: {text}");
-        let value = gf_json::parse(&text).unwrap();
-        let served = CatalogResponse::from_json(&value).expect("typed decode");
-        assert_eq!(served, local_catalog, "{driver:?}");
-        assert_eq!(served.entries.len(), catalog().len());
+        assert_eq!(text, local_catalog, "{driver:?}");
+        let doc = gf_json::Document::parse(&text, gf_json::ParseLimits::default()).unwrap();
+        let entries = doc.root().get("entries").and_then(|e| e.items());
+        assert_eq!(entries.map(|e| e.len()), Some(catalog().len()));
         // POSTing the GET-only route is a 405, not a decode error.
-        let (status, value) = post(&mut client, QueryKind::Catalog.path(), "{}");
-        assert_eq!(status, 405, "{driver:?}: {value:?}");
+        let (status, text) = post(&mut client, QueryKind::Catalog.path(), "{}");
+        assert_eq!(status, 405, "{driver:?}: {text}");
         handle.shutdown();
     }
 }
@@ -213,7 +213,7 @@ fn repeated_named_scenario_requests_hit_the_compiled_cache() {
 fn replay_is_deterministic_across_engine_thread_counts() {
     // The replay loop is serial by construction; engines configured with
     // different eval-thread counts must produce bit-identical outcomes.
-    let outcomes: Vec<ReplayResponse> = [1usize, 2, 8]
+    let outcomes: Vec<greenfpga::api::ReplayResponse> = [1usize, 2, 8]
         .into_iter()
         .map(|threads| {
             let engine = Engine::new(EngineConfig {

@@ -12,9 +12,9 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use gf_json::FromJson;
+use gf_json::ToJson;
 use gf_server::{DriverKind, Server, ServerConfig, ServerHandle};
-use greenfpga::api::EvaluateResponse;
+use greenfpga::api::{BatchEvalResponse, EvaluateResponse};
 use greenfpga::{Domain, Estimator, OperatingPoint, ScenarioSpec};
 
 fn spawn_with(config: ServerConfig) -> ServerHandle {
@@ -160,7 +160,7 @@ fn golden_response(handle: &ServerHandle) -> Vec<u8> {
     read_response(|buf| stream.read(buf))
 }
 
-/// The direct-engine evaluation the served response must decode to.
+/// The direct-engine evaluation the served response must encode.
 fn direct_evaluation() -> greenfpga::PlatformComparison {
     let scenario = ScenarioSpec::baseline(Domain::Dnn);
     Estimator::new(scenario.params())
@@ -170,13 +170,13 @@ fn direct_evaluation() -> greenfpga::PlatformComparison {
         .unwrap()
 }
 
-/// Decodes a raw response as an `EvaluateResponse` and bit-checks it
-/// against the direct engine call.
+/// Checks a raw response's body byte for byte against the encoding of
+/// the direct engine call.
 fn assert_matches_direct(raw: &[u8]) {
     assert_eq!(status_of(raw), 200);
-    let value = gf_json::parse(std::str::from_utf8(body_of(raw)).unwrap()).unwrap();
-    let response = EvaluateResponse::from_json(&value).expect("decode evaluate");
-    assert_eq!(response.comparison, direct_evaluation());
+    let comparison = direct_evaluation();
+    let expected = EvaluateResponse { comparison }.to_json_string().unwrap();
+    assert_eq!(std::str::from_utf8(body_of(raw)).unwrap(), expected);
 }
 
 #[test]
@@ -248,9 +248,9 @@ fn pipelined_requests_in_one_segment_answer_in_order() {
     assert_eq!(masked(&first), masked(&golden), "pipelined response 1");
     let second = read_response_carry(&mut carry, |buf| stream.read(buf));
     assert_eq!(status_of(&second), 200, "offloaded batch in the middle");
-    let batch_json = gf_json::parse(std::str::from_utf8(body_of(&second)).unwrap()).unwrap();
-    let decoded = greenfpga::api::BatchEvalResponse::from_json(&batch_json).expect("decode batch");
-    assert_eq!(decoded.comparisons, vec![direct_evaluation()]);
+    let comparisons = vec![direct_evaluation()];
+    let expected = BatchEvalResponse { comparisons }.to_json_string().unwrap();
+    assert_eq!(std::str::from_utf8(body_of(&second)).unwrap(), expected);
     let third = read_response_carry(&mut carry, |buf| stream.read(buf));
     assert_eq!(masked(&third), masked(&golden), "pipelined response 3");
     assert!(carry.is_empty(), "exactly three responses");
