@@ -312,6 +312,33 @@ mod tests {
     }
 
     #[test]
+    fn frontier_eval_fraction_ceiling_is_inclusive() {
+        let dir = std::env::temp_dir().join("gf_bench_gate_eval_fraction_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let baseline = dir.join("baseline.json");
+        let candidate = dir.join("candidate.json");
+        std::fs::write(&baseline, "{\n  \"k_ns\": 100\n}\n").unwrap();
+        // Exactly at the 20% budget passes; one point over fails.
+        for (fraction, fails) in [("0.2", false), ("0.20", false), ("0.21", true)] {
+            std::fs::write(
+                &candidate,
+                format!("{{\n  \"k_ns\": 100,\n  \"frontier_eval_fraction\": {fraction}\n}}\n"),
+            )
+            .unwrap();
+            assert_eq!(
+                run(
+                    baseline.to_str().unwrap(),
+                    candidate.to_str().unwrap(),
+                    1.25
+                )
+                .unwrap(),
+                fails,
+                "frontier_eval_fraction {fraction}"
+            );
+        }
+    }
+
+    #[test]
     fn frontier_speedup_has_an_absolute_floor() {
         let dir = std::env::temp_dir().join("gf_bench_gate_frontier_test");
         std::fs::create_dir_all(&dir).unwrap();
