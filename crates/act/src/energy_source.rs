@@ -58,14 +58,6 @@ impl EnergySource {
         };
         CarbonIntensity::from_grams_per_kwh(g_per_kwh)
     }
-
-    /// Whether the source is conventionally counted as renewable.
-    pub fn is_renewable(self) -> bool {
-        !matches!(
-            self,
-            EnergySource::Coal | EnergySource::NaturalGas | EnergySource::Nuclear
-        )
-    }
 }
 
 impl fmt::Display for EnergySource {
@@ -190,14 +182,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn renewable_classification() {
-        assert!(EnergySource::Wind.is_renewable());
-        assert!(EnergySource::Solar.is_renewable());
-        assert!(!EnergySource::Coal.is_renewable());
-        assert!(!EnergySource::Nuclear.is_renewable());
     }
 
     #[test]

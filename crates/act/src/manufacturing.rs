@@ -69,14 +69,6 @@ impl ManufacturingModel {
         }
     }
 
-    /// Creates a model from explicit node parameters (for calibration
-    /// studies that override the built-in node table).
-    pub fn from_parameters(parameters: NodeParameters) -> Self {
-        let mut model = Self::for_node(parameters.node);
-        model.node_parameters = parameters;
-        model
-    }
-
     /// Overrides the carbon intensity of the fab's grid electricity.
     pub fn with_fab_grid(mut self, intensity: CarbonIntensity) -> Self {
         self.fab_grid = intensity;
@@ -102,11 +94,6 @@ impl ManufacturingModel {
         self
     }
 
-    /// The node parameters in use.
-    pub fn node_parameters(&self) -> &NodeParameters {
-        &self.node_parameters
-    }
-
     /// The technology node in use.
     pub fn node(&self) -> TechnologyNode {
         self.node_parameters.node
@@ -126,19 +113,6 @@ impl ManufacturingModel {
     pub fn die_yield(&self, die: Area) -> f64 {
         self.yield_model
             .die_yield(die, self.node_parameters.defect_density_per_cm2)
-    }
-
-    /// Fab electrical energy consumed per *good* die of the given area.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ActError::NonPositiveArea`] for non-positive areas and
-    /// [`ActError::ZeroYield`] when the yield model collapses to zero.
-    pub fn energy_per_die(&self, die: Area) -> Result<Energy, ActError> {
-        let (area_cm2, y) = self.checked_area_yield(die)?;
-        Ok(Energy::from_kwh(
-            self.node_parameters.energy_per_cm2_kwh * area_cm2 / y,
-        ))
     }
 
     /// Manufacturing footprint of one good die, broken into components.
@@ -297,16 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn energy_per_die_is_consistent_with_breakdown() {
-        let m = model();
-        let die = Area::from_mm2(250.0);
-        let e = m.energy_per_die(die).unwrap();
-        let b = m.breakdown_per_die(die).unwrap();
-        let expected = e * m.effective_fab_intensity();
-        assert!((expected.as_kg() - b.energy.as_kg()).abs() < 1e-9);
-    }
-
-    #[test]
     fn errors_on_degenerate_inputs() {
         let m = model();
         assert!(matches!(
@@ -322,20 +286,6 @@ mod tests {
             zero_yield.carbon_per_die(Area::from_mm2(100.0)),
             Err(ActError::ZeroYield { .. })
         ));
-    }
-
-    #[test]
-    fn from_parameters_respects_overrides() {
-        let mut p = TechnologyNode::N10.parameters();
-        p.energy_per_cm2_kwh *= 2.0;
-        let custom = ManufacturingModel::from_parameters(p);
-        let stock = ManufacturingModel::for_node(TechnologyNode::N10);
-        let die = Area::from_mm2(100.0);
-        assert!(
-            custom.breakdown_per_die(die).unwrap().energy
-                > stock.breakdown_per_die(die).unwrap().energy
-        );
-        assert_eq!(custom.node(), TechnologyNode::N10);
     }
 
     #[test]

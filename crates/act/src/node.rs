@@ -71,13 +71,6 @@ impl TechnologyNode {
         }
     }
 
-    /// Returns the node whose designation matches `nm`, if it is modeled.
-    pub fn from_nanometers(nm: u32) -> Option<TechnologyNode> {
-        TechnologyNode::ALL
-            .into_iter()
-            .find(|n| n.nanometers() == nm)
-    }
-
     /// Default fab parameters for this node.
     ///
     /// Energy per area (EPA, kWh/cm²) grows toward newer nodes as the number
@@ -151,12 +144,6 @@ impl NodeParameters {
     pub fn gates_for_area(&self, area_mm2: f64) -> f64 {
         area_mm2 * self.gate_density_mgates_per_mm2 * 1.0e6
     }
-
-    /// Silicon area (mm²) needed to hold `gates` equivalent logic gates at
-    /// this node's logic density.
-    pub fn area_for_gates(&self, gates: f64) -> f64 {
-        gates / (self.gate_density_mgates_per_mm2 * 1.0e6)
-    }
 }
 
 #[cfg(test)]
@@ -204,22 +191,10 @@ mod tests {
     }
 
     #[test]
-    fn from_nanometers_round_trips() {
-        for node in TechnologyNode::ALL {
-            assert_eq!(
-                TechnologyNode::from_nanometers(node.nanometers()),
-                Some(node)
-            );
-        }
-        assert_eq!(TechnologyNode::from_nanometers(65), None);
-    }
-
-    #[test]
     fn gates_area_round_trip() {
         let p = TechnologyNode::N10.parameters();
         let area = 380.0;
         let gates = p.gates_for_area(area);
-        assert!((p.area_for_gates(gates) - area).abs() < 1e-6);
         // 10 nm at 11 Mgates/mm2: a 380 mm2 FPGA-sized die holds ~4.2 Bgates.
         assert!(gates > 1.0e9);
     }

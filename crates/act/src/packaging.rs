@@ -56,16 +56,6 @@ impl PackagingModel {
         }
     }
 
-    /// Default 2.5D interposer model with a 1.3× interposer area factor.
-    pub fn interposer_2p5d() -> Self {
-        PackagingModel::Interposer2p5D {
-            base: Carbon::from_kg(0.25),
-            per_area: CarbonPerArea::from_kg_per_cm2(0.10),
-            interposer_per_area: CarbonPerArea::from_kg_per_cm2(0.40),
-            interposer_area_factor: 1.3,
-        }
-    }
-
     /// Packaging footprint for a die (or summed dies) of the given area.
     ///
     /// Zero or negative areas return only the fixed base term for the
@@ -122,7 +112,13 @@ mod tests {
     fn interposer_costs_more_than_monolithic() {
         let die = Area::from_mm2(400.0);
         let mono = PackagingModel::monolithic().carbon_for_die(die);
-        let twod = PackagingModel::interposer_2p5d().carbon_for_die(die);
+        let twod = PackagingModel::Interposer2p5D {
+            base: Carbon::from_kg(0.25),
+            per_area: CarbonPerArea::from_kg_per_cm2(0.10),
+            interposer_per_area: CarbonPerArea::from_kg_per_cm2(0.40),
+            interposer_area_factor: 1.3,
+        }
+        .carbon_for_die(die);
         assert!(twod > mono);
     }
 

@@ -35,23 +35,9 @@ impl Wafer {
         }
     }
 
-    /// Legacy 200 mm wafer with a 3 mm edge exclusion.
-    pub fn standard_200mm() -> Self {
-        Wafer {
-            diameter_mm: 200.0,
-            edge_exclusion_mm: 3.0,
-        }
-    }
-
     /// Usable wafer diameter after edge exclusion, in millimetres.
     pub fn usable_diameter_mm(&self) -> f64 {
         (self.diameter_mm - 2.0 * self.edge_exclusion_mm).max(0.0)
-    }
-
-    /// Total usable wafer area.
-    pub fn usable_area(&self) -> Area {
-        let r = self.usable_diameter_mm() / 2.0;
-        Area::from_mm2(std::f64::consts::PI * r * r)
     }
 
     /// Number of whole dies of the given area that fit on the wafer,
@@ -71,17 +57,6 @@ impl Wafer {
         } else {
             gross.floor() as u64
         }
-    }
-
-    /// Fraction of the usable wafer area occupied by whole dies — a measure
-    /// of how much processed silicon is wasted at the edge for a given die
-    /// size.
-    pub fn area_utilization(&self, die: Area) -> f64 {
-        let usable = self.usable_area().as_mm2();
-        if usable <= 0.0 {
-            return 0.0;
-        }
-        (self.dies_per_wafer(die) as f64 * die.as_mm2() / usable).clamp(0.0, 1.0)
     }
 }
 
@@ -127,21 +102,11 @@ mod tests {
     #[test]
     fn smaller_wafer_holds_fewer_dies() {
         let die = Area::from_mm2(100.0);
-        assert!(
-            Wafer::standard_200mm().dies_per_wafer(die)
-                < Wafer::standard_300mm().dies_per_wafer(die)
-        );
-    }
-
-    #[test]
-    fn utilization_is_a_fraction_and_reasonable() {
-        let w = Wafer::standard_300mm();
-        for mm2 in [25.0, 100.0, 340.0, 600.0] {
-            let u = w.area_utilization(Area::from_mm2(mm2));
-            assert!((0.0..=1.0).contains(&u));
-        }
-        // Small dies use most of the wafer.
-        assert!(w.area_utilization(Area::from_mm2(25.0)) > 0.85);
+        let standard_200mm = Wafer {
+            diameter_mm: 200.0,
+            edge_exclusion_mm: 3.0,
+        };
+        assert!(standard_200mm.dies_per_wafer(die) < Wafer::standard_300mm().dies_per_wafer(die));
     }
 
     #[test]

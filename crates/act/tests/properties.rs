@@ -5,7 +5,7 @@
 
 use gf_act::{ManufacturingModel, PackagingModel, TechnologyNode, Wafer, YieldModel};
 use gf_support::SplitMix64;
-use gf_units::{Area, Fraction};
+use gf_units::{Area, Carbon, CarbonPerArea, Fraction};
 
 const CASES: usize = 128;
 
@@ -114,7 +114,8 @@ fn dies_per_wafer_conserves_area() {
         let die = Area::from_mm2(mm2);
         let dies = wafer.dies_per_wafer(die);
         // Whole dies can never exceed the usable area of the wafer.
-        assert!(dies as f64 * mm2 <= wafer.usable_area().as_mm2() + 1e-6);
+        let r = wafer.usable_diameter_mm() / 2.0;
+        assert!(dies as f64 * mm2 <= std::f64::consts::PI * r * r + 1e-6);
     }
 }
 
@@ -127,7 +128,12 @@ fn packaging_monotone_in_area() {
         let (small, large) = if a < b { (a, b) } else { (b, a) };
         for pkg in [
             PackagingModel::monolithic(),
-            PackagingModel::interposer_2p5d(),
+            PackagingModel::Interposer2p5D {
+                base: Carbon::from_kg(0.25),
+                per_area: CarbonPerArea::from_kg_per_cm2(0.10),
+                interposer_per_area: CarbonPerArea::from_kg_per_cm2(0.40),
+                interposer_area_factor: 1.3,
+            },
         ] {
             assert!(
                 pkg.carbon_for_die(Area::from_mm2(large)).as_kg() + 1e-12

@@ -38,6 +38,46 @@
 use std::process::ExitCode;
 
 use gf_bench::harness::parse_metrics_json;
+use gf_bench::{
+    CODEC_F64_NS_CEILING, EVALUATE_NS_PER_POINT_CEILING, SERVE_CONNECTIONS_FLOOR,
+    TRACE_OVERHEAD_FLOOR,
+};
+
+/// Absolute bounds on candidate metrics, checked whatever the baseline
+/// recorded, so a regressed committed baseline cannot lower the bar:
+/// `(key, limit, is_floor, print scale, print decimals, print unit)`. A
+/// floor fails below its limit, a ceiling above it.
+const ABSOLUTE_BOUNDS: [(&str, f64, bool, f64, usize, &str); 6] = [
+    // The frontier evaluates at most 20% of the dense grid's cells.
+    ("frontier_eval_fraction", 0.20, false, 100.0, 1, "%"),
+    // Skipping cells must pay off in time too: the winner map may not be
+    // slower than the dense grid it replaces.
+    ("frontier_speedup", 1.0, true, 1.0, 2, "x"),
+    // Per-application work creeping back into the closed-form kernel.
+    (
+        "evaluate_ns_per_point",
+        EVALUATE_NS_PER_POINT_CEILING,
+        false,
+        1.0,
+        1,
+        "ns",
+    ),
+    // The shortest-f64 printer, next to its relative gate.
+    ("codec_f64_ns", CODEC_F64_NS_CEILING, false, 1.0, 1, "ns"),
+    // Live keep-alive connections the serving soak re-verified (a failure
+    // zeroes the metric before this gate runs).
+    (
+        "serve_connections",
+        SERVE_CONNECTIONS_FLOOR,
+        true,
+        1.0,
+        0,
+        "",
+    ),
+    // Tracing is on by default, so its cost rides on every request: the
+    // traced/untraced throughput ratio of `serve_load`'s interleaved passes.
+    ("trace_overhead", TRACE_OVERHEAD_FLOOR, true, 1.0, 3, "x"),
+];
 
 fn lookup(metrics: &[(String, Option<f64>)], key: &str) -> Option<f64> {
     metrics.iter().find(|(k, _)| k == key).and_then(|(_, v)| *v)
@@ -93,98 +133,22 @@ fn run(baseline_path: &str, candidate_path: &str, tolerance: f64) -> Result<bool
         };
         println!("  {key:<40} {base:>14.1} -> {new:>14.1} {unit}  ({ratio:>5.2}x)  {verdict}");
     }
-    // Absolute quality floors, checked on the candidate alone: a regressed
-    // committed baseline must not silently lower the bar.
-    if let Some(fraction) = lookup(&candidate, "frontier_eval_fraction") {
-        let verdict = if fraction > 0.20 {
-            failed = true;
-            "REGRESSED"
-        } else {
-            "ok"
+    for (key, limit, floor, scale, decimals, unit) in ABSOLUTE_BOUNDS {
+        let Some(value) = lookup(&candidate, key) else {
+            continue;
         };
-        println!(
-            "  {:<40} {:>33.1}%  {verdict}",
-            "frontier_eval_fraction",
-            fraction * 100.0
-        );
-    }
-    // Skipping cells must pay off in time too: the winner map may not be
-    // slower than the dense grid it replaces.
-    if let Some(speedup) = lookup(&candidate, "frontier_speedup") {
-        let verdict = if speedup < 1.0 {
-            failed = true;
-            "REGRESSED"
+        let (kind, regressed) = if floor {
+            ("floor", value < limit)
         } else {
-            "ok"
+            ("ceiling", value > limit)
         };
+        failed |= regressed;
+        let verdict = if regressed { "REGRESSED" } else { "ok" };
+        let shown = format!("{:.decimals$}{unit}", value * scale);
         println!(
-            "  {:<40} {speedup:>32.2}x   {verdict}  (absolute floor 1)",
-            "frontier_speedup (floor)"
-        );
-    }
-    // The closed-form kernel's per-point cost has an absolute ceiling (see
-    // [`gf_bench::EVALUATE_NS_PER_POINT_CEILING`]): per-application work
-    // creeping back in fails here whatever the baseline recorded.
-    if let Some(ns) = lookup(&candidate, "evaluate_ns_per_point") {
-        let ceiling = gf_bench::EVALUATE_NS_PER_POINT_CEILING;
-        let verdict = if ns > ceiling {
-            failed = true;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "  {:<40} {ns:>31.1}ns   {verdict}  (absolute ceiling {ceiling})",
-            "evaluate_ns_per_point (ceiling)"
-        );
-    }
-    // The shortest-f64 printer has its own ceiling (see
-    // [`gf_bench::CODEC_F64_NS_CEILING`]) next to the relative gate.
-    if let Some(ns) = lookup(&candidate, "codec_f64_ns") {
-        let ceiling = gf_bench::CODEC_F64_NS_CEILING;
-        let verdict = if ns > ceiling {
-            failed = true;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "  {:<40} {ns:>31.1}ns   {verdict}  (absolute ceiling {ceiling})",
-            "codec_f64_ns (ceiling)"
-        );
-    }
-    // The serving soak must keep demonstrating event-loop connection
-    // scaling: thousands of live keep-alive connections, every one
-    // re-verified (any failure zeroes the metric via the soak's own
-    // zero-error assertion before this gate even runs).
-    if let Some(connections) = lookup(&candidate, "serve_connections") {
-        let floor = gf_bench::SERVE_CONNECTIONS_FLOOR;
-        let verdict = if connections < floor {
-            failed = true;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "  {:<40} {connections:>33.0}   {verdict}  (absolute floor {floor})",
-            "serve_connections (floor)"
-        );
-    }
-    // Tracing is on by default, so its cost rides on every request: the
-    // traced/untraced throughput ratio (interleaved same-machine passes,
-    // see `serve_load`) must stay above the absolute floor regardless of
-    // what the baseline recorded.
-    if let Some(overhead) = lookup(&candidate, "trace_overhead") {
-        let floor = gf_bench::TRACE_OVERHEAD_FLOOR;
-        let verdict = if overhead < floor {
-            failed = true;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "  {:<40} {overhead:>32.3}x   {verdict}  (absolute floor {floor})",
-            "trace_overhead (floor)"
+            "  {:<40} {shown:>35}   {verdict}  (absolute {kind} {:.decimals$}{unit})",
+            format!("{key} ({kind})"),
+            limit * scale
         );
     }
     Ok(failed)

@@ -1,4 +1,5 @@
-//! A minimal timing harness for the workspace's `harness = false` benches.
+//! A minimal timing harness for the workspace's `harness = false` `eval`
+//! bench.
 //!
 //! The offline build environment cannot fetch Criterion, so the benches use
 //! this small stand-in: automatic iteration-count calibration to a target
@@ -24,13 +25,6 @@ pub struct BenchResult {
     pub min_ns: f64,
     /// Mean per-iteration time in nanoseconds.
     pub mean_ns: f64,
-}
-
-impl BenchResult {
-    /// Median per-iteration time in seconds.
-    pub fn median_secs(&self) -> f64 {
-        self.median_ns / 1e9
-    }
 }
 
 /// Measures `f`, returning per-iteration statistics.
@@ -123,14 +117,6 @@ fn summarize(name: &str, iters_per_batch: u64, mut samples: Vec<f64>) -> BenchRe
         min_ns: samples[0],
         mean_ns: samples.iter().sum::<f64>() / samples.len() as f64,
     }
-}
-
-/// [`bench_with`] using the default budget (100 ms batches × 9 batches) and
-/// printing the result in a `cargo bench`-like format.
-pub fn bench<R>(name: &str, f: impl FnMut() -> R) -> BenchResult {
-    let result = bench_with(name, Duration::from_millis(100), 9, f);
-    println!("{result}");
-    result
 }
 
 impl std::fmt::Display for BenchResult {

@@ -4,9 +4,9 @@
 //! `greenfpga` query returns (the rest are `paper_*` cases of the CLI's
 //! transcript suite; README "Reproducing the paper's figures" has the
 //! index), and `tests/figures.rs` pins each one's stdout. `serve_load` and
-//! `bench_gate` drive and gate the serving benchmark; the benches in
-//! `benches/` measure the evaluation throughput of the model itself through
-//! the [`harness`] mini-framework (the offline environment has no
+//! `bench_gate` drive and gate the serving benchmark; the `eval` bench in
+//! `benches/` measures the evaluation throughput of the model itself
+//! through the [`harness`] mini-framework (the offline environment has no
 //! Criterion).
 
 pub mod harness;

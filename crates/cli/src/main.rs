@@ -397,19 +397,19 @@ fn render(out: &mut dyn Write, query: &Query, outcome: &Outcome, csv: bool) -> s
             ];
             writeln!(out, "{}", render_table(&headers, &rows))
         }
-        (Query::MonteCarlo(request), Outcome::MonteCarlo(response)) => {
+        (Query::MonteCarlo(request), Outcome::MonteCarlo(report)) => {
             let (domain, samples) = (request.scenario.domain, request.samples);
             writeln!(
                 out,
                 "Monte-Carlo study for {domain} ({samples} samples over the Table 1 ranges):"
             )?;
-            writeln!(out, "  ratio p5     {:.3}", response.ratio_p5)?;
-            writeln!(out, "  ratio median {:.3}", response.ratio_median)?;
-            writeln!(out, "  ratio p95    {:.3}", response.ratio_p95)?;
-            writeln!(out, "  ratio mean   {:.3}", response.ratio_mean)?;
-            let win = response.fpga_win_probability * 100.0;
+            writeln!(out, "  ratio p5     {:.3}", report.quantile(0.05))?;
+            writeln!(out, "  ratio median {:.3}", report.median())?;
+            writeln!(out, "  ratio p95    {:.3}", report.quantile(0.95))?;
+            writeln!(out, "  ratio mean   {:.3}", report.mean())?;
+            let win = report.fpga_win_probability() * 100.0;
             writeln!(out, "  P(FPGA greener) = {win:.1}%")?;
-            writeln!(out, "  majority winner: {}", response.majority_winner)
+            writeln!(out, "  majority winner: {}", report.majority_winner())
         }
         (Query::Grid(request), Outcome::Grid(grid)) => {
             writeln!(
@@ -429,15 +429,11 @@ fn render(out: &mut dyn Write, query: &Query, outcome: &Outcome, csv: bool) -> s
                 request.scenario.domain,
                 request.steps,
                 request.steps,
-                frontier.fpga_winning_fraction * 100.0,
-                frontier.evaluations,
-                frontier.evaluated_fraction * 100.0
+                frontier.fpga_winning_fraction() * 100.0,
+                frontier.evaluations(),
+                frontier.evaluated_fraction() * 100.0
             )?;
-            write!(
-                out,
-                "{}",
-                HeatmapRenderer::new().render_frontier_response(frontier)
-            )
+            write!(out, "{}", HeatmapRenderer::new().render_frontier(frontier))
         }
         (_, Outcome::Catalog(response)) => {
             let rows: Vec<Vec<String>> = response
@@ -445,12 +441,12 @@ fn render(out: &mut dyn Write, query: &Query, outcome: &Outcome, csv: bool) -> s
                 .iter()
                 .map(|entry| {
                     vec![
-                        entry.id.clone(),
+                        entry.id.to_string(),
                         entry.scenario.domain.to_string(),
                         entry.point.applications.to_string(),
                         format!("{:.1}", entry.point.lifetime_years),
                         entry.point.volume.to_string(),
-                        entry.title.clone(),
+                        entry.title.to_string(),
                     ]
                 })
                 .collect();

@@ -22,8 +22,7 @@
 //! within 1e-9.
 
 use crate::{
-    CompiledScenario, Crossover, CrossoverDirection, GreenFpgaError, OperatingPoint, PlatformKind,
-    SweepAxis,
+    CompiledScenario, Crossover, CrossoverDirection, GreenFpgaError, OperatingPoint, SweepAxis,
 };
 
 /// Kernel-verifies an integer boundary predicted by the affine algebra.
@@ -115,21 +114,6 @@ pub struct AffineComparison {
 }
 
 impl AffineComparison {
-    /// `fpga(x) − asic(x)` in kg CO₂e; negative where the FPGA is greener.
-    pub fn diff_at(&self, x: f64) -> f64 {
-        self.fpga.at(x) - self.asic.at(x)
-    }
-
-    /// The platform with the lower total at `x` (ties go to the ASIC, like
-    /// [`crate::PlatformComparison::winner`]).
-    pub fn winner_at(&self, x: f64) -> PlatformKind {
-        if self.diff_at(x) < 0.0 {
-            PlatformKind::Fpga
-        } else {
-            PlatformKind::Asic
-        }
-    }
-
     /// Solves `fpga(x) = asic(x)` exactly.
     ///
     /// Returns `None` when the totals are parallel (no root, or identical
@@ -153,12 +137,6 @@ impl AffineComparison {
             CrossoverDirection::FpgaToAsic
         };
         Some(Crossover { at, direction })
-    }
-
-    /// [`AffineComparison::crossover`] restricted to `[min, max]`: returns
-    /// `None` when the root falls outside the closed range.
-    pub fn crossover_in(&self, min: f64, max: f64) -> Option<Crossover> {
-        self.crossover().filter(|c| c.at >= min && c.at <= max)
     }
 }
 
@@ -300,7 +278,7 @@ impl CompiledScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Domain, Estimator};
+    use crate::{Domain, Estimator, PlatformKind};
 
     fn compiled(domain: Domain) -> CompiledScenario {
         Estimator::default().compile(domain).unwrap()
@@ -376,21 +354,11 @@ mod tests {
         let affine =
             scenario.totals_affine(SweepAxis::LifetimeYears, OperatingPoint::paper_default());
         let root = affine.crossover().unwrap().at;
+        let diff_at = |x: f64| affine.fpga.at(x) - affine.asic.at(x);
         let scale = affine.fpga.at(root).abs().max(1.0);
-        assert!(affine.diff_at(root).abs() <= 1e-9 * scale);
-        // Winner flips across the root.
-        assert_ne!(affine.winner_at(root - 0.1), affine.winner_at(root + 0.1));
-    }
-
-    #[test]
-    fn crossover_in_respects_range() {
-        let scenario = compiled(Domain::Dnn);
-        let affine =
-            scenario.totals_affine(SweepAxis::LifetimeYears, OperatingPoint::paper_default());
-        let root = affine.crossover().unwrap().at;
-        assert!(affine.crossover_in(root - 1.0, root + 1.0).is_some());
-        assert!(affine.crossover_in(root + 1.0, root + 2.0).is_none());
-        assert!(affine.crossover_in(root - 2.0, root - 1.0).is_none());
+        assert!(diff_at(root).abs() <= 1e-9 * scale);
+        // The sign of the difference (the winner) flips across the root.
+        assert_ne!(diff_at(root - 0.1) < 0.0, diff_at(root + 0.1) < 0.0);
     }
 
     /// Property: for every monotone predicate and every predicted root
@@ -466,6 +434,5 @@ mod tests {
             },
         };
         assert!(affine.crossover().is_none());
-        assert_eq!(affine.winner_at(0.0), PlatformKind::Asic);
     }
 }

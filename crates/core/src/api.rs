@@ -62,7 +62,7 @@ use crate::scenario::{
 use crate::{
     ApiError, CfpBreakdown, Crossover, CrossoverDirection, Domain, EstimatorParams, FrontierResult,
     GridSweep, Knob, OperatingPoint, PlatformComparison, PlatformKind, SensitivityEntry, SweepAxis,
-    SweepPoint, SweepSeries, TornadoAnalysis,
+    SweepPoint, SweepSeries, TornadoAnalysis, UncertaintyReport,
 };
 use gf_units::Carbon;
 
@@ -319,14 +319,16 @@ wire_struct! {
     }
 }
 
-/// Opens a grid response and writes its lattice members, up to the
-/// `"ratios"` matrix — shared by [`GridSweep`] and the streamed
-/// [`crate::GridStream`], so both produce the same bytes.
+/// Opens a lattice response and writes its lattice members, up to the key
+/// of its `cells` matrix — shared by [`GridSweep`], the streamed
+/// [`crate::GridStream`] (so both produce the same bytes) and
+/// [`FrontierResult`].
 pub(crate) fn write_grid_head(
     w: &mut JsonWriter,
     domain: Domain,
     (x_axis, x_values): (SweepAxis, &[f64]),
     (y_axis, y_values): (SweepAxis, &[f64]),
+    cells: &str,
 ) {
     w.begin_object();
     w.member("domain", &domain);
@@ -334,7 +336,7 @@ pub(crate) fn write_grid_head(
     w.member("x_values", x_values);
     w.member("y_axis", &y_axis);
     w.member("y_values", y_values);
-    w.key("ratios");
+    w.key(cells);
 }
 
 impl ToJson for GridSweep {
@@ -344,6 +346,7 @@ impl ToJson for GridSweep {
             self.domain,
             (self.x_axis, &self.x_values),
             (self.y_axis, &self.y_values),
+            "ratios",
         );
         self.ratios.write_json(w);
         w.member("fpga_winning_fraction", &self.fpga_winning_fraction());
@@ -782,32 +785,14 @@ impl FromJson for CatalogRequest {
 }
 
 wire_struct! {
-    /// One catalog entry as listed on the wire — [`CatalogEntry`] with owned
-    /// strings, so a response does not borrow the process's static catalog.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct CatalogEntryInfo: ToJson {
-        /// The concrete scenario the id resolves to.
-        pub scenario: ScenarioSpec [flatten],
-        /// Stable wire id.
-        pub id: String,
-        /// One-line human title.
-        pub title: String,
-        /// What the scenario stresses.
-        pub description: String,
-        /// The operating point the scenario defaults to.
-        pub point: OperatingPoint,
-    }
-}
-
-impl From<&CatalogEntry> for CatalogEntryInfo {
-    fn from(entry: &CatalogEntry) -> CatalogEntryInfo {
-        CatalogEntryInfo {
-            id: entry.id.to_string(),
-            title: entry.title.to_string(),
-            description: entry.description.to_string(),
-            scenario: entry.scenario.clone(),
-            point: entry.point,
-        }
+    /// One catalog entry as listed on the wire: the scenario's members, then
+    /// its id, title, description and operating point.
+    impl ToJson for CatalogEntry {
+        scenario: ScenarioSpec [flatten],
+        id: &'static str,
+        title: &'static str,
+        description: &'static str,
+        point: OperatingPoint,
     }
 }
 
@@ -816,7 +801,7 @@ wire_struct! {
     #[derive(Debug, Clone, PartialEq)]
     pub struct CatalogResponse: ToJson {
         /// The catalog entries.
-        pub entries: Vec<CatalogEntryInfo>,
+        pub entries: Vec<CatalogEntry>,
     }
 }
 
@@ -1252,45 +1237,22 @@ impl MonteCarloRequest {
     }
 }
 
-wire_struct! {
-    /// `POST /v1/montecarlo` response: the summary statistics of the sampled
-    /// FPGA:ASIC ratio distribution (the full sample vector stays server-side).
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct MonteCarloResponse: ToJson {
-        /// Domain the study was run in.
-        pub domain: Domain,
-        /// The (fixed) workload operating point.
-        pub point: OperatingPoint,
-        /// Number of samples drawn.
-        pub samples: u64,
-        /// 5th percentile of the ratio distribution.
-        pub ratio_p5: f64,
-        /// Median ratio.
-        pub ratio_median: f64,
-        /// 95th percentile of the ratio distribution.
-        pub ratio_p95: f64,
-        /// Mean ratio.
-        pub ratio_mean: f64,
-        /// Fraction of samples where the FPGA had the lower footprint.
-        pub fpga_win_probability: f64,
-        /// The platform winning the majority of samples.
-        pub majority_winner: PlatformKind,
-    }
-}
-
-impl From<&crate::UncertaintyReport> for MonteCarloResponse {
-    fn from(report: &crate::UncertaintyReport) -> MonteCarloResponse {
-        MonteCarloResponse {
-            domain: report.domain,
-            point: report.point,
-            samples: report.ratios.len() as u64,
-            ratio_p5: report.quantile(0.05),
-            ratio_median: report.median(),
-            ratio_p95: report.quantile(0.95),
-            ratio_mean: report.mean(),
-            fpga_win_probability: report.fpga_win_probability(),
-            majority_winner: report.majority_winner(),
-        }
+/// `POST /v1/montecarlo` response: the summary statistics of the sampled
+/// FPGA:ASIC ratio distribution, computed here (the sample vector itself
+/// stays server-side).
+impl ToJson for UncertaintyReport {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("domain", &self.domain);
+        w.member("point", &self.point);
+        w.member("samples", &self.len());
+        w.member("ratio_p5", &self.quantile(0.05));
+        w.member("ratio_median", &self.median());
+        w.member("ratio_p95", &self.quantile(0.95));
+        w.member("ratio_mean", &self.mean());
+        w.member("fpga_win_probability", &self.fpga_win_probability());
+        w.member("majority_winner", &self.majority_winner());
+        w.end_object();
     }
 }
 
@@ -1342,47 +1304,22 @@ wire_struct! {
     }
 }
 
-wire_struct! {
-    /// `POST /v1/frontier` response: the wire form of a
-    /// [`crate::FrontierResult`] — the dense winner mask plus the refiner's
-    /// evaluation accounting (the per-cell ratios of evaluated cells stay
-    /// engine-side).
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct FrontierResponse: ToJson {
-        /// Domain the frontier was traced in.
-        pub domain: Domain,
-        /// Axis swept along the columns.
-        pub x_axis: SweepAxis,
-        /// Column coordinate values.
-        pub x_values: Vec<f64>,
-        /// Axis swept along the rows.
-        pub y_axis: SweepAxis,
-        /// Row coordinate values.
-        pub y_values: Vec<f64>,
-        /// `fpga_wins[row][col]` is `true` where the FPGA has the lower total.
-        pub fpga_wins: Vec<Vec<bool>>,
-        /// Fraction of cells the FPGA wins.
-        pub fpga_winning_fraction: f64,
-        /// Model evaluations the refiner performed.
-        pub evaluations: u64,
-        /// `evaluations` over the dense cell count.
-        pub evaluated_fraction: f64,
-    }
-}
-
-impl From<&FrontierResult> for FrontierResponse {
-    fn from(result: &FrontierResult) -> FrontierResponse {
-        FrontierResponse {
-            domain: result.domain,
-            x_axis: result.x_axis,
-            x_values: result.x_values.clone(),
-            y_axis: result.y_axis,
-            y_values: result.y_values.clone(),
-            fpga_wins: result.winner_mask(),
-            fpga_winning_fraction: result.fpga_winning_fraction(),
-            evaluations: result.evaluations() as u64,
-            evaluated_fraction: result.evaluated_fraction(),
-        }
+/// `POST /v1/frontier` response: the lattice, the dense winner mask
+/// (`fpga_wins[row][col]`) and the refiner's evaluation accounting.
+impl ToJson for FrontierResult {
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_grid_head(
+            w,
+            self.domain,
+            (self.x_axis, &self.x_values),
+            (self.y_axis, &self.y_values),
+            "fpga_wins",
+        );
+        self.winner_mask().write_json(w);
+        w.member("fpga_winning_fraction", &self.fpga_winning_fraction());
+        w.member("evaluations", &self.evaluations());
+        w.member("evaluated_fraction", &self.evaluated_fraction());
+        w.end_object();
     }
 }
 
@@ -1779,7 +1716,7 @@ query_kinds! {
     /// The three crossover searches (closed-form solver).
     Crossover("crossover", POST, offload: false) CrossoverRequest => CrossoverResponse;
     /// Winner map over a 2-D lattice (per-row bisection for the flip).
-    Frontier("frontier", POST, offload: true) FrontierRequest => FrontierResponse;
+    Frontier("frontier", POST, offload: true) FrontierRequest => FrontierResult;
     /// One axis swept over a linear range.
     Sweep("sweep", POST, offload: true) SweepRequest => SweepSeries;
     /// Dense ratio heatmap over a 2-D lattice.
@@ -1787,7 +1724,7 @@ query_kinds! {
     /// One-at-a-time sensitivity analysis over the Table 1 knobs.
     Tornado("tornado", POST, offload: true) TornadoRequest => TornadoAnalysis;
     /// Monte-Carlo uncertainty analysis over the Table 1 ranges.
-    MonteCarlo("montecarlo", POST, offload: true) MonteCarloRequest => MonteCarloResponse;
+    MonteCarlo("montecarlo", POST, offload: true) MonteCarloRequest => UncertaintyReport;
     /// The Table 3 industry testcases.
     Industry("industry", POST, offload: false) IndustryRequest => IndustryResponse;
     /// One named-catalog (or inline) scenario, evaluated and scored.

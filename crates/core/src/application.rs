@@ -92,12 +92,6 @@ impl Application {
         self.lifetime = lifetime;
         self
     }
-
-    /// Returns a copy with a different volume (used by sweeps).
-    pub fn with_volume(mut self, volume: ChipCount) -> Self {
-        self.volume = volume;
-        self
-    }
 }
 
 /// A sequence of applications, all drawn from one application domain, that
@@ -190,20 +184,6 @@ impl Workload {
         self.applications.iter()
     }
 
-    /// Total deployment time across all applications (`Σ T_i`).
-    pub fn total_lifetime(&self) -> TimeSpan {
-        self.applications.iter().map(Application::lifetime).sum()
-    }
-
-    /// The largest per-application volume in the workload.
-    pub fn peak_volume(&self) -> ChipCount {
-        self.applications
-            .iter()
-            .map(Application::volume)
-            .max()
-            .unwrap_or(ChipCount::ZERO)
-    }
-
     /// Returns a copy with every application's lifetime replaced.
     pub fn with_uniform_lifetime(&self, lifetime: TimeSpan) -> Workload {
         Workload {
@@ -214,48 +194,6 @@ impl Workload {
                 .map(|a| a.clone().with_lifetime(lifetime))
                 .collect(),
         }
-    }
-
-    /// Returns a copy with every application's volume replaced.
-    pub fn with_uniform_volume(&self, volume: ChipCount) -> Workload {
-        Workload {
-            domain: self.domain,
-            applications: self
-                .applications
-                .iter()
-                .map(|a| a.clone().with_volume(volume))
-                .collect(),
-        }
-    }
-
-    /// Returns a copy truncated or extended (by repeating the last
-    /// application) to exactly `count` applications.
-    pub fn with_application_count(&self, count: u64) -> Result<Workload, GreenFpgaError> {
-        if count == 0 {
-            return Err(GreenFpgaError::EmptyWorkload);
-        }
-        let template = self
-            .applications
-            .last()
-            .expect("workload is never empty")
-            .clone();
-        let mut applications: Vec<Application> = self
-            .applications
-            .iter()
-            .take(count as usize)
-            .cloned()
-            .collect();
-        while (applications.len() as u64) < count {
-            let idx = applications.len() + 1;
-            applications.push(Application {
-                name: format!("{}-app-{idx}", self.domain),
-                ..template.clone()
-            });
-        }
-        Ok(Workload {
-            domain: self.domain,
-            applications,
-        })
     }
 }
 
@@ -308,8 +246,6 @@ mod tests {
         let w = Workload::uniform(Domain::Dnn, 5, 2.0, 1_000_000).unwrap();
         assert_eq!(w.len(), 5);
         assert_eq!(w.domain(), Domain::Dnn);
-        assert!((w.total_lifetime().as_years() - 10.0).abs() < 1e-12);
-        assert_eq!(w.peak_volume().get(), 1_000_000);
         for a in &w {
             assert_eq!(a.gates(), Domain::Dnn.calibration().reference_asic_gates());
         }
@@ -340,21 +276,8 @@ mod tests {
         assert!(w2
             .iter()
             .all(|a| (a.lifetime().as_years() - 0.5).abs() < 1e-12));
-        let w3 = w.with_uniform_volume(ChipCount::new(42));
-        assert!(w3.iter().all(|a| a.volume().get() == 42));
         // Original untouched.
         assert!(w.iter().all(|a| a.volume().get() == 1000));
-    }
-
-    #[test]
-    fn with_application_count_truncates_and_extends() {
-        let w = Workload::uniform(Domain::Dnn, 3, 2.0, 1000).unwrap();
-        let shorter = w.with_application_count(2).unwrap();
-        assert_eq!(shorter.len(), 2);
-        let longer = w.with_application_count(7).unwrap();
-        assert_eq!(longer.len(), 7);
-        assert!(longer.iter().all(|a| a.volume().get() == 1000));
-        assert!(w.with_application_count(0).is_err());
     }
 
     #[test]
@@ -363,7 +286,6 @@ mod tests {
         let w = Workload::new(Domain::Crypto, apps).unwrap();
         let lifetimes: Vec<f64> = w.iter().map(|a| a.lifetime().as_years()).collect();
         assert_eq!(lifetimes, vec![1.0, 2.0, 3.0]);
-        assert_eq!(w.peak_volume().get(), 30);
         assert!(!w.is_empty());
     }
 }

@@ -91,19 +91,6 @@ impl PlatformComparison {
     pub fn savings(&self) -> gf_units::Carbon {
         (self.fpga.total() - self.asic.total()).abs()
     }
-
-    /// Relative saving of the winner versus the loser, in `[0, 1]`.
-    pub fn relative_savings(&self) -> f64 {
-        let (winner, loser) = match self.winner() {
-            PlatformKind::Fpga => (self.fpga.total(), self.asic.total()),
-            PlatformKind::Asic => (self.asic.total(), self.fpga.total()),
-        };
-        if loser.as_kg() == 0.0 {
-            0.0
-        } else {
-            1.0 - winner.as_kg() / loser.as_kg()
-        }
-    }
 }
 
 impl fmt::Display for PlatformComparison {
@@ -351,7 +338,6 @@ mod tests {
         assert_eq!(c.winner(), PlatformKind::Fpga);
         assert!((c.fpga_to_asic_ratio() - 0.5).abs() < 1e-12);
         assert!((c.savings().as_kg() - 50.0).abs() < 1e-12);
-        assert!((c.relative_savings() - 0.5).abs() < 1e-12);
 
         let c = PlatformComparison::new(Domain::Dnn, breakdown(100.0), breakdown(50.0));
         assert_eq!(c.winner(), PlatformKind::Asic);

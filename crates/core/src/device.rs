@@ -39,8 +39,7 @@ impl ChipSpec {
     ///
     /// The equivalent gate count defaults to the node's logic density times
     /// the die area, and the packaged mass to a package-proportional
-    /// estimate; both can be overridden with
-    /// [`with_gates`](Self::with_gates) / [`with_packaged_mass`](Self::with_packaged_mass).
+    /// estimate.
     ///
     /// # Errors
     ///
@@ -74,18 +73,6 @@ impl ChipSpec {
             gates,
             packaged_mass,
         })
-    }
-
-    /// Overrides the equivalent logic-gate count.
-    pub fn with_gates(mut self, gates: GateCount) -> Self {
-        self.gates = gates;
-        self
-    }
-
-    /// Overrides the packaged mass used by the end-of-life model.
-    pub fn with_packaged_mass(mut self, mass: Mass) -> Self {
-        self.packaged_mass = mass;
-        self
     }
 
     /// Device name.
@@ -150,12 +137,6 @@ impl FpgaSpec {
     /// Overrides the usable logic capacity.
     pub fn with_capacity(mut self, capacity: GateCount) -> Self {
         self.capacity = capacity;
-        self
-    }
-
-    /// Overrides the per-device configuration time.
-    pub fn with_configuration_time(mut self, time: TimeSpan) -> Self {
-        self.configuration_time = time;
         self
     }
 
@@ -224,8 +205,6 @@ mod tests {
         let c = chip();
         let expected = TechnologyNode::N14.parameters().gates_for_area(380.0);
         assert_eq!(c.gates().get(), expected.round() as u64);
-        let overridden = c.clone().with_gates(GateCount::from_millions(100.0));
-        assert_eq!(overridden.gates(), GateCount::from_millions(100.0));
     }
 
     #[test]
@@ -246,8 +225,6 @@ mod tests {
         .unwrap();
         assert!(large.packaged_mass() > small.packaged_mass());
         assert!(small.packaged_mass().as_grams() > 10.0);
-        let fixed = small.clone().with_packaged_mass(Mass::from_grams(42.0));
-        assert_eq!(fixed.packaged_mass(), Mass::from_grams(42.0));
     }
 
     #[test]
@@ -305,11 +282,8 @@ mod tests {
 
     #[test]
     fn builders_preserve_chip() {
-        let fpga = FpgaSpec::new(chip())
-            .with_configuration_time(TimeSpan::from_seconds(120.0))
-            .with_capacity(GateCount::from_millions(900.0));
+        let fpga = FpgaSpec::new(chip()).with_capacity(GateCount::from_millions(900.0));
         assert_eq!(fpga.chip().name(), "test-fpga");
         assert_eq!(fpga.capacity(), GateCount::from_millions(900.0));
-        assert!((fpga.configuration_time().as_seconds() - 120.0).abs() < 1e-9);
     }
 }

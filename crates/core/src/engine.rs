@@ -27,10 +27,9 @@
 use std::sync::Mutex;
 
 use crate::api::{
-    CacheShardMetrics, CatalogEntryInfo, CatalogResponse, CompareResponse, CrossoverResponse,
-    EvaluateResponse, FrontierResponse, IndustryDeviceReport, IndustryRequest, IndustryResponse,
-    MonteCarloResponse, OptimizeResponse, Outcome, Query, ReplayResponse, ScenarioRef,
-    ScenarioRunResponse, SeriesRef, Validate,
+    CacheShardMetrics, CatalogResponse, CompareResponse, CrossoverResponse, EvaluateResponse,
+    IndustryDeviceReport, IndustryRequest, IndustryResponse, OptimizeResponse, Outcome, Query,
+    ReplayResponse, ScenarioRef, ScenarioRunResponse, SeriesRef, Validate,
 };
 use crate::scenario::{catalog, catalog_entry, CarbonIntensitySeries, CatalogEntry, Verdict};
 use crate::{
@@ -245,15 +244,14 @@ impl Engine {
             Query::Frontier(request) => {
                 let compiled = self.compiled(&request.scenario)?;
                 let (x_values, y_values) = request.lattice();
-                let result = compiled.frontier(
+                Outcome::Frontier(compiled.frontier(
                     request.x_axis,
                     &x_values,
                     request.y_axis,
                     &y_values,
                     request.base,
                     threads,
-                )?;
-                Outcome::Frontier(FrontierResponse::from(&result))
+                )?)
             }
             Query::Sweep(request) => {
                 let compiled = self.compiled(&request.scenario)?;
@@ -284,17 +282,16 @@ impl Engine {
                     threads,
                 )?)
             }
-            Query::MonteCarlo(request) => {
-                let report = MonteCarlo::new(request.samples)
+            Query::MonteCarlo(request) => Outcome::MonteCarlo(
+                MonteCarlo::new(request.samples)
                     .with_seed(request.seed)
                     .with_threads(threads)
                     .run(
                         &request.scenario.params(),
                         request.scenario.domain,
                         request.point,
-                    )?;
-                Outcome::MonteCarlo(MonteCarloResponse::from(&report))
-            }
+                    )?,
+            ),
             Query::Industry(request) => Outcome::Industry(run_industry(request)?),
             Query::Scenario(request) => {
                 let (entry, spec) = resolve_scenario(&request.scenario)?;
@@ -396,7 +393,7 @@ impl Engine {
                 })
             }
             Query::Catalog(_) => Outcome::Catalog(CatalogResponse {
-                entries: catalog().iter().map(CatalogEntryInfo::from).collect(),
+                entries: catalog().to_vec(),
             }),
         })
     }

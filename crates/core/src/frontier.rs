@@ -16,17 +16,15 @@
 //! renders, cell for cell the full grid's.
 
 use crate::eval::LineMemo;
-use crate::{
-    exec, CompiledScenario, Domain, GreenFpgaError, OperatingPoint, PlatformKind, SweepAxis,
-};
+use crate::{exec, CompiledScenario, Domain, GreenFpgaError, OperatingPoint, SweepAxis};
 
 /// The winner map of a 2-D operating-point lattice.
 ///
 /// Holds the same dense lattice coordinates as a [`crate::GridSweep`], the
-/// full winner mask (every cell classified), the FPGA:ASIC ratio of every
-/// cell actually evaluated, and the evaluation count — the measure of the
-/// saving over dense evaluation.
-#[derive(Debug, Clone)]
+/// full winner mask (every cell classified) and the evaluation count — the
+/// measure of the saving over dense evaluation. It is the `frontier` query's
+/// outcome and encodes as the `POST /v1/frontier` body.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrontierResult {
     /// Domain the frontier was traced in.
     pub domain: Domain,
@@ -41,32 +39,8 @@ pub struct FrontierResult {
     /// Row-major winner mask: `winners[row * width + col]` is `true` where
     /// the FPGA has the lower total (ratio < 1).
     winners: Vec<bool>,
-    /// Row-major evaluated ratios; `NaN` where the winner was inferred
-    /// without evaluating the cell.
-    ratios: Vec<f64>,
     /// Number of model evaluations performed.
     evaluated: usize,
-}
-
-impl PartialEq for FrontierResult {
-    /// Bitwise equality: the `NaN` markers of unevaluated cells compare
-    /// equal (a derived `PartialEq` would make every partly inferred result
-    /// unequal to itself).
-    fn eq(&self, other: &Self) -> bool {
-        self.domain == other.domain
-            && self.x_axis == other.x_axis
-            && self.x_values == other.x_values
-            && self.y_axis == other.y_axis
-            && self.y_values == other.y_values
-            && self.winners == other.winners
-            && self.evaluated == other.evaluated
-            && self.ratios.len() == other.ratios.len()
-            && self
-                .ratios
-                .iter()
-                .zip(&other.ratios)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
 }
 
 impl FrontierResult {
@@ -103,38 +77,6 @@ impl FrontierResult {
         self.winners[row * self.width() + col]
     }
 
-    /// The winning platform at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the indices are out of range.
-    pub fn winner(&self, row: usize, col: usize) -> PlatformKind {
-        if self.fpga_wins(row, col) {
-            PlatformKind::Fpga
-        } else {
-            PlatformKind::Asic
-        }
-    }
-
-    /// The evaluated FPGA:ASIC ratio at `(row, col)`, or `None` where the
-    /// winner was inferred without evaluating the cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the indices are out of range.
-    pub fn ratio_at(&self, row: usize, col: usize) -> Option<f64> {
-        assert!(
-            row < self.height() && col < self.width(),
-            "cell out of range"
-        );
-        let ratio = self.ratios[row * self.width() + col];
-        if ratio.is_nan() {
-            None
-        } else {
-            Some(ratio)
-        }
-    }
-
     /// Rasterizes the map to the dense row-major winner mask a full
     /// [`crate::GridSweep`] of the same lattice would produce
     /// (`mask[row][col]` = FPGA wins).
@@ -165,40 +107,6 @@ impl FrontierResult {
         }
         let wins = self.winners.iter().filter(|&&w| w).count();
         wins as f64 / self.winners.len() as f64
-    }
-
-    /// Cells lying on the crossover frontier: FPGA-winning cells with at
-    /// least one 4-neighbour the ASIC wins (and vice versa), in row-major
-    /// order.
-    pub fn frontier_cells(&self) -> Vec<(usize, usize)> {
-        let (width, height) = (self.width(), self.height());
-        let mut cells = Vec::new();
-        for row in 0..height {
-            for col in 0..width {
-                let here = self.winners[row * width + col];
-                let mut neighbours = [None; 4];
-                if row > 0 {
-                    neighbours[0] = Some((row - 1, col));
-                }
-                if row + 1 < height {
-                    neighbours[1] = Some((row + 1, col));
-                }
-                if col > 0 {
-                    neighbours[2] = Some((row, col - 1));
-                }
-                if col + 1 < width {
-                    neighbours[3] = Some((row, col + 1));
-                }
-                let straddles = neighbours
-                    .into_iter()
-                    .flatten()
-                    .any(|(r, c)| self.winners[r * width + c] != here);
-                if straddles {
-                    cells.push((row, col));
-                }
-            }
-        }
-        cells
     }
 }
 
@@ -232,17 +140,17 @@ impl CompiledScenario {
         crate::sweep::check_axis_values(y_values, "frontier values")?;
         let width = x_values.len();
         let bisect = is_monotone(x_values);
-        // One `(winners, ratios)` slot per row, filled in place.
-        let mut rows = vec![(Vec::new(), Vec::new()); y_values.len()];
+        // One `(winners, evaluations)` slot per row, filled in place.
+        let mut rows = vec![(Vec::new(), 0); y_values.len()];
         exec::try_fill_indexed(&mut rows, threads, |row| -> Result<_, GreenFpgaError> {
             let row_base = base.with_axis(y_axis, y_values[row]);
-            let mut ratios = vec![f64::NAN; width];
+            let mut evaluated = 0;
             let mut lines = LineMemo::new();
             let mut wins = |col: usize| -> Result<bool, GreenFpgaError> {
+                evaluated += 1;
                 let ratio = self
                     .evaluate_with(row_base.with_axis(x_axis, x_values[col]), &mut lines)?
                     .fpga_to_asic_ratio();
-                ratios[col] = ratio;
                 Ok(ratio < 1.0)
             };
             let mut winners = Vec::with_capacity(width);
@@ -250,7 +158,7 @@ impl CompiledScenario {
                 for col in 0..width {
                     winners.push(wins(col)?);
                 }
-                return Ok((winners, ratios));
+                return Ok((winners, evaluated));
             }
             // Cells up to `lo` share the left end's winner, cells from `hi`
             // on the right end's; the single flip lies between them.
@@ -270,19 +178,16 @@ impl CompiledScenario {
             }
             winners.resize(lo + 1, left);
             winners.resize(width, right);
-            Ok((winners, ratios))
+            Ok((winners, evaluated))
         })?;
-        let (winners, ratios): (Vec<Vec<bool>>, Vec<Vec<f64>>) = rows.into_iter().unzip();
-        let ratios: Vec<f64> = ratios.concat();
         Ok(FrontierResult {
             domain: self.domain(),
             x_axis,
             x_values: x_values.to_vec(),
             y_axis,
             y_values: y_values.to_vec(),
-            winners: winners.concat(),
-            evaluated: ratios.iter().filter(|r| !r.is_nan()).count(),
-            ratios,
+            evaluated: rows.iter().map(|(_, evaluated)| evaluated).sum(),
+            winners: rows.into_iter().flat_map(|(winners, _)| winners).collect(),
         })
     }
 }
@@ -395,34 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluated_cells_carry_the_dense_ratio() {
-        let frontier = dnn_frontier(17);
-        let (apps, lifetimes) = lattice(17);
-        let dense = estimator()
-            .compile(Domain::Dnn)
-            .unwrap()
-            .ratio_grid(
-                SweepAxis::Applications,
-                &apps,
-                SweepAxis::LifetimeYears,
-                &lifetimes,
-                OperatingPoint::paper_default(),
-                0,
-            )
-            .unwrap();
-        let mut seen = 0;
-        for row in 0..frontier.height() {
-            for col in 0..frontier.width() {
-                if let Some(ratio) = frontier.ratio_at(row, col) {
-                    assert_eq!(ratio, dense.ratios[row][col], "cell ({row},{col})");
-                    seen += 1;
-                }
-            }
-        }
-        assert_eq!(seen, frontier.evaluations());
-    }
-
-    #[test]
     fn refinement_beats_dense_evaluation() {
         let frontier = dnn_frontier(64);
         assert_eq!(frontier.len(), 64 * 64);
@@ -435,10 +312,9 @@ mod tests {
             frontier.evaluated_fraction() * 100.0
         );
         // The DNN frontier cuts this lattice, so both platforms win
-        // somewhere and frontier cells exist.
+        // somewhere.
         let f = frontier.fpga_winning_fraction();
         assert!(f > 0.0 && f < 1.0, "winning fraction {f}");
-        assert!(!frontier.frontier_cells().is_empty());
     }
 
     #[test]
@@ -513,7 +389,6 @@ mod tests {
         assert_eq!(single.len(), 1);
         assert_eq!(single.evaluations(), 1);
         assert!(single.fpga_wins(0, 0), "crypto FPGA wins at 4 apps");
-        assert!(single.frontier_cells().is_empty());
     }
 
     #[test]
@@ -552,7 +427,6 @@ mod tests {
         for (row, dense_row) in dense.ratios.iter().enumerate() {
             for (col, &ratio) in dense_row.iter().enumerate() {
                 assert_eq!(frontier.fpga_wins(row, col), ratio < 1.0, "({row},{col})");
-                assert_eq!(frontier.ratio_at(row, col), Some(ratio), "({row},{col})");
             }
         }
         // Descending (still monotone) x keeps the bisection.

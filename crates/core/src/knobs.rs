@@ -31,16 +31,6 @@ impl KnobRange {
         }
     }
 
-    /// Midpoint of the range.
-    pub fn midpoint(&self) -> f64 {
-        0.5 * (self.low + self.high)
-    }
-
-    /// Linear interpolation across the range; `t` in `[0, 1]`.
-    pub fn lerp(&self, t: f64) -> f64 {
-        self.low + (self.high - self.low) * t.clamp(0.0, 1.0)
-    }
-
     /// Width of the range.
     pub fn width(&self) -> f64 {
         self.high - self.low
@@ -267,9 +257,6 @@ mod tests {
             let r = knob.range();
             assert!(r.low <= r.high, "{knob}");
             assert!(r.width() >= 0.0);
-            assert!((r.lerp(0.0) - r.low).abs() < 1e-12);
-            assert!((r.lerp(1.0) - r.high).abs() < 1e-12);
-            assert!((r.midpoint() - r.lerp(0.5)).abs() < 1e-12);
             assert!(!knob.unit().is_empty());
             assert!(!knob.to_string().is_empty());
         }
@@ -321,7 +308,7 @@ mod tests {
         let base = EstimatorParams::paper_defaults();
         for knob in Knob::ALL {
             for t in [0.0, 0.3, 0.5, 1.0] {
-                let value = knob.range().lerp(t);
+                let value = knob.range().low + knob.range().width() * t;
                 let cloned = knob.apply(&base, value);
                 let mut in_place = base.clone();
                 knob.apply_mut(&mut in_place, value);
@@ -345,7 +332,7 @@ mod tests {
         let workload = crate::Workload::uniform(Domain::Crypto, 3, 1.0, 10_000).unwrap();
         for knob in Knob::ALL {
             let r = knob.range();
-            for value in [r.low, r.midpoint(), r.high] {
+            for value in [r.low, 0.5 * (r.low + r.high), r.high] {
                 let params = knob.apply(&base, value);
                 let c = Estimator::new(params).compare_domain(&workload).unwrap();
                 assert!(c.fpga.total().as_kg() > 0.0, "{knob} at {value}");

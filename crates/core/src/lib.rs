@@ -75,12 +75,12 @@ mod uncertainty;
 
 pub use analytic::{AffineComparison, AffineTotal};
 pub use api::{
-    BatchEvalRequest, BatchEvalResponse, CatalogEntryInfo, CatalogRequest, CatalogResponse,
-    CompareRequest, CompareResponse, CrossoverRequest, CrossoverResponse, EvaluateRequest,
-    EvaluateResponse, FrontierRequest, FrontierResponse, GridRequest, IndustryRequest,
-    IndustryResponse, MonteCarloRequest, MonteCarloResponse, OptimizeRequest, OptimizeResponse,
-    Outcome, Query, QueryKind, ReplayRequest, ReplayResponse, ScenarioRef, ScenarioRunRequest,
-    ScenarioRunResponse, ScenarioSpec, SeriesRef, SweepRequest, TornadoRequest,
+    BatchEvalRequest, BatchEvalResponse, CatalogRequest, CatalogResponse, CompareRequest,
+    CompareResponse, CrossoverRequest, CrossoverResponse, EvaluateRequest, EvaluateResponse,
+    FrontierRequest, GridRequest, IndustryRequest, IndustryResponse, MonteCarloRequest,
+    OptimizeRequest, OptimizeResponse, Outcome, Query, QueryKind, ReplayRequest, ReplayResponse,
+    ScenarioRef, ScenarioRunRequest, ScenarioRunResponse, ScenarioSpec, SeriesRef, SweepRequest,
+    TornadoRequest,
 };
 pub use application::{Application, Workload};
 pub use breakdown::CfpBreakdown;

@@ -117,7 +117,6 @@ pub struct EstimatorParams {
     appdev: AppDevModel,
     deployment: DeploymentParams,
     fpga_chip_lifetime: TimeSpan,
-    asic_chip_lifetime: TimeSpan,
 }
 
 impl EstimatorParams {
@@ -126,8 +125,8 @@ impl EstimatorParams {
     /// Fab: Taiwan grid with 20% renewables, Murphy yield, no recycled
     /// materials. EOL: mid-range EPA WARM factors, no recycling. Design: the
     /// default fabless house of [`DesignHouse::default_fabless`]. Deployment:
-    /// 20% duty cycle on a 120 g CO₂/kWh grid. Chip lifetimes: 15 years
-    /// (FPGA, reconfigurable) and 8 years (ASIC), per the paper's §2.
+    /// 20% duty cycle on a 120 g CO₂/kWh grid. FPGA chip lifetime: 15 years
+    /// (reconfigurable), per the paper's §2.
     pub fn paper_defaults() -> Self {
         EstimatorParams {
             fab_grid: GridMix::Taiwan.carbon_intensity(),
@@ -143,7 +142,6 @@ impl EstimatorParams {
             appdev: AppDevModel::default_paper(),
             deployment: DeploymentParams::paper_defaults(),
             fpga_chip_lifetime: TimeSpan::from_years(15.0),
-            asic_chip_lifetime: TimeSpan::from_years(8.0),
         }
     }
 
@@ -183,24 +181,6 @@ impl EstimatorParams {
         self.recycled_material_fraction = rho;
     }
 
-    /// Overrides the packaging model.
-    pub fn with_packaging(mut self, packaging: PackagingModel) -> Self {
-        self.packaging = packaging;
-        self
-    }
-
-    /// Overrides the end-of-life discard factor (`C_dis`).
-    pub fn with_eol_discard(mut self, factor: CarbonPerMass) -> Self {
-        self.eol_discard = factor;
-        self
-    }
-
-    /// Overrides the end-of-life recycling credit (`C_recycle`).
-    pub fn with_eol_recycle_credit(mut self, factor: CarbonPerMass) -> Self {
-        self.eol_recycle_credit = factor;
-        self
-    }
-
     /// Overrides the end-of-life recycled fraction `δ`.
     pub fn with_eol_recycled_fraction(mut self, delta: Fraction) -> Self {
         self.set_eol_recycled_fraction(delta);
@@ -223,13 +203,7 @@ impl EstimatorParams {
         self.design_house = house;
     }
 
-    /// Overrides the application-development model.
-    pub fn with_appdev(mut self, appdev: AppDevModel) -> Self {
-        self.set_appdev(appdev);
-        self
-    }
-
-    /// In-place variant of [`Self::with_appdev`].
+    /// Overrides the application-development model in place.
     pub fn set_appdev(&mut self, appdev: AppDevModel) {
         self.appdev = appdev;
     }
@@ -254,12 +228,6 @@ impl EstimatorParams {
     /// In-place variant of [`Self::with_fpga_chip_lifetime`].
     pub fn set_fpga_chip_lifetime(&mut self, lifetime: TimeSpan) {
         self.fpga_chip_lifetime = lifetime;
-    }
-
-    /// Overrides the ASIC chip lifetime (the paper uses 5–8 years).
-    pub fn with_asic_chip_lifetime(mut self, lifetime: TimeSpan) -> Self {
-        self.asic_chip_lifetime = lifetime;
-        self
     }
 
     /// Fab grid carbon intensity.
@@ -297,11 +265,6 @@ impl EstimatorParams {
         self.fpga_chip_lifetime
     }
 
-    /// ASIC chip lifetime.
-    pub fn asic_chip_lifetime(&self) -> TimeSpan {
-        self.asic_chip_lifetime
-    }
-
     /// Builds the manufacturing model for a given node under these
     /// parameters.
     pub fn manufacturing_model(&self, node: TechnologyNode) -> ManufacturingModel {
@@ -336,7 +299,6 @@ mod tests {
     #[test]
     fn paper_defaults_are_consistent() {
         let p = EstimatorParams::paper_defaults();
-        assert!(p.fpga_chip_lifetime() > p.asic_chip_lifetime());
         assert!((p.fpga_chip_lifetime().as_years() - 15.0).abs() < 1e-12);
         assert!(p.recycled_material_fraction().is_zero());
         assert_eq!(EstimatorParams::default(), p);
@@ -406,10 +368,8 @@ mod tests {
 
     #[test]
     fn chip_lifetime_overrides() {
-        let p = EstimatorParams::paper_defaults()
-            .with_fpga_chip_lifetime(TimeSpan::from_years(12.0))
-            .with_asic_chip_lifetime(TimeSpan::from_years(5.0));
+        let p =
+            EstimatorParams::paper_defaults().with_fpga_chip_lifetime(TimeSpan::from_years(12.0));
         assert!((p.fpga_chip_lifetime().as_years() - 12.0).abs() < 1e-12);
-        assert!((p.asic_chip_lifetime().as_years() - 5.0).abs() < 1e-12);
     }
 }

@@ -180,55 +180,12 @@ impl HeatmapRenderer {
 
     /// Renders an adaptively refined [`FrontierResult`] winner map: `#`
     /// where the FPGA wins, `.` where the ASIC does, and `=` on the
-    /// crossover frontier itself (cells with a neighbour of the opposite
+    /// crossover frontier itself (cells with a 4-neighbour of the opposite
     /// winner), in the same lower-left-origin orientation as
     /// [`HeatmapRenderer::render`].
     pub fn render_frontier(&self, frontier: &FrontierResult) -> String {
-        self.render_winner_map(
-            frontier.x_axis.label(),
-            frontier.y_axis.label(),
-            &frontier.x_values,
-            &frontier.y_values,
-            |row, col| frontier.fpga_wins(row, col),
-            frontier.evaluations(),
-            frontier.evaluated_fraction(),
-        )
-    }
-
-    /// Renders a wire-form [`crate::api::FrontierResponse`] winner map —
-    /// the same body as [`HeatmapRenderer::render_frontier`], computed from
-    /// the mask the response carries, so remote clients (and the CLI's
-    /// engine adapter) render identically without the engine-side
-    /// [`FrontierResult`].
-    pub fn render_frontier_response(&self, frontier: &crate::api::FrontierResponse) -> String {
-        self.render_winner_map(
-            frontier.x_axis.label(),
-            frontier.y_axis.label(),
-            &frontier.x_values,
-            &frontier.y_values,
-            |row, col| frontier.fpga_wins[row][col],
-            frontier.evaluations as usize,
-            frontier.evaluated_fraction,
-        )
-    }
-
-    /// The shared winner-map body behind [`HeatmapRenderer::render_frontier`]
-    /// and [`HeatmapRenderer::render_frontier_response`]: glyph grid,
-    /// 4-neighbour frontier marking, header and axis footer. One body, so
-    /// the engine-side and wire-side renderings cannot diverge.
-    #[allow(clippy::too_many_arguments)]
-    fn render_winner_map(
-        &self,
-        x_label: &str,
-        y_label: &str,
-        x_values: &[f64],
-        y_values: &[f64],
-        wins: impl Fn(usize, usize) -> bool,
-        evaluations: usize,
-        evaluated_fraction: f64,
-    ) -> String {
-        let width = x_values.len();
-        let height = y_values.len();
+        let (width, height) = (frontier.width(), frontier.height());
+        let wins = |row, col| frontier.fpga_wins(row, col);
         let mut glyphs: Vec<Vec<char>> = (0..height)
             .map(|row| {
                 (0..width)
@@ -236,8 +193,7 @@ impl HeatmapRenderer {
                     .collect()
             })
             .collect();
-        // Frontier cells: any 4-neighbour with the opposite winner (the
-        // same rule as `FrontierResult::frontier_cells`).
+        // Frontier cells: any 4-neighbour with the opposite winner.
         for (row, glyph_row) in glyphs.iter_mut().enumerate() {
             for (col, glyph) in glyph_row.iter_mut().enumerate() {
                 let here = wins(row, col);
@@ -259,13 +215,16 @@ impl HeatmapRenderer {
 
         let mut out = String::new();
         out.push_str(&format!(
-            "FPGA-vs-ASIC winner map — x: {x_label}, y: {y_label} ('#' FPGA wins, '.' ASIC wins, '=' frontier); {evaluations} of {} cells evaluated ({:.1}%)\n",
+            "FPGA-vs-ASIC winner map — x: {}, y: {} ('#' FPGA wins, '.' ASIC wins, '=' frontier); {} of {} cells evaluated ({:.1}%)\n",
+            frontier.x_axis.label(),
+            frontier.y_axis.label(),
+            frontier.evaluations(),
             width * height,
-            evaluated_fraction * 100.0
+            frontier.evaluated_fraction() * 100.0
         ));
         for (row_idx, row) in glyphs.iter().enumerate().rev() {
             if self.with_labels {
-                out.push_str(&format!("{:>12.3} | ", y_values[row_idx]));
+                out.push_str(&format!("{:>12.3} | ", frontier.y_values[row_idx]));
             }
             for &glyph in row {
                 out.push(glyph);
@@ -278,8 +237,8 @@ impl HeatmapRenderer {
             out.push_str(&format!(
                 "{:>14}x from {:.3} to {:.3}\n",
                 "",
-                x_values.first().copied().unwrap_or(0.0),
-                x_values.last().copied().unwrap_or(0.0)
+                frontier.x_values.first().copied().unwrap_or(0.0),
+                frontier.x_values.last().copied().unwrap_or(0.0)
             ));
         }
         out

@@ -47,11 +47,6 @@ pub struct TornadoAnalysis {
 }
 
 impl TornadoAnalysis {
-    /// The knob with the largest influence on the outcome.
-    pub fn most_influential(&self) -> Option<&SensitivityEntry> {
-        self.entries.first()
-    }
-
     /// Knobs whose range is wide enough to flip the greener platform.
     pub fn decision_critical_knobs(&self) -> Vec<Knob> {
         self.entries
@@ -136,7 +131,6 @@ mod tests {
         for pair in t.entries.windows(2) {
             assert!(pair[0].swing() >= pair[1].swing());
         }
-        assert_eq!(t.most_influential().unwrap().knob, t.entries[0].knob);
     }
 
     #[test]

@@ -489,6 +489,7 @@ impl GridStream {
             self.domain(),
             (self.x_axis, &self.x_values),
             (self.y_axis, &self.y_values),
+            "ratios",
         );
         w.begin_array();
         w.finish()

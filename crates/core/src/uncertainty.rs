@@ -110,6 +110,10 @@ impl Default for MonteCarlo {
 }
 
 /// The distribution of FPGA:ASIC ratios produced by a Monte-Carlo run.
+///
+/// It is the `montecarlo` query's outcome; its encoding (the
+/// `POST /v1/montecarlo` body) carries the summary statistics below, computed
+/// when it is written, and leaves the samples out.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UncertaintyReport {
     /// Domain the study was run in.

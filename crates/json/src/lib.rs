@@ -141,22 +141,6 @@ impl Value {
         }
     }
 
-    /// The array items, or `None` for other variants.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The object members in insertion order, or `None` for other variants.
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Object(members) => Some(members),
-            _ => None,
-        }
-    }
-
     /// `true` for [`Value::Null`].
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
@@ -512,7 +496,7 @@ mod tests {
         assert!(doc.get("missing").is_none());
         assert!(Value::Null.get("x").is_none());
         assert!(Value::Null.index(0).is_none());
-        assert_eq!(doc.as_object().map(<[_]>::len), Some(5));
+        assert!(matches!(&doc, Value::Object(members) if members.len() == 5));
     }
 
     #[test]

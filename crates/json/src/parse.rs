@@ -668,7 +668,9 @@ mod tests {
     #[test]
     fn parses_containers_and_preserves_order() {
         let doc = parse(r#"{"b": [1, {"c": null}], "a": "x", "b": 2}"#).unwrap();
-        let members = doc.as_object().unwrap();
+        let Value::Object(members) = &doc else {
+            panic!("expected an object, got {doc:?}");
+        };
         assert_eq!(members.len(), 3);
         assert_eq!(members[0].0, "b");
         assert_eq!(members[1].0, "a");

@@ -10,7 +10,7 @@
 //!
 //! `T_app-dev = N_app × (T_FE + T_BE) + N_vol × T_config`.
 
-use gf_units::{Carbon, CarbonIntensity, Fraction, Power, TimeSpan};
+use gf_units::{Carbon, CarbonIntensity, Power, TimeSpan};
 
 use crate::LifecycleError;
 
@@ -41,7 +41,6 @@ pub enum DevelopmentFlow {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppDevModel {
     farm_power: Power,
-    farm_utilization: Fraction,
     grid: CarbonIntensity,
     frontend_time: TimeSpan,
     backend_time: TimeSpan,
@@ -82,7 +81,6 @@ impl AppDevModel {
         }
         Ok(AppDevModel {
             farm_power,
-            farm_utilization: Fraction::ONE,
             grid,
             frontend_time,
             backend_time,
@@ -96,7 +94,6 @@ impl AppDevModel {
     pub fn default_paper() -> Self {
         AppDevModel {
             farm_power: Power::from_kilowatts(2.0),
-            farm_utilization: Fraction::ONE,
             grid: CarbonIntensity::from_grams_per_kwh(400.0),
             frontend_time: TimeSpan::from_months(2.0),
             backend_time: TimeSpan::from_months(1.0),
@@ -122,25 +119,6 @@ impl AppDevModel {
     /// time `T_app,BE`.
     pub fn with_backend_time(mut self, backend_time: TimeSpan) -> Self {
         self.backend_time = backend_time;
-        self
-    }
-
-    /// Scales the farm power by a utilization factor (a flow that only keeps
-    /// the farm busy half the time emits half as much).
-    pub fn with_farm_utilization(mut self, utilization: Fraction) -> Self {
-        self.farm_utilization = utilization;
-        self
-    }
-
-    /// Overrides the development-farm power.
-    pub fn with_farm_power(mut self, power: Power) -> Self {
-        self.farm_power = power;
-        self
-    }
-
-    /// Overrides the development-site grid intensity.
-    pub fn with_grid(mut self, grid: CarbonIntensity) -> Self {
-        self.grid = grid;
         self
     }
 
@@ -182,14 +160,7 @@ impl AppDevModel {
     /// onto `volume` devices under the given flow.
     pub fn carbon(&self, flow: DevelopmentFlow, applications: u64, volume: u64) -> Carbon {
         let time = self.total_development_time(flow, applications, volume);
-        let energy = (self.farm_power * self.farm_utilization.value()) * time;
-        energy * self.grid
-    }
-
-    /// Development CFP of a single application (no per-device configuration
-    /// term); convenient for per-application accounting.
-    pub fn carbon_per_application(&self, flow: DevelopmentFlow) -> Carbon {
-        self.carbon(flow, 1, 0)
+        self.farm_power * time * self.grid
     }
 }
 
@@ -252,17 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_scales_footprint() {
-        let full = model().carbon(DevelopmentFlow::FpgaHardware, 2, 100);
-        let half = model().with_farm_utilization(Fraction::HALF).carbon(
-            DevelopmentFlow::FpgaHardware,
-            2,
-            100,
-        );
-        assert!((half.as_kg() * 2.0 - full.as_kg()).abs() < 1e-9);
-    }
-
-    #[test]
     fn frontend_backend_overrides_scale_the_per_app_term() {
         let base = model().carbon(DevelopmentFlow::FpgaHardware, 1, 0);
         let doubled = model()
@@ -289,21 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn builders_override() {
-        let bigger = model().with_farm_power(Power::from_kilowatts(4.0)).carbon(
-            DevelopmentFlow::FpgaHardware,
-            1,
-            0,
-        );
-        let cleaner = model()
-            .with_grid(CarbonIntensity::from_grams_per_kwh(40.0))
-            .carbon(DevelopmentFlow::FpgaHardware, 1, 0);
-        let base = model().carbon(DevelopmentFlow::FpgaHardware, 1, 0);
-        assert!(bigger > base);
-        assert!(cleaner < base);
-    }
-
-    #[test]
     fn negative_durations_rejected() {
         let err = AppDevModel::new(
             Power::from_kilowatts(1.0),
@@ -322,9 +267,5 @@ mod tests {
         assert!((m.backend_time().as_months() - 1.0).abs() < 1e-12);
         assert!(m.config_time().as_seconds() > 0.0);
         assert_eq!(AppDevModel::default(), AppDevModel::default_paper());
-        assert!(
-            m.carbon_per_application(DevelopmentFlow::FpgaHardware)
-                > m.carbon_per_application(DevelopmentFlow::AsicSoftware)
-        );
     }
 }

@@ -63,18 +63,6 @@ impl EolModel {
         self
     }
 
-    /// Sets the discard factor (`C_dis`).
-    pub fn with_discard_factor(mut self, factor: CarbonPerMass) -> Self {
-        self.discard_factor = factor;
-        self
-    }
-
-    /// Sets the recycling credit factor (`C_recycle`).
-    pub fn with_recycle_credit_factor(mut self, factor: CarbonPerMass) -> Self {
-        self.recycle_credit_factor = factor;
-        self
-    }
-
     /// The recycled fraction `δ` currently configured.
     pub fn recycled_fraction(&self) -> Fraction {
         self.recycled_fraction
@@ -88,20 +76,6 @@ impl EolModel {
         let discard = self.discard_factor * chip_mass * (1.0 - delta);
         let credit = self.recycle_credit_factor * chip_mass * delta;
         discard - credit
-    }
-
-    /// The recycled fraction at which discard emissions and the recycling
-    /// credit exactly cancel (`C_EOL = 0`), independent of chip mass.
-    ///
-    /// Returns `None` when both factors are zero.
-    pub fn break_even_fraction(&self) -> Option<Fraction> {
-        let d = self.discard_factor.as_kg_co2_per_ton();
-        let r = self.recycle_credit_factor.as_kg_co2_per_ton();
-        if d + r == 0.0 {
-            None
-        } else {
-            Some(Fraction::clamped(d / (d + r)))
-        }
     }
 }
 
@@ -155,19 +129,8 @@ mod tests {
     }
 
     #[test]
-    fn break_even_fraction_zeroes_the_footprint() {
-        let eol = EolModel::default_warm();
-        let delta = eol.break_even_fraction().unwrap();
-        let c = eol
-            .with_recycled_fraction(delta)
-            .carbon_per_chip(chip_mass());
-        assert!(c.as_kg().abs() < 1e-9);
-    }
-
-    #[test]
     fn break_even_handles_degenerate_factors() {
         let eol = EolModel::new(CarbonPerMass::ZERO, CarbonPerMass::ZERO, Fraction::ZERO);
-        assert_eq!(eol.break_even_fraction(), None);
         assert_eq!(eol.carbon_per_chip(chip_mass()), Carbon::ZERO);
     }
 
@@ -194,10 +157,12 @@ mod tests {
 
     #[test]
     fn builder_overrides_apply() {
-        let eol = EolModel::default_warm()
-            .with_discard_factor(CarbonPerMass::from_tons_co2_per_ton(2.08))
-            .with_recycle_credit_factor(CarbonPerMass::from_tons_co2_per_ton(29.83))
-            .with_recycled_fraction(Fraction::new(0.25).unwrap());
+        let eol = EolModel::new(
+            CarbonPerMass::from_tons_co2_per_ton(2.08),
+            CarbonPerMass::from_tons_co2_per_ton(29.83),
+            Fraction::ZERO,
+        )
+        .with_recycled_fraction(Fraction::new(0.25).unwrap());
         assert_eq!(eol.recycled_fraction().value(), 0.25);
         let c = eol.carbon_per_chip(Mass::from_tons(1.0));
         // 0.75*2.08 - 0.25*29.83 tons = -5.8975 t

@@ -65,19 +65,6 @@ impl OperationProfile {
         self.grid
     }
 
-    /// Returns a copy with a different peak power (used to apply the
-    /// iso-performance power ratios of Table 2).
-    pub fn with_peak_power(mut self, power: Power) -> Self {
-        self.peak_power = power;
-        self
-    }
-
-    /// Returns a copy with the peak power scaled by `factor`.
-    pub fn scaled_power(mut self, factor: f64) -> Self {
-        self.peak_power = self.peak_power * factor;
-        self
-    }
-
     /// Average (duty-cycle-weighted) power draw.
     pub fn average_power(&self) -> Power {
         self.peak_power * self.duty_cycle.value()
@@ -91,11 +78,6 @@ impl OperationProfile {
     /// Operational footprint over a deployment of the given duration.
     pub fn carbon_over(&self, duration: TimeSpan) -> Carbon {
         self.energy_over(duration) * self.grid
-    }
-
-    /// Operational footprint per year of deployment.
-    pub fn carbon_per_year(&self) -> Carbon {
-        self.carbon_over(TimeSpan::from_years(1.0))
     }
 }
 
@@ -114,7 +96,7 @@ mod tests {
     #[test]
     fn hand_calculation() {
         // 100 W at 50% duty = 50 W avg = 438.3 kWh/year; x 0.4 kg/kWh.
-        let c = profile().carbon_per_year();
+        let c = profile().carbon_over(TimeSpan::from_years(1.0));
         assert!((c.as_kg() - 438.3 * 0.4).abs() < 0.1);
     }
 
@@ -153,18 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn scaled_power_applies_iso_performance_ratio() {
-        let asic = profile();
-        let fpga = profile().scaled_power(3.0); // DNN domain power ratio
-        assert!((fpga.peak_power().as_watts() - 300.0).abs() < 1e-12);
-        assert!(
-            (fpga.carbon_per_year().as_kg() - 3.0 * asic.carbon_per_year().as_kg()).abs() < 1e-9
-        );
-        let replaced = asic.with_peak_power(Power::from_watts(42.0));
-        assert_eq!(replaced.peak_power(), Power::from_watts(42.0));
-    }
-
-    #[test]
     fn cleaner_grid_lowers_footprint() {
         let dirty = profile();
         let clean = OperationProfile::new(
@@ -172,7 +142,8 @@ mod tests {
             dirty.duty_cycle(),
             CarbonIntensity::from_grams_per_kwh(30.0),
         );
-        assert!(clean.carbon_per_year() < dirty.carbon_per_year());
+        let year = TimeSpan::from_years(1.0);
+        assert!(clean.carbon_over(year) < dirty.carbon_over(year));
         assert_eq!(clean.grid().as_grams_per_kwh(), 30.0);
     }
 }

@@ -113,7 +113,8 @@ fn eol_break_even_is_a_root() {
             CarbonPerMass::from_tons_co2_per_ton(credit),
             Fraction::ZERO,
         );
-        let delta = model.break_even_fraction().unwrap();
+        // C_EOL = (1 - δ)·C_dis - δ·C_recycle is zero at δ = C_dis / (C_dis + C_recycle).
+        let delta = Fraction::new(discard / (discard + credit)).unwrap();
         let c = model
             .with_recycled_fraction(delta)
             .carbon_per_chip(Mass::from_grams(grams));

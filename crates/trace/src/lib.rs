@@ -399,13 +399,12 @@ fn with_local_ring(f: impl FnOnce(&Ring)) {
 // Recording API
 // ---------------------------------------------------------------------------
 
-/// An in-flight span; records itself into the thread's ring on drop.
-/// Created unarmed (and clock-free) when tracing is disabled.
+/// An in-flight span; records itself into the thread's ring on drop, with
+/// `aux` = 0. Created unarmed (and clock-free) when tracing is disabled.
 #[must_use = "a span measures the scope it lives in"]
 pub struct Span {
     name: SpanName,
     start_ticks: u64,
-    aux: u64,
     armed: bool,
 }
 
@@ -415,23 +414,11 @@ pub fn span(name: SpanName) -> Span {
     Span {
         name,
         start_ticks: if armed { now_ticks() } else { 0 },
-        aux: 0,
         armed,
     }
 }
 
 impl Span {
-    /// Attaches the span-class-specific detail value.
-    pub fn with_aux(mut self, aux: u64) -> Span {
-        self.aux = aux;
-        self
-    }
-
-    /// Sets the detail value on a held span.
-    pub fn set_aux(&mut self, aux: u64) {
-        self.aux = aux;
-    }
-
     /// Ends the span now (sugar over drop, for explicit call sites).
     pub fn finish(self) {}
 }
@@ -446,7 +433,7 @@ impl Drop for Span {
             self.name,
             self.start_ticks,
             end.saturating_sub(self.start_ticks),
-            self.aux,
+            0,
         );
     }
 }
@@ -542,7 +529,7 @@ mod tests {
         let _guard = crate::recording_lock();
         let marker = next_id();
         set_current_request(marker);
-        let span = span(SpanName::Execute).with_aux(7);
+        let span = span(SpanName::Execute);
         std::thread::sleep(std::time::Duration::from_millis(1));
         span.finish();
         record_event(SpanName::CacheHit, 3);
@@ -550,7 +537,6 @@ mod tests {
         let mine = spans_for_request(marker);
         assert_eq!(mine.len(), 2, "both spans carry the request id");
         assert_eq!(mine[0].name, SpanName::Execute);
-        assert_eq!(mine[0].aux, 7);
         assert!(mine[0].duration_ns >= 500_000, "slept ~1ms");
         assert_eq!(mine[1].name, SpanName::CacheHit);
         assert_eq!(mine[1].duration_ns, 0);

@@ -133,22 +133,6 @@ impl CarbonPerArea {
     pub fn from_kg_per_cm2(kg_per_cm2: f64) -> Self {
         CarbonPerArea(kg_per_cm2)
     }
-
-    /// Creates a carbon-per-area from g CO₂e per mm².
-    pub fn from_grams_per_mm2(g_per_mm2: f64) -> Self {
-        // 1 g/mm2 = 0.001 kg / 0.01 cm2 = 0.1 kg/cm2
-        CarbonPerArea(g_per_mm2 * 0.1)
-    }
-
-    /// Returns the value in kg CO₂e per cm².
-    pub fn as_kg_per_cm2(self) -> f64 {
-        self.0
-    }
-
-    /// Returns the value in g CO₂e per mm².
-    pub fn as_grams_per_mm2(self) -> f64 {
-        self.0 / 0.1
-    }
 }
 
 impl Add for CarbonPerArea {
@@ -220,13 +204,6 @@ mod tests {
         let a = Area::from_cm2(3.0);
         assert_eq!(cpa * a, a * cpa);
         assert!(((cpa * a).as_kg() - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cpa_unit_conversion() {
-        let cpa = CarbonPerArea::from_grams_per_mm2(10.0);
-        assert!((cpa.as_kg_per_cm2() - 1.0).abs() < 1e-12);
-        assert!((cpa.as_grams_per_mm2() - 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl ChipCount {
         ChipCount(chips)
     }
 
-    /// Creates a chip count expressed in thousands of units.
-    pub fn from_thousands(thousands: f64) -> Self {
-        ChipCount((thousands * 1.0e3).round() as u64)
-    }
-
     /// Creates a chip count expressed in millions of units.
     pub fn from_millions(millions: f64) -> Self {
         ChipCount((millions * 1.0e6).round() as u64)
@@ -258,7 +253,6 @@ mod tests {
 
     #[test]
     fn chip_count_constructors() {
-        assert_eq!(ChipCount::from_thousands(300.0).get(), 300_000);
         assert_eq!(ChipCount::from_millions(2.0).get(), 2_000_000);
         assert!(ChipCount::ZERO.is_zero());
         assert!(!ChipCount::new(1).is_zero());

@@ -34,20 +34,10 @@ impl Energy {
         Energy(kwh)
     }
 
-    /// Creates an energy from megawatt-hours.
-    pub fn from_megawatt_hours(mwh: f64) -> Self {
-        Energy(mwh * 1.0e3)
-    }
-
     /// Creates an energy from gigawatt-hours (design-house annual figures in
     /// the paper are quoted in GWh).
     pub fn from_gigawatt_hours(gwh: f64) -> Self {
         Energy(gwh * 1.0e6)
-    }
-
-    /// Creates an energy from joules.
-    pub fn from_joules(joules: f64) -> Self {
-        Energy(joules / 3.6e6)
     }
 
     /// Returns the energy in kilowatt-hours.
@@ -55,19 +45,9 @@ impl Energy {
         self.0
     }
 
-    /// Returns the energy in megawatt-hours.
-    pub fn as_megawatt_hours(self) -> f64 {
-        self.0 / 1.0e3
-    }
-
     /// Returns the energy in gigawatt-hours.
     pub fn as_gigawatt_hours(self) -> f64 {
         self.0 / 1.0e6
-    }
-
-    /// Returns the energy in joules.
-    pub fn as_joules(self) -> f64 {
-        self.0 * 3.6e6
     }
 
     /// Returns `true` when the value is finite (not NaN or infinite).
@@ -158,11 +138,7 @@ mod tests {
     fn conversions() {
         let e = Energy::from_gigawatt_hours(2.0);
         assert!((e.as_kwh() - 2.0e6).abs() < 1e-6);
-        assert!((e.as_megawatt_hours() - 2000.0).abs() < 1e-9);
         assert!((e.as_gigawatt_hours() - 2.0).abs() < 1e-12);
-        let j = Energy::from_joules(3.6e6);
-        assert!((j.as_kwh() - 1.0).abs() < 1e-12);
-        assert!((j.as_joules() - 3.6e6).abs() < 1e-3);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::UnitError;
 /// use gf_units::Fraction;
 ///
 /// let rho = Fraction::new(0.35)?;
-/// assert_eq!(rho.complement().value(), 0.65);
+/// assert_eq!(rho.as_percent(), 35.0);
 /// assert!(Fraction::new(1.2).is_err());
 /// # Ok::<(), gf_units::UnitError>(())
 /// ```
@@ -48,16 +48,6 @@ impl Fraction {
         }
     }
 
-    /// Creates a fraction from a percentage (`35.0` → `0.35`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnitError::FractionOutOfRange`] when the percentage is NaN
-    /// or not in `[0, 100]`.
-    pub fn from_percent(percent: f64) -> Result<Self, UnitError> {
-        Self::new(percent / 100.0)
-    }
-
     /// Creates a fraction, clamping out-of-range values into `[0, 1]`.
     ///
     /// NaN clamps to zero. Useful for derived values that may stray slightly
@@ -78,11 +68,6 @@ impl Fraction {
     /// Returns the value as a percentage in `[0, 100]`.
     pub fn as_percent(self) -> f64 {
         self.0 * 100.0
-    }
-
-    /// Returns `1 - self`.
-    pub fn complement(self) -> Fraction {
-        Fraction(1.0 - self.0)
     }
 
     /// Returns `true` when the fraction is exactly zero.
@@ -158,13 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn percent_constructor() {
-        assert_eq!(Fraction::from_percent(25.0).unwrap().value(), 0.25);
-        assert!(Fraction::from_percent(120.0).is_err());
-        assert!((Fraction::from_percent(100.0).unwrap().as_percent() - 100.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn clamped_never_fails() {
         assert_eq!(Fraction::clamped(-3.0).value(), 0.0);
         assert_eq!(Fraction::clamped(3.0).value(), 1.0);
@@ -174,8 +152,6 @@ mod tests {
 
     #[test]
     fn complement_and_predicates() {
-        let f = Fraction::new(0.3).unwrap();
-        assert!((f.complement().value() - 0.7).abs() < 1e-12);
         assert!(Fraction::ZERO.is_zero());
         assert!(Fraction::ONE.is_one());
         assert!(!Fraction::HALF.is_zero());

@@ -133,20 +133,10 @@ impl CarbonPerMass {
     /// Zero factor.
     pub const ZERO: CarbonPerMass = CarbonPerMass(0.0);
 
-    /// Creates a factor from kg CO₂e per metric ton of material.
-    pub fn from_kg_co2_per_ton(kg_per_ton: f64) -> Self {
-        CarbonPerMass(kg_per_ton)
-    }
-
     /// Creates a factor from metric tons of CO₂e per metric ton of material
     /// (MTCO₂E/ton — the unit the EPA WARM report and Table 1 use).
     pub fn from_tons_co2_per_ton(t_per_ton: f64) -> Self {
         CarbonPerMass(t_per_ton * 1000.0)
-    }
-
-    /// Returns the factor in kg CO₂e per metric ton.
-    pub fn as_kg_co2_per_ton(self) -> f64 {
-        self.0
     }
 
     /// Returns the factor in tons of CO₂e per metric ton.
@@ -203,10 +193,9 @@ mod tests {
 
     #[test]
     fn factor_conversions() {
-        let f = CarbonPerMass::from_kg_co2_per_ton(500.0);
+        let f = CarbonPerMass::from_tons_co2_per_ton(0.5);
         assert!((f.as_tons_co2_per_ton() - 0.5).abs() < 1e-12);
-        assert!((f.as_kg_co2_per_ton() - 500.0).abs() < 1e-12);
-        assert!(((f * 2.0).as_kg_co2_per_ton() - 1000.0).abs() < 1e-12);
+        assert!(((f * 2.0).as_tons_co2_per_ton() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -221,7 +210,7 @@ mod tests {
         assert_eq!(format!("{}", Mass::from_kg(2.0)), "2.000 kg");
         assert_eq!(format!("{}", Mass::from_tons(1.5)), "1.500 t");
         assert_eq!(
-            format!("{}", CarbonPerMass::from_kg_co2_per_ton(10.0)),
+            format!("{}", CarbonPerMass::from_tons_co2_per_ton(0.01)),
             "10.00 kgCO2e/t"
         );
     }

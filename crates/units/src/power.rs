@@ -38,11 +38,6 @@ impl Power {
         Power(kw * 1.0e3)
     }
 
-    /// Creates a power from milliwatts.
-    pub fn from_milliwatts(mw: f64) -> Self {
-        Power(mw / 1.0e3)
-    }
-
     /// Returns the power in watts.
     pub fn as_watts(self) -> f64 {
         self.0
@@ -138,7 +133,6 @@ mod tests {
     #[test]
     fn conversions() {
         assert!((Power::from_kilowatts(1.5).as_watts() - 1500.0).abs() < 1e-9);
-        assert!((Power::from_milliwatts(250.0).as_watts() - 0.25).abs() < 1e-12);
         assert!((Power::from_watts(2000.0).as_kilowatts() - 2.0).abs() < 1e-12);
     }
 

@@ -37,11 +37,6 @@ impl TimeSpan {
         TimeSpan(months / 12.0)
     }
 
-    /// Creates a span from days (1 year = 365.25 days).
-    pub fn from_days(days: f64) -> Self {
-        TimeSpan(days / 365.25)
-    }
-
     /// Creates a span from hours.
     pub fn from_hours(hours: f64) -> Self {
         TimeSpan(hours / crate::HOURS_PER_YEAR)
@@ -60,11 +55,6 @@ impl TimeSpan {
     /// Returns the span in months.
     pub fn as_months(self) -> f64 {
         self.0 * 12.0
-    }
-
-    /// Returns the span in days.
-    pub fn as_days(self) -> f64 {
-        self.0 * 365.25
     }
 
     /// Returns the span in hours.
@@ -168,12 +158,10 @@ mod tests {
     fn conversions() {
         assert!((TimeSpan::from_months(6.0).as_years() - 0.5).abs() < 1e-12);
         assert!((TimeSpan::from_years(1.0).as_hours() - 8766.0).abs() < 1e-9);
-        assert!((TimeSpan::from_days(365.25).as_years() - 1.0).abs() < 1e-12);
         assert!((TimeSpan::from_hours(8766.0).as_years() - 1.0).abs() < 1e-12);
         assert!((TimeSpan::from_seconds(3600.0).as_hours() - 1.0).abs() < 1e-12);
         assert!((TimeSpan::from_years(2.0).as_months() - 24.0).abs() < 1e-12);
         assert!((TimeSpan::from_years(1.0).as_seconds() - 8766.0 * 3600.0).abs() < 1e-3);
-        assert!((TimeSpan::from_years(2.0).as_days() - 730.5).abs() < 1e-9);
     }
 
     #[test]

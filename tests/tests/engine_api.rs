@@ -17,14 +17,14 @@
 use gf_json::{parse, Document, FromJson, JsonWriter, ParseLimits, ToJson};
 use gf_support::SplitMix64;
 use greenfpga::api::{
-    CatalogRequest, CompareRequest, EvaluateRequest, FrontierResponse, GridRequest,
-    IndustryRequest, MonteCarloRequest, MonteCarloResponse, OptimizeRequest, Outcome, Query,
-    QueryKind, ReplayRequest, ScenarioRef, ScenarioRunRequest, SweepRequest, TornadoRequest,
+    CatalogRequest, CompareRequest, EvaluateRequest, GridRequest, IndustryRequest,
+    MonteCarloRequest, OptimizeRequest, Outcome, Query, QueryKind, ReplayRequest, ScenarioRef,
+    ScenarioRunRequest, SweepRequest, TornadoRequest,
 };
 use greenfpga::{
     catalog, ApiError, ApiErrorCode, CarbonIntensitySeries, CrossoverRequest, Domain, Engine,
-    EngineConfig, Estimator, FrontierRequest, HeatmapRenderer, Knob, MonteCarlo, Objective,
-    OperatingPoint, OptPlatform, ScenarioSpec, SearchKnob, SeriesRef, SweepAxis,
+    EngineConfig, Estimator, FrontierRequest, Knob, MonteCarlo, Objective, OperatingPoint,
+    OptPlatform, ScenarioSpec, SearchKnob, SeriesRef, SweepAxis,
 };
 
 fn engine() -> Engine {
@@ -251,17 +251,10 @@ fn frontier_matches_the_direct_refiner_and_renderer() {
             0,
         )
         .unwrap();
-    assert_eq!(response, FrontierResponse::from(&direct));
+    assert_eq!(response, direct);
     for (a, b) in response.x_values.iter().zip(&x_values) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
-    // The wire-form renderer reproduces the engine-side renderer exactly —
-    // the CLI draws the identical winner map from the response alone.
-    let renderer = HeatmapRenderer::new();
-    assert_eq!(
-        renderer.render_frontier_response(&response),
-        renderer.render_frontier(&direct)
-    );
 }
 
 #[test]
@@ -345,7 +338,7 @@ fn tornado_montecarlo_and_industry_match_direct_calls() {
         .with_seed(7)
         .run(&scenario.params(), scenario.domain, point)
         .unwrap();
-    assert_eq!(mc, MonteCarloResponse::from(&direct));
+    assert_eq!(mc, direct);
 
     let Outcome::Industry(industry) = engine
         .run(&Query::Industry(IndustryRequest::default()))

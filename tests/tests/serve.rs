@@ -14,9 +14,8 @@ use gf_server::client::Client;
 use gf_server::{Server, ServerConfig, ServerHandle};
 use greenfpga::api::{
     BatchEvalRequest, BatchEvalResponse, CompareRequest, CompareResponse, CrossoverResponse,
-    EvaluateRequest, EvaluateResponse, FrontierRequest, FrontierResponse, GridRequest,
-    IndustryRequest, MetricsResponse, MonteCarloRequest, MonteCarloResponse, Query, QueryKind,
-    SweepRequest, TornadoRequest,
+    EvaluateRequest, EvaluateResponse, FrontierRequest, GridRequest, IndustryRequest,
+    MetricsResponse, MonteCarloRequest, Query, QueryKind, SweepRequest, TornadoRequest,
 };
 use greenfpga::{
     Domain, Engine, Estimator, Knob, MonteCarlo, OperatingPoint, ResultBuffer, ScenarioSpec,
@@ -281,7 +280,7 @@ fn frontier_matches_the_direct_winner_map() {
         .unwrap();
     // The winner mask, the evaluation count and the coordinates, byte for
     // byte.
-    assert_eq!(text, encoded(&FrontierResponse::from(&direct)));
+    assert_eq!(text, encoded(&direct));
     handle.shutdown();
 }
 
@@ -915,7 +914,7 @@ fn montecarlo_route_is_bit_identical_and_deterministic() {
         .with_seed(request.seed)
         .run(&scenario.params(), scenario.domain, request.point)
         .unwrap();
-    assert_eq!(text, encoded(&MonteCarloResponse::from(&direct)));
+    assert_eq!(text, encoded(&direct));
     assert_eq!(text, in_process(&Query::MonteCarlo(request.clone())));
     // Deterministic: a second request answers identically.
     let (_, again) = post_json(&mut client, QueryKind::MonteCarlo.path(), &request);
