@@ -45,7 +45,7 @@ mod yield_model;
 
 pub use energy_source::{EnergySource, GridMix};
 pub use error::ActError;
-pub use manufacturing::{ManufacturingBreakdown, ManufacturingModel};
+pub use manufacturing::{FabInputs, ManufacturingBreakdown, ManufacturingModel, ProcessedDie};
 pub use node::{NodeParameters, TechnologyNode};
 pub use packaging::PackagingModel;
 pub use wafer::Wafer;

@@ -31,6 +31,135 @@ impl ManufacturingBreakdown {
     }
 }
 
+/// The fab side of the manufacturing model: the carbon intensity of the
+/// fab's grid electricity, the share procured from a renewable source and
+/// the recycled-material fraction `ρ` of Eq. (5) — the inputs Table 1
+/// varies while a die's area and yield stay fixed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FabInputs {
+    /// Carbon intensity of the fab's grid electricity.
+    pub grid: CarbonIntensity,
+    /// Share of fab electricity procured from a renewable source (modeled
+    /// as wind PPA).
+    pub renewable_share: Fraction,
+    /// The recycled-material fraction `ρ` of Eq. (5).
+    pub recycled_material_fraction: Fraction,
+}
+
+impl FabInputs {
+    /// Effective carbon intensity of fab electricity after the renewable
+    /// share is applied.
+    pub fn effective_intensity(&self) -> CarbonIntensity {
+        self.grid.blend(
+            EnergySource::Wind.carbon_intensity(),
+            self.renewable_share.value(),
+        )
+    }
+}
+
+impl Default for FabInputs {
+    /// Taiwan grid with a 20% renewable share and no recycled materials.
+    fn default() -> Self {
+        FabInputs {
+            grid: GridMix::Taiwan.carbon_intensity(),
+            renewable_share: Fraction::clamped(0.2),
+            recycled_material_fraction: Fraction::ZERO,
+        }
+    }
+}
+
+/// One die resolved against a node and a yield model: its processed area,
+/// its die yield and the yield-scaled process-gas term — everything of
+/// `C_mfg` that the [`FabInputs`] do not change, so a study that varies
+/// only the fab resolves it once per die.
+///
+/// # Examples
+///
+/// ```
+/// use gf_act::{FabInputs, ManufacturingModel, ProcessedDie, TechnologyNode, YieldModel};
+/// use gf_units::Area;
+///
+/// let area = Area::from_mm2(380.0);
+/// let die = ProcessedDie::new(&TechnologyNode::N10.parameters(), YieldModel::Murphy, area)?;
+/// let model = ManufacturingModel::for_node(TechnologyNode::N10);
+/// assert_eq!(die.carbon(&FabInputs::default()), model.carbon_per_die(area)?);
+/// # Ok::<(), gf_act::ActError>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProcessedDie {
+    area_cm2: f64,
+    die_yield: f64,
+    energy_kwh: f64,
+    gas: Carbon,
+    material_per_cm2_kg: f64,
+    recycled_material_per_cm2_kg: f64,
+}
+
+impl ProcessedDie {
+    /// Resolves a die of area `die` at `node` under `yield_model`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ActError::NonPositiveArea`] for non-positive areas and
+    /// [`ActError::ZeroYield`] when the yield model collapses to zero.
+    pub fn new(
+        node: &NodeParameters,
+        yield_model: YieldModel,
+        die: Area,
+    ) -> Result<Self, ActError> {
+        let area_cm2 = die.as_cm2();
+        if area_cm2 <= 0.0 || area_cm2.is_nan() {
+            return Err(ActError::NonPositiveArea(die.as_mm2()));
+        }
+        let y = yield_model.die_yield(die, node.defect_density_per_cm2);
+        if y <= 0.0 {
+            return Err(ActError::ZeroYield {
+                area_mm2: die.as_mm2(),
+                defect_density: node.defect_density_per_cm2,
+            });
+        }
+        Ok(ProcessedDie {
+            area_cm2,
+            die_yield: y,
+            energy_kwh: node.energy_per_cm2_kwh * area_cm2,
+            gas: Carbon::from_kg(node.gas_per_cm2_kg * area_cm2) / y,
+            material_per_cm2_kg: node.material_per_cm2_kg,
+            recycled_material_per_cm2_kg: node.recycled_material_per_cm2_kg,
+        })
+    }
+
+    /// The die yield the footprint is scaled by.
+    pub fn die_yield(&self) -> f64 {
+        self.die_yield
+    }
+
+    /// Manufacturing footprint of one good die from this fab, broken into
+    /// components.
+    pub fn breakdown(&self, fab: &FabInputs) -> ManufacturingBreakdown {
+        let y = self.die_yield;
+        let energy = Energy::from_kwh(self.energy_kwh) * fab.effective_intensity();
+
+        // Eq. (5): blend of recycled and newly sourced material footprints.
+        let rho = fab.recycled_material_fraction.value();
+        let per_cm2 =
+            rho * self.recycled_material_per_cm2_kg + (1.0 - rho) * self.material_per_cm2_kg;
+        let materials = Carbon::from_kg(per_cm2 * self.area_cm2);
+
+        ManufacturingBreakdown {
+            energy: energy / y,
+            gas: self.gas,
+            materials: materials / y,
+            die_yield: y,
+        }
+    }
+
+    /// Total manufacturing footprint of one good die from this fab
+    /// (`C_mfg`).
+    pub fn carbon(&self, fab: &FabInputs) -> Carbon {
+        self.breakdown(fab).total()
+    }
+}
+
 /// Manufacturing carbon model for a given technology node and fab
 /// configuration.
 ///
@@ -50,35 +179,31 @@ impl ManufacturingBreakdown {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ManufacturingModel {
     node_parameters: NodeParameters,
-    fab_grid: CarbonIntensity,
-    fab_renewable_share: Fraction,
+    fab: FabInputs,
     yield_model: YieldModel,
-    recycled_material_fraction: Fraction,
 }
 
 impl ManufacturingModel {
-    /// Creates a model for `node` with default fab assumptions: Taiwan grid
-    /// with a 20% renewable share, Murphy yield, no recycled materials.
+    /// Creates a model for `node` with default fab assumptions
+    /// ([`FabInputs::default`]) and Murphy yield.
     pub fn for_node(node: TechnologyNode) -> Self {
         ManufacturingModel {
             node_parameters: node.parameters(),
-            fab_grid: GridMix::Taiwan.carbon_intensity(),
-            fab_renewable_share: Fraction::clamped(0.2),
+            fab: FabInputs::default(),
             yield_model: YieldModel::default(),
-            recycled_material_fraction: Fraction::ZERO,
         }
     }
 
     /// Overrides the carbon intensity of the fab's grid electricity.
     pub fn with_fab_grid(mut self, intensity: CarbonIntensity) -> Self {
-        self.fab_grid = intensity;
+        self.fab.grid = intensity;
         self
     }
 
     /// Sets the share of fab electricity procured from a renewable source
     /// (modeled as wind PPA).
     pub fn with_fab_renewable_share(mut self, share: Fraction) -> Self {
-        self.fab_renewable_share = share;
+        self.fab.renewable_share = share;
         self
     }
 
@@ -90,7 +215,7 @@ impl ManufacturingModel {
 
     /// Sets the recycled-material fraction `ρ` of Eq. (5).
     pub fn with_recycled_material_fraction(mut self, rho: Fraction) -> Self {
-        self.recycled_material_fraction = rho;
+        self.fab.recycled_material_fraction = rho;
         self
     }
 
@@ -102,10 +227,7 @@ impl ManufacturingModel {
     /// Effective carbon intensity of fab electricity after the renewable
     /// share is applied.
     pub fn effective_fab_intensity(&self) -> CarbonIntensity {
-        self.fab_grid.blend(
-            EnergySource::Wind.carbon_intensity(),
-            self.fab_renewable_share.value(),
-        )
+        self.fab.effective_intensity()
     }
 
     /// Die yield for the given die area under this model's yield model and
@@ -122,24 +244,7 @@ impl ManufacturingModel {
     /// Returns [`ActError::NonPositiveArea`] for non-positive areas and
     /// [`ActError::ZeroYield`] when the yield model collapses to zero.
     pub fn breakdown_per_die(&self, die: Area) -> Result<ManufacturingBreakdown, ActError> {
-        let (area_cm2, y) = self.checked_area_yield(die)?;
-        let p = &self.node_parameters;
-
-        let energy_kwh = p.energy_per_cm2_kwh * area_cm2;
-        let energy = Energy::from_kwh(energy_kwh) * self.effective_fab_intensity();
-        let gas = Carbon::from_kg(p.gas_per_cm2_kg * area_cm2);
-
-        // Eq. (5): blend of recycled and newly sourced material footprints.
-        let rho = self.recycled_material_fraction.value();
-        let per_cm2 = rho * p.recycled_material_per_cm2_kg + (1.0 - rho) * p.material_per_cm2_kg;
-        let materials = Carbon::from_kg(per_cm2 * area_cm2);
-
-        Ok(ManufacturingBreakdown {
-            energy: energy / y,
-            gas: gas / y,
-            materials: materials / y,
-            die_yield: y,
-        })
+        Ok(ProcessedDie::new(&self.node_parameters, self.yield_model, die)?.breakdown(&self.fab))
     }
 
     /// Total manufacturing footprint of one good die (`C_mfg`).
@@ -149,21 +254,6 @@ impl ManufacturingModel {
     /// Same conditions as [`ManufacturingModel::breakdown_per_die`].
     pub fn carbon_per_die(&self, die: Area) -> Result<Carbon, ActError> {
         Ok(self.breakdown_per_die(die)?.total())
-    }
-
-    fn checked_area_yield(&self, die: Area) -> Result<(f64, f64), ActError> {
-        let area_cm2 = die.as_cm2();
-        if area_cm2 <= 0.0 || area_cm2.is_nan() {
-            return Err(ActError::NonPositiveArea(die.as_mm2()));
-        }
-        let y = self.die_yield(die);
-        if y <= 0.0 {
-            return Err(ActError::ZeroYield {
-                area_mm2: die.as_mm2(),
-                defect_density: self.node_parameters.defect_density_per_cm2,
-            });
-        }
-        Ok((area_cm2, y))
     }
 }
 

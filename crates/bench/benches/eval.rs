@@ -6,9 +6,12 @@
 //! * a 64×64 DNN ratio heatmap (Fig. 8 class) — naive per-cell
 //!   `compare_uniform` versus `CompiledScenario::ratio_grid` (compile +
 //!   batch kernel + scoped fan-out),
-//! * a 10 000-sample Monte-Carlo study — the pre-PR structure (one
+//! * a 10 000-sample Monte-Carlo study — the naive structure (one
 //!   parameter clone per knob per trial, full model rebuild per trial,
-//!   serial) versus `MonteCarlo::run`,
+//!   serial) versus `MonteCarlo::run`, which resolves the domain template
+//!   and each die's yield once per run and per trial only retunes the
+//!   knobs, finishes the compile and takes the ratio of the two totals
+//!   (`monte_carlo_batch_ns`),
 //! * the three crossover searches — the pre-PR scan/bisection algorithms
 //!   on a compiled scenario versus the closed-form solver
 //!   (`crossover_*_analytic`),
@@ -22,8 +25,10 @@
 //!   `CompiledScenario::grid_stream` drained block by block, the batch
 //!   kernel end to end with only one row-block resident (`grid_1m_ns`), and
 //! * a full-year time-series carbon replay — 8760 hourly intensity steps
-//!   over a cataloged fleet scenario (`replay_year_ns`), the serial loop
-//!   behind `POST /v1/replay`, and
+//!   of the `solar_duck` preset, interpolated, over a cataloged fleet
+//!   scenario (`replay_year_ns`): the kernel behind `POST /v1/replay`,
+//!   which converts each 256-step block to kg/kWh in one vectorized pass
+//!   and then accrues totals and ratio statistics step by step, and
 //! * the inverse-query solver — an affine two-knob argmin through the
 //!   exact vertex tier (`optimize_analytic_ns`) and a two-knob FPGA-total
 //!   minimum subject to `fpga_wins` through the coordinate-search tier

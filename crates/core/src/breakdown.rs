@@ -94,8 +94,16 @@ impl CfpBreakdown {
     /// cannot carry is a model error, not a serialization failure.
     #[inline]
     pub fn finite(self, platform: PlatformKind) -> Result<CfpBreakdown, GreenFpgaError> {
-        if self.total().as_kg().is_finite() {
-            Ok(self)
+        self.finite_total(platform).map(|_| self)
+    }
+
+    /// [`CfpBreakdown::finite`] returning the checked total itself, for
+    /// callers that need only the sum.
+    #[inline]
+    pub(crate) fn finite_total(self, platform: PlatformKind) -> Result<Carbon, GreenFpgaError> {
+        let total = self.total();
+        if total.as_kg().is_finite() {
+            Ok(total)
         } else {
             Err(self.non_finite(platform))
         }

@@ -106,13 +106,11 @@ impl ChipSpec {
     }
 }
 
-/// An FPGA product: a [`ChipSpec`] plus its usable logic capacity and the
-/// time needed to (re)configure one deployed device.
+/// An FPGA product: a [`ChipSpec`] plus its usable logic capacity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FpgaSpec {
     chip: ChipSpec,
     capacity: GateCount,
-    configuration_time: TimeSpan,
 }
 
 impl FpgaSpec {
@@ -121,17 +119,17 @@ impl FpgaSpec {
     /// rest).
     const USABLE_CAPACITY_FRACTION: f64 = 0.7;
 
+    /// Time to configure one deployed device with a new bitstream: one
+    /// minute for every FPGA (Table 1 has no knob for it).
+    pub const CONFIGURATION_TIME: TimeSpan = TimeSpan::from_seconds(60.0);
+
     /// Creates an FPGA description from its chip; capacity defaults to 70%
-    /// of the die's equivalent gates and configuration time to one minute.
+    /// of the die's equivalent gates.
     pub fn new(chip: ChipSpec) -> Self {
         let capacity = GateCount::new(
             (chip.gates().get() as f64 * Self::USABLE_CAPACITY_FRACTION).round() as u64,
         );
-        FpgaSpec {
-            chip,
-            capacity,
-            configuration_time: TimeSpan::from_seconds(60.0),
-        }
+        FpgaSpec { chip, capacity }
     }
 
     /// Overrides the usable logic capacity.
@@ -148,11 +146,6 @@ impl FpgaSpec {
     /// Usable logic capacity in equivalent gates.
     pub fn capacity(&self) -> GateCount {
         self.capacity
-    }
-
-    /// Time to configure one deployed device with a new bitstream.
-    pub fn configuration_time(&self) -> TimeSpan {
-        self.configuration_time
     }
 
     /// Number of FPGAs of this type needed to host an application of
@@ -257,7 +250,7 @@ mod tests {
         let fpga = FpgaSpec::new(chip());
         let expected = (chip().gates().get() as f64 * 0.7).round() as u64;
         assert_eq!(fpga.capacity().get(), expected);
-        assert!((fpga.configuration_time().as_seconds() - 60.0).abs() < 1e-9);
+        assert!((FpgaSpec::CONFIGURATION_TIME.as_seconds() - 60.0).abs() < 1e-9);
     }
 
     #[test]

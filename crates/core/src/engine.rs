@@ -282,16 +282,28 @@ impl Engine {
                     threads,
                 )?)
             }
-            Query::MonteCarlo(request) => Outcome::MonteCarlo(
-                MonteCarlo::new(request.samples)
+            Query::MonteCarlo(request) => {
+                let traced = gf_trace::enabled();
+                let start = if traced { gf_trace::now_ticks() } else { 0 };
+                let report = MonteCarlo::new(request.samples)
                     .with_seed(request.seed)
                     .with_threads(threads)
                     .run(
                         &request.scenario.params(),
                         request.scenario.domain,
                         request.point,
-                    )?,
-            ),
+                    )?;
+                if traced {
+                    let end = gf_trace::now_ticks();
+                    gf_trace::record_span_at(
+                        gf_trace::SpanName::MonteCarlo,
+                        start,
+                        end.saturating_sub(start),
+                        request.samples as u64,
+                    );
+                }
+                Outcome::MonteCarlo(report)
+            }
             Query::Industry(request) => Outcome::Industry(run_industry(request)?),
             Query::Scenario(request) => {
                 let (entry, spec) = resolve_scenario(&request.scenario)?;

@@ -1,5 +1,6 @@
 //! The total-CFP estimator: Eqs. (1)–(3) of the paper.
 
+use gf_act::PackagingModel;
 use gf_lifecycle::DevelopmentFlow;
 use gf_units::Carbon;
 
@@ -70,7 +71,7 @@ impl Estimator {
             .params
             .manufacturing_model(chip.node())
             .carbon_per_die(chip.area())?;
-        let packaging = self.params.packaging().carbon_for_die(chip.area());
+        let packaging = PackagingModel::monolithic().carbon_for_die(chip.area());
         let eol = self
             .params
             .eol_model()
@@ -123,7 +124,7 @@ impl Estimator {
         let app_dev = self
             .params
             .appdev()
-            .with_config_time(fpga.configuration_time())
+            .with_config_time(FpgaSpec::CONFIGURATION_TIME)
             .carbon(DevelopmentFlow::FpgaHardware, 1, devices);
         Ok(CfpBreakdown {
             operation,

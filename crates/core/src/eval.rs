@@ -25,13 +25,13 @@
 //! [`crate::exec`] and written in place into a reusable [`ResultBuffer`],
 //! deterministically with respect to thread count.
 
-use gf_act::TechnologyNode;
+use gf_act::{NodeParameters, PackagingModel, ProcessedDie, YieldModel};
 use gf_lifecycle::{AppDevModel, DesignProject, DevelopmentFlow, OperationProfile};
 use gf_units::{Area, Carbon, Mass, Power, TimeSpan};
 
 use crate::{
-    exec, CfpBreakdown, Domain, Estimator, EstimatorParams, GreenFpgaError, OperatingPoint,
-    PlatformComparison, PlatformKind,
+    exec, CfpBreakdown, ChipSpec, Domain, Estimator, EstimatorParams, FpgaSpec, GreenFpgaError,
+    OperatingPoint, PlatformComparison, PlatformKind,
 };
 
 /// One platform of a domain calibration with every point-independent
@@ -125,9 +125,9 @@ impl CompiledPlatform {
 }
 
 /// The parameter-independent half of a domain compilation: everything the
-/// calibration determines on its own (chip geometry, design projects, fleet
-/// sizing), with the name-string allocation of spec construction already
-/// paid.
+/// calibration determines on its own (chip geometry and node, design
+/// projects, fleet sizing, the package of each chip), with the
+/// name-string allocation of spec construction already paid.
 ///
 /// Analyses that re-evaluate the model under *many different parameter
 /// sets* — Monte-Carlo trials, tornado probes — build one template per
@@ -143,14 +143,38 @@ pub struct ScenarioTemplate {
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct PlatformTemplate {
     project: DesignProject,
-    node: TechnologyNode,
+    node: NodeParameters,
     area: Area,
     tdp: Power,
     packaged_mass: Mass,
+    /// Package footprint of one chip under the model's one package model.
+    packaging_per_chip: Carbon,
     chips_per_unit: u64,
     /// `Some` for the FPGA flow (per-device reconfiguration applies).
     config_time: Option<TimeSpan>,
     flow: DevelopmentFlow,
+}
+
+impl PlatformTemplate {
+    fn new(
+        chip: &ChipSpec,
+        project: DesignProject,
+        chips_per_unit: u64,
+        config_time: Option<TimeSpan>,
+        flow: DevelopmentFlow,
+    ) -> Self {
+        PlatformTemplate {
+            project,
+            node: chip.node().parameters(),
+            area: chip.area(),
+            tdp: chip.tdp(),
+            packaged_mass: chip.packaged_mass(),
+            packaging_per_chip: PackagingModel::monolithic().carbon_for_die(chip.area()),
+            chips_per_unit,
+            config_time,
+            flow,
+        }
+    }
 }
 
 impl ScenarioTemplate {
@@ -166,26 +190,20 @@ impl ScenarioTemplate {
         let asic_spec = calibration.asic_spec()?;
         Ok(ScenarioTemplate {
             domain,
-            fpga: PlatformTemplate {
-                project: calibration.fpga_staffing.project_for(fpga_spec.chip())?,
-                node: fpga_spec.chip().node(),
-                area: fpga_spec.chip().area(),
-                tdp: fpga_spec.chip().tdp(),
-                packaged_mass: fpga_spec.chip().packaged_mass(),
-                chips_per_unit: fpga_spec.fpgas_for_application(calibration.reference_asic_gates()),
-                config_time: Some(fpga_spec.configuration_time()),
-                flow: DevelopmentFlow::FpgaHardware,
-            },
-            asic: PlatformTemplate {
-                project: calibration.asic_staffing.project_for(asic_spec.chip())?,
-                node: asic_spec.chip().node(),
-                area: asic_spec.chip().area(),
-                tdp: asic_spec.chip().tdp(),
-                packaged_mass: asic_spec.chip().packaged_mass(),
-                chips_per_unit: 1,
-                config_time: None,
-                flow: DevelopmentFlow::AsicSoftware,
-            },
+            fpga: PlatformTemplate::new(
+                fpga_spec.chip(),
+                calibration.fpga_staffing.project_for(fpga_spec.chip())?,
+                fpga_spec.fpgas_for_application(calibration.reference_asic_gates()),
+                Some(FpgaSpec::CONFIGURATION_TIME),
+                DevelopmentFlow::FpgaHardware,
+            ),
+            asic: PlatformTemplate::new(
+                asic_spec.chip(),
+                calibration.asic_staffing.project_for(asic_spec.chip())?,
+                1,
+                None,
+                DevelopmentFlow::AsicSoftware,
+            ),
         })
     }
 
@@ -203,18 +221,59 @@ impl ScenarioTemplate {
     /// Propagates manufacturing-model errors (degenerate die area); the
     /// built-in calibrations never trigger them.
     pub fn compile(&self, params: &EstimatorParams) -> Result<CompiledScenario, GreenFpgaError> {
-        let compile_platform = |t: &PlatformTemplate| -> Result<CompiledPlatform, GreenFpgaError> {
+        Ok(self.bind(params)?.compile(params))
+    }
+
+    /// Resolves what `params` fixes for a whole study whose trials change
+    /// only Table 1 knobs: each die's area and yield under the parameter
+    /// set's yield model (no knob moves it), with the yield-scaled
+    /// process-gas term. [`ScenarioTemplate::compile`] is this binding
+    /// followed by [`TemplateBinding::compile`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ScenarioTemplate::compile`].
+    pub(crate) fn bind(
+        &self,
+        params: &EstimatorParams,
+    ) -> Result<TemplateBinding<'_>, GreenFpgaError> {
+        let die = |t: &PlatformTemplate| ProcessedDie::new(&t.node, params.yield_model(), t.area);
+        Ok(TemplateBinding {
+            template: self,
+            yield_model: params.yield_model(),
+            fpga_die: die(&self.fpga)?,
+            asic_die: die(&self.asic)?,
+        })
+    }
+}
+
+/// A [`ScenarioTemplate`] bound to one yield model
+/// ([`ScenarioTemplate::bind`]): the per-trial half of a compilation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TemplateBinding<'t> {
+    template: &'t ScenarioTemplate,
+    yield_model: YieldModel,
+    fpga_die: ProcessedDie,
+    asic_die: ProcessedDie,
+}
+
+impl TemplateBinding<'_> {
+    /// Compiles the template against `params`, which must share the bound
+    /// yield model — the Monte-Carlo and tornado analyses retune knobs
+    /// only, and no knob sets the yield model.
+    pub(crate) fn compile(&self, params: &EstimatorParams) -> CompiledScenario {
+        debug_assert_eq!(params.yield_model(), self.yield_model);
+        let eol = params.eol_model();
+        let compile_platform = |t: &PlatformTemplate, die: &ProcessedDie| {
             let appdev = match t.config_time {
                 Some(config_time) => params.appdev().with_config_time(config_time),
                 None => *params.appdev(),
             };
-            Ok(CompiledPlatform {
+            CompiledPlatform {
                 design: params.design_house().design_carbon(&t.project),
-                manufacturing_per_chip: params
-                    .manufacturing_model(t.node)
-                    .carbon_per_die(t.area)?,
-                packaging_per_chip: params.packaging().carbon_for_die(t.area),
-                eol_per_chip: params.eol_model().carbon_per_chip(t.packaged_mass),
+                manufacturing_per_chip: die.carbon(params.fab()),
+                packaging_per_chip: t.packaging_per_chip,
+                eol_per_chip: eol.carbon_per_chip(t.packaged_mass),
                 chips_per_unit: t.chips_per_unit,
                 profile: OperationProfile::new(
                     t.tdp,
@@ -223,13 +282,14 @@ impl ScenarioTemplate {
                 ),
                 appdev,
                 flow: t.flow,
-            })
+            }
         };
-        Ok(CompiledScenario {
-            domain: self.domain,
-            fpga: compile_platform(&self.fpga)?,
-            asic: compile_platform(&self.asic)?,
-        })
+        let template = self.template;
+        CompiledScenario {
+            domain: template.domain,
+            fpga: compile_platform(&template.fpga, &self.fpga_die),
+            asic: compile_platform(&template.asic, &self.asic_die),
+        }
     }
 }
 
@@ -391,13 +451,20 @@ impl CompiledScenario {
         )
     }
 
-    /// FPGA:ASIC total-CFP ratio at one operating point.
+    /// FPGA:ASIC total-CFP ratio at one operating point: the
+    /// [`PlatformComparison::fpga_to_asic_ratio`] of
+    /// [`CompiledScenario::evaluate`], from the two totals alone.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`CompiledScenario::evaluate`].
+    /// Same conditions, checked in the same order, as
+    /// [`CompiledScenario::evaluate`].
     pub fn ratio(&self, point: OperatingPoint) -> Result<f64, GreenFpgaError> {
-        Ok(self.evaluate(point)?.fpga_to_asic_ratio())
+        let lifetime = self.validate(point)?;
+        let (fpga, asic) = self.totals(point, lifetime);
+        let fpga = fpga.finite_total(PlatformKind::Fpga)?;
+        let asic = asic.finite_total(PlatformKind::Asic)?;
+        Ok(fpga.ratio_to(asic).unwrap_or(f64::INFINITY))
     }
 
     /// Evaluates a slice of operating points into a reusable buffer — the

@@ -1,8 +1,8 @@
 //! Top-level model parameters (the "knobs" of Table 1).
 
-use gf_act::{GridMix, ManufacturingModel, PackagingModel, TechnologyNode, YieldModel};
+use gf_act::{FabInputs, GridMix, ManufacturingModel, TechnologyNode, YieldModel};
 use gf_lifecycle::{AppDevModel, DesignHouse, DesignProject, EolModel, OperationProfile};
-use gf_units::{CarbonIntensity, CarbonPerMass, Fraction, GateCount, TimeSpan};
+use gf_units::{CarbonIntensity, Fraction, GateCount, TimeSpan};
 
 use crate::{ChipSpec, GreenFpgaError};
 
@@ -91,7 +91,10 @@ impl Default for DeploymentParams {
 ///
 /// Every knob of Table 1 of the paper is reachable from here; the
 /// [`EstimatorParams::paper_defaults`] constructor fills them with the
-/// calibrated defaults used by the experiment harness.
+/// calibrated defaults used by the experiment harness. The inputs no knob
+/// varies are constants of the model rather than members: the monolithic
+/// package ([`gf_act::PackagingModel::monolithic`]) and the mid-range EPA
+/// WARM end-of-life factors ([`EolModel::default_warm`]).
 ///
 /// # Examples
 ///
@@ -105,13 +108,8 @@ impl Default for DeploymentParams {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorParams {
-    fab_grid: CarbonIntensity,
-    fab_renewable_share: Fraction,
+    fab: FabInputs,
     yield_model: YieldModel,
-    recycled_material_fraction: Fraction,
-    packaging: PackagingModel,
-    eol_discard: CarbonPerMass,
-    eol_recycle_credit: CarbonPerMass,
     eol_recycled_fraction: Fraction,
     design_house: DesignHouse,
     appdev: AppDevModel,
@@ -129,13 +127,12 @@ impl EstimatorParams {
     /// (reconfigurable), per the paper's §2.
     pub fn paper_defaults() -> Self {
         EstimatorParams {
-            fab_grid: GridMix::Taiwan.carbon_intensity(),
-            fab_renewable_share: Fraction::clamped(0.2),
+            fab: FabInputs {
+                grid: GridMix::Taiwan.carbon_intensity(),
+                renewable_share: Fraction::clamped(0.2),
+                recycled_material_fraction: Fraction::ZERO,
+            },
             yield_model: YieldModel::Murphy,
-            recycled_material_fraction: Fraction::ZERO,
-            packaging: PackagingModel::monolithic(),
-            eol_discard: CarbonPerMass::from_tons_co2_per_ton(1.0),
-            eol_recycle_credit: CarbonPerMass::from_tons_co2_per_ton(15.0),
             eol_recycled_fraction: Fraction::ZERO,
             design_house: DesignHouse::default_fabless()
                 .with_average_chip_gates(GateCount::from_millions(500.0)),
@@ -155,12 +152,12 @@ impl EstimatorParams {
     /// [`crate::Knob::apply_mut`] so batch analyses can retune parameters
     /// without cloning the whole set per knob.
     pub fn set_fab_grid(&mut self, grid: CarbonIntensity) {
-        self.fab_grid = grid;
+        self.fab.grid = grid;
     }
 
     /// Overrides the fab renewable-energy share.
     pub fn with_fab_renewable_share(mut self, share: Fraction) -> Self {
-        self.fab_renewable_share = share;
+        self.fab.renewable_share = share;
         self
     }
 
@@ -178,7 +175,7 @@ impl EstimatorParams {
 
     /// In-place variant of [`Self::with_recycled_material_fraction`].
     pub fn set_recycled_material_fraction(&mut self, rho: Fraction) {
-        self.recycled_material_fraction = rho;
+        self.fab.recycled_material_fraction = rho;
     }
 
     /// Overrides the end-of-life recycled fraction `δ`.
@@ -232,17 +229,22 @@ impl EstimatorParams {
 
     /// Fab grid carbon intensity.
     pub fn fab_grid(&self) -> CarbonIntensity {
-        self.fab_grid
+        self.fab.grid
     }
 
     /// Recycled-material fraction `ρ`.
     pub fn recycled_material_fraction(&self) -> Fraction {
-        self.recycled_material_fraction
+        self.fab.recycled_material_fraction
     }
 
-    /// The packaging model.
-    pub fn packaging(&self) -> PackagingModel {
-        self.packaging
+    /// The fab inputs of the manufacturing model.
+    pub(crate) fn fab(&self) -> &FabInputs {
+        &self.fab
+    }
+
+    /// The die-yield model.
+    pub(crate) fn yield_model(&self) -> YieldModel {
+        self.yield_model
     }
 
     /// The design house.
@@ -269,19 +271,16 @@ impl EstimatorParams {
     /// parameters.
     pub fn manufacturing_model(&self, node: TechnologyNode) -> ManufacturingModel {
         ManufacturingModel::for_node(node)
-            .with_fab_grid(self.fab_grid)
-            .with_fab_renewable_share(self.fab_renewable_share)
+            .with_fab_grid(self.fab.grid)
+            .with_fab_renewable_share(self.fab.renewable_share)
             .with_yield_model(self.yield_model)
-            .with_recycled_material_fraction(self.recycled_material_fraction)
+            .with_recycled_material_fraction(self.fab.recycled_material_fraction)
     }
 
-    /// Builds the end-of-life model under these parameters.
+    /// Builds the end-of-life model under these parameters: the mid-range
+    /// EPA WARM factors with the configured recycled fraction `δ`.
     pub fn eol_model(&self) -> EolModel {
-        EolModel::new(
-            self.eol_discard,
-            self.eol_recycle_credit,
-            self.eol_recycled_fraction,
-        )
+        EolModel::default_warm().with_recycled_fraction(self.eol_recycled_fraction)
     }
 }
 

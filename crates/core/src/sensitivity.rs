@@ -78,7 +78,8 @@ impl Estimator {
         threads: usize,
     ) -> Result<TornadoAnalysis, GreenFpgaError> {
         let template = ScenarioTemplate::new(domain)?;
-        let baseline_ratio = template.compile(self.params())?.ratio(point)?;
+        let binding = template.bind(self.params())?;
+        let baseline_ratio = binding.compile(self.params()).ratio(point)?;
 
         let probes: Vec<(Knob, f64)> = Knob::ALL
             .iter()
@@ -92,7 +93,7 @@ impl Estimator {
             let (knob, value) = probes[i];
             let mut params = self.params().clone();
             knob.apply_mut(&mut params, value);
-            template.compile(&params)?.ratio(point)
+            binding.compile(&params).ratio(point)
         })?;
 
         let mut entries: Vec<SensitivityEntry> = Knob::ALL

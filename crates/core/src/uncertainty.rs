@@ -57,15 +57,16 @@ impl MonteCarlo {
     /// every knob of [`Knob::ALL`] independently and uniformly from its
     /// range for each trial.
     ///
-    /// Trials run in parallel through the batch engine. Each trial clones
-    /// the base parameters **once**, retunes every knob in place
-    /// ([`Knob::apply_mut`]), compiles the scenario
-    /// ([`crate::CompiledScenario::compile`]) and evaluates the operating point —
-    /// where the old implementation cloned the parameter set once per knob
-    /// and rebuilt every spec and workload vector from scratch, serially.
-    /// The per-trial ratios are written straight into one preallocated
-    /// buffer ([`exec::try_fill_indexed`]); nothing is buffered per worker
-    /// or reassembled afterwards.
+    /// What no knob changes is resolved once per run: the domain's
+    /// [`ScenarioTemplate`] (chip geometry, node parameters, design
+    /// projects, package per chip) and its binding to the base parameters'
+    /// yield model (each die's yield). A trial then clones the base
+    /// parameters once, retunes every knob in place ([`Knob::apply_mut`]),
+    /// finishes the compilation and takes the FPGA:ASIC ratio from the two
+    /// checked totals ([`crate::CompiledScenario::ratio`]). Trials fan out
+    /// over the batch engine and write their ratios straight into one
+    /// preallocated buffer ([`exec::try_fill_indexed`]), which is sorted
+    /// once at the end.
     ///
     /// # Errors
     ///
@@ -84,23 +85,35 @@ impl MonteCarlo {
         }
         let seed = self.seed;
         let template = ScenarioTemplate::new(domain)?;
+        let binding = template.bind(base)?;
         let mut ratios = vec![0.0f64; self.samples];
         exec::try_fill_indexed(&mut ratios, self.threads, |trial| {
-            let mut rng = SplitMix64::new(seed.wrapping_add(trial as u64));
-            let mut params = base.clone();
-            for knob in Knob::ALL {
-                let range = knob.range();
-                knob.apply_mut(&mut params, rng.gen_range_f64(range.low, range.high));
-            }
-            template.compile(&params)?.ratio(point)
+            binding
+                .compile(&trial_params(base, seed, trial))
+                .ratio(point)
         })?;
-        ratios.sort_by(f64::total_cmp);
+        // Equal keys under `total_cmp` have equal bits, so the unstable
+        // sort orders the same bits as a stable one.
+        ratios.sort_unstable_by(f64::total_cmp);
         Ok(UncertaintyReport {
             domain,
             point,
             ratios,
         })
     }
+}
+
+/// The parameter set of trial `trial`: `base` with every knob of
+/// [`Knob::ALL`] drawn, in order, from the trial's own RNG stream seeded by
+/// `seed + trial`.
+fn trial_params(base: &EstimatorParams, seed: u64, trial: usize) -> EstimatorParams {
+    let mut rng = SplitMix64::new(seed.wrapping_add(trial as u64));
+    let mut params = base.clone();
+    for knob in Knob::ALL {
+        let range = knob.range();
+        knob.apply_mut(&mut params, rng.gen_range_f64(range.low, range.high));
+    }
+    params
 }
 
 impl Default for MonteCarlo {
@@ -180,6 +193,143 @@ impl UncertaintyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CompiledScenario, Estimator};
+    use gf_act::YieldModel;
+
+    /// One trial the one-shot way: a fresh compilation of the parameter
+    /// set and the ratio of the full comparison — the reference the bound
+    /// per-trial path must match bit for bit.
+    fn reference_trial(
+        template: &ScenarioTemplate,
+        base: &EstimatorParams,
+        seed: u64,
+        trial: usize,
+        point: OperatingPoint,
+    ) -> Result<f64, GreenFpgaError> {
+        let mut rng = SplitMix64::new(seed.wrapping_add(trial as u64));
+        let mut params = base.clone();
+        for knob in Knob::ALL {
+            let range = knob.range();
+            knob.apply_mut(&mut params, rng.gen_range_f64(range.low, range.high));
+        }
+        Ok(template
+            .compile(&params)?
+            .evaluate(point)?
+            .fpga_to_asic_ratio())
+    }
+
+    /// Runs `cases` seeded studies — random domain, base overrides, yield
+    /// model, seed, point and sample count — comparing every trial's ratio
+    /// bits with [`reference_trial`] (and, for the first trials, with the
+    /// naive estimator) and the sorted report with a stable sort of the
+    /// reference ratios.
+    fn montecarlo_differential(seed: u64, cases: usize) {
+        let mut rng = SplitMix64::new(seed);
+        for case in 0..cases {
+            let mut base = EstimatorParams::paper_defaults().with_yield_model(
+                [
+                    YieldModel::Murphy,
+                    YieldModel::Poisson,
+                    YieldModel::NegativeBinomial { alpha: 3.0 },
+                ][rng.gen_index(3)],
+            );
+            for knob in Knob::ALL {
+                if rng.gen_index(3) == 0 {
+                    let range = knob.range();
+                    knob.apply_mut(&mut base, rng.gen_range_f64(range.low, range.high));
+                }
+            }
+            let domain = Domain::ALL[rng.gen_index(Domain::ALL.len())];
+            let point = OperatingPoint {
+                applications: rng.gen_range_u64(1, 30),
+                lifetime_years: rng.gen_range_f64(0.25, 5.0),
+                volume: rng.gen_range_u64(1, 5_000_000),
+            };
+            let study_seed = rng.next_u64();
+            let samples = [1, 2, 8, 65, 512][rng.gen_index(5)];
+
+            let template = ScenarioTemplate::new(domain).unwrap();
+            let binding = template.bind(&base).unwrap();
+            let mut reference = Vec::with_capacity(samples);
+            for trial in 0..samples {
+                let expected = reference_trial(&template, &base, study_seed, trial, point).unwrap();
+                let got = binding
+                    .compile(&trial_params(&base, study_seed, trial))
+                    .ratio(point)
+                    .unwrap();
+                assert_eq!(
+                    got.to_bits(),
+                    expected.to_bits(),
+                    "case {case} trial {trial}"
+                );
+                if trial < 2 {
+                    let naive = Estimator::new(trial_params(&base, study_seed, trial))
+                        .compare_uniform(
+                            domain,
+                            point.applications,
+                            point.lifetime_years,
+                            point.volume,
+                        )
+                        .unwrap()
+                        .fpga_to_asic_ratio();
+                    assert_eq!(got.to_bits(), naive.to_bits(), "case {case} trial {trial}");
+                }
+                reference.push(expected);
+            }
+            reference.sort_by(f64::total_cmp);
+            let report = MonteCarlo::new(samples)
+                .with_seed(study_seed)
+                .with_threads(1 + case % 3)
+                .run(&base, domain, point)
+                .unwrap();
+            let bits = |ratios: &[f64]| ratios.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&report.ratios), bits(&reference), "case {case}");
+        }
+    }
+
+    #[test]
+    fn trials_match_the_one_shot_reference_bit_for_bit() {
+        montecarlo_differential(0x5EED_0000_0029_0003, 24);
+    }
+
+    #[test]
+    #[ignore = "long differential run; CI runs it in release with --ignored"]
+    fn trials_match_the_one_shot_reference_long_run() {
+        montecarlo_differential(0x5EED_0000_0029_0004, 10_000);
+    }
+
+    #[test]
+    fn ratio_reports_the_comparison_errors_in_order() {
+        let compiled =
+            CompiledScenario::compile(&EstimatorParams::paper_defaults(), Domain::Dnn).unwrap();
+        for point in [
+            OperatingPoint {
+                applications: 0,
+                ..OperatingPoint::paper_default()
+            },
+            OperatingPoint {
+                volume: 0,
+                ..OperatingPoint::paper_default()
+            },
+            OperatingPoint {
+                lifetime_years: f64::INFINITY,
+                ..OperatingPoint::paper_default()
+            },
+            OperatingPoint {
+                lifetime_years: 1e308,
+                ..OperatingPoint::paper_default()
+            },
+        ] {
+            assert_eq!(
+                format!("{:?}", compiled.ratio(point)),
+                format!(
+                    "{:?}",
+                    compiled.evaluate(point).map(|c| c.fpga_to_asic_ratio())
+                ),
+                "{point:?}"
+            );
+        }
+    }
 
     fn run(domain: Domain, point: OperatingPoint, samples: usize) -> UncertaintyReport {
         MonteCarlo::new(samples)

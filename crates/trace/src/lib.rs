@@ -124,11 +124,13 @@ pub enum SpanName {
     /// [`SpanName::Execute`] span that follows, and ends on the decode
     /// error of a malformed body too.
     Decode = 18,
+    /// One Monte-Carlo uncertainty study (engine; `aux` = samples).
+    MonteCarlo = 19,
 }
 
 impl SpanName {
     /// Every name, in discriminant order (for exposition layers).
-    pub const ALL: [SpanName; 19] = [
+    pub const ALL: [SpanName; 20] = [
         SpanName::Parse,
         SpanName::Admission,
         SpanName::QueueWait,
@@ -148,6 +150,7 @@ impl SpanName {
         SpanName::Optimize,
         SpanName::OptimizeRefine,
         SpanName::Decode,
+        SpanName::MonteCarlo,
     ];
 
     /// The wire/display spelling (`snake_case`).
@@ -172,6 +175,7 @@ impl SpanName {
             SpanName::Optimize => "optimize",
             SpanName::OptimizeRefine => "optimize_refine",
             SpanName::Decode => "decode",
+            SpanName::MonteCarlo => "montecarlo",
         }
     }
 

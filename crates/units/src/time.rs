@@ -38,12 +38,12 @@ impl TimeSpan {
     }
 
     /// Creates a span from hours.
-    pub fn from_hours(hours: f64) -> Self {
+    pub const fn from_hours(hours: f64) -> Self {
         TimeSpan(hours / crate::HOURS_PER_YEAR)
     }
 
     /// Creates a span from seconds.
-    pub fn from_seconds(seconds: f64) -> Self {
+    pub const fn from_seconds(seconds: f64) -> Self {
         Self::from_hours(seconds / 3600.0)
     }
 

@@ -40,7 +40,7 @@ const EVALUATE_BODY: &str =
 
 /// Every span-name spelling the exposition may emit. Pinned here so a
 /// renamed span class is a visible wire-format change, not drift.
-const SPAN_NAMES: [&str; 19] = [
+const SPAN_NAMES: [&str; 20] = [
     "parse",
     "admission",
     "queue_wait",
@@ -60,6 +60,7 @@ const SPAN_NAMES: [&str; 19] = [
     "replay",
     "optimize",
     "optimize_refine",
+    "montecarlo",
 ];
 
 /// A `GET /v1/trace` body as the tests read it from the token tape.

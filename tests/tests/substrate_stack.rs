@@ -83,7 +83,7 @@ fn operation_and_appdev_compose_into_the_fpga_deployment() {
     let manual_appdev = estimator
         .params()
         .appdev()
-        .with_config_time(fpga.configuration_time())
+        .with_config_time(FpgaSpec::CONFIGURATION_TIME)
         .carbon(DevelopmentFlow::FpgaHardware, 1, 10_000);
     assert!((deployment.app_dev.as_kg() - manual_appdev.as_kg()).abs() < 1e-6);
 }
