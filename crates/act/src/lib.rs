@@ -14,7 +14,9 @@
 //! * [`YieldModel`] — Poisson, Murphy and negative-binomial die-yield models,
 //! * [`Wafer`] — dies-per-wafer geometry,
 //! * [`ManufacturingModel`] — the carbon-per-area composition including the
-//!   recycled-material scaling of Eq. (5) of the paper,
+//!   recycled-material scaling of Eq. (5) of the paper, split into a
+//!   [`ProcessedDie`] (area and yield, fixed for a die) and the
+//!   [`FabInputs`] that Table 1 varies,
 //! * [`PackagingModel`] — monolithic (and 2.5D-interposer) package assembly
 //!   footprint.
 //!

@@ -128,11 +128,6 @@ impl ProcessedDie {
         })
     }
 
-    /// The die yield the footprint is scaled by.
-    pub fn die_yield(&self) -> f64 {
-        self.die_yield
-    }
-
     /// Manufacturing footprint of one good die from this fab, broken into
     /// components.
     pub fn breakdown(&self, fab: &FabInputs) -> ManufacturingBreakdown {

@@ -212,9 +212,11 @@ impl ScenarioTemplate {
         self.domain
     }
 
-    /// Finishes the compilation against one parameter set. Pure arithmetic
-    /// — this is the only per-trial cost a Monte-Carlo run pays besides the
-    /// model evaluation itself.
+    /// Finishes the compilation against one parameter set. Pure
+    /// arithmetic: each die's yield under the parameter set's yield model,
+    /// then the knob-dependent carbons. A Monte-Carlo run or a tornado pass
+    /// resolves the yields once for all its trials and pays only the
+    /// second half per trial.
     ///
     /// # Errors
     ///

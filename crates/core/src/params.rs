@@ -1,6 +1,6 @@
 //! Top-level model parameters (the "knobs" of Table 1).
 
-use gf_act::{FabInputs, GridMix, ManufacturingModel, TechnologyNode, YieldModel};
+use gf_act::{FabInputs, ManufacturingModel, TechnologyNode, YieldModel};
 use gf_lifecycle::{AppDevModel, DesignHouse, DesignProject, EolModel, OperationProfile};
 use gf_units::{CarbonIntensity, Fraction, GateCount, TimeSpan};
 
@@ -127,11 +127,7 @@ impl EstimatorParams {
     /// (reconfigurable), per the paper's §2.
     pub fn paper_defaults() -> Self {
         EstimatorParams {
-            fab: FabInputs {
-                grid: GridMix::Taiwan.carbon_intensity(),
-                renewable_share: Fraction::clamped(0.2),
-                recycled_material_fraction: Fraction::ZERO,
-            },
+            fab: FabInputs::default(),
             yield_model: YieldModel::Murphy,
             eol_recycled_fraction: Fraction::ZERO,
             design_house: DesignHouse::default_fabless()
@@ -293,6 +289,7 @@ impl Default for EstimatorParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gf_act::GridMix;
     use gf_units::{Area, Power};
 
     #[test]
