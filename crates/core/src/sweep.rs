@@ -1048,6 +1048,186 @@ mod tests {
         }
     }
 
+    /// The lattice contract, cell by cell through
+    /// [`CompiledScenario::evaluate`](crate::CompiledScenario::evaluate):
+    /// coordinates are checked first, then the lowest-index validation error
+    /// anywhere in the rows wins, then the lowest non-finite cell's error.
+    fn reference_lattice(
+        compiled: &crate::CompiledScenario,
+        (x_axis, x_values): (SweepAxis, &[f64]),
+        (y_axis, y_values): (SweepAxis, &[f64]),
+        base: OperatingPoint,
+    ) -> Result<Vec<f64>, GreenFpgaError> {
+        check_axis_values(x_values, "grid values")?;
+        check_axis_values(y_values, "grid values")?;
+        let mut ratios = Vec::new();
+        let mut non_finite = None;
+        for &y in y_values {
+            for &x in x_values {
+                match compiled.evaluate(base.with_axis(y_axis, y).with_axis(x_axis, x)) {
+                    Ok(comparison) => ratios.push(comparison.fpga_to_asic_ratio()),
+                    Err(error @ GreenFpgaError::NonFinite { .. }) => {
+                        non_finite.get_or_insert(error);
+                        ratios.push(f64::NAN);
+                    }
+                    Err(error) => return Err(error),
+                }
+            }
+        }
+        non_finite.map_or(Ok(ratios), Err)
+    }
+
+    /// Random lattice coordinates on `axis`: fractional counts (exact
+    /// halves included), lifetimes that are now and then negative or large
+    /// enough to overflow the model, volumes past `u64::MAX`, and rarely a
+    /// coordinate that is not finite.
+    fn random_coordinates(rng: &mut gf_support::SplitMix64, axis: SweepAxis) -> Vec<f64> {
+        let len = 1 + rng.gen_index(9);
+        (0..len)
+            .map(|_| {
+                let pick = rng.gen_index(32);
+                match axis {
+                    _ if pick == 0 => f64::INFINITY,
+                    SweepAxis::LifetimeYears => match pick {
+                        1..=2 => -rng.gen_range_f64(0.0, 2.0),
+                        3..=4 => rng.gen_range_f64(1e301, 1e304),
+                        _ => rng.gen_range_f64(0.0, 6.0),
+                    },
+                    SweepAxis::Applications => match pick {
+                        1..=6 => rng.gen_index(40) as f64 / 2.0,
+                        _ => rng.gen_range_f64(0.0, 60.0),
+                    },
+                    SweepAxis::VolumeUnits => match pick {
+                        1 => 1e25,
+                        2..=6 => rng.gen_index(4000) as f64 / 2.0,
+                        _ => rng.gen_range_f64(0.0, 5e7),
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// Runs `cases` seeded lattices through [`CompiledScenario::ratio_grid`]
+    /// and every block of [`CompiledScenario::grid_stream`] against
+    /// [`reference_lattice`] — random domains, knobs, axes (x == y
+    /// included), coordinates, base points, block heights and thread counts
+    /// 1–3 — and returns how many lattices completed, failed with a
+    /// validation error and failed on a non-finite number.
+    fn lattice_differential(seed: u64, cases: usize) -> [usize; 3] {
+        use crate::Knob;
+
+        let axes = [
+            SweepAxis::Applications,
+            SweepAxis::LifetimeYears,
+            SweepAxis::VolumeUnits,
+        ];
+        let mut rng = gf_support::SplitMix64::new(seed);
+        let mut outcomes = [0; 3];
+        for case in 0..cases {
+            let mut params = crate::EstimatorParams::paper_defaults();
+            for knob in Knob::ALL {
+                if rng.gen_bool() {
+                    let range = knob.range();
+                    knob.apply_mut(&mut params, rng.gen_range_f64(range.low, range.high));
+                }
+            }
+            let domain = Domain::ALL[rng.gen_index(Domain::ALL.len())];
+            let compiled = crate::CompiledScenario::compile(&params, domain).unwrap();
+            let (x_axis, y_axis) = (axes[rng.gen_index(3)], axes[rng.gen_index(3)]);
+            let x_values = random_coordinates(&mut rng, x_axis);
+            let y_values = random_coordinates(&mut rng, y_axis);
+            let base = OperatingPoint {
+                applications: rng.gen_range_u64(0, 6),
+                lifetime_years: rng.gen_range_f64(0.0, 4.0),
+                volume: rng.gen_range_u64(0, 3) * 400_000,
+            };
+            let threads = 1 + rng.gen_index(3);
+            let block_rows = 1 + rng.gen_index(y_values.len() + 1);
+            let at = format!(
+                "case {case}: {domain} {x_axis:?} {x_values:?} x {y_axis:?} {y_values:?} \
+                 at {base:?}, {threads} threads, {block_rows}-row blocks"
+            );
+            let x = (x_axis, x_values.as_slice());
+            let expected = reference_lattice(&compiled, x, (y_axis, &y_values), base);
+            let buffered = compiled.ratio_grid(x_axis, &x_values, y_axis, &y_values, base, threads);
+            match (&expected, &buffered) {
+                (Ok(ratios), Ok(grid)) => {
+                    let cells: Vec<u64> =
+                        grid.ratios.iter().flatten().map(|r| r.to_bits()).collect();
+                    let want: Vec<u64> = ratios.iter().map(|r| r.to_bits()).collect();
+                    assert_eq!(cells, want, "{at}");
+                    outcomes[0] += 1;
+                }
+                (Err(want), Err(got)) => {
+                    assert_eq!(got, want, "{at}");
+                    let non_finite = matches!(want, GreenFpgaError::NonFinite { .. });
+                    outcomes[1 + usize::from(non_finite)] += 1;
+                }
+                _ => panic!("{at}: expected {expected:?}, got {buffered:?}"),
+            }
+            let stream = compiled.grid_stream(
+                x_axis,
+                x_values.clone(),
+                y_axis,
+                y_values.clone(),
+                base,
+                threads,
+            );
+            let mut stream = match stream {
+                Ok(stream) => stream.with_block_rows(block_rows),
+                Err(error) => {
+                    assert_eq!(Err(error), expected, "{at}: stream start");
+                    continue;
+                }
+            };
+            loop {
+                let start = stream.rows_delivered();
+                let rows = &y_values[start..(start + block_rows).min(y_values.len())];
+                let Some(block) = stream.next_block() else {
+                    break;
+                };
+                let want = reference_lattice(&compiled, x, (y_axis, rows), base);
+                match (block, want) {
+                    (Ok(block), Ok(ratios)) => {
+                        let cells: Vec<u64> = (0..block.rows())
+                            .flat_map(|row| block.row(row).collect::<Vec<_>>())
+                            .map(f64::to_bits)
+                            .collect();
+                        let want: Vec<u64> = ratios.iter().map(|r| r.to_bits()).collect();
+                        assert_eq!(cells, want, "{at}: block at row {start}");
+                    }
+                    (Err(got), Err(want)) => assert_eq!(got, want, "{at}: block at row {start}"),
+                    (got, want) => panic!("{at}: block at row {start}: {got:?}, want {want:?}"),
+                }
+            }
+            assert!(stream.is_finished(), "{at}: a failed block ends the stream");
+            if let Ok(grid) = &buffered {
+                let fraction = stream.fpga_winning_fraction();
+                assert_eq!(
+                    fraction.to_bits(),
+                    grid.fpga_winning_fraction().to_bits(),
+                    "{at}"
+                );
+            }
+        }
+        outcomes
+    }
+
+    #[test]
+    fn lattice_matches_per_cell_evaluation() {
+        let outcomes = lattice_differential(0x5EED_0000_0030_0001, 48);
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "every outcome occurs: {outcomes:?}"
+        );
+    }
+
+    #[test]
+    #[ignore = "long differential run; CI runs it in release with --ignored"]
+    fn lattice_matches_per_cell_evaluation_long_run() {
+        lattice_differential(0x5EED_0000_0030_0002, 20_000);
+    }
+
     #[test]
     fn axis_labels_match_paper_terms() {
         assert_eq!(SweepAxis::Applications.label(), "Num Apps");
