@@ -444,7 +444,7 @@ fn main() {
             compiled
                 .evaluate_into(&batch_points, &mut batch_buffer)
                 .expect("batch");
-            batch_buffer.ratio(0)
+            batch_buffer.comparison(0)
         },
     );
     println!("{evaluate_batch}");

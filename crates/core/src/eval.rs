@@ -23,7 +23,8 @@
 //! [`CompiledScenario::evaluate_indexed_into`] add the parallel fan-out:
 //! the points are split into contiguous chunks over the scoped workers of
 //! [`crate::exec`] and written in place into a reusable [`ResultBuffer`],
-//! deterministically with respect to thread count.
+//! deterministically with respect to thread count. Ratio grids fan out
+//! the same way but keep only each cell's ratio, no breakdowns.
 
 use gf_act::{NodeParameters, PackagingModel, ProcessedDie, YieldModel};
 use gf_lifecycle::{AppDevModel, DesignProject, DevelopmentFlow, OperationProfile};
@@ -31,7 +32,7 @@ use gf_units::{Area, Carbon, Mass, Power, TimeSpan};
 
 use crate::{
     exec, CfpBreakdown, ChipSpec, Domain, Estimator, EstimatorParams, FpgaSpec, GreenFpgaError,
-    OperatingPoint, PlatformComparison, PlatformKind,
+    OperatingPoint, PlatformComparison, PlatformKind, SweepAxis,
 };
 
 /// One platform of a domain calibration with every point-independent
@@ -506,36 +507,86 @@ impl CompiledScenario {
         out: &mut ResultBuffer,
         threads: usize,
     ) -> Result<(), GreenFpgaError> {
-        // One span per batch call (aux = point count), not per chunk.
-        let batch_from = if gf_trace::enabled() {
-            gf_trace::now_ticks()
-        } else {
-            0
-        };
         out.prepare(self.domain, n);
         // Each worker's chunk carries the previous point's lines, so a run
         // of points sharing a lifetime and volume (a grid row with the
         // applications on x) computes them once.
-        let result = exec::try_fill_chunks(&mut out.results, threads, |start, chunk| {
-            let mut lines = LineMemo::new();
-            for (j, slot) in chunk.iter_mut().enumerate() {
-                let point = point_of(start + j);
-                let lifetime = self.validate(point)?;
-                *slot = lines.totals(self, point, lifetime);
-            }
-            Ok(())
+        traced_batch(n, || {
+            exec::try_fill_chunks(&mut out.results, threads, |start, chunk| {
+                let mut lines = LineMemo::new();
+                for (j, slot) in chunk.iter_mut().enumerate() {
+                    let point = point_of(start + j);
+                    let lifetime = self.validate(point)?;
+                    *slot = lines.totals(self, point, lifetime);
+                }
+                Ok(())
+            })
+            .and_then(|()| out.check_finite())
         })
-        .and_then(|()| out.check_finite());
-        if batch_from != 0 {
-            gf_trace::record_span_at(
-                gf_trace::SpanName::EvalBatch,
-                batch_from,
-                gf_trace::now_ticks().saturating_sub(batch_from),
-                n as u64,
-            );
-        }
-        result
     }
+
+    /// Fills `out` row by row with the FPGA:ASIC total-CFP ratios of the
+    /// lattice `x_values` × `y_values` (both non-empty; x wins when the
+    /// axes coincide) around `base`, for [`CompiledScenario::ratio_grid`]
+    /// and every [`GridStream`](crate::GridStream) block. Coordinates
+    /// convert once per column and row; each ratio comes straight from the
+    /// two totals, by [`CompiledScenario::evaluate`]'s operations in order.
+    ///
+    /// # Errors
+    ///
+    /// The lowest-index validation error anywhere, else the lowest
+    /// non-finite cell's (FPGA before ASIC), whatever the thread count.
+    pub(crate) fn fill_ratio_lattice(
+        &self,
+        (x_axis, x_values): (SweepAxis, &[f64]),
+        (y_axis, y_values): (SweepAxis, &[f64]),
+        base: OperatingPoint,
+        out: &mut [f64],
+        threads: usize,
+    ) -> Result<(), GreenFpgaError> {
+        let columns = Vec::from_iter(x_values.iter().map(|&x| base.with_axis(x_axis, x)));
+        let (width, row_base) = (columns.len(), |row| base.with_axis(y_axis, y_values[row]));
+        let cell = |i: usize| row_base(i / width).with_axis_of(x_axis, columns[i % width]);
+        traced_batch(out.len(), || {
+            exec::try_fill_chunks::<_, GreenFpgaError, _>(out, threads, |start, chunk| {
+                let (mut lines, mut row, mut col) = (LineMemo::new(), start / width, start % width);
+                let mut row_point = row_base(row);
+                for slot in chunk {
+                    let point = row_point.with_axis_of(x_axis, columns[col]);
+                    let lifetime = self.validate(point)?;
+                    let (fpga, asic) = lines.totals(self, point, lifetime);
+                    let (fpga, asic) = (fpga.total(), asic.total());
+                    // NaN marks a non-finite total; finite totals never divide to NaN.
+                    *slot = if fpga.as_kg().is_finite() & asic.as_kg().is_finite() {
+                        fpga.ratio_to(asic).unwrap_or(f64::INFINITY)
+                    } else {
+                        f64::NAN
+                    };
+                    col += 1;
+                    if col == width && row + 1 < y_values.len() {
+                        (row, col, row_point) = (row + 1, 0, row_base(row + 1));
+                    }
+                }
+                Ok(())
+            })?;
+            match out.iter().position(|ratio| ratio.is_nan()) {
+                Some(i) => self.ratio(cell(i)).map(drop),
+                None => Ok(()),
+            }
+        })
+    }
+}
+
+/// Runs a batch call under one `EvalBatch` span (aux = points) if tracing.
+fn traced_batch<T>(points: usize, batch: impl FnOnce() -> T) -> T {
+    if !gf_trace::enabled() {
+        return batch();
+    }
+    let from = gf_trace::now_ticks();
+    let result = batch();
+    let duration = gf_trace::now_ticks().saturating_sub(from);
+    gf_trace::record_span_at(gf_trace::SpanName::EvalBatch, from, duration, points as u64);
+    result
 }
 
 /// One platform's footprint as a line in the application count `n`:
@@ -603,9 +654,10 @@ impl LineMemo {
 }
 
 /// Reusable output of the zero-allocation batch kernel
-/// ([`CompiledScenario::evaluate_into`]): one (FPGA, ASIC) breakdown pair
-/// per evaluated point, in request order. Refilling the buffer allocates
-/// only when a batch outgrows every previous one.
+/// ([`CompiledScenario::evaluate_into`]) behind batches and sweeps: one
+/// (FPGA, ASIC) breakdown pair per evaluated point, in request order.
+/// Refilling allocates only when a batch outgrows every previous one.
+/// Ratio grids do not use it; they keep only their ratios.
 ///
 /// # Examples
 ///
@@ -678,17 +730,6 @@ impl ResultBuffer {
     pub fn comparison(&self, i: usize) -> PlatformComparison {
         let (fpga, asic) = self.results[i];
         PlatformComparison::new(self.domain.expect("result buffer never filled"), fpga, asic)
-    }
-
-    /// FPGA:ASIC total-CFP ratio of point `i` (`f64::INFINITY` when the
-    /// ASIC total is zero, like [`PlatformComparison::fpga_to_asic_ratio`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i >= len()`.
-    pub fn ratio(&self, i: usize) -> f64 {
-        let (fpga, asic) = &self.results[i];
-        fpga.total().ratio_to(asic.total()).unwrap_or(f64::INFINITY)
     }
 
     /// Iterates the buffer as reconstructed [`PlatformComparison`] values.
@@ -962,7 +1003,11 @@ mod tests {
                 let direct = compiled.evaluate(*point).unwrap();
                 assert_eq!(buffer.comparison(i), direct, "{domain} point {i}");
                 let ratio = direct.fpga_to_asic_ratio();
-                assert_eq!(buffer.ratio(i), ratio, "{domain} point {i}");
+                assert_eq!(
+                    buffer.comparison(i).fpga_to_asic_ratio(),
+                    ratio,
+                    "{domain} point {i}"
+                );
             }
             let all: Vec<PlatformComparison> = buffer.comparisons().collect();
             let each: Vec<PlatformComparison> =

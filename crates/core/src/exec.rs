@@ -1,8 +1,8 @@
 //! Parallel execution for batch evaluations.
 //!
-//! Every parallel evaluation in this crate — the batch kernel behind
-//! sweeps and grids, frontier rows, Monte-Carlo trials and tornado probes —
-//! fans out through one primitive, [`try_fill_chunks`]: the caller's output
+//! Every parallel evaluation in this crate — the batch kernel, the grid
+//! lattice, frontier rows, Monte-Carlo trials and tornado probes — fans
+//! out through one primitive, [`try_fill_chunks`]: the caller's output
 //! slice is split into one static contiguous chunk per scoped worker
 //! thread, and each worker writes its chunk in place. Nothing is buffered
 //! or reassembled, and a value depends only on its index, which makes every

@@ -62,6 +62,16 @@ impl OperatingPoint {
         }
         self
     }
+
+    /// `self` with the `axis` field of `other`, a coordinate converted before.
+    pub(crate) fn with_axis_of(mut self, axis: SweepAxis, other: OperatingPoint) -> Self {
+        match axis {
+            SweepAxis::Applications => self.applications = other.applications,
+            SweepAxis::LifetimeYears => self.lifetime_years = other.lifetime_years,
+            SweepAxis::VolumeUnits => self.volume = other.volume,
+        }
+        self
+    }
 }
 
 /// Rejects an empty or non-finite list of lattice coordinates. The
@@ -234,12 +244,14 @@ impl crate::CompiledScenario {
 
     /// Evaluates the FPGA:ASIC total-CFP ratio over a 2-D lattice (Fig. 8).
     ///
-    /// The flattened lattice streams through the batch kernel
-    /// ([`CompiledScenario::evaluate_indexed_into`](crate::CompiledScenario::evaluate_indexed_into))
-    /// without ever materializing the operating points; workers each fill a
-    /// contiguous slab of the grid. `threads` follows the kernel's
-    /// convention (`0` = auto); the result is identical for every thread
-    /// count.
+    /// The lattice kernel converts each coordinate once per column and once
+    /// per row and writes every cell's ratio straight from its two totals;
+    /// workers each fill a contiguous slab of the grid. `threads` follows
+    /// the kernel's convention (`0` = auto); the result is identical for
+    /// every thread count and bit-identical to
+    /// [`CompiledScenario::evaluate`](crate::CompiledScenario::evaluate)'s
+    /// ratio cell by cell. When both axes are the same, the x coordinate
+    /// wins.
     ///
     /// When only the *winner* of each cell matters, prefer
     /// [`CompiledScenario::frontier`](crate::CompiledScenario::frontier): it
@@ -249,7 +261,10 @@ impl crate::CompiledScenario {
     /// # Errors
     ///
     /// Returns [`GreenFpgaError::InvalidRange`] when either value list is
-    /// empty and propagates the model error with the lowest cell index.
+    /// empty and [`GreenFpgaError::NonFinite`] for a coordinate that is not
+    /// finite. Otherwise the validation error with the lowest cell index
+    /// wins over any non-finite cell, and the lowest non-finite cell
+    /// reports its FPGA total before its ASIC total.
     pub fn ratio_grid(
         &self,
         x_axis: SweepAxis,
@@ -261,50 +276,37 @@ impl crate::CompiledScenario {
     ) -> Result<GridSweep, GreenFpgaError> {
         check_axis_values(x_values, "grid values")?;
         check_axis_values(y_values, "grid values")?;
-        let columns = x_values.len();
-        let mut buffer = ResultBuffer::new();
-        self.evaluate_indexed_into(
-            columns * y_values.len(),
-            |i| {
-                base.with_axis(y_axis, y_values[i / columns])
-                    .with_axis(x_axis, x_values[i % columns])
-            },
-            &mut buffer,
-            threads,
-        )?;
-        let ratios = (0..y_values.len())
-            .map(|row| {
-                (0..columns)
-                    .map(|col| buffer.ratio(row * columns + col))
-                    .collect()
-            })
-            .collect();
+        let mut cells = vec![0.0; x_values.len() * y_values.len()];
+        let (x, y) = ((x_axis, x_values), (y_axis, y_values));
+        self.fill_ratio_lattice(x, y, base, &mut cells, threads)?;
         Ok(GridSweep {
             domain: self.domain(),
             x_axis,
             x_values: x_values.to_vec(),
             y_axis,
             y_values: y_values.to_vec(),
-            ratios,
+            ratios: cells.chunks(x_values.len()).map(<[f64]>::to_vec).collect(),
         })
     }
 
     /// Starts a streaming evaluation of the same lattice as
     /// [`CompiledScenario::ratio_grid`](crate::CompiledScenario::ratio_grid),
-    /// yielding row-blocks through one reused [`ResultBuffer`] instead of
+    /// yielding row-blocks through one reused ratio buffer instead of
     /// materializing the whole grid.
     ///
     /// The peak resident footprint is one block (`block_rows × columns`
-    /// cells), so a 1024×1024 — or million-row — grid evaluates in bounded
-    /// memory. Every ratio is bit-identical to the buffered path: the same
-    /// kernel evaluates the same points in the same order, only the
-    /// delivery is chunked.
+    /// ratios), so a 1024×1024 — or million-row — grid evaluates in bounded
+    /// memory. Every ratio is bit-identical to the buffered path: each
+    /// block runs the same lattice kernel over its rows, only the delivery
+    /// is chunked.
     ///
     /// # Errors
     ///
     /// Returns [`GreenFpgaError::InvalidRange`] when either value list is
-    /// empty; per-point model errors surface from
-    /// [`GridStream::next_block`].
+    /// empty and [`GreenFpgaError::NonFinite`] for a coordinate that is not
+    /// finite; per-cell model errors surface from
+    /// [`GridStream::next_block`], in the buffered grid's order within
+    /// each block.
     pub fn grid_stream(
         &self,
         x_axis: SweepAxis,
@@ -316,11 +318,9 @@ impl crate::CompiledScenario {
     ) -> Result<GridStream, GreenFpgaError> {
         check_axis_values(&x_values, "grid values")?;
         check_axis_values(&y_values, "grid values")?;
-        // Aim for ~4K cells per block: a block's results (~384 KiB) then
-        // weigh no more than a buffered 64×64 grid's, so a streamed response
-        // never pins more memory than the buffered routes already do, while
-        // thousands of closed-form evaluations still amortize each block's
-        // dispatch.
+        // Aim for ~4K cells per block: thousands of closed-form evaluations
+        // amortize each block's dispatch, and a block's ratios (32 KiB)
+        // stay small next to its JSON text.
         let columns = x_values.len();
         let block_rows = (GridStream::TARGET_BLOCK_CELLS / columns).clamp(1, y_values.len());
         Ok(GridStream {
@@ -333,7 +333,7 @@ impl crate::CompiledScenario {
             threads,
             block_rows,
             next_row: 0,
-            buffer: ResultBuffer::new(),
+            ratios: Vec::new(),
             wins: 0,
         })
     }
@@ -343,7 +343,7 @@ impl crate::CompiledScenario {
 /// [`CompiledScenario::grid_stream`](crate::CompiledScenario::grid_stream).
 ///
 /// Call [`GridStream::next_block`] until it returns `None`; each block
-/// borrows the stream's internal buffer, so memory stays bounded by one
+/// borrows the stream's one ratio buffer, so memory stays bounded by one
 /// block regardless of grid size. After exhaustion,
 /// [`GridStream::fpga_winning_fraction`] reports the same value (bit-exact)
 /// as [`GridSweep::fpga_winning_fraction`] on the buffered result.
@@ -358,7 +358,7 @@ pub struct GridStream {
     threads: usize,
     block_rows: usize,
     next_row: usize,
-    buffer: ResultBuffer,
+    ratios: Vec<f64>,
     wins: usize,
 }
 
@@ -438,8 +438,10 @@ impl GridStream {
     ///
     /// # Errors
     ///
-    /// Propagates the model error with the lowest cell index inside the
-    /// block; the stream terminates (subsequent calls return `None`).
+    /// The block's error in the order of
+    /// [`CompiledScenario::ratio_grid`](crate::CompiledScenario::ratio_grid): the
+    /// lowest-index validation error, else the lowest non-finite cell's.
+    /// The stream then terminates (subsequent calls return `None`).
     pub fn next_block(&mut self) -> Option<Result<GridBlock<'_>, GreenFpgaError>> {
         let rows_total = self.y_values.len();
         if self.next_row >= rows_total {
@@ -447,33 +449,24 @@ impl GridStream {
         }
         let start_row = self.next_row;
         let rows = self.block_rows.min(rows_total - start_row);
-        let columns = self.x_values.len();
-        let result = {
-            let (x_values, y_values) = (&self.x_values, &self.y_values);
-            let (x_axis, y_axis, base) = (self.x_axis, self.y_axis, self.base);
-            self.scenario.evaluate_indexed_into(
-                rows * columns,
-                |i| {
-                    base.with_axis(y_axis, y_values[start_row + i / columns])
-                        .with_axis(x_axis, x_values[i % columns])
-                },
-                &mut self.buffer,
-                self.threads,
-            )
-        };
+        self.ratios.resize(rows * self.x_values.len(), 0.0);
+        let result = self.scenario.fill_ratio_lattice(
+            (self.x_axis, &self.x_values),
+            (self.y_axis, &self.y_values[start_row..start_row + rows]),
+            self.base,
+            &mut self.ratios,
+            self.threads,
+        );
         if let Err(error) = result {
             self.next_row = rows_total;
             return Some(Err(error));
         }
         self.next_row = start_row + rows;
-        self.wins += (0..rows * columns)
-            .filter(|&i| self.buffer.ratio(i) < 1.0)
-            .count();
+        self.wins += self.ratios.iter().filter(|&&ratio| ratio < 1.0).count();
         Some(Ok(GridBlock {
             start_row,
-            rows,
-            columns,
-            buffer: &self.buffer,
+            columns: self.x_values.len(),
+            ratios: &self.ratios,
         }))
     }
 
@@ -506,13 +499,13 @@ impl GridStream {
     }
 }
 
-/// One row-block of a [`GridStream`], borrowing the stream's buffer.
+/// One row-block of a [`GridStream`]: its ratios, row by row, borrowed
+/// from the stream's buffer.
 #[derive(Debug)]
 pub struct GridBlock<'a> {
     start_row: usize,
-    rows: usize,
     columns: usize,
-    buffer: &'a ResultBuffer,
+    ratios: &'a [f64],
 }
 
 impl GridBlock<'_> {
@@ -523,7 +516,7 @@ impl GridBlock<'_> {
 
     /// Number of rows in this block.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.ratios.len() / self.columns
     }
 
     /// Number of columns (same for every block).
@@ -531,15 +524,11 @@ impl GridBlock<'_> {
         self.columns
     }
 
-    /// FPGA:ASIC ratio at `(row, col)`, with `row` relative to the block.
-    pub fn ratio(&self, row: usize, col: usize) -> f64 {
-        assert!(row < self.rows && col < self.columns, "cell out of block");
-        self.buffer.ratio(row * self.columns + col)
-    }
-
     /// Iterates one block-relative row's ratios in column order.
     pub fn row(&self, row: usize) -> impl Iterator<Item = f64> + '_ {
-        (0..self.columns).map(move |col| self.ratio(row, col))
+        self.ratios[row * self.columns..][..self.columns]
+            .iter()
+            .copied()
     }
 
     /// This block's rows in the streamed wire form (see
@@ -547,14 +536,14 @@ impl GridBlock<'_> {
     /// leading comma unless the block opens the grid.
     pub fn rows_json(&self) -> Result<String, JsonError> {
         // Ratios print in about 20 bytes; the hint spares most regrowth.
-        let mut fragment = String::with_capacity(self.rows * (self.columns * 25 + 3));
+        let mut fragment = String::with_capacity(self.rows() * (self.columns * 25 + 3));
         if self.start_row > 0 {
             fragment.push(',');
         }
         let mut w = JsonWriter::appending(fragment);
-        for row in 0..self.rows {
+        for row in self.ratios.chunks(self.columns) {
             w.begin_array();
-            for cell in self.row(row) {
+            for &cell in row {
                 w.number(cell);
             }
             w.end_array();
