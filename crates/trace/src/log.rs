@@ -9,16 +9,26 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::clock::Scale;
-use crate::{registered_rings, SpanRecord};
+use crate::{registered_rings, SpanRecord, RING_CAPACITY};
 
 // ---------------------------------------------------------------------------
 // NDJSON trace log
 // ---------------------------------------------------------------------------
 
-/// How often the log thread polls the rings for new spans. Bounded
-/// buffering: spans older than one ring revolution when the disk stalls
-/// are overwritten and simply never logged — writers never wait.
+/// How often the log thread polls the rings for new spans while they are
+/// quiet. Bounded buffering: spans older than one ring revolution when the
+/// disk stalls are overwritten and simply never logged — writers never
+/// wait.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// The shortest poll interval. A pass that finds a ring more than half a
+/// ring behind, or already overwritten, polls again at once and halves the
+/// interval down to this; a pass after a full sleep that finds every ring
+/// under an eighth of a ring behind doubles it back up to
+/// [`POLL_INTERVAL`]. The interval settles where one sleep fills between
+/// an eighth and a half of the busiest ring: ~3 ms for a pool worker
+/// pushing ~55k spans/s.
+const MIN_POLL_INTERVAL: Duration = Duration::from_millis(1);
 
 /// Renders one span as a single NDJSON line (no trailing newline).
 /// Ids are fixed-width lowercase hex, matching the `x-request-id` header.
@@ -41,13 +51,15 @@ pub fn span_to_ndjson(span: &SpanRecord, out: &mut String) {
 /// [`TraceLog::stop`]; dropping it also stops and joins.
 pub struct TraceLog {
     stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    thread: Option<std::thread::JoinHandle<u64>>,
 }
 
 /// Streams every span recorded after this call to `path` as NDJSON, one
 /// span per line, from a dedicated writer thread. The thread tails each
-/// ring with a cursor: a slow disk makes the *log* lossy (overwritten
-/// spans are skipped), never the recording hot path slow.
+/// ring with a cursor and polls faster while a ring fills up: a slow disk
+/// or a burst past one ring per poll makes the *log* lossy (overwritten
+/// spans are skipped and counted, the count printed to stderr on
+/// [`TraceLog::stop`]), never the recording hot path slow.
 ///
 /// # Errors
 ///
@@ -69,21 +81,35 @@ pub fn start_ndjson_log(path: &Path) -> std::io::Result<TraceLog> {
         .spawn(move || {
             let mut writer = std::io::BufWriter::new(file);
             let mut line = String::new();
+            let (mut interval, mut skipped, mut slept) = (POLL_INTERVAL, 0, false);
             loop {
                 let stopping = stop_flag.load(Ordering::Relaxed);
                 let scale = Scale::sample();
+                let mut lag = 0;
                 for ring in registered_rings() {
                     let (oldest, head) = ring.window();
                     let cursor = cursor_of(&mut cursors, ring.thread);
-                    // Spans the ring already overwrote are lost to the
-                    // log by design (bounded buffering).
-                    let mut next = (*cursor).max(oldest);
+                    lag = lag.max(head - (*cursor).min(head));
+                    let mut next = *cursor;
                     while next < head {
-                        if let Some(span) = ring.read(next, scale) {
-                            line.clear();
-                            span_to_ndjson(&span, &mut line);
-                            line.push('\n');
-                            let _ = writer.write_all(line.as_bytes());
+                        let span = ring.read(next, scale);
+                        // Spans the ring overwrote before (or while) they
+                        // were read are lost to the log by design.
+                        let oldest = oldest.max(ring.window().0);
+                        if next < oldest {
+                            skipped += oldest - next;
+                            next = oldest;
+                            lag = u64::MAX;
+                            continue;
+                        }
+                        match span {
+                            Some(span) => {
+                                line.clear();
+                                span_to_ndjson(&span, &mut line);
+                                line.push('\n');
+                                let _ = writer.write_all(line.as_bytes());
+                            }
+                            None => skipped += 1,
                         }
                         next += 1;
                     }
@@ -91,9 +117,19 @@ pub fn start_ndjson_log(path: &Path) -> std::io::Result<TraceLog> {
                 }
                 let _ = writer.flush();
                 if stopping {
-                    return;
+                    return skipped;
                 }
-                std::thread::sleep(POLL_INTERVAL);
+                if lag > RING_CAPACITY as u64 / 2 {
+                    interval = (interval / 2).max(MIN_POLL_INTERVAL);
+                    slept = false;
+                    continue;
+                }
+                // Only a pass after a full sleep shows what one interval fills.
+                if slept && lag < RING_CAPACITY as u64 / 8 {
+                    interval = (interval * 2).min(POLL_INTERVAL);
+                }
+                std::thread::sleep(interval);
+                slept = true;
             }
         })?;
     Ok(TraceLog {
@@ -119,17 +155,22 @@ fn cursor_of(cursors: &mut Vec<u64>, thread: u64) -> &mut u64 {
 }
 
 impl TraceLog {
-    /// Drains one final pass, flushes and joins the writer thread.
-    pub fn stop(mut self) {
-        self.stop_and_join();
+    /// Drains one final pass, flushes and joins the writer thread, and
+    /// prints to stderr — and returns — how many spans the log skipped.
+    pub fn stop(mut self) -> u64 {
+        self.stop_and_join()
     }
 
-    fn stop_and_join(&mut self) {
+    fn stop_and_join(&mut self) -> u64 {
         let Some(thread) = self.thread.take() else {
-            return;
+            return 0;
         };
         self.stop.store(true, Ordering::Relaxed);
-        let _ = thread.join();
+        let skipped = thread.join().unwrap_or(0);
+        eprintln!(
+            "[gf trace] trace log: {skipped} spans skipped (overwritten before they were written)"
+        );
+        skipped
     }
 }
 
@@ -258,6 +299,29 @@ mod tests {
                 "NDJSON: {line}"
             );
         }
+    }
+
+    #[test]
+    fn ndjson_log_accounts_for_every_span_of_a_burst() {
+        let _guard = crate::recording_lock();
+        let path =
+            std::env::temp_dir().join(format!("gf-trace-burst-{:016x}.ndjson", crate::next_id()));
+        let log = start_ndjson_log(&path).unwrap();
+        let marker = crate::next_id();
+        set_current_request(marker);
+        // Three rings' worth in one burst: the ring keeps the last one.
+        let pushed = 3 * RING_CAPACITY as u64;
+        for aux in 0..pushed {
+            record_event(SpanName::EvalBatch, aux);
+        }
+        set_current_request(0);
+        let skipped = log.stop();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let needle = format!("\"request\":\"{marker:016x}\"");
+        let logged = text.lines().filter(|l| l.contains(&needle)).count() as u64;
+        assert!(logged >= RING_CAPACITY as u64, "the last ring is logged");
+        assert_eq!(logged + skipped, pushed, "every span logged or counted");
     }
 
     #[test]
