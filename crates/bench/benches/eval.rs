@@ -5,7 +5,8 @@
 //!
 //! * a 64×64 DNN ratio heatmap (Fig. 8 class) — naive per-cell
 //!   `compare_uniform` versus `CompiledScenario::ratio_grid` (compile +
-//!   batch kernel + scoped fan-out),
+//!   the lattice kernel, which writes each cell's ratio straight from its
+//!   two totals + scoped fan-out),
 //! * a 10 000-sample Monte-Carlo study — the naive structure (one
 //!   parameter clone per knob per trial, full model rebuild per trial,
 //!   serial) versus `MonteCarlo::run`, which resolves the domain template
@@ -22,8 +23,9 @@
 //!   absolute `evaluate_ns_per_point` ceiling), and one evaluation at 5
 //!   versus 2^53 applications, which the closed form prices the same, and
 //! * a streamed 1024×1024 (million-point) ratio grid —
-//!   `CompiledScenario::grid_stream` drained block by block, the batch
-//!   kernel end to end with only one row-block resident (`grid_1m_ns`), and
+//!   `CompiledScenario::grid_stream` drained block by block, the lattice
+//!   kernel end to end with only one row-block of ratios resident
+//!   (`grid_1m_ns`), and
 //! * a full-year time-series carbon replay — 8760 hourly intensity steps
 //!   of the `solar_duck` preset, interpolated, over a cataloged fleet
 //!   scenario (`replay_year_ns`): the kernel behind `POST /v1/replay`,

@@ -507,11 +507,11 @@ impl CompiledScenario {
         out: &mut ResultBuffer,
         threads: usize,
     ) -> Result<(), GreenFpgaError> {
-        out.prepare(self.domain, n);
         // Each worker's chunk carries the previous point's lines, so a run
-        // of points sharing a lifetime and volume (a grid row with the
-        // applications on x) computes them once.
+        // of points sharing a lifetime and volume (a sweep over the
+        // applications) computes them once.
         traced_batch(n, || {
+            out.prepare(self.domain, n);
             exec::try_fill_chunks(&mut out.results, threads, |start, chunk| {
                 let mut lines = LineMemo::new();
                 for (j, slot) in chunk.iter_mut().enumerate() {
