@@ -142,17 +142,16 @@ fn run(Invocation { action, json, .. }: Invocation) -> Result<(), Failure> {
 
 /// Runs one decoded request and writes its rendering.
 fn run_query(query: Query, json: bool, csv: bool, out: &mut dyn Write) -> Result<(), Failure> {
-    let compile = gf_trace::span(gf_trace::SpanName::CliCompile);
+    let start = gf_trace::open();
     let engine = Engine::with_defaults()?;
-    compile.finish();
-    let eval = gf_trace::span(gf_trace::SpanName::CliEval);
+    let start = gf_trace::close(gf_trace::SpanName::CliCompile, start, 0);
     if let Query::Grid(request @ GridRequest { stream: true, .. }) = &query {
         let result = run_grid_stream(&engine, request, json, out);
-        eval.finish();
+        gf_trace::close(gf_trace::SpanName::CliEval, start, 0);
         return result;
     }
     let outcome = engine.run(&query);
-    eval.finish();
+    gf_trace::close(gf_trace::SpanName::CliEval, start, 0);
     let outcome = outcome?;
     if json {
         let mut w = JsonWriter::new();

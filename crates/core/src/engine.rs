@@ -131,35 +131,22 @@ impl Engine {
     /// compiles under the cache lock (pure arithmetic, microseconds), so
     /// concurrent misses on one spec compile it once.
     ///
+    /// Traced, a hit reads no clock: its `cache_hit` event is dated at the
+    /// request's last boundary (on the server, the decode span's end). A
+    /// miss opens a `compile` span with its own read and dates its
+    /// `cache_miss` event at the compile's end.
+    ///
     /// # Errors
     ///
     /// Propagates compile errors (knob overrides are range-clamped, so
     /// spec-derived parameters never trigger them).
     pub fn compiled(&self, spec: &ScenarioSpec) -> Result<CompiledScenario, ApiError> {
-        let traced = gf_trace::enabled();
-        let from_ticks = if traced { gf_trace::now_ticks() } else { 0 };
-        let mut cache = self.cache.lock().expect("scenario cache poisoned");
-        let misses_before = cache.misses;
-        let result = cache.lookup(spec);
-        let missed = cache.misses > misses_before;
-        drop(cache);
-        if traced {
-            if missed {
-                let end = gf_trace::now_ticks();
-                gf_trace::record_span_at(
-                    gf_trace::SpanName::Compile,
-                    from_ticks,
-                    end.saturating_sub(from_ticks),
-                    0,
-                );
-                gf_trace::record_span_at(gf_trace::SpanName::CacheMiss, end, 0, 0);
-            } else {
-                // Hit path: reuse the probe's entry stamp — the common case
-                // pays exactly one clock read.
-                gf_trace::record_span_at(gf_trace::SpanName::CacheHit, from_ticks, 0, 0);
-            }
-        }
-        Ok(result?)
+        let compiled = self
+            .cache
+            .lock()
+            .expect("scenario cache poisoned")
+            .lookup(spec);
+        Ok(compiled?)
     }
 
     /// Runs one query and returns its outcome. Allocates a scratch
@@ -283,8 +270,7 @@ impl Engine {
                 )?)
             }
             Query::MonteCarlo(request) => {
-                let traced = gf_trace::enabled();
-                let start = if traced { gf_trace::now_ticks() } else { 0 };
+                let start = gf_trace::open();
                 let report = MonteCarlo::new(request.samples)
                     .with_seed(request.seed)
                     .with_threads(threads)
@@ -293,15 +279,8 @@ impl Engine {
                         request.scenario.domain,
                         request.point,
                     )?;
-                if traced {
-                    let end = gf_trace::now_ticks();
-                    gf_trace::record_span_at(
-                        gf_trace::SpanName::MonteCarlo,
-                        start,
-                        end.saturating_sub(start),
-                        request.samples as u64,
-                    );
-                }
+                let samples = request.samples as u64;
+                gf_trace::close(gf_trace::SpanName::MonteCarlo, start, samples);
                 Outcome::MonteCarlo(report)
             }
             Query::Industry(request) => Outcome::Industry(run_industry(request)?),
@@ -338,19 +317,10 @@ impl Engine {
                     )));
                 }
                 let compiled = self.compiled(&spec)?;
-                let traced = gf_trace::enabled();
-                let start = if traced { gf_trace::now_ticks() } else { 0 };
+                let start = gf_trace::open();
                 let replay =
                     series.replay_years(&compiled, point, request.interpolate, request.years)?;
-                if traced {
-                    let end = gf_trace::now_ticks();
-                    gf_trace::record_span_at(
-                        gf_trace::SpanName::Replay,
-                        start,
-                        end.saturating_sub(start),
-                        replay.steps,
-                    );
-                }
+                gf_trace::close(gf_trace::SpanName::Replay, start, replay.steps);
                 Outcome::Replay(ReplayResponse {
                     id: request.scenario.catalog_id().map(str::to_string),
                     domain: spec.domain,
@@ -362,8 +332,7 @@ impl Engine {
                 let (entry, spec) = resolve_scenario(&request.scenario)?;
                 let point = resolved_point(request.point, entry);
                 let compiled = self.compiled(&spec)?;
-                let traced = gf_trace::enabled();
-                let start = if traced { gf_trace::now_ticks() } else { 0 };
+                let start = gf_trace::open();
                 let outcome = compiled.optimize(
                     point,
                     &request.objective,
@@ -373,15 +342,7 @@ impl Engine {
                     request.max_evals,
                     threads,
                 )?;
-                if traced {
-                    let end = gf_trace::now_ticks();
-                    gf_trace::record_span_at(
-                        gf_trace::SpanName::Optimize,
-                        start,
-                        end.saturating_sub(start),
-                        outcome.evaluations,
-                    );
-                }
+                gf_trace::close(gf_trace::SpanName::Optimize, start, outcome.evaluations);
                 let argmin = request
                     .search
                     .iter()
@@ -445,8 +406,11 @@ impl Engine {
     }
 
     /// Submits a job to the persistent worker pool, spawning the pool on
-    /// first use. Returns `false` after [`Engine::join_workers`].
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) -> bool {
+    /// first use. The job runs under the caller's current request id and
+    /// is handed its claim stamp
+    /// ([`WorkerPool::execute`](exec::WorkerPool::execute)). Returns
+    /// `false` after [`Engine::join_workers`].
+    pub fn execute(&self, job: impl FnOnce(u64) + Send + 'static) -> bool {
         let mut slot = self.pool.lock().expect("engine pool poisoned");
         if slot.closed {
             return false;
@@ -486,8 +450,8 @@ impl Engine {
 /// Resolves a [`ScenarioRef`] in front of the compiled cache: inline
 /// specs pass through untouched; catalog ids resolve to the cataloged
 /// spec with any request overrides appended after the cataloged knob
-/// list (so they win, like later inline overrides do), stamping a
-/// `catalog_resolve` span whose `aux` is the entry's catalog index.
+/// list (so they win, like later inline overrides do), recording a
+/// `catalog_resolve` event whose `aux` is the entry's catalog index.
 ///
 /// The resolved spec keys the compiled cache exactly like an inline
 /// spec, so repeated traffic for the same catalog id is compile-free
@@ -503,7 +467,7 @@ fn resolve_scenario(
                     "unknown catalog scenario '{id}'"
                 )));
             };
-            gf_trace::record_event(gf_trace::SpanName::CatalogResolve, index as u64);
+            gf_trace::event(gf_trace::SpanName::CatalogResolve, index as u64);
             let mut spec = entry.scenario.clone();
             spec.knobs.extend(knobs.iter().copied());
             Ok((Some(entry), spec))
@@ -627,10 +591,12 @@ impl ScenarioCache {
         })
     }
 
-    /// The compiled scenario for a spec, compiled and inserted on a miss.
+    /// The compiled scenario for a spec, compiled and inserted on a miss,
+    /// with its trace records (see [`Engine::compiled`]).
     fn lookup(&mut self, spec: &ScenarioSpec) -> Result<CompiledScenario, GreenFpgaError> {
         let key = key_of(spec);
         if let Some(position) = self.entries.iter().position(|entry| entry.key == key) {
+            gf_trace::event(gf_trace::SpanName::CacheHit, 0);
             self.hits += 1;
             // Move to front: position 0 is most recently used.
             let entry = self.entries.remove(position);
@@ -639,7 +605,11 @@ impl ScenarioCache {
             return Ok(compiled);
         }
         self.misses += 1;
-        let compiled = self.templates[key.0].compile(&spec.params())?;
+        let start = gf_trace::open();
+        let compiled = self.templates[key.0].compile(&spec.params());
+        gf_trace::close(gf_trace::SpanName::Compile, start, 0);
+        gf_trace::event(gf_trace::SpanName::CacheMiss, 0);
+        let compiled = compiled?;
         if self.entries.len() >= self.capacity {
             self.entries.pop();
         }
@@ -851,13 +821,13 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..16 {
             let counter = Arc::clone(&counter);
-            assert!(engine.execute(move || {
+            assert!(engine.execute(move |_| {
                 counter.fetch_add(1, Ordering::SeqCst);
             }));
         }
         engine.join_workers();
         assert_eq!(counter.load(Ordering::SeqCst), 16, "drained before join");
-        assert!(!engine.execute(|| {}), "closed engines reject jobs");
+        assert!(!engine.execute(|_| {}), "closed engines reject jobs");
         engine.join_workers(); // idempotent
         assert_eq!(engine.queue_depth(), 0);
     }

@@ -510,19 +510,20 @@ impl CompiledScenario {
         // Each worker's chunk carries the previous point's lines, so a run
         // of points sharing a lifetime and volume (a sweep over the
         // applications) computes them once.
-        traced_batch(n, || {
-            out.prepare(self.domain, n);
-            exec::try_fill_chunks(&mut out.results, threads, |start, chunk| {
-                let mut lines = LineMemo::new();
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let point = point_of(start + j);
-                    let lifetime = self.validate(point)?;
-                    *slot = lines.totals(self, point, lifetime);
-                }
-                Ok(())
-            })
-            .and_then(|()| out.check_finite())
+        let start = gf_trace::open();
+        out.prepare(self.domain, n);
+        let filled = exec::try_fill_chunks(&mut out.results, threads, |first, chunk| {
+            let mut lines = LineMemo::new();
+            for (j, slot) in chunk.iter_mut().enumerate() {
+                let point = point_of(first + j);
+                let lifetime = self.validate(point)?;
+                *slot = lines.totals(self, point, lifetime);
+            }
+            Ok(())
         })
+        .and_then(|()| out.check_finite());
+        gf_trace::close(gf_trace::SpanName::EvalBatch, start, n as u64);
+        filled
     }
 
     /// Fills `out` row by row with the FPGA:ASIC total-CFP ratios of the
@@ -547,46 +548,35 @@ impl CompiledScenario {
         let columns = Vec::from_iter(x_values.iter().map(|&x| base.with_axis(x_axis, x)));
         let (width, row_base) = (columns.len(), |row| base.with_axis(y_axis, y_values[row]));
         let cell = |i: usize| row_base(i / width).with_axis_of(x_axis, columns[i % width]);
-        traced_batch(out.len(), || {
-            exec::try_fill_chunks::<_, GreenFpgaError, _>(out, threads, |start, chunk| {
-                let (mut lines, mut row, mut col) = (LineMemo::new(), start / width, start % width);
-                let mut row_point = row_base(row);
-                for slot in chunk {
-                    let point = row_point.with_axis_of(x_axis, columns[col]);
-                    let lifetime = self.validate(point)?;
-                    let (fpga, asic) = lines.totals(self, point, lifetime);
-                    let (fpga, asic) = (fpga.total(), asic.total());
-                    // NaN marks a non-finite total; finite totals never divide to NaN.
-                    *slot = if fpga.as_kg().is_finite() & asic.as_kg().is_finite() {
-                        fpga.ratio_to(asic).unwrap_or(f64::INFINITY)
-                    } else {
-                        f64::NAN
-                    };
-                    col += 1;
-                    if col == width && row + 1 < y_values.len() {
-                        (row, col, row_point) = (row + 1, 0, row_base(row + 1));
-                    }
+        let start = gf_trace::open();
+        let filled = exec::try_fill_chunks::<_, GreenFpgaError, _>(out, threads, |first, chunk| {
+            let (mut lines, mut row, mut col) = (LineMemo::new(), first / width, first % width);
+            let mut row_point = row_base(row);
+            for slot in chunk {
+                let point = row_point.with_axis_of(x_axis, columns[col]);
+                let lifetime = self.validate(point)?;
+                let (fpga, asic) = lines.totals(self, point, lifetime);
+                let (fpga, asic) = (fpga.total(), asic.total());
+                // NaN marks a non-finite total; finite totals never divide to NaN.
+                *slot = if fpga.as_kg().is_finite() & asic.as_kg().is_finite() {
+                    fpga.ratio_to(asic).unwrap_or(f64::INFINITY)
+                } else {
+                    f64::NAN
+                };
+                col += 1;
+                if col == width && row + 1 < y_values.len() {
+                    (row, col, row_point) = (row + 1, 0, row_base(row + 1));
                 }
-                Ok(())
-            })?;
-            match out.iter().position(|ratio| ratio.is_nan()) {
-                Some(i) => self.ratio(cell(i)).map(drop),
-                None => Ok(()),
             }
+            Ok(())
         })
+        .and_then(|()| match out.iter().position(|ratio| ratio.is_nan()) {
+            Some(i) => self.ratio(cell(i)).map(drop),
+            None => Ok(()),
+        });
+        gf_trace::close(gf_trace::SpanName::EvalBatch, start, out.len() as u64);
+        filled
     }
-}
-
-/// Runs a batch call under one `EvalBatch` span (aux = points) if tracing.
-fn traced_batch<T>(points: usize, batch: impl FnOnce() -> T) -> T {
-    if !gf_trace::enabled() {
-        return batch();
-    }
-    let from = gf_trace::now_ticks();
-    let result = batch();
-    let duration = gf_trace::now_ticks().saturating_sub(from);
-    gf_trace::record_span_at(gf_trace::SpanName::EvalBatch, from, duration, points as u64);
-    result
 }
 
 /// One platform's footprint as a line in the application count `n`:

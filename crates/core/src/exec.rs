@@ -140,7 +140,7 @@ where
 /// let counter = Arc::new(AtomicUsize::new(0));
 /// for _ in 0..100 {
 ///     let counter = Arc::clone(&counter);
-///     pool.execute(move || {
+///     pool.execute(move |_claimed| {
 ///         counter.fetch_add(1, Ordering::Relaxed);
 ///     });
 /// }
@@ -229,36 +229,25 @@ impl WorkerPool {
     /// up first. Returns `false` if the pool is shutting down (only possible
     /// mid-drop, which safe callers never observe).
     ///
-    /// With tracing enabled the job is wrapped to record a `job_queue_wait`
-    /// span (enqueue → claim) and a `job_run` span (claim → done) on the
-    /// claiming worker's ring; disabled, the job boxes untouched.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) -> bool {
+    /// The job runs under the submitter's current request id
+    /// ([`gf_trace::current_request`]), so its own spans and the pool's
+    /// `job_queue_wait` (enqueue → claim) and `job_run` (claim → done)
+    /// spans land under the request that queued it. The job is handed the
+    /// claim stamp (0 untraced), which opens its first span.
+    pub fn execute(&self, job: impl FnOnce(u64) + Send + 'static) -> bool {
         match &self.sender {
             Some(sender) => {
                 self.queued.fetch_add(1, Ordering::SeqCst);
-                let job: Job = if gf_trace::enabled() {
-                    let queued_ticks = gf_trace::now_ticks();
-                    Box::new(move || {
-                        // One stamp closes the queue-wait span and opens the
-                        // run span.
-                        let claimed_ticks = gf_trace::now_ticks();
-                        gf_trace::record_span_at(
-                            gf_trace::SpanName::JobQueueWait,
-                            queued_ticks,
-                            claimed_ticks.saturating_sub(queued_ticks),
-                            0,
-                        );
-                        job();
-                        gf_trace::record_span_at(
-                            gf_trace::SpanName::JobRun,
-                            claimed_ticks,
-                            gf_trace::now_ticks().saturating_sub(claimed_ticks),
-                            0,
-                        );
-                    })
-                } else {
-                    Box::new(job)
-                };
+                let request_id = gf_trace::current_request();
+                let queued_ticks = gf_trace::open();
+                let job: Job = Box::new(move || {
+                    gf_trace::set_current_request(request_id);
+                    let claimed =
+                        gf_trace::close(gf_trace::SpanName::JobQueueWait, queued_ticks, 0);
+                    job(claimed);
+                    gf_trace::close(gf_trace::SpanName::JobRun, claimed, 0);
+                    gf_trace::set_current_request(0);
+                });
                 if sender.send(job).is_ok() {
                     true
                 } else {
@@ -410,7 +399,7 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..500 {
             let counter = Arc::clone(&counter);
-            assert!(pool.execute(move || {
+            assert!(pool.execute(move |_| {
                 counter.fetch_add(1, Ordering::Relaxed);
             }));
         }
@@ -430,7 +419,7 @@ mod tests {
             let counter = Arc::new(AtomicUsize::new(0));
             for _ in 0..20 {
                 let counter = Arc::clone(&counter);
-                pool.execute(move || {
+                pool.execute(move |_| {
                     counter.fetch_add(1, Ordering::Relaxed);
                 });
             }
@@ -446,10 +435,10 @@ mod tests {
         use std::sync::Arc;
         let pool = WorkerPool::new(2);
         let counter = Arc::new(AtomicUsize::new(0));
-        pool.execute(|| panic!("job panic must not wedge the pool"));
+        pool.execute(|_| panic!("job panic must not wedge the pool"));
         for _ in 0..50 {
             let counter = Arc::clone(&counter);
-            pool.execute(move || {
+            pool.execute(move |_| {
                 counter.fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -469,13 +458,13 @@ mod tests {
         // Wedge the single worker so further jobs must queue.
         let (release_tx, release_rx) = channel::<()>();
         let (started_tx, started_rx) = channel::<()>();
-        pool.execute(move || {
+        pool.execute(move |_| {
             started_tx.send(()).unwrap();
             release_rx.recv().unwrap();
         });
         started_rx.recv().unwrap(); // the blocker has been claimed
         for _ in 0..5 {
-            pool.execute(|| {});
+            pool.execute(|_| {});
         }
         assert_eq!(pool.queue_depth(), 5, "five jobs wait behind the blocker");
         release_tx.send(()).unwrap();
@@ -487,7 +476,7 @@ mod tests {
         let pool = WorkerPool::new(0);
         assert!(pool.threads() >= 1);
         let (tx, rx) = std::sync::mpsc::channel();
-        pool.execute(move || {
+        pool.execute(move |_| {
             tx.send(41 + 1).unwrap();
         });
         assert_eq!(rx.recv().unwrap(), 42);

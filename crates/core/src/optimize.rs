@@ -847,8 +847,7 @@ impl Solver<'_> {
         best_scalar: &mut f64,
         best_comparison: &mut PlatformComparison,
     ) -> Result<(), GreenFpgaError> {
-        let traced = gf_trace::enabled();
-        let start = if traced { gf_trace::now_ticks() } else { 0 };
+        let start = gf_trace::open();
         let evals_before = self.evals;
         let bound = self.bounds[k];
         let try_value = |solver: &mut Self,
@@ -916,15 +915,8 @@ impl Solver<'_> {
                 }
             }
         }
-        if traced {
-            let end = gf_trace::now_ticks();
-            gf_trace::record_span_at(
-                gf_trace::SpanName::OptimizeRefine,
-                start,
-                end.saturating_sub(start),
-                self.evals - evals_before,
-            );
-        }
+        let evals = self.evals - evals_before;
+        gf_trace::close(gf_trace::SpanName::OptimizeRefine, start, evals);
         Ok(())
     }
 

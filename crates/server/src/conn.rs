@@ -105,8 +105,8 @@ pub(crate) struct Conn {
     /// when its first byte arrives, echoed in `x-request-id`, and reset
     /// when the next request begins.
     pub request_id: u64,
-    /// Start timestamp (`gf_trace::now_ticks`) of the in-flight response
-    /// write — the dispatcher's serialize-end boundary stamp, so the
+    /// Start stamp of the in-flight response write: the dispatcher's
+    /// serialize-end boundary stamp (from `gf_trace::close`), so the
     /// `write` span covers encoding plus every readiness round the drain
     /// takes. Zero when no write span is open.
     pub write_started_ticks: u64,

@@ -529,16 +529,13 @@ fn arm_deadline(
     }
 }
 
-/// Writes one slow-request line to stderr: route, status, total latency
-/// and the per-span breakdown pulled from the trace rings by request id.
-/// Only runs past the `--slow-request-us` floor, so the formatting and the
-/// ring scan never touch the fast path.
-fn log_slow_request(request_id: u64, route: usize, status: u16, elapsed_us: f64) {
+/// Writes one slow-request line to stderr: route label (the metrics
+/// registry's), status, total latency and the per-span breakdown pulled
+/// from the trace rings by request id. Only runs past the
+/// `--slow-request-us` floor, so the formatting and the ring scan never
+/// touch the fast path.
+fn log_slow_request(request_id: u64, label: &str, status: u16, elapsed_us: f64) {
     use std::fmt::Write as _;
-    let label = routes::route_table()
-        .get(route)
-        .map(|entry| format!("{} {}", entry.method, entry.path))
-        .unwrap_or_else(|| "other".to_string());
     let mut breakdown = String::new();
     for span in gf_trace::spans_for_request(request_id) {
         let _ = write!(
@@ -798,7 +795,7 @@ impl EventLoop {
             now + self.state.config.idle_timeout
         };
         let mut conn = Conn::new(stream, deadline);
-        gf_trace::record_event(gf_trace::SpanName::Admission, u64::from(rejected));
+        gf_trace::event(gf_trace::SpanName::Admission, u64::from(rejected));
         if rejected {
             self.state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
             conn.counted_live = false;
@@ -951,14 +948,10 @@ impl EventLoop {
         let header_timeout = self.state.config.header_timeout;
         // One tick read opens the readable pass; after that, request
         // lifecycles hand their last boundary stamp to the next span
-        // (parse end opens execute, serialize end opens write, write
+        // (parse end opens decode, serialize end opens write, write
         // queue opens the pipelined follower's parse), so a request
         // costs one clock read per span, not two.
-        let mut cursor_ticks = if gf_trace::enabled() {
-            gf_trace::now_ticks()
-        } else {
-            0
-        };
+        let mut cursor_ticks = gf_trace::open();
         loop {
             let Some(conn) = self.conns.get_mut(token) else {
                 return;
@@ -972,7 +965,6 @@ impl EventLoop {
                 // read; its id starts when the parser turns to it.
                 conn.request_id = gf_trace::next_id();
             }
-            let request_id = conn.request_id;
             let step = conn.assembler.step(&mut conn.inbuf, limits);
             if conn.assembler.take_interim_due() {
                 // `Expect: 100-continue`: the interim joins the flush — the
@@ -999,34 +991,26 @@ impl EventLoop {
                     break;
                 }
                 http::Step::Request(request) => {
-                    let parse_end = if cursor_ticks != 0 {
-                        gf_trace::now_ticks()
-                    } else {
-                        0
-                    };
-                    if cursor_ticks != 0 {
-                        // The span opens when the parser turned to this
-                        // request (for a pipelined follower: when the
-                        // previous response was queued) and closes with
-                        // the step that consumed the head and body.
-                        gf_trace::set_current_request(request_id);
-                        gf_trace::record_span_at(
-                            gf_trace::SpanName::Parse,
-                            cursor_ticks,
-                            parse_end.saturating_sub(cursor_ticks),
-                            request.body.len() as u64,
-                        );
-                        gf_trace::set_current_request(0);
+                    if conn.request_id == 0 {
+                        conn.request_id = gf_trace::next_id();
                     }
+                    // The request's id covers everything the loop does for
+                    // it from here: its parse span, an inline run, or the
+                    // pool job it queues (which carries the id along).
+                    gf_trace::set_current_request(conn.request_id);
+                    // The span opens when the parser turned to this
+                    // request (for a pipelined follower: when the previous
+                    // response was queued) and closes with the step that
+                    // consumed the head and body.
+                    let body_bytes = request.body.len() as u64;
+                    let parse_end =
+                        gf_trace::close(gf_trace::SpanName::Parse, cursor_ticks, body_bytes);
                     cursor_ticks = self.dispatch(token, request, parse_end);
-                    if cursor_ticks == 0 && gf_trace::enabled() {
-                        // Offloaded request: no response boundary came
-                        // back; re-stamp for any pipelined follower.
-                        cursor_ticks = gf_trace::now_ticks();
-                    }
+                    gf_trace::set_current_request(0);
                     // Loop: an inline response leaves the connection in
                     // `Read` with its bytes queued and pipelined followers
-                    // possibly buffered.
+                    // possibly buffered; an offloaded or streamed one
+                    // leaves it waiting, which ends the loop.
                 }
             }
         }
@@ -1043,11 +1027,12 @@ impl EventLoop {
         self.update_interest(token);
     }
 
-    /// Routes one parsed request. `exec_start_ticks` is the parse span's
-    /// end stamp (0 = untraced) — it opens the execute span, and the
-    /// response's serialize-end stamp is returned so the caller can open
-    /// the next pipelined request's parse span without a fresh clock
-    /// read (0 = nothing to hand back: untraced or offloaded).
+    /// Routes one parsed request, under its request id (set by the
+    /// caller). `exec_start_ticks` is the parse span's end stamp
+    /// (0 = untraced) — it opens the decode span, and the response's
+    /// serialize-end stamp is returned so the caller can open the next
+    /// pipelined request's parse span without a fresh clock read (0 =
+    /// nothing to hand back: untraced, offloaded or streamed).
     fn dispatch(&mut self, token: u64, request: http::Request, exec_start_ticks: u64) -> u64 {
         let found = routes::find(&request.method, &request.path);
         let (route, offload) = match &found {
@@ -1059,9 +1044,6 @@ impl EventLoop {
             return 0;
         };
         conn.header_deadline_armed = false;
-        if conn.request_id == 0 {
-            conn.request_id = gf_trace::next_id();
-        }
         let meta = Meta {
             token,
             route,
@@ -1071,32 +1053,22 @@ impl EventLoop {
             request_id: conn.request_id,
         };
         if !offload {
-            gf_trace::set_current_request(meta.request_id);
             let reply = routes::handle(&self.state, found, &request, exec_start_ticks);
-            gf_trace::set_current_request(0);
             return self.answer(meta, reply);
         }
         conn.state = ConnState::Dispatched;
         conn.deadline = None; // the engine owes us, the peer owes nothing
         let state = Arc::clone(&self.state);
-        let queued = self.state.engine.execute(move || {
-            gf_trace::set_current_request(meta.request_id);
-            // One worker-side read closes the queue wait and opens the
-            // execute span.
-            let claimed_ticks = if exec_start_ticks != 0 {
-                let claimed = gf_trace::now_ticks();
-                gf_trace::record_span_at(
-                    gf_trace::SpanName::QueueWait,
-                    exec_start_ticks,
-                    claimed.saturating_sub(exec_start_ticks),
-                    0,
-                );
-                claimed
-            } else {
-                0
-            };
+        let queued = self.state.engine.execute(move |claimed_ticks| {
+            // The pool's claim stamp closes the queue wait and opens the
+            // decode span.
+            gf_trace::close_at(
+                gf_trace::SpanName::QueueWait,
+                exec_start_ticks,
+                claimed_ticks,
+                0,
+            );
             let reply = routes::handle(&state, found, &request, claimed_ticks);
-            gf_trace::set_current_request(0);
             state.complete(Completion::Reply(meta, reply));
         });
         if !queued {
@@ -1107,10 +1079,10 @@ impl EventLoop {
         0
     }
 
-    /// Answers a routed request wherever it ran: queues a buffered
-    /// response, or opens a streamed one and hands its row-blocks to a
-    /// pool worker. Returns the write span's opening stamp (0 for a
-    /// stream or when untraced).
+    /// Answers a routed request wherever it ran, under its request id (set
+    /// by the caller): queues a buffered response, or opens a streamed one
+    /// and hands its row-blocks to a pool worker. Returns the write span's
+    /// opening stamp (0 for a stream or when untraced).
     fn answer(&mut self, meta: Meta, reply: routes::Reply) -> u64 {
         let (head, stream) = match reply {
             routes::Reply::Full(response) => return self.finish_request(meta, &response),
@@ -1123,10 +1095,8 @@ impl EventLoop {
         // ultimately the peer) falls behind, and stops early if the
         // connection dies (the rx drops) or the pool is closing (the tx
         // drops unsent).
-        self.state.engine.execute(move || {
-            gf_trace::set_current_request(meta.request_id);
+        self.state.engine.execute(move |_| {
             routes::stream_grid_blocks(&state, meta.token, &tx, stream);
-            gf_trace::set_current_request(0);
         });
         0
     }
@@ -1152,7 +1122,8 @@ impl EventLoop {
         );
         let slow_floor = self.state.config.slow_request_us;
         if slow_floor > 0 && elapsed_us >= slow_floor as f64 {
-            log_slow_request(meta.request_id, meta.route, status, elapsed_us);
+            let label = self.state.metrics.label(meta.route);
+            log_slow_request(meta.request_id, label, status, elapsed_us);
         }
         let idle_deadline = now + self.state.config.idle_timeout;
         // The write span opens at the dispatcher's last boundary stamp
@@ -1161,10 +1132,8 @@ impl EventLoop {
         // encoding, queueing and the socket write.
         let cursor_ticks = if response.end_ticks != 0 {
             response.end_ticks
-        } else if gf_trace::enabled() {
-            gf_trace::now_ticks()
         } else {
-            0
+            gf_trace::open()
         };
         let Some(conn) = self.conns.get_mut(meta.token) else {
             return cursor_ticks; // closed while dispatched (shutdown) — counted, unsendable
@@ -1269,14 +1238,8 @@ impl EventLoop {
             if !must_close && conn.outpos == conn.outbuf.len() && !conn.outbuf.is_empty() {
                 if conn.write_started_ticks != 0 {
                     let flushed = conn.outbuf.len() as u64;
-                    let end = gf_trace::now_ticks();
                     gf_trace::set_current_request(conn.write_request_id);
-                    gf_trace::record_span_at(
-                        gf_trace::SpanName::Write,
-                        conn.write_started_ticks,
-                        end.saturating_sub(conn.write_started_ticks),
-                        flushed,
-                    );
+                    gf_trace::close(gf_trace::SpanName::Write, conn.write_started_ticks, flushed);
                     gf_trace::set_current_request(0);
                     conn.write_started_ticks = 0;
                     conn.write_request_id = 0;
@@ -1370,7 +1333,9 @@ impl EventLoop {
             self.progress = true;
             match completion {
                 Completion::Reply(meta, reply) => {
+                    gf_trace::set_current_request(meta.request_id);
                     self.answer(meta, reply);
+                    gf_trace::set_current_request(0);
                     // Flush the queued response, resume any pipelined
                     // follower behind it, and re-sync interest/deadlines.
                     self.process_buffered(meta.token);

@@ -141,6 +141,12 @@ impl Metrics {
         self.routes.len() - 1
     }
 
+    /// The label of dispatch-table entry `route` (`"{method} {path}"`);
+    /// out-of-range indices read the fallback bucket's `"other"`.
+    pub fn label(&self, route: usize) -> &str {
+        &self.labels[route.min(self.other_index())]
+    }
+
     /// Records one answered request. `route` is an index into the dispatch
     /// table; out-of-range indices count against the fallback bucket.
     pub fn record(

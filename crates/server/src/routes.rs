@@ -146,18 +146,6 @@ pub(crate) enum Reply {
     },
 }
 
-/// Closes a span opened at `start_ticks` and returns its end stamp, which
-/// opens the next span; a no-op returning 0 when `start_ticks` is 0
-/// (untraced).
-fn record_span(name: gf_trace::SpanName, start_ticks: u64, aux: u64) -> u64 {
-    if start_ticks == 0 {
-        return 0;
-    }
-    let end = gf_trace::now_ticks();
-    gf_trace::record_span_at(name, start_ticks, end.saturating_sub(start_ticks), aux);
-    end
-}
-
 fn serialization_error(error: &gf_json::JsonError) -> ApiError {
     ApiError::internal(format!("response serialization failed: {error}"))
 }
@@ -243,11 +231,11 @@ pub(crate) fn handle(
 ) -> Reply {
     let mut start = exec_start_ticks;
     let result = route.and_then(|route| dispatch(state, route, request, &mut start));
-    let mid = record_span(gf_trace::SpanName::Execute, start, 0);
+    let mid = gf_trace::close(gf_trace::SpanName::Execute, start, 0);
     let written = match result {
         Ok(Payload::GridStream(stream)) => match stream.head_json() {
             Ok(head) => {
-                record_span(gf_trace::SpanName::Serialize, mid, head.len() as u64);
+                gf_trace::close(gf_trace::SpanName::Serialize, mid, head.len() as u64);
                 return Reply::GridStream { head, stream };
             }
             Err(e) => Err(serialization_error(&e)),
@@ -263,7 +251,7 @@ pub(crate) fn handle(
         Ok((body, text)) => (200, body, text),
         Err(error) => (error.http_status(), error_body(&error), false),
     };
-    let end_ticks = record_span(gf_trace::SpanName::Serialize, mid, body.len() as u64);
+    let end_ticks = gf_trace::close(gf_trace::SpanName::Serialize, mid, body.len() as u64);
     Reply::Full(Response {
         status,
         body,
@@ -301,7 +289,7 @@ fn dispatch(
                 ..gf_json::ParseLimits::default()
             };
             let query = kind.decode_body(text, limits);
-            *start = record_span(
+            *start = gf_trace::close(
                 gf_trace::SpanName::Decode,
                 *start,
                 request.body.len() as u64,

@@ -66,18 +66,19 @@ fn base() -> &'static Base {
     })
 }
 
-/// Monotonic span timestamp in clock ticks (first call ≈ 0). This is
-/// the recording-side unit — every timestamp handed to
-/// [`record_span_at`](crate::record_span_at) must come from here.
-/// Collected [`SpanRecord`](crate::SpanRecord)s are already converted
-/// to nanoseconds.
+/// Monotonic span timestamp in clock ticks (first call ≈ 1). This is
+/// the recording-side unit: every stamp [`open`](crate::open) and
+/// [`close`](crate::close) hand out comes from here. Collected
+/// [`SpanRecord`](crate::SpanRecord)s are already converted to
+/// nanoseconds.
 ///
-/// Saturating, not wrapping: on virtualized hosts a vCPU's counter can
-/// read a few ticks *behind* the base sample taken on another vCPU, and
-/// that skew must clamp to zero rather than explode to ~2^64. (A 64-bit
-/// counter won't genuinely wrap for centuries.)
-pub fn now_ticks() -> u64 {
-    imp::raw_ticks().saturating_sub(base().ticks)
+/// Never 0, since callers read 0 as "untraced": on virtualized hosts a
+/// vCPU's counter can read a few ticks *behind* the base sample taken on
+/// another vCPU, and that skew clamps to 1 rather than wrapping to ~2^64
+/// or dropping the span. (A 64-bit counter won't genuinely wrap for
+/// centuries.)
+pub(crate) fn now_ticks() -> u64 {
+    imp::raw_ticks().saturating_sub(base().ticks).max(1)
 }
 
 /// A sampled ticks→nanoseconds conversion factor.

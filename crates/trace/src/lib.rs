@@ -18,19 +18,26 @@
 //!   slot's fields between two seq loads, discarding torn reads instead
 //!   of stopping writers. Readers never block writers and writers never
 //!   wait for readers.
-//! * **Tick timestamps.** Spans are stamped in raw clock ticks
-//!   ([`now_ticks`] — a TSC read on x86_64, roughly half the cost of an
-//!   `Instant` read under virtualized clocks) and converted to
-//!   nanoseconds only when collected, one calibration pair per
-//!   snapshot. Hot paths share boundary stamps: one read can close one
-//!   span and open the next.
+//! * **Tick timestamps.** Spans are stamped in raw clock ticks (a TSC
+//!   read on x86_64, roughly half the cost of an `Instant` read under
+//!   virtualized clocks) and converted to nanoseconds only when
+//!   collected, one calibration pair per snapshot.
+//! * **One way to time a span, one read per boundary.** [`open`] reads
+//!   the clock once (0 when tracing is off); [`close`] reads it once,
+//!   records the span and returns its end stamp, which opens the next
+//!   span; [`close_at`] ends a span at a stamp already read. A traced
+//!   stamp is never 0, so 0 always means "untraced" and a chain of
+//!   closes started at 0 records nothing. An [`event`] (zero duration)
+//!   reads no clock when the thread's last recorded span belongs to the
+//!   current request: it is dated at that span's end. Under request 0, or
+//!   after another request's span, it takes one read.
 //! * **SplitMix64 ids.** Span and request ids come from the in-tree
 //!   [`gf_support::SplitMix64`] finalizer — unique (the finalizer is a
 //!   bijection), well-spread, and cheap. Request ids draw from a global
 //!   counter; span ids draw from per-thread blocks so the ring push
 //!   never touches a contended cache line.
 //! * **Runtime kill switch.** [`set_enabled`]`(false)` short-circuits
-//!   span creation to one relaxed load — not even a clock read — which
+//!   recording to one relaxed load — not even a clock read — which
 //!   is how the bench suite measures the `trace_overhead` ratio inside
 //!   one binary.
 //!
@@ -44,7 +51,7 @@
 mod clock;
 mod log;
 
-pub use clock::now_ticks;
+use clock::now_ticks;
 pub use log::{
     level_enabled, log, max_level, set_max_level, span_to_ndjson, start_ndjson_log, Level, TraceLog,
 };
@@ -73,7 +80,9 @@ pub enum SpanName {
     /// Connection admission decision (server; `aux` = 1 when rejected).
     /// Connection-scoped: recorded before a request id exists.
     Admission = 1,
-    /// Offloaded request's wait from enqueue to worker pickup (server).
+    /// Offloaded request's wait from the parse span's end to worker
+    /// pickup (server); it ends at the pool's claim stamp, where
+    /// [`SpanName::JobQueueWait`] ends.
     QueueWait = 2,
     /// Scenario compile on a cache miss (engine; `aux` = 0).
     Compile = 3,
@@ -105,7 +114,8 @@ pub enum SpanName {
     EvalBatch = 11,
     /// CLI phase timing: query build + scenario compile (`aux` = 0).
     CliCompile = 12,
-    /// CLI phase timing: query evaluation (`aux` = result bytes).
+    /// CLI phase timing: query evaluation (`aux` = 0). It ends before the
+    /// outcome is rendered; a streamed grid writes its rows inside it.
     CliEval = 13,
     /// Catalog-id resolution to a concrete scenario spec (engine;
     /// `aux` = catalog entry index; zero duration).
@@ -319,8 +329,8 @@ impl Ring {
         }
     }
 
-    /// Records one span (timestamps in [`now_ticks`] units). Single
-    /// writer (the owning thread), lock-free.
+    /// Records one span (timestamps in clock ticks). Single writer (the
+    /// owning thread), lock-free.
     fn push(
         &self,
         name: SpanName,
@@ -403,63 +413,67 @@ fn with_local_ring(f: impl FnOnce(&Ring)) {
 // Recording API
 // ---------------------------------------------------------------------------
 
-/// An in-flight span; records itself into the thread's ring on drop, with
-/// `aux` = 0. Created unarmed (and clock-free) when tracing is disabled.
-#[must_use = "a span measures the scope it lives in"]
-pub struct Span {
-    name: SpanName,
-    start_ticks: u64,
-    armed: bool,
+std::thread_local! {
+    /// `(request id, stamp)` of the last span end this thread recorded:
+    /// the boundary an [`event`] under the same request is dated at.
+    static LAST_BOUNDARY: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
 }
 
-/// Opens a span. When tracing is disabled this is one relaxed load.
-pub fn span(name: SpanName) -> Span {
-    let armed = enabled();
-    Span {
-        name,
-        start_ticks: if armed { now_ticks() } else { 0 },
-        armed,
+/// Opens a span: one clock read, or 0 when tracing is off. Hand the stamp
+/// to [`close`].
+pub fn open() -> u64 {
+    if enabled() {
+        now_ticks()
+    } else {
+        0
     }
 }
 
-impl Span {
-    /// Ends the span now (sugar over drop, for explicit call sites).
-    pub fn finish(self) {}
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let end = now_ticks();
-        record_span_at(
-            self.name,
-            self.start_ticks,
-            end.saturating_sub(self.start_ticks),
-            0,
-        );
+/// Closes the `name` span opened at `start` with one clock read, records
+/// it under the thread's current request, and returns its end stamp, which
+/// opens the next span. A no-op returning 0 when `start` is 0 (untraced).
+pub fn close(name: SpanName, start: u64, aux: u64) -> u64 {
+    if start == 0 || !enabled() {
+        return 0;
     }
+    record(name, current_request(), start, now_ticks(), aux)
 }
 
-/// Records a span from explicit timestamps (both in [`now_ticks`]
-/// units) — for spans whose start lived on another thread (queue
-/// waits), or for hot paths that share one boundary stamp between the
-/// span that ends there and the span that begins there.
-pub fn record_span_at(name: SpanName, start_ticks: u64, duration_ticks: u64, aux: u64) {
+/// [`close`] at an `end` stamp that another span already closed at, for a
+/// span whose start lived on another thread (a queue wait ends where the
+/// pool claimed the job). Reads no clock; a no-op returning 0 when either
+/// stamp is 0.
+pub fn close_at(name: SpanName, start: u64, end: u64, aux: u64) -> u64 {
+    if start == 0 || end == 0 || !enabled() {
+        return 0;
+    }
+    record(name, current_request(), start, end, aux)
+}
+
+/// Records a zero-duration event. It reads no clock when this thread's
+/// last recorded span belongs to the current request (not 0): the event
+/// is dated at that span's end, the boundary the request last crossed.
+/// Otherwise (request 0, or another request's boundary) it takes one read.
+pub fn event(name: SpanName, aux: u64) {
     if !enabled() {
         return;
     }
     let request_id = current_request();
-    with_local_ring(|ring| ring.push(name, request_id, start_ticks, duration_ticks, aux));
+    let (last_request, last) = LAST_BOUNDARY.with(std::cell::Cell::get);
+    let at = if request_id != 0 && last_request == request_id {
+        last
+    } else {
+        now_ticks()
+    };
+    record(name, request_id, at, at, aux);
 }
 
-/// Records an instant (zero-duration) event.
-pub fn record_event(name: SpanName, aux: u64) {
-    if !enabled() {
-        return;
-    }
-    record_span_at(name, now_ticks(), 0, aux);
+/// Pushes one span onto the thread's ring and makes `end` its last
+/// boundary.
+fn record(name: SpanName, request_id: u64, start: u64, end: u64, aux: u64) -> u64 {
+    LAST_BOUNDARY.with(|cell| cell.set((request_id, end)));
+    with_local_ring(|ring| ring.push(name, request_id, start, end.saturating_sub(start), aux));
+    end
 }
 
 // ---------------------------------------------------------------------------
@@ -533,10 +547,11 @@ mod tests {
         let _guard = crate::recording_lock();
         let marker = next_id();
         set_current_request(marker);
-        let span = span(SpanName::Execute);
+        let start = open();
         std::thread::sleep(std::time::Duration::from_millis(1));
-        span.finish();
-        record_event(SpanName::CacheHit, 3);
+        let end = close(SpanName::Execute, start, 0);
+        assert!(start != 0 && end > start, "traced stamps are never 0");
+        event(SpanName::CacheHit, 3);
         set_current_request(0);
         let mine = spans_for_request(marker);
         assert_eq!(mine.len(), 2, "both spans carry the request id");
@@ -546,6 +561,73 @@ mod tests {
         assert_eq!(mine[1].duration_ns, 0);
         assert!(mine[1].start_ns >= mine[0].start_ns);
         assert_ne!(mine[0].span_id, mine[1].span_id);
+    }
+
+    /// The end of `span` in nanoseconds.
+    fn end_ns(span: &SpanRecord) -> u64 {
+        span.start_ns + span.duration_ns
+    }
+
+    /// Records an `execute` span under `request`, waits `pause_ms`, then
+    /// switches to `event_request` and records a `cache_hit` event with
+    /// `aux` = `marker`. Returns the span and the event as collected.
+    fn span_then_event(
+        request: u64,
+        event_request: u64,
+        pause_ms: u64,
+    ) -> (SpanRecord, SpanRecord) {
+        let marker = next_id();
+        set_current_request(request);
+        close(SpanName::Execute, open(), marker);
+        std::thread::sleep(std::time::Duration::from_millis(pause_ms));
+        set_current_request(event_request);
+        event(SpanName::CacheHit, marker);
+        set_current_request(0);
+        // One snapshot, so both spans convert at the same scale.
+        let spans = snapshot(usize::MAX);
+        let find = |name: SpanName| {
+            *spans
+                .iter()
+                .find(|span| span.name == name && span.aux == marker)
+                .expect("span recorded")
+        };
+        (find(SpanName::Execute), find(SpanName::CacheHit))
+    }
+
+    #[test]
+    fn an_event_is_dated_at_its_requests_last_boundary() {
+        let _guard = crate::recording_lock();
+        let request = next_id();
+        let (span, event) = span_then_event(request, request, 2);
+        assert_eq!(event.request_id, request);
+        assert_eq!(event.duration_ns, 0);
+        assert!(
+            event.start_ns.abs_diff(end_ns(&span)) <= 1,
+            "event {event:?} sits at the end of {span:?}, not 2ms later"
+        );
+    }
+
+    #[test]
+    fn an_event_under_request_zero_reads_the_clock() {
+        let _guard = crate::recording_lock();
+        let (span, event) = span_then_event(0, 0, 2);
+        assert_eq!(event.request_id, 0);
+        assert!(
+            event.start_ns >= end_ns(&span) + 1_000_000,
+            "event {event:?} took a fresh read ~2ms after {span:?}"
+        );
+    }
+
+    #[test]
+    fn an_event_after_another_requests_span_reads_the_clock() {
+        let _guard = crate::recording_lock();
+        let (earlier, later) = (next_id(), next_id());
+        let (span, event) = span_then_event(earlier, later, 2);
+        assert_eq!(event.request_id, later);
+        assert!(
+            event.start_ns >= end_ns(&span) + 1_000_000,
+            "event {event:?} is not dated at {span:?}, another request's boundary"
+        );
     }
 
     #[test]
@@ -577,7 +659,7 @@ mod tests {
             .map(|i| {
                 std::thread::spawn(move || {
                     set_current_request(marker);
-                    record_event(SpanName::JobRun, i);
+                    event(SpanName::JobRun, i);
                     set_current_request(0);
                 })
             })
@@ -604,14 +686,19 @@ mod tests {
         let _guard = crate::recording_lock();
         let marker = next_id();
         set_current_request(marker);
+        let traced = open();
         set_enabled(false);
-        let span = span(SpanName::Execute);
-        assert!(!span.armed);
-        assert_eq!(span.start_ticks, 0, "no clock read while disabled");
-        span.finish();
-        record_event(SpanName::CacheHit, 1);
+        assert_eq!(open(), 0, "no clock read while disabled");
+        assert_eq!(close(SpanName::Execute, traced, 0), 0);
+        assert_eq!(close_at(SpanName::QueueWait, traced, traced + 1, 0), 0);
+        event(SpanName::CacheHit, 1);
         set_enabled(true);
-        record_event(SpanName::CacheMiss, 2);
+        assert_eq!(
+            close(SpanName::Execute, 0, 0),
+            0,
+            "a chain opened at 0 records nothing"
+        );
+        event(SpanName::CacheMiss, 2);
         set_current_request(0);
         let mine = spans_for_request(marker);
         assert_eq!(mine.len(), 1);

@@ -251,7 +251,7 @@ pub fn log(level: Level, message: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{record_event, set_current_request, SpanName};
+    use crate::{event, set_current_request, SpanName};
 
     #[test]
     fn ndjson_line_is_stable_and_parseable_shape() {
@@ -282,7 +282,7 @@ mod tests {
         let log = start_ndjson_log(&path).unwrap();
         let marker = crate::next_id();
         set_current_request(marker);
-        record_event(SpanName::EvalBatch, 64);
+        event(SpanName::EvalBatch, 64);
         set_current_request(0);
         log.stop();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -312,7 +312,7 @@ mod tests {
         // Three rings' worth in one burst: the ring keeps the last one.
         let pushed = 3 * RING_CAPACITY as u64;
         for aux in 0..pushed {
-            record_event(SpanName::EvalBatch, aux);
+            event(SpanName::EvalBatch, aux);
         }
         set_current_request(0);
         let skipped = log.stop();

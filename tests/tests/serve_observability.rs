@@ -6,7 +6,8 @@
 //! test in this binary runs in the same process against its own ephemeral
 //! server — so assertions here are existential ("the evaluate request's
 //! lifecycle spans exist, correctly shaped") rather than exact-count:
-//! concurrent tests legitimately interleave their spans.
+//! concurrent tests legitimately interleave their spans. Tests that count
+//! spans count only those under their own requests' `x-request-id`s.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -553,5 +554,189 @@ fn error_responses_echo_the_request_id_in_header_and_body() {
         "body request_id echoes the header"
     );
     assert!(value.get("error").is_some(), "taxonomy error object kept");
+    handle.shutdown();
+}
+
+/// Sends one request on a raw connection and returns its status and its
+/// `x-request-id`.
+fn send(stream: &mut TcpStream, path: &str, body: &str) -> (u16, String) {
+    write!(
+        stream,
+        "POST {path} HTTP/1.1\r\nHost: loopback\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send");
+    let raw = String::from_utf8(read_framed(stream)).expect("UTF-8 response");
+    let status = raw
+        .split_whitespace()
+        .nth(1)
+        .and_then(|code| code.parse().ok())
+        .expect("status line");
+    let id = raw
+        .lines()
+        .find_map(|line| line.strip_prefix("x-request-id: "))
+        .expect("x-request-id")
+        .to_string();
+    (status, id)
+}
+
+fn fresh_connection(handle: &ServerHandle) -> TcpStream {
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    stream
+}
+
+/// The spans of one request in a `/v1/trace` body, oldest first.
+fn spans_of(trace: &Trace, request_id: &str) -> Vec<(String, u64, u64)> {
+    let mut spans: Vec<(String, u64, u64)> = trace
+        .spans
+        .iter()
+        .filter(|span| span.request_id == request_id)
+        .map(|span| {
+            (
+                span.name.clone(),
+                span.start_ns,
+                span.start_ns + span.duration_ns,
+            )
+        })
+        .collect();
+    spans.sort_by_key(|&(_, start, end)| (start, end));
+    spans
+}
+
+/// Instants at most 1 ns apart are one instant: each span's start and
+/// duration convert to nanoseconds on their own.
+fn distinct_instants(spans: &[(String, u64, u64)]) -> usize {
+    let mut instants: Vec<u64> = spans
+        .iter()
+        .flat_map(|&(_, start, end)| [start, end])
+        .collect();
+    instants.sort_unstable();
+    1 + instants
+        .windows(2)
+        .filter(|pair| pair[1] - pair[0] > 1)
+        .count()
+}
+
+#[test]
+fn inline_requests_read_the_clock_once_per_boundary() {
+    let handle = spawn_server();
+    let requests: [(&str, &str, &[&str]); 4] = [
+        ("/v1/evaluate", EVALUATE_BODY, &["cache_hit"]),
+        (
+            "/v1/scenario",
+            r#"{"id":"dnn_baseline"}"#,
+            &["catalog_resolve", "cache_hit"],
+        ),
+        (
+            "/v1/compare",
+            r#"{"scenarios":[{"domain":"dnn"},{"domain":"crypto"}],"point":{"applications":5,"lifetime_years":2,"volume":1000000}}"#,
+            &["cache_hit", "cache_hit"],
+        ),
+        (
+            "/v1/crossover",
+            r#"{"domain":"imgproc","point":{"applications":5,"lifetime_years":2,"volume":1000000}}"#,
+            &["cache_hit"],
+        ),
+    ];
+    // Compile every scenario first, so each measured request hits the cache.
+    let mut warm = connect(&handle);
+    for (path, body, _) in requests {
+        assert_eq!(warm.post(path, body).expect("warm-up").0, 200);
+    }
+    let mut stream = fresh_connection(&handle);
+    let ids: Vec<String> = requests
+        .iter()
+        .map(|(path, body, _)| {
+            let (status, id) = send(&mut stream, path, body);
+            assert_eq!(status, 200, "{path}");
+            id
+        })
+        .collect();
+    let (_, body) = warm.get("/v1/trace").expect("trace");
+    let trace = read_trace(&body);
+    for ((path, _, events), id) in requests.iter().zip(&ids) {
+        let spans = spans_of(&trace, id);
+        let (phases, recorded_events): (Vec<_>, Vec<_>) = spans
+            .iter()
+            .partition(|(name, _, _)| !matches!(name.as_str(), "cache_hit" | "catalog_resolve"));
+        let names: Vec<&str> = phases.iter().map(|(name, _, _)| name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["parse", "decode", "execute", "serialize", "write"],
+            "{path}: {spans:?}"
+        );
+        for pair in phases.windows(2) {
+            assert!(
+                pair[1].1.abs_diff(pair[0].2) <= 1,
+                "{path}: {} does not start where {} ends: {spans:?}",
+                pair[1].0,
+                pair[0].0
+            );
+        }
+        let mut expected: Vec<&str> = events.to_vec();
+        let mut recorded: Vec<&str> = recorded_events
+            .iter()
+            .map(|(name, _, _)| name.as_str())
+            .collect();
+        expected.sort_unstable();
+        recorded.sort_unstable();
+        assert_eq!(recorded, expected, "{path}: {spans:?}");
+        let decode_end = phases[1].2;
+        for (name, start, end) in &recorded_events {
+            assert!(
+                start.abs_diff(decode_end) <= 1 && start == end,
+                "{path}: {name} is not dated at the decode span's end: {spans:?}"
+            );
+        }
+        assert_eq!(distinct_instants(&spans), 6, "{path}: {spans:?}");
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn an_offloaded_batch_keeps_its_pool_spans_and_one_claim_stamp() {
+    let handle = spawn_server();
+    let mut stream = fresh_connection(&handle);
+    let (status, id) = send(
+        &mut stream,
+        "/v1/batch",
+        r#"{"domain":"dnn","points":[{"applications":1,"lifetime_years":0.5,"volume":1000},{"applications":7,"lifetime_years":4.25,"volume":3000000}]}"#,
+    );
+    assert_eq!(status, 200);
+    let mut client = connect(&handle);
+    // The worker closes `job_run` after it hands the reply to the loop, so
+    // the span may land just after the response.
+    let mut spans = Vec::new();
+    for _ in 0..200 {
+        let (_, body) = client.get("/v1/trace").expect("trace");
+        spans = spans_of(&read_trace(&body), &id);
+        if spans.iter().any(|(name, _, _)| name == "job_run") {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let find = |name: &str| {
+        spans
+            .iter()
+            .find(|(span, _, _)| span == name)
+            .unwrap_or_else(|| panic!("no {name} span under the batch's id: {spans:?}"))
+    };
+    let (job_wait, job_run) = (find("job_queue_wait"), find("job_run"));
+    let (queue_wait, decode) = (find("queue_wait"), find("decode"));
+    let claim = job_wait.2;
+    for (name, at) in [
+        ("queue_wait's end", queue_wait.2),
+        ("job_run's start", job_run.1),
+        ("decode's start", decode.1),
+    ] {
+        assert!(
+            at.abs_diff(claim) <= 1,
+            "{name} is not the pool's claim stamp: {spans:?}"
+        );
+    }
     handle.shutdown();
 }
