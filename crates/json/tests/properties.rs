@@ -5,8 +5,10 @@
 //! through the writer and parser, random `f64` bit patterns round-trip
 //! bit-for-bit, random mutations of valid documents never panic the
 //! parser, and the shortest `f64` printer matches `format!("{}")` byte for
-//! byte. `cargo test --release -p gf-json -- --ignored` runs the long
-//! differential sample (over 50M values).
+//! byte, at random and at its edges (powers of two, powers of ten,
+//! `2^53`). `cargo test --release -p gf-json -- --ignored` runs the long
+//! differential sample (over 50M values) and every value within 1,024
+//! ulps of a power of two.
 
 use gf_json::number::{POW10, POW10_MIN_EXP};
 use gf_json::{parse, parse_with, write_f64, JsonError, JsonWriter, ParseLimits, Value};
@@ -303,6 +305,35 @@ fn tie_sweep(seed: u64, per_binade: usize) {
     }
 }
 
+/// The finite bit patterns within `ulps` of `center`, either sign.
+fn around(center: u64, ulps: u64) -> impl Iterator<Item = f64> {
+    let finite = f64::MAX.to_bits();
+    (center.saturating_sub(ulps)..=(center + ulps).min(finite))
+        .flat_map(|bits| [f64::from_bits(bits), -f64::from_bits(bits)])
+}
+
+/// The printer's edges, either sign: within `pow2_ulps` of every power of
+/// two (a normal one's lower neighbour is half as far away as its upper,
+/// the narrower interval), within `pow10_ulps` of every `1e{k}` (where
+/// the length and the point move), and `2^53` give or take 1–4, where the
+/// integer fast path ends.
+fn edge_sweep(pow2_ulps: u64, pow10_ulps: u64) {
+    let powers_of_two = (0..52).map(|i| 1u64 << i).chain((1..2047).map(|e| e << 52));
+    for bits in powers_of_two {
+        around(bits, pow2_ulps).for_each(assert_prints_like_std);
+    }
+    for k in -323..=308 {
+        let x: f64 = format!("1e{k}").parse().unwrap();
+        around(x.to_bits(), pow10_ulps).for_each(assert_prints_like_std);
+    }
+    let two_53 = 1u64 << 53;
+    around((two_53 as f64).to_bits(), 4).for_each(assert_prints_like_std);
+    for n in (two_53 - 4..=two_53 + 4).map(|n| n as f64) {
+        assert_prints_like_std(n);
+        assert_prints_like_std(-n);
+    }
+}
+
 #[test]
 fn shortest_printer_matches_std_display() {
     let mut sample = vec![
@@ -326,6 +357,7 @@ fn shortest_printer_matches_std_display() {
     for &x in &sample {
         assert_prints_like_std(x);
     }
+    edge_sweep(2, 3);
     // The writer's number memo copies earlier text for repeated numbers;
     // the body must still read like std, fresh or appending to a prefix.
     let mut rng = rng(10);
@@ -429,6 +461,8 @@ fn exact_ties_round_up_like_std() {
 fn shortest_printer_matches_std_display_long() {
     differential_sample(8, 16_384, 16_000_000);
     tie_sweep(9, 10_000);
+    // Every value within 1,024 ulps of a power of two: about 8.5M more.
+    edge_sweep(1_024, 3);
 }
 
 /// Little-endian base-2³² natural number: just enough arithmetic to
