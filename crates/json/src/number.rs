@@ -1,37 +1,37 @@
 //! Shortest round-trip `f64` printing, byte-identical to `format!("{}", x)`,
 //! straight into a byte buffer.
 //!
-//! The digits come from Schubfach (Raffaello Giulietti, "The Schubfach way
-//! to render doubles", 2020). Scaled by `10^-k`, the interval of reals that
-//! round to `x` is between 1 and 10 units wide, so it holds at most one
-//! multiple of ten units and at least one whole unit. Three 128-bit
-//! multiplies bound it; one check for a multiple of ten, then one pick
-//! between the two units around `x`, give the shortest decimal and, of
-//! those, the closest. There is no digit-removal loop: trailing zeros are
-//! read off the digit bytes.
+//! The digits come from Dragonbox (Junekey Jeon, "Dragonbox: A New
+//! Floating-Point Binary-to-Decimal Conversion Algorithm", 2020). Scaled
+//! by `10^k`, the interval of reals that round to `x` is `δ` units wide,
+//! `100 ≤ δ < 1000`. One 128-bit product scales its upper bound, and `δ`
+//! is the same multiplier shifted. A multiple of 1000 units within `δ`
+//! below the upper bound is the shortest decimal; otherwise the multiple
+//! of 100 units closest to `x` is. A cold path decides near the bounds
+//! and at whole hundreds. Trailing zeros are read off the digit bytes.
 //!
 //! The multipliers are `10^e`'s top 128 bits rounded up ([`POW10`]),
 //! built at compile time by a small bignum. The layout is std's `Display`:
 //! plain decimal with no exponent, `0.000…` below one, `-0` for negative
-//! zero and no `.0` on integers. The digits come out as four groups of
-//! four, each from its own quotient, which SWAR arithmetic splits into
-//! digit bytes two groups at a time; they are stored straight into the
-//! caller's buffer, 16 bytes per store, and nothing is staged or
-//! re-validated.
+//! zero and no `.0` on integers. Sixteen digits are four groups of four,
+//! each a quotient of the upper bound, split into digit bytes by SWAR
+//! arithmetic, and stored 16 bytes at a time into a window past the text.
 //!
 //! One departure from the paper: when `x` lies exactly halfway between the
-//! two closest candidates, std rounds up and Schubfach rounds to even, so
+//! two closest candidates, std rounds up and Dragonbox rounds to even, so
 //! this printer rounds up (`1800059038860668.25` prints as
 //! `1800059038860668.3`).
 
-/// The smallest exponent `e` of [`POW10`]; the largest is 324.
+use std::hint::select_unpredictable;
+
+/// The smallest exponent `e` of [`POW10`]; the largest is 326.
 pub const POW10_MIN_EXP: i32 = -292;
 
 /// `⌈10^e · 2^(127 − ⌊log2 10^e⌋)⌉`, the top 128 bits of `10^e` rounded
-/// up, for `e` in `-292..=324`: entry `e − POW10_MIN_EXP`.
-pub static POW10: [u128; 617] = pow10_table();
+/// up, for `e` in `-292..=326`: entry `e − POW10_MIN_EXP`.
+pub static POW10: [u128; 619] = pow10_table();
 
-/// Limbs of the table builder's bignum: `2^832` fits, and so does `5^324`.
+/// Limbs of the table builder's bignum: `2^832` fits, and so does `5^326`.
 const LIMBS: usize = 14;
 
 /// `big`'s limb `i − down`, or 0 below the first.
@@ -67,8 +67,8 @@ const fn top_bits(big: &[u64; LIMBS]) -> (u128, bool) {
     (value, inexact)
 }
 
-const fn pow10_table() -> [u128; 617] {
-    let mut table = [0u128; 617];
+const fn pow10_table() -> [u128; 619] {
+    let mut table = [0u128; 619];
     let zero = -POW10_MIN_EXP as usize;
     // 10^e and 5^e share their significand: 5^e for e ≥ 0, rounded up.
     let mut big = [0u64; LIMBS];
@@ -107,50 +107,94 @@ const fn pow10_table() -> [u128; 617] {
     table
 }
 
-/// `⌊g · cp / 2^128⌋`, with its lowest bit set when the discarded part
-/// is above the error of the rounded-up `g` (round to odd).
-fn round_to_odd(g: u128, cp: u64) -> u64 {
-    let cp = u128::from(cp);
-    let low = (g as u64 as u128) * cp;
-    let high = (g >> 64) * cp + (low >> 64);
-    (high >> 64) as u64 | u64::from(high as u64 > 1)
+/// `u · g`: its top 128 bits and its low 64.
+fn mul(u: u64, g: u128) -> (u128, u64) {
+    let (u, low) = (u128::from(u), (g as u64 as u128) * u128::from(u));
+    ((g >> 64) * u + (low >> 64), low as u64)
 }
 
-/// The shortest decimal `digits · 10^exponent` inside the round-trip
-/// interval of `c · 2^q`, and of those the closest to it; `digits` may
-/// end in zeros, which the layout drops. `lower_closer` marks a power of
-/// two whose lower neighbour is half as far away as its upper one.
-fn shortest(c: u64, q: i32, lower_closer: bool) -> (u64, i32) {
-    // k = ⌊log10(2^q)⌋, or ⌊log10(3/4 · 2^q)⌋ for the narrower interval.
-    let k = (q * 315_653 - if lower_closer { 131_237 } else { 0 }) >> 20;
-    // h = q + ⌊log2 10^-k⌋ + 1 leaves the products scaled by 10^-k · 2^q.
-    let h = q + ((-k * 1_741_647) >> 19) + 1;
-    let g = POW10[(-k - POW10_MIN_EXP) as usize];
-    // Four times the value and its bounds, scaled; round-half-even
-    // parsing lets an even significand own its bounds.
-    let vb = round_to_odd(g, c << (h + 2));
-    let lower = round_to_odd(g, (4 * c - 2 + u64::from(lower_closer)) << h) + (c & 1);
-    let upper = round_to_odd(g, (4 * c + 2) << h) - (c & 1);
-    let s = vb / 4;
-    // At most one multiple of ten units fits in the interval: if it does,
-    // it is the answer. Otherwise pick between the two units around the
-    // value: the one inside, or the closer one, and the upper on a tie.
-    // Selects, not branches: either case is about as likely.
-    let ten = s / 10 * 40;
-    let (down, up) = (lower <= ten, ten + 40 <= upper);
-    let short = down != up;
-    let (down_unit, up_unit) = (lower <= 4 * s, 4 * s + 4 <= upper);
-    let up_unit = if down_unit == up_unit {
-        vb >= 4 * s + 2
-    } else {
-        up_unit
+/// For the binary exponent `q`: `k = 2 − ⌊log10 2^q⌋`, which puts the
+/// interval's width `δ = 2^q · 10^k` in `[100, 1000)`; `β`, for which
+/// `u · g · 2^(β − 128)` is `u · 2^(q − 1) · 10^k`; `g`, `10^k`'s
+/// [`POW10`] entry; and `δ`, the top of `g` shifted.
+#[inline(always)]
+fn scale(q: i32) -> (i32, i32, u128, u32) {
+    let k = 2 - ((q * 315_653) >> 20);
+    let beta = q + ((k * 1_741_647) >> 19);
+    let g = POW10[(k - POW10_MIN_EXP) as usize];
+    (k, beta, g, ((g >> 64) as u64 >> (63 - beta)) as u32)
+}
+
+/// The shortest decimal in the round-trip interval of `c · 2^q`, and of
+/// those the closest, for every `c` but a normal power of two's (see
+/// [`narrow`]): `Ok((s, last, exponent))` for `(10 · s + last) ·
+/// 10^exponent`, `s` of 15 or 16 digits for a normal `c`, or, near the
+/// interval's bounds, `Err((digits, exponent))`. Either may end in zeros.
+#[inline(always)]
+fn shortest(c: u64, q: i32) -> Result<(u64, u64, i32), (u64, i32)> {
+    let (k, beta, g, delta) = scale(q);
+    let upper = (mul((2 * c + 1) << beta, g).0 >> 64) as u64;
+    // The closest multiple of 100 units is `dist / 100` hundreds above
+    // `1000 · s`. A select, not a branch: either case is about as likely.
+    let (s, r) = (upper / 1000, (upper % 1000) as u32);
+    let dist = r.wrapping_sub(delta / 2).wrapping_add(50);
+    if r == 0 || r == delta || dist % 100 == 0 {
+        return Err((edge(c, q), 2 - k));
+    }
+    let last = select_unpredictable(r < delta, 0, dist / 100);
+    Ok((s, u64::from(last), 2 - k))
+}
+
+/// [`shortest`]'s rare cases, which its select can get wrong: an
+/// excluded upper bound, a candidate at the lower bound, and a rounding
+/// that may be a unit high. Returns the digits at `10^(2 − k)`.
+#[cold]
+fn edge(c: u64, q: i32) -> u64 {
+    let (_, beta, g, delta) = scale(q);
+    // The parity of `u · 2^(q − 1)`'s scaled floor, and whether it is exact.
+    let floor = |u: u64| {
+        let (top, low) = mul(u, g);
+        let fraction = (top as u64) << beta | low >> (64 - beta);
+        ((top >> (64 - beta)) & 1 == 1, fraction == 0)
     };
-    let digits = if short {
-        s / 10 + u64::from(up)
-    } else {
-        s + u64::from(up_unit)
+    let (top, _) = mul((2 * c + 1) << beta, g);
+    let upper = (top >> 64) as u64;
+    // Round-half-even parsing lets an even significand own its bounds.
+    let even = c & 1 == 0;
+    let (s, r) = match (upper / 1000, (upper % 1000) as u32) {
+        (s, 0) if top as u64 == 0 && !even => (s - 1, 1000),
+        found => found,
     };
-    (digits, k + i32::from(short))
+    // At r = δ the candidate is the lower bound's floor: compare fractions.
+    let (odd, exact) = floor(2 * c - 1);
+    if r < delta || (r == delta && (odd || (exact && even))) {
+        return 10 * s;
+    }
+    // At a whole hundred the rounding may be a unit high; the value's
+    // parity settles it. An exact tie stays up, as std rounds.
+    let dist = r - delta / 2 + 50;
+    let high = dist % 100 == 0 && floor(2 * c).0 != ((dist ^ 50) & 1 == 1);
+    10 * s + u64::from(dist / 100) - u64::from(high)
+}
+
+/// The shortest decimal `digits · 10^exponent` for the significand
+/// `2^52` at `q`, whose lower neighbour is half as far away as its upper.
+#[cold]
+fn narrow(q: i32) -> (u64, i32) {
+    // k = −⌊log10(3/4 · 2^q)⌋ puts the bounds near 10^16.
+    let k = -((q * 315_653 - 131_237) >> 20);
+    let beta = q + ((k * 1_741_647) >> 19);
+    let high = (POW10[(k - POW10_MIN_EXP) as usize] >> 64) as u64;
+    // (2^52 − 1/4) and (2^52 + 1/2) times 2^q · 10^k; the lower bound is
+    // whole only at q = 2 and 3.
+    let lower = ((high - (high >> 54)) >> (11 - beta)) + u64::from(!(2..=3).contains(&q));
+    let upper = (high + (high >> 53)) >> (11 - beta);
+    if upper / 10 * 10 >= lower {
+        return (upper / 10, 1 - k);
+    }
+    // The value rounded half up, nudged into the interval.
+    let digits = (high >> (10 - beta)).div_ceil(2);
+    (digits + u64::from(digits < lower), -k)
 }
 
 /// `10^0 ..= 10^19`.
@@ -164,12 +208,9 @@ static POW10_U64: [u64; 20] = {
     table
 };
 
-/// The number of decimal digits of `n > 0`.
-fn decimal_len(n: u64) -> usize {
-    // ⌊log10 n⌋ is `guess` or `guess − 1`.
-    let guess = (((64 - n.leading_zeros()) * 1233) >> 12) as usize;
-    guess + usize::from(n >= POW10_U64[guess])
-}
+/// Bytes past a number's start that its layout may store to: a sign, at
+/// most 33 bytes of text and the overhang of its 16-byte stores.
+pub(crate) const WINDOW: usize = 48;
 
 /// Appends `x` exactly as `format!("{}", x)` renders it: the shortest
 /// decimal that parses back to the same bits, in plain positional
@@ -177,100 +218,116 @@ fn decimal_len(n: u64) -> usize {
 /// `-inf`); JSON callers reject those before they get here.
 pub fn write_f64(out: &mut Vec<u8>, x: f64) {
     if !x.is_finite() {
-        out.extend_from_slice(if x.is_nan() {
-            b"NaN"
-        } else if x > 0.0 {
-            b"inf"
-        } else {
-            b"-inf"
-        });
-        return;
+        let text = ["inf", "-inf", "NaN"][usize::from(x < 0.0) + 2 * usize::from(x.is_nan())];
+        return out.extend_from_slice(text.as_bytes());
     }
-    let bits = x.to_bits();
-    if bits >> 63 != 0 {
-        out.push(b'-');
-    }
-    let fraction = bits & ((1u64 << 52) - 1);
-    let biased = ((bits >> 52) & 0x7ff) as i32;
-    if biased == 0 && fraction == 0 {
-        out.push(b'0');
-        return;
-    }
-    let (c, q) = if biased == 0 {
-        (fraction, -1074)
-    } else {
-        (fraction | 1 << 52, biased - 1075)
-    };
-    // Integers below 2^53 print as their own digits.
-    let (digits, exponent) = if (-52..=0).contains(&q) && c & ((1u64 << -q) - 1) == 0 {
-        (c >> -q, 0)
-    } else {
-        shortest(c, q, fraction == 0 && biased > 1)
-    };
-    // From 10^14 up, which every normal number's Schubfach digits are, two
-    // comparisons give the length.
-    let len = if digits >= POW10_U64[14] {
-        15 + usize::from(digits >= POW10_U64[15]) + usize::from(digits >= POW10_U64[16])
-    } else {
-        decimal_len(digits)
-    };
-    // The last digit, and the rest as sixteen digit bytes with the first
-    // in the lowest byte: trailing zeros are zero bytes at the top, and
-    // the text leaves them out.
-    let (values, last) = (digit_values(digits), (digits % 10) as u8);
-    let zeros = if last == 0 {
-        1 + values.leading_zeros() as usize / 8
-    } else {
-        0
-    };
-    let (len, exponent, full) = (len - zeros, exponent + zeros as i32, len);
-    // The decimal point sits `point` digits from the left.
-    let point = len as i32 + exponent;
-    let text = if point <= 0 {
-        2 + (-point) as usize + len
-    } else {
-        len.max(point as usize) + usize::from((point as usize) < len)
-    };
-    // Lay the text out over a run of '0's, which already holds every
-    // leading and trailing zero, with whole 16-byte stores that may run
-    // past the text; then cut the run back to the text. Up to 24 bytes of
-    // text (every 17-digit fraction) the run has a fixed size.
     let start = out.len();
-    if text <= 24 {
-        out.extend_from_slice(&[b'0'; 40]);
-    } else {
-        out.resize(start + text + 16, b'0');
-    }
-    let body = &mut out[start..];
-    // All digits but the last, left-aligned in 16 bytes; the last is
-    // stored on its own, where a stripped trailing zero is cut off again.
-    let lead = shift_out(values, 17 - full);
-    let last = b'0' + last;
-    if point <= 0 {
-        let first = text - len;
-        body[1] = b'.';
-        body[first..first + 16].copy_from_slice(&ascii(lead));
-        body[first + full - 1] = last;
-    } else {
-        body[..16].copy_from_slice(&ascii(lead));
-        if (point as usize) < len {
-            let point = point as usize;
-            body[point] = b'.';
-            body[point + 1..point + 17].copy_from_slice(&ascii(shift_out(lead, point)));
-            body[full] = last;
-        } else {
-            body[full - 1] = last;
-        }
-    }
-    out.truncate(start + text);
+    out.extend_from_slice(&[0; WINDOW]);
+    let len = print(out, start, x);
+    out.truncate(start + len);
 }
 
-/// `values` without its first `n` digit bytes, for `n < 16`. At `n = 16`
-/// the shift wraps and `values` comes back whole; that is harmless here:
-/// the lead of a one-digit number is all zero bytes, and a fraction of
-/// one digit has its bytes overwritten by the last digit or cut off.
-fn shift_out(values: u128, n: usize) -> u128 {
-    values.wrapping_shr(8 * n as u32)
+/// Prints finite `x` at `out[at..]` and returns the text's length. `out`
+/// must hold `at + WINDOW` bytes; a text that does not fit them grows it.
+/// Bytes past the text are left with whatever the stores put there.
+#[inline(always)]
+pub(crate) fn print(out: &mut Vec<u8>, at: usize, x: f64) -> usize {
+    let bits = x.to_bits();
+    // The sign is stored either way; a positive number overwrites it.
+    out[at] = b'-';
+    let sign = (bits >> 63) as usize;
+    let (fraction, biased) = (bits & ((1 << 52) - 1), (bits >> 52) as i32 & 0x7ff);
+    let at = at + sign;
+    let (c, q) = match biased {
+        0 => (fraction, -1074),
+        _ => (fraction | 1 << 52, biased - 1075),
+    };
+    sign + if bits << 1 == 0 {
+        out[at] = b'0';
+        1
+    } else if q <= 0 && c.trailing_zeros() as i32 >= -q {
+        // Integers below 2^53 print as their own digits.
+        print_digits(out, at, c >> -q, 0)
+    } else if fraction == 0 && biased > 1 {
+        let (digits, exponent) = narrow(q);
+        print_digits(out, at, digits, exponent)
+    } else {
+        match shortest(c, q) {
+            Ok((s, last, exponent)) if biased > 0 => layout(out, at, s, last, exponent),
+            Ok((s, last, exponent)) => print_digits(out, at, 10 * s + last, exponent),
+            Err((digits, exponent)) => print_digits(out, at, digits, exponent),
+        }
+    }
+}
+
+/// Lays out `digits · 10^exponent`, `0 < digits < 10^17`: the decimals
+/// of integers, subnormals, powers of two and [`shortest`]'s rare cases.
+#[inline(never)]
+fn print_digits(out: &mut Vec<u8>, at: usize, digits: u64, exponent: i32) -> usize {
+    // Padded to 17 digits: ⌊log10 digits⌋ is `guess` or `guess − 1`.
+    let guess = (((64 - digits.leading_zeros()) * 1233) >> 12) as usize;
+    let len = guess + usize::from(digits >= POW10_U64[guess]);
+    let (digits, exponent) = (digits * POW10_U64[17 - len], len as i32 + exponent - 17);
+    layout(out, at, digits / 10, digits % 10, exponent)
+}
+
+/// Lays out `(10 · s + last) · 10^exponent`, `10^14 ≤ s < 10^16`, as
+/// std's `Display` does at `out[at..]`, which must hold `WINDOW` bytes,
+/// and returns the text's length.
+#[inline(always)]
+fn layout(out: &mut Vec<u8>, at: usize, s: u64, last: u64, exponent: i32) -> usize {
+    // Sixteen digit bytes, the first lowest, and a 17th digit: a 15-digit
+    // `s` moves down a byte and takes `last` in as its 16th. Trailing
+    // zeros are zero bytes at the top, and the text leaves them out.
+    let short = s < POW10_U64[15];
+    let values = digit_values(s);
+    let zeros = select_unpredictable(last == 0, 1 + values.leading_zeros() as usize / 8, 0);
+    let significant = 17 - zeros - usize::from(short);
+    let values = select_unpredictable(short, values >> 8 | u128::from(last) << 120, values);
+    let last = b'0' + select_unpredictable(short, 0, last as u8);
+    // The decimal point sits `point` digits from the left.
+    let point = 17 + exponent - i32::from(short);
+    let text: &mut [u8; 40] = (&mut out[at..at + 40]).try_into().unwrap();
+    if (1..=17).contains(&point) {
+        let point = point as usize;
+        text[..16].copy_from_slice(&ascii(values));
+        if point >= significant {
+            // An integer whose zeros, up to the point, are digit bytes.
+            text[16] = last;
+            return point;
+        }
+        // d.ddd: the digits after the point move up a byte. A point after
+        // the sixteenth digit leaves one digit behind it, the last store's.
+        text[point] = b'.';
+        text[point + 1..point + 17].copy_from_slice(&ascii(values.wrapping_shr(8 * point as u32)));
+        text[17] = last;
+        significant + 1
+    } else if (-14..=0).contains(&point) {
+        // 0.000ddd: the zeros are one 16-byte store.
+        let start = (2 - point) as usize;
+        text[..16].copy_from_slice(b"0.00000000000000");
+        text[start..start + 16].copy_from_slice(&ascii(values));
+        text[start + 16] = last;
+        start + significant
+    } else {
+        // From 10^17 up and below 10^-15 the zeros run past the window.
+        let mut digits = [last; 17];
+        digits[..16].copy_from_slice(&ascii(values));
+        long(out, at, point, &digits[..significant])
+    }
+}
+
+/// [`layout`]'s texts past its window, with their zeros written out.
+#[cold]
+fn long(out: &mut Vec<u8>, at: usize, point: i32, digits: &[u8]) -> usize {
+    out.truncate(at);
+    if point <= 0 {
+        out.extend_from_slice(b"0.");
+        out.resize(at + 2 + point.unsigned_abs() as usize, b'0');
+    }
+    out.extend_from_slice(digits);
+    out.resize(out.len().max(at + point.max(0) as usize), b'0');
+    out.len() - at
 }
 
 /// 16 digit bytes as ASCII, little-endian: the first digit first.
@@ -278,28 +335,29 @@ fn ascii(values: u128) -> [u8; 16] {
     (values + 0x3030_3030_3030_3030_3030_3030_3030_3030).to_le_bytes()
 }
 
-/// The first sixteen of `n < 10^17`'s seventeen decimal digits,
-/// zero-padded, one per byte with the first digit in the lowest byte.
+/// The sixteen decimal digits of `n < 10^16`, zero-padded, one per byte
+/// with the first digit in the lowest byte.
 fn digit_values(n: u64) -> u128 {
-    // Four groups of four digits, each from its own quotient of `n`, so
-    // no split waits on another.
-    let (q13, q9, q5, q1) = (
-        n / 10_000_000_000_000,
-        n / 1_000_000_000,
-        n / 100_000,
-        n / 10,
-    );
-    let high = q13 | (q9 - q13 * 10_000) << 32;
-    let low = (q5 - q9 * 10_000) | (q1 - q5 * 10_000) << 32;
+    // Four groups, each from its own quotient of `n`; `(a << 32) − b ·
+    // (10^4 · 2^32 − 1)` is `b | (a − 10^4 · b) << 32`, two side by side.
+    let (q12, q8, q4) = (n / 1_000_000_000_000, n / 100_000_000, n / 10_000);
+    const SPLIT: u64 = (10_000 << 32) - 1;
+    let high = (q8 << 32) - q12 * SPLIT;
+    let low = (n << 32).wrapping_sub(q4.wrapping_mul(SPLIT)) - (q8 * 10_000);
     u128::from(group_values(high)) | u128::from(group_values(low)) << 64
 }
 
 /// Two four-digit groups, one per 32-bit lane, to their eight digits, one
-/// per byte with the first in the lowest, by SWAR arithmetic: pairs, then
-/// digits, each split in every lane at once.
+/// per byte with the first lowest: the thousands, hundreds and tens are
+/// quotients in every lane at once, and each digit is a quotient less ten
+/// times the one before it.
 fn group_values(x: u64) -> u64 {
-    let hundreds = ((x * 10_486) >> 20) & 0x0000_007f_0000_007f;
-    let x = hundreds | (x - hundreds * 100) << 16;
-    let tens = ((x * 103) >> 10) & 0x000f_000f_000f_000f;
-    tens | (x - tens * 10) << 8
+    let thousands = ((x * 8_389) >> 23) & 0x0000_000f_0000_000f;
+    let hundreds = ((x * 5_243) >> 19) & 0x0000_007f_0000_007f;
+    let tens = ((x * 6_554) >> 16) & 0x0000_03ff_0000_03ff;
+    // The arithmetic wraps; the result does not.
+    let quotients = thousands + (hundreds << 8) + (tens << 16);
+    (x << 24)
+        .wrapping_add(quotients)
+        .wrapping_sub((quotients << 8).wrapping_mul(10))
 }

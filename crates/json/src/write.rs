@@ -1,23 +1,30 @@
 //! JSON serialization with round-tripping `f64` output.
 //!
 //! [`JsonWriter`] appends compact JSON straight into a byte buffer; every
-//! [`ToJson`] impl writes through it, [`Value`] included. Numbers print
-//! their digits into that buffer, and keys and strings copy their UTF-8
-//! bytes (a key is written inline at its call site, where a literal's
-//! escape check folds away), so the text is valid UTF-8 by construction:
-//! [`finish`](JsonWriter::finish) checks it once per document. Pretty
-//! printing is [`pretty`], a second pass over the compact text for
-//! human-facing artifacts.
+//! [`ToJson`] impl writes through it, [`Value`] included. The buffer runs
+//! past the text into initialized slack: numbers print their digits there
+//! with fixed-size stores, and the text's end moves over them. Keys and
+//! strings copy their UTF-8 bytes (a key is written inline at its call
+//! site, where a literal's escape check folds away), so the text is valid
+//! UTF-8 by construction: [`finish`](JsonWriter::finish) cuts the slack
+//! off and checks the text once per document. Pretty printing is
+//! [`pretty`], a second pass over the compact text for human-facing
+//! artifacts.
 //!
-//! Numbers use the shortest round-trip formatting of [`write_f64`], which
+//! Numbers use the shortest round-trip formatting of
+//! [`write_f64`](crate::write_f64), which
 //! matches Rust's `{}` on `f64` byte for byte and guarantees
 //! `text.parse::<f64>()` recovers the exact bits that were written — the
 //! property the serving tests golden-match on. Non-finite numbers are an
 //! error: JSON has no lexeme for them, and the usual fallback (emitting
 //! `null`) silently breaks round-tripping.
 
-use crate::number::write_f64;
+use crate::number::{print, WINDOW};
 use crate::{JsonError, ToJson, Value};
+
+/// The slack [`JsonWriter`] adds to its buffer when it runs out: enough
+/// for a few dozen numbers between growths.
+const SLACK: usize = 1024;
 
 /// Slots of [`JsonWriter`]'s number memo; a power of two.
 const NUMBER_SLOTS: usize = 32;
@@ -50,6 +57,10 @@ impl Default for Printed {
 /// keep the text well formed and recorded as [`JsonError::NonFinite`],
 /// which [`finish`](JsonWriter::finish) returns.
 ///
+/// The buffer runs past the text: its tail is initialized slack, so a
+/// number is laid out there with whole fixed-size stores and then taken
+/// in by moving the text's end, with nothing to cut back.
+///
 /// Result bodies repeat numbers (a grid row's cells at equal application
 /// counts, a sweep's held coordinates), so [`number`](JsonWriter::number)
 /// keeps a small direct-mapped table from a number's bits to the bytes
@@ -74,7 +85,9 @@ impl Default for Printed {
 /// ```
 #[derive(Debug, Default)]
 pub struct JsonWriter {
+    /// The text, `out[..end]`, and then slack left by earlier stores.
     out: Vec<u8>,
+    end: usize,
     /// Whether the next value or key needs a leading comma.
     comma: bool,
     non_finite: bool,
@@ -95,8 +108,10 @@ impl JsonWriter {
     /// A writer that appends to `prefix`, as if at the start of a document
     /// (no comma precedes the first value).
     pub fn appending(prefix: String) -> JsonWriter {
+        let out = prefix.into_bytes();
         JsonWriter {
-            out: prefix.into_bytes(),
+            end: out.len(),
+            out,
             ..JsonWriter::default()
         }
     }
@@ -107,19 +122,50 @@ impl JsonWriter {
     /// # Errors
     ///
     /// [`JsonError::NonFinite`] as above.
-    pub fn finish(self) -> Result<String, JsonError> {
+    pub fn finish(mut self) -> Result<String, JsonError> {
         if self.non_finite {
             Err(JsonError::NonFinite)
         } else {
+            self.out.truncate(self.end);
             // The one UTF-8 check of the document.
             Ok(String::from_utf8(self.out).expect("the writer appends only UTF-8"))
         }
     }
 
+    /// The `n` bytes past the text's end, grown into first if the buffer
+    /// holds fewer.
+    #[inline(always)]
+    fn room(&mut self, n: usize) -> &mut [u8] {
+        if self.out.len() - self.end < n {
+            self.grow(n);
+        }
+        &mut self.out[self.end..self.end + n]
+    }
+
+    /// Makes `n` bytes past the text, and a run of slack after them: the
+    /// buffer's capacity still doubles, but only the bytes about to be
+    /// written are ever touched.
+    #[cold]
+    fn grow(&mut self, n: usize) {
+        self.out.resize(self.end + n + SLACK, 0);
+    }
+
+    #[inline(always)]
+    fn push(&mut self, b: u8) {
+        self.room(1)[0] = b;
+        self.end += 1;
+    }
+
+    #[inline(always)]
+    fn append(&mut self, bytes: &[u8]) {
+        self.room(bytes.len()).copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
     #[inline]
     fn separate(&mut self) {
         if self.comma {
-            self.out.push(b',');
+            self.push(b',');
         }
     }
 
@@ -131,7 +177,7 @@ impl JsonWriter {
             self.spliced |= 1 << self.depth;
         } else {
             self.separate();
-            self.out.push(b'{');
+            self.push(b'{');
             self.comma = false;
         }
         self.depth += 1;
@@ -146,7 +192,7 @@ impl JsonWriter {
             // A spliced object's members continue the enclosing object.
             self.spliced &= !bit;
         } else {
-            self.out.push(b'}');
+            self.push(b'}');
             self.comma = true;
         }
     }
@@ -154,13 +200,13 @@ impl JsonWriter {
     /// Opens an array.
     pub fn begin_array(&mut self) {
         self.separate();
-        self.out.push(b'[');
+        self.push(b'[');
         self.comma = false;
     }
 
     /// Closes the innermost open array.
     pub fn end_array(&mut self) {
-        self.out.push(b']');
+        self.push(b']');
         self.comma = true;
     }
 
@@ -171,8 +217,7 @@ impl JsonWriter {
     #[inline(always)]
     pub fn key(&mut self, key: &str) {
         self.separate();
-        write_string(&mut self.out, key);
-        self.out.push(b':');
+        self.write_string(key, b":");
         self.comma = false;
     }
 
@@ -191,7 +236,7 @@ impl JsonWriter {
         debug_assert!(!self.splice_next, "spliced values encode to objects");
     }
 
-    /// Writes a number (see [`write_f64`]).
+    /// Writes a number (see [`write_f64`](crate::write_f64)).
     pub fn number(&mut self, n: f64) {
         self.separate();
         if n.is_finite() {
@@ -200,25 +245,34 @@ impl JsonWriter {
             let slot = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 >> (u64::BITS - NUMBER_SLOTS.trailing_zeros())) as usize;
             let seen = self.printed[slot];
+            let start = self.end;
             if seen.bits == bits {
-                let start = seen.start as usize;
-                self.out
-                    .extend_from_within(start..start + seen.len as usize);
+                let (from, len) = (seen.start as usize, seen.len as usize);
+                // Nearly every text fits one fixed-size copy, whose tail
+                // lands in the slack.
+                if len <= 32 {
+                    self.room(32);
+                    self.out.copy_within(from..from + 32, start);
+                } else {
+                    self.room(len);
+                    self.out.copy_within(from..from + len, start);
+                }
+                self.end += len;
             } else {
-                let start = self.out.len();
-                write_f64(&mut self.out, n);
+                self.room(WINDOW);
+                self.end += print(&mut self.out, start, n);
                 // Bodies past 4 GiB print their later numbers afresh.
                 if let Ok(start) = u32::try_from(start) {
                     self.printed[slot] = Printed {
                         bits,
                         start,
-                        len: (self.out.len() - start as usize) as u32,
+                        len: (self.end - start as usize) as u32,
                     };
                 }
             }
         } else {
             self.non_finite = true;
-            self.out.extend_from_slice(b"null");
+            self.append(b"null");
         }
         self.comma = true;
     }
@@ -226,23 +280,74 @@ impl JsonWriter {
     /// Writes a string, escaped.
     pub fn string(&mut self, s: &str) {
         self.separate();
-        write_string(&mut self.out, s);
+        self.write_string(s, b"");
         self.comma = true;
     }
 
     /// Writes `true` or `false`.
     pub fn bool(&mut self, b: bool) {
         self.separate();
-        self.out
-            .extend_from_slice(if b { b"true" } else { b"false" });
+        self.append(if b { b"true" } else { b"false" });
         self.comma = true;
     }
 
     /// Writes `null`.
     pub fn null(&mut self) {
         self.separate();
-        self.out.extend_from_slice(b"null");
+        self.append(b"null");
         self.comma = true;
+    }
+
+    /// Appends `s` quoted, escaping `"`, `\` and control bytes (every
+    /// other byte, multi-byte characters included, is copied as is), and
+    /// then `after`.
+    #[inline(always)]
+    fn write_string(&mut self, s: &str, after: &[u8]) {
+        let bytes = s.as_bytes();
+        if bytes.iter().any(|&b| b == b'"' || b == b'\\' || b < 0x20) {
+            self.write_escaped(bytes);
+            self.append(after);
+        } else {
+            let len = bytes.len();
+            let room = self.room(len + 2 + after.len());
+            room[0] = b'"';
+            room[1..=len].copy_from_slice(bytes);
+            room[len + 1] = b'"';
+            room[len + 2..].copy_from_slice(after);
+            self.end += len + 2 + after.len();
+        }
+    }
+
+    /// [`write_string`](JsonWriter::write_string)'s rare case: copies the
+    /// runs between escapes whole.
+    #[cold]
+    fn write_escaped(&mut self, bytes: &[u8]) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        self.push(b'"');
+        let mut copied = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            let unicode;
+            let escape: &[u8] = match b {
+                b'"' => b"\\\"",
+                b'\\' => b"\\\\",
+                0x08 => b"\\b",
+                0x0c => b"\\f",
+                b'\n' => b"\\n",
+                b'\r' => b"\\r",
+                b'\t' => b"\\t",
+                0..0x20 => {
+                    let (high, low) = (HEX[usize::from(b >> 4)], HEX[usize::from(b & 15)]);
+                    unicode = [b'\\', b'u', b'0', b'0', high, low];
+                    &unicode
+                }
+                _ => continue,
+            };
+            self.append(&bytes[copied..i]);
+            self.append(escape);
+            copied = i + 1;
+        }
+        self.append(&bytes[copied..]);
+        self.push(b'"');
     }
 }
 
@@ -322,49 +427,6 @@ pub fn pretty(compact: &str) -> String {
 fn newline_indent(out: &mut Vec<u8>, indent: usize) {
     out.push(b'\n');
     out.resize(out.len() + 2 * indent, b' ');
-}
-
-/// Appends `s` quoted, escaping `"`, `\` and control bytes; every other
-/// byte, multi-byte characters included, is copied as is.
-#[inline(always)]
-fn write_string(out: &mut Vec<u8>, s: &str) {
-    out.push(b'"');
-    let bytes = s.as_bytes();
-    if bytes.iter().any(|&b| b == b'"' || b == b'\\' || b < 0x20) {
-        write_escaped(out, bytes);
-    } else {
-        out.extend_from_slice(bytes);
-    }
-    out.push(b'"');
-}
-
-/// [`write_string`]'s rare case: copies the runs between escapes whole.
-#[cold]
-fn write_escaped(out: &mut Vec<u8>, bytes: &[u8]) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut copied = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        let unicode;
-        let escape: &[u8] = match b {
-            b'"' => b"\\\"",
-            b'\\' => b"\\\\",
-            0x08 => b"\\b",
-            0x0c => b"\\f",
-            b'\n' => b"\\n",
-            b'\r' => b"\\r",
-            b'\t' => b"\\t",
-            0..0x20 => {
-                let (high, low) = (HEX[usize::from(b >> 4)], HEX[usize::from(b & 15)]);
-                unicode = [b'\\', b'u', b'0', b'0', high, low];
-                &unicode
-            }
-            _ => continue,
-        };
-        out.extend_from_slice(&bytes[copied..i]);
-        out.extend_from_slice(escape);
-        copied = i + 1;
-    }
-    out.extend_from_slice(&bytes[copied..]);
 }
 
 #[cfg(test)]
