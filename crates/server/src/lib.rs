@@ -731,14 +731,18 @@ impl EventLoop {
             .fetch_add(1, Ordering::Relaxed);
         #[cfg(unix)]
         {
+            // A read that leaves the sink short emptied the pipe, so it is
+            // the last: a wakeup costs one read, not a second that only
+            // sees `WouldBlock`. A poke written after it makes the pipe
+            // readable again.
             let mut reader = &self.wake_pipe.rx;
             let mut sink = [0u8; 64];
             let mut drained = 0u64;
             while let Ok(n) = reader.read(&mut sink) {
-                if n == 0 {
+                drained += n as u64;
+                if n < sink.len() {
                     break;
                 }
-                drained += n as u64;
             }
             if drained > 0 {
                 // Each byte is one worker poke; `drained` pokes rode this

@@ -442,6 +442,44 @@ fn prometheus_exposition_is_well_formed_and_matches_the_typed_registry() {
 }
 
 #[test]
+fn each_offloaded_batch_is_one_received_wakeup() {
+    const BATCHES: u32 = 8;
+    let handle = spawn_server();
+    let mut client = connect(&handle);
+    let mut received = || {
+        let (status, text) = client.get("/metrics").expect("prometheus");
+        assert_eq!(status, 200);
+        let (samples, _) = parse_exposition(&text);
+        sample_value(&samples, "gf_loop_wakeups_total", r#"kind="received""#)
+    };
+    let before = received();
+    let mut batches = connect(&handle);
+    for _ in 0..BATCHES {
+        let (status, _) = batches
+            .post(
+                "/v1/batch",
+                r#"{"domain":"dnn","points":[{"applications":3,"lifetime_years":1.5,"volume":20000}]}"#,
+            )
+            .expect("batch round-trip");
+        assert_eq!(status, 200);
+    }
+    // Each batch runs on the pool and pokes the loop once. The loop may
+    // write a reply before it reads that reply's poke, so the last one can
+    // land just after.
+    let expected = before + f64::from(BATCHES);
+    let mut after = received();
+    for _ in 0..200 {
+        if after >= expected {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        after = received();
+    }
+    assert_eq!(after, expected);
+    handle.shutdown();
+}
+
+#[test]
 fn trace_log_streams_parseable_ndjson() {
     let path =
         std::env::temp_dir().join(format!("gf_trace_log_test_{}.ndjson", std::process::id()));
