@@ -287,7 +287,7 @@ fn layout(out: &mut Vec<u8>, at: usize, s: u64, last: u64, exponent: i32) -> usi
     let last = b'0' + select_unpredictable(short, 0, last as u8);
     // The decimal point sits `point` digits from the left.
     let point = 17 + exponent - i32::from(short);
-    let text: &mut [u8; 40] = (&mut out[at..at + 40]).try_into().unwrap();
+    let text: &mut [u8; 40] = (&mut out[at..at + 40]).try_into().expect("40 bytes");
     if (1..=17).contains(&point) {
         let point = point as usize;
         text[..16].copy_from_slice(&ascii(values));
