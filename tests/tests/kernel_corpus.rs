@@ -17,7 +17,13 @@
 //!   divide its rows and that do not, and every thread count must give
 //!   the same bytes. A streamed body is the head, the row-blocks and the
 //!   tail concatenated, or the fragments delivered before an error
-//!   followed by `!` and the error body.
+//!   followed by `!` and the error body;
+//! * frontier: every (x, y) axis pair in every domain over ascending,
+//!   descending and non-monotone columns (the last take the cell-by-cell
+//!   path), plus 1×N, N×1 and 2×5 lattices, built in process because the
+//!   wire sends only square, ascending lattices. The cases hold rows with
+//!   no flip and flips at the first and at the last column, and every
+//!   lattice must give the same bytes at 1 and 3 threads.
 //!
 //! On a mismatch the produced corpus is written to
 //! `target/tmp/kernel_corpus.txt` for inspection.
@@ -28,8 +34,8 @@ use greenfpga::api::{
     GridRequest, MonteCarloRequest, Query, ReplayRequest, ScenarioRef, SeriesRef,
 };
 use greenfpga::{
-    ApiError, CarbonIntensitySeries, CompiledScenario, Domain, Engine, EngineConfig, GridStream,
-    Knob, OperatingPoint, ScenarioSpec, SweepAxis,
+    ApiError, CarbonIntensitySeries, CompiledScenario, Domain, Engine, EngineConfig,
+    FrontierResult, GridStream, Knob, OperatingPoint, ScenarioSpec, SweepAxis,
 };
 
 const CORPUS: &str = include_str!("../kernel_corpus.txt");
@@ -450,6 +456,105 @@ fn engine_grid_lines() -> Vec<String> {
     lines
 }
 
+/// Where a frontier row's winner flips: every `col` whose winner differs
+/// from `col + 1`'s (none for a uniform row).
+fn flips(frontier: &FrontierResult, row: usize) -> Vec<usize> {
+    (1..frontier.width())
+        .filter(|&col| frontier.fpga_wins(row, col - 1) != frontier.fpga_wins(row, col))
+        .map(|col| col - 1)
+        .collect()
+}
+
+/// In-process frontiers: every axis pair in every domain over ascending,
+/// descending and non-monotone columns, plus 1×N, N×1 and 2×5 shapes.
+fn frontier_lines() -> Vec<String> {
+    let base = OperatingPoint {
+        applications: 3,
+        lifetime_years: 1.5,
+        volume: 250_000,
+    };
+    let mut cases = Vec::new();
+    for domain in Domain::ALL {
+        for x_axis in AXES {
+            for y_axis in AXES {
+                let ascending = columns(x_axis);
+                let descending: Vec<f64> = ascending.iter().rev().copied().collect();
+                let mut mixed = ascending.clone();
+                let last = mixed.len() - 2;
+                mixed.swap(1, last);
+                let name = format!(
+                    "frontier.{}.{}.{}",
+                    domain.id(),
+                    axis_id(x_axis),
+                    axis_id(y_axis)
+                );
+                for (order, x_values) in
+                    [("asc", ascending), ("desc", descending), ("mixed", mixed)]
+                {
+                    cases.push((
+                        format!("{name}.{order}"),
+                        domain,
+                        (x_axis, x_values),
+                        (y_axis, rows(y_axis)),
+                    ));
+                }
+            }
+        }
+    }
+    let (apps, lifetime) = (SweepAxis::Applications, SweepAxis::LifetimeYears);
+    cases.push((
+        "frontier.dnn.1xN.apps.lifetime".to_string(),
+        Domain::Dnn,
+        (apps, vec![columns(apps)[3]]),
+        (lifetime, rows(lifetime)),
+    ));
+    cases.push((
+        "frontier.dnn.Nx1.apps.lifetime".to_string(),
+        Domain::Dnn,
+        (apps, columns(apps)),
+        (lifetime, vec![rows(lifetime)[2]]),
+    ));
+    cases.push((
+        "frontier.dnn.2x5.apps.lifetime".to_string(),
+        Domain::Dnn,
+        (apps, vec![1.5, 7.0]),
+        (lifetime, rows(lifetime)),
+    ));
+    let mut lines = Vec::new();
+    // Whether some monotone row has no flip, a flip at its first column
+    // and a flip at its last.
+    let mut seen = [false; 3];
+    for (name, domain, (x_axis, x_values), (y_axis, y_values)) in cases {
+        let compiled =
+            CompiledScenario::compile(&ScenarioSpec::baseline(domain).params(), domain).unwrap();
+        let frontier = |threads| {
+            compiled
+                .frontier(x_axis, &x_values, y_axis, &y_values, base, threads)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+        };
+        let serial = frontier(1);
+        let text = gf_json::ToJson::to_json_string(&serial).unwrap();
+        let fanned = gf_json::ToJson::to_json_string(&frontier(3)).unwrap();
+        assert_eq!(fanned, text, "{name}: 3 threads");
+        if name.ends_with(".mixed") {
+            assert_eq!(serial.evaluations(), serial.len(), "{name}: cell by cell");
+        } else if serial.width() > 2 {
+            for row in 0..serial.height() {
+                let flips = flips(&serial, row);
+                seen[0] |= flips.is_empty();
+                seen[1] |= flips.first() == Some(&0);
+                seen[2] |= flips.last() == Some(&(serial.width() - 2));
+            }
+        }
+        lines.push(format!("{name} {text}"));
+    }
+    assert_eq!(
+        seen, [true; 3],
+        "no flip, first-column and last-column flips"
+    );
+    lines
+}
+
 #[test]
 fn replay_and_montecarlo_outcomes_match_the_frozen_corpus() {
     let serial = engine(1);
@@ -469,6 +574,7 @@ fn replay_and_montecarlo_outcomes_match_the_frozen_corpus() {
     }
     produced.extend(lattice_lines());
     produced.extend(engine_grid_lines());
+    produced.extend(frontier_lines());
     let frozen: Vec<&str> = CORPUS.lines().collect();
     if produced != frozen {
         let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../target/tmp");
