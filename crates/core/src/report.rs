@@ -309,14 +309,22 @@ mod tests {
             y_values: vec![0.5, 1.0],
             ratios: vec![vec![0.4, 1.0, 2.5], vec![0.9, 1.2, 3.0]],
         };
-        let rendered = HeatmapRenderer::new().render(&grid);
-        assert!(rendered.contains('#'));
-        assert!(rendered.contains('='));
-        assert!(rendered.contains("Num Apps"));
-        // Two data rows plus header/footer.
-        assert!(rendered.lines().count() >= 4);
-        let unlabeled = HeatmapRenderer::default().render(&grid);
-        assert!(unlabeled.lines().count() >= 3);
+        // Rows print top-down (the last y first), each cell as a glyph and
+        // a space, then the labeled frame's axis footer.
+        let labeled = concat!(
+            "FPGA:ASIC CFP ratio — x: Num Apps, y: App Lifetime (years) ('#','+' FPGA wins, '=', '.', ' ' ASIC wins)\n",
+            "       1.000 | + .   \n",
+            "       0.500 | # =   \n",
+            "             +-------\n",
+            "              x from 1.000 to 3.000\n",
+        );
+        assert_eq!(HeatmapRenderer::new().render(&grid), labeled);
+        let unlabeled = concat!(
+            "FPGA:ASIC CFP ratio — x: Num Apps, y: App Lifetime (years) ('#','+' FPGA wins, '=', '.', ' ' ASIC wins)\n",
+            "+ .   \n",
+            "# =   \n",
+        );
+        assert_eq!(HeatmapRenderer::default().render(&grid), unlabeled);
     }
 
     #[test]
@@ -336,13 +344,39 @@ mod tests {
                 0,
             )
             .unwrap();
-        let rendered = HeatmapRenderer::new().render_frontier(&frontier);
-        assert!(rendered.contains('#') && rendered.contains('.') && rendered.contains('='));
-        assert!(rendered.contains("cells evaluated"));
-        assert!(rendered.contains("Num Apps"));
-        // One line per row plus header and two footer lines.
-        assert_eq!(rendered.lines().count(), lifetimes.len() + 3);
-        let unlabeled = HeatmapRenderer::default().render_frontier(&frontier);
-        assert_eq!(unlabeled.lines().count(), lifetimes.len() + 1);
+        // '=' marks every cell with a 4-neighbour of the other winner.
+        let labeled = concat!(
+            "FPGA-vs-ASIC winner map — x: Num Apps, y: App Lifetime (years) ('#' FPGA wins, '.' ASIC wins, '=' frontier); 60 of 120 cells evaluated (50.0%)\n",
+            "       2.500 | . . . . = = # # # # # # \n",
+            "       2.250 | . . . . = = # # # # # # \n",
+            "       2.000 | . . . . = = # # # # # # \n",
+            "       1.750 | . . . . = = # # # # # # \n",
+            "       1.500 | . . . = = # # # # # # # \n",
+            "       1.250 | . . . = = # # # # # # # \n",
+            "       1.000 | . . . = = # # # # # # # \n",
+            "       0.750 | . . . = = # # # # # # # \n",
+            "       0.500 | . . . = = # # # # # # # \n",
+            "       0.250 | . . . = = # # # # # # # \n",
+            "             +-------------------------\n",
+            "              x from 1.000 to 12.000\n",
+        );
+        assert_eq!(HeatmapRenderer::new().render_frontier(&frontier), labeled);
+        let unlabeled = concat!(
+            "FPGA-vs-ASIC winner map — x: Num Apps, y: App Lifetime (years) ('#' FPGA wins, '.' ASIC wins, '=' frontier); 60 of 120 cells evaluated (50.0%)\n",
+            ". . . . = = # # # # # # \n",
+            ". . . . = = # # # # # # \n",
+            ". . . . = = # # # # # # \n",
+            ". . . . = = # # # # # # \n",
+            ". . . = = # # # # # # # \n",
+            ". . . = = # # # # # # # \n",
+            ". . . = = # # # # # # # \n",
+            ". . . = = # # # # # # # \n",
+            ". . . = = # # # # # # # \n",
+            ". . . = = # # # # # # # \n",
+        );
+        assert_eq!(
+            HeatmapRenderer::default().render_frontier(&frontier),
+            unlabeled
+        );
     }
 }
