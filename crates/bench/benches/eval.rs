@@ -152,7 +152,7 @@ fn batch_grid(estimator: &Estimator) -> Vec<f64> {
             0,
         )
         .expect("batch grid");
-    grid.ratios.into_iter().flatten().collect()
+    grid.ratios
 }
 
 /// The pre-batch-engine Monte-Carlo: a single serial RNG stream, one
@@ -378,7 +378,7 @@ fn main() {
                 0,
             )
             .expect("dense grid");
-        for (row, dense_row) in dense.ratios.iter().enumerate() {
+        for (row, dense_row) in dense.ratios.chunks(apps.len()).enumerate() {
             for (col, &ratio) in dense_row.iter().enumerate() {
                 assert_eq!(
                     frontier_result.fpga_wins(row, col),
@@ -392,7 +392,7 @@ fn main() {
     let frontier_fraction = frontier_result.evaluated_fraction();
     println!(
         "frontier evaluations: {frontier_evals} of {} cells ({:.1}%)",
-        frontier_result.len(),
+        frontier_result.lattice.len(),
         frontier_fraction * 100.0
     );
     let (dense_heatmap, adaptive_frontier, frontier_speedup) = bench_pair(

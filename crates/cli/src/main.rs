@@ -226,8 +226,7 @@ fn run_grid_stream(
     out: &mut dyn Write,
 ) -> Result<(), Failure> {
     let mut stream = engine.grid_stream(request)?;
-    let y_values = stream.y_values().to_vec();
-    let columns = stream.columns();
+    let lattice = stream.lattice().clone();
     let ser =
         |e: gf_json::JsonError| ApiError::internal(format!("result serialization failed: {e}"));
     if json {
@@ -249,15 +248,15 @@ fn run_grid_stream(
         writeln!(
             out,
             "FPGA:ASIC CFP ratio — x: {}, y: {} ('#','+' FPGA wins, '=', '.', ' ' ASIC wins)",
-            stream.x_axis().label(),
-            stream.y_axis().label()
+            lattice.x_axis.label(),
+            lattice.y_axis.label()
         )?;
         let renderer = HeatmapRenderer::new();
         while let Some(block) = stream.next_block() {
             let block = block?;
             let mut text = String::new();
             for row in 0..block.rows() {
-                let y = y_values[block.start_row() + row];
+                let y = lattice.y_values[block.start_row() + row];
                 text.push_str(&renderer.render_row(y, block.row(row)));
             }
             out.write_all(text.as_bytes())?;
@@ -267,7 +266,7 @@ fn run_grid_stream(
             out,
             "FPGA wins in {:.1}% of {} cells.",
             stream.fpga_winning_fraction() * 100.0,
-            stream.rows_delivered() * columns
+            stream.rows_delivered() * lattice.width()
         )?;
     }
     Ok(())

@@ -319,41 +319,6 @@ wire_struct! {
     }
 }
 
-/// Opens a lattice response and writes its lattice members, up to the key
-/// of its `cells` matrix — shared by [`GridSweep`], the streamed
-/// [`crate::GridStream`] (so both produce the same bytes) and
-/// [`FrontierResult`].
-pub(crate) fn write_grid_head(
-    w: &mut JsonWriter,
-    domain: Domain,
-    (x_axis, x_values): (SweepAxis, &[f64]),
-    (y_axis, y_values): (SweepAxis, &[f64]),
-    cells: &str,
-) {
-    w.begin_object();
-    w.member("domain", &domain);
-    w.member("x_axis", &x_axis);
-    w.member("x_values", x_values);
-    w.member("y_axis", &y_axis);
-    w.member("y_values", y_values);
-    w.key(cells);
-}
-
-impl ToJson for GridSweep {
-    fn write_json(&self, w: &mut JsonWriter) {
-        write_grid_head(
-            w,
-            self.domain,
-            (self.x_axis, &self.x_values),
-            (self.y_axis, &self.y_values),
-            "ratios",
-        );
-        self.ratios.write_json(w);
-        w.member("fpga_winning_fraction", &self.fpga_winning_fraction());
-        w.end_object();
-    }
-}
-
 wire_struct! {
     /// A scenario addressed by a request: a domain template plus Table 1 knob
     /// overrides. Two requests with the same spec compile to the same
@@ -1301,25 +1266,6 @@ wire_struct! {
     pub struct IndustryResponse: ToJson {
         /// Per-device footprints.
         pub devices: Vec<IndustryDeviceReport>,
-    }
-}
-
-/// `POST /v1/frontier` response: the lattice, the dense winner mask
-/// (`fpga_wins[row][col]`) and the refiner's evaluation accounting.
-impl ToJson for FrontierResult {
-    fn write_json(&self, w: &mut JsonWriter) {
-        write_grid_head(
-            w,
-            self.domain,
-            (self.x_axis, &self.x_values),
-            (self.y_axis, &self.y_values),
-            "fpga_wins",
-        );
-        self.winner_mask().write_json(w);
-        w.member("fpga_winning_fraction", &self.fpga_winning_fraction());
-        w.member("evaluations", &self.evaluations());
-        w.member("evaluated_fraction", &self.evaluated_fraction());
-        w.end_object();
     }
 }
 

@@ -44,8 +44,8 @@ pub fn default_threads() -> usize {
 }
 
 /// Fills `out[i] = f(i)` in parallel, writing directly into the caller's
-/// buffer: [`try_fill_chunks`] with one call per index, used by frontier
-/// rows, Monte-Carlo trials and tornado probes.
+/// buffer: [`try_fill_chunks`] with one call per index, used by
+/// Monte-Carlo trials and tornado probes.
 ///
 /// # Errors
 ///
@@ -70,7 +70,8 @@ where
 /// `fill(start, chunk)` writes `out[start..start + chunk.len()]`. One call
 /// per chunk lets a filler carry state from one index to the next, as the
 /// batch kernel ([`crate::ResultBuffer`]) does with the application lines
-/// of the previous point.
+/// of the previous point. The frontier's items are the rows of its winner
+/// mask, each a slice it fills in place.
 ///
 /// The index space is split into one contiguous chunk per worker (static
 /// partitioning: the per-item cost of a model evaluation is uniform, so

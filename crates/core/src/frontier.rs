@@ -15,27 +15,23 @@
 //! over [`crate::exec`], and the result is the dense winner mask the CLI
 //! renders, cell for cell the full grid's.
 
+use gf_json::{JsonWriter, ToJson};
+
 use crate::eval::LineMemo;
-use crate::{exec, CompiledScenario, Domain, GreenFpgaError, OperatingPoint, SweepAxis};
+use crate::sweep::{cell_fraction, write_rows, write_tail, Lattice};
+use crate::{exec, CompiledScenario, GreenFpgaError, OperatingPoint, SweepAxis};
 
 /// The winner map of a 2-D operating-point lattice.
 ///
-/// Holds the same dense lattice coordinates as a [`crate::GridSweep`], the
-/// full winner mask (every cell classified) and the evaluation count — the
-/// measure of the saving over dense evaluation. It is the `frontier` query's
-/// outcome and encodes as the `POST /v1/frontier` body.
+/// Holds the same lattice head as a [`crate::GridSweep`], the full winner
+/// mask (every cell classified, row-major like the grid's ratios) and the
+/// evaluation count — the measure of the saving over dense evaluation. It
+/// is the `frontier` query's outcome and encodes as the
+/// `POST /v1/frontier` body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierResult {
-    /// Domain the frontier was traced in.
-    pub domain: Domain,
-    /// Axis swept along the columns.
-    pub x_axis: SweepAxis,
-    /// Column coordinate values.
-    pub x_values: Vec<f64>,
-    /// Axis swept along the rows.
-    pub y_axis: SweepAxis,
-    /// Row coordinate values.
-    pub y_values: Vec<f64>,
+    /// The lattice the winner map covers.
+    pub lattice: Lattice,
     /// Row-major winner mask: `winners[row * width + col]` is `true` where
     /// the FPGA has the lower total (ratio < 1).
     winners: Vec<bool>,
@@ -44,47 +40,15 @@ pub struct FrontierResult {
 }
 
 impl FrontierResult {
-    /// Number of lattice columns.
-    pub fn width(&self) -> usize {
-        self.x_values.len()
-    }
-
-    /// Number of lattice rows.
-    pub fn height(&self) -> usize {
-        self.y_values.len()
-    }
-
-    /// Number of lattice cells.
-    pub fn len(&self) -> usize {
-        self.winners.len()
-    }
-
-    /// `true` when the lattice has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.winners.is_empty()
-    }
-
     /// `true` where the FPGA has the lower total at `(row, col)`.
     ///
     /// # Panics
     ///
     /// Panics when the indices are out of range.
     pub fn fpga_wins(&self, row: usize, col: usize) -> bool {
-        assert!(
-            row < self.height() && col < self.width(),
-            "cell out of range"
-        );
-        self.winners[row * self.width() + col]
-    }
-
-    /// Rasterizes the map to the dense row-major winner mask a full
-    /// [`crate::GridSweep`] of the same lattice would produce
-    /// (`mask[row][col]` = FPGA wins).
-    pub fn winner_mask(&self) -> Vec<Vec<bool>> {
-        self.winners
-            .chunks(self.width().max(1))
-            .map(<[bool]>::to_vec)
-            .collect()
+        let (width, height) = (self.lattice.width(), self.lattice.height());
+        assert!(row < height && col < width, "cell out of range");
+        self.winners[row * width + col]
     }
 
     /// Number of model evaluations performed.
@@ -94,19 +58,26 @@ impl FrontierResult {
 
     /// Evaluations as a fraction of the dense grid's cell count.
     pub fn evaluated_fraction(&self) -> f64 {
-        if self.winners.is_empty() {
-            return 0.0;
-        }
-        self.evaluated as f64 / self.winners.len() as f64
+        cell_fraction(self.evaluated, self.winners.len())
     }
 
     /// Fraction of lattice cells where the FPGA has the lower footprint.
     pub fn fpga_winning_fraction(&self) -> f64 {
-        if self.winners.is_empty() {
-            return 0.0;
-        }
-        let wins = self.winners.iter().filter(|&&w| w).count();
-        wins as f64 / self.winners.len() as f64
+        let wins = self.winners.iter().filter(|&&wins| wins).count();
+        cell_fraction(wins, self.winners.len())
+    }
+}
+
+/// `POST /v1/frontier` response: the lattice, the winner mask as rows
+/// (`fpga_wins[row][col]`) and the refiner's evaluation accounting.
+impl ToJson for FrontierResult {
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.lattice.write_head(w, "fpga_wins");
+        write_rows(w, &self.winners, self.lattice.width());
+        write_tail(w, self.fpga_winning_fraction());
+        w.member("evaluations", &self.evaluations());
+        w.member("evaluated_fraction", &self.evaluated_fraction());
+        w.end_object();
     }
 }
 
@@ -136,58 +107,58 @@ impl CompiledScenario {
         base: OperatingPoint,
         threads: usize,
     ) -> Result<FrontierResult, GreenFpgaError> {
-        crate::sweep::check_axis_values(x_values, "frontier values")?;
-        crate::sweep::check_axis_values(y_values, "frontier values")?;
-        let width = x_values.len();
+        let (x, y) = ((x_axis, x_values), (y_axis, y_values));
+        let lattice = Lattice::new(self.domain(), x, y, "frontier values")?;
+        let width = lattice.width();
         let bisect = is_monotone(x_values);
+        let mut winners = vec![false; lattice.len()];
         // One `(winners, evaluations)` slot per row, filled in place.
-        let mut rows = vec![(Vec::new(), 0); y_values.len()];
-        exec::try_fill_indexed(&mut rows, threads, |row| -> Result<_, GreenFpgaError> {
-            let row_base = base.with_axis(y_axis, y_values[row]);
-            let mut evaluated = 0;
-            let mut lines = LineMemo::new();
-            let mut wins = |col: usize| -> Result<bool, GreenFpgaError> {
-                evaluated += 1;
-                let ratio = self
-                    .evaluate_with(row_base.with_axis(x_axis, x_values[col]), &mut lines)?
-                    .fpga_to_asic_ratio();
-                Ok(ratio < 1.0)
-            };
-            let mut winners = Vec::with_capacity(width);
-            if !bisect {
-                for col in 0..width {
-                    winners.push(wins(col)?);
+        let mut rows: Vec<(&mut [bool], usize)> =
+            winners.chunks_mut(width).map(|row| (row, 0)).collect();
+        exec::try_fill_chunks::<_, GreenFpgaError, _>(&mut rows, threads, |first, chunk| {
+            for (row, (winners, evaluated)) in (first..).zip(chunk) {
+                let row_base = base.with_axis(y_axis, y_values[row]);
+                let mut lines = LineMemo::new();
+                let mut wins = |col: usize| -> Result<bool, GreenFpgaError> {
+                    *evaluated += 1;
+                    let ratio = self
+                        .evaluate_with(row_base.with_axis(x_axis, x_values[col]), &mut lines)?
+                        .fpga_to_asic_ratio();
+                    Ok(ratio < 1.0)
+                };
+                if !bisect {
+                    for col in 0..width {
+                        winners[col] = wins(col)?;
+                    }
+                    continue;
                 }
-                return Ok((winners, evaluated));
-            }
-            // Cells up to `lo` share the left end's winner, cells from `hi`
-            // on the right end's; the single flip lies between them.
-            let (mut lo, mut hi) = (0, width - 1);
-            let left = wins(lo)?;
-            let right = if hi == lo { left } else { wins(hi)? };
-            if left == right {
-                lo = hi;
-            }
-            while hi - lo > 1 {
-                let mid = lo + (hi - lo) / 2;
-                if wins(mid)? == left {
-                    lo = mid;
-                } else {
-                    hi = mid;
+                // Cells up to `lo` share the left end's winner, cells from
+                // `hi` on the right end's; the single flip lies between them.
+                let (mut lo, mut hi) = (0, width - 1);
+                let left = wins(lo)?;
+                let right = if hi == lo { left } else { wins(hi)? };
+                if left == right {
+                    lo = hi;
                 }
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if wins(mid)? == left {
+                        lo = mid;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                let (left_cells, right_cells) = winners.split_at_mut(lo + 1);
+                left_cells.fill(left);
+                right_cells.fill(right);
             }
-            winners.resize(lo + 1, left);
-            winners.resize(width, right);
-            Ok((winners, evaluated))
+            Ok(())
         })?;
+        let evaluated = rows.iter().map(|&(_, evaluated)| evaluated).sum();
         Ok(FrontierResult {
-            domain: self.domain(),
-            x_axis,
-            x_values: x_values.to_vec(),
-            y_axis,
-            y_values: y_values.to_vec(),
-            evaluated: rows.iter().map(|(_, evaluated)| evaluated).sum(),
-            winners: rows.into_iter().flat_map(|(winners, _)| winners).collect(),
+            lattice,
+            winners,
+            evaluated,
         })
     }
 }
@@ -201,6 +172,7 @@ fn is_monotone(values: &[f64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Domain;
 
     fn estimator() -> crate::Estimator {
         crate::Estimator::default()
@@ -253,7 +225,7 @@ mod tests {
         let dense = compiled
             .ratio_grid(x_axis, x_values, y_axis, y_values, base, 0)
             .unwrap();
-        for (row, dense_row) in dense.ratios.iter().enumerate() {
+        for (row, dense_row) in dense.ratios.chunks(x_values.len()).enumerate() {
             for (col, &ratio) in dense_row.iter().enumerate() {
                 assert_eq!(
                     frontier.fpga_wins(row, col),
@@ -296,19 +268,19 @@ mod tests {
             (SweepAxis::Applications, &apps),
             (SweepAxis::LifetimeYears, &shuffled),
         );
-        assert!(frontier.evaluations() < frontier.len());
+        assert!(frontier.evaluations() < frontier.lattice.len());
     }
 
     #[test]
     fn refinement_beats_dense_evaluation() {
         let frontier = dnn_frontier(64);
-        assert_eq!(frontier.len(), 64 * 64);
+        assert_eq!(frontier.lattice.len(), 64 * 64);
         // Acceptance bar: at most 20% of the dense grid's evaluations.
         assert!(
             frontier.evaluated_fraction() <= 0.20,
             "evaluated {} of {} cells ({:.1}%)",
             frontier.evaluations(),
-            frontier.len(),
+            frontier.lattice.len(),
             frontier.evaluated_fraction() * 100.0
         );
         // The DNN frontier cuts this lattice, so both platforms win
@@ -357,7 +329,7 @@ mod tests {
                 0,
             )
             .unwrap();
-        assert_eq!(row.len(), 16);
+        assert_eq!(row.lattice.len(), 16);
         let dense = est
             .compile(Domain::Dnn)
             .unwrap()
@@ -370,7 +342,7 @@ mod tests {
                 0,
             )
             .unwrap();
-        for (col, &ratio) in dense.ratios[0].iter().enumerate() {
+        for (col, &ratio) in dense.ratios.iter().enumerate() {
             assert_eq!(row.fpga_wins(0, col), ratio < 1.0, "col {col}");
         }
         // A 1×1 lattice is a single evaluated cell.
@@ -386,7 +358,7 @@ mod tests {
                 0,
             )
             .unwrap();
-        assert_eq!(single.len(), 1);
+        assert_eq!(single.lattice.len(), 1);
         assert_eq!(single.evaluations(), 1);
         assert!(single.fpga_wins(0, 0), "crypto FPGA wins at 4 apps");
     }
@@ -424,7 +396,7 @@ mod tests {
                 0,
             )
             .unwrap();
-        for (row, dense_row) in dense.ratios.iter().enumerate() {
+        for (row, dense_row) in dense.ratios.chunks(apps.len()).enumerate() {
             for (col, &ratio) in dense_row.iter().enumerate() {
                 assert_eq!(frontier.fpga_wins(row, col), ratio < 1.0, "({row},{col})");
             }
@@ -444,7 +416,7 @@ mod tests {
                 0,
             )
             .unwrap();
-        assert!(adaptive.evaluations() < adaptive.len());
+        assert!(adaptive.evaluations() < adaptive.lattice.len());
         let dense = est
             .compile(Domain::Dnn)
             .unwrap()
@@ -457,7 +429,7 @@ mod tests {
                 0,
             )
             .unwrap();
-        for (row, dense_row) in dense.ratios.iter().enumerate() {
+        for (row, dense_row) in dense.ratios.chunks(descending.len()).enumerate() {
             for (col, &ratio) in dense_row.iter().enumerate() {
                 assert_eq!(adaptive.fpga_wins(row, col), ratio < 1.0, "({row},{col})");
             }
@@ -497,7 +469,7 @@ mod tests {
                 0,
             )
             .unwrap();
-        assert_eq!(frontier.evaluations(), 2 * frontier.height());
+        assert_eq!(frontier.evaluations(), 2 * frontier.lattice.height());
         assert!((frontier.fpga_winning_fraction() - 1.0).abs() < 1e-12);
     }
 }

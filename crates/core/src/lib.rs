@@ -104,8 +104,8 @@ pub use scenario::{
 };
 pub use sensitivity::{SensitivityEntry, TornadoAnalysis};
 pub use sweep::{
-    log_spaced_volumes, GridBlock, GridStream, GridSweep, OperatingPoint, SweepAxis, SweepPoint,
-    SweepSeries,
+    log_spaced_volumes, GridBlock, GridStream, GridSweep, Lattice, OperatingPoint, SweepAxis,
+    SweepPoint, SweepSeries,
 };
 pub use testcases::{
     industry_asic1, industry_asic2, industry_fpga1, industry_fpga2, IndustryScenario,

@@ -4,7 +4,7 @@
 //! text: aligned tables for the console, CSV for plotting, and a coarse
 //! character heatmap for the Fig. 8 grids.
 
-use crate::{FrontierResult, GridSweep};
+use crate::{FrontierResult, GridSweep, Lattice};
 
 /// Renders an aligned plain-text table.
 ///
@@ -131,117 +131,99 @@ impl HeatmapRenderer {
     /// buffering the whole grid for the top-down frame.
     pub fn render_row(&self, y_value: f64, ratios: impl Iterator<Item = f64>) -> String {
         let mut out = String::new();
-        if self.with_labels {
-            out.push_str(&format!("{y_value:>12.3} | "));
-        }
-        for ratio in ratios {
-            out.push(Self::glyph(ratio));
-            out.push(' ');
-        }
-        out.push('\n');
+        self.push_row(&mut out, y_value, ratios.map(Self::glyph));
         out
     }
 
-    /// Renders the grid; rows are printed top-to-bottom in descending
-    /// y-value order so the origin sits at the lower left, like the paper's
-    /// heatmaps.
-    pub fn render(&self, grid: &GridSweep) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "FPGA:ASIC CFP ratio — x: {}, y: {} ('#','+' FPGA wins, '=', '.', ' ' ASIC wins)\n",
-            grid.x_axis.label(),
-            grid.y_axis.label()
-        ));
-        for (row_idx, row) in grid.ratios.iter().enumerate().rev() {
-            if self.with_labels {
-                out.push_str(&format!("{:>12.3} | ", grid.y_values[row_idx]));
-            }
-            for &ratio in row {
-                out.push(Self::glyph(ratio));
-                out.push(' ');
-            }
-            out.push('\n');
+    /// Appends one row line: the y label, then each glyph and a space.
+    fn push_row(&self, out: &mut String, y_value: f64, glyphs: impl Iterator<Item = char>) {
+        if self.with_labels {
+            out.push_str(&format!("{y_value:>12.3} | "));
+        }
+        for glyph in glyphs {
+            out.push(glyph);
+            out.push(' ');
+        }
+        out.push('\n');
+    }
+
+    /// The frame both maps share: the title line, the rows top-down in
+    /// descending y-value order so the origin sits at the lower left, like
+    /// the paper's heatmaps, and the labeled axis footer.
+    fn frame(
+        &self,
+        title: &str,
+        lattice: &Lattice,
+        glyph: impl Fn(usize, usize) -> char,
+    ) -> String {
+        let mut out = format!("{title}\n");
+        for row in (0..lattice.height()).rev() {
+            let glyphs = (0..lattice.width()).map(|col| glyph(row, col));
+            self.push_row(&mut out, lattice.y_values[row], glyphs);
         }
         if self.with_labels {
-            out.push_str(&format!(
-                "{:>12} +-{}\n",
-                "",
-                "--".repeat(grid.x_values.len())
-            ));
+            let (x_values, width) = (&lattice.x_values, lattice.width());
+            out.push_str(&format!("{:>12} +-{}\n", "", "--".repeat(width)));
             out.push_str(&format!(
                 "{:>14}x from {:.3} to {:.3}\n",
                 "",
-                grid.x_values.first().copied().unwrap_or(0.0),
-                grid.x_values.last().copied().unwrap_or(0.0)
+                x_values.first().copied().unwrap_or(0.0),
+                x_values.last().copied().unwrap_or(0.0)
             ));
         }
         out
+    }
+
+    /// Renders the grid (see [`HeatmapRenderer`] for the glyphs).
+    pub fn render(&self, grid: &GridSweep) -> String {
+        let lattice = &grid.lattice;
+        let title = format!(
+            "FPGA:ASIC CFP ratio — x: {}, y: {} ('#','+' FPGA wins, '=', '.', ' ' ASIC wins)",
+            lattice.x_axis.label(),
+            lattice.y_axis.label()
+        );
+        let width = lattice.width();
+        self.frame(&title, lattice, |row, col| {
+            Self::glyph(grid.ratios[row * width + col])
+        })
     }
 
     /// Renders an adaptively refined [`FrontierResult`] winner map: `#`
     /// where the FPGA wins, `.` where the ASIC does, and `=` on the
     /// crossover frontier itself (cells with a 4-neighbour of the opposite
-    /// winner), in the same lower-left-origin orientation as
-    /// [`HeatmapRenderer::render`].
+    /// winner), in the same frame as [`HeatmapRenderer::render`].
     pub fn render_frontier(&self, frontier: &FrontierResult) -> String {
-        let (width, height) = (frontier.width(), frontier.height());
-        let wins = |row, col| frontier.fpga_wins(row, col);
-        let mut glyphs: Vec<Vec<char>> = (0..height)
-            .map(|row| {
-                (0..width)
-                    .map(|col| if wins(row, col) { '#' } else { '.' })
-                    .collect()
-            })
-            .collect();
-        // Frontier cells: any 4-neighbour with the opposite winner.
-        for (row, glyph_row) in glyphs.iter_mut().enumerate() {
-            for (col, glyph) in glyph_row.iter_mut().enumerate() {
-                let here = wins(row, col);
-                let neighbours = [
-                    row.checked_sub(1).map(|r| (r, col)),
-                    (row + 1 < height).then_some((row + 1, col)),
-                    col.checked_sub(1).map(|c| (row, c)),
-                    (col + 1 < width).then_some((row, col + 1)),
-                ];
-                if neighbours
-                    .into_iter()
-                    .flatten()
-                    .any(|(r, c)| wins(r, c) != here)
-                {
-                    *glyph = '=';
-                }
-            }
-        }
-
-        let mut out = String::new();
-        out.push_str(&format!(
-            "FPGA-vs-ASIC winner map — x: {}, y: {} ('#' FPGA wins, '.' ASIC wins, '=' frontier); {} of {} cells evaluated ({:.1}%)\n",
-            frontier.x_axis.label(),
-            frontier.y_axis.label(),
+        let lattice = &frontier.lattice;
+        let (width, height) = (lattice.width(), lattice.height());
+        let title = format!(
+            "FPGA-vs-ASIC winner map — x: {}, y: {} ('#' FPGA wins, '.' ASIC wins, '=' frontier); {} of {} cells evaluated ({:.1}%)",
+            lattice.x_axis.label(),
+            lattice.y_axis.label(),
             frontier.evaluations(),
             width * height,
             frontier.evaluated_fraction() * 100.0
-        ));
-        for (row_idx, row) in glyphs.iter().enumerate().rev() {
-            if self.with_labels {
-                out.push_str(&format!("{:>12.3} | ", frontier.y_values[row_idx]));
+        );
+        let wins = |row, col| frontier.fpga_wins(row, col);
+        self.frame(&title, lattice, |row, col| {
+            let here = wins(row, col);
+            let neighbours = [
+                row.checked_sub(1).map(|r| (r, col)),
+                (row + 1 < height).then_some((row + 1, col)),
+                col.checked_sub(1).map(|c| (row, c)),
+                (col + 1 < width).then_some((row, col + 1)),
+            ];
+            if neighbours
+                .into_iter()
+                .flatten()
+                .any(|(r, c)| wins(r, c) != here)
+            {
+                '='
+            } else if here {
+                '#'
+            } else {
+                '.'
             }
-            for &glyph in row {
-                out.push(glyph);
-                out.push(' ');
-            }
-            out.push('\n');
-        }
-        if self.with_labels {
-            out.push_str(&format!("{:>12} +-{}\n", "", "--".repeat(width)));
-            out.push_str(&format!(
-                "{:>14}x from {:.3} to {:.3}\n",
-                "",
-                frontier.x_values.first().copied().unwrap_or(0.0),
-                frontier.x_values.last().copied().unwrap_or(0.0)
-            ));
-        }
-        out
+        })
     }
 }
 
@@ -302,12 +284,14 @@ mod tests {
     #[test]
     fn heatmap_renders_every_cell() {
         let grid = GridSweep {
-            domain: Domain::Dnn,
-            x_axis: SweepAxis::Applications,
-            x_values: vec![1.0, 2.0, 3.0],
-            y_axis: SweepAxis::LifetimeYears,
-            y_values: vec![0.5, 1.0],
-            ratios: vec![vec![0.4, 1.0, 2.5], vec![0.9, 1.2, 3.0]],
+            lattice: Lattice {
+                domain: Domain::Dnn,
+                x_axis: SweepAxis::Applications,
+                x_values: vec![1.0, 2.0, 3.0],
+                y_axis: SweepAxis::LifetimeYears,
+                y_values: vec![0.5, 1.0],
+            },
+            ratios: vec![0.4, 1.0, 2.5, 0.9, 1.2, 3.0],
         };
         // Rows print top-down (the last y first), each cell as a glyph and
         // a space, then the labeled frame's axis footer.

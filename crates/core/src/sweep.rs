@@ -4,7 +4,7 @@
 //! the application lifetime and the application volume, and computing the
 //! FPGA:ASIC ratio over pairwise grids for the heatmaps.
 
-use gf_json::{JsonError, JsonWriter};
+use gf_json::{JsonError, JsonWriter, ToJson};
 
 use crate::comparison::crossovers_from_samples;
 use crate::{CfpBreakdown, Crossover, Domain, GreenFpgaError, ResultBuffer};
@@ -152,10 +152,14 @@ impl SweepSeries {
     }
 }
 
-/// A 2-D grid of FPGA:ASIC total-CFP ratios (the paper's Fig. 8 heatmaps).
+/// The head of a 2-D operating-point lattice, shared by the dense
+/// [`GridSweep`], the streamed [`GridStream`] and the
+/// [`FrontierResult`](crate::FrontierResult) winner map. Their cells are
+/// row-major: cell `(row, col)` sits at index `row * width + col` and
+/// holds the point `(x_values[col], y_values[row])`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GridSweep {
-    /// Domain the grid was evaluated in.
+pub struct Lattice {
+    /// Domain the lattice is evaluated in.
     pub domain: Domain,
     /// Axis swept along the columns.
     pub x_axis: SweepAxis,
@@ -165,22 +169,109 @@ pub struct GridSweep {
     pub y_axis: SweepAxis,
     /// Row coordinate values.
     pub y_values: Vec<f64>,
-    /// `ratios[row][col]` = FPGA total / ASIC total at
-    /// `(x_values[col], y_values[row])`.
-    pub ratios: Vec<Vec<f64>>,
 }
 
-impl GridSweep {
-    /// Number of grid cells.
-    pub fn len(&self) -> usize {
-        self.x_values.len() * self.y_values.len()
+impl Lattice {
+    /// A lattice over checked coordinates (see [`check_axis_values`];
+    /// `what` names them in the error).
+    pub(crate) fn new(
+        domain: Domain,
+        (x_axis, x_values): (SweepAxis, impl Into<Vec<f64>>),
+        (y_axis, y_values): (SweepAxis, impl Into<Vec<f64>>),
+        what: &'static str,
+    ) -> Result<Lattice, GreenFpgaError> {
+        let (x_values, y_values) = (x_values.into(), y_values.into());
+        check_axis_values(&x_values, what)?;
+        check_axis_values(&y_values, what)?;
+        Ok(Lattice {
+            domain,
+            x_axis,
+            x_values,
+            y_axis,
+            y_values,
+        })
     }
 
-    /// `true` when the grid has no cells.
+    /// Number of columns.
+    pub fn width(&self) -> usize {
+        self.x_values.len()
+    }
+
+    /// Number of rows.
+    pub fn height(&self) -> usize {
+        self.y_values.len()
+    }
+
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.width() * self.height()
+    }
+
+    /// `true` when the lattice has no cells.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
+    /// Opens a lattice body: its members up to the `cells` matrix, whose
+    /// rows [`write_rows`] writes and [`write_tail`] closes.
+    pub(crate) fn write_head(&self, w: &mut JsonWriter, cells: &str) {
+        w.begin_object();
+        w.member("domain", &self.domain);
+        w.member("x_axis", &self.x_axis);
+        w.member("x_values", &self.x_values);
+        w.member("y_axis", &self.y_axis);
+        w.member("y_values", &self.y_values);
+        w.key(cells);
+        w.begin_array();
+    }
+}
+
+/// Writes row-major `cells` as the JSON rows `[..],[..]` of `width`
+/// cells each: the one writer of lattice cell rows, behind the buffered
+/// grid, every streamed block and the frontier.
+pub(crate) fn write_rows<T: ToJson>(w: &mut JsonWriter, cells: &[T], width: usize) {
+    for row in cells.chunks(width.max(1)) {
+        w.begin_array();
+        for cell in row {
+            cell.write_json(w);
+        }
+        w.end_array();
+    }
+}
+
+/// Closes a lattice body's cell matrix and writes its winning fraction;
+/// the caller adds any further members and closes the object.
+pub(crate) fn write_tail(w: &mut JsonWriter, fpga_winning_fraction: f64) {
+    w.end_array();
+    w.member("fpga_winning_fraction", &fpga_winning_fraction);
+}
+
+/// `count` as a fraction of `cells`, `0.0` when there are none: the one
+/// quotient behind every lattice's and the Monte-Carlo report's winning
+/// fraction and the frontier's evaluated fraction.
+pub(crate) fn cell_fraction(count: usize, cells: usize) -> f64 {
+    if cells == 0 {
+        return 0.0;
+    }
+    count as f64 / cells as f64
+}
+
+/// Number of ratios below 1, where the FPGA wins.
+pub(crate) fn fpga_wins(ratios: &[f64]) -> usize {
+    ratios.iter().filter(|&&ratio| ratio < 1.0).count()
+}
+
+/// A 2-D grid of FPGA:ASIC total-CFP ratios (the paper's Fig. 8 heatmaps).
+#[derive(Debug, Clone, PartialEq)]
+pub struct GridSweep {
+    /// The lattice the ratios cover.
+    pub lattice: Lattice,
+    /// Row-major ratios: `ratios[row * width + col]` = FPGA total / ASIC
+    /// total at `(x_values[col], y_values[row])`.
+    pub ratios: Vec<f64>,
+}
+
+impl GridSweep {
     /// Fraction of grid cells where the FPGA has the lower footprint.
     ///
     /// Counts over the cells actually present in `ratios` (not the
@@ -188,12 +279,16 @@ impl GridSweep {
     /// its axes — or an entirely empty one — reports a well-defined value
     /// (`0.0` when there are no cells) instead of a skewed quotient.
     pub fn fpga_winning_fraction(&self) -> f64 {
-        let total: usize = self.ratios.iter().map(Vec::len).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let wins = self.ratios.iter().flatten().filter(|&&r| r < 1.0).count();
-        wins as f64 / total as f64
+        cell_fraction(fpga_wins(&self.ratios), self.ratios.len())
+    }
+}
+
+impl ToJson for GridSweep {
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.lattice.write_head(w, "ratios");
+        write_rows(w, &self.ratios, self.lattice.width());
+        write_tail(w, self.fpga_winning_fraction());
+        w.end_object();
     }
 }
 
@@ -274,19 +369,11 @@ impl crate::CompiledScenario {
         base: OperatingPoint,
         threads: usize,
     ) -> Result<GridSweep, GreenFpgaError> {
-        check_axis_values(x_values, "grid values")?;
-        check_axis_values(y_values, "grid values")?;
-        let mut cells = vec![0.0; x_values.len() * y_values.len()];
         let (x, y) = ((x_axis, x_values), (y_axis, y_values));
-        self.fill_ratio_lattice(x, y, base, &mut cells, threads)?;
-        Ok(GridSweep {
-            domain: self.domain(),
-            x_axis,
-            x_values: x_values.to_vec(),
-            y_axis,
-            y_values: y_values.to_vec(),
-            ratios: cells.chunks(x_values.len()).map(<[f64]>::to_vec).collect(),
-        })
+        let lattice = Lattice::new(self.domain(), x, y, "grid values")?;
+        let mut ratios = vec![0.0; lattice.len()];
+        self.fill_ratio_lattice(x, y, base, &mut ratios, threads)?;
+        Ok(GridSweep { lattice, ratios })
     }
 
     /// Starts a streaming evaluation of the same lattice as
@@ -316,19 +403,20 @@ impl crate::CompiledScenario {
         base: OperatingPoint,
         threads: usize,
     ) -> Result<GridStream, GreenFpgaError> {
-        check_axis_values(&x_values, "grid values")?;
-        check_axis_values(&y_values, "grid values")?;
+        let lattice = Lattice::new(
+            self.domain(),
+            (x_axis, x_values),
+            (y_axis, y_values),
+            "grid values",
+        )?;
         // Aim for ~4K cells per block: thousands of closed-form evaluations
         // amortize each block's dispatch, and a block's ratios (32 KiB)
         // stay small next to its JSON text.
-        let columns = x_values.len();
-        let block_rows = (GridStream::TARGET_BLOCK_CELLS / columns).clamp(1, y_values.len());
+        let block_rows =
+            (GridStream::TARGET_BLOCK_CELLS / lattice.width()).clamp(1, lattice.height());
         Ok(GridStream {
             scenario: *self,
-            x_axis,
-            x_values,
-            y_axis,
-            y_values,
+            lattice,
             base,
             threads,
             block_rows,
@@ -350,10 +438,7 @@ impl crate::CompiledScenario {
 #[derive(Debug)]
 pub struct GridStream {
     scenario: crate::CompiledScenario,
-    x_axis: SweepAxis,
-    x_values: Vec<f64>,
-    y_axis: SweepAxis,
-    y_values: Vec<f64>,
+    lattice: Lattice,
     base: OperatingPoint,
     threads: usize,
     block_rows: usize,
@@ -365,39 +450,9 @@ pub struct GridStream {
 impl GridStream {
     const TARGET_BLOCK_CELLS: usize = 4 * 1024;
 
-    /// Domain the grid is evaluated in.
-    pub fn domain(&self) -> Domain {
-        self.scenario.domain()
-    }
-
-    /// Axis swept along the columns.
-    pub fn x_axis(&self) -> SweepAxis {
-        self.x_axis
-    }
-
-    /// Column coordinate values.
-    pub fn x_values(&self) -> &[f64] {
-        &self.x_values
-    }
-
-    /// Axis swept along the rows.
-    pub fn y_axis(&self) -> SweepAxis {
-        self.y_axis
-    }
-
-    /// Row coordinate values.
-    pub fn y_values(&self) -> &[f64] {
-        &self.y_values
-    }
-
-    /// Number of grid columns.
-    pub fn columns(&self) -> usize {
-        self.x_values.len()
-    }
-
-    /// Total number of grid rows.
-    pub fn rows(&self) -> usize {
-        self.y_values.len()
+    /// The lattice being evaluated.
+    pub fn lattice(&self) -> &Lattice {
+        &self.lattice
     }
 
     /// Rows delivered per block (the last block may be shorter).
@@ -407,7 +462,7 @@ impl GridStream {
 
     /// Overrides the block height. Clamped to `1..=rows`.
     pub fn with_block_rows(mut self, rows: usize) -> Self {
-        self.block_rows = rows.clamp(1, self.rows());
+        self.block_rows = rows.clamp(1, self.lattice.height());
         self
     }
 
@@ -418,7 +473,7 @@ impl GridStream {
 
     /// `true` once every row has been delivered.
     pub fn is_finished(&self) -> bool {
-        self.next_row >= self.rows()
+        self.next_row >= self.lattice.height()
     }
 
     /// Fraction of *delivered* cells where the FPGA has the lower
@@ -426,11 +481,7 @@ impl GridStream {
     /// [`GridSweep::fpga_winning_fraction`] on the buffered grid exactly:
     /// same `< 1.0` predicate over the same ratios, same quotient.
     pub fn fpga_winning_fraction(&self) -> f64 {
-        let cells = self.next_row * self.columns();
-        if cells == 0 {
-            return 0.0;
-        }
-        self.wins as f64 / cells as f64
+        cell_fraction(self.wins, self.next_row * self.lattice.width())
     }
 
     /// Evaluates and returns the next row-block, or `None` when the grid is
@@ -443,29 +494,35 @@ impl GridStream {
     /// lowest-index validation error, else the lowest non-finite cell's.
     /// The stream then terminates (subsequent calls return `None`).
     pub fn next_block(&mut self) -> Option<Result<GridBlock<'_>, GreenFpgaError>> {
-        let rows_total = self.y_values.len();
-        if self.next_row >= rows_total {
+        let Lattice {
+            x_axis,
+            ref x_values,
+            y_axis,
+            ref y_values,
+            ..
+        } = self.lattice;
+        if self.next_row >= y_values.len() {
             return None;
         }
         let start_row = self.next_row;
-        let rows = self.block_rows.min(rows_total - start_row);
-        self.ratios.resize(rows * self.x_values.len(), 0.0);
+        let rows = self.block_rows.min(y_values.len() - start_row);
+        self.ratios.resize(rows * x_values.len(), 0.0);
         let result = self.scenario.fill_ratio_lattice(
-            (self.x_axis, &self.x_values),
-            (self.y_axis, &self.y_values[start_row..start_row + rows]),
+            (x_axis, x_values),
+            (y_axis, &y_values[start_row..start_row + rows]),
             self.base,
             &mut self.ratios,
             self.threads,
         );
         if let Err(error) = result {
-            self.next_row = rows_total;
+            self.next_row = y_values.len();
             return Some(Err(error));
         }
         self.next_row = start_row + rows;
-        self.wins += self.ratios.iter().filter(|&&ratio| ratio < 1.0).count();
+        self.wins += fpga_wins(&self.ratios);
         Some(Ok(GridBlock {
             start_row,
-            columns: self.x_values.len(),
+            columns: x_values.len(),
             ratios: &self.ratios,
         }))
     }
@@ -473,18 +530,12 @@ impl GridStream {
     /// The streamed wire form's opening fragment: the buffered
     /// [`GridSweep`] JSON up to and including `"ratios":[`. This head, every
     /// block's [`GridBlock::rows_json`] and [`GridStream::tail_json`]
-    /// concatenate to exactly the buffered body. Each fails only on a
-    /// non-finite number ([`JsonError::NonFinite`]).
+    /// concatenate to exactly the buffered body, whose writer makes the
+    /// same three calls. Each fails only on a non-finite number
+    /// ([`JsonError::NonFinite`]).
     pub fn head_json(&self) -> Result<String, JsonError> {
         let mut w = JsonWriter::new();
-        crate::api::write_grid_head(
-            &mut w,
-            self.domain(),
-            (self.x_axis, &self.x_values),
-            (self.y_axis, &self.y_values),
-            "ratios",
-        );
-        w.begin_array();
+        self.lattice.write_head(&mut w, "ratios");
         w.finish()
     }
 
@@ -492,8 +543,7 @@ impl GridStream {
     /// delivered: the winning fraction and the closing braces.
     pub fn tail_json(&self) -> Result<String, JsonError> {
         let mut w = JsonWriter::new();
-        w.end_array();
-        w.member("fpga_winning_fraction", &self.fpga_winning_fraction());
+        write_tail(&mut w, self.fpga_winning_fraction());
         w.end_object();
         w.finish()
     }
@@ -519,11 +569,6 @@ impl GridBlock<'_> {
         self.ratios.len() / self.columns
     }
 
-    /// Number of columns (same for every block).
-    pub fn columns(&self) -> usize {
-        self.columns
-    }
-
     /// Iterates one block-relative row's ratios in column order.
     pub fn row(&self, row: usize) -> impl Iterator<Item = f64> + '_ {
         self.ratios[row * self.columns..][..self.columns]
@@ -541,13 +586,7 @@ impl GridBlock<'_> {
             fragment.push(',');
         }
         let mut w = JsonWriter::appending(fragment);
-        for row in self.ratios.chunks(self.columns) {
-            w.begin_array();
-            for &cell in row {
-                w.number(cell);
-            }
-            w.end_array();
-        }
+        write_rows(&mut w, self.ratios, self.columns);
         w.finish()
     }
 }
@@ -720,32 +759,29 @@ mod tests {
 
     #[test]
     fn winning_fraction_of_empty_or_inconsistent_grids_is_well_defined() {
-        let empty = GridSweep {
+        let lattice = |x_values: Vec<f64>, y_values: Vec<f64>| Lattice {
             domain: Domain::Dnn,
             x_axis: SweepAxis::Applications,
-            x_values: Vec::new(),
+            x_values,
             y_axis: SweepAxis::LifetimeYears,
-            y_values: Vec::new(),
+            y_values,
+        };
+        let empty = GridSweep {
+            lattice: lattice(Vec::new(), Vec::new()),
             ratios: Vec::new(),
         };
         assert_eq!(empty.fpga_winning_fraction(), 0.0);
-        assert!(empty.is_empty());
+        assert!(empty.lattice.is_empty());
         // A grid whose coordinate lists disagree with its cells counts over
         // the cells actually present.
         let inconsistent = GridSweep {
-            domain: Domain::Dnn,
-            x_axis: SweepAxis::Applications,
-            x_values: vec![1.0, 2.0, 3.0],
-            y_axis: SweepAxis::LifetimeYears,
-            y_values: vec![0.5, 1.0],
-            ratios: vec![vec![0.5, 2.0]],
+            lattice: lattice(vec![1.0, 2.0, 3.0], vec![0.5, 1.0]),
+            ratios: vec![0.5, 2.0],
         };
         assert!((inconsistent.fpga_winning_fraction() - 0.5).abs() < 1e-12);
         let no_cells = GridSweep {
-            x_values: vec![1.0],
-            y_values: vec![1.0],
+            lattice: lattice(vec![1.0], vec![1.0]),
             ratios: Vec::new(),
-            ..inconsistent
         };
         assert_eq!(no_cells.fpga_winning_fraction(), 0.0);
     }
@@ -762,21 +798,15 @@ mod tests {
                 0,
             )
             .unwrap();
-        assert_eq!(grid.ratios.len(), 4);
-        assert!(grid.ratios.iter().all(|row| row.len() == 3));
-        assert!(grid
-            .ratios
-            .iter()
-            .flatten()
-            .all(|r| r.is_finite() && *r > 0.0));
-        assert_eq!(grid.len(), 12);
-        assert!(!grid.is_empty());
+        assert_eq!((grid.lattice.width(), grid.lattice.height()), (3, 4));
+        assert_eq!(grid.ratios.len(), 12);
+        assert!(grid.ratios.iter().all(|r| r.is_finite() && *r > 0.0));
         let f = grid.fpga_winning_fraction();
         assert!((0.0..=1.0).contains(&f));
         // More apps and shorter lifetimes favour the FPGA: the cell with the
         // most apps and shortest lifetime must have a lower ratio than the
         // cell with the fewest apps and longest lifetime.
-        assert!(grid.ratios[0][2] < grid.ratios[3][0]);
+        assert!(grid.ratios[2] < grid.ratios[3 * 3]);
     }
 
     #[test]
@@ -804,8 +834,7 @@ mod tests {
                     )
                     .unwrap()
                     .with_block_rows(block_rows);
-                assert_eq!(stream.columns(), x_values.len());
-                assert_eq!(stream.rows(), y_values.len());
+                assert_eq!(stream.lattice(), &buffered.lattice);
                 assert_eq!(stream.block_rows(), block_rows.min(y_values.len()));
                 let mut next_expected_row = 0;
                 while let Some(block) = stream.next_block() {
@@ -816,7 +845,7 @@ mod tests {
                         for (c, ratio) in block.row(r).enumerate() {
                             assert_eq!(
                                 ratio.to_bits(),
-                                buffered.ratios[absolute][c].to_bits(),
+                                buffered.ratios[absolute * x_values.len() + c].to_bits(),
                                 "{x_axis:?} x {y_axis:?} cell ({absolute},{c}) diverged at \
                                  block_rows {block_rows}, {threads} threads"
                             );
@@ -1027,7 +1056,7 @@ mod tests {
                             .unwrap()
                             .fpga_to_asic_ratio();
                         assert_eq!(
-                            grid.ratios[row][col].to_bits(),
+                            grid.ratios[row * x_values.len() + col].to_bits(),
                             naive.to_bits(),
                             "{x_axis:?} x {y_axis:?} cell ({row},{col}), {threads} threads"
                         );
@@ -1141,8 +1170,7 @@ mod tests {
             let buffered = compiled.ratio_grid(x_axis, &x_values, y_axis, &y_values, base, threads);
             match (&expected, &buffered) {
                 (Ok(ratios), Ok(grid)) => {
-                    let cells: Vec<u64> =
-                        grid.ratios.iter().flatten().map(|r| r.to_bits()).collect();
+                    let cells: Vec<u64> = grid.ratios.iter().map(|r| r.to_bits()).collect();
                     let want: Vec<u64> = ratios.iter().map(|r| r.to_bits()).collect();
                     assert_eq!(cells, want, "{at}");
                     outcomes[0] += 1;

@@ -174,10 +174,7 @@ impl UncertaintyReport {
 
     /// Fraction of trials in which the FPGA had the lower total CFP.
     pub fn fpga_win_probability(&self) -> f64 {
-        if self.ratios.is_empty() {
-            return 0.0;
-        }
-        self.ratios.iter().filter(|&&r| r < 1.0).count() as f64 / self.ratios.len() as f64
+        crate::sweep::cell_fraction(crate::sweep::fpga_wins(&self.ratios), self.ratios.len())
     }
 
     /// The platform that wins in the majority of trials.

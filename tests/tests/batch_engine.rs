@@ -209,7 +209,7 @@ fn ratio_grid_matches_point_wise_compare_domain() {
                     .fpga_to_asic_ratio();
                 assert_close(
                     &format!("{domain} grid cell ({row},{col})"),
-                    grid.ratios[row][col],
+                    grid.ratios[row * apps.len() + col],
                     naive,
                 );
             }

@@ -252,7 +252,7 @@ fn frontier_matches_the_direct_refiner_and_renderer() {
         )
         .unwrap();
     assert_eq!(response, direct);
-    for (a, b) in response.x_values.iter().zip(&x_values) {
+    for (a, b) in response.lattice.x_values.iter().zip(&x_values) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
 }

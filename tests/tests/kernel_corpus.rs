@@ -198,7 +198,7 @@ fn stream_all_ways(name: &str, start: impl Fn(usize) -> Result<GridStream, ApiEr
     };
     let finest = streamed_text(start(1).unwrap().with_block_rows(1));
     for threads in [1, 3] {
-        let rows = start(threads).unwrap().rows();
+        let rows = start(threads).unwrap().lattice().height();
         for block_rows in [1, 2, 3, rows] {
             let text = streamed_text(start(threads).unwrap().with_block_rows(block_rows));
             let at = format!("{name}: {threads} threads, {block_rows}-row blocks");
@@ -459,7 +459,7 @@ fn engine_grid_lines() -> Vec<String> {
 /// Where a frontier row's winner flips: every `col` whose winner differs
 /// from `col + 1`'s (none for a uniform row).
 fn flips(frontier: &FrontierResult, row: usize) -> Vec<usize> {
-    (1..frontier.width())
+    (1..frontier.lattice.width())
         .filter(|&col| frontier.fpga_wins(row, col - 1) != frontier.fpga_wins(row, col))
         .map(|col| col - 1)
         .collect()
@@ -537,13 +537,17 @@ fn frontier_lines() -> Vec<String> {
         let fanned = gf_json::ToJson::to_json_string(&frontier(3)).unwrap();
         assert_eq!(fanned, text, "{name}: 3 threads");
         if name.ends_with(".mixed") {
-            assert_eq!(serial.evaluations(), serial.len(), "{name}: cell by cell");
-        } else if serial.width() > 2 {
-            for row in 0..serial.height() {
+            assert_eq!(
+                serial.evaluations(),
+                serial.lattice.len(),
+                "{name}: cell by cell"
+            );
+        } else if serial.lattice.width() > 2 {
+            for row in 0..serial.lattice.height() {
                 let flips = flips(&serial, row);
                 seen[0] |= flips.is_empty();
                 seen[1] |= flips.first() == Some(&0);
-                seen[2] |= flips.last() == Some(&(serial.width() - 2));
+                seen[2] |= flips.last() == Some(&(serial.lattice.width() - 2));
             }
         }
         lines.push(format!("{name} {text}"));

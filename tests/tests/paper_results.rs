@@ -184,7 +184,8 @@ fn fig8_heatmap_frontier_moves_the_right_way() {
         )
         .unwrap();
     // Within a row (fixed lifetime) the ratio falls as apps increase.
-    for row in &grid.ratios {
+    let width = apps.len();
+    for row in grid.ratios.chunks(width) {
         for pair in row.windows(2) {
             assert!(pair[1] <= pair[0] + 1e-9);
         }
@@ -195,14 +196,18 @@ fn fig8_heatmap_frontier_moves_the_right_way() {
     // cost dominates both totals and the trend can invert, so the check is
     // limited to the reuse-heavy column, which is what the paper's heatmap
     // frontier illustrates.)
-    let last_col = apps.len() - 1;
+    let last_col = width - 1;
     for row in 0..lifetimes.len() - 1 {
-        assert!(grid.ratios[row + 1][last_col] >= grid.ratios[row][last_col] - 1e-9);
+        let (below, above) = (
+            grid.ratios[row * width + last_col],
+            grid.ratios[(row + 1) * width + last_col],
+        );
+        assert!(above >= below - 1e-9);
     }
     // The FPGA-favourable corner (many apps, short lifetime) and the
     // ASIC-favourable corner (few apps, long lifetime) disagree.
-    assert!(grid.ratios[0][apps.len() - 1] < 1.0);
-    assert!(grid.ratios[lifetimes.len() - 1][0] > 1.0);
+    assert!(grid.ratios[last_col] < 1.0);
+    assert!(grid.ratios[(lifetimes.len() - 1) * width] > 1.0);
 }
 
 #[test]
