@@ -34,8 +34,9 @@
 //! * **SplitMix64 ids.** Span and request ids come from the in-tree
 //!   [`gf_support::SplitMix64`] finalizer — unique (the finalizer is a
 //!   bijection), well-spread, and cheap. Request ids draw from a global
-//!   counter; span ids draw from per-thread blocks so the ring push
-//!   never touches a contended cache line.
+//!   counter. A span id is derived when the span is read, from its ring
+//!   id and push index, so the ring push stores none and never touches a
+//!   contended cache line.
 //! * **Runtime kill switch.** [`set_enabled`]`(false)` short-circuits
 //!   recording to one relaxed load — not even a clock read — which
 //!   is how the bench suite measures the `trace_overhead` ratio inside
@@ -236,53 +237,49 @@ static ID_COUNTER: AtomicU64 = AtomicU64::new(1);
 /// A fresh unique id (request-scoped or ad hoc). SplitMix64's output
 /// function is a bijection of its seed, so distinct counter values give
 /// distinct ids while spreading them across the full 64-bit space.
-/// Counter values stay below `SPAN_ID_BLOCK_BITS` (40) bits in any
-/// realistic process, so they never collide with the seeds the span-id
-/// blocks use.
+/// Counter values stay below `SPAN_ID_INDEX_BITS` (40) bits in any
+/// realistic process, so they never collide with the seeds span ids use.
 pub fn next_id() -> u64 {
     let n = ID_COUNTER.fetch_add(1, Ordering::Relaxed);
     SplitMix64::new(n).next_u64()
 }
 
-/// Span-id sequence numbers per claimed block: threads hand ids out of a
-/// thread-local cursor and only touch this shared allocator once per
-/// 2^40 spans, so the ring push costs a `Cell` bump, not contended
-/// atomic traffic.
-const SPAN_ID_BLOCK_BITS: u32 = 40;
+/// Bits of a span-id seed that hold the span's push index in its ring;
+/// the bits above hold the ring id + 1, so every seed is at least 2^40
+/// and disjoint from [`next_id`]'s counter seeds.
+const SPAN_ID_INDEX_BITS: u32 = 40;
 
-static SPAN_ID_BLOCKS: AtomicU64 = AtomicU64::new(1);
-
-std::thread_local! {
-    static SPAN_ID_CURSOR: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+/// The calling thread's trace state, one thread-local for the ring push
+/// and the request context it reads.
+struct Local {
+    /// The thread's span ring, registered on its first span.
+    ring: std::cell::OnceCell<Arc<Ring>>,
+    /// The current request id (`0` when none).
+    request: std::cell::Cell<u64>,
+    /// `(request id, stamp)` of the last span end this thread recorded:
+    /// the boundary an [`event`] under the same request is dated at.
+    last_boundary: std::cell::Cell<(u64, u64)>,
 }
 
-fn next_span_id() -> u64 {
-    SPAN_ID_CURSOR.with(|cell| {
-        let mut cursor = cell.get();
-        if cursor.trailing_zeros() >= SPAN_ID_BLOCK_BITS {
-            // Block exhausted (or the thread's first span): claim a
-            // fresh one. Blocks start at 1, so span-id seeds are always
-            // ≥ 2^40 and disjoint from [`next_id`]'s counter seeds.
-            cursor = SPAN_ID_BLOCKS.fetch_add(1, Ordering::Relaxed) << SPAN_ID_BLOCK_BITS;
+std::thread_local! {
+    static LOCAL: Local = const {
+        Local {
+            ring: std::cell::OnceCell::new(),
+            request: std::cell::Cell::new(0),
+            last_boundary: std::cell::Cell::new((0, 0)),
         }
-        cell.set(cursor + 1);
-        SplitMix64::new(cursor).next_u64()
-    })
-}
-
-std::thread_local! {
-    static CURRENT_REQUEST: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    };
 }
 
 /// Sets the calling thread's current request id; spans recorded on this
 /// thread carry it until it changes. `0` clears it.
 pub fn set_current_request(id: u64) {
-    CURRENT_REQUEST.with(|cell| cell.set(id));
+    LOCAL.with(|local| local.request.set(id));
 }
 
 /// The calling thread's current request id (`0` when none).
 pub fn current_request() -> u64 {
-    CURRENT_REQUEST.with(std::cell::Cell::get)
+    LOCAL.with(|local| local.request.get())
 }
 
 // ---------------------------------------------------------------------------
@@ -295,7 +292,6 @@ pub fn current_request() -> u64 {
 struct Slot {
     seq: AtomicU64,
     name: AtomicU64,
-    span_id: AtomicU64,
     request_id: AtomicU64,
     start_ticks: AtomicU64,
     duration_ticks: AtomicU64,
@@ -315,7 +311,6 @@ impl Ring {
             .map(|_| Slot {
                 seq: AtomicU64::new(0),
                 name: AtomicU64::new(0),
-                span_id: AtomicU64::new(0),
                 request_id: AtomicU64::new(0),
                 start_ticks: AtomicU64::new(0),
                 duration_ticks: AtomicU64::new(0),
@@ -344,7 +339,6 @@ impl Ring {
         let seq = slot.seq.load(Ordering::Relaxed);
         slot.seq.store(seq + 1, Ordering::Release); // odd: write in flight
         slot.name.store(name as u64, Ordering::Relaxed);
-        slot.span_id.store(next_span_id(), Ordering::Relaxed);
         slot.request_id.store(request_id, Ordering::Relaxed);
         slot.start_ticks.store(start_ticks, Ordering::Relaxed);
         slot.duration_ticks.store(duration_ticks, Ordering::Relaxed);
@@ -355,7 +349,9 @@ impl Ring {
 
     /// Reads slot `index` (a global push index) if it holds a consistent,
     /// published span, converting its tick stamps to nanoseconds with
-    /// `scale`; `None` for empty, in-flight or torn slots.
+    /// `scale`; `None` for empty, in-flight or torn slots. The span id is
+    /// derived here from the ring id and the push index, so a push stores
+    /// none.
     fn read(&self, index: u64, scale: clock::Scale) -> Option<SpanRecord> {
         let slot = &self.slots[(index as usize) & (RING_CAPACITY - 1)];
         let seq_before = slot.seq.load(Ordering::Acquire);
@@ -364,7 +360,7 @@ impl Ring {
         }
         let record = SpanRecord {
             name: SpanName::from_u64(slot.name.load(Ordering::Relaxed))?,
-            span_id: slot.span_id.load(Ordering::Relaxed),
+            span_id: SplitMix64::new((self.thread + 1) << SPAN_ID_INDEX_BITS | index).next_u64(),
             request_id: slot.request_id.load(Ordering::Relaxed),
             start_ns: scale.ticks_to_ns(slot.start_ticks.load(Ordering::Relaxed)),
             duration_ns: scale.ticks_to_ns(slot.duration_ticks.load(Ordering::Relaxed)),
@@ -393,31 +389,9 @@ pub(crate) fn registered_rings() -> Vec<Arc<Ring>> {
     registry().lock().expect("trace registry poisoned").clone()
 }
 
-std::thread_local! {
-    static LOCAL_RING: std::cell::OnceCell<Arc<Ring>> = const { std::cell::OnceCell::new() };
-}
-
-fn with_local_ring(f: impl FnOnce(&Ring)) {
-    LOCAL_RING.with(|cell| {
-        let ring = cell.get_or_init(|| {
-            let mut rings = registry().lock().expect("trace registry poisoned");
-            let ring = Arc::new(Ring::new(rings.len() as u64));
-            rings.push(Arc::clone(&ring));
-            ring
-        });
-        f(ring);
-    });
-}
-
 // ---------------------------------------------------------------------------
 // Recording API
 // ---------------------------------------------------------------------------
-
-std::thread_local! {
-    /// `(request id, stamp)` of the last span end this thread recorded:
-    /// the boundary an [`event`] under the same request is dated at.
-    static LAST_BOUNDARY: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
-}
 
 /// Opens a span: one clock read, or 0 when tracing is off. Hand the stamp
 /// to [`close`].
@@ -436,7 +410,7 @@ pub fn close(name: SpanName, start: u64, aux: u64) -> u64 {
     if start == 0 || !enabled() {
         return 0;
     }
-    record(name, current_request(), start, now_ticks(), aux)
+    record(name, start, now_ticks(), aux)
 }
 
 /// [`close`] at an `end` stamp that another span already closed at, for a
@@ -447,7 +421,7 @@ pub fn close_at(name: SpanName, start: u64, end: u64, aux: u64) -> u64 {
     if start == 0 || end == 0 || !enabled() {
         return 0;
     }
-    record(name, current_request(), start, end, aux)
+    record(name, start, end, aux)
 }
 
 /// Records a zero-duration event. It reads no clock when this thread's
@@ -458,22 +432,35 @@ pub fn event(name: SpanName, aux: u64) {
     if !enabled() {
         return;
     }
-    let request_id = current_request();
-    let (last_request, last) = LAST_BOUNDARY.with(std::cell::Cell::get);
-    let at = if request_id != 0 && last_request == request_id {
-        last
-    } else {
-        now_ticks()
-    };
-    record(name, request_id, at, at, aux);
+    LOCAL.with(|local| {
+        let request_id = local.request.get();
+        let (last_request, last) = local.last_boundary.get();
+        let at = if request_id != 0 && last_request == request_id {
+            last
+        } else {
+            now_ticks()
+        };
+        push(local, name, request_id, at, at, aux);
+    });
 }
 
-/// Pushes one span onto the thread's ring and makes `end` its last
-/// boundary.
-fn record(name: SpanName, request_id: u64, start: u64, end: u64, aux: u64) -> u64 {
-    LAST_BOUNDARY.with(|cell| cell.set((request_id, end)));
-    with_local_ring(|ring| ring.push(name, request_id, start, end.saturating_sub(start), aux));
+/// Records one span under the thread's current request.
+fn record(name: SpanName, start: u64, end: u64, aux: u64) -> u64 {
+    LOCAL.with(|local| push(local, name, local.request.get(), start, end, aux));
     end
+}
+
+/// Pushes one span onto the thread's ring, registering the ring on the
+/// thread's first span, and makes `end` its last boundary.
+fn push(local: &Local, name: SpanName, request_id: u64, start: u64, end: u64, aux: u64) {
+    local.last_boundary.set((request_id, end));
+    let ring = local.ring.get_or_init(|| {
+        let mut rings = registry().lock().expect("trace registry poisoned");
+        let ring = Arc::new(Ring::new(rings.len() as u64));
+        rings.push(Arc::clone(&ring));
+        ring
+    });
+    ring.push(name, request_id, start, end.saturating_sub(start), aux);
 }
 
 // ---------------------------------------------------------------------------
@@ -677,7 +664,7 @@ mod tests {
         assert_eq!(
             span_ids.len(),
             4,
-            "block-allocated span ids stay unique across threads"
+            "span ids derived from ring and push index stay unique across threads"
         );
     }
 

@@ -74,7 +74,7 @@ pub fn start_ndjson_log(path: &Path) -> std::io::Result<TraceLog> {
     let mut cursors: Vec<u64> = Vec::new();
     for ring in registered_rings() {
         let (_, head) = ring.window();
-        set_cursor(&mut cursors, ring.thread, head);
+        *cursor_of(&mut cursors, ring.thread) = head;
     }
     let thread = std::thread::Builder::new()
         .name("gf-trace-log".to_string())
@@ -136,14 +136,6 @@ pub fn start_ndjson_log(path: &Path) -> std::io::Result<TraceLog> {
         stop,
         thread: Some(thread),
     })
-}
-
-fn set_cursor(cursors: &mut Vec<u64>, thread: u64, value: u64) {
-    let index = thread as usize;
-    if cursors.len() <= index {
-        cursors.resize(index + 1, 0);
-    }
-    cursors[index] = value;
 }
 
 fn cursor_of(cursors: &mut Vec<u64>, thread: u64) -> &mut u64 {
